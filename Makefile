@@ -1,6 +1,6 @@
 # Developer entry points. The repo needs only the Go toolchain.
 
-.PHONY: build test check bench bench-ingress bench-scaling bench-smoke fuzz-smoke crash-smoke golden-update
+.PHONY: build test check bench bench-ingress bench-scaling bench-smoke bench-contract fuzz-smoke crash-smoke golden-update
 
 build:
 	go build ./...
@@ -9,29 +9,41 @@ test:
 	go test ./...
 
 # check is the pre-merge gate: static analysis, the race detector over the
-# packages that run goroutines (the destination-sharded engine, the parallel
-# ingress scans, the single-flight placement cache, the multi-tenant job
-# service's worker pool, including the fault-recovery paths exercised by the
-# chaos suite) or are otherwise concurrency-sensitive (the metrics registry),
-# the ingress differential test pinning the parallel partitioners to their
-# sequential specs, the batched-BFS differential suite pinning the 64-lane
-# packed traversal to 64 scalar runs at -cpu 1,2,4, the evolving-graph
+# packages that run goroutines (the engine's sharded superstep loop, the
+# parallel ingress scans, the single-flight placement cache, the multi-tenant
+# job service's worker pool, including the fault-recovery paths exercised by
+# the chaos suite) or are otherwise concurrency-sensitive (the metrics
+# registry), the ingress differential test pinning the parallel partitioners
+# to their sequential specs, the allocation guards (ingress budgets; one
+# engine worker allocates no more than the sequential loop it replaced, and
+# nothing per superstep), the batched-BFS differential suite pinning the
+# 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the evolving-graph
 # differentials (amended placements inside their imbalance envelope,
 # O(|delta|) fingerprints bit-identical to full rescans, process-stable
 # partitioner cache keys), the overload and evolve golden files pinning the
 # service control plane and the incremental-recomputation chain
-# byte-for-byte, and a short fuzz pass over every decoder/encoder boundary
-# plus the packed-traversal and delta property fuzzers.
+# byte-for-byte, the end-to-end benchmark's own contract tests, and a short
+# fuzz pass over every decoder/encoder boundary plus the packed-traversal and
+# delta property fuzzers.
 check:
 	go vet ./...
 	go test -race ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
 	go test -race -cpu 1,2,4 -run TestParallelEngineWorkerCountInvariance ./internal/apps
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential' ./internal/partition ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression' ./internal/partition
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs' ./internal/partition ./internal/engine
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
+	$(MAKE) bench-contract
 	$(MAKE) fuzz-smoke
+
+# bench-contract vets and tests the end-to-end benchmark harness: benchmark/
+# is a Go module of its own (replace proxygraph => ../), so go test ./... does
+# not reach it, yet it binds to App.Run, Session.RunJob, Resume and
+# NewPlacement — an API deletion next to those must not break it. Its pinned
+# Supersteps/Gathers/SimSeconds expectations also re-check bit-identity.
+bench-contract:
+	cd benchmark && go vet . && go test .
 
 # fuzz-smoke runs each fuzz target briefly — enough to exercise the seed
 # corpus plus a few thousand mutations, cheap enough for every merge. Longer

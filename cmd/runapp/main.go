@@ -257,15 +257,12 @@ func configureSources(app apps.App, list string, landmarks int) error {
 	return nil
 }
 
-// runTraced executes the app through the richest entry point the requested
-// options need. Plain runs with no collector take App.Run; anything with
-// fault injection or a collector needs the full-options engine path (or, for
-// the async Coloring, its Trace field).
+// runTraced executes the app with the requested fault options and trace
+// recorder attached. Apps off the synchronous GAS engine have no supersteps
+// for either to act on: asking for them there is an input error, except that
+// the async Coloring can still be traced through its Trace field.
 func runTraced(app apps.App, pl *engine.Placement, cl *cluster.Cluster,
 	opts *engine.Options, rec *trace.Recorder) (*engine.Result, error) {
-	if opts == nil && rec == nil {
-		return app.Run(pl, cl)
-	}
 	full := engine.Options{}
 	if opts != nil {
 		full = *opts
@@ -273,17 +270,18 @@ func runTraced(app apps.App, pl *engine.Placement, cl *cluster.Cluster,
 	if rec != nil {
 		full.Trace = rec
 	}
-	if fr, ok := app.(apps.OptsRunner); ok {
-		return fr.RunOpts(pl, cl, full)
+	if !apps.Synchronous(app) {
+		c, coloring := app.(*apps.Coloring)
+		switch {
+		case opts != nil:
+			return nil, fmt.Errorf("%s does not run on the synchronous GAS engine; fault injection and checkpointing need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach", app.Name())
+		case rec != nil && !coloring:
+			return nil, fmt.Errorf("%s does not support execution tracing; -trace-out/-metrics-out need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach, coloring", app.Name())
+		case rec != nil:
+			c.Trace = rec
+		}
 	}
-	if c, ok := app.(*apps.Coloring); ok && opts == nil {
-		c.Trace = rec
-		return c.Run(pl, cl)
-	}
-	if opts != nil {
-		return nil, fmt.Errorf("%s does not run on the synchronous GAS engine; fault injection and checkpointing need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach", app.Name())
-	}
-	return nil, fmt.Errorf("%s does not support execution tracing; -trace-out/-metrics-out need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach, coloring", app.Name())
+	return apps.Run(app, pl, cl, full)
 }
 
 // sinks holds the pre-opened observability output files.

@@ -210,8 +210,21 @@ func TestRunTracedRejectsUntraceableApp(t *testing.T) {
 	if _, err := runTraced(app, pl, cl, nil, trace.NewRecorder()); err == nil {
 		t.Fatal("triangle_count with a collector must be rejected")
 	}
+	// Fault options are input errors too: there are no supersteps to inject
+	// faults into or checkpoint between.
+	if _, err := runTraced(app, pl, cl, &engine.Options{}, nil); err == nil {
+		t.Fatal("triangle_count with fault options must be rejected")
+	}
 	// Without faults or a collector the plain path still works.
 	if _, err := runTraced(app, pl, cl, nil, nil); err != nil {
 		t.Fatal(err)
+	}
+	// The async Coloring is off the engine but traces through its own field.
+	rec := trace.NewRecorder()
+	if _, err := runTraced(apps.NewColoring(), pl, cl, nil, rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Events) == 0 {
+		t.Fatal("traced coloring recorded no events")
 	}
 }

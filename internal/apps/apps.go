@@ -25,14 +25,42 @@ type App interface {
 	Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error)
 }
 
-// OptsRunner is implemented by applications whose engine run accepts
-// engine.Options — dynamic rebalancing and fault injection. The synchronous
-// GAS applications (PageRank, Connected Components, BFS) qualify; the
-// asynchronous and one-shot applications do not.
-type OptsRunner interface {
-	App
-	// RunOpts is Run with engine options attached.
-	RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error)
+// synchronous is implemented by the applications that execute on the
+// synchronous GAS engine (PageRank, Connected Components, BFS, the batched
+// traversals and the warm-started variants): their supersteps are what
+// engine.Options act on.
+type synchronous interface {
+	run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error)
+}
+
+// Run executes app with engine options attached: rebalancing, fault injection
+// and checkpointing, tracing, a warm-start frontier. Applications on the
+// synchronous GAS engine honour them; the asynchronous and one-shot
+// applications (Coloring, SSSP, KCore, Triangle Count, delta PageRank) have
+// no supersteps for options to act on and run exactly as app.Run does.
+func Run(app App, pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	if s, ok := app.(synchronous); ok {
+		return s.run(pl, cl, opts)
+	}
+	return app.Run(pl, cl)
+}
+
+// Synchronous reports whether app executes on the synchronous GAS engine,
+// that is whether Run honours engine.Options for it.
+func Synchronous(app App) bool {
+	_, ok := app.(synchronous)
+	return ok
+}
+
+// runGAS executes a vertex program on the engine and attaches the
+// application's output, derived from the final vertex states.
+func runGAS[V, A, O any](prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, opts engine.Options, output func([]V) O) (*engine.Result, error) {
+	res, vals, err := engine.Run[V, A](prog, pl, cl, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Output = output(vals)
+	return res, nil
 }
 
 // All returns the paper's four applications with default parameters, in the

@@ -561,6 +561,8 @@ func TestAppScalingIsApplicationSpecific(t *testing.T) {
 
 var _ = rng.Hash64 // keep the import for future table-driven seeds
 
+// TestParallelVariantsMatch pins the app-level route to several workers:
+// apps.Run with Options.Workers set must match the two-argument Run.
 func TestParallelVariantsMatch(t *testing.T) {
 	g := testGraph(t, 55, 800, 8000)
 	cl := multiCluster(t, 4)
@@ -570,7 +572,7 @@ func TestParallelVariantsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prPar, err := NewPageRank().RunParallel(pl, cl)
+	prPar, err := Run(NewPageRank(), pl, cl, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +590,7 @@ func TestParallelVariantsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccPar, err := NewConnectedComponents().RunParallel(pl, cl)
+	ccPar, err := Run(NewConnectedComponents(), pl, cl, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

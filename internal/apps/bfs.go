@@ -98,19 +98,12 @@ func (b *BFS) Apply(v graph.VertexID, old int32, acc int32, hasAcc bool, rt *eng
 // Run implements App. The Output is the []int32 distance vector
 // (-1 for unreachable vertices).
 func (b *BFS) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return b.RunOpts(pl, cl, engine.Options{})
+	return b.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached (dynamic rebalancing, fault
-// injection and checkpointing).
-func (b *BFS) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+func (b *BFS) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
 	if err := validateSource(b.Name(), pl.G.NumVertices, b.Source); err != nil {
 		return nil, err
 	}
-	res, dists, err := engine.RunSyncOpts[int32, int32](b, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = dists
-	return res, nil
+	return runGAS(b, pl, cl, opts, func(dists []int32) []int32 { return dists })
 }

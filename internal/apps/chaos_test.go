@@ -42,26 +42,26 @@ func hasPhase(res *engine.Result, kind string) bool {
 }
 
 // checkChaos runs prog fault-free on the reference engine, then under cfg on
-// all three engines, asserting value equivalence against the fault-free run
+// all three legs, asserting value equivalence against the fault-free run
 // and bitwise accounting equivalence across the faulted runs.
 func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, cfg *engine.FaultConfig, eq func(a, b V) bool) *engine.Result {
 	t.Helper()
 
-	_, baseVals, err := engine.RunSyncReference[V, A](prog, pl, cl)
+	_, baseVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatalf("%s fault-free: %v", name, err)
 	}
 
 	opts := engine.Options{Fault: cfg}
-	refRes, refVals, err := engine.RunSyncReferenceOpts[V, A](prog, pl, cl, opts)
+	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, opts)
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrRes, csrVals, err := engine.RunSyncOpts[V, A](prog, pl, cl, opts)
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, withWorkers(opts, 1))
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parRes, parVals, err := engine.RunSyncParallelOpts[V, A](prog, pl, cl, opts)
+	parRes, parVals, err := engine.Run[V, A](prog, pl, cl, withWorkers(opts, 4))
 	if err != nil {
 		t.Fatalf("%s parallel: %v", name, err)
 	}
@@ -90,10 +90,6 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 }
 
 func TestChaosRecoverySixApps(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
@@ -172,10 +168,6 @@ func TestChaosRecoverySixApps(t *testing.T) {
 // TestChaosSeededSchedules drives the generator end to end: seeded random
 // schedules, every engine, value equivalence after recovery.
 func TestChaosSeededSchedules(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
@@ -234,11 +226,11 @@ func TestChaosTransientOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, baseVals, err := engine.RunSync[prState, float64](NewPageRank(), pl, cl)
+	base, baseVals, err := engine.Run[prState, float64](NewPageRank(), pl, cl, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, vals, err := engine.RunSyncOpts[prState, float64](NewPageRank(), pl, cl,
+	res, vals, err := engine.Run[prState, float64](NewPageRank(), pl, cl,
 		engine.Options{Fault: &engine.FaultConfig{Injector: sched}})
 	if err != nil {
 		t.Fatal(err)
@@ -266,11 +258,11 @@ func TestChaosCheckpointNeverFree(t *testing.T) {
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
 
-	base, baseVals, err := engine.RunSync[uint32, uint32](NewConnectedComponents(), pl, cl)
+	base, baseVals, err := engine.Run[uint32, uint32](NewConnectedComponents(), pl, cl, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, vals, err := engine.RunSyncOpts[uint32, uint32](NewConnectedComponents(), pl, cl,
+	res, vals, err := engine.Run[uint32, uint32](NewConnectedComponents(), pl, cl,
 		engine.Options{Fault: &engine.FaultConfig{CheckpointEvery: 1}})
 	if err != nil {
 		t.Fatal(err)

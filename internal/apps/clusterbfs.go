@@ -34,11 +34,11 @@ type ClusterState struct {
 // whose per-superstep direction choice reacts to the union frontier (any
 // lane active keeps the vertex hot). Distances per lane are bit-identical
 // to running BFS once per source; the differential suite pins exactly that
-// across all three engines.
+// against the reference engine and at every worker count.
 type ClusterBFS struct {
 	// Sources are the batched roots, one bit lane each (at most
-	// MaxBatchSources, all distinct and in range — RunOpts rejects anything
-	// else with a typed error).
+	// MaxBatchSources, all distinct and in range — Run rejects anything else
+	// with a typed error).
 	Sources []graph.VertexID
 	// MaxIters caps the superstep count.
 	MaxIters int
@@ -109,8 +109,8 @@ func (c *ClusterBFS) Init(v graph.VertexID, outDeg, inDeg int32) ClusterState {
 func (c *ClusterBFS) Gather(src ClusterState) uint64 { return src.Seen }
 
 // Sum implements engine.Program: bitwise OR — exactly associative and
-// commutative, so all three engines agree to the last bit even when sparse
-// supersteps re-associate the accumulation order.
+// commutative, so the reference engine and Run agree to the last bit even
+// when sparse supersteps re-associate the accumulation order.
 func (c *ClusterBFS) Sum(a, b uint64) uint64 { return a | b }
 
 // Apply implements engine.Program: lanes arriving for the first time stamp
@@ -158,23 +158,13 @@ func (l *ClusterLabels) Dist(v graph.VertexID, j int) int32 { return l.States[v]
 // ReachMask returns vertex v's packed reach word.
 func (l *ClusterLabels) ReachMask(v graph.VertexID) uint64 { return l.States[v].Seen }
 
-// Run implements App. The Output is a *ClusterLabels.
+// Run implements App. The Output is a *ClusterLabels. The source set is
+// validated up front: empty, oversized, duplicated or out-of-range source sets
+// return a typed error before the engine starts.
 func (c *ClusterBFS) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return c.RunOpts(pl, cl, engine.Options{})
+	return c.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached (dynamic rebalancing, fault
-// injection and checkpointing). The source set is validated up front: empty,
-// oversized, duplicated or out-of-range source sets return a typed error
-// before the engine starts.
-func (c *ClusterBFS) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	if err := validateSources(c.Name(), pl.G.NumVertices, c.Sources, MaxBatchSources); err != nil {
-		return nil, err
-	}
-	res, states, err := engine.RunSyncOpts[ClusterState, uint64](c, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = &ClusterLabels{Sources: append([]graph.VertexID(nil), c.Sources...), States: states}
-	return res, nil
+func (c *ClusterBFS) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	return runBatch(c, c.Sources, pl, cl, opts, func(l *ClusterLabels) *ClusterLabels { return l })
 }

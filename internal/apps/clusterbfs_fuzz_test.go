@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzClusterBFS decodes arbitrary bytes into a small undirected graph plus a
-// distinct source set, runs the packed traversal through the CSR engine, and
-// checks every lane against the in-test queue-BFS oracle. The decoder skips
+// distinct source set, runs the packed traversal through engine.Run at one and
+// four workers and through engine.RunReference, and checks every lane of each
+// against the in-test queue-BFS oracle. The decoder skips
 // self-loops (the graph validator rejects them) and never rejects an input —
 // every byte string maps to some legal (graph, sources) pair, so the fuzzer's
 // whole search space exercises the packed Apply/Gather path.
@@ -69,20 +70,26 @@ func FuzzClusterBFS(f *testing.F) {
 		cl := multiCluster(t, 2)
 
 		prog := &ClusterBFS{Sources: srcs, MaxIters: 200}
-		_, states, err := engine.RunSync[ClusterState, uint64](prog, pl, cl)
-		if err != nil {
-			t.Fatalf("packed run: %v", err)
+		legs := map[string][]ClusterState{}
+		var err1, err4, errRef error
+		_, legs["workers=1"], err1 = engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{Workers: 1})
+		_, legs["workers=4"], err4 = engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{Workers: 4})
+		_, legs["reference"], errRef = engine.RunReference[ClusterState, uint64](prog, pl, cl, engine.Options{})
+		if err1 != nil || err4 != nil || errRef != nil {
+			t.Fatalf("packed run: %v, %v, %v", err1, err4, errRef)
 		}
 
-		for j, s := range srcs {
-			oracle := scalarBFSDistances(g, s)
-			for v := range states {
-				if got := states[v].Dist[j]; got != oracle[v] {
-					t.Fatalf("lane %d (source %d) vertex %d: packed %d, oracle %d (n=%d, %d edges)",
-						j, s, v, got, oracle[v], n, len(g.Edges))
-				}
-				if reached := states[v].Seen&(1<<uint(j)) != 0; reached != (oracle[v] >= 0) {
-					t.Fatalf("lane %d vertex %d: reach bit %v, oracle distance %d", j, v, reached, oracle[v])
+		for leg, states := range legs {
+			for j, s := range srcs {
+				oracle := scalarBFSDistances(g, s)
+				for v := range states {
+					if got := states[v].Dist[j]; got != oracle[v] {
+						t.Fatalf("%s: lane %d (source %d) vertex %d: packed %d, oracle %d (n=%d, %d edges)",
+							leg, j, s, v, got, oracle[v], n, len(g.Edges))
+					}
+					if reached := states[v].Seen&(1<<uint(j)) != 0; reached != (oracle[v] >= 0) {
+						t.Fatalf("%s: lane %d vertex %d: reach bit %v, oracle distance %d", leg, j, v, reached, oracle[v])
+					}
 				}
 			}
 		}

@@ -11,8 +11,8 @@ import (
 // This file is the ClusterBFS differential battery of ISSUE 9: the 64-packed
 // traversal must be bit-identical, lane for lane, to 64 independent
 // single-source BFS runs — on seeded random, grid and star topologies, across
-// all three engines, clean and under chaos. Accounting is held to the same
-// standard as every other app: bitwise identical across the three engines
+// all three legs, clean and under chaos. Accounting is held to the same
+// standard as every other app: bitwise identical across the three legs
 // (one packed pass cannot charge like 64 scalar passes — that gap is the
 // batch amortization the ClusterBFSStudy experiment measures — so the
 // accounting invariant is cross-engine, cross-worker-count and
@@ -95,7 +95,7 @@ func checkLanesMatchScalarBFS(t *testing.T, name string, g *graph.Graph, pl *eng
 	cl := heteroCluster(t)
 	for j, s := range srcs {
 		b := &BFS{Source: s, MaxIters: 1000}
-		_, scalar, err := engine.RunSyncReference[int32, int32](b, pl, cl)
+		_, scalar, err := engine.RunReference[int32, int32](b, pl, cl, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: scalar bfs from %d: %v", name, s, err)
 		}
@@ -119,13 +119,10 @@ func checkLanesMatchScalarBFS(t *testing.T, name string, g *graph.Graph, pl *eng
 }
 
 // TestClusterBFSDifferential is the headline battery: on each topology the
-// packed run must agree bitwise across reference/CSR/parallel engines
+// packed run must agree bitwise across the reference engine and Run at one and four workers
 // (values and accounting), and every one of its 64 lanes must reproduce an
 // independent single-source BFS exactly.
 func TestClusterBFSDifferential(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
 	cl := heteroCluster(t)
 
 	cases := []struct {
@@ -145,7 +142,7 @@ func TestClusterBFSDifferential(t *testing.T) {
 
 			checkEquivalence[ClusterState, uint64](t, "clusterbfs/"+tc.name, prog, pl, cl, exact[ClusterState])
 
-			_, states, err := engine.RunSync[ClusterState, uint64](prog, pl, cl)
+			_, states, err := engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,12 +154,8 @@ func TestClusterBFSDifferential(t *testing.T) {
 // TestClusterBFSChaosDifferential puts the packed traversal under the chaos
 // schedule: the recovered run must land on bitwise-identical states (and so,
 // transitively through TestClusterBFSDifferential, on the 64 scalar BFS
-// answers) with bitwise-equal accounting across all three engines.
+// answers) with bitwise-equal accounting across all three legs.
 func TestClusterBFSChaosDifferential(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)

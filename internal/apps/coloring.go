@@ -24,8 +24,9 @@ type Coloring struct {
 	// Seed drives the random priorities.
 	Seed uint64
 	// Trace, when non-nil, receives structured execution events. Coloring
-	// does not implement OptsRunner (its async loop has no fault barriers),
-	// so the collector is attached here instead of via engine.Options.
+	// is off the synchronous engine (its async loop has no fault barriers;
+	// see Synchronous), so the collector is attached here instead of via
+	// engine.Options.
 	Trace trace.Collector
 }
 

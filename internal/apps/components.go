@@ -78,18 +78,11 @@ func (cc *ConnectedComponents) Apply(v graph.VertexID, old uint32, acc uint32, h
 
 // Run implements App. The Output is a Components summary.
 func (cc *ConnectedComponents) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return cc.RunOpts(pl, cl, engine.Options{})
+	return cc.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached (dynamic rebalancing, fault
-// injection and checkpointing).
-func (cc *ConnectedComponents) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	res, labels, err := engine.RunSyncOpts[uint32, uint32](cc, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = SummarizeComponents(labels)
-	return res, nil
+func (cc *ConnectedComponents) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	return runGAS(cc, pl, cl, opts, SummarizeComponents)
 }
 
 // Components summarizes a labelling: the number of components and the size
@@ -113,22 +106,4 @@ func SummarizeComponents(labels []uint32) Components {
 		}
 	}
 	return Components{Labels: labels, Count: len(sizes), Largest: largest}
-}
-
-// RunRebalanced is Run with a dynamic load-balancing policy attached (see
-// engine.Rebalancer and package dynamic).
-func (cc *ConnectedComponents) RunRebalanced(pl *engine.Placement, cl *cluster.Cluster, rb engine.Rebalancer) (*engine.Result, error) {
-	return cc.RunOpts(pl, cl, engine.Options{Rebalancer: rb})
-}
-
-// RunParallel is Run on the destination-sharded parallel engine; label
-// propagation's min-Sum is exactly associative, so results are bit-identical
-// to Run.
-func (cc *ConnectedComponents) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, labels, err := engine.RunSyncParallel[uint32, uint32](cc, pl, cl)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = SummarizeComponents(labels)
-	return res, nil
 }

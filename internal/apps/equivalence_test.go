@@ -11,13 +11,21 @@ import (
 	"proxygraph/internal/graph"
 )
 
-// This file is the cross-engine equivalence suite ISSUE'd alongside the CSR
-// engine rewrite: six applications run through RunSyncReference (the original
-// edge-list engine kept as executable specification), RunSync (machine-local
-// CSR blocks + hybrid frontier) and RunSyncParallel (destination sharding),
-// and every run must produce byte-identical simulation accounting. Vertex
-// values must match exactly for min/max/integer programs and within 1e-12 for
-// float sums, which may re-associate on sparse supersteps.
+// This file is the cross-engine equivalence suite: six applications run
+// through engine.RunReference (the original edge-list engine kept as
+// executable specification) and through engine.Run (machine-local CSR blocks,
+// hybrid frontier, destination sharding) at one worker and at four, and every
+// run must produce byte-identical simulation accounting. Vertex values must
+// match exactly for min/max/integer programs and within 1e-12 for float sums,
+// which may re-associate on sparse supersteps. The other differentials (chaos,
+// trace, resume, ClusterBFS) compare the same three legs.
+
+// withWorkers returns o with the engine's host-side worker count set — the
+// differentials' "csr" leg is one worker, their "parallel" leg four.
+func withWorkers(o engine.Options, w int) engine.Options {
+	o.Workers = w
+	return o
+}
 
 // equivGraph is a power-law graph big enough that frontier programs pass
 // through both dense and sparse supersteps.
@@ -87,20 +95,20 @@ func sameAccounting(t *testing.T, label string, a, b *engine.Result) {
 	}
 }
 
-// checkEquivalence runs prog through all three engines and compares
-// accounting bitwise and values with eq.
+// checkEquivalence runs prog through the reference engine and through Run at
+// one and at four workers, and compares accounting bitwise and values with eq.
 func checkEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, eq func(a, b V) bool) {
 	t.Helper()
 
-	refRes, refVals, err := engine.RunSyncReference[V, A](prog, pl, cl)
+	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrRes, csrVals, err := engine.RunSync[V, A](prog, pl, cl)
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parRes, parVals, err := engine.RunSyncParallel[V, A](prog, pl, cl)
+	parRes, parVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("%s parallel: %v", name, err)
 	}
@@ -130,7 +138,7 @@ func floatClose(a, b float64) bool {
 
 // hopsProgram is a test-local SSSP over unit weights: float64 distances,
 // gather src+1, Sum = min. Min is exactly associative even on floats, so all
-// three engines must agree bitwise; it exercises the GatherIn + frontier
+// three legs must agree bitwise; it exercises the GatherIn + frontier
 // combination none of the shipped apps cover.
 type hopsProgram struct{}
 
@@ -206,10 +214,6 @@ func (p cascadeProgram) Apply(v graph.VertexID, old coreState, acc int32, hasAcc
 }
 
 func TestEngineEquivalenceSixApps(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
@@ -238,7 +242,7 @@ func TestEngineEquivalenceSixApps(t *testing.T) {
 	})
 }
 
-// checkRebalancedEquivalence runs prog through all three engines with a fresh
+// checkRebalancedEquivalence runs prog through the same three legs with a fresh
 // identically-seeded Migrator each, asserting bitwise-equal accounting and
 // equal outputs. Migration decisions depend only on the per-step busy times,
 // which the equivalence suite already proves bitwise identical, so every
@@ -251,17 +255,17 @@ func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine
 		return mig
 	}
 	refMig := newMig()
-	refRes, refVals, err := engine.RunSyncReferenceOpts[V, A](prog, pl, cl, engine.Options{Rebalancer: refMig})
+	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{Rebalancer: refMig})
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
 	csrMig := newMig()
-	csrRes, csrVals, err := engine.RunSyncOpts[V, A](prog, pl, cl, engine.Options{Rebalancer: csrMig})
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: csrMig, Workers: 1})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
 	parMig := newMig()
-	parRes, parVals, err := engine.RunSyncParallelOpts[V, A](prog, pl, cl, engine.Options{Rebalancer: parMig})
+	parRes, parVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: parMig, Workers: 4})
 	if err != nil {
 		t.Fatalf("%s parallel: %v", name, err)
 	}
@@ -289,14 +293,11 @@ func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine
 	}
 }
 
-// TestEngineEquivalenceRebalanced proves RunSyncParallel's new Rebalancer
-// support (and the reference engine's) matches the CSR engine exactly:
-// dynamic migration keeps all three engines on the same trajectory.
+// TestEngineEquivalenceRebalanced proves Rebalancer support is identical in
+// the reference engine and in Run at one and four workers: dynamic migration
+// keeps all three legs on the same trajectory, and the sharded loop re-derives
+// its group ranges against every freshly compiled placement.
 func TestEngineEquivalenceRebalanced(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	// The equivalence graph is too sparse here: network time dominates and is
 	// identical per machine, so the migrator stays quiet. A denser graph on a
 	// compute-skewed cluster (mixed core counts → mixed memory bandwidth)

@@ -25,18 +25,25 @@ type batchProgram struct {
 // Name implements engine.Program.
 func (p batchProgram) Name() string { return p.name }
 
-// runBatch validates the inner source set under the workload's name and
-// executes the packed traversal through the full-options engine path.
-func runBatch(p batchProgram, pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, *ClusterLabels, error) {
-	if err := validateSources(p.name, pl.G.NumVertices, p.Sources, MaxBatchSources); err != nil {
-		return nil, nil, err
+// runBatch validates the source set under the workload's name, executes the
+// packed traversal prog over it and attaches the output the workload derives
+// from the labels.
+func runBatch[O any](prog engine.Program[ClusterState, uint64], sources []graph.VertexID, pl *engine.Placement, cl *cluster.Cluster, opts engine.Options, output func(*ClusterLabels) O) (*engine.Result, error) {
+	if err := validateSources(prog.Name(), pl.G.NumVertices, sources, MaxBatchSources); err != nil {
+		return nil, err
 	}
-	res, states, err := engine.RunSyncOpts[ClusterState, uint64](p, pl, cl, opts)
-	if err != nil {
-		return nil, nil, err
+	return runGAS(prog, pl, cl, opts, func(states []ClusterState) O {
+		return output(&ClusterLabels{Sources: append([]graph.VertexID(nil), sources...), States: states})
+	})
+}
+
+// batchOf wraps sources in an inner ClusterBFS program named after the
+// workload running it.
+func batchOf(name string, sources []graph.VertexID, maxIters int) batchProgram {
+	if maxIters <= 0 {
+		maxIters = 1000
 	}
-	labels := &ClusterLabels{Sources: append([]graph.VertexID(nil), p.Sources...), States: states}
-	return res, labels, nil
+	return batchProgram{&ClusterBFS{Sources: sources, MaxIters: maxIters}, name}
 }
 
 // LandmarkOracle builds a landmark-based distance oracle: the K
@@ -84,21 +91,12 @@ func (o *LandmarkOracle) Landmarks(g *graph.Graph) []graph.VertexID {
 
 // Run implements App. The Output is a *DistanceOracle.
 func (o *LandmarkOracle) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return o.RunOpts(pl, cl, engine.Options{})
+	return o.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached.
-func (o *LandmarkOracle) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	inner := &ClusterBFS{Sources: o.Landmarks(pl.G), MaxIters: o.MaxIters}
-	if inner.MaxIters <= 0 {
-		inner.MaxIters = 1000
-	}
-	res, labels, err := runBatch(batchProgram{inner, o.Name()}, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = &DistanceOracle{Labels: labels}
-	return res, nil
+func (o *LandmarkOracle) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	p := batchOf(o.Name(), o.Landmarks(pl.G), o.MaxIters)
+	return runBatch(p, p.Sources, pl, cl, opts, func(l *ClusterLabels) *DistanceOracle { return &DistanceOracle{Labels: l} })
 }
 
 // DistanceOracle answers point-to-point hop-distance queries from packed
@@ -159,19 +157,15 @@ func (r *KSeedReach) Name() string { return "kseed_reach" }
 
 // Run implements App. The Output is a *ReachSummary.
 func (r *KSeedReach) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return r.RunOpts(pl, cl, engine.Options{})
+	return r.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached.
-func (r *KSeedReach) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	inner := &ClusterBFS{Sources: r.Seeds, MaxIters: r.MaxIters}
-	if inner.MaxIters <= 0 {
-		inner.MaxIters = 1000
-	}
-	res, labels, err := runBatch(batchProgram{inner, r.Name()}, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
+func (r *KSeedReach) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	return runBatch(batchOf(r.Name(), r.Seeds, r.MaxIters), r.Seeds, pl, cl, opts, summarizeReach)
+}
+
+// summarizeReach derives the coverage counts from the packed labels.
+func summarizeReach(labels *ClusterLabels) *ReachSummary {
 	sum := &ReachSummary{Labels: labels, PerSeed: make([]int, labels.K())}
 	for v := range labels.States {
 		mask := labels.States[v].Seen
@@ -182,8 +176,7 @@ func (r *KSeedReach) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts eng
 			sum.PerSeed[bits.TrailingZeros64(m)]++
 		}
 	}
-	res.Output = sum
-	return res, nil
+	return sum
 }
 
 // ReachSummary is KSeedReach's output: the packed labels plus the coverage

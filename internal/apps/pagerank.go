@@ -94,42 +94,18 @@ func (pr *PageRank) Apply(v graph.VertexID, old prState, acc float64, hasAcc boo
 
 // Run implements App. The Output is the []float64 rank vector.
 func (pr *PageRank) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return pr.RunOpts(pl, cl, engine.Options{})
+	return pr.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached (dynamic rebalancing, fault
-// injection and checkpointing).
-func (pr *PageRank) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	res, vals, err := engine.RunSyncOpts[prState, float64](pr, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
+func (pr *PageRank) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	return runGAS(pr, pl, cl, opts, ranksOf)
+}
+
+// ranksOf extracts the rank vector from PageRank's vertex states.
+func ranksOf(vals []prState) []float64 {
 	ranks := make([]float64, len(vals))
 	for i, s := range vals {
 		ranks[i] = s.rank
 	}
-	res.Output = ranks
-	return res, nil
-}
-
-// RunRebalanced is Run with a dynamic load-balancing policy attached (see
-// engine.Rebalancer and package dynamic).
-func (pr *PageRank) RunRebalanced(pl *engine.Placement, cl *cluster.Cluster, rb engine.Rebalancer) (*engine.Result, error) {
-	return pr.RunOpts(pl, cl, engine.Options{Rebalancer: rb})
-}
-
-// RunParallel is Run on the destination-sharded parallel engine (workers own
-// disjoint vertex ranges of the shared accumulators); accounting is
-// bit-identical, ranks agree up to floating-point re-association.
-func (pr *PageRank) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, vals, err := engine.RunSyncParallel[prState, float64](pr, pl, cl)
-	if err != nil {
-		return nil, err
-	}
-	ranks := make([]float64, len(vals))
-	for i, s := range vals {
-		ranks[i] = s.rank
-	}
-	res.Output = ranks
-	return res, nil
+	return ranks
 }

@@ -51,35 +51,11 @@ func (r *PageRankResume) Init(v graph.VertexID, outDeg, inDeg int32) prState {
 
 // Run implements App. The Output is the []float64 rank vector.
 func (r *PageRankResume) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return r.RunOpts(pl, cl, engine.Options{})
+	return r.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached.
-func (r *PageRankResume) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	res, vals, err := engine.RunSyncOpts[prState, float64](r, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	ranks := make([]float64, len(vals))
-	for i, s := range vals {
-		ranks[i] = s.rank
-	}
-	res.Output = ranks
-	return res, nil
-}
-
-// RunParallel is Run on the destination-sharded parallel engine.
-func (r *PageRankResume) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, vals, err := engine.RunSyncParallel[prState, float64](r, pl, cl)
-	if err != nil {
-		return nil, err
-	}
-	ranks := make([]float64, len(vals))
-	for i, s := range vals {
-		ranks[i] = s.rank
-	}
-	res.Output = ranks
-	return res, nil
+func (r *PageRankResume) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	return runGAS(r, pl, cl, opts, ranksOf)
 }
 
 // ConnectedComponentsResume is label propagation warm-started from a prior
@@ -162,29 +138,13 @@ func (r *ConnectedComponentsResume) Seed() []graph.VertexID {
 
 // Run implements App. The Output is a Components summary.
 func (r *ConnectedComponentsResume) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return r.RunOpts(pl, cl, engine.Options{})
+	return r.run(pl, cl, engine.Options{})
 }
 
-// RunOpts is Run with engine options attached. The warm-start seed is
-// installed unless opts already carries one.
-func (r *ConnectedComponentsResume) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+// run installs the warm-start seed unless opts already carries one.
+func (r *ConnectedComponentsResume) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
 	if opts.InitialActive == nil {
 		opts.InitialActive = r.Seed()
 	}
-	res, labels, err := engine.RunSyncOpts[uint32, uint32](r, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = SummarizeComponents(labels)
-	return res, nil
-}
-
-// RunParallel is Run on the destination-sharded parallel engine.
-func (r *ConnectedComponentsResume) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, labels, err := engine.RunSyncParallelOpts[uint32, uint32](r, pl, cl, engine.Options{InitialActive: r.Seed()})
-	if err != nil {
-		return nil, err
-	}
-	res.Output = SummarizeComponents(labels)
-	return res, nil
+	return runGAS(r, pl, cl, opts, SummarizeComponents)
 }

@@ -31,37 +31,33 @@ func evolveEquiv(t *testing.T, base *graph.Graph, inserts, deletes int, seed uin
 // delta-based resumed run must converge to values bit-identical to a cold run
 // on the evolved graph — on every engine.
 func TestCCResumeMatchesColdAllEngines(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	base := equivGraph(t)
 	cl := heteroCluster(t)
 	cc := NewConnectedComponents()
 
-	_, prior, err := engine.RunSyncReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl)
+	_, prior, err := engine.RunReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	d, evolved := evolveEquiv(t, base, 300, 300, 17)
 	pl := moduloPlacement(t, evolved, 4)
-	coldRes, cold, err := engine.RunSyncReference[uint32, uint32](cc, pl, cl)
+	coldRes, cold, err := engine.RunReference[uint32, uint32](cc, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	resume := cc.Resume(prior, d, evolved)
 	opts := engine.Options{InitialActive: resume.Seed()}
-	refRes, refVals, err := engine.RunSyncReferenceOpts[uint32, uint32](resume, pl, cl, opts)
+	refRes, refVals, err := engine.RunReference[uint32, uint32](resume, pl, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, csrVals, err := engine.RunSyncOpts[uint32, uint32](resume, pl, cl, opts)
+	_, csrVals, err := engine.Run[uint32, uint32](resume, pl, cl, withWorkers(opts, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parVals, err := engine.RunSyncParallelOpts[uint32, uint32](resume, pl, cl, opts)
+	_, parVals, err := engine.Run[uint32, uint32](resume, pl, cl, withWorkers(opts, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +87,7 @@ func TestCCResumeSplitsComponent(t *testing.T) {
 	}
 	cl := heteroCluster(t)
 	cc := NewConnectedComponents()
-	_, prior, err := engine.RunSyncReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl)
+	_, prior, err := engine.RunReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +98,12 @@ func TestCCResumeSplitsComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := moduloPlacement(t, evolved, 4)
-	_, cold, err := engine.RunSyncReference[uint32, uint32](cc, pl, cl)
+	_, cold, err := engine.RunReference[uint32, uint32](cc, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resume := cc.Resume(prior, d, evolved)
-	_, got, err := engine.RunSyncReferenceOpts[uint32, uint32](resume, pl, cl, engine.Options{InitialActive: resume.Seed()})
+	_, got, err := engine.RunReference[uint32, uint32](resume, pl, cl, engine.Options{InitialActive: resume.Seed()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +124,11 @@ func TestCCResumeSplitsComponent(t *testing.T) {
 // vectors, but resumed and cold ranks must agree per vertex within
 // 2·Tolerance/(1−Damping), and resuming must not take more supersteps.
 func TestPRResumeWithinEnvelope(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	base := equivGraph(t)
 	cl := heteroCluster(t)
 	pr := NewPageRank()
 
-	_, priorStates, err := engine.RunSyncReference[prState, float64](pr, moduloPlacement(t, base, 4), cl)
+	_, priorStates, err := engine.RunReference[prState, float64](pr, moduloPlacement(t, base, 4), cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +139,7 @@ func TestPRResumeWithinEnvelope(t *testing.T) {
 
 	_, evolved := evolveEquiv(t, base, 60, 60, 23)
 	pl := moduloPlacement(t, evolved, 4)
-	coldRes, coldStates, err := engine.RunSyncReference[prState, float64](pr, pl, cl)
+	coldRes, coldStates, err := engine.RunReference[prState, float64](pr, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +158,17 @@ func TestPRResumeWithinEnvelope(t *testing.T) {
 			t.Errorf("%s: resumed run took %d supersteps, cold took %d", name, res.Supersteps, coldRes.Supersteps)
 		}
 	}
-	refRes, refVals, err := engine.RunSyncReferenceOpts[prState, float64](resume, pl, cl, engine.Options{})
+	refRes, refVals, err := engine.RunReference[prState, float64](resume, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run("reference", refVals, refRes)
-	_, csrVals, err := engine.RunSyncOpts[prState, float64](resume, pl, cl, engine.Options{})
+	_, csrVals, err := engine.Run[prState, float64](resume, pl, cl, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run("csr", csrVals, nil)
-	_, parVals, err := engine.RunSyncParallelOpts[prState, float64](resume, pl, cl, engine.Options{})
+	_, parVals, err := engine.Run[prState, float64](resume, pl, cl, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +186,7 @@ func TestResumeAcrossVertexSpaceChange(t *testing.T) {
 		NumVertices: 5,
 		Edges:       []graph.Edge{E(0, 1), E(1, 2), E(3, 4)},
 	}
-	_, prior, err := engine.RunSyncReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl)
+	_, prior, err := engine.RunReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +203,12 @@ func TestResumeAcrossVertexSpaceChange(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl := moduloPlacement(t, evolved, 4)
-			_, cold, err := engine.RunSyncReference[uint32, uint32](cc, pl, cl)
+			_, cold, err := engine.RunReference[uint32, uint32](cc, pl, cl, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			resume := cc.Resume(prior, tc.d, evolved)
-			_, got, err := engine.RunSyncReferenceOpts[uint32, uint32](resume, pl, cl, engine.Options{InitialActive: resume.Seed()})
+			_, got, err := engine.RunReference[uint32, uint32](resume, pl, cl, engine.Options{InitialActive: resume.Seed()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +228,7 @@ func TestResumeAcrossVertexSpaceChange(t *testing.T) {
 	}
 	priorRanks := []float64{1.1, 1.2, 1.3, 0.9, 0.8}
 	resume := pr.Resume(priorRanks)
-	_, vals, err := engine.RunSyncReferenceOpts[prState, float64](resume, moduloPlacement(t, evolved, 4), cl, engine.Options{})
+	_, vals, err := engine.RunReference[prState, float64](resume, moduloPlacement(t, evolved, 4), cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,13 +240,9 @@ func TestResumeAcrossVertexSpaceChange(t *testing.T) {
 // TestChaosAmendedPlacement is the chaos satellite: a placement produced by
 // incremental amendment, driven by a warm-started program, must recover from
 // seeded fault schedules to exactly the fault-free answer with bitwise
-// accounting agreement across all three engines — the same guarantees the
+// accounting agreement across all three legs — the same guarantees the
 // chaos suite pins for cold placements.
 func TestChaosAmendedPlacement(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	base := equivGraph(t)
 	cl := heteroCluster(t)
 	shares := partition.UniformShares(4)
@@ -271,14 +259,14 @@ func TestChaosAmendedPlacement(t *testing.T) {
 	}
 
 	cc := NewConnectedComponents()
-	_, prior, err := engine.RunSyncReference[uint32, uint32](cc, basePl, cl)
+	_, prior, err := engine.RunReference[uint32, uint32](cc, basePl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resume := cc.Resume(prior, d, evolved)
 	seedOpts := engine.Options{InitialActive: resume.Seed()}
 
-	_, want, err := engine.RunSyncReferenceOpts[uint32, uint32](resume, pl, cl, seedOpts)
+	_, want, err := engine.RunReference[uint32, uint32](resume, pl, cl, seedOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +284,15 @@ func TestChaosAmendedPlacement(t *testing.T) {
 			Policy:          engine.RecoverCheckpoint,
 		}
 		opts := engine.Options{Fault: cfg, InitialActive: resume.Seed()}
-		refRes, refVals, err := engine.RunSyncReferenceOpts[uint32, uint32](resume, pl, cl, opts)
+		refRes, refVals, err := engine.RunReference[uint32, uint32](resume, pl, cl, opts)
 		if err != nil {
 			t.Fatalf("schedule %d reference: %v", schedSeed, err)
 		}
-		csrRes, csrVals, err := engine.RunSyncOpts[uint32, uint32](resume, pl, cl, opts)
+		csrRes, csrVals, err := engine.Run[uint32, uint32](resume, pl, cl, withWorkers(opts, 1))
 		if err != nil {
 			t.Fatalf("schedule %d csr: %v", schedSeed, err)
 		}
-		parRes, parVals, err := engine.RunSyncParallelOpts[uint32, uint32](resume, pl, cl, opts)
+		parRes, parVals, err := engine.Run[uint32, uint32](resume, pl, cl, withWorkers(opts, 4))
 		if err != nil {
 			t.Fatalf("schedule %d parallel: %v", schedSeed, err)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // This file extends the equivalence and chaos suites to the structured event
-// layer: the three engines must emit *identical* event sequences — the same
+// layer: the three legs must emit *identical* event sequences — the same
 // barriers, the same per-machine phase times, the same frontier sizes, the
 // same fault-protocol decisions — for every program, with and without faults.
 // trace.Event is comparable, so identity is slices.Equal, and on top of it
@@ -30,11 +30,11 @@ func tracedRun[V, A any](t *testing.T, which string, prog engine.Program[V, A], 
 	)
 	switch which {
 	case "reference":
-		res, _, err = engine.RunSyncReferenceOpts[V, A](prog, pl, cl, opts)
+		res, _, err = engine.RunReference[V, A](prog, pl, cl, opts)
 	case "csr":
-		res, _, err = engine.RunSyncOpts[V, A](prog, pl, cl, opts)
+		res, _, err = engine.Run[V, A](prog, pl, cl, withWorkers(opts, 1))
 	case "parallel":
-		res, _, err = engine.RunSyncParallelOpts[V, A](prog, pl, cl, opts)
+		res, _, err = engine.Run[V, A](prog, pl, cl, withWorkers(opts, 4))
 	default:
 		t.Fatalf("unknown engine %q", which)
 	}
@@ -136,10 +136,6 @@ func checkTraceDifferential[V, A any](t *testing.T, name string, prog engine.Pro
 }
 
 func TestTraceDifferentialSixApps(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
@@ -215,7 +211,7 @@ func TestTraceNilCollectorIdentical(t *testing.T) {
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
 	_, traced := tracedRun[prState, float64](t, "csr", NewPageRank(), pl, cl, engine.Options{})
-	plain, _, err := engine.RunSync[prState, float64](NewPageRank(), pl, cl)
+	plain, _, err := engine.Run[prState, float64](NewPageRank(), pl, cl, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"proxygraph/internal/trace"
 )
 
-// This file pins the parallel engine's worker-count invariance: the
+// This file pins the engine's worker-count invariance: the
 // work-stealing apply/scatter sweep and the sharded gather hand chunks to
 // whichever worker claims them first, so the schedule differs run to run and
 // worker count to worker count — but the trace stream, the simulation
@@ -17,18 +17,15 @@ import (
 // disjoint vertex ranges and merges counters as exact integer sums or maxima,
 // so any divergence here means a phase leaked scheduling into results.
 // make check runs this under -race at -cpu 1,2,4, crossing the host
-// GOMAXPROCS axis with the engine's own worker knob.
+// GOMAXPROCS axis with the engine's own Options.Workers.
 
-// checkWorkerInvariance runs prog on the parallel engine at 1, 2 and 4
-// workers and asserts byte-identical trace events, bitwise-equal accounting
-// and bitwise-equal values across the runs (floats included: the parallel
-// engine preserves per-destination accumulation order, so even inexact sums
-// may not drift with the worker count).
+// checkWorkerInvariance runs prog through engine.Run at 1, 2 and 4 workers
+// and asserts byte-identical trace events, bitwise-equal accounting and
+// bitwise-equal values across the runs (floats included: the engine preserves
+// per-destination accumulation order, so even inexact sums may not drift with
+// the worker count).
 func checkWorkerInvariance[V comparable, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) {
 	t.Helper()
-	old := engine.ParallelShards
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	var (
 		baseEvents []trace.Event
 		baseRes    *engine.Result
@@ -36,11 +33,10 @@ func checkWorkerInvariance[V comparable, A any](t *testing.T, name string, prog 
 		baseW      int
 	)
 	for _, w := range []int{1, 2, 4} {
-		engine.ParallelShards = w
 		rec := trace.NewRecorder()
-		o := opts
+		o := withWorkers(opts, w)
 		o.Trace = rec
-		res, vals, err := engine.RunSyncParallelOpts[V, A](prog, pl, cl, o)
+		res, vals, err := engine.Run[V, A](prog, pl, cl, o)
 		if err != nil {
 			t.Fatalf("%s/workers=%d: %v", name, w, err)
 		}

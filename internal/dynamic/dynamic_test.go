@@ -56,7 +56,7 @@ func TestMigratorImprovesUniformPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	mig := NewMigrator(7)
-	dynamic, err := pr.RunRebalanced(uniformPlacement(t, g, 2), cl, mig)
+	dynamic, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: mig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMigratorQuietOnBalancedRun(t *testing.T) {
 	}
 	g := testGraph(t, 2, 5000, 60000)
 	mig := NewMigrator(3)
-	if _, err := apps.NewPageRank().RunRebalanced(uniformPlacement(t, g, 2), cl, mig); err != nil {
+	if _, err := apps.Run(apps.NewPageRank(), uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: mig}); err != nil {
 		t.Fatal(err)
 	}
 	if mig.Migrations > 1 {
@@ -102,7 +102,7 @@ func TestMigratorRespectsMaxMigrations(t *testing.T) {
 	pr := apps.NewPageRank()
 	pr.Tolerance = 0
 	pr.MaxIters = 15
-	if _, err := pr.RunRebalanced(uniformPlacement(t, g, 2), cl, mig); err != nil {
+	if _, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: mig}); err != nil {
 		t.Fatal(err)
 	}
 	if mig.Migrations > 2 {
@@ -119,7 +119,7 @@ func TestMigratorUnlimitedWhenZero(t *testing.T) {
 
 	capped := NewMigrator(5)
 	capped.MaxMigrations = 1
-	if _, err := pr.RunRebalanced(uniformPlacement(t, g, 2), cl, capped); err != nil {
+	if _, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: capped}); err != nil {
 		t.Fatal(err)
 	}
 	if capped.Migrations != 1 {
@@ -129,7 +129,7 @@ func TestMigratorUnlimitedWhenZero(t *testing.T) {
 	// Zero disables the cap entirely: same run must migrate at least as often.
 	unlimited := NewMigrator(5)
 	unlimited.MaxMigrations = 0
-	if _, err := pr.RunRebalanced(uniformPlacement(t, g, 2), cl, unlimited); err != nil {
+	if _, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: unlimited}); err != nil {
 		t.Fatal(err)
 	}
 	if unlimited.Migrations <= capped.Migrations {
@@ -168,7 +168,7 @@ func TestMigrationChargedAsStall(t *testing.T) {
 	pr := apps.NewPageRank()
 	pr.Tolerance = 0
 	pr.MaxIters = 8
-	res, err := pr.RunRebalanced(uniformPlacement(t, g, 2), cl, NewMigrator(9))
+	res, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: NewMigrator(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestDecideEdgeCases(t *testing.T) {
 func TestConnectedComponentsRebalanced(t *testing.T) {
 	cl := caseTwoCluster(t)
 	g := testGraph(t, 6, 8000, 60000)
-	res, err := apps.NewConnectedComponents().RunRebalanced(uniformPlacement(t, g, 2), cl, NewMigrator(11))
+	res, err := apps.Run(apps.NewConnectedComponents(), uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: NewMigrator(11)})
 	if err != nil {
 		t.Fatal(err)
 	}

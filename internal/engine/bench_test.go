@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"proxygraph/internal/gen"
@@ -24,8 +25,7 @@ func benchPowerLaw(b *testing.B) *graph.Graph {
 // benchRing is the sparse-workload input: a ring with long-range chords, so
 // single-source traversal runs a couple of hundred supersteps with a frontier
 // far below the hybrid threshold — the regime the worklist sweep targets.
-func benchRing() *graph.Graph {
-	const n = 20000
+func benchRing(n int) *graph.Graph {
 	g := &graph.Graph{Name: "bench-ring", NumVertices: n}
 	for i := 0; i < n; i++ {
 		g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % n)})
@@ -109,7 +109,7 @@ func BenchmarkEngineGatherPageRank(b *testing.B) {
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[float64, float64](b, rankProgram{}, pl,
 		func(p Program[float64, float64], pl *Placement) (*Result, []float64, error) {
-			return RunSync[float64, float64](p, pl, cl)
+			return Run[float64, float64](p, pl, cl, Options{})
 		})
 }
 
@@ -118,55 +118,48 @@ func BenchmarkEngineGatherPageRankReference(b *testing.B) {
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[float64, float64](b, rankProgram{}, pl,
 		func(p Program[float64, float64], pl *Placement) (*Result, []float64, error) {
-			return RunSyncReference[float64, float64](p, pl, cl)
+			return RunReference[float64, float64](p, pl, cl, Options{})
 		})
 }
 
-// withAutoShards pins the worker knob to "one worker per CPU" so the
-// parallel-engine benchmarks scale with the harness's -cpu list — the
-// GOMAXPROCS axis of make bench-scaling.
-func withAutoShards(b *testing.B) {
-	b.Helper()
-	prev := ParallelShards
-	ParallelShards = 0
-	b.Cleanup(func() { ParallelShards = prev })
-}
+// perCPU asks for one engine worker per CPU, so the BenchmarkEngine*Parallel*
+// benchmarks scale with the harness's -cpu list — the GOMAXPROCS axis of make
+// bench-scaling.
+func perCPU() Options { return Options{Workers: runtime.GOMAXPROCS(0)} }
 
 func BenchmarkEngineParallelPageRank(b *testing.B) {
-	withAutoShards(b)
 	pl := benchPlacement(b, benchPowerLaw(b))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[float64, float64](b, rankProgram{}, pl,
 		func(p Program[float64, float64], pl *Placement) (*Result, []float64, error) {
-			return RunSyncParallel[float64, float64](p, pl, cl)
+			return Run[float64, float64](p, pl, cl, perCPU())
 		})
 }
 
 func BenchmarkEngineParallelSSSP(b *testing.B) {
-	withAutoShards(b)
-	pl := benchPlacement(b, benchRing())
+	pl := benchPlacement(b, benchRing(20000))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[uint32, uint32](b, benchSSSPProgram{}, pl,
 		func(p Program[uint32, uint32], pl *Placement) (*Result, []uint32, error) {
-			return RunSyncParallel[uint32, uint32](p, pl, cl)
+			return Run[uint32, uint32](p, pl, cl, perCPU())
 		})
 }
 
 func BenchmarkEngineGatherSSSP(b *testing.B) {
-	pl := benchPlacement(b, benchRing())
+	pl := benchPlacement(b, benchRing(20000))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[uint32, uint32](b, benchSSSPProgram{}, pl,
 		func(p Program[uint32, uint32], pl *Placement) (*Result, []uint32, error) {
-			return RunSync[uint32, uint32](p, pl, cl)
+			return Run[uint32, uint32](p, pl, cl, Options{})
 		})
 }
 
 func BenchmarkEngineGatherSSSPReference(b *testing.B) {
-	pl := benchPlacement(b, benchRing())
+	pl := benchPlacement(b, benchRing(20000))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[uint32, uint32](b, benchSSSPProgram{}, pl,
 		func(p Program[uint32, uint32], pl *Placement) (*Result, []uint32, error) {
-			return RunSyncReference[uint32, uint32](p, pl, cl)
+			return RunReference[uint32, uint32](p, pl, cl, Options{})
 		})
 }
 
@@ -219,20 +212,19 @@ func (benchClusterProgram) Apply(v graph.VertexID, old benchClusterState, acc ui
 }
 
 func BenchmarkEngineClusterBFS(b *testing.B) {
-	pl := benchPlacement(b, benchRing())
+	pl := benchPlacement(b, benchRing(20000))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
 		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
-			return RunSync[benchClusterState, uint64](p, pl, cl)
+			return Run[benchClusterState, uint64](p, pl, cl, Options{})
 		})
 }
 
 func BenchmarkEngineClusterBFSParallel(b *testing.B) {
-	withAutoShards(b)
-	pl := benchPlacement(b, benchRing())
+	pl := benchPlacement(b, benchRing(20000))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
 		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
-			return RunSyncParallel[benchClusterState, uint64](p, pl, cl)
+			return Run[benchClusterState, uint64](p, pl, cl, perCPU())
 		})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -293,7 +294,7 @@ func TestRunSyncComputesExactResultAcrossPlacements(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, vals, err := RunSync[int64, int64](sumProgram{}, pl, cl)
+		res, vals, err := Run[int64, int64](sumProgram{}, pl, cl, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +313,7 @@ func TestRunSyncClusterSizeMismatch(t *testing.T) {
 	g := testGraph(6, 10, 20)
 	pl, _ := NewPlacement(g, moduloOwner(g, 2), 2)
 	cl := testCluster(t, "c4.xlarge")
-	if _, _, err := RunSync[int64, int64](sumProgram{}, pl, cl); err == nil {
+	if _, _, err := Run[int64, int64](sumProgram{}, pl, cl, Options{}); err == nil {
 		t.Error("expected mismatch error")
 	}
 }
@@ -323,12 +324,12 @@ func TestRunSyncChargesMoreCommForMoreMirrors(t *testing.T) {
 	_ = coeffs
 	cl1 := testCluster(t, "c4.xlarge")
 	cl4 := testCluster(t, "c4.xlarge", "c4.xlarge", "c4.xlarge", "c4.xlarge")
-	res1, _, err := RunSync[int64, int64](sumProgram{}, SingleMachine(g), cl1)
+	res1, _, err := Run[int64, int64](sumProgram{}, SingleMachine(g), cl1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl4, _ := NewPlacement(g, moduloOwner(g, 4), 4)
-	res4, _, err := RunSync[int64, int64](sumProgram{}, pl4, cl4)
+	res4, _, err := Run[int64, int64](sumProgram{}, pl4, cl4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,6 +406,35 @@ func (rankProgram) Apply(v graph.VertexID, old, acc float64, has bool, rt *Runti
 	return 0.15 + 0.85*acc, true
 }
 
+// checkEngines runs prog through RunReference, Run at one worker and Run at
+// each further worker count, and asserts that all of them charge identical
+// accounting and compute identical vertex values. The programs the engine
+// tests use either run dense supersteps only or have an exactly associative
+// Sum, so the comparison needs no tolerance.
+func checkEngines[V comparable, A any](t *testing.T, label string, prog Program[V, A], pl *Placement, cl *cluster.Cluster, workers ...int) {
+	t.Helper()
+	refRes, refVals, err := RunReference[V, A](prog, pl, cl, Options{})
+	if err != nil {
+		t.Fatalf("%s reference: %v", label, err)
+	}
+	for _, w := range append([]int{1}, workers...) {
+		res, vals, err := Run[V, A](prog, pl, cl, Options{Workers: w})
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", label, w, err)
+		}
+		equalResults(t, refRes, res)
+		for v := range refVals {
+			if vals[v] != refVals[v] {
+				t.Fatalf("%s workers=%d: vertex %d: %v != reference %v", label, w, v, vals[v], refVals[v])
+			}
+		}
+	}
+}
+
+// The "ParallelMatchesSequential" and "Sharded" tests below and in
+// parallel_test.go predate the single engine.Run (the test floor pins their
+// names): each now compares RunReference, Run at one worker and Run at
+// several workers.
 func TestRunSyncParallelMatchesSequential(t *testing.T) {
 	g := testGraph(20, 500, 6000)
 	for _, m := range []int{1, 2, 4, 8} {
@@ -421,25 +451,7 @@ func TestRunSyncParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqRes, seqVals, err := RunSync[float64, float64](rankProgram{}, pl, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parRes, parVals, err := RunSyncParallel[float64, float64](rankProgram{}, pl, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range seqVals {
-			diff := seqVals[v] - parVals[v]
-			if diff < 0 {
-				diff = -diff
-			}
-			// Float programs agree up to re-association of the partial sums.
-			if diff > 1e-9*(1+seqVals[v]) {
-				t.Fatalf("m=%d: vertex %d: %v != %v", m, v, seqVals[v], parVals[v])
-			}
-		}
-		equalResults(t, seqRes, parRes)
+		checkEngines[float64, float64](t, fmt.Sprintf("m=%d", m), rankProgram{}, pl, cl, 4)
 	}
 }
 
@@ -473,27 +485,19 @@ func TestRunSyncParallelFrontierMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, seqVals, err := RunSync[uint32, uint32](minProgram{}, pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, parVals, err := RunSyncParallel[uint32, uint32](minProgram{}, pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seqVals {
-		if seqVals[v] != parVals[v] {
-			t.Fatalf("vertex %d: %v != %v", v, seqVals[v], parVals[v])
-		}
-	}
-	equalResults(t, seqRes, parRes)
+	checkEngines[uint32, uint32](t, "min", minProgram{}, pl, cl, 4)
 }
 
 func TestRunSyncParallelClusterMismatch(t *testing.T) {
 	g := testGraph(22, 20, 60)
 	pl, _ := NewPlacement(g, moduloOwner(g, 2), 2)
 	cl := testCluster(t, "c4.xlarge")
-	if _, _, err := RunSyncParallel[float64, float64](rankProgram{}, pl, cl); err == nil {
-		t.Error("expected mismatch error")
+	for _, w := range []int{1, 4} {
+		if _, _, err := Run[float64, float64](rankProgram{}, pl, cl, Options{Workers: w}); err == nil {
+			t.Errorf("workers=%d: expected mismatch error", w)
+		}
+	}
+	if _, _, err := RunReference[float64, float64](rankProgram{}, pl, cl, Options{}); err == nil {
+		t.Error("reference: expected mismatch error")
 	}
 }

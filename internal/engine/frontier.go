@@ -31,8 +31,8 @@ type frontier struct {
 	overflow bool
 }
 
-func newFrontier(n int) *frontier {
-	return &frontier{bits: make([]bool, n), listCap: n/sparseFrontierDenom + 1}
+func newFrontier(n int) frontier {
+	return frontier{bits: make([]bool, n), listCap: n/sparseFrontierDenom + 1}
 }
 
 // fill activates every vertex (the first superstep's frontier), in

@@ -115,32 +115,17 @@ func (c *blockCompiler) compile(p int, both bool) machineBlocks {
 	return b
 }
 
-// compileWorkers resolves the worker count for compiling m machine blocks:
-// one worker per block, bounded by the host parallelism knob. Each worker
-// allocates a |V| scratch, so the bound also caps compile memory.
-func compileWorkers(m int) int {
-	w := ParallelShards
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > m {
-		w = m
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // compileBlocks builds every machine's gather layout. Blocks are mutually
 // independent — each reads only LocalEdges[p], the shared graph and the
 // master table — so they compile through the shared work-stealing loop, one
 // machine block per task, with bit-identical output at any worker count.
-// Compile workspaces are per worker (each holds a |V| counting-sort scratch),
-// created lazily so only workers that actually win a task pay for one.
-func (pl *Placement) compileBlocks(both bool) []machineBlocks {
+// Compile workspaces are per worker (each holds a |V| counting-sort scratch,
+// so the worker count — at most one per block; NewPlacement asks for one per
+// CPU — also caps compile memory), created lazily so only workers that
+// actually win a task pay for one.
+func (pl *Placement) compileBlocks(both bool, workers int) []machineBlocks {
 	blocks := make([]machineBlocks, pl.M)
-	workers := compileWorkers(pl.M)
+	workers = max(1, min(workers, pl.M))
 	compilers := make([]*blockCompiler, workers)
 	stealTasks(workers, pl.M, func(w, p int) {
 		c := compilers[w]
@@ -158,7 +143,7 @@ func (pl *Placement) blocks(both bool) []machineBlocks {
 	if !both {
 		return pl.inBlocks
 	}
-	pl.bothOnce.Do(func() { pl.bothBlocks = pl.compileBlocks(true) })
+	pl.bothOnce.Do(func() { pl.bothBlocks = pl.compileBlocks(true, runtime.GOMAXPROCS(0)) })
 	return pl.bothBlocks
 }
 
@@ -227,7 +212,7 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 	for v, p := range pl.Master {
 		pl.MasterVerts[p] = append(pl.MasterVerts[p], graph.VertexID(v))
 	}
-	pl.inBlocks = pl.compileBlocks(false)
+	pl.inBlocks = pl.compileBlocks(false, runtime.GOMAXPROCS(0))
 	return pl, nil
 }
 

@@ -24,22 +24,14 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 		owner = append(owner, int32(rng.Hash2(97, uint64(i))%machines))
 	}
 
-	prev := ParallelShards
-	t.Cleanup(func() { ParallelShards = prev })
-
-	ParallelShards = 1
-	seq, err := NewPlacement(g, owner, machines)
+	pl, err := NewPlacement(g, owner, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := map[bool][]machineBlocks{false: pl.compileBlocks(false, 1), true: pl.compileBlocks(true, 1)}
 	for _, shards := range []int{2, 3, 8} {
-		ParallelShards = shards
-		par, err := NewPlacement(g, owner, machines)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, both := range []bool{false, true} {
-			a, b := seq.blocks(both), par.blocks(both)
+			a, b := seq[both], pl.compileBlocks(both, shards)
 			for p := 0; p < machines; p++ {
 				if !groupedEqual(a[p].byDst, b[p].byDst) || !groupedEqual(a[p].bySrc, b[p].bySrc) {
 					t.Fatalf("shards=%d both=%v: machine %d blocks differ", shards, both, p)

@@ -9,23 +9,16 @@ import (
 	"proxygraph/internal/trace"
 )
 
-// RunSyncReference executes prog with the original edge-list engine: every
+// RunReference executes prog with the original edge-list engine: every
 // superstep walks pl.LocalEdges[p] as an index list into g.Edges and filters
 // sources against a dense active bitmap. It is the executable specification
-// of the engine's accounting semantics — RunSync (machine-local CSR blocks,
-// hybrid frontier) and RunSyncParallel (destination sharding) must charge
+// of the engine's semantics, options included (rebalancing, fault injection,
+// tracing, warm-start frontier; Options.Workers is ignored) — Run must charge
 // per-machine times, energy and communication bit-identically to this
-// function; the equivalence suite in internal/apps enforces exactly that.
-// Use RunSync for real work: it computes the same answer faster.
-func RunSyncReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster) (*Result, []V, error) {
-	return RunSyncReferenceOpts[V, A](prog, pl, cl, Options{})
-}
-
-// RunSyncReferenceOpts is RunSyncReference with the full option set
-// (rebalancing and fault injection), so the executable specification covers
-// the optional behaviours too and the equivalence suite can pin the fast
-// engines against it under rebalancing and fault schedules.
-func RunSyncReferenceOpts[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts Options) (*Result, []V, error) {
+// function and emit the same trace events; the equivalence suite in
+// internal/apps enforces exactly that. Use Run for real work: it computes the
+// same answer faster.
+func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts Options) (*Result, []V, error) {
 	rb := opts.Rebalancer
 	if cl.Size() != pl.M {
 		return nil, nil, fmt.Errorf("engine: placement has %d machines, cluster %d", pl.M, cl.Size())
@@ -172,7 +165,7 @@ func RunSyncReferenceOpts[V, A any](prog Program[V, A], pl *Placement, cl *clust
 
 		account.Superstep(counters)
 
-		// Dynamic rebalancing hook, identical to RunSyncRebalanced's.
+		// Dynamic rebalancing hook, identical to Run's.
 		if rb != nil {
 			last := account.LastStep()
 			if owner, moved, ok := rb.Decide(step, last.PerMachine, pl); ok {
@@ -201,7 +194,7 @@ func RunSyncReferenceOpts[V, A any](prog Program[V, A], pl *Placement, cl *clust
 		}
 
 		// Fault barrier: checkpoint if due, then fire a scheduled crash and
-		// roll back onto the repartitioned survivors (see RunSyncOpts).
+		// roll back onto the repartitioned survivors (see Run).
 		restore, newPl, err := ft.barrier(step, terminated, account, vals, active, frontCount, pl)
 		if err != nil {
 			return nil, nil, err

@@ -9,7 +9,7 @@ import (
 // tasks over workers goroutines through a shared atomic claim counter — the
 // work-stealing loop the parallel block compile introduced, factored out so
 // every engine phase that is a bag of independent tasks (block compiles,
-// value-array init, dense apply chunks) shares one implementation. Worker w
+// gather shards, dense apply chunks) shares one implementation. Worker w
 // processes whichever tasks it wins, so fn must be safe for any (worker,
 // task) pairing; phases that need deterministic results therefore key their
 // writes on the task (disjoint vertex ranges) and keep per-worker state

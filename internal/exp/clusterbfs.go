@@ -3,7 +3,6 @@ package exp
 import (
 	"proxygraph/internal/apps"
 	"proxygraph/internal/core"
-	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/metrics"
 	"proxygraph/internal/partition"
@@ -110,7 +109,7 @@ func (l *Lab) ClusterBFSStudy() (*metrics.Table, error) {
 	var scalarSeconds float64
 	for _, src := range batch.Sources {
 		b := &apps.BFS{Source: src, MaxIters: 1000}
-		res, err := b.RunOpts(pl, cl, engine.Options{})
+		res, err := b.Run(pl, cl)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func (l *Lab) EvolveStudy() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res0, err := app.RunOpts(pl0, cl, engine.Options{Trace: l.Cfg.Collector})
+	res0, err := l.runApp(app, pl0, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func (l *Lab) EvolveStudy() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		coldRes, err := app.RunOpts(fullPl, cl, engine.Options{Trace: l.Cfg.Collector})
+		coldRes, err := l.runApp(app, fullPl, cl)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func (l *Lab) EvolveStudy() (*metrics.Table, error) {
 			return nil, err
 		}
 		resume := app.Resume(prior, d, evolved)
-		warmRes, err := resume.RunOpts(amendPl, cl, engine.Options{Trace: l.Cfg.Collector})
+		warmRes, err := l.runApp(resume, amendPl, cl)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func (l *Lab) EvolveStudy() (*metrics.Table, error) {
 
 	// Residual drift absorption: replay the last warm run with a migrator
 	// rebalancing after each superstep barrier.
-	migRes, err := lastResume.RunOpts(lastPl, cl, engine.Options{
+	migRes, err := apps.Run(lastResume, lastPl, cl, engine.Options{
 		Rebalancer: dynamic.NewMigrator(seed),
 		Trace:      l.Cfg.Collector,
 	})

@@ -32,7 +32,7 @@ type Config struct {
 	// Seed drives all generation and hashing.
 	Seed uint64
 	// Collector, when non-nil, receives structured execution events from
-	// every engine run an experiment performs through an OptsRunner app
+	// every run an experiment performs of an app on the synchronous engine
 	// (cmd/bench's -trace-out/-metrics-out plumb a recorder through here).
 	Collector trace.Collector
 }
@@ -242,17 +242,11 @@ func (l *Lab) runWithSystem(cl *cluster.Cluster, sys System, app apps.App,
 	return l.runApp(app, pl, cl)
 }
 
-// runApp executes the app, routing through the OptsRunner path when the lab
-// carries an event collector; apps without the full-options entry point (the
-// async Coloring, Triangle Count) run untraced, which changes nothing about
-// their results.
+// runApp executes the app with the lab's event collector attached; apps off
+// the synchronous engine (the async Coloring, Triangle Count) run untraced,
+// which changes nothing about their results.
 func (l *Lab) runApp(app apps.App, pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	if l.Cfg.Collector != nil {
-		if fr, ok := app.(apps.OptsRunner); ok {
-			return fr.RunOpts(pl, cl, engine.Options{Trace: l.Cfg.Collector})
-		}
-	}
-	return app.Run(pl, cl)
+	return apps.Run(app, pl, cl, engine.Options{Trace: l.Cfg.Collector})
 }
 
 // realGraphs loads the four emulated Table II real-world graphs.

@@ -199,7 +199,7 @@ func (l *Lab) DynamicStudy() (*metrics.Table, error) {
 			return nil, err
 		}
 		mig := dynamic.NewMigrator(l.Cfg.Seed)
-		dynRes, err := apps.NewPageRank().RunRebalanced(pl, cl, mig)
+		dynRes, err := apps.Run(apps.NewPageRank(), pl, cl, engine.Options{Rebalancer: mig})
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func (l *Lab) Fig4() (*metrics.Table, error) {
 			return nil, err
 		}
 		rec := trace.NewRecorder()
-		res, err := app.RunOpts(pl, cl, engine.Options{Trace: trace.Multi(rec, l.Cfg.Collector)})
+		res, err := apps.Run(app, pl, cl, engine.Options{Trace: trace.Multi(rec, l.Cfg.Collector)})
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func (l *Lab) RecoveryStudy() (*metrics.Table, error) {
 		return &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, Step: crashStep, Machine: machine}}}
 	}
 	run := func(inj engine.FaultInjector, every int, policy engine.RecoveryPolicy) (*engine.Result, error) {
-		return pr().RunOpts(pl, cl, engine.Options{
+		return apps.Run(pr(), pl, cl, engine.Options{
 			Fault: &engine.FaultConfig{
 				Injector:        inj,
 				CheckpointEvery: every,

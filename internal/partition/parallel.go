@@ -7,8 +7,8 @@ import (
 )
 
 // ParallelShards overrides the ingress pipeline's worker count when positive;
-// zero (the default) means one worker per available CPU. Like
-// engine.ParallelShards, the shard count never affects results: the
+// zero (the default) means one worker per available CPU. Like the engine's
+// Options.Workers, the shard count never affects results: the
 // order-independent partitioners (random, hybrid, ginger's hash phases)
 // shard freely, and the order-dependent streams (oblivious, hdrf, ginger's
 // greedy refinement) run window-batched — parallel hint phases against a

@@ -7,8 +7,8 @@ import (
 )
 
 // This file keeps the original single-threaded partitioner loops as
-// executable specifications, mirroring how engine.RunSyncReference anchors
-// the optimized engines: the production paths in randomhash.go, hybrid.go,
+// executable specifications, mirroring how engine.RunReference anchors
+// engine.Run: the production paths in randomhash.go, hybrid.go,
 // ginger.go, oblivious.go and hdrf.go shard their scans, window-batch their
 // order-dependent streams and use the quantized picker, and the ingress
 // differential test asserts their owner vectors are bit-identical to these

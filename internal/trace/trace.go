@@ -4,11 +4,12 @@
 // (registry.go, observer.go) or a straggler summary (summary.go).
 //
 // The event stream is part of the engine's determinism contract: for the same
-// program, placement, cluster and options, RunSyncReference, RunSync and
-// RunSyncParallel emit identical event sequences — every quantity in an Event
-// is one the equivalence suites already pin bit-identically across engines
-// (step counters, per-machine charged times, frontier sizes, fault protocol
-// decisions). The differential test in internal/apps locks this down.
+// program, placement, cluster and options, engine.RunReference and engine.Run
+// at any worker count emit identical event sequences — every quantity in an
+// Event is one the equivalence suites already pin bit-identically across
+// engines (step counters, per-machine charged times, frontier sizes, fault
+// protocol decisions). The differential test in internal/apps locks this
+// down.
 //
 // The package depends only on the standard library so every layer of the
 // simulator can import it without cycles.

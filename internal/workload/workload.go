@@ -283,7 +283,7 @@ func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (*JobRes
 		}
 		opts.Trace.Event(trace.Event{Kind: trace.KindIngress, Machine: -1, Label: label, Seconds: ingress})
 	}
-	res, err := s.runJob(job.App, pl, opts)
+	res, err := apps.Run(job.App, pl, s.Cluster, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -299,19 +299,6 @@ func (s *Session) place(part partition.Partitioner, job Job, shares []float64) (
 		return pl, false, err
 	}
 	return s.Cache.Place(part, job.Graph, shares, job.Seed)
-}
-
-// runJob executes one job, routing through the OptsRunner path when any
-// engine option (collector, fault schedule, rebalancer) is set. Apps without
-// the full-options entry point (the async Coloring, Triangle Count) run plain
-// with identical results — they have no supersteps for options to act on.
-func (s *Session) runJob(app apps.App, pl *engine.Placement, opts engine.Options) (*engine.Result, error) {
-	if opts.Trace != nil || opts.Fault != nil || opts.Rebalancer != nil {
-		if fr, ok := app.(apps.OptsRunner); ok {
-			return fr.RunOpts(pl, s.Cluster, opts)
-		}
-	}
-	return app.Run(pl, s.Cluster)
 }
 
 // profilingCost charges the proxy profiling flow: each machine group's

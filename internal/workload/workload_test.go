@@ -6,6 +6,8 @@ import (
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
+	"proxygraph/internal/engine"
+	"proxygraph/internal/graph"
 	"proxygraph/internal/partition"
 	"proxygraph/internal/trace"
 )
@@ -316,5 +318,38 @@ func TestSessionBatchJobs(t *testing.T) {
 	}
 	if rep.IngressSeconds[len(jobs)-1] != 0 {
 		t.Error("cached batch charged ingress")
+	}
+}
+
+// TestRunJobPassesOptionsThrough is the regression test for a dropped option:
+// RunJob used to take the options path only when a collector, fault schedule
+// or rebalancer was set, so a job carrying nothing but a warm-start frontier
+// silently ran cold. A non-nil empty InitialActive is a valid seed — the run
+// terminates after one idle superstep.
+func TestRunJobPassesOptionsThrough(t *testing.T) {
+	cl := caseTwo(t)
+	jobs, err := RandomJobs(1, 256, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{App: apps.NewBFS(), Graph: jobs[0].Graph, Seed: 1}
+	pool, err := core.BuildPool(cl, []apps.App{job.App}, core.NewThreadCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Session{Cluster: cl}
+	cold, err := s.RunJob(pool, job, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Exec.Supersteps <= 1 {
+		t.Fatalf("cold BFS ran %d supersteps; the fixture cannot tell warm from cold", cold.Exec.Supersteps)
+	}
+	warm, err := s.RunJob(pool, job, engine.Options{InitialActive: []graph.VertexID{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Exec.Supersteps != 1 {
+		t.Fatalf("BFS seeded with an empty frontier ran %d supersteps, want 1: RunJob dropped InitialActive", warm.Exec.Supersteps)
 	}
 }

@@ -362,11 +362,19 @@ func Ingress(pl *Placement, cl *Cluster) (*IngressReport, error) {
 }
 
 // NewMigrator returns a Mizan-style dynamic load balancer (related work [13]
-// of the paper) usable with the RunRebalanced application variants.
+// of the paper) usable as a Rebalancer on the synchronous applications.
 func NewMigrator(seed uint64) *dynamic.Migrator { return dynamic.NewMigrator(seed) }
 
 // Rebalancer is a dynamic load-balancing policy invoked between supersteps.
 type Rebalancer = engine.Rebalancer
+
+// RunWithRebalancer executes app over a finalized placement with rb invoked
+// after every superstep barrier; its migrations are charged as stalls.
+// Applications off the synchronous engine (see AppsWithExtensions) have no
+// supersteps to rebalance between and run as app.Run does.
+func RunWithRebalancer(app App, pl *Placement, cl *Cluster, rb Rebalancer) (*Result, error) {
+	return apps.Run(app, pl, cl, engine.Options{Rebalancer: rb})
+}
 
 // AdvisorRequest parameterizes a cluster-composition recommendation.
 type AdvisorRequest = advisor.Request

@@ -177,7 +177,7 @@ func TestFacadeDynamicRebalancing(t *testing.T) {
 		t.Fatal(err)
 	}
 	mig := NewMigrator(19)
-	res, err := pr.RunRebalanced(pl, cl, mig)
+	res, err := RunWithRebalancer(pr, pl, cl, mig)
 	if err != nil {
 		t.Fatal(err)
 	}
