@@ -1,6 +1,6 @@
 # Developer entry points. The repo needs only the Go toolchain.
 
-.PHONY: build test check bench bench-ingress bench-scaling bench-smoke bench-contract fuzz-smoke crash-smoke golden-update
+.PHONY: build test check bench bench-ingress bench-scaling bench-smoke bench-contract bench-compare fuzz-smoke crash-smoke golden-update
 
 build:
 	go build ./...
@@ -13,12 +13,16 @@ test:
 # parallel ingress scans, the single-flight placement cache, the multi-tenant
 # job service's worker pool, including the fault-recovery paths exercised by
 # the chaos suite) or are otherwise concurrency-sensitive (the metrics
-# registry), the ingress differential test pinning the parallel partitioners
-# to their sequential specs, the allocation guards (ingress budgets; one
-# engine worker allocates no more than the sequential loop it replaced, and
-# nothing per superstep), the batched-BFS differential suite pinning the
-# 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the evolving-graph
-# differentials (amended placements inside their imbalance envelope,
+# registry), the differential tests pinning each fast path to its executable
+# spec (the parallel partitioners to their sequential specs, the delete index
+# to a full scan, and at -cpu 1,2,4 the placement compile to a stable sort and
+# master selection to the serial reservoir sample), the allocation guards
+# (ingress budgets; one engine worker allocates no more than the sequential
+# loop it replaced, and nothing per superstep; placement finalization
+# allocates by machine count, never by edge count), the batched-BFS
+# differential suite pinning the 64-lane packed traversal to 64 scalar runs at
+# -cpu 1,2,4, the evolving-graph differentials (amended placements inside
+# their imbalance envelope,
 # O(|delta|) fingerprints bit-identical to full rescans, process-stable
 # partitioner cache keys), the overload and evolve golden files pinning the
 # service control plane and the incremental-recomputation chain
@@ -30,8 +34,9 @@ check:
 	go test -race ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
 	go test -race -cpu 1,2,4 -run TestParallelEngineWorkerCountInvariance ./internal/apps
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
-	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential' ./internal/partition ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs' ./internal/partition ./internal/engine
+	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
+	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestNewPlacementAllocs' ./internal/partition ./internal/engine
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	$(MAKE) bench-contract
@@ -44,6 +49,16 @@ check:
 # Supersteps/Gathers/SimSeconds expectations also re-check bit-identity.
 bench-contract:
 	cd benchmark && go vet . && go test .
+
+# bench-compare measures one workload on a parent commit and on the working
+# tree in alternating pairs and prints, per end-to-end metric, both medians,
+# both quartile ranges and the pairs the working tree won — the evidence a
+# performance change quotes. About 30 s per pair; run it on an idle host.
+PARENT ?= HEAD
+WORKLOAD ?= cold_ingest
+PAIRS ?= 10
+bench-compare:
+	bash scripts/bench_compare.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # fuzz-smoke runs each fuzz target briefly — enough to exercise the seed
 # corpus plus a few thousand mutations, cheap enough for every merge. Longer

@@ -280,10 +280,20 @@ type submitRequest struct {
 	DeadlineSeconds float64 `json:"deadline_seconds"`
 }
 
+// maxSubmitBytes bounds a POST /jobs body. A submission is four short fields;
+// 1 MiB is generous and keeps a hostile client from making the decoder buffer
+// an unbounded value.
+const maxSubmitBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request body: %v", err))
 		return
 	}
 	app, err := apps.ByName(req.App)
@@ -457,7 +467,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.mux()}
+	// Every request is a small JSON exchange, so a connection slow to send
+	// its headers or body, or idle for minutes, is dropped rather than held.
+	// No WriteTimeout: responses go out at the client's pace and no handler
+	// waits on a job.
+	httpSrv := &http.Server{
+		Addr:              cfg.addr,
+		Handler:           srv.mux(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go func() {
 		c := srv.svc.Counters()
 		fmt.Printf("serving on %s (%d graphs, %d tenants, recovered %d done + %d requeued)\n",

@@ -113,6 +113,10 @@ func TestServeHTTP(t *testing.T) {
 	if resp, _ := post(`{"tenant":"gold","app":"pagerank","graph":"nope"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown graph: %d", resp.StatusCode)
 	}
+	oversize := `{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `","app":"pagerank","graph":"social_network"}`
+	if resp, _ := post(oversize); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over %d bytes: %d", maxSubmitBytes, resp.StatusCode)
+	}
 
 	// A good submission is accepted with an id.
 	resp, m := post(`{"tenant":"gold","app":"pagerank","graph":"social_network"}`)

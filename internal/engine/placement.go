@@ -72,42 +72,58 @@ type machineBlocks struct {
 	remote []bool
 }
 
-// blockCompiler carries one worker's reusable compile workspace: the |V|
-// counting-sort scratch and the record staging slices, allocated once per
-// worker instead of once per machine.
+// blockCompiler is one worker's compile workspace: a counting-sort Grouper per
+// grouping, allocated once per worker instead of once per machine. bySrc is
+// nil when compiling both-direction blocks, which need only one grouping.
 type blockCompiler struct {
-	pl                                 *Placement
-	scratch                            []int32
-	dstKeys, srcKeys, dstVals, srcVals []graph.VertexID
+	pl           *Placement
+	byDst, bySrc *graph.Grouper
 }
 
-// compile expands machine p's local edges into gather records for the given
-// direction and groups them. For GatherIn each edge (u,v) yields one record
-// v←u; for GatherBoth it yields v←u then u←v, matching the reference engine's
-// per-edge gather order so stable grouping preserves per-destination
+// compile groups machine p's gather records for the given direction in two
+// passes over LocalEdges[p] — count, then place — reading the records straight
+// from the edge list. For GatherIn each edge (u,v) yields one record v←u; for
+// GatherBoth it yields v←u then u←v, matching the reference engine's per-edge
+// gather order, and the stable grouping preserves per-destination
 // accumulation order exactly.
+//
+// In the both-direction record set every record v←u has its mirror u←v next
+// to it, so grouping by destination and grouping by source append the same
+// companions to the same groups in the same edge order: the two groupings are
+// equal, and bySrc shares byDst's (read-only) storage.
 func (c *blockCompiler) compile(p int, both bool) machineBlocks {
 	pl := c.pl
-	dstKeys, dstVals := c.dstKeys[:0], c.dstVals[:0]
-	srcKeys, srcVals := c.srcKeys[:0], c.srcVals[:0]
-	for _, ei := range pl.LocalEdges[p] {
-		e := pl.G.Edges[ei]
-		dstKeys = append(dstKeys, e.Dst)
-		dstVals = append(dstVals, e.Src)
-		srcKeys = append(srcKeys, e.Src)
-		srcVals = append(srcVals, e.Dst)
-		if both {
-			dstKeys = append(dstKeys, e.Src)
-			dstVals = append(dstVals, e.Dst)
-			srcKeys = append(srcKeys, e.Dst)
-			srcVals = append(srcVals, e.Src)
-		}
-	}
-	c.dstKeys, c.dstVals = dstKeys, dstVals
-	c.srcKeys, c.srcVals = srcKeys, srcVals
+	edges, local := pl.G.Edges, pl.LocalEdges[p]
 	var b machineBlocks
-	b.byDst = graph.GroupPairs(dstKeys, dstVals, c.scratch)
-	b.bySrc = graph.GroupPairs(srcKeys, srcVals, c.scratch)
+	if both {
+		for _, ei := range local {
+			e := edges[ei]
+			c.byDst.Count(e.Dst)
+			c.byDst.Count(e.Src)
+		}
+		c.byDst.Layout()
+		for _, ei := range local {
+			e := edges[ei]
+			c.byDst.Place(e.Dst, e.Src)
+			c.byDst.Place(e.Src, e.Dst)
+		}
+		b.byDst = c.byDst.Done()
+		b.bySrc = b.byDst
+	} else {
+		for _, ei := range local {
+			e := edges[ei]
+			c.byDst.Count(e.Dst)
+			c.bySrc.Count(e.Src)
+		}
+		c.byDst.Layout()
+		c.bySrc.Layout()
+		for _, ei := range local {
+			e := edges[ei]
+			c.byDst.Place(e.Dst, e.Src)
+			c.bySrc.Place(e.Src, e.Dst)
+		}
+		b.byDst, b.bySrc = c.byDst.Done(), c.bySrc.Done()
+	}
 	b.remote = make([]bool, len(b.byDst.Keys))
 	for i, d := range b.byDst.Keys {
 		b.remote[i] = pl.Master[d] != int32(p)
@@ -119,7 +135,7 @@ func (c *blockCompiler) compile(p int, both bool) machineBlocks {
 // independent — each reads only LocalEdges[p], the shared graph and the
 // master table — so they compile through the shared work-stealing loop, one
 // machine block per task, with bit-identical output at any worker count.
-// Compile workspaces are per worker (each holds a |V| counting-sort scratch,
+// Compile workspaces are per worker (each holds |V|-sized counting arrays,
 // so the worker count — at most one per block; NewPlacement asks for one per
 // CPU — also caps compile memory), created lazily so only workers that
 // actually win a task pay for one.
@@ -130,7 +146,10 @@ func (pl *Placement) compileBlocks(both bool, workers int) []machineBlocks {
 	stealTasks(workers, pl.M, func(w, p int) {
 		c := compilers[w]
 		if c == nil {
-			c = &blockCompiler{pl: pl, scratch: make([]int32, pl.G.NumVertices)}
+			c = &blockCompiler{pl: pl, byDst: graph.NewGrouper(pl.G.NumVertices)}
+			if !both {
+				c.bySrc = graph.NewGrouper(pl.G.NumVertices)
+			}
 			compilers[w] = c
 		}
 		blocks[p] = c.compile(p, both)
@@ -156,30 +175,31 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 	if len(owner) != len(g.Edges) {
 		return nil, fmt.Errorf("engine: owner length %d != edge count %d", len(owner), len(g.Edges))
 	}
+	n := g.NumVertices
 	pl := &Placement{
 		G:           g,
 		M:           m,
 		EdgeOwner:   owner,
 		LocalEdges:  make([][]int32, m),
-		ReplicaMask: make([]uint64, g.NumVertices),
-		Master:      make([]int32, g.NumVertices),
+		ReplicaMask: make([]uint64, n),
+		Master:      make([]int32, n),
 		MasterVerts: make([][]graph.VertexID, m),
 	}
-	counts := make([]int64, m)
+	// One scan of the owner vector validates it and counts what the rest of
+	// finalization sizes itself by: edges per machine, incidences per vertex.
+	edges := g.Edges
+	edgeCount := make([]int32, m)
+	incidences := make([]int32, n)
 	for i, p := range owner {
 		if p < 0 || int(p) >= m {
 			return nil, fmt.Errorf("engine: edge %d assigned to machine %d outside [0, %d)", i, p, m)
 		}
-		counts[p]++
-		e := g.Edges[i]
+		edgeCount[p]++
+		e := edges[i]
 		pl.ReplicaMask[e.Src] |= 1 << uint(p)
 		pl.ReplicaMask[e.Dst] |= 1 << uint(p)
-	}
-	for p := range pl.LocalEdges {
-		pl.LocalEdges[p] = make([]int32, 0, counts[p])
-	}
-	for i, p := range owner {
-		pl.LocalEdges[p] = append(pl.LocalEdges[p], int32(i))
+		incidences[e.Src]++
+		incidences[e.Dst]++
 	}
 	// Master selection: each vertex's master is the owner of one of its
 	// incident edges, picked by a deterministic reservoir sample over the
@@ -189,31 +209,61 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 	// vertex-phase work (applies, coloring sweeps) aligned with the edge
 	// shares the partitioner produced. Vertices with no edges are hashed
 	// across all machines.
-	incidences := make([]int32, g.NumVertices)
-	pickMaster := func(v graph.VertexID, p int32) {
-		incidences[v]++
-		if rng.Hash2(uint64(v), uint64(incidences[v]))%uint64(incidences[v]) == 0 {
-			pl.Master[v] = p
+	//
+	// The sample is resolved per vertex first (which incidence wins depends
+	// only on the vertex and its incidence count): each count is overwritten
+	// with its winner's number, and the edge scan below counts down to it.
+	winner := incidences
+	for v, k := range incidences {
+		if k == 0 {
+			pl.Master[v] = int32(rng.Hash64(uint64(v)) % uint64(m))
+		} else {
+			winner[v] = sampledIncidence(uint64(v), k)
 		}
 	}
-	for v := range pl.Master {
-		pl.Master[v] = -1
+	local := make([]int32, len(owner))
+	for p, at := 0, int32(0); p < m; p++ {
+		pl.LocalEdges[p] = local[at : at : at+edgeCount[p]]
+		at += edgeCount[p]
 	}
 	for i, p := range owner {
-		e := g.Edges[i]
-		pickMaster(e.Src, p)
-		pickMaster(e.Dst, p)
-	}
-	for v := range pl.Master {
-		if pl.Master[v] < 0 {
-			pl.Master[v] = int32(rng.Hash64(uint64(v)) % uint64(m))
+		pl.LocalEdges[p] = append(pl.LocalEdges[p], int32(i))
+		e := edges[i]
+		// A vertex's incidences are numbered in stream order, Src before Dst.
+		if winner[e.Src]--; winner[e.Src] == 0 {
+			pl.Master[e.Src] = p
 		}
+		if winner[e.Dst]--; winner[e.Dst] == 0 {
+			pl.Master[e.Dst] = p
+		}
+	}
+	masterCount := make([]int32, m)
+	for _, p := range pl.Master {
+		masterCount[p]++
+	}
+	verts := make([]graph.VertexID, n)
+	for p, at := 0, int32(0); p < m; p++ {
+		pl.MasterVerts[p] = verts[at : at : at+masterCount[p]]
+		at += masterCount[p]
 	}
 	for v, p := range pl.Master {
 		pl.MasterVerts[p] = append(pl.MasterVerts[p], graph.VertexID(v))
 	}
 	pl.inBlocks = pl.compileBlocks(false, runtime.GOMAXPROCS(0))
 	return pl, nil
+}
+
+// sampledIncidence returns which of vertex v's k >= 1 incidences (1-based) a
+// reservoir sample of size one keeps: incidence i replaces the current pick
+// when Hash2(v, i) mod i is zero, so the survivor is the largest such i, found
+// from the top without visiting the rest (i = 1 always replaces).
+func sampledIncidence(v uint64, k int32) int32 {
+	for i := uint64(k); i > 1; i-- {
+		if rng.Hash2(v, i)%i == 0 {
+			return int32(i)
+		}
+	}
+	return 1
 }
 
 // nthSetBit returns the position of the k-th (0-based) set bit of mask.

@@ -1,0 +1,31 @@
+package engine
+
+import "testing"
+
+// BenchmarkNewPlacement times placement finalization — owner scan, master
+// selection and the in-direction block compile — on the power-law bench graph
+// (20,000 vertices, 80,000 edges, four machines).
+func BenchmarkNewPlacement(b *testing.B) {
+	g := benchPowerLaw(b)
+	owner := moduloOwner(g, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlacement(g, owner, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileBothBlocks times the both-direction block compile that the
+// first GatherBoth run on a placement pays lazily.
+func BenchmarkCompileBothBlocks(b *testing.B) {
+	pl := benchPlacement(b, benchPowerLaw(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if blocks := pl.compileBlocks(true, 1); len(blocks) != pl.M {
+			b.Fatalf("compiled %d blocks for %d machines", len(blocks), pl.M)
+		}
+	}
+}

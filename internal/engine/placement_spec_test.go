@@ -1,0 +1,250 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"proxygraph/internal/graph"
+	"proxygraph/internal/rng"
+)
+
+// specGraphs are the finalization inputs that stress a counting pass
+// differently: uniform keys, one key carrying nearly every record, repeated
+// records, keys with no records at all, and records whose two ends coincide
+// (NewPlacement accepts self-loops even though generators never emit them).
+func specGraphs() []*graph.Graph {
+	random := testGraph(17, 300, 2400)
+	random.Name = "random"
+
+	star := &graph.Graph{Name: "star", NumVertices: 200}
+	for v := 1; v < 200; v++ {
+		e := graph.Edge{Src: 0, Dst: graph.VertexID(v)}
+		if v%3 == 0 {
+			e = graph.Edge{Src: graph.VertexID(v), Dst: 0}
+		}
+		star.Edges = append(star.Edges, e)
+	}
+
+	multi := &graph.Graph{Name: "multi-edge", NumVertices: 40}
+	for i := 0; i < 600; i++ {
+		u := graph.VertexID(rng.Hash2(3, uint64(i)) % 8)
+		v := graph.VertexID(8 + rng.Hash2(5, uint64(i))%4)
+		multi.Edges = append(multi.Edges, graph.Edge{Src: u, Dst: v})
+	}
+
+	// Every edge stays below vertex 70 of 500, and vertex 65 is skipped, so
+	// whole bitmap words and single bits inside a used word stay empty.
+	isolated := &graph.Graph{Name: "isolated-vertices", NumVertices: 500}
+	for i := 0; i < 400; i++ {
+		u := graph.VertexID(rng.Hash2(7, uint64(i)) % 70)
+		v := graph.VertexID(rng.Hash2(9, uint64(i)) % 70)
+		if u == 65 || v == 65 || u == v {
+			continue
+		}
+		isolated.Edges = append(isolated.Edges, graph.Edge{Src: u, Dst: v})
+	}
+
+	loops := testGraph(23, 90, 500)
+	loops.Name = "self-loops"
+	for v := 0; v < 90; v += 7 {
+		at := (v * 5) % len(loops.Edges)
+		loop := graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v)}
+		loops.Edges = slices.Insert(loops.Edges, at, loop, loop)
+	}
+
+	return []*graph.Graph{random, star, multi, isolated, loops}
+}
+
+// hashedOwner spreads edges over m machines unevenly (machine 0 gets about a
+// third), so blocks differ in size and some machines of 64 own nothing.
+func hashedOwner(g *graph.Graph, m int) []int32 {
+	owner := make([]int32, len(g.Edges))
+	for i := range owner {
+		if h := rng.Hash2(41, uint64(i)); h%3 != 0 {
+			owner[i] = int32(h / 3 % uint64(m))
+		}
+	}
+	return owner
+}
+
+// specBlock is the naive statement of what compile must produce for machine
+// p: expand the machine's edges into gather records in local-edge order, then
+// stable-sort them by the grouping key.
+func specBlock(pl *Placement, p int, both bool) machineBlocks {
+	type record struct{ into, from graph.VertexID }
+	var records []record
+	for i, e := range pl.G.Edges {
+		if pl.EdgeOwner[i] != int32(p) {
+			continue
+		}
+		records = append(records, record{into: e.Dst, from: e.Src})
+		if both {
+			records = append(records, record{into: e.Src, from: e.Dst})
+		}
+	}
+	group := func(key, val func(record) graph.VertexID) graph.Grouped {
+		sorted := slices.Clone(records)
+		sort.SliceStable(sorted, func(i, j int) bool { return key(sorted[i]) < key(sorted[j]) })
+		g := graph.Grouped{Keys: []graph.VertexID{}, Offs: []int32{0}, Vals: []graph.VertexID{}}
+		for i, r := range sorted {
+			if i == 0 || key(r) != key(sorted[i-1]) {
+				g.Keys = append(g.Keys, key(r))
+				g.Offs = append(g.Offs, g.Offs[len(g.Offs)-1])
+			}
+			g.Offs[len(g.Offs)-1]++
+			g.Vals = append(g.Vals, val(r))
+		}
+		return g
+	}
+	into := func(r record) graph.VertexID { return r.into }
+	from := func(r record) graph.VertexID { return r.from }
+	b := machineBlocks{byDst: group(into, from), bySrc: group(from, into)}
+	for _, d := range b.byDst.Keys {
+		b.remote = append(b.remote, pl.Master[d] != int32(p))
+	}
+	return b
+}
+
+// TestCompileBlocksMatchesStableSortSpec pins the counting-pass compile to the
+// stable sort it stands for, field by field, and checks that every compiled
+// slice was allocated at its final size.
+func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
+	checkGrouped := func(t *testing.T, what string, got, want graph.Grouped) {
+		t.Helper()
+		if !slices.Equal(got.Keys, want.Keys) {
+			t.Fatalf("%s.Keys\n got %v\nwant %v", what, got.Keys, want.Keys)
+		}
+		if !slices.Equal(got.Offs, want.Offs) {
+			t.Fatalf("%s.Offs\n got %v\nwant %v", what, got.Offs, want.Offs)
+		}
+		if !slices.Equal(got.Vals, want.Vals) {
+			t.Fatalf("%s.Vals\n got %v\nwant %v", what, got.Vals, want.Vals)
+		}
+		if len(got.Keys) != cap(got.Keys) || len(got.Offs) != cap(got.Offs) || len(got.Vals) != cap(got.Vals) {
+			t.Fatalf("%s over-allocated: Keys %d/%d, Offs %d/%d, Vals %d/%d", what,
+				len(got.Keys), cap(got.Keys), len(got.Offs), cap(got.Offs), len(got.Vals), cap(got.Vals))
+		}
+	}
+	for _, g := range specGraphs() {
+		for _, machines := range []int{1, 3, 4, 64} {
+			pl, err := NewPlacement(g, hashedOwner(g, machines), machines)
+			if err != nil {
+				t.Fatalf("%s on %d machines: %v", g.Name, machines, err)
+			}
+			for _, both := range []bool{false, true} {
+				want := make([]machineBlocks, machines)
+				for p := range want {
+					want[p] = specBlock(pl, p, both)
+				}
+				for _, workers := range []int{1, 2, 7} {
+					t.Run(fmt.Sprintf("%s/machines=%d/both=%v/workers=%d", g.Name, machines, both, workers), func(t *testing.T) {
+						got := pl.compileBlocks(both, workers)
+						for p := range want {
+							checkGrouped(t, fmt.Sprintf("machine %d byDst", p), got[p].byDst, want[p].byDst)
+							checkGrouped(t, fmt.Sprintf("machine %d bySrc", p), got[p].bySrc, want[p].bySrc)
+							if !slices.Equal(got[p].remote, want[p].remote) {
+								t.Fatalf("machine %d remote\n got %v\nwant %v", p, got[p].remote, want[p].remote)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestMasterSelectionMatchesReservoirSpec pins NewPlacement's master table to
+// the serial reservoir sample that defines it: walk the edge stream, number
+// each vertex's incidences (Src before Dst), and let incidence i take the
+// mastership over when Hash2(v, i) mod i is zero.
+func TestMasterSelectionMatchesReservoirSpec(t *testing.T) {
+	for _, g := range specGraphs() {
+		for _, machines := range []int{1, 3, 4, 64} {
+			owner := hashedOwner(g, machines)
+			pl, err := NewPlacement(g, owner, machines)
+			if err != nil {
+				t.Fatalf("%s on %d machines: %v", g.Name, machines, err)
+			}
+
+			master := make([]int32, g.NumVertices)
+			for v := range master {
+				master[v] = -1
+			}
+			incidences := make([]int32, g.NumVertices)
+			pickMaster := func(v graph.VertexID, p int32) {
+				incidences[v]++
+				if rng.Hash2(uint64(v), uint64(incidences[v]))%uint64(incidences[v]) == 0 {
+					master[v] = p
+				}
+			}
+			for i, p := range owner {
+				e := g.Edges[i]
+				pickMaster(e.Src, p)
+				pickMaster(e.Dst, p)
+			}
+			masterVerts := make([][]graph.VertexID, machines)
+			for v := range master {
+				if master[v] < 0 {
+					master[v] = int32(rng.Hash64(uint64(v)) % uint64(machines))
+				}
+				masterVerts[master[v]] = append(masterVerts[master[v]], graph.VertexID(v))
+			}
+
+			if !slices.Equal(pl.Master, master) {
+				t.Fatalf("%s on %d machines: Master\n got %v\nwant %v", g.Name, machines, pl.Master, master)
+			}
+			for p := range masterVerts {
+				if !slices.Equal(pl.MasterVerts[p], masterVerts[p]) {
+					t.Fatalf("%s on %d machines: MasterVerts[%d]\n got %v\nwant %v", g.Name, machines, p, pl.MasterVerts[p], masterVerts[p])
+				}
+				if len(pl.MasterVerts[p]) != cap(pl.MasterVerts[p]) || len(pl.LocalEdges[p]) != cap(pl.LocalEdges[p]) {
+					t.Fatalf("%s on %d machines: machine %d's MasterVerts or LocalEdges can grow into its neighbour's", g.Name, machines, p)
+				}
+			}
+		}
+	}
+}
+
+// TestNewPlacementAllocs is finalization's allocation guard (same shape as
+// TestRunAllocs and partition's TestIngressAllocs): NewPlacement and the
+// first both-direction compile allocate a number of objects fixed by the
+// machine count — every slice is sized before it is filled — so an
+// eight-times-larger graph costs not one allocation more.
+//
+// testing.AllocsPerRun pins GOMAXPROCS to one, so the compile runs on one
+// worker. Measured: 20+7m and 7+4m for m machines.
+func TestNewPlacementAllocs(t *testing.T) {
+	measure := func(g *graph.Graph, machines int) (finalize, compileBoth float64) {
+		owner := hashedOwner(g, machines)
+		var pl *Placement
+		newPlacement := func() {
+			var err error
+			if pl, err = NewPlacement(g, owner, machines); err != nil {
+				t.Fatal(err)
+			}
+		}
+		finalize = testing.AllocsPerRun(5, newPlacement)
+		withBoth := testing.AllocsPerRun(5, func() {
+			newPlacement()
+			pl.blocks(true)
+		})
+		return finalize, withBoth - finalize
+	}
+	small, large := testGraph(5, 2000, 8000), testGraph(6, 2000, 64000)
+	for _, machines := range []int{4, 16} {
+		finalize, compileBoth := measure(small, machines)
+		t.Logf("%d machines: NewPlacement %.0f allocations, first blocks(true) %.0f", machines, finalize, compileBoth)
+		if ceiling := float64(20 + 7*machines); finalize > ceiling {
+			t.Errorf("%d machines: NewPlacement allocates %.0f, want at most %.0f", machines, finalize, ceiling)
+		}
+		if ceiling := float64(7 + 4*machines); compileBoth > ceiling {
+			t.Errorf("%d machines: the first blocks(true) allocates %.0f, want at most %.0f", machines, compileBoth, ceiling)
+		}
+		if f, c := measure(large, machines); f != finalize || c != compileBoth {
+			t.Errorf("%d machines: 8x the edges moved allocations from %.0f+%.0f to %.0f+%.0f: something grows with |E|",
+				machines, finalize, compileBoth, f, c)
+		}
+	}
+}

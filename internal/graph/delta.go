@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Delta is a timestamped batch of edge mutations against a base graph. It is
@@ -92,6 +92,11 @@ func (d *Delta) Validate(base *Graph) error {
 // (or (Src, Dst, weight) triple when DeleteWeights is set), returned in
 // ascending index order. It errors when any delete has no match left —
 // deleting an absent edge is a versioning bug, not a no-op.
+//
+// The scan over the base edges is one bitmap test per edge: the multiset of
+// wanted occurrences is consulted only for edges whose source vertex appears
+// as the source of some delete, so a batch costs O(|E|) cheap tests plus map
+// work proportional to the out-degrees of the sources it deletes from.
 func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 	if len(d.Deletes) == 0 {
 		return nil, nil
@@ -107,16 +112,31 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 		}
 		return occurrence{e: e, w: w}
 	}
-	want := make(map[occurrence]int, len(d.Deletes))
-	for j, e := range d.Deletes {
-		var w float32
-		if d.DeleteWeights != nil {
-			w = d.DeleteWeights[j]
+	weight := func(j int) float32 {
+		if d.DeleteWeights == nil {
+			return 0
 		}
-		want[key(e, w)]++
+		return d.DeleteWeights[j]
+	}
+	missing := func(e Edge) error {
+		return fmt.Errorf("delta: delete (%d->%d) has no remaining occurrence in graph %q", e.Src, e.Dst, base.Name)
+	}
+	n := VertexID(base.NumVertices)
+	want := make(map[occurrence]int, len(d.Deletes))
+	fromSrc := make([]uint64, (base.NumVertices+63)/64)
+	for j, e := range d.Deletes {
+		if e.Src >= n || e.Dst >= n {
+			// No base edge reaches outside the base vertex space.
+			return nil, missing(e)
+		}
+		want[key(e, weight(j))]++
+		fromSrc[e.Src>>6] |= 1 << (e.Src & 63)
 	}
 	idx := make([]int, 0, len(d.Deletes))
 	for i, e := range base.Edges {
+		if fromSrc[e.Src>>6]&(1<<(e.Src&63)) == 0 {
+			continue
+		}
 		k := key(e, base.Weight(i))
 		if want[k] > 0 {
 			want[k]--
@@ -127,9 +147,10 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 		}
 	}
 	if len(idx) != len(d.Deletes) {
-		for k, c := range want {
-			if c > 0 {
-				return nil, fmt.Errorf("delta: delete (%d->%d) has no remaining occurrence in graph %q", k.e.Src, k.e.Dst, base.Name)
+		// Name the first delete, in batch order, that found nothing to claim.
+		for j, e := range d.Deletes {
+			if want[key(e, weight(j))] > 0 {
+				return nil, missing(e)
 			}
 		}
 	}
@@ -240,17 +261,13 @@ func (d *Delta) Inverse(base *Graph) (*Delta, error) {
 // Touched returns the sorted distinct vertices incident to the batch's
 // mutations — the seed set delta-based re-execution activates.
 func (d *Delta) Touched() []VertexID {
-	seen := map[VertexID]bool{}
+	out := make([]VertexID, 0, 2*d.Size())
 	for _, e := range d.Inserts {
-		seen[e.Src], seen[e.Dst] = true, true
+		out = append(out, e.Src, e.Dst)
 	}
 	for _, e := range d.Deletes {
-		seen[e.Src], seen[e.Dst] = true, true
+		out = append(out, e.Src, e.Dst)
 	}
-	out := make([]VertexID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -95,6 +96,9 @@ func TestDeltaErrors(t *testing.T) {
 		{"weighted base needs weights", &Delta{Time: 1, Inserts: []Edge{{0, 2}}}},
 		{"delete absent edge", &Delta{Time: 1, Deletes: []Edge{{4, 1}}}},
 		{"delete more occurrences than present", &Delta{Time: 1, Deletes: []Edge{{1, 2}, {1, 2}}}},
+		{"delete from a source outside the base", &Delta{Time: 1, Deletes: []Edge{{5, 1}}}},
+		{"delete into a destination outside the base", &Delta{Time: 1, Deletes: []Edge{{0, 1}, {1, 1 << 31}}}},
+		{"delete outside the base inside a grown vertex space", &Delta{Time: 1, Deletes: []Edge{{70, 1}}, NumVertices: 100}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.d.Apply(base); err == nil {
@@ -114,6 +118,146 @@ func TestDeltaDeletedIndices(t *testing.T) {
 	}
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 2 {
 		t.Fatalf("indices %v, want [0 2]", idx)
+	}
+}
+
+// deletedIndicesFullScan is the executable spec of DeletedIndices: one map
+// lookup per base edge, stopping once every delete has claimed an occurrence.
+func deletedIndicesFullScan(d *Delta, base *Graph) ([]int, bool) {
+	type occurrence struct {
+		e Edge
+		w float32
+	}
+	key := func(e Edge, w float32) occurrence {
+		if d.DeleteWeights == nil {
+			return occurrence{e: e}
+		}
+		return occurrence{e: e, w: w}
+	}
+	want := make(map[occurrence]int, len(d.Deletes))
+	for j, e := range d.Deletes {
+		var w float32
+		if d.DeleteWeights != nil {
+			w = d.DeleteWeights[j]
+		}
+		want[key(e, w)]++
+	}
+	var idx []int
+	for i, e := range base.Edges {
+		if len(idx) == len(d.Deletes) {
+			break
+		}
+		if k := key(e, base.Weight(i)); want[k] > 0 {
+			want[k]--
+			idx = append(idx, i)
+		}
+	}
+	return idx, len(idx) == len(d.Deletes)
+}
+
+// TestDeletedIndicesMatchesFullScan pins the source-filtered scan to the full
+// scan it replaced, on the shapes where a vertex index could go wrong.
+func TestDeletedIndicesMatchesFullScan(t *testing.T) {
+	// A multigraph with a hub (vertex 0 sources every third edge), repeated
+	// pairs and a small weight alphabet, so pairs recur at equal and at
+	// different weights.
+	const n = 97
+	base := &Graph{Name: "scan", NumVertices: n}
+	state := uint64(20160816)
+	next := func(mod int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int((state >> 33) % uint64(mod))
+	}
+	for i := 0; i < 1500; i++ {
+		u, v := next(n), next(12)
+		if i%3 == 0 {
+			u = 0
+		}
+		if u == v {
+			v = (v + 1) % n
+		}
+		base.Edges = append(base.Edges, Edge{Src: VertexID(u), Dst: VertexID(v)})
+		base.Weights = append(base.Weights, float32(1+next(3)))
+	}
+	// pick draws distinct edge positions, so the batch it builds resolves.
+	pick := func(count int, from func() int) (es []Edge, ws []float32) {
+		used := map[int]bool{}
+		for len(es) < count {
+			at := from()
+			if used[at] {
+				continue
+			}
+			used[at] = true
+			es = append(es, base.Edges[at])
+			ws = append(ws, base.Weights[at])
+		}
+		return es, ws
+	}
+	anywhere := func() int { return next(len(base.Edges)) }
+	onHub := func() int { return 3 * next(len(base.Edges)/3) }
+	late := func() int { return len(base.Edges) - 1 - next(40) }
+
+	cases := []struct {
+		name   string
+		from   func() int
+		count  int
+		absent []Edge // appended to the deletes; each must make the batch fail
+	}{
+		{"spread over the graph", anywhere, 60, nil},
+		{"concentrated on the hub", onHub, 120, nil},
+		{"later occurrences of repeated pairs", late, 30, nil},
+		{"single delete", anywhere, 1, nil},
+		{"pair never present", anywhere, 10, []Edge{{5, 96}}},
+		{"source outside the base", anywhere, 10, []Edge{{n, 3}}},
+		{"destination outside the base", onHub, 10, []Edge{{0, 1 << 30}}},
+	}
+	for _, tc := range cases {
+		for _, triple := range []bool{false, true} {
+			d := &Delta{Time: 1}
+			d.Deletes, d.DeleteWeights = pick(tc.count, tc.from)
+			for _, e := range tc.absent {
+				d.Deletes = append(d.Deletes, e)
+				d.DeleteWeights = append(d.DeleteWeights, 1)
+			}
+			if !triple {
+				d.DeleteWeights = nil
+			}
+			want, ok := deletedIndicesFullScan(d, base)
+			got, err := d.DeletedIndices(base)
+			if ok != (err == nil) {
+				t.Fatalf("%s (triple=%v): full scan resolves=%v, DeletedIndices error %v", tc.name, triple, ok, err)
+			}
+			if ok == (tc.absent != nil) {
+				t.Fatalf("%s (triple=%v): case built wrong, full scan resolves=%v", tc.name, triple, ok)
+			}
+			if !ok {
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s (triple=%v): indices\n got %v\nwant %v", tc.name, triple, got, want)
+			}
+		}
+	}
+
+	// First-occurrence-first, pinned directly: k deletes of one pair claim its
+	// first k occurrences.
+	pair := base.Edges[3]
+	var occurrences []int
+	for i, e := range base.Edges {
+		if e == pair {
+			occurrences = append(occurrences, i)
+		}
+	}
+	if len(occurrences) < 3 {
+		t.Fatalf("base graph has %d occurrences of %v, want a repeated pair", len(occurrences), pair)
+	}
+	d := &Delta{Time: 1, Deletes: []Edge{pair, pair}}
+	got, err := d.DeletedIndices(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, occurrences[:2]) {
+		t.Fatalf("two deletes of %v claimed %v, want the first two of %v", pair, got, occurrences)
 	}
 }
 
@@ -208,6 +352,7 @@ func FuzzDelta(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x80}, uint8(0), uint8(5))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(8), uint8(0))
 	f.Add([]byte{}, uint8(1), uint8(1))
+	f.Add([]byte{1, 2, 3, 4}, uint8(0), uint8(0x82)) // a delete outside the base vertex space
 	f.Fuzz(func(t *testing.T, data []byte, nIns, nDel uint8) {
 		next := func(i int) int {
 			if len(data) == 0 {
@@ -235,6 +380,12 @@ func FuzzDelta(f *testing.F) {
 		for i := 0; i < int(nDel)%8 && i < len(base.Edges); i++ {
 			d.Deletes = append(d.Deletes, base.Edges[next(7*i)%len(base.Edges)])
 		}
+		outside := nDel&0x80 != 0
+		if outside {
+			// An endpoint the base has no vertex for: a rejection, never a
+			// panic, however the deletes are indexed.
+			d.Deletes = append(d.Deletes, Edge{Src: VertexID(n + next(5)), Dst: VertexID(next(6) % n)})
+		}
 		for i := 0; i < int(nIns)%8; i++ {
 			u := next(11*i) % n
 			v := next(13*i+1) % n
@@ -253,6 +404,9 @@ func FuzzDelta(f *testing.F) {
 			// Duplicated deletes can exceed the occurrences present; any
 			// error must be a rejection, not a bad graph.
 			return
+		}
+		if outside {
+			t.Fatalf("delete %v outside the %d-vertex base accepted", d.Deletes[len(d.Deletes)-1], n)
 		}
 		if err := evolved.Validate(); err != nil {
 			t.Fatalf("evolved graph invalid: %v", err)

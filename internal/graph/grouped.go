@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Grouped is a CSR-style grouping of (key, companion) vertex pairs whose key
 // set is sparse — the machine-local analogue of CSR. Where CSR indexes every
@@ -19,40 +22,99 @@ type Grouped struct {
 	Vals []VertexID
 }
 
-// GroupPairs groups the records (keys[i] -> vals[i]) by key with a stable
-// counting sort: O(R + K log K) for R records over K distinct keys, with no
-// per-key allocation. scratch provides the counting workspace; it must have
-// length at least max(keys)+1 and hold only zeros, and it is handed back
-// zeroed so one scratch can serve many calls (the engine compiles one block
-// per machine against a single |V|-sized scratch).
+// Grouper is the reusable workspace of a stable counting sort into a Grouped:
+// O(R + n/64) for R records over the key space [0, n), with no sort, no
+// staging copy of the records and every output slice allocated once at its
+// final size. The caller owns the two loops over its records, so they can be
+// read straight from wherever they live:
+//
+//	for each record { gr.Count(key) }
+//	gr.Layout()
+//	for each record, same order { gr.Place(key, val) }
+//	g := gr.Done()
+//
+// Count tallies per-key totals and marks the key in a bitmap; Layout recovers
+// the distinct keys in ascending order by walking the bitmap's set bits and
+// turns the tallies into write cursors; Place drops each companion at its
+// key's cursor, which keeps input order within a group. Between groupings the
+// workspace holds only zeros, which Done restores in O(distinct keys).
+type Grouper struct {
+	count   []int32
+	present []uint64
+	out     Grouped // the grouping under construction, between Layout and Done
+}
+
+// NewGrouper returns a workspace for keys in [0, n).
+func NewGrouper(n int) *Grouper {
+	return &Grouper{count: make([]int32, n), present: make([]uint64, (n+63)/64)}
+}
+
+// Count records one occurrence of key k.
+func (gr *Grouper) Count(k VertexID) {
+	gr.count[k]++
+	gr.present[k>>6] |= 1 << (k & 63)
+}
+
+// Layout sizes the grouping of everything counted so far: Keys and Offs are
+// final, Vals is allocated and waits for one Place per counted record.
+func (gr *Grouper) Layout() {
+	distinct := 0
+	for _, word := range gr.present {
+		distinct += bits.OnesCount64(word)
+	}
+	keys := make([]VertexID, distinct)
+	offs := make([]int32, distinct+1)
+	i := 0
+	for w, word := range gr.present {
+		if word == 0 {
+			continue
+		}
+		gr.present[w] = 0
+		for ; word != 0; word &= word - 1 {
+			k := VertexID(w<<6 + bits.TrailingZeros64(word))
+			keys[i] = k
+			offs[i+1] = offs[i] + gr.count[k]
+			// Repurpose the count as the running write cursor for key k.
+			gr.count[k] = offs[i]
+			i++
+		}
+	}
+	gr.out = Grouped{Keys: keys, Offs: offs, Vals: make([]VertexID, offs[distinct])}
+}
+
+// Place appends companion v to key k's group.
+func (gr *Grouper) Place(k, v VertexID) {
+	gr.out.Vals[gr.count[k]] = v
+	gr.count[k]++
+}
+
+// Done returns the finished grouping and zeroes the workspace for the next.
+func (gr *Grouper) Done() Grouped {
+	g := gr.out
+	gr.out = Grouped{}
+	for _, k := range g.Keys {
+		gr.count[k] = 0
+	}
+	return g
+}
+
+// GroupPairs groups the records (keys[i] -> vals[i]) by key: the Grouper
+// protocol over two parallel slices. scratch provides the counting workspace;
+// it must have length at least max(keys)+1 and hold only zeros, and it is
+// handed back zeroed so one scratch can serve many calls.
 func GroupPairs(keys, vals []VertexID, scratch []int32) Grouped {
 	if len(keys) != len(vals) {
 		panic("graph: GroupPairs key/val length mismatch")
 	}
-	distinct := make([]VertexID, 0, len(keys))
+	gr := &Grouper{count: scratch, present: make([]uint64, (len(scratch)+63)/64)}
 	for _, k := range keys {
-		if scratch[k] == 0 {
-			distinct = append(distinct, k)
-		}
-		scratch[k]++
+		gr.Count(k)
 	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-
-	offs := make([]int32, len(distinct)+1)
-	for i, k := range distinct {
-		offs[i+1] = offs[i] + scratch[k]
-		// Repurpose the count as the running write cursor for key k.
-		scratch[k] = offs[i]
-	}
-	out := make([]VertexID, len(vals))
+	gr.Layout()
 	for i, k := range keys {
-		out[scratch[k]] = vals[i]
-		scratch[k]++
+		gr.Place(k, vals[i])
 	}
-	for _, k := range distinct {
-		scratch[k] = 0
-	}
-	return Grouped{Keys: distinct, Offs: offs, Vals: out}
+	return gr.Done()
 }
 
 // Find returns the group index of key k, or -1 when k has no records.

@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Paired comparison of one benchmark workload between a parent commit and the
+# working tree, by the rule a claimed gain has to pass (choosing-metrics §8):
+# alternating pairs, one seed per pair, the contract's run length on both
+# sides; for every end-to-end metric it prints both medians, both quartile
+# ranges and how many pairs the working tree won.
+#
+#   scripts/bench_compare.sh <parent-ref> <workload> [pairs (default 10)]
+#   make bench-compare PARENT=<parent-ref> WORKLOAD=<workload> [PAIRS=10]
+#
+# The parent is exported with git archive into a temporary directory and both
+# benchmark binaries run from temporary directories, so nothing is written
+# into the repository. Needs bash, tar, python3 and the Go toolchain; run it
+# on an otherwise idle host.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+  sed -n '2,14p' "$0" | cut -c3- >&2
+  exit 2
+fi
+ref=$1
+workload=$2
+pairs=${3:-10}
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir "$tmp/parent" "$tmp/run-parent" "$tmp/run-change"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
+(cd "$tmp/parent/benchmark" && go build -o "$tmp/parent.bin" .)
+(cd "$root/benchmark" && go build -o "$tmp/change.bin" .)
+seconds=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")
+
+for pair in $(seq 1 "$pairs"); do
+  # Odd pairs run the parent first, even pairs the change.
+  order="parent change"
+  [ $((pair % 2)) -eq 0 ] && order="change parent"
+  for side in $order; do
+    echo "bench-compare: pair $pair/$pairs $side $workload seed $pair" >&2
+    line=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>/dev/null | tail -n 1)
+    echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line}" >>"$tmp/runs.jsonl"
+  done
+done
+
+python3 - "$tmp/runs.jsonl" "$root/BENCHMARK.json" "$ref" "$workload" <<'EOF'
+import json, statistics, sys
+runs, spec, ref, workload = sys.argv[1:5]
+metrics = json.load(open(spec))["end_to_end"]
+sides = {"parent": {}, "change": {}}
+failed = {"parent": 0, "change": 0}
+for line in open(runs):
+    row = json.loads(line)
+    result = row["result"]
+    if not result["correct"]:
+        sys.exit(f"pair {row['pair']}: the {row['side']} run failed its checks")
+    failed[row["side"]] += result["failed"]
+    for name, m in result["metrics"].items():
+        sides[row["side"]].setdefault(name, {})[row["pair"]] = m["value"]
+
+def quartiles(values):
+    q = statistics.quantiles(values, n=4)
+    return q[0], q[2]
+
+print(f"{workload}: parent {ref} against the working tree, {len(sides['parent'][metrics[0]['name']])} pairs; operations failed: parent {failed['parent']}, change {failed['change']}")
+print(f"{'metric':20} {'parent median':>14} {'parent q1..q3':>24} {'change median':>14} {'change q1..q3':>24} {'delta':>8} {'pairs won':>9}  verdict")
+for m in metrics:
+    name, lower = m["name"], m["better"] == "lower"
+    p, c = sides["parent"][name], sides["change"][name]
+    pv, cv = list(p.values()), list(c.values())
+    pm, cm = statistics.median(pv), statistics.median(cv)
+    (p1, p3), (c1, c3) = quartiles(pv), quartiles(cv)
+    won = sum(1 for k in p if (c[k] < p[k] if lower else c[k] > p[k]))
+    lost = sum(1 for k in p if (c[k] > p[k] if lower else c[k] < p[k]))
+    delta = (cm - pm) / pm if pm else 0.0
+    worse = delta if lower else -delta
+    if 10 * won >= 9 * len(p) and abs(cm - pm) > p3 - p1:
+        verdict = "gain"
+    elif worse > m["bound"]:
+        verdict = f"REGRESSION beyond the {m['bound']:.0%} bound"
+    elif won == 0 and lost == 0:
+        verdict = "identical"
+    else:
+        verdict = "within bound"
+    print(f"{name:20} {pm:14.6g} {p1:11.6g} ..{p3:11.6g} {cm:14.6g} {c1:11.6g} ..{c3:11.6g} {delta:+8.1%} {won:>6}/{len(p):<2}  {verdict}")
+EOF
