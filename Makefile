@@ -8,35 +8,38 @@ build:
 test:
 	go test ./...
 
-# check is the pre-merge gate: static analysis, the race detector over the
-# packages that run goroutines (the engine's sharded superstep loop, the
-# parallel ingress scans, the single-flight placement cache, the multi-tenant
-# job service's worker pool, including the fault-recovery paths exercised by
-# the chaos suite) or are otherwise concurrency-sensitive (the metrics
-# registry), the differential tests pinning each fast path to its executable
-# spec (the parallel partitioners to their sequential specs, the delete index
-# to a full scan, and at -cpu 1,2,4 the placement compile to a stable sort and
-# master selection to the serial reservoir sample), the allocation guards
-# (ingress budgets; one engine worker allocates no more than the sequential
-# loop it replaced, and nothing per superstep; placement finalization
-# allocates by machine count, never by edge count), the batched-BFS
-# differential suite pinning the 64-lane packed traversal to 64 scalar runs at
-# -cpu 1,2,4, the evolving-graph differentials (amended placements inside
-# their imbalance envelope,
-# O(|delta|) fingerprints bit-identical to full rescans, process-stable
-# partitioner cache keys), the overload and evolve golden files pinning the
-# service control plane and the incremental-recomputation chain
+# check is the pre-merge gate: formatting and static analysis, the race
+# detector over the packages that run goroutines (the engine's sharded
+# superstep loop, the parallel ingress scans, the single-flight placement
+# cache, the multi-tenant job service's worker pool, including the
+# fault-recovery paths exercised by the chaos suite) or are otherwise
+# concurrency-sensitive (the metrics registry), the differential tests pinning
+# each fast path to its executable spec (the parallel partitioners to their
+# sequential specs, the delete index to a full scan, and at -cpu 1,2,4 the
+# placement compile to a stable sort and master selection to the serial
+# reservoir sample), the allocation guards (ingress budgets; one engine worker
+# allocates no more than the sequential loop it replaced, and nothing per
+# superstep; placement finalization allocates by machine count, never by edge
+# count; the undirected CSR build allocates the same at any graph size, next
+# to the differential pinning the sorted CSR builders to a per-row sort; KCore
+# allocates nothing per vertex), the batched-BFS differential suite pinning
+# the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
+# evolving-graph differentials (amended placements inside their imbalance
+# envelope, O(|delta|) fingerprints bit-identical to full rescans,
+# process-stable partitioner cache keys), the overload and evolve golden files
+# pinning the service control plane and the incremental-recomputation chain
 # byte-for-byte, the end-to-end benchmark's own contract tests, and a short
 # fuzz pass over every decoder/encoder boundary plus the packed-traversal and
 # delta property fuzzers.
 check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 	go vet ./...
 	go test -race ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
 	go test -race -cpu 1,2,4 -run TestParallelEngineWorkerCountInvariance ./internal/apps
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestNewPlacementAllocs' ./internal/partition ./internal/engine
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	$(MAKE) bench-contract

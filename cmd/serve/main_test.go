@@ -240,4 +240,3 @@ func TestServeHTTP(t *testing.T) {
 		}
 	}
 }
-

@@ -63,11 +63,11 @@ func (b *BFS) Init(v graph.VertexID, outDeg, inDeg int32) int32 {
 
 // Gather implements engine.Program: a reached neighbor offers distance+1;
 // an unreached one offers nothing (encoded as unreached).
-func (b *BFS) Gather(src int32) int32 {
-	if src == unreached {
+func (b *BFS) Gather(src *int32) int32 {
+	if *src == unreached {
 		return unreached
 	}
-	return src + 1
+	return *src + 1
 }
 
 // Sum implements engine.Program: keep the smallest real distance.

@@ -14,10 +14,12 @@ const MaxBatchSources = 64
 
 // ClusterState is ClusterBFS's per-vertex state: a word of reach bits (bit j
 // set once the vertex has been reached from source j) plus the hop distance
-// per lane. Only the word moves through gather — the engine's accumulator is
-// the bare uint64 — so gather bandwidth scales with batch size, not with the
-// per-lane distance bookkeeping. The struct is plain old data, so it
-// checkpoints and fuzzes through the engine's binary codec unchanged.
+// per lane. Only the word moves through gather: the engine hands Gather a
+// pointer into its value array and the accumulator is the bare uint64, so
+// gather bandwidth scales with batch size, not with the 256 bytes of per-lane
+// distance bookkeeping, which only Apply reads and writes. The struct is plain
+// old data, so it checkpoints and fuzzes through the engine's binary codec
+// unchanged.
 type ClusterState struct {
 	// Seen has bit j set when the vertex is reachable from Sources[j].
 	Seen uint64
@@ -106,7 +108,7 @@ func (c *ClusterBFS) Init(v graph.VertexID, outDeg, inDeg int32) ClusterState {
 }
 
 // Gather implements engine.Program: a neighbor offers its whole reach word.
-func (c *ClusterBFS) Gather(src ClusterState) uint64 { return src.Seen }
+func (c *ClusterBFS) Gather(src *ClusterState) uint64 { return src.Seen }
 
 // Sum implements engine.Program: bitwise OR — exactly associative and
 // commutative, so the reference engine and Run agree to the last bit even

@@ -58,7 +58,7 @@ func (cc *ConnectedComponents) Init(v graph.VertexID, outDeg, inDeg int32) uint3
 }
 
 // Gather implements engine.Program.
-func (cc *ConnectedComponents) Gather(src uint32) uint32 { return src }
+func (cc *ConnectedComponents) Gather(src *uint32) uint32 { return *src }
 
 // Sum implements engine.Program: keep the smaller label.
 func (cc *ConnectedComponents) Sum(a, b uint32) uint32 {

@@ -155,8 +155,8 @@ func (hopsProgram) Init(v graph.VertexID, outDeg, inDeg int32) float64 {
 	return math.Inf(1)
 }
 
-func (hopsProgram) Gather(src float64) float64 { return src + 1 }
-func (hopsProgram) Sum(a, b float64) float64   { return math.Min(a, b) }
+func (hopsProgram) Gather(src *float64) float64 { return *src + 1 }
+func (hopsProgram) Sum(a, b float64) float64    { return math.Min(a, b) }
 
 func (hopsProgram) Apply(v graph.VertexID, old, acc float64, hasAcc bool, rt *engine.Runtime) (float64, bool) {
 	if hasAcc && acc < old {
@@ -188,7 +188,7 @@ func (cascadeProgram) Init(v graph.VertexID, outDeg, inDeg int32) coreState {
 }
 
 // Gather: a neighbor that was just peeled contributes one lost degree.
-func (cascadeProgram) Gather(src coreState) int32 {
+func (cascadeProgram) Gather(src *coreState) int32 {
 	if src.removed {
 		return 1
 	}

@@ -71,6 +71,7 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 	remaining := n
 
 	account := engine.NewAccountant(cl, kc.coeffs())
+	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0
 	k := int32(1)
 	for remaining > 0 {
@@ -86,7 +87,7 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 		// Peel all vertices below k, in synchronized rounds, before raising k.
 		for {
 			rounds++
-			counters := make([]engine.StepCounters, pl.M)
+			clear(counters)
 			peeled := 0
 			for p := 0; p < pl.M; p++ {
 				sc := &counters[p]

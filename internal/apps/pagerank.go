@@ -75,7 +75,7 @@ func (pr *PageRank) Init(v graph.VertexID, outDeg, inDeg int32) prState {
 }
 
 // Gather implements engine.Program: contribution PR(v)/L(v).
-func (pr *PageRank) Gather(src prState) float64 { return src.rank * src.invOut }
+func (pr *PageRank) Gather(src *prState) float64 { return src.rank * src.invOut }
 
 // Sum implements engine.Program.
 func (pr *PageRank) Sum(a, b float64) float64 { return a + b }

@@ -85,26 +85,28 @@ func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, e
 	}
 
 	account := engine.NewAccountant(cl, s.coeffs())
-	rounds := 0
-	for ; rounds < s.MaxIters; rounds++ {
-		counters := make([]engine.StepCounters, pl.M)
-		anyChange := false
-		relax := func(sc *engine.StepCounters, p int, stamp int64, from, to graph.VertexID, w float64) {
-			sc.Gathers++
-			if nd := dist[from] + w; nd < dist[to] {
-				dist[to] = nd
-				nextActive[to] = true
-				anyChange = true
-				sc.Applies++
-				sc.UpdatesOut += float64(mirrorsOf(pl, to, p))
-			}
-			if touched[to] != stamp {
-				touched[to] = stamp
-				if pl.Master[to] != int32(p) {
-					sc.PartialsOut++
-				}
+	counters := make([]engine.StepCounters, pl.M)
+	anyChange := false
+	relax := func(sc *engine.StepCounters, p int, stamp int64, from, to graph.VertexID, w float64) {
+		sc.Gathers++
+		if nd := dist[from] + w; nd < dist[to] {
+			dist[to] = nd
+			nextActive[to] = true
+			anyChange = true
+			sc.Applies++
+			sc.UpdatesOut += float64(mirrorsOf(pl, to, p))
+		}
+		if touched[to] != stamp {
+			touched[to] = stamp
+			if pl.Master[to] != int32(p) {
+				sc.PartialsOut++
 			}
 		}
+	}
+	rounds := 0
+	for ; rounds < s.MaxIters; rounds++ {
+		clear(counters)
+		anyChange = false
 		for p := 0; p < pl.M; p++ {
 			sc := &counters[p]
 			sc.Vertices = float64(len(pl.MasterVerts[p]))

@@ -234,6 +234,35 @@ func TestKCoreMaxKCap(t *testing.T) {
 	}
 }
 
+// TestKCoreRunAllocs holds a decomposition to a fixed set-up cost plus what
+// the accountant retains per peeling round (its per-machine step timing, and
+// the amortised growth of its trace): nothing per vertex, row or edge, and no
+// second per-round slice such as the step counters. A path peels inward from
+// its ends, so rounds grow with its length and either kind of allocation
+// breaks the bound at the larger size.
+func TestKCoreRunAllocs(t *testing.T) {
+	cl := multiCluster(t, 2)
+	for _, n := range []int{200, 2000} {
+		path := &graph.Graph{NumVertices: n}
+		for v := 1; v < n; v++ {
+			path.Edges = append(path.Edges, E(v-1, v))
+		}
+		pl := moduloPlacement(t, path, 2)
+		rounds := 0
+		got := testing.AllocsPerRun(5, func() {
+			res, err := NewKCore().Run(pl, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = res.Output.(KCoreResult).Rounds
+		})
+		t.Logf("path of %d: %.0f allocations over %d rounds", n, got, rounds)
+		if ceiling := float64(40 + 3*rounds/2); got > ceiling {
+			t.Errorf("path of %d: KCore.Run allocates %.0f over %d rounds, want at most 40 + 1.5 per round = %.0f", n, got, rounds, ceiling)
+		}
+	}
+}
+
 func TestExtensionsRegistered(t *testing.T) {
 	if len(WithExtensions()) != 11 {
 		t.Fatalf("extensions registry has %d apps, want 11", len(WithExtensions()))

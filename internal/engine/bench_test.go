@@ -65,11 +65,11 @@ func (benchSSSPProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 {
 	}
 	return unreachedHop
 }
-func (benchSSSPProgram) Gather(src uint32) uint32 {
-	if src == unreachedHop {
+func (benchSSSPProgram) Gather(src *uint32) uint32 {
+	if *src == unreachedHop {
 		return unreachedHop
 	}
-	return src + 1
+	return *src + 1
 }
 func (benchSSSPProgram) Sum(a, b uint32) uint32 {
 	if a < b {
@@ -193,8 +193,8 @@ func (benchClusterProgram) Init(v graph.VertexID, outDeg, inDeg int32) benchClus
 	}
 	return st
 }
-func (benchClusterProgram) Gather(src benchClusterState) uint64 { return src.seen }
-func (benchClusterProgram) Sum(a, b uint64) uint64              { return a | b }
+func (benchClusterProgram) Gather(src *benchClusterState) uint64 { return src.seen }
+func (benchClusterProgram) Sum(a, b uint64) uint64               { return a | b }
 func (benchClusterProgram) Apply(v graph.VertexID, old benchClusterState, acc uint64, has bool, rt *Runtime) (benchClusterState, bool) {
 	if !has {
 		return old, false

@@ -78,8 +78,8 @@ func stateBytes[V any](vals []V, size int) []byte {
 // checkpointSize returns the exact encoded footprint for n vertices and m
 // machines given V's byte size.
 func checkpointSize(n, m, vsize int) int64 {
-	const header = len(checkpointMagic) + 4 /*vsize*/ + 8 /*step*/ + 8 /*n*/ + 8 /*activeCount*/ + 4 /*m*/
-	const acct = 8 /*sim*/ + 8 /*steps*/ + 8 /*gathers*/
+	const header = len(checkpointMagic) + 4 + 8 + 8 + 8 + 4 // magic, vsize, step, n, activeCount, m
+	const acct = 8 + 8 + 8                                  // sim, steps, gathers
 	return int64(header) + int64(n)*int64(vsize+1) + int64(m)*16 + acct
 }
 

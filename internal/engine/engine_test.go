@@ -271,7 +271,7 @@ func (sumProgram) Direction() Direction                             { return Gat
 func (sumProgram) ApplyAll() bool                                   { return true }
 func (sumProgram) MaxSupersteps() int                               { return 1 }
 func (sumProgram) Init(v graph.VertexID, outDeg, inDeg int32) int64 { return 0 }
-func (sumProgram) Gather(src int64) int64                           { return 1 }
+func (sumProgram) Gather(src *int64) int64                          { return 1 }
 func (sumProgram) Sum(a, b int64) int64                             { return a + b }
 func (sumProgram) Apply(v graph.VertexID, old, acc int64, has bool, rt *Runtime) (int64, bool) {
 	if !has {
@@ -400,8 +400,8 @@ func (rankProgram) MaxSupersteps() int   { return 8 }
 func (rankProgram) Init(v graph.VertexID, outDeg, inDeg int32) float64 {
 	return 1 / float64(outDeg+1)
 }
-func (rankProgram) Gather(src float64) float64 { return src * 0.31 }
-func (rankProgram) Sum(a, b float64) float64   { return a + b }
+func (rankProgram) Gather(src *float64) float64 { return *src * 0.31 }
+func (rankProgram) Sum(a, b float64) float64    { return a + b }
 func (rankProgram) Apply(v graph.VertexID, old, acc float64, has bool, rt *Runtime) (float64, bool) {
 	return 0.15 + 0.85*acc, true
 }
@@ -464,7 +464,7 @@ func (minProgram) Direction() Direction                              { return Ga
 func (minProgram) ApplyAll() bool                                    { return false }
 func (minProgram) MaxSupersteps() int                                { return 1000 }
 func (minProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 { return uint32(v) }
-func (minProgram) Gather(src uint32) uint32                          { return src }
+func (minProgram) Gather(src *uint32) uint32                         { return *src }
 func (minProgram) Sum(a, b uint32) uint32 {
 	if a < b {
 		return a

@@ -37,8 +37,10 @@ type Program[V, A any] interface {
 	// Init produces vertex v's initial state.
 	Init(v graph.VertexID, outDeg, inDeg int32) V
 	// Gather returns the contribution of a neighbor with state src along one
-	// edge.
-	Gather(src V) A
+	// edge. src points into the engine's value array so that wide states are
+	// read in place rather than copied per edge: Gather must not write
+	// through it and must not keep it past the call.
+	Gather(src *V) A
 	// Sum combines two gather contributions (must be commutative and
 	// associative, PowerGraph's requirement for distributing the gather).
 	Sum(a, b A) A
@@ -66,7 +68,7 @@ const migratedEdgeBytes = 48
 
 // gatherInto accumulates the contribution of src's state into dst.
 func gatherInto[V, A any](prog Program[V, A], vals []V, acc []A, has []bool, src, dst graph.VertexID) {
-	a := prog.Gather(vals[src])
+	a := prog.Gather(&vals[src])
 	if has[dst] {
 		acc[dst] = prog.Sum(acc[dst], a)
 	} else {

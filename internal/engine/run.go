@@ -461,7 +461,7 @@ func (r *sweep[V, A]) gatherSparse(t int) {
 				if d < ln.lo || d >= ln.hi {
 					continue
 				}
-				a := prog.Gather(vals[s])
+				a := prog.Gather(&vals[s])
 				if has[d] {
 					acc[d] = prog.Sum(acc[d], a)
 				} else {

@@ -1,0 +1,103 @@
+package graph_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"proxygraph/internal/gen"
+	"proxygraph/internal/graph"
+	"proxygraph/internal/rng"
+)
+
+// specCSR is the naive statement of what the three sorted builders return:
+// expand every edge into its row (both rows for the undirected view), sort
+// each row, drop duplicates from undirected rows, concatenate.
+func specCSR(g *graph.Graph, view string) *graph.CSR {
+	rows := make([][]graph.VertexID, g.NumVertices)
+	for _, e := range g.Edges {
+		if view != "in" {
+			rows[e.Src] = append(rows[e.Src], e.Dst)
+		}
+		if view != "out" {
+			rows[e.Dst] = append(rows[e.Dst], e.Src)
+		}
+	}
+	c := &graph.CSR{Offsets: make([]int64, g.NumVertices+1)}
+	for v, row := range rows {
+		slices.Sort(row)
+		if view == "undirected" {
+			row = slices.Compact(row)
+		}
+		c.Targets = append(c.Targets, row...)
+		c.Offsets[v+1] = int64(len(c.Targets))
+	}
+	return c
+}
+
+// multigraph draws m edges over the first n-n/8 vertices, so the tail stays
+// isolated, with parallel edges, reciprocal pairs and the odd self-loop mixed
+// in.
+func multigraph(seed uint64, n, m int) *graph.Graph {
+	src := rng.New(seed)
+	g := &graph.Graph{Name: fmt.Sprintf("multi-%d", seed), NumVertices: n}
+	for len(g.Edges) < m {
+		e := graph.Edge{Src: graph.VertexID(src.Intn(n - n/8)), Dst: graph.VertexID(src.Intn(n - n/8))}
+		g.Edges = append(g.Edges, e)
+		switch src.Intn(8) {
+		case 0:
+			g.Edges = append(g.Edges, e, e)
+		case 1:
+			g.Edges = append(g.Edges, graph.Edge{Src: e.Dst, Dst: e.Src})
+		}
+	}
+	return g
+}
+
+// TestBuildCSRMatchesSortSpec pins the counting-pass builders to the naive
+// spec, offsets and targets alike.
+func TestBuildCSRMatchesSortSpec(t *testing.T) {
+	graphs := []*graph.Graph{
+		{Name: "empty"},
+		{Name: "one", NumVertices: 1},
+		{Name: "loop", NumVertices: 1, Edges: []graph.Edge{{Src: 0, Dst: 0}, {Src: 0, Dst: 0}}},
+		{Name: "isolated", NumVertices: 9},
+		{Name: "reciprocal", NumVertices: 3, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 2}, {Src: 0, Dst: 1}}},
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		graphs = append(graphs, multigraph(seed, 8+int(seed)*13, int(seed*seed)*9))
+	}
+	for _, spec := range gen.RealGraphs() {
+		g, err := gen.Generate(spec.Scale(2048), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		for view, got := range map[string]*graph.CSR{
+			"out": g.BuildOutCSR(), "in": g.BuildInCSR(), "undirected": g.BuildUndirectedCSR(),
+		} {
+			want := specCSR(g, view)
+			if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Targets, want.Targets) {
+				t.Errorf("%s %s (|V|=%d |E|=%d): CSR differs from the sort spec", g.Name, view, g.NumVertices, len(g.Edges))
+			}
+		}
+	}
+}
+
+// TestBuildUndirectedCSRAllocs holds the builder to a handful of allocations
+// that do not grow with the graph: a per-row or per-vertex allocation (the
+// sort.Slice closure this builder once made for every row) shows as a
+// different count at ten times the vertices.
+func TestBuildUndirectedCSRAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := multigraph(3, n, 8*n)
+		return testing.AllocsPerRun(10, func() { g.BuildUndirectedCSR() })
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("BuildUndirectedCSR: %.0f allocations at |V|=500, %.0f at |V|=5000", small, large)
+	if small != large || small > 6 {
+		t.Errorf("BuildUndirectedCSR allocates %.0f times at |V|=500 and %.0f at |V|=5000, want the same count, at most 6", small, large)
+	}
+}

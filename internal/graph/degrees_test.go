@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -69,8 +69,8 @@ func TestCSRIntoMatchesBuild(t *testing.T) {
 			for v := 0; v < g.NumVertices; v++ {
 				a := append([]VertexID(nil), got.Neighbors(VertexID(v))...)
 				b := append([]VertexID(nil), want.Neighbors(VertexID(v))...)
-				sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-				sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+				slices.Sort(a)
+				slices.Sort(b)
 				if len(a) != len(b) {
 					t.Fatalf("%s: vertex %d row length %d, want %d", name, v, len(a), len(b))
 				}

@@ -1,8 +1,8 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -291,15 +291,8 @@ func edgeMultiset(g *Graph) []weightedEdge {
 	for i, e := range g.Edges {
 		out[i] = weightedEdge{e: e, w: g.Weight(i)}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.e.Src != b.e.Src {
-			return a.e.Src < b.e.Src
-		}
-		if a.e.Dst != b.e.Dst {
-			return a.e.Dst < b.e.Dst
-		}
-		return a.w < b.w
+	slices.SortFunc(out, func(a, b weightedEdge) int {
+		return cmp.Or(cmp.Compare(a.e.Src, b.e.Src), cmp.Compare(a.e.Dst, b.e.Dst), cmp.Compare(a.w, b.w))
 	})
 	return out
 }

@@ -146,145 +146,138 @@ func (c *CSR) Neighbors(v VertexID) []VertexID {
 	return c.Targets[c.Offsets[v]:c.Offsets[v+1]]
 }
 
-// buildCSR constructs adjacency using key/val extractors via counting sort,
-// so construction is O(V + E) and allocation-tight.
-func buildCSR(n int, edges []Edge, key, val func(Edge) VertexID, dedup bool) *CSR {
-	offsets := make([]int64, n+1)
-	for _, e := range edges {
-		offsets[key(e)+1]++
+// rowsBy says which endpoint of an edge names the row the other endpoint is
+// listed in.
+type rowsBy int
+
+const (
+	bySrc  rowsBy = iota // row e.Src lists e.Dst: out-adjacency
+	byDst                // row e.Dst lists e.Src: in-adjacency
+	byBoth               // both: the symmetric structure
+)
+
+// buildCSR builds adjacency with every row in ascending order (and, byBoth,
+// duplicates removed) by two counting passes and no comparison sort. The
+// first pass scatters the transpose in edge order; the second walks the
+// transpose's rows in ascending order and appends each row's index to the
+// rows it names, so every output row fills in ascending order. The symmetric
+// structure is its own transpose, so it too needs only the one staging array.
+// O(V + E), and the number of allocations does not depend on V.
+func buildCSR(n int, edges []Edge, rows rowsBy) *CSR {
+	var t CSR // the transpose: keyed by the other endpoint
+	buildCSRInto(&t, n, edges, [...]rowsBy{bySrc: byDst, byDst: bySrc, byBoth: byBoth}[rows])
+	c := &CSR{Offsets: make([]int64, n+1), Targets: make([]VertexID, len(t.Targets))}
+	for _, k := range t.Targets {
+		c.Offsets[k+1]++
 	}
-	for i := 0; i < n; i++ {
-		offsets[i+1] += offsets[i]
+	c.startRows(n)
+	for v := 0; v < n; v++ {
+		for _, k := range t.Neighbors(VertexID(v)) {
+			c.Targets[c.Offsets[k]] = VertexID(v)
+			c.Offsets[k]++
+		}
 	}
-	targets := make([]VertexID, len(edges))
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for _, e := range edges {
-		k := key(e)
-		targets[cursor[k]] = val(e)
-		cursor[k]++
-	}
-	c := &CSR{Offsets: offsets, Targets: targets}
-	c.sortRows(n)
-	if dedup {
+	c.rewindRows(n)
+	if rows == byBoth {
 		c.dedupRows(n)
 	}
 	return c
 }
 
-// sortRows sorts each vertex's neighbor list ascending.
-func (c *CSR) sortRows(n int) {
-	for v := 0; v < n; v++ {
-		row := c.Targets[c.Offsets[v]:c.Offsets[v+1]]
-		if len(row) > 1 {
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		}
+// startRows turns the per-row counts in Offsets[1:] into row starts.
+func (c *CSR) startRows(n int) {
+	for i := 0; i < n; i++ {
+		c.Offsets[i+1] += c.Offsets[i]
 	}
 }
 
-// dedupRows removes duplicate neighbors in each (sorted) row, compacting
-// Targets and rewriting Offsets.
+// rewindRows restores the row boundaries after a scatter pass that used
+// Offsets[k] itself as row k's write cursor: every Offsets[k] has advanced to
+// the old Offsets[k+1], so shifting the array right by one undoes it without
+// a separate cursor allocation.
+func (c *CSR) rewindRows(n int) {
+	copy(c.Offsets[1:], c.Offsets[:n])
+	c.Offsets[0] = 0
+}
+
+// dedupRows removes duplicate neighbors in each (sorted) row in place,
+// compacting Targets and rewriting Offsets behind the read position.
 func (c *CSR) dedupRows(n int) {
 	out := int64(0)
-	newOffsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		start, end := c.Offsets[v], c.Offsets[v+1]
-		newOffsets[v] = out
-		var prev VertexID
-		first := true
+		c.Offsets[v] = out
 		for i := start; i < end; i++ {
-			t := c.Targets[i]
-			if first || t != prev {
+			if t := c.Targets[i]; i == start || t != c.Targets[out-1] {
 				c.Targets[out] = t
 				out++
-				prev = t
-				first = false
 			}
 		}
 	}
-	newOffsets[n] = out
-	c.Offsets = newOffsets
+	c.Offsets[n] = out
 	c.Targets = c.Targets[:out]
 }
 
 // BuildOutCSR builds out-adjacency (neighbors reachable from each source).
-func (g *Graph) BuildOutCSR() *CSR {
-	return buildCSR(g.NumVertices, g.Edges,
-		func(e Edge) VertexID { return e.Src },
-		func(e Edge) VertexID { return e.Dst }, false)
-}
+func (g *Graph) BuildOutCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, bySrc) }
 
 // BuildInCSR builds in-adjacency (sources pointing at each target).
-func (g *Graph) BuildInCSR() *CSR {
-	return buildCSR(g.NumVertices, g.Edges,
-		func(e Edge) VertexID { return e.Dst },
-		func(e Edge) VertexID { return e.Src }, false)
-}
+func (g *Graph) BuildInCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byDst) }
+
+// BuildUndirectedCSR builds symmetric adjacency with duplicate neighbors
+// removed, the view Triangle Count and Coloring operate on.
+func (g *Graph) BuildUndirectedCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byBoth) }
 
 // buildCSRInto rebuilds adjacency into c's existing storage, growing the
-// backing arrays only when the graph outgrows them, and skips the per-row
-// neighbor sort: rows keep stable edge order. Consumers that only aggregate
-// over neighbor sets (histograms, degree sums) get identical results to the
-// sorted builders while avoiding the per-row sort.Slice allocations that
-// dominated the ginger ingress path's allocs/op.
-func buildCSRInto(c *CSR, n int, edges []Edge, key, val func(Edge) VertexID) {
+// backing arrays only when the graph outgrows them. Rows are unsorted, in
+// stable edge order. Consumers that only aggregate over neighbor sets
+// (histograms, degree sums) get identical results to the sorted builders at
+// half the passes.
+func buildCSRInto(c *CSR, n int, edges []Edge, rows rowsBy) {
+	m := len(edges)
+	if rows == byBoth {
+		m *= 2
+	}
 	if cap(c.Offsets) >= n+1 {
 		c.Offsets = c.Offsets[:n+1]
 		clear(c.Offsets)
 	} else {
 		c.Offsets = make([]int64, n+1)
 	}
-	if cap(c.Targets) >= len(edges) {
-		c.Targets = c.Targets[:len(edges)]
+	if cap(c.Targets) >= m {
+		c.Targets = c.Targets[:m]
 	} else {
-		c.Targets = make([]VertexID, len(edges))
+		c.Targets = make([]VertexID, m)
 	}
 	for _, e := range edges {
-		c.Offsets[key(e)+1]++
+		if rows != byDst {
+			c.Offsets[e.Src+1]++
+		}
+		if rows != bySrc {
+			c.Offsets[e.Dst+1]++
+		}
 	}
-	for i := 0; i < n; i++ {
-		c.Offsets[i+1] += c.Offsets[i]
-	}
-	// The scatter pass uses Offsets[k] itself as the write cursor: after the
-	// pass every Offsets[k] has advanced to the old Offsets[k+1], so shifting
-	// the array right by one restores the row boundaries without a separate
-	// cursor allocation.
+	c.startRows(n)
 	for _, e := range edges {
-		k := key(e)
-		c.Targets[c.Offsets[k]] = val(e)
-		c.Offsets[k]++
+		if rows != byDst {
+			c.Targets[c.Offsets[e.Src]] = e.Dst
+			c.Offsets[e.Src]++
+		}
+		if rows != bySrc {
+			c.Targets[c.Offsets[e.Dst]] = e.Src
+			c.Offsets[e.Dst]++
+		}
 	}
-	copy(c.Offsets[1:], c.Offsets[:n])
-	c.Offsets[0] = 0
+	c.rewindRows(n)
 }
 
 // InCSRInto rebuilds in-adjacency (sources pointing at each target) into c,
 // with unsorted rows in stable edge order. See buildCSRInto.
-func (g *Graph) InCSRInto(c *CSR) {
-	buildCSRInto(c, g.NumVertices, g.Edges,
-		func(e Edge) VertexID { return e.Dst },
-		func(e Edge) VertexID { return e.Src })
-}
+func (g *Graph) InCSRInto(c *CSR) { buildCSRInto(c, g.NumVertices, g.Edges, byDst) }
 
 // OutCSRInto rebuilds out-adjacency into c, with unsorted rows in stable
 // edge order. See buildCSRInto.
-func (g *Graph) OutCSRInto(c *CSR) {
-	buildCSRInto(c, g.NumVertices, g.Edges,
-		func(e Edge) VertexID { return e.Src },
-		func(e Edge) VertexID { return e.Dst })
-}
-
-// BuildUndirectedCSR builds symmetric adjacency with duplicate neighbors
-// removed, the view Triangle Count and Coloring operate on.
-func (g *Graph) BuildUndirectedCSR() *CSR {
-	sym := make([]Edge, 0, 2*len(g.Edges))
-	for _, e := range g.Edges {
-		sym = append(sym, e, Edge{Src: e.Dst, Dst: e.Src})
-	}
-	return buildCSR(g.NumVertices, sym,
-		func(e Edge) VertexID { return e.Src },
-		func(e Edge) VertexID { return e.Dst }, true)
-}
+func (g *Graph) OutCSRInto(c *CSR) { buildCSRInto(c, g.NumVertices, g.Edges, bySrc) }
 
 // IntersectionSize returns |a ∩ b| for two ascending-sorted neighbor lists,
 // by linear merge. It is the inner loop of Triangle Count.

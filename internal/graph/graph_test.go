@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,7 +149,7 @@ func TestCSRRowsSorted(t *testing.T) {
 	for _, c := range []*CSR{g.BuildOutCSR(), g.BuildInCSR(), g.BuildUndirectedCSR()} {
 		for v := 0; v < g.NumVertices; v++ {
 			row := c.Neighbors(VertexID(v))
-			if !sort.SliceIsSorted(row, func(i, j int) bool { return row[i] < row[j] }) {
+			if !slices.IsSorted(row) {
 				t.Fatalf("row %d not sorted: %v", v, row)
 			}
 		}
@@ -222,7 +222,7 @@ func TestIntersectionSizeProperty(t *testing.T) {
 }
 
 func dedupSorted(v []VertexID) []VertexID {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	out := v[:0]
 	for i, x := range v {
 		if i == 0 || x != v[i-1] {

@@ -34,9 +34,7 @@ func (*Ginger) Name() string { return "ginger" }
 // gingerScratch holds the refinement sweep's large reusable buffers: the
 // unsorted in/out adjacency (rebuilt in place per call, see graph.InCSRInto)
 // and the window histogram arena. Pooled so repeated ingress runs stop paying
-// the CSR construction allocations — the per-row sort.Slice of the old
-// BuildInCSR path alone was ~200k allocs per partition call on the ingress
-// benchmark graph.
+// the CSR construction allocations.
 type gingerScratch struct {
 	in, out graph.CSR
 	hist    []int32

@@ -14,9 +14,9 @@ import (
 func FuzzDecodeJournal(f *testing.F) {
 	good := EncodeJournal(sampleRecords())
 	f.Add(good)
-	f.Add(good[:len(good)-1])        // torn tail
+	f.Add(good[:len(good)-1]) // torn tail
 	f.Add(append(bytes.Clone(good), 0xff))
-	f.Add([]byte(journalMagic))      // empty journal
+	f.Add([]byte(journalMagic)) // empty journal
 	f.Add([]byte{})
 	f.Add([]byte("not a journal"))
 	// Frame declaring a huge payload over a tiny image.

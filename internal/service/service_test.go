@@ -562,10 +562,10 @@ func TestServiceClose(t *testing.T) {
 func TestServiceConfigValidation(t *testing.T) {
 	cl := caseTwo(t)
 	cases := []Config{
-		{},                              // no cluster
-		{Cluster: cl, QueueBound: -1},   // negative bound
-		{Cluster: cl, Workers: -2},      // negative workers
-		{Cluster: cl, BaseBackoff: -1},  // negative duration
+		{},                             // no cluster
+		{Cluster: cl, QueueBound: -1},  // negative bound
+		{Cluster: cl, Workers: -2},     // negative workers
+		{Cluster: cl, BaseBackoff: -1}, // negative duration
 		{Cluster: cl, Tenants: []Tenant{{Name: "a"}, {Name: "a"}}}, // dup tenant
 		{Cluster: cl, Tenants: []Tenant{{}}},                       // unnamed tenant
 	}

@@ -188,10 +188,10 @@ type jobState struct {
 	submittedAt float64
 	queueWait   float64 // accumulated across dispatches
 
-	result  *engine.Result
-	ingress float64
+	result   *engine.Result
+	ingress  float64
 	cacheHit bool
-	err     error
+	err      error
 
 	done chan struct{} // closed on terminal state (live service)
 }
@@ -672,13 +672,13 @@ func (m *machine) idle() bool { return len(m.queue) == 0 && m.running == 0 }
 
 // JobStatus is a point-in-time snapshot of one job.
 type JobStatus struct {
-	ID       int     `json:"id"`
-	Tenant   string  `json:"tenant"`
-	App      string  `json:"app"`
-	Graph    string  `json:"graph"`
-	Priority int     `json:"priority"`
-	State    string  `json:"state"`
-	Attempts int     `json:"attempts"`
+	ID       int    `json:"id"`
+	Tenant   string `json:"tenant"`
+	App      string `json:"app"`
+	Graph    string `json:"graph"`
+	Priority int    `json:"priority"`
+	State    string `json:"state"`
+	Attempts int    `json:"attempts"`
 	// Key is the client-supplied idempotency key, if any.
 	Key string `json:"idempotency_key,omitempty"`
 	// QueueWaitSeconds accumulates the waits of every dispatch (clock units

@@ -21,9 +21,9 @@ func TestRegistryCounterGauge(t *testing.T) {
 	c := r.Counter("requests_total", "Requests served.", "method", "get")
 	c.Inc()
 	c.Add(2)
-	c.Add(-5)            // counters never go down
-	c.Add(math.NaN())    // dropped
-	c.Add(math.Inf(1))   // dropped
+	c.Add(-5)                                                              // counters never go down
+	c.Add(math.NaN())                                                      // dropped
+	c.Add(math.Inf(1))                                                     // dropped
 	r.Counter("requests_total", "Requests served.", "method", "get").Inc() // same series
 	g := r.Gauge("temperature", "Current temperature.")
 	g.Set(20)
