@@ -18,9 +18,11 @@ test:
 # sequential specs, the delete index to a full scan, and at -cpu 1,2,4 the
 # placement compile to a stable sort and master selection to the serial
 # reservoir sample), the allocation guards (ingress budgets; one engine worker
-# allocates no more than the sequential loop it replaced, and nothing per
-# superstep; placement finalization allocates by machine count, never by edge
-# count; the undirected CSR build allocates the same at any graph size, next
+# allocates no more than the sequential loop it replaced, nothing per
+# superstep and, in the reference engine, nothing per edge — next to the
+# property test holding every program's Fold to its one-element form;
+# placement finalization allocates by machine count, never by edge count; the
+# undirected CSR build allocates the same at any graph size, next
 # to the differential pinning the sorted CSR builders to a per-row sort; KCore
 # allocates nothing per vertex), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
@@ -39,7 +41,7 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestPropertyFoldContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	$(MAKE) bench-contract

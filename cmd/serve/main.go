@@ -308,14 +308,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The job outlives the HTTP request — submission is asynchronous — so its
 	// lifetime context is detached from r.Context(). A requested deadline
-	// becomes a timeout; its cancel fires when the timer does.
-	ctx := context.Background()
+	// becomes a timeout.
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
 	if req.DeadlineSeconds > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineSeconds*float64(time.Second)))
-		// The context must stay live for the job's whole run; releasing the
-		// timer early would sever the deadline. It self-releases on expiry.
-		_ = cancel
 	}
 	// An Idempotency-Key header makes the POST safe to retry: a duplicate
 	// submission (client timeout, proxy retry, resubmission after a crash)
@@ -323,6 +319,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	key := r.Header.Get("Idempotency-Key")
 	id, err := s.svc.SubmitKey(ctx, req.Tenant, key, workload.Job{App: app, Graph: g, Seed: s.seeds[req.Graph]})
 	if err != nil {
+		// No job holds a rejected submission's context: release its timer
+		// now instead of leaving it armed until the deadline.
+		cancel()
 		code := admissionStatus(err)
 		// Backpressure responses tell shed clients when to come back: the
 		// breaker cooldown for breaker rejections, a nominal second for
@@ -338,6 +337,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
+	// The context must stay live for the accepted job's whole run; releasing
+	// the timer early would sever the deadline. It self-releases on expiry.
+	_ = cancel
 	writeJSON(w, http.StatusAccepted, map[string]int{"id": id})
 }
 

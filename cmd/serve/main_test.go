@@ -174,6 +174,11 @@ func TestServeHTTP(t *testing.T) {
 	if resp, _ := post(`{"tenant":"bronze","app":"pagerank","graph":"social_network"}`); resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("over-budget submit: %d", resp.StatusCode)
 	}
+	// A rejected submission that asked for a deadline releases the deadline's
+	// timer on the way out; the answer is the same 403.
+	if resp, _ := post(`{"tenant":"bronze","app":"pagerank","graph":"social_network","deadline_seconds":3600}`); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("over-budget submit with a deadline: %d", resp.StatusCode)
+	}
 
 	// Unknown job id is a 404; bad id a 400.
 	if resp, err := http.Get(ts.URL + "/jobs/99999"); err != nil || resp.StatusCode != http.StatusNotFound {

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"math"
+
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
@@ -61,27 +63,30 @@ func (b *BFS) Init(v graph.VertexID, outDeg, inDeg int32) int32 {
 	return unreached
 }
 
-// Gather implements engine.Program: a reached neighbor offers distance+1;
-// an unreached one offers nothing (encoded as unreached).
-func (b *BFS) Gather(src *int32) int32 {
-	if *src == unreached {
-		return unreached
+// Fold implements engine.Program: a reached source offers distance+1 and the
+// smallest offer is kept; an unreached one still counts as a gather but
+// offers nothing, which an accumulator of unreached encodes. Compared as
+// uint32, unreached (-1) is the largest value and no real offer reaches it,
+// so one unsigned min covers both cases and unreached is its identity.
+func (b *BFS) Fold(acc int32, has bool, vals []int32, srcs []graph.VertexID, act []bool) (int32, int32) {
+	best := uint32(math.MaxUint32)
+	if has {
+		best = uint32(acc)
 	}
-	return *src + 1
-}
-
-// Sum implements engine.Program: keep the smallest real distance.
-func (b *BFS) Sum(x, y int32) int32 {
-	if x == unreached {
-		return y
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		if d := vals[s]; d != unreached {
+			best = min(best, uint32(d)+1)
+		}
+		n++
 	}
-	if y == unreached {
-		return x
+	if n == 0 {
+		return acc, 0
 	}
-	if x < y {
-		return x
-	}
-	return y
+	return int32(best), n
 }
 
 // Apply implements engine.Program.

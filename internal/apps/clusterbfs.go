@@ -14,9 +14,9 @@ const MaxBatchSources = 64
 
 // ClusterState is ClusterBFS's per-vertex state: a word of reach bits (bit j
 // set once the vertex has been reached from source j) plus the hop distance
-// per lane. Only the word moves through gather: the engine hands Gather a
-// pointer into its value array and the accumulator is the bare uint64, so
-// gather bandwidth scales with batch size, not with the 256 bytes of per-lane
+// per lane. Only the word moves through gather: Fold reads it in place from
+// the engine's value array and the accumulator is the bare uint64, so gather
+// bandwidth scales with batch size, not with the 256 bytes of per-lane
 // distance bookkeeping, which only Apply reads and writes. The struct is plain
 // old data, so it checkpoints and fuzzes through the engine's binary codec
 // unchanged.
@@ -107,13 +107,29 @@ func (c *ClusterBFS) Init(v graph.VertexID, outDeg, inDeg int32) ClusterState {
 	return st
 }
 
-// Gather implements engine.Program: a neighbor offers its whole reach word.
-func (c *ClusterBFS) Gather(src *ClusterState) uint64 { return src.Seen }
-
-// Sum implements engine.Program: bitwise OR — exactly associative and
-// commutative, so the reference engine and Run agree to the last bit even
-// when sparse supersteps re-associate the accumulation order.
-func (c *ClusterBFS) Sum(a, b uint64) uint64 { return a | b }
+// Fold implements engine.Program: OR the active sources' reach words into the
+// accumulator. OR is exactly associative and commutative, so the reference
+// engine and Run agree to the last bit even when sparse supersteps
+// re-associate the accumulation order, and 0|x is x, so an empty accumulator
+// starts from zero. Only the 8-byte word of each 264-byte state is read.
+func (c *ClusterBFS) Fold(acc uint64, has bool, vals []ClusterState, srcs []graph.VertexID, act []bool) (uint64, int32) {
+	var seen uint64
+	if has {
+		seen = acc
+	}
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		seen |= vals[s].Seen
+		n++
+	}
+	if n == 0 {
+		return acc, 0
+	}
+	return seen, n
+}
 
 // Apply implements engine.Program: lanes arriving for the first time stamp
 // the current hop distance; a vertex signals its neighbors only when at

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"math"
+
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
@@ -57,15 +59,26 @@ func (cc *ConnectedComponents) Init(v graph.VertexID, outDeg, inDeg int32) uint3
 	return uint32(v)
 }
 
-// Gather implements engine.Program.
-func (cc *ConnectedComponents) Gather(src *uint32) uint32 { return *src }
-
-// Sum implements engine.Program: keep the smaller label.
-func (cc *ConnectedComponents) Sum(a, b uint32) uint32 {
-	if a < b {
-		return a
+// Fold implements engine.Program: keep the smallest label among the active
+// sources. min(MaxUint32, x) is x, so an empty accumulator starts from the
+// identity.
+func (cc *ConnectedComponents) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
+	best := uint32(math.MaxUint32)
+	if has {
+		best = acc
 	}
-	return b
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		best = min(best, vals[s])
+		n++
+	}
+	if n == 0 {
+		return acc, 0
+	}
+	return best, n
 }
 
 // Apply implements engine.Program.

@@ -137,7 +137,7 @@ func floatClose(a, b float64) bool {
 }
 
 // hopsProgram is a test-local SSSP over unit weights: float64 distances,
-// gather src+1, Sum = min. Min is exactly associative even on floats, so all
+// fold = min over src+1. Min is exactly associative even on floats, so all
 // three legs must agree bitwise; it exercises the GatherIn + frontier
 // combination none of the shipped apps cover.
 type hopsProgram struct{}
@@ -155,8 +155,21 @@ func (hopsProgram) Init(v graph.VertexID, outDeg, inDeg int32) float64 {
 	return math.Inf(1)
 }
 
-func (hopsProgram) Gather(src *float64) float64 { return *src + 1 }
-func (hopsProgram) Sum(a, b float64) float64    { return math.Min(a, b) }
+func (hopsProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.VertexID, act []bool) (float64, int32) {
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		if c := vals[s] + 1; has {
+			acc = math.Min(acc, c)
+		} else {
+			acc, has = c, true
+		}
+		n++
+	}
+	return acc, n
+}
 
 func (hopsProgram) Apply(v graph.VertexID, old, acc float64, hasAcc bool, rt *engine.Runtime) (float64, bool) {
 	if hasAcc && acc < old {
@@ -187,15 +200,26 @@ func (cascadeProgram) Init(v graph.VertexID, outDeg, inDeg int32) coreState {
 	return coreState{deg: outDeg + inDeg}
 }
 
-// Gather: a neighbor that was just peeled contributes one lost degree.
-func (cascadeProgram) Gather(src *coreState) int32 {
-	if src.removed {
-		return 1
+// Fold: a neighbor that was just peeled contributes one lost degree.
+func (cascadeProgram) Fold(acc int32, has bool, vals []coreState, srcs []graph.VertexID, act []bool) (int32, int32) {
+	var lost, n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		if vals[s].removed {
+			lost++
+		}
+		n++
 	}
-	return 0
+	if n == 0 {
+		return acc, 0
+	}
+	if has {
+		lost += acc
+	}
+	return lost, n
 }
-
-func (cascadeProgram) Sum(a, b int32) int32 { return a + b }
 
 // Apply: only the transition into removal signals neighbors, so each peeled
 // vertex is gathered from exactly once.

@@ -74,11 +74,26 @@ func (pr *PageRank) Init(v graph.VertexID, outDeg, inDeg int32) prState {
 	return s
 }
 
-// Gather implements engine.Program: contribution PR(v)/L(v).
-func (pr *PageRank) Gather(src *prState) float64 { return src.rank * src.invOut }
-
-// Sum implements engine.Program.
-func (pr *PageRank) Sum(a, b float64) float64 { return a + b }
+// Fold implements engine.Program: Σ PR(s)/L(s) over the active sources. The
+// first contribution is taken as is — 0+x is not x for a negative zero — and
+// the product is rounded before it is added, so no platform fuses the pair
+// into one multiply-add and the sum's bits match a per-edge walk everywhere.
+func (pr *PageRank) Fold(acc float64, has bool, vals []prState, srcs []graph.VertexID, act []bool) (float64, int32) {
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		c := float64(vals[s].rank * vals[s].invOut)
+		if has {
+			acc += c
+		} else {
+			acc, has = c, true
+		}
+		n++
+	}
+	return acc, n
+}
 
 // Apply implements engine.Program.
 func (pr *PageRank) Apply(v graph.VertexID, old prState, acc float64, hasAcc bool, rt *engine.Runtime) (prState, bool) {

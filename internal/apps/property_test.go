@@ -2,12 +2,14 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/rng"
 )
 
 // propGraph builds a power-law graph from fuzz parameters.
@@ -171,5 +173,107 @@ func TestPropertyKCoreDegeneracyBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyFoldContract pins engine.Program.Fold for the four shipped
+// programs: folding a whole source slice equals chaining one-element folds
+// over its active sources — the form the sparse sweep and RunReference use —
+// bit for bit, the count is the number of active sources, the value array is
+// only read, and a group with nothing active hands acc back untouched.
+func TestPropertyFoldContract(t *testing.T) {
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range []struct {
+		name  string
+		check func(*testing.T, *rng.Source)
+	}{
+		{"pagerank", func(t *testing.T, src *rng.Source) {
+			// Signed zeros and mixed magnitudes: 0+x and re-association would
+			// both show in the bits.
+			checkFold[prState, float64](t, NewPageRank(), src, sameBits, func() prState {
+				rank := []float64{0, math.Copysign(0, -1), 1, src.NormFloat64(), 1e-9 * src.Float64(), 1e9 * src.Float64()}[src.Intn(6)]
+				return prState{rank: rank, invOut: 1 / float64(1+src.Intn(9))}
+			}, src.NormFloat64)
+			// The first contribution is taken as is: starting from 0 would
+			// turn a lone negative zero into a positive one.
+			negZero := []prState{{rank: math.Copysign(0, -1), invOut: 1}}
+			if got, _ := NewPageRank().Fold(7, false, negZero, []graph.VertexID{0}, nil); !sameBits(got, negZero[0].rank) {
+				t.Fatalf("folding a lone -0 into an empty accumulator gave %v", got)
+			}
+		}},
+		{"connected_components", func(t *testing.T, src *rng.Source) {
+			label := func() uint32 { return uint32(src.Uint64()) >> uint(src.Intn(32)) }
+			checkFold[uint32, uint32](t, NewConnectedComponents(), src, exact[uint32], label, label)
+		}},
+		{"bfs", func(t *testing.T, src *rng.Source) {
+			dist := func() int32 { return int32(src.Intn(50)) - 1 } // unreached (-1) included
+			checkFold[int32, int32](t, NewBFS(), src, exact[int32], dist, dist)
+		}},
+		{"cluster_bfs", func(t *testing.T, src *rng.Source) {
+			checkFold[ClusterState, uint64](t, NewClusterBFS(), src, exact[uint64], func() ClusterState {
+				st := ClusterState{Seen: src.Uint64() & src.Uint64()}
+				for j := range st.Dist {
+					st.Dist[j] = int32(src.Intn(9)) - 1
+				}
+				return st
+			}, src.Uint64)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, rng.New(rng.HashString(tc.name))) })
+	}
+}
+
+// checkFold draws random value arrays, source slices (duplicates allowed,
+// length 0–40), activity bitmaps (nil, random, all false) and incoming
+// accumulators, and holds prog.Fold to the contract on each.
+func checkFold[V comparable, A any](t *testing.T, prog engine.Program[V, A], src *rng.Source, same func(a, b A) bool, state func() V, accum func() A) {
+	for round := 0; round < 300; round++ {
+		vals := make([]V, 1+src.Intn(24))
+		for i := range vals {
+			vals[i] = state()
+		}
+		srcs := make([]graph.VertexID, src.Intn(41))
+		for i := range srcs {
+			srcs[i] = graph.VertexID(src.Intn(len(vals)))
+		}
+		var act []bool // round%3 == 0: every source is active
+		if round%3 != 0 {
+			act = make([]bool, len(vals)) // round%3 == 2: none is
+			for i := range act {
+				act[i] = round%3 == 1 && src.Intn(2) == 0
+			}
+		}
+		acc, has := accum(), round%2 == 0
+		before := slices.Clone(vals)
+
+		want, wantHas, active := acc, has, int32(0)
+		for i, s := range srcs {
+			if act != nil && !act[s] {
+				continue
+			}
+			var n int32
+			want, n = prog.Fold(want, wantHas, vals, srcs[i:i+1], nil)
+			if n != 1 {
+				t.Fatalf("round %d: a one-element fold counted %d sources", round, n)
+			}
+			wantHas = true
+			active++
+		}
+		got, n := prog.Fold(acc, has, vals, srcs, act)
+		if n != active {
+			t.Fatalf("round %d: folded %d sources, %d of %d are active", round, n, active, len(srcs))
+		}
+		if !same(got, want) {
+			t.Fatalf("round %d: whole-slice fold %v, one-element folds %v (has=%v, %d active of %d)", round, got, want, has, active, len(srcs))
+		}
+		if active == 0 && !same(got, acc) {
+			t.Fatalf("round %d: nothing to fold, yet acc %v came back as %v", round, acc, got)
+		}
+		if other, _ := prog.Fold(accum(), false, vals, srcs, act); !has && active > 0 && !same(got, other) {
+			t.Fatalf("round %d: an empty accumulator's content leaked into the fold: %v vs %v", round, got, other)
+		}
+		if !slices.Equal(vals, before) {
+			t.Fatalf("round %d: Fold wrote the value array", round)
+		}
 	}
 }

@@ -65,17 +65,25 @@ func (benchSSSPProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 {
 	}
 	return unreachedHop
 }
-func (benchSSSPProgram) Gather(src *uint32) uint32 {
-	if *src == unreachedHop {
-		return unreachedHop
+func (benchSSSPProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
+	best := unreachedHop
+	if has {
+		best = acc
 	}
-	return *src + 1
-}
-func (benchSSSPProgram) Sum(a, b uint32) uint32 {
-	if a < b {
-		return a
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		if d := vals[s]; d != unreachedHop {
+			best = min(best, d+1)
+		}
+		n++
 	}
-	return b
+	if n == 0 {
+		return acc, 0
+	}
+	return best, n
 }
 func (benchSSSPProgram) Apply(v graph.VertexID, old, acc uint32, has bool, rt *Runtime) (uint32, bool) {
 	if has && acc < old {
@@ -193,8 +201,24 @@ func (benchClusterProgram) Init(v graph.VertexID, outDeg, inDeg int32) benchClus
 	}
 	return st
 }
-func (benchClusterProgram) Gather(src *benchClusterState) uint64 { return src.seen }
-func (benchClusterProgram) Sum(a, b uint64) uint64               { return a | b }
+func (benchClusterProgram) Fold(acc uint64, has bool, vals []benchClusterState, srcs []graph.VertexID, act []bool) (uint64, int32) {
+	var seen uint64
+	if has {
+		seen = acc
+	}
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		seen |= vals[s].seen
+		n++
+	}
+	if n == 0 {
+		return acc, 0
+	}
+	return seen, n
+}
 func (benchClusterProgram) Apply(v graph.VertexID, old benchClusterState, acc uint64, has bool, rt *Runtime) (benchClusterState, bool) {
 	if !has {
 		return old, false

@@ -260,6 +260,25 @@ func TestAccountantValidate(t *testing.T) {
 	}
 }
 
+// foldEach is Program.Fold spelled per edge: gather one source, combine it
+// with sum. The small test programs are written against it so that they stay
+// the textbook gather/sum pair; programs with a hot path write their own loop.
+func foldEach[V, A any](gather func(*V) A, sum func(a, b A) A, acc A, has bool, vals []V, srcs []graph.VertexID, act []bool) (A, int32) {
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		if a := gather(&vals[s]); has {
+			acc = sum(acc, a)
+		} else {
+			acc, has = a, true
+		}
+		n++
+	}
+	return acc, n
+}
+
 // sumProgram is a minimal GAS program: each vertex counts its in-neighbors.
 type sumProgram struct{}
 
@@ -271,8 +290,9 @@ func (sumProgram) Direction() Direction                             { return Gat
 func (sumProgram) ApplyAll() bool                                   { return true }
 func (sumProgram) MaxSupersteps() int                               { return 1 }
 func (sumProgram) Init(v graph.VertexID, outDeg, inDeg int32) int64 { return 0 }
-func (sumProgram) Gather(src *int64) int64                          { return 1 }
-func (sumProgram) Sum(a, b int64) int64                             { return a + b }
+func (sumProgram) Fold(acc int64, has bool, vals []int64, srcs []graph.VertexID, act []bool) (int64, int32) {
+	return foldEach(func(*int64) int64 { return 1 }, func(a, b int64) int64 { return a + b }, acc, has, vals, srcs, act)
+}
 func (sumProgram) Apply(v graph.VertexID, old, acc int64, has bool, rt *Runtime) (int64, bool) {
 	if !has {
 		return 0, false
@@ -400,8 +420,21 @@ func (rankProgram) MaxSupersteps() int   { return 8 }
 func (rankProgram) Init(v graph.VertexID, outDeg, inDeg int32) float64 {
 	return 1 / float64(outDeg+1)
 }
-func (rankProgram) Gather(src *float64) float64 { return *src * 0.31 }
-func (rankProgram) Sum(a, b float64) float64    { return a + b }
+func (rankProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.VertexID, act []bool) (float64, int32) {
+	var n int32
+	for _, s := range srcs {
+		if act != nil && !act[s] {
+			continue
+		}
+		if c := float64(vals[s] * 0.31); has {
+			acc += c
+		} else {
+			acc, has = c, true
+		}
+		n++
+	}
+	return acc, n
+}
 func (rankProgram) Apply(v graph.VertexID, old, acc float64, has bool, rt *Runtime) (float64, bool) {
 	return 0.15 + 0.85*acc, true
 }
@@ -464,12 +497,8 @@ func (minProgram) Direction() Direction                              { return Ga
 func (minProgram) ApplyAll() bool                                    { return false }
 func (minProgram) MaxSupersteps() int                                { return 1000 }
 func (minProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 { return uint32(v) }
-func (minProgram) Gather(src *uint32) uint32                         { return *src }
-func (minProgram) Sum(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
+func (minProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
+	return foldEach(func(src *uint32) uint32 { return *src }, func(a, b uint32) uint32 { return min(a, b) }, acc, has, vals, srcs, act)
 }
 func (minProgram) Apply(v graph.VertexID, old, acc uint32, has bool, rt *Runtime) (uint32, bool) {
 	if has && acc < old {

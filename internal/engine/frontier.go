@@ -9,8 +9,10 @@ import (
 // sparseFrontierDenom sets the hybrid frontier's density threshold: a
 // superstep runs the sparse (worklist-driven) gather only while the frontier
 // holds at most |V|/sparseFrontierDenom vertices. Below that density the
-// worklist sweep — O(Σ deg(f) + |F| log K) over active vertices f — beats the
-// dense sweep's O(local records) scan by roughly the density ratio; above it
+// worklist sweep — O(Σ deg(f) + |F| log K) over active vertices f and the K
+// source groups of one machine block, paid once per machine block since every
+// block is searched for every active vertex — beats the dense sweep's
+// O(local records) scan by roughly the density ratio; above it
 // the bitmap sweep's sequential access pattern wins, the same crossover
 // direction-optimizing BFS engines switch on.
 const sparseFrontierDenom = 8

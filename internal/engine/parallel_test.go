@@ -95,6 +95,26 @@ func TestRunAllocs(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		checkRunAllocs[uint32, uint32](t, benchSSSPProgram{}, ringPl, cl, 30, 69)
 	})
+	// RunReference folds one source per call through a scratch slice it
+	// allocates once: Fold is an interface call, its arguments escape, and a
+	// slice literal per call would be one heap object per edge.
+	t.Run("reference", func(t *testing.T) {
+		thin := testGraph(41, 6000, 12000)
+		thinPl, err := NewPlacement(thin, moduloOwner(thin, 4), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(pl *Placement) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, _, err := RunReference[float64, float64](rankProgram{}, pl, cl, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocs(thinPl), allocs(densePl); many != few {
+			t.Errorf("RunReference allocates %.0f times over 12000 edges but %.0f over 48000: something allocates per edge", few, many)
+		}
+	})
 }
 
 func checkRunAllocs[V, A any](t *testing.T, prog Program[V, A], pl *Placement, cl *cluster.Cluster, steps int, ceiling float64) {

@@ -58,7 +58,7 @@ type Placement struct {
 // indirection through g.Edges, and the per-destination bookkeeping the
 // accountant needs (contributions per destination, one partial per remote
 // master) falls out of the group boundaries for free. Records within a group
-// keep local-edge order, so per-destination Sum order — and therefore
+// keep local-edge order, so per-destination fold order — and therefore
 // floating-point results — is bit-identical to a walk of LocalEdges.
 //
 // bySrc groups the same records by gather source, giving the sparse-frontier

@@ -36,14 +36,32 @@ type Program[V, A any] interface {
 	MaxSupersteps() int
 	// Init produces vertex v's initial state.
 	Init(v graph.VertexID, outDeg, inDeg int32) V
-	// Gather returns the contribution of a neighbor with state src along one
-	// edge. src points into the engine's value array so that wide states are
-	// read in place rather than copied per edge: Gather must not write
-	// through it and must not keep it past the call.
-	Gather(src *V) A
-	// Sum combines two gather contributions (must be commutative and
-	// associative, PowerGraph's requirement for distributing the gather).
-	Sum(a, b A) A
+	// Fold accumulates, in slice order, the contribution of every source s
+	// in srcs with act == nil || act[s] into acc, and returns the
+	// accumulator together with how many sources were folded. has reports
+	// whether acc already holds contributions; when it is false the first
+	// folded contribution replaces acc, and with nothing to fold acc comes
+	// back untouched. vals is the engine's value array, indexed by vertex:
+	// Fold reads wide states in place, must not write vals and must keep
+	// none of its slices past the call.
+	//
+	// The engine hands Fold a destination's whole local neighbourhood on
+	// dense supersteps and one-element slices from the sparse sweep and from
+	// RunReference, so the per-edge arithmetic is compiled inside the
+	// program's own loop instead of being reached through two calls per edge.
+	// Three rules make those forms interchangeable:
+	//
+	//   - the combining operator ⊕ must be commutative and associative
+	//     (PowerGraph's requirement for distributing the gather): machines
+	//     and shards fold disjoint parts of a neighbourhood in any grouping;
+	//   - contributions are folded in slice order, starting from the
+	//     incoming acc, so splitting srcs at any point and chaining the calls
+	//     gives the same bits as one call;
+	//   - a loop may start from an identity instead of taking the first
+	//     contribution explicitly only when identity ⊕ x is x bit for bit
+	//     (0|x, min(MaxUint32, x)); floating-point programs take the first
+	//     contribution explicitly, since 0+x is not x for x = -0.
+	Fold(acc A, has bool, vals []V, srcs []graph.VertexID, act []bool) (A, int32)
 	// Apply combines vertex v's old state with the gathered accumulator and
 	// reports whether the state changed (changed vertices signal their
 	// neighbors in scatter).
@@ -65,14 +83,3 @@ type Rebalancer interface {
 // migratedEdgeBytes is the wire cost of moving one edge (endpoints plus the
 // associated vertex state) during dynamic rebalancing.
 const migratedEdgeBytes = 48
-
-// gatherInto accumulates the contribution of src's state into dst.
-func gatherInto[V, A any](prog Program[V, A], vals []V, acc []A, has []bool, src, dst graph.VertexID) {
-	a := prog.Gather(&vals[src])
-	if has[dst] {
-		acc[dst] = prog.Sum(acc[dst], a)
-	} else {
-		acc[dst] = a
-		has[dst] = true
-	}
-}

@@ -11,7 +11,8 @@ import (
 
 // RunReference executes prog with the original edge-list engine: every
 // superstep walks pl.LocalEdges[p] as an index list into g.Edges and filters
-// sources against a dense active bitmap. It is the executable specification
+// sources against a dense active bitmap, folding one source per Program.Fold
+// call: the per-edge form of the contract. It is the executable specification
 // of the engine's semantics, options included (rebalancing, fault injection,
 // tracing, warm-start frontier; Options.Workers is ignored) — Run must charge
 // per-machine times, energy and communication bit-identically to this
@@ -80,6 +81,10 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 
 	// Per-superstep scratch, allocated once and cleared in place.
 	counters := make([]StepCounters, pl.M)
+	// one is the single-source slice every per-edge Fold is handed. Fold is
+	// reached through an interface, so its arguments escape: a fresh slice
+	// per edge would be one heap object per edge.
+	one := make([]graph.VertexID, 1)
 
 	maxSteps := prog.MaxSupersteps()
 	for step := 0; step < maxSteps; step++ {
@@ -102,7 +107,9 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 			for _, ei := range pl.LocalEdges[p] {
 				e := g.Edges[ei]
 				if active[e.Src] {
-					gatherInto(prog, vals, acc, has, e.Src, e.Dst)
+					one[0] = e.Src
+					acc[e.Dst], _ = prog.Fold(acc[e.Dst], has[e.Dst], vals, one, nil)
+					has[e.Dst] = true
 					sc.Gathers++
 					if touched[e.Dst] != stampBase {
 						touched[e.Dst] = stampBase
@@ -117,7 +124,9 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 					}
 				}
 				if both && active[e.Dst] {
-					gatherInto(prog, vals, acc, has, e.Dst, e.Src)
+					one[0] = e.Dst
+					acc[e.Src], _ = prog.Fold(acc[e.Src], has[e.Src], vals, one, nil)
+					has[e.Src] = true
 					sc.Gathers++
 					if touched[e.Src] != stampBase {
 						touched[e.Src] = stampBase

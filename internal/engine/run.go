@@ -65,7 +65,7 @@ const serialSparseCutoff = 256
 // summed machine-major in local record order by the one shard that owns it.
 // Against RunReference they are bit-identical on dense supersteps and agree
 // up to floating-point re-association on sparse ones (exactly for
-// min/max/integer Sums).
+// min/max/integer folds).
 //
 // Options add dynamic rebalancing, fault injection with checkpoint recovery,
 // tracing and a warm-start frontier. A placement change (migration, crash
@@ -399,39 +399,45 @@ func (r *sweep[V, A]) runTask(w, t int) {
 }
 
 // gatherDense accumulates every machine's contributions into shard t's
-// destination range — machine-major, so per-destination Sum order matches the
-// reference engine — with no merge step.
+// destination range — machine-major, so the per-destination fold order matches
+// the reference engine — with no merge step. Each destination group is one
+// Program.Fold call: the per-edge arithmetic runs inside the program's own
+// loop, and the step counters stay in integer locals written once per machine
+// block.
 func (r *sweep[V, A]) gatherDense(t int) {
 	ln := &r.lanes[t]
 	prog, vals, acc, has, act := r.prog, r.vals, r.acc, r.has, r.act
+	whole := ln.lo == 0 && int(ln.hi) == len(vals)
 	for p := range r.blocks {
-		wc := &r.workC[t*len(r.blocks)+p]
 		blk := &r.blocks[p]
-		lo, _ := slices.BinarySearch(blk.byDst.Keys, ln.lo)
-		hi, _ := slices.BinarySearch(blk.byDst.Keys, ln.hi)
+		keys, offs, recs, remote := blk.byDst.Keys, blk.byDst.Offs, blk.byDst.Vals, blk.remote
+		lo, hi := 0, len(keys)
+		if !whole {
+			lo, _ = slices.BinarySearch(keys, ln.lo)
+			hi, _ = slices.BinarySearch(keys, ln.hi)
+		}
+		var gathers, partials int64
+		var maxUnit int32
 		for gi := lo; gi < hi; gi++ {
-			d := blk.byDst.Keys[gi]
+			d := keys[gi]
 			var c int32
-			for _, s := range blk.byDst.Group(gi) {
-				if act != nil && !act[s] {
-					continue
-				}
-				gatherInto(prog, vals, acc, has, s, d)
-				c++
-			}
+			acc[d], c = prog.Fold(acc[d], has[d], vals, recs[offs[gi]:offs[gi+1]], act)
 			// One destination group = one (machine, vertex) partial: its
 			// size is the contribution count the reference engine
 			// reconstructs with touched/contribs stamps.
 			if c > 0 {
-				wc.Gathers += float64(c)
-				if blk.remote[gi] {
-					wc.PartialsOut++
+				has[d] = true
+				gathers += int64(c)
+				if remote[gi] {
+					partials++
 				}
-				if u := float64(c); u > wc.MaxUnit {
-					wc.MaxUnit = u
-				}
+				maxUnit = max(maxUnit, c)
 			}
 		}
+		wc := &r.workC[t*len(r.blocks)+p]
+		wc.Gathers += float64(gathers)
+		wc.PartialsOut += float64(partials)
+		wc.MaxUnit = max(wc.MaxUnit, float64(maxUnit))
 	}
 }
 
@@ -452,20 +458,18 @@ func (r *sweep[V, A]) gatherSparse(t int) {
 		// zero initialisation. Destinations are shard-disjoint, so the shared
 		// stamp arrays race with no one.
 		stamp := int64(r.rt.Step)*int64(len(r.blocks)) + int64(p) + 1
-		for _, s := range r.srcs {
+		for i, s := range r.srcs {
 			gi := blk.Find(s)
 			if gi < 0 {
 				continue
 			}
+			one := r.srcs[i : i+1]
 			for _, d := range blk.Group(gi) {
 				if d < ln.lo || d >= ln.hi {
 					continue
 				}
-				a := prog.Gather(&vals[s])
-				if has[d] {
-					acc[d] = prog.Sum(acc[d], a)
-				} else {
-					acc[d] = a
+				acc[d], _ = prog.Fold(acc[d], has[d], vals, one, nil)
+				if !has[d] {
 					has[d] = true
 					dirty = append(dirty, d)
 				}
