@@ -24,7 +24,8 @@ test:
 # placement finalization allocates by machine count, never by edge count; the
 # undirected CSR build allocates the same at any graph size, next
 # to the differential pinning the sorted CSR builders to a per-row sort; KCore
-# allocates nothing per vertex), the batched-BFS differential suite pinning
+# allocates nothing per vertex, next to the differential pinning its
+# survivor-list peel to the scan-all loop), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
 # evolving-graph differentials (amended placements inside their imbalance
 # envelope, O(|delta|) fingerprints bit-identical to full rescans,
@@ -41,7 +42,7 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestPropertyFoldContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestPropertyFoldContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	$(MAKE) bench-contract

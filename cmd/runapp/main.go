@@ -9,14 +9,17 @@
 //	runapp -app pagerank -file g.bin -cluster xeon:4:2.5,xeon:12:2.5
 //	runapp -app triangle_count -spec amazon -scale 64 -estimator prior-work
 //	runapp -app coloring -pool pool.json -trace
+//	runapp -app kcore -repeat 200 -cpuprofile kcore.prof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cliutil"
@@ -58,11 +61,17 @@ func main() {
 
 		ingressShards = flag.Int("ingress-shards", 0, "worker count for parallel ingress scans (0 = GOMAXPROCS)")
 
+		repeat     = flag.Int("repeat", 1, "run the application this many times on the one placement and also report the fastest run's host wall time (the simulated report does not depend on the count)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the application runs (not of graph generation, profiling or ingress) here, for go tool pprof")
+
 		evolveInserts = flag.Int("evolve-inserts", 0, "after the run, evolve the graph by this many random edge insertions and re-run incrementally")
 		evolveDeletes = flag.Int("evolve-deletes", 0, "after the run, evolve the graph by this many random edge deletions and re-run incrementally")
 	)
 	flag.Parse()
 	partition.ParallelShards = *ingressShards
+	if *repeat < 1 {
+		fatal(fmt.Errorf("-repeat must be at least 1, got %d", *repeat))
+	}
 
 	app, err := apps.ByName(*appName)
 	if err != nil {
@@ -118,7 +127,7 @@ func main() {
 	if outs != nil {
 		rec = trace.NewRecorder()
 	}
-	res, err := runTraced(app, pl, cl, opts, rec)
+	res, fastest, err := runRepeated(app, pl, cl, opts, rec, *repeat, *cpuProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,6 +144,9 @@ func main() {
 	}
 	if stragglers := engine.StragglerShare(res); stragglers != nil {
 		fmt.Printf("straggler shares   %v\n", formatShares(stragglers))
+	}
+	if *repeat > 1 {
+		fmt.Printf("host wall time     %s (fastest of %d runs)\n", metrics.Seconds(fastest.Seconds()), *repeat)
 	}
 	if opts != nil {
 		fmt.Printf("fault schedule     %s\n", sched)
@@ -255,6 +267,45 @@ func configureSources(app apps.App, list string, landmarks int) error {
 		}
 	}
 	return nil
+}
+
+// runRepeated runs the app repeat times on the one placement and returns the
+// last run's result with the fastest run's host wall time. Every run computes
+// the same result; the repeats exist to time and, with a profile path, to
+// profile the application on the host — the CPU profile covers exactly these
+// runs. Only the last run carries the trace recorder, so a trace is one run's.
+func runRepeated(app apps.App, pl *engine.Placement, cl *cluster.Cluster, opts *engine.Options,
+	rec *trace.Recorder, repeat int, profilePath string) (res *engine.Result, fastest time.Duration, err error) {
+	if profilePath != "" {
+		f, ferr := os.Create(profilePath)
+		if ferr != nil {
+			return nil, 0, fmt.Errorf("-cpuprofile: %w", ferr)
+		}
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			f.Close()
+			return nil, 0, fmt.Errorf("-cpuprofile: %w", ferr)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				res, err = nil, fmt.Errorf("-cpuprofile: %w", cerr)
+			}
+		}()
+	}
+	for i := 1; i <= repeat; i++ {
+		last := rec
+		if i < repeat {
+			last = nil
+		}
+		start := time.Now()
+		if res, err = runTraced(app, pl, cl, opts, last); err != nil {
+			return nil, 0, err
+		}
+		if wall := time.Since(start); i == 1 || wall < fastest {
+			fastest = wall
+		}
+	}
+	return res, fastest, nil
 }
 
 // runTraced executes the app with the requested fault options and trace

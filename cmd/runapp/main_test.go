@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,6 +17,64 @@ import (
 	"proxygraph/internal/partition"
 	"proxygraph/internal/trace"
 )
+
+// TestMain lets the tests run the command itself: with RUNAPP_AS_MAIN set the
+// test binary is runapp, flags and all.
+func TestMain(m *testing.M) {
+	if os.Getenv("RUNAPP_AS_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// runMain executes runapp with args and returns what it printed.
+func runMain(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RUNAPP_AS_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("runapp %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return out
+}
+
+// TestRepeatAndProfileLeaveTheReportAlone pins the command's report to the
+// bytes it printed before -repeat and -cpuprofile existed (the golden files
+// were written by that build): -repeat 1 changes nothing, more runs and a
+// profile add exactly the wall-time line, and the profile is written.
+func TestRepeatAndProfileLeaveTheReportAlone(t *testing.T) {
+	for _, app := range []string{"bfs", "kcore"} {
+		want, err := os.ReadFile(filepath.Join("testdata", app+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-app", app, "-spec", "wiki", "-scale", "256", "-estimator", "default", "-trace"}
+		if got := runMain(t, append(args, "-repeat", "1")...); !bytes.Equal(got, want) {
+			t.Errorf("%s -repeat 1: report differs from the golden file\n got:\n%s\nwant:\n%s", app, got, want)
+		}
+		profile := filepath.Join(t.TempDir(), "cpu.prof")
+		got := runMain(t, append(args, "-repeat", "3", "-cpuprofile", profile)...)
+		var kept [][]byte
+		wallLines := 0
+		for _, line := range bytes.SplitAfter(got, []byte("\n")) {
+			if bytes.HasPrefix(line, []byte("host wall time ")) && bytes.Contains(line, []byte("fastest of 3 runs")) {
+				wallLines++
+				continue
+			}
+			kept = append(kept, line)
+		}
+		if wallLines != 1 || !bytes.Equal(bytes.Join(kept, nil), want) {
+			t.Errorf("%s -repeat 3: want the golden report plus one wall-time line, got:\n%s", app, got)
+		}
+		if info, err := os.Stat(profile); err != nil || info.Size() == 0 {
+			t.Errorf("%s: -cpuprofile left no profile behind (%v)", app, err)
+		}
+	}
+}
 
 func testCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()

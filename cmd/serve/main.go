@@ -308,8 +308,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The job outlives the HTTP request — submission is asynchronous — so its
 	// lifetime context is detached from r.Context(). A requested deadline
-	// becomes a timeout.
-	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	// becomes a timeout; cancel releases its timer and is nil without one.
+	ctx := context.Background()
+	var cancel context.CancelFunc
 	if req.DeadlineSeconds > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineSeconds*float64(time.Second)))
 	}
@@ -321,7 +322,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// No job holds a rejected submission's context: release its timer
 		// now instead of leaving it armed until the deadline.
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 		code := admissionStatus(err)
 		// Backpressure responses tell shed clients when to come back: the
 		// breaker cooldown for breaker rejections, a nominal second for
@@ -337,10 +340,22 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	// The context must stay live for the accepted job's whole run; releasing
-	// the timer early would sever the deadline. It self-releases on expiry.
-	_ = cancel
+	if cancel != nil {
+		s.releaseWhenDone(ctx, cancel, id)
+	}
 	writeJSON(w, http.StatusAccepted, map[string]int{"id": id})
+}
+
+// releaseWhenDone frees an accepted job's deadline timer as soon as the job is
+// terminal, instead of leaving it armed until the deadline: the context must
+// stay live for the job's whole run, and not a moment longer. The goroutine
+// ends with the job or, at the latest, with the deadline itself.
+func (s *server) releaseWhenDone(ctx context.Context, cancel context.CancelFunc, id int) {
+	go func() {
+		// Either way out — terminal job, expired deadline — the timer goes.
+		_, _ = s.svc.Wait(ctx, id)
+		cancel()
+	}()
 }
 
 // admissionStatus maps the typed admission errors onto HTTP semantics:

@@ -1,16 +1,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"proxygraph/internal/apps"
 	"proxygraph/internal/service"
+	"proxygraph/internal/workload"
 )
 
 // TestBuildConfigValidation pins the loud-failure contract: every malformed
@@ -149,6 +153,41 @@ func TestServeHTTP(t *testing.T) {
 		t.Fatalf("status: %+v", st)
 	}
 
+	// An accepted job's deadline is released when the job ends, not when the
+	// deadline would have fired: the context is cancelled (not expired) and
+	// the goroutine that waited for the job is gone.
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	timed, err := srv.svc.SubmitKey(ctx, "gold", "", workload.Job{App: apps.NewBFS(), Graph: srv.graphs["social_network"], Seed: srv.seeds["social_network"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.releaseWhenDone(ctx, cancel, timed)
+	if st, err := srv.svc.Wait(context.Background(), timed); err != nil || st.State != "done" {
+		t.Fatalf("job with a deadline: %+v %v", st, err)
+	}
+	select {
+	case <-ctx.Done():
+		if ctx.Err() != context.Canceled {
+			t.Fatalf("the finished job's context ended with %v, want it cancelled", ctx.Err())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job finished an hour before its deadline and the context is still live")
+	}
+	resp, m = post(`{"tenant":"gold","app":"bfs","graph":"social_network","deadline_seconds":3600}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with a deadline: %d %v", resp.StatusCode, m)
+	}
+	if st, err := srv.svc.Wait(context.Background(), int(m["id"].(float64))); err != nil || st.State != "done" {
+		t.Fatalf("posted job with a deadline: %+v %v", st, err)
+	}
+	for waited := time.Duration(0); runtime.NumGoroutine() > goroutines; waited += 10 * time.Millisecond {
+		if waited > 5*time.Second {
+			t.Fatalf("%d goroutines before the jobs with deadlines, %d after they finished", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
 	// Budget: bronze has an effectively zero budget — once it completes one
 	// job its spend crosses the cap and later submissions are 403s.
 	resp, m = post(`{"tenant":"bronze","app":"pagerank","graph":"social_network"}`)
@@ -198,7 +237,7 @@ func TestServeHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(list) != 1 || list[0].Tenant != "gold" {
+	if len(list) != 3 || list[0].Tenant != "gold" {
 		t.Fatalf("gold list: %+v", list)
 	}
 

@@ -63,6 +63,19 @@ func runGAS[V, A, O any](prog engine.Program[V, A], pl *engine.Placement, cl *cl
 	return res, nil
 }
 
+// activeBit is 1 for an active gather source and 0 otherwise; the compiler
+// turns it into a byte load, not a jump. The integer programs' Fold loops
+// build masks from it — x|(on-1) is x or all ones, x&-on is x or zero — so an
+// inactive source folds in as the operator's identity: on dense frontier
+// steps about half the records are inactive in no predictable pattern, and a
+// branch per record mispredicts where a mask costs two ALU ops.
+func activeBit(on bool) uint32 {
+	if on {
+		return 1
+	}
+	return 0
+}
+
 // All returns the paper's four applications with default parameters, in the
 // order the paper's figures list them.
 func All() []App {

@@ -66,38 +66,49 @@ func (b *BFS) Init(v graph.VertexID, outDeg, inDeg int32) int32 {
 // Fold implements engine.Program: a reached source offers distance+1 and the
 // smallest offer is kept; an unreached one still counts as a gather but
 // offers nothing, which an accumulator of unreached encodes. Compared as
-// uint32, unreached (-1) is the largest value and no real offer reaches it,
-// so one unsigned min covers both cases and unreached is its identity.
+// uint32, unreached (-1) is the largest value and no real distance reaches it,
+// so one unsigned min covers both cases and unreached is its identity. The
+// loop keeps the smallest distance itself and adds the hop once at the end;
+// inactive sources are masked to the identity rather than branched around
+// (see activeBit).
 func (b *BFS) Fold(acc int32, has bool, vals []int32, srcs []graph.VertexID, act []bool) (int32, int32) {
-	best := uint32(math.MaxUint32)
-	if has {
-		best = uint32(acc)
-	}
-	var n int32
-	for _, s := range srcs {
-		if act != nil && !act[s] {
-			continue
+	nearest := uint32(math.MaxUint32)
+	var n uint32
+	if act == nil {
+		n = uint32(len(srcs))
+		for _, s := range srcs {
+			nearest = min(nearest, uint32(vals[s]))
 		}
-		if d := vals[s]; d != unreached {
-			best = min(best, uint32(d)+1)
+	} else {
+		for _, s := range srcs {
+			on := activeBit(act[s])
+			nearest = min(nearest, uint32(vals[s])|(on-1))
+			n += on
 		}
-		n++
 	}
 	if n == 0 {
 		return acc, 0
 	}
-	return int32(best), n
+	best := uint32(math.MaxUint32)
+	if has {
+		best = uint32(acc)
+	}
+	if nearest != math.MaxUint32 {
+		best = min(best, nearest+1)
+	}
+	return int32(best), int32(n)
 }
 
 // Apply implements engine.Program.
-func (b *BFS) Apply(v graph.VertexID, old int32, acc int32, hasAcc bool, rt *engine.Runtime) (int32, bool) {
+func (b *BFS) Apply(v graph.VertexID, val *int32, acc int32, hasAcc bool, rt *engine.Runtime) bool {
 	if !hasAcc || acc == unreached {
-		return old, false
+		return false
 	}
-	if old == unreached || acc < old {
-		return acc, true
+	if *val == unreached || acc < *val {
+		*val = acc
+		return true
 	}
-	return old, false
+	return false
 }
 
 // Run implements App. The Output is the []int32 distance vector

@@ -111,44 +111,51 @@ func (c *ClusterBFS) Init(v graph.VertexID, outDeg, inDeg int32) ClusterState {
 // accumulator. OR is exactly associative and commutative, so the reference
 // engine and Run agree to the last bit even when sparse supersteps
 // re-associate the accumulation order, and 0|x is x, so an empty accumulator
-// starts from zero. Only the 8-byte word of each 264-byte state is read.
+// starts from zero — the word an inactive source is masked to (see activeBit).
+// Only the 8-byte word of each 264-byte state is read.
 func (c *ClusterBFS) Fold(acc uint64, has bool, vals []ClusterState, srcs []graph.VertexID, act []bool) (uint64, int32) {
 	var seen uint64
 	if has {
 		seen = acc
 	}
-	var n int32
-	for _, s := range srcs {
-		if act != nil && !act[s] {
-			continue
+	var n uint32
+	if act == nil {
+		n = uint32(len(srcs))
+		for _, s := range srcs {
+			seen |= vals[s].Seen
 		}
-		seen |= vals[s].Seen
-		n++
+	} else {
+		for _, s := range srcs {
+			on := activeBit(act[s])
+			seen |= vals[s].Seen & -uint64(on)
+			n += on
+		}
 	}
 	if n == 0 {
 		return acc, 0
 	}
-	return seen, n
+	return seen, int32(n)
 }
 
 // Apply implements engine.Program: lanes arriving for the first time stamp
 // the current hop distance; a vertex signals its neighbors only when at
 // least one fresh lane landed, exactly the per-source frontier rule of
-// scalar BFS, folded over 64 lanes with one AND-NOT.
-func (c *ClusterBFS) Apply(v graph.VertexID, old ClusterState, acc uint64, hasAcc bool, rt *engine.Runtime) (ClusterState, bool) {
+// scalar BFS, folded over 64 lanes with one AND-NOT. Only the fresh lanes of
+// the 264-byte state are written, where it lives.
+func (c *ClusterBFS) Apply(v graph.VertexID, val *ClusterState, acc uint64, hasAcc bool, rt *engine.Runtime) bool {
 	if !hasAcc {
-		return old, false
+		return false
 	}
-	fresh := acc &^ old.Seen
+	fresh := acc &^ val.Seen
 	if fresh == 0 {
-		return old, false
+		return false
 	}
-	old.Seen |= fresh
+	val.Seen |= fresh
 	d := int32(rt.Step) + 1
 	for m := fresh; m != 0; m &= m - 1 {
-		old.Dist[bits.TrailingZeros64(m)] = d
+		val.Dist[bits.TrailingZeros64(m)] = d
 	}
-	return old, true
+	return true
 }
 
 // ClusterLabels is ClusterBFS's output: the packed per-vertex reach words

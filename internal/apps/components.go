@@ -61,32 +61,39 @@ func (cc *ConnectedComponents) Init(v graph.VertexID, outDeg, inDeg int32) uint3
 
 // Fold implements engine.Program: keep the smallest label among the active
 // sources. min(MaxUint32, x) is x, so an empty accumulator starts from the
-// identity.
+// identity, and an inactive source is masked to that identity rather than
+// branched around (see activeBit).
 func (cc *ConnectedComponents) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
 	best := uint32(math.MaxUint32)
 	if has {
 		best = acc
 	}
-	var n int32
-	for _, s := range srcs {
-		if act != nil && !act[s] {
-			continue
+	var n uint32
+	if act == nil {
+		n = uint32(len(srcs))
+		for _, s := range srcs {
+			best = min(best, vals[s])
 		}
-		best = min(best, vals[s])
-		n++
+	} else {
+		for _, s := range srcs {
+			on := activeBit(act[s])
+			best = min(best, vals[s]|(on-1))
+			n += on
+		}
 	}
 	if n == 0 {
 		return acc, 0
 	}
-	return best, n
+	return best, int32(n)
 }
 
 // Apply implements engine.Program.
-func (cc *ConnectedComponents) Apply(v graph.VertexID, old uint32, acc uint32, hasAcc bool, rt *engine.Runtime) (uint32, bool) {
-	if hasAcc && acc < old {
-		return acc, true
+func (cc *ConnectedComponents) Apply(v graph.VertexID, val *uint32, acc uint32, hasAcc bool, rt *engine.Runtime) bool {
+	if hasAcc && acc < *val {
+		*val = acc
+		return true
 	}
-	return old, false
+	return false
 }
 
 // Run implements App. The Output is a Components summary.

@@ -171,11 +171,12 @@ func (hopsProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.Vert
 	return acc, n
 }
 
-func (hopsProgram) Apply(v graph.VertexID, old, acc float64, hasAcc bool, rt *engine.Runtime) (float64, bool) {
-	if hasAcc && acc < old {
-		return acc, true
+func (hopsProgram) Apply(v graph.VertexID, val *float64, acc float64, hasAcc bool, rt *engine.Runtime) bool {
+	if hasAcc && acc < *val {
+		*val = acc
+		return true
 	}
-	return old, false
+	return false
 }
 
 // coreState is cascadeProgram's vertex state: the residual degree and whether
@@ -222,19 +223,20 @@ func (cascadeProgram) Fold(acc int32, has bool, vals []coreState, srcs []graph.V
 }
 
 // Apply: only the transition into removal signals neighbors, so each peeled
-// vertex is gathered from exactly once.
-func (p cascadeProgram) Apply(v graph.VertexID, old coreState, acc int32, hasAcc bool, rt *engine.Runtime) (coreState, bool) {
-	if old.removed {
-		return old, false
+// vertex is gathered from exactly once. A surviving vertex returns false and
+// still keeps the degree it just lowered in place.
+func (p cascadeProgram) Apply(v graph.VertexID, val *coreState, acc int32, hasAcc bool, rt *engine.Runtime) bool {
+	if val.removed {
+		return false
 	}
 	if hasAcc {
-		old.deg -= acc
+		val.deg -= acc
 	}
-	if old.deg < p.k {
-		old.removed = true
-		return old, true
+	if val.deg < p.k {
+		val.removed = true
+		return true
 	}
-	return old, false
+	return false
 }
 
 func TestEngineEquivalenceSixApps(t *testing.T) {

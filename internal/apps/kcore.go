@@ -67,8 +67,20 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 		deg[v] = int32(und.Degree(graph.VertexID(v)))
 	}
 	core := make([]int32, n)
-	removed := make([]bool, n)
 	remaining := n
+
+	// alive[p] lists machine p's masters that are still in the graph, in
+	// MasterVerts order (one arena copy, compacted in place as each round
+	// scans it), so a round's work follows the survivors instead of
+	// re-testing every vertex peeled in the forty-odd rounds before it.
+	// Keeping the order keeps the result: a peel lowers its neighbours'
+	// degrees at once, so who else falls in the same round depends on it.
+	arena := make([]graph.VertexID, 0, n)
+	alive := make([][]graph.VertexID, pl.M)
+	for p, verts := range pl.MasterVerts {
+		arena = append(arena, verts...)
+		alive[p] = arena[len(arena)-len(verts):]
+	}
 
 	account := engine.NewAccountant(cl, kc.coeffs())
 	counters := make([]engine.StepCounters, pl.M)
@@ -77,8 +89,8 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 	for remaining > 0 {
 		if kc.MaxK > 0 && int(k) > kc.MaxK {
 			// Everything left belongs to a core at least MaxK deep.
-			for v := range removed {
-				if !removed[v] {
+			for _, list := range alive {
+				for _, v := range list {
 					core[v] = k - 1
 				}
 			}
@@ -88,22 +100,18 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 		for {
 			rounds++
 			clear(counters)
-			peeled := 0
-			for p := 0; p < pl.M; p++ {
+			before := remaining
+			for p, list := range alive {
 				sc := &counters[p]
 				sc.Vertices = float64(len(pl.MasterVerts[p]))
-				for _, v := range pl.MasterVerts[p] {
-					if removed[v] {
-						continue
-					}
-					sc.Gathers++ // the degree check
+				sc.Gathers += float64(len(list)) // one degree check per survivor
+				kept := list[:0]
+				for _, v := range list {
 					if deg[v] >= k {
+						kept = append(kept, v)
 						continue
 					}
-					removed[v] = true
 					core[v] = k - 1
-					peeled++
-					remaining--
 					sc.Applies++
 					sc.UpdatesOut += float64(mirrorsOf(pl, v, p))
 					neighbors := und.Neighbors(v)
@@ -111,15 +119,17 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 					if u := float64(len(neighbors)); u > sc.MaxUnit {
 						sc.MaxUnit = u
 					}
+					// A peeled neighbour's degree is never read again, so
+					// the decrement needs no liveness test.
 					for _, u := range neighbors {
-						if !removed[u] {
-							deg[u]--
-						}
+						deg[u]--
 					}
 				}
+				remaining -= len(list) - len(kept)
+				alive[p] = kept
 			}
 			account.Superstep(counters)
-			if peeled == 0 {
+			if remaining == before {
 				break
 			}
 		}

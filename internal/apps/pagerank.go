@@ -96,15 +96,15 @@ func (pr *PageRank) Fold(acc float64, has bool, vals []prState, srcs []graph.Ver
 }
 
 // Apply implements engine.Program.
-func (pr *PageRank) Apply(v graph.VertexID, old prState, acc float64, hasAcc bool, rt *engine.Runtime) (prState, bool) {
+func (pr *PageRank) Apply(v graph.VertexID, val *prState, acc float64, hasAcc bool, rt *engine.Runtime) bool {
 	sum := 0.0
 	if hasAcc {
 		sum = acc
 	}
 	newRank := (1 - pr.Damping) + pr.Damping*sum
-	changed := math.Abs(newRank-old.rank) > pr.Tolerance
-	old.rank = newRank
-	return old, changed
+	changed := math.Abs(newRank-val.rank) > pr.Tolerance
+	val.rank = newRank
+	return changed
 }
 
 // Run implements App. The Output is the []float64 rank vector.

@@ -180,7 +180,10 @@ func TestPropertyKCoreDegeneracyBound(t *testing.T) {
 // programs: folding a whole source slice equals chaining one-element folds
 // over its active sources — the form the sparse sweep and RunReference use —
 // bit for bit, the count is the number of active sources, the value array is
-// only read, and a group with nothing active hands acc back untouched.
+// only read, and a group with nothing active hands acc back untouched. The
+// integer programs mask inactive sources inside a second loop, so the bitmaps
+// sweep the frontier densities and an all-true bitmap is held to the act ==
+// nil result.
 func TestPropertyFoldContract(t *testing.T) {
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, tc := range []struct {
@@ -208,6 +211,15 @@ func TestPropertyFoldContract(t *testing.T) {
 		{"bfs", func(t *testing.T, src *rng.Source) {
 			dist := func() int32 { return int32(src.Intn(50)) - 1 } // unreached (-1) included
 			checkFold[int32, int32](t, NewBFS(), src, exact[int32], dist, dist)
+			// Unreached sources are gathers that offer nothing: the result
+			// stays unreached while every active one is counted.
+			vals := []int32{unreached, unreached, 3, unreached}
+			srcs := []graph.VertexID{0, 1, 2, 3, 1}
+			for _, has := range []bool{false, true} {
+				if got, n := NewBFS().Fold(unreached, has, vals, srcs, []bool{true, true, false, true}); got != unreached || n != 4 {
+					t.Fatalf("has=%v: four unreached active sources folded to %d over %d gathers, want %d over 4", has, got, n, unreached)
+				}
+			}
 		}},
 		{"cluster_bfs", func(t *testing.T, src *rng.Source) {
 			checkFold[ClusterState, uint64](t, NewClusterBFS(), src, exact[uint64], func() ClusterState {
@@ -224,10 +236,12 @@ func TestPropertyFoldContract(t *testing.T) {
 }
 
 // checkFold draws random value arrays, source slices (duplicates allowed,
-// length 0–40), activity bitmaps (nil, random, all false) and incoming
-// accumulators, and holds prog.Fold to the contract on each.
+// length 0–40), activity bitmaps (nil, then 0, 10, 50, 90 and 100 % of the
+// vertices active) and incoming accumulators, and holds prog.Fold to the
+// contract on each.
 func checkFold[V comparable, A any](t *testing.T, prog engine.Program[V, A], src *rng.Source, same func(a, b A) bool, state func() V, accum func() A) {
-	for round := 0; round < 300; round++ {
+	densities := []int{-1, 0, 10, 50, 90, 100} // percent; -1 is act == nil
+	for round := 0; round < 600; round++ {
 		vals := make([]V, 1+src.Intn(24))
 		for i := range vals {
 			vals[i] = state()
@@ -236,14 +250,15 @@ func checkFold[V comparable, A any](t *testing.T, prog engine.Program[V, A], src
 		for i := range srcs {
 			srcs[i] = graph.VertexID(src.Intn(len(vals)))
 		}
-		var act []bool // round%3 == 0: every source is active
-		if round%3 != 0 {
-			act = make([]bool, len(vals)) // round%3 == 2: none is
+		density := densities[round%len(densities)]
+		var act []bool
+		if density >= 0 {
+			act = make([]bool, len(vals))
 			for i := range act {
-				act[i] = round%3 == 1 && src.Intn(2) == 0
+				act[i] = src.Intn(100) < density
 			}
 		}
-		acc, has := accum(), round%2 == 0
+		acc, has := accum(), round/len(densities)%2 == 0
 		before := slices.Clone(vals)
 
 		want, wantHas, active := acc, has, int32(0)
@@ -265,6 +280,11 @@ func checkFold[V comparable, A any](t *testing.T, prog engine.Program[V, A], src
 		}
 		if !same(got, want) {
 			t.Fatalf("round %d: whole-slice fold %v, one-element folds %v (has=%v, %d active of %d)", round, got, want, has, active, len(srcs))
+		}
+		if density == 100 {
+			if plain, pn := prog.Fold(acc, has, vals, srcs, nil); pn != n || !same(plain, got) {
+				t.Fatalf("round %d: an all-true bitmap folded to %v over %d sources, act == nil to %v over %d", round, got, n, plain, pn)
+			}
 		}
 		if active == 0 && !same(got, acc) {
 			t.Fatalf("round %d: nothing to fold, yet acc %v came back as %v", round, acc, got)

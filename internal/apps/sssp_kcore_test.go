@@ -2,11 +2,15 @@ package apps
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/rng"
 )
 
 // --- SSSP ---
@@ -231,6 +235,141 @@ func TestKCoreMaxKCap(t *testing.T) {
 	out := res.Output.(KCoreResult)
 	if out.MaxCore > 2 {
 		t.Errorf("capped decomposition reports core %d > cap", out.MaxCore)
+	}
+}
+
+// kcoreScanAll is the peeling loop KCore.Run replaced, kept as its executable
+// spec: every round re-tests every master of every machine against a removed
+// bitmap, in MasterVerts order. Which vertices fall together in a round
+// depends on that order (a peel lowers its neighbours' degrees at once), and
+// with it the round count and every counter the accountant is charged.
+func kcoreScanAll(kc *KCore, pl *engine.Placement, cl *cluster.Cluster) *engine.Result {
+	g := pl.G
+	n := g.NumVertices
+	und := g.BuildUndirectedCSR()
+	deg := make([]int32, n)
+	for v := 0; v < n; v++ {
+		deg[v] = int32(und.Degree(graph.VertexID(v)))
+	}
+	core := make([]int32, n)
+	removed := make([]bool, n)
+	remaining := n
+
+	account := engine.NewAccountant(cl, kc.coeffs())
+	rounds := 0
+	k := int32(1)
+	for remaining > 0 {
+		if kc.MaxK > 0 && int(k) > kc.MaxK {
+			for v := range removed {
+				if !removed[v] {
+					core[v] = k - 1
+				}
+			}
+			break
+		}
+		for {
+			rounds++
+			counters := make([]engine.StepCounters, pl.M)
+			peeled := 0
+			for p := 0; p < pl.M; p++ {
+				sc := &counters[p]
+				sc.Vertices = float64(len(pl.MasterVerts[p]))
+				for _, v := range pl.MasterVerts[p] {
+					if removed[v] {
+						continue
+					}
+					sc.Gathers++ // the degree check
+					if deg[v] >= k {
+						continue
+					}
+					removed[v] = true
+					core[v] = k - 1
+					peeled++
+					remaining--
+					sc.Applies++
+					sc.UpdatesOut += float64(mirrorsOf(pl, v, p))
+					neighbors := und.Neighbors(v)
+					sc.Gathers += float64(len(neighbors))
+					if u := float64(len(neighbors)); u > sc.MaxUnit {
+						sc.MaxUnit = u
+					}
+					for _, u := range neighbors {
+						if !removed[u] {
+							deg[u]--
+						}
+					}
+				}
+			}
+			account.Superstep(counters)
+			if peeled == 0 {
+				break
+			}
+		}
+		k++
+	}
+	maxCore := int32(0)
+	for _, c := range core {
+		maxCore = max(maxCore, c)
+	}
+	return account.Finish(kc.Name(), g.Name, KCoreResult{Core: core, MaxCore: int(maxCore), Rounds: rounds})
+}
+
+// TestKCoreMatchesScanAllSpec holds the survivor-list peel to the scan-all
+// loop on everything a run reports: the whole engine.Result — per-round
+// machine times and barriers, Supersteps, Gathers, SimSeconds, energy, busy
+// time and traffic — and the decomposition itself. The graphs are random
+// multigraphs with parallel edges, reciprocal pairs, self-loops and a tail of
+// isolated vertices, hashed over 1, 3 and 4 machines, decomposed fully and
+// capped at MaxK 2.
+func TestKCoreMatchesScanAllSpec(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		src := rng.New(seed)
+		n := 40 + src.Intn(200)
+		linked := n - src.Intn(n/4+1) // vertices at or above linked stay isolated
+		g := &graph.Graph{Name: "kcore-spec", NumVertices: n}
+		for i, m := 0, src.Intn(6*n); i < m; i++ {
+			u := src.Intn(linked)
+			v := u // one edge in ten is a self-loop
+			if src.Intn(10) != 0 {
+				// Squaring the draw crowds edges onto low ids: a dense core
+				// with several peeling levels and many parallel edges.
+				v = src.Intn(linked) * src.Intn(linked) / linked
+			}
+			g.Edges = append(g.Edges, E(u, v))
+		}
+		for _, machines := range []int{1, 3, 4} {
+			owner := make([]int32, len(g.Edges))
+			for i := range owner {
+				owner[i] = int32(rng.Hash2(seed, uint64(i)) % uint64(machines))
+			}
+			pl, err := engine.NewPlacement(g, owner, machines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Unequal machines: a counter charged to the wrong one moves
+			// the barrier.
+			mixed := []cluster.Machine{mustMachine(t, "c4.xlarge"), mustMachine(t, "c4.2xlarge"), mustMachine(t, "c4.8xlarge"), mustMachine(t, "c4.xlarge")}
+			cl, err := cluster.New(mixed[:machines]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, maxK := range []int{0, 2} {
+				kc := &KCore{MaxK: maxK}
+				want := kcoreScanAll(kc, pl, cl)
+				got, err := kc.Run(pl, cl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("seed %d, %d machines, MaxK %d", seed, machines, maxK)
+				if math.Float64bits(got.SimSeconds) != math.Float64bits(want.SimSeconds) {
+					t.Errorf("%s: SimSeconds %v, spec %v", label, got.SimSeconds, want.SimSeconds)
+				}
+				if !reflect.DeepEqual(got, want) {
+					sameAccounting(t, label, want, got)
+					t.Fatalf("%s: result differs from the scan-all spec\n got %+v\nwant %+v", label, got.Output, want.Output)
+				}
+			}
+		}
 	}
 }
 

@@ -85,11 +85,12 @@ func (benchSSSPProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.V
 	}
 	return best, n
 }
-func (benchSSSPProgram) Apply(v graph.VertexID, old, acc uint32, has bool, rt *Runtime) (uint32, bool) {
-	if has && acc < old {
-		return acc, true
+func (benchSSSPProgram) Apply(v graph.VertexID, val *uint32, acc uint32, has bool, rt *Runtime) bool {
+	if has && acc < *val {
+		*val = acc
+		return true
 	}
-	return old, false
+	return false
 }
 
 // runGatherBench measures whole executions of run and reports useful-gather
@@ -219,20 +220,20 @@ func (benchClusterProgram) Fold(acc uint64, has bool, vals []benchClusterState, 
 	}
 	return seen, n
 }
-func (benchClusterProgram) Apply(v graph.VertexID, old benchClusterState, acc uint64, has bool, rt *Runtime) (benchClusterState, bool) {
+func (benchClusterProgram) Apply(v graph.VertexID, val *benchClusterState, acc uint64, has bool, rt *Runtime) bool {
 	if !has {
-		return old, false
+		return false
 	}
-	fresh := acc &^ old.seen
+	fresh := acc &^ val.seen
 	if fresh == 0 {
-		return old, false
+		return false
 	}
-	old.seen |= fresh
+	val.seen |= fresh
 	d := int32(rt.Step) + 1
 	for m := fresh; m != 0; m &= m - 1 {
-		old.dist[bits.TrailingZeros64(m)] = d
+		val.dist[bits.TrailingZeros64(m)] = d
 	}
-	return old, true
+	return true
 }
 
 func BenchmarkEngineClusterBFS(b *testing.B) {

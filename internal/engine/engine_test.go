@@ -293,11 +293,13 @@ func (sumProgram) Init(v graph.VertexID, outDeg, inDeg int32) int64 { return 0 }
 func (sumProgram) Fold(acc int64, has bool, vals []int64, srcs []graph.VertexID, act []bool) (int64, int32) {
 	return foldEach(func(*int64) int64 { return 1 }, func(a, b int64) int64 { return a + b }, acc, has, vals, srcs, act)
 }
-func (sumProgram) Apply(v graph.VertexID, old, acc int64, has bool, rt *Runtime) (int64, bool) {
+func (sumProgram) Apply(v graph.VertexID, val *int64, acc int64, has bool, rt *Runtime) bool {
 	if !has {
-		return 0, false
+		acc = 0
 	}
-	return acc, acc != old
+	changed := has && acc != *val
+	*val = acc
+	return changed
 }
 
 func TestRunSyncComputesExactResultAcrossPlacements(t *testing.T) {
@@ -435,8 +437,9 @@ func (rankProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.Vert
 	}
 	return acc, n
 }
-func (rankProgram) Apply(v graph.VertexID, old, acc float64, has bool, rt *Runtime) (float64, bool) {
-	return 0.15 + 0.85*acc, true
+func (rankProgram) Apply(v graph.VertexID, val *float64, acc float64, has bool, rt *Runtime) bool {
+	*val = 0.15 + 0.85*acc
+	return true
 }
 
 // checkEngines runs prog through RunReference, Run at one worker and Run at
@@ -500,11 +503,12 @@ func (minProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 { return ui
 func (minProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
 	return foldEach(func(src *uint32) uint32 { return *src }, func(a, b uint32) uint32 { return min(a, b) }, acc, has, vals, srcs, act)
 }
-func (minProgram) Apply(v graph.VertexID, old, acc uint32, has bool, rt *Runtime) (uint32, bool) {
-	if has && acc < old {
-		return acc, true
+func (minProgram) Apply(v graph.VertexID, val *uint32, acc uint32, has bool, rt *Runtime) bool {
+	if has && acc < *val {
+		*val = acc
+		return true
 	}
-	return old, false
+	return false
 }
 
 func TestRunSyncParallelFrontierMatchesSequential(t *testing.T) {

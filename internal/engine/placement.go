@@ -42,12 +42,14 @@ type Placement struct {
 	// MasterVerts[p] lists the vertices mastered on machine p.
 	MasterVerts [][]graph.VertexID
 
-	// Compiled machine-local gather layouts (see machineBlocks). The
-	// in-direction blocks are built at NewPlacement time; the both-direction
-	// blocks double the record count and are compiled on first use.
-	inBlocks   []machineBlocks
-	bothBlocks []machineBlocks
-	bothOnce   sync.Once
+	// Compiled machine-local gather layouts (see machineBlocks), one per
+	// gather direction, each built by the first run that asks for it (see
+	// blocks): most placements only ever serve one direction, and the
+	// applications with loops of their own (SSSP, KCore, Coloring) neither.
+	compiled [2]struct {
+		once   sync.Once
+		blocks []machineBlocks
+	}
 }
 
 // machineBlocks is one machine's compiled gather layout: its local edges
@@ -136,9 +138,9 @@ func (c *blockCompiler) compile(p int, both bool) machineBlocks {
 // master table — so they compile through the shared work-stealing loop, one
 // machine block per task, with bit-identical output at any worker count.
 // Compile workspaces are per worker (each holds |V|-sized counting arrays,
-// so the worker count — at most one per block; NewPlacement asks for one per
-// CPU — also caps compile memory), created lazily so only workers that
-// actually win a task pay for one.
+// so the worker count — at most one per block; blocks asks for one per CPU —
+// also caps compile memory), created lazily so only workers that actually win
+// a task pay for one.
 func (pl *Placement) compileBlocks(both bool, workers int) []machineBlocks {
 	blocks := make([]machineBlocks, pl.M)
 	workers = max(1, min(workers, pl.M))
@@ -157,13 +159,16 @@ func (pl *Placement) compileBlocks(both bool, workers int) []machineBlocks {
 	return blocks
 }
 
-// blocks returns the compiled gather layout for the requested direction.
+// blocks returns the compiled gather layout for the requested direction,
+// compiling it on first use; concurrent runs over one placement share the
+// result.
 func (pl *Placement) blocks(both bool) []machineBlocks {
-	if !both {
-		return pl.inBlocks
+	c := &pl.compiled[0]
+	if both {
+		c = &pl.compiled[1]
 	}
-	pl.bothOnce.Do(func() { pl.bothBlocks = pl.compileBlocks(true, runtime.GOMAXPROCS(0)) })
-	return pl.bothBlocks
+	c.once.Do(func() { c.blocks = pl.compileBlocks(both, runtime.GOMAXPROCS(0)) })
+	return c.blocks
 }
 
 // NewPlacement finalizes an edge assignment. owner must assign every edge of
@@ -249,7 +254,6 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 	for v, p := range pl.Master {
 		pl.MasterVerts[p] = append(pl.MasterVerts[p], graph.VertexID(v))
 	}
-	pl.inBlocks = pl.compileBlocks(false, runtime.GOMAXPROCS(0))
 	return pl, nil
 }
 

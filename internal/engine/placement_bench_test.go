@@ -2,8 +2,8 @@ package engine
 
 import "testing"
 
-// BenchmarkNewPlacement times placement finalization — owner scan, master
-// selection and the in-direction block compile — on the power-law bench graph
+// BenchmarkNewPlacement times placement finalization — owner scan and master
+// selection; gather blocks compile on first use — on the power-law bench graph
 // (20,000 vertices, 80,000 edges, four machines).
 func BenchmarkNewPlacement(b *testing.B) {
 	g := benchPowerLaw(b)

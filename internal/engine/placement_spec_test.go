@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -208,15 +209,16 @@ func TestMasterSelectionMatchesReservoirSpec(t *testing.T) {
 }
 
 // TestNewPlacementAllocs is finalization's allocation guard (same shape as
-// TestRunAllocs and partition's TestIngressAllocs): NewPlacement and the
-// first both-direction compile allocate a number of objects fixed by the
-// machine count — every slice is sized before it is filled — so an
-// eight-times-larger graph costs not one allocation more.
+// TestRunAllocs and partition's TestIngressAllocs): NewPlacement allocates
+// the same few objects whatever the machine count, and the first compile of
+// either gather direction a number fixed by the machine count — every slice
+// is sized before it is filled — so an eight-times-larger graph costs not one
+// allocation more.
 //
-// testing.AllocsPerRun pins GOMAXPROCS to one, so the compile runs on one
-// worker. Measured: 20+7m and 7+4m for m machines.
+// testing.AllocsPerRun pins GOMAXPROCS to one, so the compiles run on one
+// worker. Measured: 10 for NewPlacement, then 10+7m and 7+4m for m machines.
 func TestNewPlacementAllocs(t *testing.T) {
-	measure := func(g *graph.Graph, machines int) (finalize, compileBoth float64) {
+	measure := func(g *graph.Graph, machines int) (finalize, compileIn, compileBoth float64) {
 		owner := hashedOwner(g, machines)
 		var pl *Placement
 		newPlacement := func() {
@@ -226,25 +228,35 @@ func TestNewPlacementAllocs(t *testing.T) {
 			}
 		}
 		finalize = testing.AllocsPerRun(5, newPlacement)
+		withIn := testing.AllocsPerRun(5, func() {
+			newPlacement()
+			pl.blocks(false)
+		})
 		withBoth := testing.AllocsPerRun(5, func() {
 			newPlacement()
 			pl.blocks(true)
 		})
-		return finalize, withBoth - finalize
+		return finalize, withIn - finalize, withBoth - finalize
 	}
 	small, large := testGraph(5, 2000, 8000), testGraph(6, 2000, 64000)
+	// The process's first collection starts the background mark workers; have
+	// it happen here, not inside whichever measurement first fills the heap.
+	runtime.GC()
 	for _, machines := range []int{4, 16} {
-		finalize, compileBoth := measure(small, machines)
-		t.Logf("%d machines: NewPlacement %.0f allocations, first blocks(true) %.0f", machines, finalize, compileBoth)
-		if ceiling := float64(20 + 7*machines); finalize > ceiling {
+		finalize, compileIn, compileBoth := measure(small, machines)
+		t.Logf("%d machines: NewPlacement %.0f allocations, first blocks(false) %.0f, first blocks(true) %.0f", machines, finalize, compileIn, compileBoth)
+		if ceiling := float64(10); finalize > ceiling {
 			t.Errorf("%d machines: NewPlacement allocates %.0f, want at most %.0f", machines, finalize, ceiling)
+		}
+		if ceiling := float64(10 + 7*machines); compileIn > ceiling {
+			t.Errorf("%d machines: the first blocks(false) allocates %.0f, want at most %.0f", machines, compileIn, ceiling)
 		}
 		if ceiling := float64(7 + 4*machines); compileBoth > ceiling {
 			t.Errorf("%d machines: the first blocks(true) allocates %.0f, want at most %.0f", machines, compileBoth, ceiling)
 		}
-		if f, c := measure(large, machines); f != finalize || c != compileBoth {
-			t.Errorf("%d machines: 8x the edges moved allocations from %.0f+%.0f to %.0f+%.0f: something grows with |E|",
-				machines, finalize, compileBoth, f, c)
+		if f, i, b := measure(large, machines); f != finalize || i != compileIn || b != compileBoth {
+			t.Errorf("%d machines: 8x the edges moved allocations from %.0f+%.0f+%.0f to %.0f+%.0f+%.0f: something grows with |E|",
+				machines, finalize, compileIn, compileBoth, f, i, b)
 		}
 	}
 }

@@ -62,10 +62,14 @@ type Program[V, A any] interface {
 	//     (0|x, min(MaxUint32, x)); floating-point programs take the first
 	//     contribution explicitly, since 0+x is not x for x = -0.
 	Fold(acc A, has bool, vals []V, srcs []graph.VertexID, act []bool) (A, int32)
-	// Apply combines vertex v's old state with the gathered accumulator and
-	// reports whether the state changed (changed vertices signal their
-	// neighbors in scatter).
-	Apply(v graph.VertexID, old V, acc A, hasAcc bool, rt *Runtime) (V, bool)
+	// Apply folds the gathered accumulator into vertex v's state in place:
+	// val points at v's slot in the engine's value array, and whatever Apply
+	// leaves in *val is the vertex's new state — also when it returns false.
+	// The result only drives scatter: true signals v's neighbors (v joins the
+	// next frontier and its mirrors are charged the update). Apply must not
+	// keep val past the call; wide states are updated where they live
+	// instead of being copied in, out and back.
+	Apply(v graph.VertexID, val *V, acc A, hasAcc bool, rt *Runtime) bool
 }
 
 // Rebalancer lets a dynamic load-balancing policy (e.g. the Mizan-style

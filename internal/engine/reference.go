@@ -154,9 +154,8 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 				if !applyAll && !has[v] {
 					continue
 				}
-				newVal, changed := prog.Apply(v, vals[v], acc[v], has[v], rt)
+				changed := prog.Apply(v, &vals[v], acc[v], has[v], rt)
 				sc.Applies++
-				vals[v] = newVal
 				if changed {
 					anyChanged = true
 					mirrors := bits.OnesCount64(pl.ReplicaMask[v])

@@ -30,13 +30,13 @@ const serialSparseCutoff = 256
 // time depends on the placement. It is the engine's one fast superstep loop;
 // RunReference is its executable specification.
 //
-// Each superstep sweeps the machine-local CSR-style edge blocks compiled at
-// NewPlacement time (records grouped by gather destination, so the sweep is
-// sequential with no indirection through g.Edges and the per-destination
-// skew/partial bookkeeping falls out of the group boundaries), and
-// frontier-driven programs switch to a sparse worklist sweep whenever the
-// active set drops below the hybrid frontier's density threshold, skipping
-// inactive edges entirely.
+// Each superstep sweeps the placement's machine-local CSR-style edge blocks,
+// compiled by the first run in that gather direction (records grouped by
+// gather destination, so the sweep is sequential with no indirection through
+// g.Edges and the per-destination skew/partial bookkeeping falls out of the
+// group boundaries), and frontier-driven programs switch to a sparse worklist
+// sweep whenever the active set drops below the hybrid frontier's density
+// threshold, skipping inactive edges entirely.
 //
 // Host-side, every phase is a bag of tasks over destination shards:
 // Options.Workers workers each own a disjoint vertex range of the shared
@@ -517,9 +517,8 @@ func (r *sweep[V, A]) apply(w int, list []graph.VertexID, lo, hi graph.VertexID)
 		}
 		p := master[v]
 		wc := &workC[p]
-		newVal, changed := prog.Apply(v, vals[v], acc[v], has[v], &r.rt)
+		changed := prog.Apply(v, &vals[v], acc[v], has[v], &r.rt)
 		wc.Applies++
-		vals[v] = newVal
 		if !changed {
 			continue
 		}

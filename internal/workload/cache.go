@@ -322,11 +322,12 @@ func (c *PlacementCache) removeLocked(e *cacheEntry) {
 	c.evictions++
 }
 
-// placementBytes approximates a finalized placement's resident footprint: the
-// ownership and replica tables plus the compiled per-machine gather blocks,
-// which expand every edge into a (from, into) record grouped two ways (and
-// may double once the both-direction blocks compile lazily — the estimate
-// charges them up front so eviction errs toward staying under the bound).
+// placementBytes approximates the resident footprint a finalized placement
+// can grow to: the ownership and replica tables plus the compiled per-machine
+// gather blocks, which expand every edge into a (from, into) record grouped
+// two ways per gather direction. Either direction's blocks compile only when
+// a run first asks for them — the estimate charges both up front so eviction
+// errs toward staying under the bound.
 func placementBytes(pl *engine.Placement) int64 {
 	edges := int64(len(pl.EdgeOwner))
 	verts := int64(len(pl.Master))
