@@ -1,6 +1,6 @@
 # Developer entry points. The repo needs only the Go toolchain.
 
-.PHONY: build test check bench bench-ingress bench-scaling bench-smoke bench-contract bench-compare fuzz-smoke crash-smoke golden-update
+.PHONY: build test check bench-contract bench-compare fuzz-smoke crash-smoke golden-update
 
 build:
 	go build ./...
@@ -14,8 +14,8 @@ test:
 # cache, the multi-tenant job service's worker pool, including the
 # fault-recovery paths exercised by the chaos suite) or are otherwise
 # concurrency-sensitive (the metrics registry), the differential tests pinning
-# each fast path to its executable spec (the parallel partitioners to their
-# sequential specs, the delete index to a full scan, and at -cpu 1,2,4 the
+# each fast path to its executable spec (the partitioners to their
+# sequential specs at GOMAXPROCS 1, 2, 3 and 8, the delete index to a full scan, and at -cpu 1,2,4 the
 # placement compile to a stable sort and master selection to the serial
 # reservoir sample), the allocation guards (ingress budgets; one engine worker
 # allocates no more than the sequential loop it replaced, nothing per
@@ -31,7 +31,9 @@ test:
 # envelope, O(|delta|) fingerprints bit-identical to full rescans,
 # process-stable partitioner cache keys), the overload and evolve golden files
 # pinning the service control plane and the incremental-recomputation chain
-# byte-for-byte, the end-to-end benchmark's own contract tests, and a short
+# byte-for-byte, one iteration of every engine and ingress micro-benchmark (so
+# they keep compiling and reporting; timing is benchmark/'s job, see
+# bench-compare), the end-to-end benchmark's own contract tests, and a short
 # fuzz pass over every decoder/encoder boundary plus the packed-traversal and
 # delta property fuzzers.
 check:
@@ -45,6 +47,7 @@ check:
 	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestPropertyFoldContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
+	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition
 	$(MAKE) bench-contract
 	$(MAKE) fuzz-smoke
 
@@ -88,27 +91,3 @@ crash-smoke:
 # accounting or formatting change; review the testdata diff before committing.
 golden-update:
 	go test ./internal/exp -run TestGoldenTables -update
-
-# bench runs the engine gather micro-benchmarks whose edges/s trajectory is
-# tracked in BENCH_ENGINE.json.
-bench:
-	go test -run '^$$' -bench 'BenchmarkEngineGather' -benchmem ./internal/engine
-
-# bench-ingress runs the partitioner ingress micro-benchmarks (sequential
-# reference vs the sharded picker pipeline) tracked in BENCH_INGRESS.json.
-bench-ingress:
-	go test -run '^$$' -bench 'BenchmarkIngress' -benchmem ./internal/partition
-
-# bench-scaling runs the full GOMAXPROCS × shard matrix (engine + ingress
-# suites at -cpu 1,2,4,8) and appends host- and date-stamped entries with
-# edges/s and speedup-vs-1-core to BENCH_ENGINE.json / BENCH_INGRESS.json.
-# Pass NOTE="..." to label the entries.
-NOTE ?=
-bench-scaling:
-	go run ./cmd/benchmat -cpus 1,2,4,8 -note '$(NOTE)'
-
-# bench-smoke is the CI guard: one iteration of every matrix benchmark at
-# GOMAXPROCS 1 and 4, parsed but not recorded — it fails if any benchmark
-# breaks or stops reporting edges/s, without burning CI minutes on timing.
-bench-smoke:
-	go run ./cmd/benchmat -cpus 1,4 -benchtime 1x -check

@@ -19,7 +19,6 @@ import (
 
 	"proxygraph/internal/exp"
 	"proxygraph/internal/metrics"
-	"proxygraph/internal/partition"
 	"proxygraph/internal/report"
 	"proxygraph/internal/trace"
 )
@@ -94,11 +93,8 @@ func main() {
 
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON of every traced engine run here")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text-format metrics aggregated over the session here")
-
-		ingressShards = flag.Int("ingress-shards", 0, "worker count for parallel ingress scans (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	partition.ParallelShards = *ingressShards
 
 	exps := experiments()
 	if *list {

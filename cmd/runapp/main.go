@@ -59,8 +59,6 @@ func main() {
 		checkpoint = flag.Int("checkpoint", 0, "checkpoint every N supersteps (0 disables)")
 		recovery   = flag.String("recovery", "checkpoint", "crash recovery policy: checkpoint, restart")
 
-		ingressShards = flag.Int("ingress-shards", 0, "worker count for parallel ingress scans (0 = GOMAXPROCS)")
-
 		repeat     = flag.Int("repeat", 1, "run the application this many times on the one placement and also report the fastest run's host wall time (the simulated report does not depend on the count)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the application runs (not of graph generation, profiling or ingress) here, for go tool pprof")
 
@@ -68,7 +66,6 @@ func main() {
 		evolveDeletes = flag.Int("evolve-deletes", 0, "after the run, evolve the graph by this many random edge deletions and re-run incrementally")
 	)
 	flag.Parse()
-	partition.ParallelShards = *ingressShards
 	if *repeat < 1 {
 		fatal(fmt.Errorf("-repeat must be at least 1, got %d", *repeat))
 	}

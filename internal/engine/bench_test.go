@@ -132,8 +132,7 @@ func BenchmarkEngineGatherPageRankReference(b *testing.B) {
 }
 
 // perCPU asks for one engine worker per CPU, so the BenchmarkEngine*Parallel*
-// benchmarks scale with the harness's -cpu list — the GOMAXPROCS axis of make
-// bench-scaling.
+// benchmarks scale with go test's -cpu list.
 func perCPU() Options { return Options{Workers: runtime.GOMAXPROCS(0)} }
 
 func BenchmarkEngineParallelPageRank(b *testing.B) {

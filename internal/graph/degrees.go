@@ -4,8 +4,9 @@ import "sync"
 
 // degreeScratch pools the per-worker counting arrays of the parallel degree
 // scans. Before pooling, every call allocated workers×|V| int32s, so the
-// ingress pipeline's bytes/op grew linearly with the shard count (the hybrid
-// shards8 blowup tracked in BENCH_INGRESS.json); pooled arrays are grown once
+// ingress pipeline's bytes/op grew linearly with the worker count (hybrid at
+// eight workers: 9.6MB/op against 6.8MB at one, now pinned by
+// partition.TestHybridShardedBytesRegression); pooled arrays are grown once
 // and reused across calls, making the scans' steady-state allocation cost
 // independent of the worker count.
 var degreeScratch sync.Pool

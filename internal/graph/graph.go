@@ -275,10 +275,6 @@ func buildCSRInto(c *CSR, n int, edges []Edge, rows rowsBy) {
 // with unsorted rows in stable edge order. See buildCSRInto.
 func (g *Graph) InCSRInto(c *CSR) { buildCSRInto(c, g.NumVertices, g.Edges, byDst) }
 
-// OutCSRInto rebuilds out-adjacency into c, with unsorted rows in stable
-// edge order. See buildCSRInto.
-func (g *Graph) OutCSRInto(c *CSR) { buildCSRInto(c, g.NumVertices, g.Edges, bySrc) }
-
 // IntersectionSize returns |a ∩ b| for two ascending-sorted neighbor lists,
 // by linear merge. It is the inner loop of Triangle Count.
 func IntersectionSize(a, b []VertexID) int {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"runtime"
 	"testing"
 
 	"proxygraph/internal/gen"
@@ -9,16 +10,31 @@ import (
 
 // Allocation guards for the ingress hot paths. The budgets are deliberately
 // loose multiples of the measured steady state (pools warm, which
-// AllocsPerRun's warm-up call guarantees) so they only trip on a regression
-// class — a per-edge or per-vertex allocation sneaking back in — not on
-// incidental churn. Ginger's guard is the headline: its refinement sweep
-// allocated ~200k times per call (per-row sort.Slice inside the sorted CSR
-// build) before the pooled unsorted CSR arena cut it to the low hundreds.
+// allocsPerRun's warm-up call guarantees) so they only trip on a regression
+// class — a per-edge, per-vertex or per-window allocation sneaking back in —
+// not on incidental churn. Ginger's sweep allocated ~200k times per call
+// (per-row sort.Slice inside the sorted CSR build) before the pooled unsorted
+// CSR; the sequential streams and grid allocate their state arrays and
+// nothing else (measured 3, 5 and 12 at eight machines).
 const (
 	randomAllocBudget = 200
 	hybridAllocBudget = 200
-	gingerAllocBudget = 5000
+	gingerAllocBudget = 200
+	streamAllocBudget = 16
 )
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin, which
+// would measure every row at one worker whatever withProcs had set.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
 
 func allocGraph(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -45,20 +61,23 @@ func TestIngressAllocs(t *testing.T) {
 		{"random", randomAllocBudget, NewRandomHash()},
 		{"hybrid", hybridAllocBudget, NewHybrid()},
 		{"ginger", gingerAllocBudget, NewGinger()},
+		{"oblivious", streamAllocBudget, NewOblivious()},
+		{"hdrf", streamAllocBudget, NewHDRF()},
+		{"grid", streamAllocBudget, NewGrid()},
 	}
-	for _, shards := range []int{1, 8} {
-		setShards(t, shards)
+	for _, procs := range []int{1, 8} {
+		withProcs(t, procs)
 		for _, c := range cases {
 			t.Run(c.name, func(t *testing.T) {
-				avg := testing.AllocsPerRun(3, func() {
+				avg := allocsPerRun(5, func() {
 					if _, err := c.p.Partition(g, shares, 7); err != nil {
 						t.Fatal(err)
 					}
 				})
-				t.Logf("%s shards=%d: %.0f allocs/op", c.name, shards, avg)
+				t.Logf("%s procs=%d: %.0f allocs/op", c.name, procs, avg)
 				if avg > c.budget {
-					t.Errorf("%s shards=%d: %.0f allocs/op exceeds budget %.0f",
-						c.name, shards, avg, c.budget)
+					t.Errorf("%s procs=%d: %.0f allocs/op exceeds budget %.0f",
+						c.name, procs, avg, c.budget)
 				}
 			})
 		}
@@ -66,10 +85,10 @@ func TestIngressAllocs(t *testing.T) {
 }
 
 // TestHybridShardedBytesRegression pins the fix for the sharded ingress
-// memory blowup: hybrid at 8 shards used to allocate a fresh workers×|V|
+// memory blowup: hybrid at 8 workers used to allocate a fresh workers×|V|
 // count matrix inside the parallel in-degree scan (9.6MB/op vs 6.8MB at one
-// shard on the tracked benchmark). With the pooled degree scratch the sharded
-// path must stay within a small factor of the single-shard bytes.
+// worker). With the pooled degree scratch the sharded path must stay within
+// a small factor of the single-worker bytes.
 func TestHybridShardedBytesRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews bytes/op")
@@ -80,10 +99,8 @@ func TestHybridShardedBytesRegression(t *testing.T) {
 	g := allocGraph(t)
 	shares := UniformShares(8)
 	h := NewHybrid()
-	run := func(shards int) testing.BenchmarkResult {
-		prev := ParallelShards
-		ParallelShards = shards
-		defer func() { ParallelShards = prev }()
+	run := func(procs int) testing.BenchmarkResult {
+		withProcs(t, procs)
 		// Warm the degree-scratch pool so the measurement sees steady state.
 		if _, err := h.Partition(g, shares, 7); err != nil {
 			t.Fatal(err)
@@ -100,12 +117,12 @@ func TestHybridShardedBytesRegression(t *testing.T) {
 	one := run(1)
 	eight := run(8)
 	b1, b8 := one.AllocedBytesPerOp(), eight.AllocedBytesPerOp()
-	t.Logf("hybrid bytes/op: shards1=%d shards8=%d", b1, b8)
+	t.Logf("hybrid bytes/op: procs1=%d procs8=%d", b1, b8)
 	if b1 == 0 {
-		t.Fatal("no bytes measured at one shard")
+		t.Fatal("no bytes measured at one worker")
 	}
 	if ratio := float64(b8) / float64(b1); ratio > 1.15 {
-		t.Errorf("sharded hybrid allocates %.2fx the single-shard bytes (%d vs %d); scratch is no longer pooled",
+		t.Errorf("sharded hybrid allocates %.2fx the single-worker bytes (%d vs %d); scratch is no longer pooled",
 			ratio, b8, b1)
 	}
 }

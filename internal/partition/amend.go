@@ -333,7 +333,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolve
 	return kept, nil
 }
 
-// refineSubset runs the Fennel-style refinement sweep of refineDirect over
+// refineSubset runs the Fennel-style refinement sweep of refine over
 // only the given vertices (in ID order, as the full sweep visits them),
 // against loads accumulated from the complete assignment.
 func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []int32, shares []float64, subset map[graph.VertexID]bool) {
@@ -362,9 +362,9 @@ func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []int32, sh
 	}
 	sort.Ints(order)
 
-	sc := gingerScratchPool.Get().(*gingerScratch)
-	defer gingerScratchPool.Put(sc)
-	g.InCSRInto(&sc.in)
+	in := gingerInCSRPool.Get().(*graph.CSR)
+	defer gingerInCSRPool.Put(in)
+	g.InCSRInto(in)
 	neighborCount := make([]float64, m)
 	for _, v := range order {
 		cur := assign[v]
@@ -373,7 +373,7 @@ func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []int32, sh
 		for p := range neighborCount {
 			neighborCount[p] = 0
 		}
-		for _, u := range sc.in.Neighbors(graph.VertexID(v)) {
+		for _, u := range in.Neighbors(graph.VertexID(v)) {
 			if inDeg[u] <= gp.Threshold {
 				neighborCount[assign[u]]++
 			}

@@ -59,14 +59,14 @@ func sameOwners(t *testing.T, label string, got, want []int32) {
 //     the evolved graph;
 //   - oblivious, hdrf and ginger amendments stay within the imbalance
 //     envelope (10% relative + 0.05 absolute) of a full re-ingress;
-//   - every amended vector is valid and invariant to the parallelism knobs.
+//   - every amended vector is valid and invariant to the worker count.
 func TestAmendDifferential(t *testing.T) {
 	base := testGraph(t, 71, 800, 6400)
 	const seed = 101
 	exact := map[string]bool{"random": true, "hybrid": true}
 
-	// Knob invariance: the amended vector for a config must not depend on
-	// the window/shard settings. Keyed per (partitioner, shape, m, share).
+	// Worker invariance: the amended vector for a config must not depend on
+	// GOMAXPROCS. Keyed per (partitioner, shape, m, share).
 	pinned := map[string][]int32{}
 
 	for _, shape := range amendShapes {
@@ -80,47 +80,44 @@ func TestAmendDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, windows := range []int{64, 4096} {
-			for _, shards := range []int{1, 8} {
-				setWindows(t, windows)
-				setShards(t, shards)
-				for _, m := range []int{1, 8} {
-					for si, shares := range diffShareVectors(t, m) {
-						for _, p := range WithExtensions() {
-							a, ok := p.(Amender)
-							if !ok {
-								continue
+		for _, procs := range []int{1, 8} {
+			withProcs(t, procs)
+			for _, m := range []int{1, 8} {
+				for si, shares := range diffShareVectors(t, m) {
+					for _, p := range WithExtensions() {
+						a, ok := p.(Amender)
+						if !ok {
+							continue
+						}
+						label := fmt.Sprintf("%s/%s/p%d/m%d/share%d",
+							p.Name(), shape.name, procs, m, si)
+						baseOwner, err := p.Partition(base, shares, seed)
+						if err != nil {
+							t.Fatal(label, err)
+						}
+						amended, err := a.Amend(base, baseOwner, d, evolved, shares, seed)
+						if err != nil {
+							t.Fatal(label, err)
+						}
+						full, err := p.Partition(evolved, shares, seed)
+						if err != nil {
+							t.Fatal(label, err)
+						}
+						if exact[p.Name()] {
+							sameOwners(t, label, amended, full)
+						} else {
+							got := normImbalance(t, amended, shares)
+							want := normImbalance(t, full, shares)
+							if got > want*1.10+0.05 {
+								t.Errorf("%s: amended imbalance %.4f exceeds envelope over full %.4f",
+									label, got, want)
 							}
-							label := fmt.Sprintf("%s/%s/w%d/s%d/m%d/share%d",
-								p.Name(), shape.name, windows, shards, m, si)
-							baseOwner, err := p.Partition(base, shares, seed)
-							if err != nil {
-								t.Fatal(label, err)
-							}
-							amended, err := a.Amend(base, baseOwner, d, evolved, shares, seed)
-							if err != nil {
-								t.Fatal(label, err)
-							}
-							full, err := p.Partition(evolved, shares, seed)
-							if err != nil {
-								t.Fatal(label, err)
-							}
-							if exact[p.Name()] {
-								sameOwners(t, label, amended, full)
-							} else {
-								got := normImbalance(t, amended, shares)
-								want := normImbalance(t, full, shares)
-								if got > want*1.10+0.05 {
-									t.Errorf("%s: amended imbalance %.4f exceeds envelope over full %.4f",
-										label, got, want)
-								}
-							}
-							key := fmt.Sprintf("%s/%s/m%d/share%d", p.Name(), shape.name, m, si)
-							if prev, ok := pinned[key]; !ok {
-								pinned[key] = amended
-							} else {
-								sameOwners(t, key+" knob invariance", amended, prev)
-							}
+						}
+						key := fmt.Sprintf("%s/%s/m%d/share%d", p.Name(), shape.name, m, si)
+						if prev, ok := pinned[key]; !ok {
+							pinned[key] = amended
+						} else {
+							sameOwners(t, key+" worker invariance", amended, prev)
 						}
 					}
 				}

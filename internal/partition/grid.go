@@ -66,33 +66,29 @@ func (*Grid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, 
 	}
 	m := len(shares)
 	rows, cols := gridShape(m)
-	// Machine p sits at (p/cols, p%cols).
-	// constraint(v): all machines in row r(v) plus all machines in column
-	// c(v), where v's shard is (r, c) = (hash mod rows, hash' mod cols).
-	constraint := func(v graph.VertexID) []int32 {
-		h := vertexHash(seed, v)
-		r := int(h % uint64(rows))
-		c := int((h >> 32) % uint64(cols))
-		set := make([]int32, 0, rows+cols-1)
-		for j := 0; j < cols; j++ {
-			set = append(set, int32(r*cols+j))
-		}
-		for i := 0; i < rows; i++ {
-			if i != r {
-				set = append(set, int32(i*cols+c))
+	// Machine p sits at (p/cols, p%cols). The constraint set of shard (r, c)
+	// is every machine in row r plus every machine in column c; a set depends
+	// only on the shard, so all rows·cols = m of them are built once.
+	sets := make([][]int32, m)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			set := make([]int32, 0, rows+cols-1)
+			for j := 0; j < cols; j++ {
+				set = append(set, int32(r*cols+j))
 			}
+			for i := 0; i < rows; i++ {
+				if i != r {
+					set = append(set, int32(i*cols+c))
+				}
+			}
+			sets[r*cols+c] = set
 		}
-		return set
 	}
-
-	// Cache per-vertex constraint sets lazily; natural graphs reuse
-	// endpoints constantly.
-	cache := make([][]int32, g.NumVertices)
-	sets := func(v graph.VertexID) []int32 {
-		if cache[v] == nil {
-			cache[v] = constraint(v)
-		}
-		return cache[v]
+	// shard maps v to the index of its shard (r, c) = (hash mod rows,
+	// hash' mod cols).
+	shard := func(v graph.VertexID) int {
+		h := vertexHash(seed, v)
+		return int(h%uint64(rows))*cols + int((h>>32)%uint64(cols))
 	}
 
 	load := make([]int64, m)
@@ -100,7 +96,7 @@ func (*Grid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, 
 	owner := make([]int32, len(g.Edges))
 	inSet := make([]bool, m)
 	for i, e := range g.Edges {
-		su, sv := sets(e.Src), sets(e.Dst)
+		su, sv := sets[shard(e.Src)], sets[shard(e.Dst)]
 		for _, p := range su {
 			inSet[p] = true
 		}

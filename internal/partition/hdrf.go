@@ -43,18 +43,10 @@ func NewHDRF() *HDRF { return &HDRF{Lambda: 1} }
 // Name implements Partitioner.
 func (*HDRF) Name() string { return "hdrf" }
 
-// Partition implements Partitioner. Multi-shard runs window-batch the
-// stream: a cheap sequential pre-pass advances the partial degrees (two
-// increments per edge) recording each edge's degree snapshot, a parallel
-// phase turns those into the per-endpoint gather scores g(u,p)'s
-// degree-dependent factors and snapshots the replica masks, and the
-// sequential commit validates the mask hints with per-vertex epoch stamps
-// (stale → re-read live) before scoring. The balance term needs the live
-// min/max of the evolving load vector, so the O(m) score scan itself stays in
-// the commit loop — windowing moves the per-edge float work off the critical
-// path but HDRF remains commit-dominated, unlike oblivious's single-candidate
-// fast path. Owner vectors are bit-identical to referenceHDRF at every shard
-// count and window size.
+// Partition implements Partitioner. The stream is order-dependent (partial
+// degrees, replica masks and the live min/max of the load vector all evolve
+// per edge), so it runs as one sequential loop, bit-identical to
+// referenceHDRF.
 func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
@@ -67,7 +59,7 @@ func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32
 	owner := make([]int32, len(g.Edges))
 
 	// scoreEdge picks edge i's machine from its endpoint replica masks and
-	// precomputed gather scores, exactly as the spec's scan.
+	// gather scores, exactly as the spec's scan.
 	scoreEdge := func(i int, maskU, maskV uint64, gU, gV float64) int32 {
 		minLoad, maxLoad := load[0], load[0]
 		for _, l := range load[1:] {
@@ -100,84 +92,19 @@ func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32
 		return best
 	}
 
-	if resolveShards(len(g.Edges)) == 1 {
-		for i, e := range g.Edges {
-			partial[e.Src]++
-			partial[e.Dst]++
-			du, dv := float64(partial[e.Src]), float64(partial[e.Dst])
-			thetaU := du / (du + dv)
-			thetaV := 1 - thetaU
-			best := scoreEdge(i, placed[e.Src], placed[e.Dst], 1+(1-thetaU), 1+(1-thetaV))
-			owner[i] = best
-			rawLoad[best]++
-			// Normalized load: edges relative to the CCR-proportional target.
-			load[best] = float64(rawLoad[best]) / (shares[best] * float64(len(g.Edges)+1))
-			placed[e.Src] |= 1 << uint(best)
-			placed[e.Dst] |= 1 << uint(best)
-		}
-		return owner, nil
-	}
-
-	// touched[v] is the 1-based window index in which placed[v] last gained a
-	// bit (see oblivious.go for the epoch scheme).
-	touched := make([]int32, g.NumVertices)
-	sc := streamScratchPool.Get().(*streamScratch)
-	defer streamScratchPool.Put(sc)
-	w := streamWindowSize
-	sc.maskU, sc.maskV = growMasks(sc.maskU, w), growMasks(sc.maskV, w)
-	sc.gU, sc.gV = growFloats(sc.gU, w), growFloats(sc.gV, w)
-	sc.du, sc.dv = growInts(sc.du, w), growInts(sc.dv, w)
-	for lo := 0; lo < len(g.Edges); lo += w {
-		hi := lo + w
-		if hi > len(g.Edges) {
-			hi = len(g.Edges)
-		}
-		win := int32(lo/w) + 1
-		// Degree pre-pass: the partial degrees an edge scores with are those
-		// after its own endpoints' increments, captured here in stream order.
-		for i := lo; i < hi; i++ {
-			e := g.Edges[i]
-			partial[e.Src]++
-			partial[e.Dst]++
-			sc.du[i-lo] = partial[e.Src]
-			sc.dv[i-lo] = partial[e.Dst]
-		}
-		parallelRanges(hi-lo, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				e := g.Edges[lo+r]
-				sc.maskU[r] = placed[e.Src]
-				sc.maskV[r] = placed[e.Dst]
-				du, dv := float64(sc.du[r]), float64(sc.dv[r])
-				thetaU := du / (du + dv)
-				thetaV := 1 - thetaU
-				sc.gU[r] = 1 + (1 - thetaU)
-				sc.gV[r] = 1 + (1 - thetaV)
-			}
-		})
-		for i := lo; i < hi; i++ {
-			r := i - lo
-			e := g.Edges[i]
-			maskU, maskV := sc.maskU[r], sc.maskV[r]
-			if touched[e.Src] == win {
-				maskU = placed[e.Src]
-			}
-			if touched[e.Dst] == win {
-				maskV = placed[e.Dst]
-			}
-			best := scoreEdge(i, maskU, maskV, sc.gU[r], sc.gV[r])
-			owner[i] = best
-			rawLoad[best]++
-			load[best] = float64(rawLoad[best]) / (shares[best] * float64(len(g.Edges)+1))
-			bit := uint64(1) << uint(best)
-			if placed[e.Src]&bit == 0 {
-				placed[e.Src] |= bit
-				touched[e.Src] = win
-			}
-			if placed[e.Dst]&bit == 0 {
-				placed[e.Dst] |= bit
-				touched[e.Dst] = win
-			}
-		}
+	for i, e := range g.Edges {
+		partial[e.Src]++
+		partial[e.Dst]++
+		du, dv := float64(partial[e.Src]), float64(partial[e.Dst])
+		thetaU := du / (du + dv)
+		thetaV := 1 - thetaU
+		best := scoreEdge(i, placed[e.Src], placed[e.Dst], 1+(1-thetaU), 1+(1-thetaV))
+		owner[i] = best
+		rawLoad[best]++
+		// Normalized load: edges relative to the CCR-proportional target.
+		load[best] = float64(rawLoad[best]) / (shares[best] * float64(len(g.Edges)+1))
+		placed[e.Src] |= 1 << uint(best)
+		placed[e.Dst] |= 1 << uint(best)
 	}
 	return owner, nil
 }

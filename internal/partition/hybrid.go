@@ -27,8 +27,8 @@ func (*Hybrid) Name() string { return "hybrid" }
 
 // Partition implements Partitioner. Given exact in-degrees, every edge's
 // owner is a pure function of its endpoints and the seed, so both the
-// in-degree count and the assignment scan shard across ParallelShards
-// workers; the result is bit-identical to referenceHybrid at any shard count.
+// in-degree count and the assignment scan shard across GOMAXPROCS
+// workers; the result is bit-identical to referenceHybrid at any worker count.
 func (h *Hybrid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err

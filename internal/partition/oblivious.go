@@ -36,17 +36,12 @@ func obliviousCandidates(maskU, maskV, allMask uint64) uint64 {
 	return allMask
 }
 
-// Partition implements Partitioner. The stream is order-dependent (each
-// placement updates the replica masks and loads the next edge reads), so
-// multi-shard runs window-batch it: a parallel phase computes every window
-// edge's candidate mask against the replica masks frozen at the window
-// boundary, and the sequential commit consumes a hint only when neither
-// endpoint's mask changed inside the window (per-vertex epoch stamps),
-// recomputing from live state otherwise. Single-candidate hints commit
-// without touching the load vector at all — the common case once the stream
-// warms up, since most edges land inside an endpoint's existing replica set.
-// Owner vectors are bit-identical to referenceOblivious at every shard count
-// and window size.
+// Partition implements Partitioner. The stream is order-dependent — each
+// placement updates the replica masks and loads the next edge reads — so it
+// runs as one sequential loop, bit-identical to referenceOblivious.
+// Single-candidate edges commit without touching the load vector at all: the
+// common case once the stream warms up, since most edges land inside an
+// endpoint's existing replica set.
 func (*Oblivious) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
@@ -78,56 +73,12 @@ func (*Oblivious) Partition(g *graph.Graph, shares []float64, seed uint64) ([]in
 		return best
 	}
 
-	if resolveShards(len(g.Edges)) == 1 {
-		for i, e := range g.Edges {
-			best := pickBest(obliviousCandidates(placed[e.Src], placed[e.Dst], allMask))
-			owner[i] = best
-			load[best]++
-			placed[e.Src] |= 1 << uint(best)
-			placed[e.Dst] |= 1 << uint(best)
-		}
-		return owner, nil
-	}
-
-	// touched[v] is the 1-based window index in which placed[v] last gained a
-	// bit; a hint is stale iff either endpoint was touched in the current
-	// window (earlier windows' changes are already in the snapshot).
-	touched := make([]int32, g.NumVertices)
-	sc := streamScratchPool.Get().(*streamScratch)
-	defer streamScratchPool.Put(sc)
-	sc.cand = growMasks(sc.cand, streamWindowSize)
-	cand := sc.cand
-	for lo := 0; lo < len(g.Edges); lo += streamWindowSize {
-		hi := lo + streamWindowSize
-		if hi > len(g.Edges) {
-			hi = len(g.Edges)
-		}
-		win := int32(lo/streamWindowSize) + 1
-		parallelRanges(hi-lo, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				e := g.Edges[lo+r]
-				cand[r] = obliviousCandidates(placed[e.Src], placed[e.Dst], allMask)
-			}
-		})
-		for i := lo; i < hi; i++ {
-			e := g.Edges[i]
-			candidates := cand[i-lo]
-			if touched[e.Src] == win || touched[e.Dst] == win {
-				candidates = obliviousCandidates(placed[e.Src], placed[e.Dst], allMask)
-			}
-			best := pickBest(candidates)
-			owner[i] = best
-			load[best]++
-			bit := uint64(1) << uint(best)
-			if placed[e.Src]&bit == 0 {
-				placed[e.Src] |= bit
-				touched[e.Src] = win
-			}
-			if placed[e.Dst]&bit == 0 {
-				placed[e.Dst] |= bit
-				touched[e.Dst] = win
-			}
-		}
+	for i, e := range g.Edges {
+		best := pickBest(obliviousCandidates(placed[e.Src], placed[e.Dst], allMask))
+		owner[i] = best
+		load[best]++
+		placed[e.Src] |= 1 << uint(best)
+		placed[e.Dst] |= 1 << uint(best)
 	}
 	return owner, nil
 }

@@ -6,25 +6,15 @@ import (
 	"sync"
 )
 
-// ParallelShards overrides the ingress pipeline's worker count when positive;
-// zero (the default) means one worker per available CPU. Like the engine's
-// Options.Workers, the shard count never affects results: the
-// order-independent partitioners (random, hybrid, ginger's hash phases)
-// shard freely, and the order-dependent streams (oblivious, hdrf, ginger's
-// greedy refinement) run window-batched — parallel hint phases against a
-// window-boundary snapshot, sequential validated commits (see window.go) —
-// so every owner vector is bit-identical to the sequential specs in
-// reference.go at any shard count, pinned by the ingress differential test.
-// Grid remains fully sequential (its constraint sets are cheap lookups with
-// nothing to precompute).
-var ParallelShards int
-
-// resolveShards returns the worker count for n independent items.
+// resolveShards returns the worker count for n independent items: one per
+// available CPU, as engine.NewPlacement's block compile does. Only the
+// order-independent scans shard (random, hybrid, ginger's hash phases, the
+// in-degree count, the amend replays); every slot they write is a pure
+// function of its index, so the worker count never affects an owner vector.
+// The order-dependent streams (oblivious, hdrf, grid, ginger's refinement)
+// are sequential by definition.
 func resolveShards(n int) int {
-	s := ParallelShards
-	if s <= 0 {
-		s = runtime.GOMAXPROCS(0)
-	}
+	s := runtime.GOMAXPROCS(0)
 	if s > n {
 		s = n
 	}

@@ -1,26 +1,18 @@
 package partition
 
 import (
+	"runtime"
 	"testing"
 
 	"proxygraph/internal/rng"
 )
 
-// setShards overrides the package worker knob for one test.
-func setShards(t *testing.T, n int) {
+// withProcs runs the rest of the test at GOMAXPROCS n — the only thing the
+// sharded scans' worker count depends on — and restores it afterwards.
+func withProcs(t testing.TB, n int) {
 	t.Helper()
-	prev := ParallelShards
-	ParallelShards = n
-	t.Cleanup(func() { ParallelShards = prev })
-}
-
-// setWindows shrinks the window-batching sizes for one test, forcing many
-// windows (and the cross-window hint validation paths) on small test graphs.
-func setWindows(t *testing.T, n int) {
-	t.Helper()
-	prevG, prevS := gingerWindowSize, streamWindowSize
-	gingerWindowSize, streamWindowSize = n, n
-	t.Cleanup(func() { gingerWindowSize, streamWindowSize = prevG, prevS })
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // diffShareVectors are the share shapes the differential suite sweeps: the
@@ -42,14 +34,11 @@ func diffShareVectors(t *testing.T, m int) [][]float64 {
 	return vectors
 }
 
-// TestIngressDifferential pins the parallel production partitioners to their
+// TestIngressDifferential pins the production partitioners to their
 // sequential executable specs: random, hybrid, ginger, oblivious and hdrf
-// must produce bit-identical owner vectors to reference.go at every shard
-// count, window size, machine count and share shape, and every partitioner
-// must be invariant to the shard and window knobs. The 64-entry window forces
-// dozens of windows on the test graph, exercising the cross-window hint
-// validation (ginger's histogram patching, the streaming epoch stamps) that a
-// single window would never hit.
+// must produce bit-identical owner vectors to reference.go at every
+// GOMAXPROCS, machine count and share shape, and every partitioner (grid
+// included) must be invariant to the worker count.
 func TestIngressDifferential(t *testing.T) {
 	g := testGraph(t, 71, 800, 6400)
 	const seed = 101
@@ -62,34 +51,31 @@ func TestIngressDifferential(t *testing.T) {
 				"oblivious": referenceOblivious(g, shares),
 				"hdrf":      referenceHDRF(NewHDRF(), g, shares, seed),
 			}
-			// Baseline owner vectors, shared across every shard count and
-			// window size: the knobs must never change a single edge.
+			// Baseline owner vectors, shared across every worker count: the
+			// host's core count must never change a single edge.
 			base := map[string][]int32{}
-			for _, window := range []int{64, 4096} {
-				setWindows(t, window)
-				for _, shards := range []int{1, 2, 3, 8} {
-					setShards(t, shards)
-					for _, p := range WithExtensions() {
-						owner, err := p.Partition(g, shares, seed)
-						if err != nil {
-							t.Fatalf("%s/m=%d/shares=%d/shards=%d: %v", p.Name(), m, si, shards, err)
-						}
-						if want, ok := refs[p.Name()]; ok {
-							for i := range owner {
-								if owner[i] != want[i] {
-									t.Fatalf("%s/m=%d/shares=%d/shards=%d/window=%d: edge %d owner %d, reference %d",
-										p.Name(), m, si, shards, window, i, owner[i], want[i])
-								}
+			for _, procs := range []int{1, 2, 3, 8} {
+				withProcs(t, procs)
+				for _, p := range WithExtensions() {
+					owner, err := p.Partition(g, shares, seed)
+					if err != nil {
+						t.Fatalf("%s/m=%d/shares=%d/procs=%d: %v", p.Name(), m, si, procs, err)
+					}
+					if want, ok := refs[p.Name()]; ok {
+						for i := range owner {
+							if owner[i] != want[i] {
+								t.Fatalf("%s/m=%d/shares=%d/procs=%d: edge %d owner %d, reference %d",
+									p.Name(), m, si, procs, i, owner[i], want[i])
 							}
 						}
-						if prev, ok := base[p.Name()]; !ok {
-							base[p.Name()] = owner
-						} else {
-							for i := range owner {
-								if owner[i] != prev[i] {
-									t.Fatalf("%s/m=%d/shares=%d: shards %d window %d changed edge %d (%d vs %d)",
-										p.Name(), m, si, shards, window, i, owner[i], prev[i])
-								}
+					}
+					if prev, ok := base[p.Name()]; !ok {
+						base[p.Name()] = owner
+					} else {
+						for i := range owner {
+							if owner[i] != prev[i] {
+								t.Fatalf("%s/m=%d/shares=%d: procs %d changed edge %d (%d vs %d)",
+									p.Name(), m, si, procs, i, owner[i], prev[i])
 							}
 						}
 					}

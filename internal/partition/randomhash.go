@@ -16,8 +16,8 @@ func NewRandomHash() *RandomHash { return &RandomHash{} }
 func (*RandomHash) Name() string { return "random" }
 
 // Partition implements Partitioner. Every edge's owner is a pure function of
-// its endpoints and the seed, so the scan is sharded across ParallelShards
-// workers; the result is bit-identical to referenceRandom at any shard count.
+// its endpoints and the seed, so the scan is sharded across GOMAXPROCS
+// workers; the result is bit-identical to referenceRandom at any worker count.
 func (*RandomHash) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
