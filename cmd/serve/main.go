@@ -12,6 +12,7 @@
 //	GET  /tenants                                         -> per-tenant usage
 //	GET  /healthz                                         -> 200 "ok"
 //	GET  /metrics                                         -> Prometheus text
+//	GET  /debug/pprof/...                                 -> runtime profiles (only with -pprof)
 //
 // Usage:
 //
@@ -35,10 +36,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -61,6 +64,7 @@ type appConfig struct {
 	seed         uint64
 	traceOut     string
 	journalPath  string
+	pprof        bool
 	drainTimeout time.Duration
 	svc          service.Config
 }
@@ -90,6 +94,7 @@ func buildConfig(args []string) (*appConfig, error) {
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON here on shutdown")
 		journal     = fs.String("journal", "", "write-ahead job journal path; enables crash-restart recovery (empty = in-memory only)")
 		drain       = fs.Float64("drain-timeout", 10, "seconds to let queued/running jobs finish on SIGTERM/SIGINT before canceling them")
+		profile     = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the same listener")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -143,6 +148,7 @@ func buildConfig(args []string) (*appConfig, error) {
 		seed:         *seed,
 		traceOut:     *traceOut,
 		journalPath:  *journal,
+		pprof:        *profile,
 		drainTimeout: time.Duration(*drain * float64(time.Second)),
 		svc: service.Config{
 			Cluster:          cl,
@@ -205,6 +211,13 @@ type server struct {
 	journal service.Journal // nil without -journal
 	// retryAfterBreaker is the Retry-After hint for breaker rejections.
 	retryAfterBreaker int
+	// pprof mounts the runtime profile handlers on the mux.
+	pprof bool
+	// scrape serialises /metrics, and exported holds each lifetime counter's
+	// value as of the previous scrape: the service keeps totals, a registry
+	// counter takes increments, so a scrape adds what the total grew by.
+	scrape   sync.Mutex
+	exported map[string]uint64
 }
 
 // newServer generates the Table II graph catalog at 1/scale and starts the
@@ -267,7 +280,8 @@ func newServer(cfg *appConfig, extra trace.Collector) (*server, error) {
 		retryAfter = int(cfg.svc.BreakerCooldown + 0.999)
 	}
 	return &server{svc: svc, reg: reg, graphs: graphs, seeds: seeds,
-		journal: journal, retryAfterBreaker: retryAfter}, nil
+		journal: journal, retryAfterBreaker: retryAfter,
+		pprof: cfg.pprof, exported: make(map[string]uint64)}, nil
 }
 
 // submitRequest is the POST /jobs payload.
@@ -400,17 +414,19 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Fold the point-in-time service state into gauges alongside the
-	// event-driven series the Observer maintains.
+	// Fold the service's own state into the registry alongside the
+	// event-driven series the Observer maintains: lifetime totals as
+	// counters, point-in-time state as gauges.
+	s.scrape.Lock()
 	c := s.svc.Counters()
-	s.reg.Gauge("proxygraph_jobs_completed", "jobs completed").Set(float64(c.Completed))
-	s.reg.Gauge("proxygraph_jobs_failed", "jobs terminally failed").Set(float64(c.Failed))
-	s.reg.Gauge("proxygraph_jobs_submitted", "submissions").Set(float64(c.Submitted))
-	s.reg.Gauge("proxygraph_jobs_deduped", "submissions answered by idempotency key").Set(float64(c.Deduped))
-	s.reg.Gauge("proxygraph_journal_appends", "journal records made durable").Set(float64(c.JournalAppends))
-	s.reg.Gauge("proxygraph_journal_errors", "journal write failures").Set(float64(c.JournalErrors))
-	s.reg.Gauge("proxygraph_jobs_recovered_done", "terminal jobs rebuilt from the journal at startup").Set(float64(c.RecoveredDone))
-	s.reg.Gauge("proxygraph_jobs_recovered_requeued", "in-flight jobs re-enqueued from the journal at startup").Set(float64(c.RecoveredRequeued))
+	s.exportCounter("proxygraph_jobs_completed", "jobs completed", c.Completed)
+	s.exportCounter("proxygraph_jobs_failed", "jobs terminally failed", c.Failed)
+	s.exportCounter("proxygraph_jobs_submitted", "submissions", c.Submitted)
+	s.exportCounter("proxygraph_jobs_deduped", "submissions answered by idempotency key", c.Deduped)
+	s.exportCounter("proxygraph_journal_appends", "journal records made durable", c.JournalAppends)
+	s.exportCounter("proxygraph_journal_errors", "journal write failures", c.JournalErrors)
+	s.exportCounter("proxygraph_jobs_recovered_done", "terminal jobs rebuilt from the journal at startup", c.RecoveredDone)
+	s.exportCounter("proxygraph_jobs_recovered_requeued", "in-flight jobs re-enqueued from the journal at startup", c.RecoveredRequeued)
 	degraded, _ := s.svc.Degraded()
 	degVal := 0.0
 	if degraded {
@@ -418,15 +434,26 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.reg.Gauge("proxygraph_degraded", "1 while the job service is in degraded mode.").Set(degVal)
 	if stats := s.svc.CacheStats(); stats != nil {
-		s.reg.Gauge("proxygraph_placement_cache_hits", "placement cache hits").Set(float64(stats.Hits))
-		s.reg.Gauge("proxygraph_placement_cache_misses", "placement cache misses").Set(float64(stats.Misses))
-		s.reg.Gauge("proxygraph_placement_cache_evictions", "placement cache evictions").Set(float64(stats.Evictions))
+		s.exportCounter("proxygraph_placement_cache_hits", "placement cache hits", stats.Hits)
+		s.exportCounter("proxygraph_placement_cache_misses", "placement cache misses", stats.Misses)
+		s.exportCounter("proxygraph_placement_cache_evictions", "placement cache evictions", stats.Evictions)
 		s.reg.Gauge("proxygraph_placement_cache_entries", "placement cache entries").Set(float64(stats.Entries))
 		s.reg.Gauge("proxygraph_placement_cache_bytes", "placement cache approximate bytes").Set(float64(stats.Bytes))
 	}
+	s.scrape.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// exportCounter brings the registry counter name up to total, a lifetime
+// count the service maintains. The caller holds s.scrape.
+func (s *server) exportCounter(name, help string, total uint64) {
+	c := s.reg.Counter(name, help)
+	if last := s.exported[name]; total > last {
+		c.Add(float64(total - last))
+		s.exported[name] = total
 	}
 }
 
@@ -453,6 +480,15 @@ func (s *server) mux() *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", s.handleMetrics)
+	if s.pprof {
+		// Index serves every named profile below the prefix; the four
+		// handlers that are not runtime/pprof profiles need their own routes.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	return mux
 }
 

@@ -262,25 +262,123 @@ func TestServeHTTP(t *testing.T) {
 	}
 
 	// Metrics: real Prometheus exposition with both observer-fed series and
-	// the point-in-time cache/service gauges.
-	resp, err = http.Get(ts.URL + "/metrics")
+	// the service's own state — lifetime totals typed as counters,
+	// point-in-time state as gauges.
+	first := scrapeMetrics(t, ts.URL)
+	if first.typ["proxygraph_admissions_total"] != "counter" {
+		t.Error("metrics missing the observer-fed proxygraph_admissions_total")
+	}
+	counters := []string{
+		"proxygraph_jobs_completed", "proxygraph_jobs_failed", "proxygraph_jobs_submitted", "proxygraph_jobs_deduped",
+		"proxygraph_journal_appends", "proxygraph_journal_errors",
+		"proxygraph_jobs_recovered_done", "proxygraph_jobs_recovered_requeued",
+		"proxygraph_placement_cache_hits", "proxygraph_placement_cache_misses", "proxygraph_placement_cache_evictions",
+	}
+	for _, name := range counters {
+		if first.typ[name] != "counter" {
+			t.Errorf("%s is exported as %q, want a counter", name, first.typ[name])
+		}
+	}
+	for _, name := range []string{"proxygraph_degraded", "proxygraph_placement_cache_entries", "proxygraph_placement_cache_bytes"} {
+		if first.typ[name] != "gauge" {
+			t.Errorf("%s is exported as %q, want a gauge", name, first.typ[name])
+		}
+	}
+	if got, want := first.value["proxygraph_jobs_completed"], float64(srv.svc.Counters().Completed); got != want || got < 4 {
+		t.Errorf("proxygraph_jobs_completed %v, the service counts %v", got, want)
+	}
+
+	// A counter never decreases between scrapes, and a scrape adds only what
+	// happened since the previous one: an idle scrape changes nothing, one
+	// more job moves the totals by exactly that job.
+	idle := scrapeMetrics(t, ts.URL)
+	resp, m = post(`{"tenant":"gold","app":"bfs","graph":"wiki"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit between scrapes: %d %v", resp.StatusCode, m)
+	}
+	if st, err := srv.svc.Wait(context.Background(), int(m["id"].(float64))); err != nil || st.State != "done" {
+		t.Fatalf("job between scrapes: %+v %v", st, err)
+	}
+	after := scrapeMetrics(t, ts.URL)
+	for _, name := range counters {
+		if idle.value[name] != first.value[name] {
+			t.Errorf("%s moved from %v to %v with nothing submitted", name, first.value[name], idle.value[name])
+		}
+		if after.value[name] < idle.value[name] {
+			t.Errorf("%s fell from %v to %v", name, idle.value[name], after.value[name])
+		}
+	}
+	for _, name := range []string{"proxygraph_jobs_completed", "proxygraph_jobs_submitted", "proxygraph_placement_cache_misses"} {
+		if after.value[name] != idle.value[name]+1 {
+			t.Errorf("%s went from %v to %v over one more job on a new graph", name, idle.value[name], after.value[name])
+		}
+	}
+}
+
+// metricsScrape is one parsed /metrics response: the unlabelled samples and
+// every family's declared type.
+type metricsScrape struct {
+	value map[string]float64
+	typ   map[string]string
+}
+
+func scrapeMetrics(t *testing.T, base string) metricsScrape {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	body := string(raw)
-	for _, want := range []string{
-		"proxygraph_admissions_total",
-		"proxygraph_jobs_completed",
-		"proxygraph_placement_cache_hits",
-		"# TYPE",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
+	out := metricsScrape{value: map[string]float64{}, typ: map[string]string{}}
+	for _, line := range strings.Split(string(raw), "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) == 4 && fields[0] == "#" && fields[1] == "TYPE":
+			out.typ[fields[2]] = fields[3]
+		case len(fields) == 2 && !strings.HasPrefix(line, "#"):
+			v, err := strconv.ParseFloat(fields[1], 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			out.value[fields[0]] = v
 		}
+	}
+	return out
+}
+
+// TestPprofBehindFlag: the profile endpoints exist only when asked for.
+func TestPprofBehindFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, http.StatusNotFound},
+		{[]string{"-pprof"}, http.StatusOK},
+	} {
+		cfg, err := buildConfig(append([]string{"-scale", "2048"}, tc.args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := newServer(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.mux())
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1", "/debug/pprof/cmdline"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("serve %v: GET %s answered %d, want %d", tc.args, path, resp.StatusCode, tc.want)
+			}
+		}
+		ts.Close()
+		srv.svc.Close()
 	}
 }

@@ -55,12 +55,15 @@ func (b *BFS) ApplyAll() bool { return false }
 // MaxSupersteps implements engine.Program.
 func (b *BFS) MaxSupersteps() int { return b.MaxIters }
 
-// Init implements engine.Program.
-func (b *BFS) Init(v graph.VertexID, outDeg, inDeg int32) int32 {
-	if v == b.Source {
-		return 0
+// Init implements engine.Program: the source at distance 0, everything else
+// unreached.
+func (b *BFS) Init(vals []int32, g *graph.Graph) {
+	for v := range vals {
+		vals[v] = unreached
 	}
-	return unreached
+	if int(b.Source) < len(vals) {
+		vals[b.Source] = 0
+	}
 }
 
 // Fold implements engine.Program: a reached source offers distance+1 and the
@@ -99,16 +102,17 @@ func (b *BFS) Fold(acc int32, has bool, vals []int32, srcs []graph.VertexID, act
 	return int32(best), int32(n)
 }
 
-// Apply implements engine.Program.
-func (b *BFS) Apply(v graph.VertexID, val *int32, acc int32, hasAcc bool, rt *engine.Runtime) bool {
-	if !hasAcc || acc == unreached {
-		return false
+// Apply implements engine.Program: a vertex takes a gathered distance that
+// beats its own and signals. Compared as uint32 (see Fold), an accumulator of
+// unreached beats nothing and every real distance beats unreached.
+func (b *BFS) Apply(vs []graph.VertexID, vals []int32, acc []int32, has []bool, rt *engine.Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		if has[v] && uint32(acc[v]) < uint32(vals[v]) {
+			vals[v] = acc[v]
+			signal = append(signal, v)
+		}
 	}
-	if *val == unreached || acc < *val {
-		*val = acc
-		return true
-	}
-	return false
+	return signal
 }
 
 // Run implements App. The Output is the []int32 distance vector

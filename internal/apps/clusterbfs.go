@@ -89,22 +89,24 @@ func (c *ClusterBFS) ApplyAll() bool { return false }
 func (c *ClusterBFS) MaxSupersteps() int { return c.MaxIters }
 
 // Init implements engine.Program: a source starts with its own lane bit set
-// at distance 0, every other lane unreached.
-func (c *ClusterBFS) Init(v graph.VertexID, outDeg, inDeg int32) ClusterState {
-	var st ClusterState
-	for j := range st.Dist {
-		st.Dist[j] = unreached
+// at distance 0, every other lane unreached. The 264-byte states are written
+// where they live.
+func (c *ClusterBFS) Init(vals []ClusterState, g *graph.Graph) {
+	for v := range vals {
+		dist := &vals[v].Dist
+		for j := range dist {
+			dist[j] = unreached
+		}
 	}
 	for j, s := range c.Sources {
 		if j >= MaxBatchSources {
 			break
 		}
-		if s == v {
-			st.Seen |= 1 << uint(j)
-			st.Dist[j] = 0
+		if int(s) < len(vals) {
+			vals[s].Seen |= 1 << uint(j)
+			vals[s].Dist[j] = 0
 		}
 	}
-	return st
 }
 
 // Fold implements engine.Program: OR the active sources' reach words into the
@@ -142,20 +144,24 @@ func (c *ClusterBFS) Fold(acc uint64, has bool, vals []ClusterState, srcs []grap
 // least one fresh lane landed, exactly the per-source frontier rule of
 // scalar BFS, folded over 64 lanes with one AND-NOT. Only the fresh lanes of
 // the 264-byte state are written, where it lives.
-func (c *ClusterBFS) Apply(v graph.VertexID, val *ClusterState, acc uint64, hasAcc bool, rt *engine.Runtime) bool {
-	if !hasAcc {
-		return false
-	}
-	fresh := acc &^ val.Seen
-	if fresh == 0 {
-		return false
-	}
-	val.Seen |= fresh
+func (c *ClusterBFS) Apply(vs []graph.VertexID, vals []ClusterState, acc []uint64, has []bool, rt *engine.Runtime, signal []graph.VertexID) []graph.VertexID {
 	d := int32(rt.Step) + 1
-	for m := fresh; m != 0; m &= m - 1 {
-		val.Dist[bits.TrailingZeros64(m)] = d
+	for _, v := range vs {
+		if !has[v] {
+			continue
+		}
+		val := &vals[v]
+		fresh := acc[v] &^ val.Seen
+		if fresh == 0 {
+			continue
+		}
+		val.Seen |= fresh
+		for m := fresh; m != 0; m &= m - 1 {
+			val.Dist[bits.TrailingZeros64(m)] = d
+		}
+		signal = append(signal, v)
 	}
-	return true
+	return signal
 }
 
 // ClusterLabels is ClusterBFS's output: the packed per-vertex reach words

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 
 	"proxygraph/internal/cluster"
@@ -55,8 +56,10 @@ func (cc *ConnectedComponents) ApplyAll() bool { return false }
 func (cc *ConnectedComponents) MaxSupersteps() int { return cc.MaxIters }
 
 // Init implements engine.Program: every vertex starts as its own label.
-func (cc *ConnectedComponents) Init(v graph.VertexID, outDeg, inDeg int32) uint32 {
-	return uint32(v)
+func (cc *ConnectedComponents) Init(vals []uint32, g *graph.Graph) {
+	for v := range vals {
+		vals[v] = uint32(v)
+	}
 }
 
 // Fold implements engine.Program: keep the smallest label among the active
@@ -87,13 +90,16 @@ func (cc *ConnectedComponents) Fold(acc uint32, has bool, vals []uint32, srcs []
 	return best, int32(n)
 }
 
-// Apply implements engine.Program.
-func (cc *ConnectedComponents) Apply(v graph.VertexID, val *uint32, acc uint32, hasAcc bool, rt *engine.Runtime) bool {
-	if hasAcc && acc < *val {
-		*val = acc
-		return true
+// Apply implements engine.Program: a vertex takes a smaller gathered label
+// and signals.
+func (cc *ConnectedComponents) Apply(vs []graph.VertexID, vals []uint32, acc []uint32, has []bool, rt *engine.Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		if has[v] && acc[v] < vals[v] {
+			vals[v] = acc[v]
+			signal = append(signal, v)
+		}
 	}
-	return false
+	return signal
 }
 
 // Run implements App. The Output is a Components summary.
@@ -113,17 +119,24 @@ type Components struct {
 	Largest int
 }
 
-// SummarizeComponents counts distinct labels and the largest component.
+// SummarizeComponents counts distinct labels and the largest component. A
+// label is the ID of a vertex of the labelled graph, so sizes are counted in a
+// slice indexed by label; a label that is no such ID is a bug upstream (Resume
+// rejects a prior labelling that would produce one) and panics.
 func SummarizeComponents(labels []uint32) Components {
-	sizes := map[uint32]int{}
+	sizes := make([]int32, len(labels))
 	for _, l := range labels {
+		if int(l) >= len(sizes) {
+			panic(fmt.Sprintf("apps: component label %d is not a vertex of a %d-vertex graph", l, len(labels)))
+		}
 		sizes[l]++
 	}
-	largest := 0
+	count, largest := 0, int32(0)
 	for _, s := range sizes {
-		if s > largest {
-			largest = s
+		if s > 0 {
+			count++
 		}
+		largest = max(largest, s)
 	}
-	return Components{Labels: labels, Count: len(sizes), Largest: largest}
+	return Components{Labels: labels, Count: count, Largest: int(largest)}
 }

@@ -148,11 +148,11 @@ func (hopsProgram) Direction() engine.Direction { return engine.GatherIn }
 func (hopsProgram) ApplyAll() bool              { return false }
 func (hopsProgram) MaxSupersteps() int          { return 500 }
 
-func (hopsProgram) Init(v graph.VertexID, outDeg, inDeg int32) float64 {
-	if v == 0 {
-		return 0
+func (hopsProgram) Init(vals []float64, g *graph.Graph) {
+	for v := range vals {
+		vals[v] = math.Inf(1)
 	}
-	return math.Inf(1)
+	vals[0] = 0
 }
 
 func (hopsProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.VertexID, act []bool) (float64, int32) {
@@ -171,12 +171,14 @@ func (hopsProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.Vert
 	return acc, n
 }
 
-func (hopsProgram) Apply(v graph.VertexID, val *float64, acc float64, hasAcc bool, rt *engine.Runtime) bool {
-	if hasAcc && acc < *val {
-		*val = acc
-		return true
+func (hopsProgram) Apply(vs []graph.VertexID, vals []float64, acc []float64, has []bool, rt *engine.Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		if has[v] && acc[v] < vals[v] {
+			vals[v] = acc[v]
+			signal = append(signal, v)
+		}
 	}
-	return false
+	return signal
 }
 
 // coreState is cascadeProgram's vertex state: the residual degree and whether
@@ -197,8 +199,11 @@ func (cascadeProgram) Direction() engine.Direction { return engine.GatherBoth }
 func (cascadeProgram) ApplyAll() bool              { return false }
 func (cascadeProgram) MaxSupersteps() int          { return 500 }
 
-func (cascadeProgram) Init(v graph.VertexID, outDeg, inDeg int32) coreState {
-	return coreState{deg: outDeg + inDeg}
+func (cascadeProgram) Init(vals []coreState, g *graph.Graph) {
+	for _, e := range g.Edges {
+		vals[e.Src].deg++
+		vals[e.Dst].deg++
+	}
 }
 
 // Fold: a neighbor that was just peeled contributes one lost degree.
@@ -223,20 +228,23 @@ func (cascadeProgram) Fold(acc int32, has bool, vals []coreState, srcs []graph.V
 }
 
 // Apply: only the transition into removal signals neighbors, so each peeled
-// vertex is gathered from exactly once. A surviving vertex returns false and
+// vertex is gathered from exactly once. A surviving vertex does not signal and
 // still keeps the degree it just lowered in place.
-func (p cascadeProgram) Apply(v graph.VertexID, val *coreState, acc int32, hasAcc bool, rt *engine.Runtime) bool {
-	if val.removed {
-		return false
+func (p cascadeProgram) Apply(vs []graph.VertexID, vals []coreState, acc []int32, has []bool, rt *engine.Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		val := &vals[v]
+		if val.removed {
+			continue
+		}
+		if has[v] {
+			val.deg -= acc[v]
+		}
+		if val.deg < p.k {
+			val.removed = true
+			signal = append(signal, v)
+		}
 	}
-	if hasAcc {
-		val.deg -= acc
-	}
-	if val.deg < p.k {
-		val.removed = true
-		return true
-	}
-	return false
+	return signal
 }
 
 func TestEngineEquivalenceSixApps(t *testing.T) {

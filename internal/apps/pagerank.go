@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
@@ -65,13 +66,21 @@ func (pr *PageRank) ApplyAll() bool { return true }
 // MaxSupersteps implements engine.Program.
 func (pr *PageRank) MaxSupersteps() int { return pr.MaxIters }
 
-// Init implements engine.Program.
-func (pr *PageRank) Init(v graph.VertexID, outDeg, inDeg int32) prState {
-	s := prState{rank: 1}
-	if outDeg > 0 {
-		s.invOut = 1 / float64(outDeg)
+// Init implements engine.Program: rank 1 everywhere and 1/L(v) for every
+// vertex with out-edges. The out-degrees are counted straight into invOut —
+// small integers are exact in a float64, so inverting the count gives the bits
+// of 1/float64(outDegree) without a degree array in between.
+func (pr *PageRank) Init(vals []prState, g *graph.Graph) {
+	for _, e := range g.Edges {
+		vals[e.Src].invOut++
 	}
-	return s
+	for v := range vals {
+		s := &vals[v]
+		s.rank = 1
+		if s.invOut > 0 {
+			s.invOut = 1 / s.invOut
+		}
+	}
 }
 
 // Fold implements engine.Program: Σ PR(s)/L(s) over the active sources. The
@@ -95,16 +104,22 @@ func (pr *PageRank) Fold(acc float64, has bool, vals []prState, srcs []graph.Ver
 	return acc, n
 }
 
-// Apply implements engine.Program.
-func (pr *PageRank) Apply(v graph.VertexID, val *prState, acc float64, hasAcc bool, rt *engine.Runtime) bool {
-	sum := 0.0
-	if hasAcc {
-		sum = acc
+// Apply implements engine.Program: Eq 8 for every vertex of vs; a vertex
+// signals while its rank still moves by more than Tolerance. The parameters
+// are read once — every store into vals could alias pr otherwise.
+func (pr *PageRank) Apply(vs []graph.VertexID, vals []prState, acc []float64, has []bool, rt *engine.Runtime, signal []graph.VertexID) []graph.VertexID {
+	damping, tolerance := pr.Damping, pr.Tolerance
+	teleport := 1 - damping
+	n := len(signal)
+	signal = slices.Grow(signal, len(vs))[:n+len(vs)]
+	for _, v := range vs {
+		sum := math.Float64frombits(math.Float64bits(acc[v]) & -uint64(activeBit(has[v])))
+		newRank := teleport + damping*sum
+		signal[n] = v
+		n += int(activeBit(math.Abs(newRank-vals[v].rank) > tolerance))
+		vals[v].rank = newRank
 	}
-	newRank := (1 - pr.Damping) + pr.Damping*sum
-	changed := math.Abs(newRank-val.rank) > pr.Tolerance
-	val.rank = newRank
-	return changed
+	return signal[:n]
 }
 
 // Run implements App. The Output is the []float64 rank vector.

@@ -297,3 +297,225 @@ func checkFold[V comparable, A any](t *testing.T, prog engine.Program[V, A], src
 		}
 	}
 }
+
+// TestPropertyApplyContract pins engine.Program.Apply for the four shipped
+// programs the way TestPropertyFoldContract pins Fold: one call over a whole
+// vertex list equals the same list applied one vertex at a time — the form
+// RunReference uses — and split at a random point and chained, states bit for
+// bit and the same vertices signalled; acc, has and every vertex outside the
+// list are only read. The frontier programs leave a vertex that gathered
+// nothing alone. has sweeps the frontier densities, and acc holds garbage
+// where has is false: it is meaningful only where has[v].
+func TestPropertyApplyContract(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		check func(*testing.T, *rng.Source)
+	}{
+		{"pagerank", func(t *testing.T, src *rng.Source) {
+			// Ranks within and beyond Tolerance of what the accumulator gives,
+			// so both sides of the signal test are drawn.
+			checkApply[prState, float64](t, NewPageRank(), src, false, sameRank, func() prState {
+				return prState{rank: 0.15 + 0.85*float64(src.Intn(4)) + 2e-3*src.NormFloat64(), invOut: 1 / float64(1+src.Intn(9))}
+			}, func() float64 { return float64(src.Intn(4)) })
+			// A vertex that gathered nothing has an empty sum, whatever its
+			// accumulator slot still holds.
+			pr, vals := NewPageRank(), []prState{{rank: 3, invOut: 1}}
+			sig := pr.Apply([]graph.VertexID{0}, vals, []float64{7}, []bool{false}, &engine.Runtime{NumVertices: 1}, nil)
+			if want := 1 - pr.Damping; vals[0].rank != want || vals[0].invOut != 1 || len(sig) != 1 {
+				t.Fatalf("a vertex without gathers came out as %+v (signalled %v), want rank %v", vals[0], sig, want)
+			}
+		}},
+		{"connected_components", func(t *testing.T, src *rng.Source) {
+			label := func() uint32 { return uint32(src.Intn(12)) }
+			checkApply[uint32, uint32](t, NewConnectedComponents(), src, true, exact[uint32], label, label)
+		}},
+		{"bfs", func(t *testing.T, src *rng.Source) {
+			dist := func() int32 { return int32(src.Intn(8)) - 1 } // unreached (-1) included
+			checkApply[int32, int32](t, NewBFS(), src, true, exact[int32], dist, dist)
+		}},
+		{"cluster_bfs", func(t *testing.T, src *rng.Source) {
+			checkApply[ClusterState, uint64](t, NewClusterBFS(), src, true, exact[ClusterState], func() ClusterState {
+				st := ClusterState{Seen: src.Uint64() & src.Uint64()}
+				for j := range st.Dist {
+					st.Dist[j] = int32(src.Intn(9)) - 1
+				}
+				return st
+			}, func() uint64 { return src.Uint64() & src.Uint64() })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, rng.New(rng.HashString(tc.name))) })
+	}
+}
+
+// sameRank compares two PageRank states bit for bit.
+func sameRank(a, b prState) bool {
+	return math.Float64bits(a.rank) == math.Float64bits(b.rank) && math.Float64bits(a.invOut) == math.Float64bits(b.invOut)
+}
+
+// checkApply draws random value, accumulator and has arrays (0, 10, 50, 90 and
+// 100 % of the vertices gathered), a list of distinct vertices in random order
+// and a signal slice that already holds entries (with and without spare
+// capacity), and holds prog.Apply to the contract on each.
+func checkApply[V any, A comparable](t *testing.T, prog engine.Program[V, A], src *rng.Source, frontier bool, same func(a, b V) bool, state func() V, accum func() A) {
+	densities := []int{0, 10, 50, 90, 100}
+	for round := 0; round < 500; round++ {
+		n := 1 + src.Intn(48)
+		vals, acc, has := make([]V, n), make([]A, n), make([]bool, n)
+		for v := range vals {
+			vals[v], acc[v] = state(), accum()
+			has[v] = src.Intn(100) < densities[round%len(densities)]
+		}
+		vs := make([]graph.VertexID, src.Intn(n+1))
+		inList := make([]bool, n)
+		for i, v := range src.Perm(n)[:len(vs)] {
+			vs[i], inList[v] = graph.VertexID(v), true
+		}
+		// Entries already in signal must survive; n is no vertex, so they
+		// cannot be confused with a signalled one.
+		prefix := make([]graph.VertexID, src.Intn(3), 3+(round%2)*n)
+		for i := range prefix {
+			prefix[i] = graph.VertexID(n)
+		}
+		rt := &engine.Runtime{NumVertices: n, NumEdges: 4 * n, Step: src.Intn(20)}
+		accBefore, hasBefore := slices.Clone(acc), slices.Clone(has)
+
+		whole := slices.Clone(vals)
+		wholeSig := prog.Apply(vs, whole, acc, has, rt, slices.Clone(prefix))
+		single, singleSig := slices.Clone(vals), slices.Clone(prefix)
+		for i := range vs {
+			singleSig = prog.Apply(vs[i:i+1], single, acc, has, rt, singleSig)
+		}
+		cut := src.Intn(len(vs) + 1)
+		split := slices.Clone(vals)
+		splitSig := prog.Apply(vs[:cut], split, acc, has, rt, slices.Clone(prefix))
+		splitSig = prog.Apply(vs[cut:], split, acc, has, rt, splitSig)
+
+		if !slices.Equal(wholeSig, singleSig) || !slices.Equal(wholeSig, splitSig) {
+			t.Fatalf("round %d: signalled %v in one call, %v one vertex at a time, %v split at %d", round, wholeSig, singleSig, splitSig, cut)
+		}
+		if !slices.Equal(wholeSig[:len(prefix)], prefix) {
+			t.Fatalf("round %d: Apply rewrote the entries signal already held: %v", round, wholeSig)
+		}
+		signalled := make([]bool, n)
+		for _, v := range wholeSig[len(prefix):] {
+			if int(v) >= n || !inList[v] || signalled[v] {
+				t.Fatalf("round %d: signalled %v, not once each from the list %v", round, wholeSig[len(prefix):], vs)
+			}
+			signalled[v] = true
+		}
+		for v := range vals {
+			if !same(whole[v], single[v]) || !same(whole[v], split[v]) {
+				t.Fatalf("round %d: vertex %d is %v after one call, %v one vertex at a time, %v split at %d", round, v, whole[v], single[v], split[v], cut)
+			}
+			if !inList[v] && !same(whole[v], vals[v]) {
+				t.Fatalf("round %d: vertex %d is not in the list, yet %v became %v", round, v, vals[v], whole[v])
+			}
+			if frontier && !has[v] && (signalled[v] || !same(whole[v], vals[v])) {
+				t.Fatalf("round %d: vertex %d gathered nothing, yet %v became %v (signalled: %v)", round, v, vals[v], whole[v], signalled[v])
+			}
+		}
+		if !slices.Equal(acc, accBefore) || !slices.Equal(has, hasBefore) {
+			t.Fatalf("round %d: Apply wrote acc or has", round)
+		}
+	}
+}
+
+// TestPropertyInitContract pins engine.Program.Init for the shipped programs
+// and both Resume variants: filling the zeroed value array in one call equals
+// the per-vertex definition — PageRank's invOut the bits of 1/float64(out-
+// degree), every ClusterBFS lane, and the warm starts with a prior shorter
+// than |V| (the delta grew the ID space).
+func TestPropertyInitContract(t *testing.T) {
+	f := func(seed uint64, rawN, rawM uint16) bool {
+		g := propGraph(t, seed, rawN, rawM)
+		n := g.NumVertices
+		src := rng.New(seed)
+		outDeg := g.OutDegrees()
+		short := n - 1 - src.Intn(n/2) // the priors' length
+
+		wantRank := func(v int, rank float64) prState {
+			s := prState{rank: rank}
+			if outDeg[v] > 0 {
+				s.invOut = 1 / float64(outDeg[v])
+			}
+			return s
+		}
+		ok := initEquals(t, "pagerank", NewPageRank(), g, sameRank, func(v int) prState { return wantRank(v, 1) })
+
+		ranks := make([]float64, short)
+		for v := range ranks {
+			ranks[v] = 0.15 + 3*src.Float64()
+		}
+		ok = initEquals(t, "pagerank_resume", NewPageRank().Resume(ranks), g, sameRank, func(v int) prState {
+			if v < short {
+				return wantRank(v, ranks[v])
+			}
+			return wantRank(v, 1)
+		}) && ok
+
+		ok = initEquals(t, "connected_components", NewConnectedComponents(), g, exact[uint32], func(v int) uint32 { return uint32(v) }) && ok
+
+		// A prior labelling of the first short vertices and a delta deleting
+		// a few of the graph's edges: members of a touched component reset.
+		prior := make([]uint32, short)
+		for v := range prior {
+			prior[v] = uint32(src.Intn(v + 1))
+		}
+		d := &graph.Delta{}
+		for i := 0; i < 3; i++ {
+			d.Deletes = append(d.Deletes, g.Edges[src.Intn(len(g.Edges))])
+		}
+		resume := NewConnectedComponents().Resume(prior, d, g)
+		ok = initEquals(t, "connected_components_resume", resume, g, exact[uint32], func(v int) uint32 {
+			if v < short && !resume.reset[v] {
+				return prior[v]
+			}
+			return uint32(v)
+		}) && ok
+
+		bfs := &BFS{Source: graph.VertexID(src.Intn(n)), MaxIters: 10}
+		ok = initEquals(t, "bfs", bfs, g, exact[int32], func(v int) int32 {
+			if graph.VertexID(v) == bfs.Source {
+				return 0
+			}
+			return unreached
+		}) && ok
+
+		// Fewer lanes than 64 leave the rest unreached everywhere; a root
+		// drawn twice owns both of its lanes.
+		batch := &ClusterBFS{Sources: make([]graph.VertexID, 1+src.Intn(MaxBatchSources)), MaxIters: 10}
+		for j := range batch.Sources {
+			batch.Sources[j] = graph.VertexID(src.Intn(n))
+		}
+		return initEquals(t, "cluster_bfs", batch, g, exact[ClusterState], func(v int) ClusterState {
+			var st ClusterState
+			for j := range st.Dist {
+				st.Dist[j] = unreached
+			}
+			for j, s := range batch.Sources {
+				if s == graph.VertexID(v) {
+					st.Seen |= 1 << uint(j)
+					st.Dist[j] = 0
+				}
+			}
+			return st
+		}) && ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
+	}
+}
+
+// initEquals runs prog.Init over a zeroed value array for g and compares
+// every slot with the per-vertex definition want.
+func initEquals[V, A any](t *testing.T, name string, prog engine.Program[V, A], g *graph.Graph, same func(a, b V) bool, want func(v int) V) bool {
+	vals := make([]V, g.NumVertices)
+	prog.Init(vals, g)
+	for v := range vals {
+		if w := want(v); !same(vals[v], w) {
+			t.Errorf("%s: Init left vertex %d of %d as %v, the per-vertex definition gives %v", name, v, len(vals), vals[v], w)
+			return false
+		}
+	}
+	return true
+}

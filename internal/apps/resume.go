@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
@@ -38,15 +40,11 @@ func (r *PageRankResume) Name() string { return "pagerank_resume" }
 
 // Init implements engine.Program: the prior rank where one exists, cold rank
 // 1 otherwise; invOut always reflects the evolved graph's out-degrees.
-func (r *PageRankResume) Init(v graph.VertexID, outDeg, inDeg int32) prState {
-	s := prState{rank: 1}
-	if int(v) < len(r.Prior) {
-		s.rank = r.Prior[v]
+func (r *PageRankResume) Init(vals []prState, g *graph.Graph) {
+	r.PageRank.Init(vals, g)
+	for v := range vals[:min(len(vals), len(r.Prior))] {
+		vals[v].rank = r.Prior[v]
 	}
-	if outDeg > 0 {
-		s.invOut = 1 / float64(outDeg)
-	}
-	return s
 }
 
 // Run implements App. The Output is the []float64 rank vector.
@@ -74,6 +72,9 @@ type ConnectedComponentsResume struct {
 	Prior []uint32
 	reset []bool
 	seed  []graph.VertexID
+	// err is set when Prior is no labelling of the evolved graph; run
+	// returns it instead of starting the engine.
+	err error
 }
 
 // Resume returns cc warm-started from the prior labelling for the evolved
@@ -85,20 +86,26 @@ func (cc *ConnectedComponents) Resume(prior []uint32, d *graph.Delta, evolved *g
 
 	// Labels of prior components that a deletion touches: all their members
 	// reset and reseed, since a split strands too-small labels anywhere in
-	// the component.
-	resetLabels := map[uint32]bool{}
+	// the component. A label is a vertex ID, so the marks live in a slice
+	// indexed by label (one allocation with the seeded marks); the member
+	// scan below is where a label that is no vertex of the evolved graph gets
+	// rejected.
+	marks := make([]bool, 2*n)
+	resetLabels, seeded := marks[:n], marks[n:]
 	for _, e := range d.Deletes {
-		if int(e.Src) < len(prior) {
-			resetLabels[prior[e.Src]] = true
-		}
-		if int(e.Dst) < len(prior) {
-			resetLabels[prior[e.Dst]] = true
+		for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
+			if int(v) < len(prior) && int(prior[v]) < n {
+				resetLabels[prior[v]] = true
+			}
 		}
 	}
 
 	r.reset = make([]bool, n)
-	seeded := make([]bool, n)
 	for v := 0; v < n && v < len(prior); v++ {
+		if int(prior[v]) >= n {
+			r.err = fmt.Errorf("apps: %s: prior label %d of vertex %d is not a vertex of the %d-vertex evolved graph", r.Name(), prior[v], v, n)
+			return r
+		}
 		if resetLabels[prior[v]] {
 			r.reset[v] = true
 			seeded[v] = true
@@ -119,12 +126,16 @@ func (cc *ConnectedComponents) Resume(prior []uint32, d *graph.Delta, evolved *g
 // Name implements App.
 func (r *ConnectedComponentsResume) Name() string { return "connected_components_resume" }
 
-// Init implements engine.Program.
-func (r *ConnectedComponentsResume) Init(v graph.VertexID, outDeg, inDeg int32) uint32 {
-	if int(v) < len(r.Prior) && !r.reset[v] {
-		return r.Prior[v]
+// Init implements engine.Program: the prior label unless the vertex was
+// reset or lies beyond the prior labelling, its own ID otherwise.
+func (r *ConnectedComponentsResume) Init(vals []uint32, g *graph.Graph) {
+	for v := range vals {
+		if v < len(r.Prior) && !r.reset[v] {
+			vals[v] = r.Prior[v]
+		} else {
+			vals[v] = uint32(v)
+		}
 	}
-	return uint32(v)
 }
 
 // Seed returns the warm-start frontier (for callers composing their own
@@ -141,8 +152,12 @@ func (r *ConnectedComponentsResume) Run(pl *engine.Placement, cl *cluster.Cluste
 	return r.run(pl, cl, engine.Options{})
 }
 
-// run installs the warm-start seed unless opts already carries one.
+// run installs the warm-start seed unless opts already carries one. A prior
+// labelling Resume rejected fails here, before the engine starts.
 func (r *ConnectedComponentsResume) run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
 	if opts.InitialActive == nil {
 		opts.InitialActive = r.Seed()
 	}

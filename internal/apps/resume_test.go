@@ -119,6 +119,33 @@ func TestCCResumeSplitsComponent(t *testing.T) {
 	}
 }
 
+// TestCCResumeRejectsForeignPrior: a label is a vertex ID — that is what lets
+// Resume and SummarizeComponents index slices by it — so a prior labelling
+// naming a vertex the evolved graph does not have fails the run with an error
+// instead of being counted as one more component.
+func TestCCResumeRejectsForeignPrior(t *testing.T) {
+	g := &graph.Graph{Name: "pair", NumVertices: 3, Edges: []graph.Edge{E(0, 1)}}
+	d := &graph.Delta{Time: 1, Deletes: []graph.Edge{E(0, 1)}}
+	pl, cl := engine.SingleMachine(g), singleCluster(t)
+
+	res, err := NewConnectedComponents().Resume([]uint32{0, 0, 2}, d, g).Run(pl, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Output.(Components); got.Count != 2 || got.Largest != 2 {
+		t.Errorf("got %d components, largest %d; want 2 and 2", got.Count, got.Largest)
+	}
+	if _, err := NewConnectedComponents().Resume([]uint32{0, 0, 7}, d, g).Run(pl, cl); err == nil {
+		t.Error("a prior label 7 on a 3-vertex graph ran without an error")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SummarizeComponents counted label 7 of a 3-vertex labelling")
+		}
+	}()
+	SummarizeComponents([]uint32{0, 0, 7})
+}
+
 // TestPRResumeWithinEnvelope is acceptance check (b) for PageRank: the
 // tolerance-stopped fixed point is not bit-exact across different starting
 // vectors, but resumed and cold ranks must agree per vertex within

@@ -59,11 +59,11 @@ func (benchSSSPProgram) Direction() Direction {
 }
 func (benchSSSPProgram) ApplyAll() bool     { return false }
 func (benchSSSPProgram) MaxSupersteps() int { return 1 << 20 }
-func (benchSSSPProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 {
-	if v == 0 {
-		return 0
+func (benchSSSPProgram) Init(vals []uint32, g *graph.Graph) {
+	for v := range vals {
+		vals[v] = unreachedHop
 	}
-	return unreachedHop
+	vals[0] = 0
 }
 func (benchSSSPProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
 	best := unreachedHop
@@ -85,12 +85,14 @@ func (benchSSSPProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.V
 	}
 	return best, n
 }
-func (benchSSSPProgram) Apply(v graph.VertexID, val *uint32, acc uint32, has bool, rt *Runtime) bool {
-	if has && acc < *val {
-		*val = acc
-		return true
+func (benchSSSPProgram) Apply(vs []graph.VertexID, vals []uint32, acc []uint32, has []bool, rt *Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		if has[v] && acc[v] < vals[v] {
+			vals[v] = acc[v]
+			signal = append(signal, v)
+		}
 	}
-	return false
+	return signal
 }
 
 // runGatherBench measures whole executions of run and reports useful-gather
@@ -189,17 +191,18 @@ func (benchClusterProgram) Coeffs() CostCoeffs   { return rankProgram{}.Coeffs()
 func (benchClusterProgram) Direction() Direction { return GatherBoth }
 func (benchClusterProgram) ApplyAll() bool       { return false }
 func (benchClusterProgram) MaxSupersteps() int   { return 1 << 20 }
-func (benchClusterProgram) Init(v graph.VertexID, outDeg, inDeg int32) benchClusterState {
-	var st benchClusterState
-	for j := range st.dist {
-		st.dist[j] = -1
+func (benchClusterProgram) Init(vals []benchClusterState, g *graph.Graph) {
+	for v := range vals {
+		st := &vals[v]
+		for j := range st.dist {
+			st.dist[j] = -1
+		}
+		// Sources spread every 300 vertices across the 20000-vertex inputs.
+		if v%300 == 0 && v/300 < 64 {
+			st.seen = 1 << uint(v/300)
+			st.dist[v/300] = 0
+		}
 	}
-	// Sources spread every 300 vertices across the 20000-vertex inputs.
-	if int(v)%300 == 0 && int(v)/300 < 64 {
-		st.seen = 1 << uint(int(v)/300)
-		st.dist[int(v)/300] = 0
-	}
-	return st
 }
 func (benchClusterProgram) Fold(acc uint64, has bool, vals []benchClusterState, srcs []graph.VertexID, act []bool) (uint64, int32) {
 	var seen uint64
@@ -219,20 +222,21 @@ func (benchClusterProgram) Fold(acc uint64, has bool, vals []benchClusterState, 
 	}
 	return seen, n
 }
-func (benchClusterProgram) Apply(v graph.VertexID, val *benchClusterState, acc uint64, has bool, rt *Runtime) bool {
-	if !has {
-		return false
-	}
-	fresh := acc &^ val.seen
-	if fresh == 0 {
-		return false
-	}
-	val.seen |= fresh
+func (benchClusterProgram) Apply(vs []graph.VertexID, vals []benchClusterState, acc []uint64, has []bool, rt *Runtime, signal []graph.VertexID) []graph.VertexID {
 	d := int32(rt.Step) + 1
-	for m := fresh; m != 0; m &= m - 1 {
-		val.dist[bits.TrailingZeros64(m)] = d
+	for _, v := range vs {
+		val := &vals[v]
+		fresh := acc[v] &^ val.seen
+		if !has[v] || fresh == 0 {
+			continue
+		}
+		val.seen |= fresh
+		for m := fresh; m != 0; m &= m - 1 {
+			val.dist[bits.TrailingZeros64(m)] = d
+		}
+		signal = append(signal, v)
 	}
-	return true
+	return signal
 }
 
 func BenchmarkEngineClusterBFS(b *testing.B) {

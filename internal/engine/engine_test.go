@@ -286,20 +286,25 @@ func (sumProgram) Name() string { return "sum" }
 func (sumProgram) Coeffs() CostCoeffs {
 	return CostCoeffs{OpsPerGather: 1, BytesPerGather: 1, AccumBytes: 12, ValueBytes: 12}
 }
-func (sumProgram) Direction() Direction                             { return GatherIn }
-func (sumProgram) ApplyAll() bool                                   { return true }
-func (sumProgram) MaxSupersteps() int                               { return 1 }
-func (sumProgram) Init(v graph.VertexID, outDeg, inDeg int32) int64 { return 0 }
+func (sumProgram) Direction() Direction              { return GatherIn }
+func (sumProgram) ApplyAll() bool                    { return true }
+func (sumProgram) MaxSupersteps() int                { return 1 }
+func (sumProgram) Init(vals []int64, g *graph.Graph) {}
 func (sumProgram) Fold(acc int64, has bool, vals []int64, srcs []graph.VertexID, act []bool) (int64, int32) {
 	return foldEach(func(*int64) int64 { return 1 }, func(a, b int64) int64 { return a + b }, acc, has, vals, srcs, act)
 }
-func (sumProgram) Apply(v graph.VertexID, val *int64, acc int64, has bool, rt *Runtime) bool {
-	if !has {
-		acc = 0
+func (sumProgram) Apply(vs []graph.VertexID, vals []int64, acc []int64, has []bool, rt *Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		var sum int64
+		if has[v] {
+			sum = acc[v]
+		}
+		if has[v] && sum != vals[v] {
+			signal = append(signal, v)
+		}
+		vals[v] = sum
 	}
-	changed := has && acc != *val
-	*val = acc
-	return changed
+	return signal
 }
 
 func TestRunSyncComputesExactResultAcrossPlacements(t *testing.T) {
@@ -419,8 +424,10 @@ func (rankProgram) Coeffs() CostCoeffs {
 func (rankProgram) Direction() Direction { return GatherIn }
 func (rankProgram) ApplyAll() bool       { return true }
 func (rankProgram) MaxSupersteps() int   { return 8 }
-func (rankProgram) Init(v graph.VertexID, outDeg, inDeg int32) float64 {
-	return 1 / float64(outDeg+1)
+func (rankProgram) Init(vals []float64, g *graph.Graph) {
+	for v, d := range g.OutDegrees() {
+		vals[v] = 1 / float64(d+1)
+	}
 }
 func (rankProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.VertexID, act []bool) (float64, int32) {
 	var n int32
@@ -437,9 +444,15 @@ func (rankProgram) Fold(acc float64, has bool, vals []float64, srcs []graph.Vert
 	}
 	return acc, n
 }
-func (rankProgram) Apply(v graph.VertexID, val *float64, acc float64, has bool, rt *Runtime) bool {
-	*val = 0.15 + 0.85*acc
-	return true
+func (rankProgram) Apply(vs []graph.VertexID, vals []float64, acc []float64, has []bool, rt *Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		sum := 0.0
+		if has[v] {
+			sum = acc[v]
+		}
+		vals[v] = 0.15 + 0.85*sum
+	}
+	return append(signal, vs...)
 }
 
 // checkEngines runs prog through RunReference, Run at one worker and Run at
@@ -494,21 +507,27 @@ func TestRunSyncParallelMatchesSequential(t *testing.T) {
 // minProgram exercises the frontier path (ApplyAll=false, GatherBoth).
 type minProgram struct{}
 
-func (minProgram) Name() string                                      { return "min" }
-func (minProgram) Coeffs() CostCoeffs                                { return rankProgram{}.Coeffs() }
-func (minProgram) Direction() Direction                              { return GatherBoth }
-func (minProgram) ApplyAll() bool                                    { return false }
-func (minProgram) MaxSupersteps() int                                { return 1000 }
-func (minProgram) Init(v graph.VertexID, outDeg, inDeg int32) uint32 { return uint32(v) }
+func (minProgram) Name() string         { return "min" }
+func (minProgram) Coeffs() CostCoeffs   { return rankProgram{}.Coeffs() }
+func (minProgram) Direction() Direction { return GatherBoth }
+func (minProgram) ApplyAll() bool       { return false }
+func (minProgram) MaxSupersteps() int   { return 1000 }
+func (minProgram) Init(vals []uint32, g *graph.Graph) {
+	for v := range vals {
+		vals[v] = uint32(v)
+	}
+}
 func (minProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
 	return foldEach(func(src *uint32) uint32 { return *src }, func(a, b uint32) uint32 { return min(a, b) }, acc, has, vals, srcs, act)
 }
-func (minProgram) Apply(v graph.VertexID, val *uint32, acc uint32, has bool, rt *Runtime) bool {
-	if has && acc < *val {
-		*val = acc
-		return true
+func (minProgram) Apply(vs []graph.VertexID, vals []uint32, acc []uint32, has []bool, rt *Runtime, signal []graph.VertexID) []graph.VertexID {
+	for _, v := range vs {
+		if has[v] && acc[v] < vals[v] {
+			vals[v] = acc[v]
+			signal = append(signal, v)
+		}
 	}
-	return false
+	return signal
 }
 
 func TestRunSyncParallelFrontierMatchesSequential(t *testing.T) {

@@ -74,7 +74,7 @@ func (p stepsProgram[V, A]) MaxSupersteps() int { return p.steps }
 // 295 there. Run at one worker measures the value in parentheses:
 //
 //	rank, 8 supersteps, 6000-vertex random graph:       27 (27)
-//	unit-weight SSSP, 30 supersteps, 6000-vertex ring:  69 (69)
+//	unit-weight SSSP, 30 supersteps, 6000-vertex ring:  69 (68)
 func TestRunAllocs(t *testing.T) {
 	cl := testCluster(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	dense := testGraph(41, 6000, 48000)

@@ -34,8 +34,11 @@ type Program[V, A any] interface {
 	ApplyAll() bool
 	// MaxSupersteps bounds the iteration count.
 	MaxSupersteps() int
-	// Init produces vertex v's initial state.
-	Init(v graph.VertexID, outDeg, inDeg int32) V
+	// Init fills the value array once per run: vals arrives zeroed, one slot
+	// per vertex of g, and Init leaves every vertex's initial state in it.
+	// Whatever a program needs from the graph to do so (PageRank's
+	// out-degrees) it counts itself, straight into the state where it can.
+	Init(vals []V, g *graph.Graph)
 	// Fold accumulates, in slice order, the contribution of every source s
 	// in srcs with act == nil || act[s] into acc, and returns the
 	// accumulator together with how many sources were folded. has reports
@@ -62,14 +65,23 @@ type Program[V, A any] interface {
 	//     (0|x, min(MaxUint32, x)); floating-point programs take the first
 	//     contribution explicitly, since 0+x is not x for x = -0.
 	Fold(acc A, has bool, vals []V, srcs []graph.VertexID, act []bool) (A, int32)
-	// Apply folds the gathered accumulator into vertex v's state in place:
-	// val points at v's slot in the engine's value array, and whatever Apply
-	// leaves in *val is the vertex's new state — also when it returns false.
-	// The result only drives scatter: true signals v's neighbors (v joins the
-	// next frontier and its mirrors are charged the update). Apply must not
-	// keep val past the call; wide states are updated where they live
-	// instead of being copied in, out and back.
-	Apply(v graph.VertexID, val *V, acc A, hasAcc bool, rt *Runtime) bool
+	// Apply is the vertex phase for a whole list: for every v of vs, in
+	// order, it folds acc[v] — meaningful only where has[v] — into vals[v] in
+	// place and appends v to signal when v's neighbours must be signalled (v
+	// joins the next frontier and its mirrors are charged the update). It
+	// returns the extended signal. Whatever Apply leaves in vals[v] is the
+	// vertex's new state, signalled or not; wide states are updated where
+	// they live. Apply touches no vertex outside vs, writes neither acc nor
+	// has and keeps none of its slices past the call.
+	//
+	// The engine hands Apply a machine's masters on ApplyAll supersteps, the
+	// gathered vertices on dense frontier supersteps, a shard's gathered
+	// destinations on sparse ones and one-element lists from RunReference, and
+	// does the accounting from the two lists. One rule makes those forms
+	// interchangeable: a vertex's new state and whether it signals depend on
+	// that vertex's own slots (and rt) alone, so any split of vs, chained,
+	// gives the same states and the same signalled set as one call.
+	Apply(vs []graph.VertexID, vals []V, acc []A, has []bool, rt *Runtime, signal []graph.VertexID) []graph.VertexID
 }
 
 // Rebalancer lets a dynamic load-balancing policy (e.g. the Mizan-style

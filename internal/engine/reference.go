@@ -12,7 +12,8 @@ import (
 // RunReference executes prog with the original edge-list engine: every
 // superstep walks pl.LocalEdges[p] as an index list into g.Edges and filters
 // sources against a dense active bitmap, folding one source per Program.Fold
-// call: the per-edge form of the contract. It is the executable specification
+// call and applying one vertex per Program.Apply call: the per-edge and
+// per-vertex forms of the contract. It is the executable specification
 // of the engine's semantics, options included (rebalancing, fault injection,
 // tracing, warm-start frontier; Options.Workers is ignored) — Run must charge
 // per-machine times, energy and communication bit-identically to this
@@ -28,12 +29,8 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 	n := g.NumVertices
 	rt := &Runtime{NumVertices: n, NumEdges: len(g.Edges)}
 
-	outDeg := g.OutDegrees()
-	inDeg := g.InDegrees()
 	vals := make([]V, n)
-	for v := range vals {
-		vals[v] = prog.Init(graph.VertexID(v), outDeg[v], inDeg[v])
-	}
+	prog.Init(vals, g)
 
 	acc := make([]A, n)
 	has := make([]bool, n)
@@ -81,10 +78,12 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 
 	// Per-superstep scratch, allocated once and cleared in place.
 	counters := make([]StepCounters, pl.M)
-	// one is the single-source slice every per-edge Fold is handed. Fold is
-	// reached through an interface, so its arguments escape: a fresh slice
-	// per edge would be one heap object per edge.
+	// one is the single-vertex slice every per-edge Fold and per-vertex Apply
+	// is handed, and signal what that Apply appends to. Both methods are
+	// reached through an interface, so their arguments escape: a fresh slice
+	// per call would be one heap object per edge.
 	one := make([]graph.VertexID, 1)
+	signal := make([]graph.VertexID, 0, 1)
 
 	maxSteps := prog.MaxSupersteps()
 	for step := 0; step < maxSteps; step++ {
@@ -154,7 +153,8 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 				if !applyAll && !has[v] {
 					continue
 				}
-				changed := prog.Apply(v, &vals[v], acc[v], has[v], rt)
+				one[0] = v
+				changed := len(prog.Apply(one, vals, acc, has, rt, signal)) > 0
 				sc.Applies++
 				if changed {
 					anyChanged = true

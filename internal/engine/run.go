@@ -115,10 +115,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 		r.applyBounds = cutBounds(prefix, applyChunks)
 	}
 
-	outDeg, inDeg := g.OutDegreesParallel(W), g.InDegreesParallel(W)
-	for v := range r.vals {
-		r.vals[v] = prog.Init(graph.VertexID(v), outDeg[v], inDeg[v])
-	}
+	prog.Init(r.vals, g)
 
 	account := NewAccountant(cl, prog.Coeffs())
 	account.SetCollector(opts.Trace)
@@ -142,10 +139,19 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 	}
 	ft.baseline(r.vals, r.front.bits, r.front.count, account)
 
-	if !applyAll {
+	// One |V|-sized list for the whole run: a task applying vertices of
+	// [lo, hi) appends its signalled vertices to signal[lo:lo:hi], so tasks
+	// never share a slot and Program.Apply's append never allocates. Frontier
+	// programs get a second one, carved up the same way, for the dense steps'
+	// lists of gathered vertices (both from one allocation).
+	if applyAll {
+		r.signal = make([]graph.VertexID, n)
+	} else {
+		lists := make([]graph.VertexID, 2*n)
+		r.signal, r.gathered = lists[:n], lists[n:]
 		// Shared across gather shards: each destination belongs to exactly
 		// one shard's range, so the stamp arrays see disjoint writes.
-		r.touched = make([]int64, n)
+		r.touched = make([]uint8, n)
 		r.contribs = make([]int32, n)
 	}
 
@@ -235,6 +241,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 				for _, d := range ln.dirty {
 					r.acc[d] = zero
 					r.has[d] = false
+					r.touched[d] = 0
 				}
 				ln.dirty = ln.dirty[:0]
 			}
@@ -273,11 +280,6 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 			copy(r.vals, restore.Vals)
 			r.front.restore(restore.Active, restore.ActiveCount)
 			r.next.reset()
-			if r.touched != nil {
-				// Stamps are always positive, so zeroing cannot collide with
-				// the stamps replayed steps will generate.
-				clear(r.touched)
-			}
 			step = restore.Step - 1 // loop increment lands on restore.Step
 			continue
 		}
@@ -334,9 +336,15 @@ type sweep[V, A any] struct {
 	acc  []A
 	has  []bool
 	// touched and contribs back the sparse gather's per-(machine,
-	// destination) partial accounting, as in RunReference.
-	touched  []int64
+	// destination) partial accounting: touched[d] is one more than the last
+	// machine that gathered into d this superstep — RunReference's (step,
+	// machine) stamp without the step, because the accumulator reset zeroes it
+	// along the dirty lists — and contribs[d] counts that machine's gathers.
+	touched  []uint8
 	contribs []int32
+	// signal and gathered back the lists the apply phase hands to and gets
+	// back from Program.Apply; the task applying [lo, hi) owns [lo:hi] of each.
+	signal, gathered []graph.VertexID
 
 	front, next frontier
 
@@ -385,7 +393,8 @@ func (r *sweep[V, A]) runTask(w, t int) {
 	case phaseApply:
 		switch {
 		case r.sparse:
-			r.apply(w, r.lanes[t].dirty, 0, 0)
+			ln := &r.lanes[t]
+			r.apply(w, ln.dirty, ln.lo, ln.hi)
 		case r.applyBounds == nil:
 			r.apply(w, nil, 0, graph.VertexID(len(r.vals)))
 		default:
@@ -453,11 +462,10 @@ func (r *sweep[V, A]) gatherSparse(t int) {
 	for p := range r.blocks {
 		wc := &r.workC[t*len(r.blocks)+p]
 		blk := &r.blocks[p].bySrc
-		// The stamp is unique per (step, machine) pair: p < M makes step*M+p
-		// injective over pairs, and the +1 keeps every stamp above touched's
-		// zero initialisation. Destinations are shard-disjoint, so the shared
-		// stamp arrays race with no one.
-		stamp := int64(r.rt.Step)*int64(len(r.blocks)) + int64(p) + 1
+		// The +1 keeps every stamp above the zero touched is reset to (p <
+		// MaxMachines, so it fits a byte). Destinations are shard-disjoint,
+		// so the shared stamp arrays race with no one.
+		stamp := uint8(p + 1)
 		for i, s := range r.srcs {
 			gi := blk.Find(s)
 			if gi < 0 {
@@ -491,49 +499,80 @@ func (r *sweep[V, A]) gatherSparse(t int) {
 	ln.dirty = dirty
 }
 
-// apply runs worker w's share of the apply+scatter phase: the master apply of
-// every vertex in list (a shard's gathered destinations, after a sparse
-// gather) or, when list is nil, of every vertex in [lo, hi) that gathered
-// something or applies regardless. A vertex whose value changed charges its
-// mirror broadcasts and activates itself in the next frontier. Value writes
-// and frontier bits stay disjoint because chunks (dense) and dirty lists
-// (sparse) partition the vertex space; counters are attributed to each
-// vertex's master machine under the claiming worker's shard.
+// apply runs worker w's share of the apply+scatter phase over vertices of
+// [lo, hi): one Program.Apply call per vertex list, then the accounting from
+// the list handed in (Applies) and the list of signalled vertices it returns
+// (a signalled vertex charges its mirror broadcasts and activates itself in
+// the next frontier). On ApplyAll steps the lists are the machines' masters in
+// the range; otherwise list names a shard's gathered destinations after a
+// sparse gather and is nil after a dense one, when the range is scanned for
+// the vertices that gathered something. Value writes and frontier bits stay
+// disjoint because chunks (dense) and dirty lists (sparse) partition the
+// vertex space; counters are integers attributed to each vertex's master
+// machine under the claiming worker's shard.
 func (r *sweep[V, A]) apply(w int, list []graph.VertexID, lo, hi graph.VertexID) {
-	prog, vals, acc, has := r.prog, r.vals, r.acc, r.has
-	master, masks := r.pl.Master, r.pl.ReplicaMask
+	masks := r.pl.ReplicaMask
 	workC := r.workC[w*len(r.blocks):]
 	ln := &r.lanes[w]
-	count := int(hi - lo)
-	if list != nil {
-		count = len(list)
-	}
-	for i := 0; i < count; i++ {
-		v := lo + graph.VertexID(i)
-		if list != nil {
-			v = list[i]
-		} else if !r.applyAll && !has[v] {
-			continue
+	signal := r.signal[lo:lo:hi]
+
+	if r.applyAll {
+		whole := int(hi-lo) == len(r.vals)
+		for p, vs := range r.pl.MasterVerts {
+			if !whole {
+				a, _ := slices.BinarySearch(vs, lo)
+				b, _ := slices.BinarySearch(vs, hi)
+				vs = vs[a:b]
+			}
+			out := r.prog.Apply(vs, r.vals, r.acc, r.has, &r.rt, signal)
+			// Every replica but the master's own receives the new value.
+			updates, self := 0, uint64(1)<<uint(p)
+			for _, v := range out {
+				updates += bits.OnesCount64(masks[v] &^ self)
+			}
+			workC[p].Applies += float64(len(vs))
+			workC[p].UpdatesOut += float64(updates)
+			ln.changed = ln.changed || len(out) > 0
 		}
+		return
+	}
+
+	if list == nil {
+		list = r.gathered[lo:lo:hi]
+		for v := lo; v < hi; v++ {
+			if r.has[v] {
+				list = append(list, v)
+			}
+		}
+	}
+	out := r.prog.Apply(list, r.vals, r.acc, r.has, &r.rt, signal)
+	master := r.pl.Master
+	var applies, updates [MaxMachines]int64
+	for _, v := range list {
+		applies[master[v]]++
+	}
+	for _, v := range out {
 		p := master[v]
-		wc := &workC[p]
-		changed := prog.Apply(v, &vals[v], acc[v], has[v], &r.rt)
-		wc.Applies++
-		if !changed {
-			continue
-		}
-		ln.changed = true
-		// Every replica but the master's own receives the new value.
-		wc.UpdatesOut += float64(bits.OnesCount64(masks[v] &^ (1 << uint(p))))
-		switch {
-		case r.applyAll:
-		case len(r.lanes) == 1:
-			r.next.add(v)
-		default:
-			r.next.bits[v] = true
-			ln.adds = append(ln.adds, v)
-		}
+		updates[p] += int64(bits.OnesCount64(masks[v] &^ (1 << uint(p))))
 	}
+	for p := range workC[:len(r.blocks)] {
+		workC[p].Applies += float64(applies[p])
+		workC[p].UpdatesOut += float64(updates[p])
+	}
+	if len(out) == 0 {
+		return
+	}
+	ln.changed = true
+	if len(r.lanes) == 1 {
+		for _, v := range out {
+			r.next.add(v)
+		}
+		return
+	}
+	for _, v := range out {
+		r.next.bits[v] = true
+	}
+	ln.adds = append(ln.adds, out...)
 }
 
 // mergeActivations finalizes the next frontier from the per-worker activation

@@ -30,13 +30,20 @@ func putDegreeScratch(s []int32) {
 	degreeScratch.Put(&s)
 }
 
-// degreesParallel is the shared worker machinery of InDegreesParallel and
-// OutDegreesParallel: each worker counts a contiguous edge range into a pooled
-// private array, then the per-vertex sums are merged (also sharded, by vertex
-// range) into a freshly allocated result. Integer addition is exact and
-// commutative, so the result is bit-identical to the sequential scan at every
-// worker count — the property the ingress differential test relies on.
-func degreesParallel(g *Graph, workers int, endpoint func(Edge) VertexID) []int32 {
+// InDegreesParallel computes InDegrees with up to workers goroutines: each
+// worker counts a contiguous edge range into a pooled private array, then the
+// per-vertex sums are merged (also sharded, by vertex range) into a freshly
+// allocated result. Integer addition is exact and commutative, so the result
+// is bit-identical to the sequential scan at every worker count — the property
+// the ingress differential test relies on. Callers should size workers to real
+// parallelism, not to the edge count.
+func (g *Graph) InDegreesParallel(workers int) []int32 {
+	if workers > len(g.Edges) {
+		workers = len(g.Edges)
+	}
+	if workers <= 1 {
+		return g.InDegrees()
+	}
 	out := make([]int32, g.NumVertices)
 	parts := make([][]int32, workers)
 	var wg sync.WaitGroup
@@ -46,7 +53,7 @@ func degreesParallel(g *Graph, workers int, endpoint func(Edge) VertexID) []int3
 			defer wg.Done()
 			deg := getDegreeScratch(g.NumVertices)
 			for _, e := range g.Edges[len(g.Edges)*w/workers : len(g.Edges)*(w+1)/workers] {
-				deg[endpoint(e)]++
+				deg[e.Dst]++
 			}
 			parts[w] = deg
 		}(w)
@@ -69,30 +76,4 @@ func degreesParallel(g *Graph, workers int, endpoint func(Edge) VertexID) []int3
 		putDegreeScratch(part)
 	}
 	return out
-}
-
-// InDegreesParallel computes InDegrees with up to workers goroutines over
-// pooled per-worker count arrays (see degreesParallel). Callers should size
-// workers to real parallelism, not to the edge count.
-func (g *Graph) InDegreesParallel(workers int) []int32 {
-	if workers > len(g.Edges) {
-		workers = len(g.Edges)
-	}
-	if workers <= 1 {
-		return g.InDegrees()
-	}
-	return degreesParallel(g, workers, func(e Edge) VertexID { return e.Dst })
-}
-
-// OutDegreesParallel computes OutDegrees with up to workers goroutines, the
-// out-direction twin of InDegreesParallel with the same bit-identical
-// guarantee.
-func (g *Graph) OutDegreesParallel(workers int) []int32 {
-	if workers > len(g.Edges) {
-		workers = len(g.Edges)
-	}
-	if workers <= 1 {
-		return g.OutDegrees()
-	}
-	return degreesParallel(g, workers, func(e Edge) VertexID { return e.Src })
 }

@@ -29,6 +29,10 @@ func TestInDegreesParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// The out-direction scan has no parallel form of its own (its last caller,
+// the engine, no longer counts degrees): a graph's out-degrees are its
+// transpose's in-degrees, which holds the parallel scan to a second set of
+// inputs.
 func TestOutDegreesParallelMatchesSequential(t *testing.T) {
 	graphs := []*Graph{
 		diamond(),
@@ -38,8 +42,12 @@ func TestOutDegreesParallelMatchesSequential(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := g.OutDegrees()
+		transpose := &Graph{NumVertices: g.NumVertices, Edges: make([]Edge, len(g.Edges))}
+		for i, e := range g.Edges {
+			transpose.Edges[i] = Edge{Src: e.Dst, Dst: e.Src}
+		}
 		for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-			got := g.OutDegreesParallel(workers)
+			got := transpose.InDegreesParallel(workers)
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("graph %d workers %d: vertex %d out-degree %d, want %d",
