@@ -22,10 +22,11 @@ test:
 # superstep and, in the reference engine, nothing per edge — next to the
 # property tests holding every program's Fold and Apply to their one-element
 # forms and its Init to the per-vertex definition;
-# placement finalization allocates by machine count, never by edge count; the
-# undirected CSR build allocates the same at any graph size, next
-# to the differential pinning the sorted CSR builders to a per-row sort; KCore
-# allocates nothing per vertex, next to the differential pinning its
+# placement finalization allocates by machine count, never by edge count; both
+# undirected CSR builds allocate the same at any graph size, next to the
+# differential pinning the CSR builders to a per-row sort and the unsorted one
+# to first occurrences in edge order; KCore allocates nothing per vertex and
+# at most one raw CSR's bytes of adjacency, next to the differential pinning its
 # survivor-list peel to the scan-all loop), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
 # evolving-graph differentials (amended placements inside their imbalance

@@ -6,6 +6,7 @@
 //
 //	bench                       # everything at 1/64 scale
 //	bench -exp fig9 -scale 16   # one experiment, bigger graphs
+//	bench -exp evolve -cpuprofile evolve.prof
 //	bench -list
 package main
 
@@ -13,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -93,6 +95,7 @@ func main() {
 
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON of every traced engine run here")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text-format metrics aggregated over the session here")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments (not of writing the -html/-trace-out/-metrics-out files) here, for go tool pprof")
 	)
 	flag.Parse()
 
@@ -115,8 +118,15 @@ func main() {
 
 	// Open observability outputs before any experiment runs: a bad path must
 	// fail in milliseconds, not after the whole catalog.
-	var traceFile, metricsFile *os.File
+	var traceFile, metricsFile, profileFile *os.File
 	var rec *trace.Recorder
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+		profileFile = f
+	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -148,6 +158,11 @@ func main() {
 		rep = report.New("proxygraph: paper reproduction",
 			fmt.Sprintf("scale 1/%d, seed %d, experiments: %s", *scale, *seed, strings.Join(selected, ", ")))
 	}
+	if profileFile != nil {
+		if err := pprof.StartCPUProfile(profileFile); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+	}
 	for _, name := range selected {
 		e := names[name]
 		start := time.Now()
@@ -166,6 +181,12 @@ func main() {
 			rep.Add(tables...)
 		}
 		fmt.Printf("# %s finished in %v\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	if profileFile != nil {
+		pprof.StopCPUProfile()
+		if err := profileFile.Close(); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
 	}
 	if rep != nil {
 		f, err := os.Create(*html)

@@ -70,7 +70,9 @@ func (c *Coloring) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Resul
 	}
 	g := pl.G
 	n := g.NumVertices
-	und := g.BuildUndirectedCSR()
+	// The conflict test, the colour marks and the counters see neighbour
+	// sets, never their order.
+	und := g.BuildUndirectedSets()
 
 	colors := make([]int32, n)
 	priority := make([]uint64, n)

@@ -60,7 +60,9 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 	}
 	g := pl.G
 	n := g.NumVertices
-	und := g.BuildUndirectedCSR()
+	// A peel decrements each distinct neighbour once in any order, so the
+	// rows need no sorting.
+	und := g.BuildUndirectedSets()
 
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {

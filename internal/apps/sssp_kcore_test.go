@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"proxygraph/internal/cluster"
@@ -399,6 +400,41 @@ func TestKCoreRunAllocs(t *testing.T) {
 		if ceiling := float64(40 + 3*rounds/2); got > ceiling {
 			t.Errorf("path of %d: KCore.Run allocates %.0f over %d rounds, want at most 40 + 1.5 per round = %.0f", n, got, rounds, ceiling)
 		}
+	}
+
+	// Bytes, on the complete bipartite graph K(4, 16000): it peels in a
+	// handful of rounds, so the per-run arrays are nearly everything. The
+	// ceiling is one raw undirected CSR (offsets, and every edge in both its
+	// rows before duplicates are dropped), four |V| int32 arrays (the
+	// builder's stamp, deg, core and the survivor arena) and 64 KiB of slack;
+	// a transpose or a second CSR, 8|V| + 8|E| bytes more, breaks it.
+	const hubs, leaves = 4, 16000
+	bip := &graph.Graph{NumVertices: hubs + leaves}
+	for l := hubs; l < hubs+leaves; l++ {
+		for h := 0; h < hubs; h++ {
+			bip.Edges = append(bip.Edges, E(h, l))
+		}
+	}
+	pl := moduloPlacement(t, bip, 2)
+	rounds := 0
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		res, err := NewKCore().Run(pl, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = res.Output.(KCoreResult).Rounds
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	n, m := uint64(bip.NumVertices), uint64(len(bip.Edges))
+	csr := 8*(n+1) + 4*2*m
+	ceiling := csr + 4*4*n + 64<<10
+	t.Logf("K(%d, %d): %d bytes over %d rounds (raw undirected CSR %d)", hubs, leaves, got, rounds, csr)
+	if got > ceiling {
+		t.Errorf("K(%d, %d): KCore.Run allocates %d bytes, want at most one raw undirected CSR + four |V| int32 arrays + 64 KiB = %d", hubs, leaves, got, ceiling)
 	}
 }
 

@@ -54,8 +54,40 @@ func multigraph(seed uint64, n, m int) *graph.Graph {
 	return g
 }
 
+// firstOccurrences is the naive statement of BuildUndirectedSets: expand
+// every edge into both rows in edge order, then keep each neighbor's first
+// occurrence in its row.
+func firstOccurrences(g *graph.Graph) *graph.CSR {
+	rows := make([][]graph.VertexID, g.NumVertices)
+	for _, e := range g.Edges {
+		if !slices.Contains(rows[e.Src], e.Dst) {
+			rows[e.Src] = append(rows[e.Src], e.Dst)
+		}
+		if !slices.Contains(rows[e.Dst], e.Src) {
+			rows[e.Dst] = append(rows[e.Dst], e.Src)
+		}
+	}
+	c := &graph.CSR{Offsets: make([]int64, g.NumVertices+1)}
+	for v, row := range rows {
+		c.Targets = append(c.Targets, row...)
+		c.Offsets[v+1] = int64(len(c.Targets))
+	}
+	return c
+}
+
+// sortedRows returns a copy of c with every row sorted.
+func sortedRows(c *graph.CSR) *graph.CSR {
+	s := &graph.CSR{Offsets: c.Offsets, Targets: slices.Clone(c.Targets)}
+	for v := 0; v+1 < len(s.Offsets); v++ {
+		slices.Sort(s.Targets[s.Offsets[v]:s.Offsets[v+1]])
+	}
+	return s
+}
+
 // TestBuildCSRMatchesSortSpec pins the counting-pass builders to the naive
-// spec, offsets and targets alike.
+// spec, offsets and targets alike. The unsorted undirected builder must hold
+// the sorted builder's neighbor sets, row by row, in first-occurrence edge
+// order.
 func TestBuildCSRMatchesSortSpec(t *testing.T) {
 	graphs := []*graph.Graph{
 		{Name: "empty"},
@@ -83,21 +115,33 @@ func TestBuildCSRMatchesSortSpec(t *testing.T) {
 				t.Errorf("%s %s (|V|=%d |E|=%d): CSR differs from the sort spec", g.Name, view, g.NumVertices, len(g.Edges))
 			}
 		}
+		sets, want := g.BuildUndirectedSets(), specCSR(g, "undirected")
+		if got := sortedRows(sets); !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Targets, want.Targets) {
+			t.Errorf("%s sets (|V|=%d |E|=%d): sorted rows differ from the sort spec", g.Name, g.NumVertices, len(g.Edges))
+		}
+		if order := firstOccurrences(g); !slices.Equal(sets.Offsets, order.Offsets) || !slices.Equal(sets.Targets, order.Targets) {
+			t.Errorf("%s sets (|V|=%d |E|=%d): rows are not first occurrences in edge order", g.Name, g.NumVertices, len(g.Edges))
+		}
 	}
 }
 
-// TestBuildUndirectedCSRAllocs holds the builder to a handful of allocations
-// that do not grow with the graph: a per-row or per-vertex allocation (the
-// sort.Slice closure this builder once made for every row) shows as a
-// different count at ten times the vertices.
+// TestBuildUndirectedCSRAllocs holds both undirected builders to a handful of
+// allocations that do not grow with the graph: a per-row or per-vertex
+// allocation (the sort.Slice closure the sorted builder once made for every
+// row) shows as a different count at ten times the vertices.
 func TestBuildUndirectedCSRAllocs(t *testing.T) {
-	allocs := func(n int) float64 {
-		g := multigraph(3, n, 8*n)
-		return testing.AllocsPerRun(10, func() { g.BuildUndirectedCSR() })
-	}
-	small, large := allocs(500), allocs(5000)
-	t.Logf("BuildUndirectedCSR: %.0f allocations at |V|=500, %.0f at |V|=5000", small, large)
-	if small != large || small > 6 {
-		t.Errorf("BuildUndirectedCSR allocates %.0f times at |V|=500 and %.0f at |V|=5000, want the same count, at most 6", small, large)
+	for name, build := range map[string]func(*graph.Graph) *graph.CSR{
+		"BuildUndirectedCSR":  (*graph.Graph).BuildUndirectedCSR,
+		"BuildUndirectedSets": (*graph.Graph).BuildUndirectedSets,
+	} {
+		allocs := func(n int) float64 {
+			g := multigraph(3, n, 8*n)
+			return testing.AllocsPerRun(10, func() { build(g) })
+		}
+		small, large := allocs(500), allocs(5000)
+		t.Logf("%s: %.0f allocations at |V|=500, %.0f at |V|=5000", name, small, large)
+		if small != large || small > 6 {
+			t.Errorf("%s allocates %.0f times at |V|=500 and %.0f at |V|=5000, want the same count, at most 6", name, small, large)
+		}
 	}
 }

@@ -128,8 +128,10 @@ func DegreeHistogram(degrees []int32) (deg []int, count []int64) {
 }
 
 // CSR is a compressed-sparse-row adjacency structure over a Graph.
-// Neighbors of v occupy Targets[Offsets[v]:Offsets[v+1]] and are sorted,
-// which enables the linear-merge set intersections Triangle Count needs.
+// Neighbors of v occupy Targets[Offsets[v]:Offsets[v+1]]. The Build*CSR
+// builders sort every row, which enables the linear-merge set intersections
+// Triangle Count needs; BuildUndirectedSets and InCSRInto leave rows in edge
+// order.
 type CSR struct {
 	Offsets []int64
 	Targets []VertexID
@@ -140,8 +142,8 @@ func (c *CSR) Degree(v VertexID) int {
 	return int(c.Offsets[v+1] - c.Offsets[v])
 }
 
-// Neighbors returns the sorted neighbor slice of v. The slice aliases the
-// CSR's storage and must not be modified.
+// Neighbors returns the neighbor slice of v, in the builder's row order. The
+// slice aliases the CSR's storage and must not be modified.
 func (c *CSR) Neighbors(v VertexID) []VertexID {
 	return c.Targets[c.Offsets[v]:c.Offsets[v+1]]
 }
@@ -225,8 +227,43 @@ func (g *Graph) BuildOutCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byS
 func (g *Graph) BuildInCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byDst) }
 
 // BuildUndirectedCSR builds symmetric adjacency with duplicate neighbors
-// removed, the view Triangle Count and Coloring operate on.
+// removed and every row ascending, the view Triangle Count's merge
+// intersections need.
 func (g *Graph) BuildUndirectedCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byBoth) }
+
+// BuildUndirectedSets builds symmetric adjacency with duplicate neighbors
+// removed but rows unsorted: each row keeps its neighbors' first occurrences
+// in edge order. It is one scatter (buildCSRInto) and one in-place
+// compaction, with no transpose and no ordering pass, for consumers that
+// only visit, mark or count each neighbor once (KCore, Coloring). O(V + E),
+// and the number of allocations does not depend on V.
+func (g *Graph) BuildUndirectedSets() *CSR {
+	c := &CSR{}
+	buildCSRInto(c, g.NumVertices, g.Edges, byBoth)
+	c.dedupUnsortedRows(g.NumVertices)
+	return c
+}
+
+// dedupUnsortedRows removes repeat neighbors from each row in place, keeping
+// first occurrences in row order: kept[u] == v+1 once u is in row v's output.
+func (c *CSR) dedupUnsortedRows(n int) {
+	kept := make([]int32, n)
+	out := int64(0)
+	for v := 0; v < n; v++ {
+		start, end := c.Offsets[v], c.Offsets[v+1]
+		c.Offsets[v] = out
+		stamp := int32(v) + 1
+		for _, u := range c.Targets[start:end] {
+			if kept[u] != stamp {
+				kept[u] = stamp
+				c.Targets[out] = u
+				out++
+			}
+		}
+	}
+	c.Offsets[n] = out
+	c.Targets = c.Targets[:out]
+}
 
 // buildCSRInto rebuilds adjacency into c's existing storage, growing the
 // backing arrays only when the graph outgrows them. Rows are unsorted, in
