@@ -9,17 +9,17 @@ test:
 	go test ./...
 
 # check is the pre-merge gate: formatting and static analysis, the race
-# detector over the packages that run goroutines (the engine's sharded
-# superstep loop, the parallel ingress scans, the single-flight placement
+# detector over the packages that run goroutines (the engine's parallel block
+# compile, the parallel ingress scans, the single-flight placement
 # cache, the multi-tenant job service's worker pool, including the
 # fault-recovery paths exercised by the chaos suite) or are otherwise
 # concurrency-sensitive (the metrics registry), the differential tests pinning
 # each fast path to its executable spec (the partitioners to their
 # sequential specs at GOMAXPROCS 1, 2, 3 and 8, the delete index to a full scan, and at -cpu 1,2,4 the
 # placement compile to a stable sort and master selection to the serial
-# reservoir sample), the allocation guards (ingress budgets; one engine worker
-# allocates no more than the sequential loop it replaced, nothing per
-# superstep and, in the reference engine, nothing per edge — next to the
+# reservoir sample), the allocation guards (ingress budgets; the engine's
+# superstep loop allocates no more than the sequential loop it replaced,
+# nothing per superstep and, in the reference engine, nothing per edge — next to the
 # property tests holding every program's Fold and Apply to their one-element
 # forms and its Init to the per-vertex definition;
 # placement finalization allocates by machine count, never by edge count; both
@@ -36,13 +36,13 @@ test:
 # byte-for-byte, one iteration of every engine and ingress micro-benchmark (so
 # they keep compiling and reporting; timing is benchmark/'s job, see
 # bench-compare), the end-to-end benchmark's own contract tests, and a short
-# fuzz pass over every decoder/encoder boundary plus the packed-traversal and
+# fuzz pass over every decoder/encoder boundary (the job-submission endpoint
+# included) plus the packed-traversal and
 # delta property fuzzers.
 check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 	go vet ./...
 	go test -race ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
-	go test -race -cpu 1,2,4 -run TestParallelEngineWorkerCountInvariance ./internal/apps
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
@@ -82,6 +82,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzClusterBFS -fuzztime $(FUZZTIME) ./internal/apps
 	go test -run '^$$' -fuzz FuzzDelta -fuzztime $(FUZZTIME) ./internal/graph
+	go test -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME) ./cmd/serve
 
 # crash-smoke runs the end-to-end crash-restart check: a journaling serve
 # process is kill -9'd mid-life and restarted; status URLs, idempotency keys

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"proxygraph/internal/cliutil"
 	"proxygraph/internal/exp"
 	"proxygraph/internal/metrics"
 	"proxygraph/internal/report"
@@ -118,7 +119,7 @@ func main() {
 
 	// Open observability outputs before any experiment runs: a bad path must
 	// fail in milliseconds, not after the whole catalog.
-	var traceFile, metricsFile, profileFile *os.File
+	var profileFile *os.File
 	var rec *trace.Recorder
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -127,21 +128,11 @@ func main() {
 		}
 		profileFile = f
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(fmt.Errorf("-trace-out: %w", err))
-		}
-		traceFile = f
+	outs, err := cliutil.OpenSinks(*traceOut, *metricsOut)
+	if err != nil {
+		fatal(err)
 	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal(fmt.Errorf("-metrics-out: %w", err))
-		}
-		metricsFile = f
-	}
-	if traceFile != nil || metricsFile != nil {
+	if outs != nil {
 		rec = trace.NewRecorder()
 	}
 
@@ -202,27 +193,17 @@ func main() {
 		}
 		fmt.Printf("# wrote HTML report with %d sections to %s\n", rep.Len(), *html)
 	}
-	if traceFile != nil {
-		err := trace.WriteChromeTrace(traceFile, rec.Events)
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
-		}
+	if outs != nil {
+		err := outs.Write(rec.Events, func(flag, path string) {
+			if flag == "-trace-out" {
+				fmt.Printf("# wrote %d trace events to %s\n", len(rec.Events), path)
+			} else {
+				fmt.Printf("# wrote metrics to %s\n", path)
+			}
+		})
 		if err != nil {
-			fatal(fmt.Errorf("-trace-out: %w", err))
+			fatal(err)
 		}
-		fmt.Printf("# wrote %d trace events to %s\n", len(rec.Events), *traceOut)
-	}
-	if metricsFile != nil {
-		reg := trace.NewRegistry()
-		trace.Observe(reg, rec.Events)
-		err := reg.WritePrometheus(metricsFile)
-		if cerr := metricsFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(fmt.Errorf("-metrics-out: %w", err))
-		}
-		fmt.Printf("# wrote metrics to %s\n", *metricsOut)
 	}
 }
 

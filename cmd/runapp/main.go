@@ -332,62 +332,29 @@ func runTraced(app apps.App, pl *engine.Placement, cl *cluster.Cluster,
 	return apps.Run(app, pl, cl, full)
 }
 
-// sinks holds the pre-opened observability output files.
-type sinks struct {
-	traceFile   *os.File
-	metricsFile *os.File
-}
+// sinks are runapp's pre-opened -trace-out/-metrics-out files.
+type sinks struct{ *cliutil.Sinks }
 
 // openSinks creates the requested output files up front, returning nil when
 // neither flag was given.
 func openSinks(tracePath, metricsPath string) (*sinks, error) {
-	if tracePath == "" && metricsPath == "" {
-		return nil, nil
+	s, err := cliutil.OpenSinks(tracePath, metricsPath)
+	if s == nil {
+		return nil, err
 	}
-	s := &sinks{}
-	var err error
-	if tracePath != "" {
-		if s.traceFile, err = os.Create(tracePath); err != nil {
-			return nil, fmt.Errorf("-trace-out: %w", err)
-		}
-	}
-	if metricsPath != "" {
-		if s.metricsFile, err = os.Create(metricsPath); err != nil {
-			if s.traceFile != nil {
-				s.traceFile.Close()
-			}
-			return nil, fmt.Errorf("-metrics-out: %w", err)
-		}
-	}
-	return s, nil
+	return &sinks{s}, nil
 }
 
-// write renders the recorded event stream into every open sink and closes
-// them.
+// write renders the recorded event stream into every open sink, closes them
+// and prints one summary line per file.
 func (s *sinks) write(events []trace.Event) error {
-	if s.traceFile != nil {
-		err := trace.WriteChromeTrace(s.traceFile, events)
-		if cerr := s.traceFile.Close(); err == nil {
-			err = cerr
+	return s.Write(events, func(flag, path string) {
+		if flag == "-trace-out" {
+			fmt.Printf("trace              %s (%d events)\n", path, len(events))
+		} else {
+			fmt.Printf("metrics            %s\n", path)
 		}
-		if err != nil {
-			return fmt.Errorf("-trace-out: %w", err)
-		}
-		fmt.Printf("trace              %s (%d events)\n", s.traceFile.Name(), len(events))
-	}
-	if s.metricsFile != nil {
-		reg := trace.NewRegistry()
-		trace.Observe(reg, events)
-		err := reg.WritePrometheus(s.metricsFile)
-		if cerr := s.metricsFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("-metrics-out: %w", err)
-		}
-		fmt.Printf("metrics            %s\n", s.metricsFile.Name())
-	}
-	return nil
+	})
 }
 
 // faultHorizon bounds where scheduled fault events land: the first 16

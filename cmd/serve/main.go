@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -290,7 +291,9 @@ type submitRequest struct {
 	App    string `json:"app"`
 	Graph  string `json:"graph"`
 	// DeadlineSeconds, when positive, bounds the job's total lifetime: if it
-	// has not completed within that window it is shed or failed.
+	// has not completed within that window it is shed or failed. Zero means
+	// no deadline; a negative value or one past time.Duration's range is a
+	// 400.
 	DeadlineSeconds float64 `json:"deadline_seconds"`
 }
 
@@ -320,13 +323,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown graph %q", req.Graph))
 		return
 	}
+	// A deadline past what time.Duration holds (~292 years; 1e300 is valid
+	// JSON) would wrap to a negative timeout and expire the job at submission.
+	deadline := req.DeadlineSeconds * float64(time.Second)
+	if req.DeadlineSeconds < 0 || deadline >= math.MaxInt64 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("deadline_seconds %g outside [0, %g]", req.DeadlineSeconds, math.MaxInt64/float64(time.Second)))
+		return
+	}
 	// The job outlives the HTTP request — submission is asynchronous — so its
 	// lifetime context is detached from r.Context(). A requested deadline
 	// becomes a timeout; cancel releases its timer and is nil without one.
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if req.DeadlineSeconds > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineSeconds*float64(time.Second)))
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadline))
 	}
 	// An Idempotency-Key header makes the POST safe to retry: a duplicate
 	// submission (client timeout, proxy retry, resubmission after a crash)

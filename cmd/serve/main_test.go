@@ -111,11 +111,16 @@ func TestServeHTTP(t *testing.T) {
 	resp.Body.Close()
 
 	// Bad submissions.
-	if resp, _ := post(`{"tenant":"gold","app":"nope","graph":"social_network"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown app: %d", resp.StatusCode)
-	}
-	if resp, _ := post(`{"tenant":"gold","app":"pagerank","graph":"nope"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown graph: %d", resp.StatusCode)
+	for _, bad := range []struct{ name, body string }{
+		{"unknown app", `{"tenant":"gold","app":"nope","graph":"social_network"}`},
+		{"unknown graph", `{"tenant":"gold","app":"pagerank","graph":"nope"}`},
+		{"negative deadline", `{"tenant":"gold","app":"pagerank","graph":"social_network","deadline_seconds":-1}`},
+		// Overflows time.Duration: accepted, it would expire at submission.
+		{"deadline past time.Duration", `{"tenant":"gold","app":"pagerank","graph":"social_network","deadline_seconds":1e300}`},
+	} {
+		if resp, m := post(bad.body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d %v", bad.name, resp.StatusCode, m)
+		}
 	}
 	oversize := `{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `","app":"pagerank","graph":"social_network"}`
 	if resp, _ := post(oversize); resp.StatusCode != http.StatusRequestEntityTooLarge {

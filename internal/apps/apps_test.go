@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"proxygraph/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/rng"
+	"proxygraph/internal/trace"
 )
 
 func testGraph(t *testing.T, seed uint64, n, m int) *graph.Graph {
@@ -561,43 +563,30 @@ func TestAppScalingIsApplicationSpecific(t *testing.T) {
 
 var _ = rng.Hash64 // keep the import for future table-driven seeds
 
-// TestParallelVariantsMatch pins the app-level route to several workers:
-// apps.Run with Options.Workers set must match the two-argument Run.
+// TestParallelVariantsMatch pins the app-level route through engine options:
+// apps.Run with a non-empty Options (a trace recorder) must equal the
+// two-argument App.Run exactly — accounting and output alike.
 func TestParallelVariantsMatch(t *testing.T) {
 	g := testGraph(t, 55, 800, 8000)
 	cl := multiCluster(t, 4)
 	pl := moduloPlacement(t, g, 4)
 
-	prSeq, err := NewPageRank().Run(pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prPar, err := Run(NewPageRank(), pl, cl, engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prSeq.SimSeconds != prPar.SimSeconds {
-		t.Errorf("pagerank accounting differs: %v vs %v", prSeq.SimSeconds, prPar.SimSeconds)
-	}
-	rs, rp := prSeq.Output.([]float64), prPar.Output.([]float64)
-	for v := range rs {
-		if math.Abs(rs[v]-rp[v]) > 1e-9 {
-			t.Fatalf("vertex %d rank %v vs %v", v, rs[v], rp[v])
+	for _, app := range []App{NewPageRank(), NewConnectedComponents()} {
+		plain, err := app.Run(pl, cl)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	ccSeq, err := NewConnectedComponents().Run(pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccPar, err := Run(NewConnectedComponents(), pl, cl, engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ccSeq.Output.(Components).Count != ccPar.Output.(Components).Count {
-		t.Error("component counts differ between engines")
-	}
-	if ccSeq.SimSeconds != ccPar.SimSeconds {
-		t.Errorf("cc accounting differs: %v vs %v", ccSeq.SimSeconds, ccPar.SimSeconds)
+		rec := trace.NewRecorder()
+		traced, err := Run(app, pl, cl, engine.Options{Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Events) == 0 {
+			t.Fatalf("%s: no trace events recorded", app.Name())
+		}
+		sameAccounting(t, app.Name(), plain, traced)
+		if !reflect.DeepEqual(plain.Output, traced.Output) {
+			t.Errorf("%s: output differs with a trace recorder attached", app.Name())
+		}
 	}
 }

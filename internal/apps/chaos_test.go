@@ -13,7 +13,7 @@ import (
 // final vertex values the fault-free run produces — exactly for min/max/
 // integer programs, within 1e-12 for float sums, which may re-associate when
 // replayed supersteps run on the repartitioned survivor placement — and (b)
-// charge identical simulated time/energy to the last bit across all three
+// charge identical simulated time/energy to the last bit across both
 // engines, with checkpoint and recovery overhead visibly priced in.
 
 // *fault.Schedule must satisfy the engine's injector interface.
@@ -42,7 +42,7 @@ func hasPhase(res *engine.Result, kind string) bool {
 }
 
 // checkChaos runs prog fault-free on the reference engine, then under cfg on
-// all three legs, asserting value equivalence against the fault-free run
+// both legs, asserting value equivalence against the fault-free run
 // and bitwise accounting equivalence across the faulted runs.
 func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, cfg *engine.FaultConfig, eq func(a, b V) bool) *engine.Result {
 	t.Helper()
@@ -57,22 +57,15 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, withWorkers(opts, 1))
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, opts)
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parRes, parVals, err := engine.Run[V, A](prog, pl, cl, withWorkers(opts, 4))
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
-	}
 
 	sameAccounting(t, name+"/csr", refRes, csrRes)
-	sameAccounting(t, name+"/parallel", refRes, parRes)
-	if refRes.Checkpoints != csrRes.Checkpoints || refRes.Recoveries != csrRes.Recoveries ||
-		refRes.Checkpoints != parRes.Checkpoints || refRes.Recoveries != parRes.Recoveries {
-		t.Errorf("%s: protocol counters disagree: ref %d/%d csr %d/%d par %d/%d", name,
-			refRes.Checkpoints, refRes.Recoveries, csrRes.Checkpoints, csrRes.Recoveries,
-			parRes.Checkpoints, parRes.Recoveries)
+	if refRes.Checkpoints != csrRes.Checkpoints || refRes.Recoveries != csrRes.Recoveries {
+		t.Errorf("%s: protocol counters disagree: ref %d/%d csr %d/%d", name,
+			refRes.Checkpoints, refRes.Recoveries, csrRes.Checkpoints, csrRes.Recoveries)
 	}
 
 	for v := range baseVals {
@@ -81,9 +74,6 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 		}
 		if !eq(baseVals[v], csrVals[v]) {
 			t.Fatalf("%s/csr: vertex %d recovered to %v, fault-free %v", name, v, csrVals[v], baseVals[v])
-		}
-		if !eq(baseVals[v], parVals[v]) {
-			t.Fatalf("%s/parallel: vertex %d recovered to %v, fault-free %v", name, v, parVals[v], baseVals[v])
 		}
 	}
 	return refRes
@@ -226,7 +216,7 @@ func TestChaosTransientOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, baseVals, err := engine.Run[prState, float64](NewPageRank(), pl, cl, engine.Options{Workers: 1})
+	base, baseVals, err := engine.Run[prState, float64](NewPageRank(), pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +248,7 @@ func TestChaosCheckpointNeverFree(t *testing.T) {
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
 
-	base, baseVals, err := engine.Run[uint32, uint32](NewConnectedComponents(), pl, cl, engine.Options{Workers: 1})
+	base, baseVals, err := engine.Run[uint32, uint32](NewConnectedComponents(), pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzClusterBFS decodes arbitrary bytes into a small undirected graph plus a
-// distinct source set, runs the packed traversal through engine.Run at one and
-// four workers and through engine.RunReference, and checks every lane of each
-// against the in-test queue-BFS oracle. The decoder skips
+// distinct source set, runs the packed traversal through engine.Run and
+// through engine.RunReference, and checks every lane of each against the
+// in-test queue-BFS oracle. The decoder skips
 // self-loops (the graph validator rejects them) and never rejects an input —
 // every byte string maps to some legal (graph, sources) pair, so the fuzzer's
 // whole search space exercises the packed Apply/Gather path.
@@ -71,12 +71,11 @@ func FuzzClusterBFS(f *testing.F) {
 
 		prog := &ClusterBFS{Sources: srcs, MaxIters: 200}
 		legs := map[string][]ClusterState{}
-		var err1, err4, errRef error
-		_, legs["workers=1"], err1 = engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{Workers: 1})
-		_, legs["workers=4"], err4 = engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{Workers: 4})
+		var errRun, errRef error
+		_, legs["run"], errRun = engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{})
 		_, legs["reference"], errRef = engine.RunReference[ClusterState, uint64](prog, pl, cl, engine.Options{})
-		if err1 != nil || err4 != nil || errRef != nil {
-			t.Fatalf("packed run: %v, %v, %v", err1, err4, errRef)
+		if errRun != nil || errRef != nil {
+			t.Fatalf("packed run: %v, %v", errRun, errRef)
 		}
 
 		for leg, states := range legs {

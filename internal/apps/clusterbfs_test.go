@@ -11,12 +11,12 @@ import (
 // This file is the ClusterBFS differential battery of ISSUE 9: the 64-packed
 // traversal must be bit-identical, lane for lane, to 64 independent
 // single-source BFS runs — on seeded random, grid and star topologies, across
-// all three legs, clean and under chaos. Accounting is held to the same
-// standard as every other app: bitwise identical across the three legs
+// both legs, clean and under chaos. Accounting is held to the same
+// standard as every other app: bitwise identical across the two legs
 // (one packed pass cannot charge like 64 scalar passes — that gap is the
 // batch amortization the ClusterBFSStudy experiment measures — so the
-// accounting invariant is cross-engine, cross-worker-count and
-// chaos-vs-clean, not packed-vs-scalar). make check and CI run the
+// accounting invariant is cross-engine and chaos-vs-clean, not
+// packed-vs-scalar). make check and CI run the
 // TestClusterBFS* battery under -race -cpu 1,2,4.
 
 // spreadSources returns k distinct roots spread evenly across [0, n).
@@ -119,8 +119,8 @@ func checkLanesMatchScalarBFS(t *testing.T, name string, g *graph.Graph, pl *eng
 }
 
 // TestClusterBFSDifferential is the headline battery: on each topology the
-// packed run must agree bitwise across the reference engine and Run at one and four workers
-// (values and accounting), and every one of its 64 lanes must reproduce an
+// packed run must agree bitwise across the reference engine and Run (values
+// and accounting), and every one of its 64 lanes must reproduce an
 // independent single-source BFS exactly.
 func TestClusterBFSDifferential(t *testing.T) {
 	cl := heteroCluster(t)
@@ -142,7 +142,7 @@ func TestClusterBFSDifferential(t *testing.T) {
 
 			checkEquivalence[ClusterState, uint64](t, "clusterbfs/"+tc.name, prog, pl, cl, exact[ClusterState])
 
-			_, states, err := engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{Workers: 1})
+			_, states, err := engine.Run[ClusterState, uint64](prog, pl, cl, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestClusterBFSDifferential(t *testing.T) {
 // TestClusterBFSChaosDifferential puts the packed traversal under the chaos
 // schedule: the recovered run must land on bitwise-identical states (and so,
 // transitively through TestClusterBFSDifferential, on the 64 scalar BFS
-// answers) with bitwise-equal accounting across all three legs.
+// answers) with bitwise-equal accounting across both legs.
 func TestClusterBFSChaosDifferential(t *testing.T) {
 	g := equivGraph(t)
 	cl := heteroCluster(t)

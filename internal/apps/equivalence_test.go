@@ -14,18 +14,11 @@ import (
 // This file is the cross-engine equivalence suite: six applications run
 // through engine.RunReference (the original edge-list engine kept as
 // executable specification) and through engine.Run (machine-local CSR blocks,
-// hybrid frontier, destination sharding) at one worker and at four, and every
-// run must produce byte-identical simulation accounting. Vertex values must
-// match exactly for min/max/integer programs and within 1e-12 for float sums,
-// which may re-associate on sparse supersteps. The other differentials (chaos,
-// trace, resume, ClusterBFS) compare the same three legs.
-
-// withWorkers returns o with the engine's host-side worker count set — the
-// differentials' "csr" leg is one worker, their "parallel" leg four.
-func withWorkers(o engine.Options, w int) engine.Options {
-	o.Workers = w
-	return o
-}
+// hybrid frontier), and both runs must produce byte-identical simulation
+// accounting. Vertex values must match exactly for min/max/integer programs
+// and within 1e-12 for float sums, which may re-associate on sparse
+// supersteps. The other differentials (chaos, trace, resume, ClusterBFS)
+// compare the same two legs.
 
 // equivGraph is a power-law graph big enough that frontier programs pass
 // through both dense and sparse supersteps.
@@ -95,8 +88,8 @@ func sameAccounting(t *testing.T, label string, a, b *engine.Result) {
 	}
 }
 
-// checkEquivalence runs prog through the reference engine and through Run at
-// one and at four workers, and compares accounting bitwise and values with eq.
+// checkEquivalence runs prog through the reference engine and through Run,
+// and compares accounting bitwise and values with eq.
 func checkEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, eq func(a, b V) bool) {
 	t.Helper()
 
@@ -104,24 +97,16 @@ func checkEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Workers: 1})
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parRes, parVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
-	}
 
 	sameAccounting(t, name+"/csr", refRes, csrRes)
-	sameAccounting(t, name+"/parallel", refRes, parRes)
 
 	for v := range refVals {
 		if !eq(refVals[v], csrVals[v]) {
 			t.Fatalf("%s/csr: vertex %d value %v != reference %v", name, v, csrVals[v], refVals[v])
-		}
-		if !eq(refVals[v], parVals[v]) {
-			t.Fatalf("%s/parallel: vertex %d value %v != reference %v", name, v, parVals[v], refVals[v])
 		}
 	}
 }
@@ -137,8 +122,8 @@ func floatClose(a, b float64) bool {
 }
 
 // hopsProgram is a test-local SSSP over unit weights: float64 distances,
-// fold = min over src+1. Min is exactly associative even on floats, so all
-// three legs must agree bitwise; it exercises the GatherIn + frontier
+// fold = min over src+1. Min is exactly associative even on floats, so both
+// legs must agree bitwise; it exercises the GatherIn + frontier
 // combination none of the shipped apps cover.
 type hopsProgram struct{}
 
@@ -276,7 +261,7 @@ func TestEngineEquivalenceSixApps(t *testing.T) {
 	})
 }
 
-// checkRebalancedEquivalence runs prog through the same three legs with a fresh
+// checkRebalancedEquivalence runs prog through the same two legs with a fresh
 // identically-seeded Migrator each, asserting bitwise-equal accounting and
 // equal outputs. Migration decisions depend only on the per-step busy times,
 // which the equivalence suite already proves bitwise identical, so every
@@ -294,43 +279,31 @@ func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine
 		t.Fatalf("%s reference: %v", name, err)
 	}
 	csrMig := newMig()
-	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: csrMig, Workers: 1})
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: csrMig})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
-	}
-	parMig := newMig()
-	parRes, parVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: parMig, Workers: 4})
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
 	}
 
 	if refMig.Migrations == 0 {
 		t.Fatalf("%s: migrator never fired on the heterogeneous cluster", name)
 	}
-	if csrMig.Migrations != refMig.Migrations || parMig.Migrations != refMig.Migrations {
-		t.Fatalf("%s: migration counts diverge: ref=%d csr=%d parallel=%d",
-			name, refMig.Migrations, csrMig.Migrations, parMig.Migrations)
+	if csrMig.Migrations != refMig.Migrations {
+		t.Fatalf("%s: migration counts diverge: ref=%d csr=%d", name, refMig.Migrations, csrMig.Migrations)
 	}
-	if csrMig.EdgesMoved != refMig.EdgesMoved || parMig.EdgesMoved != refMig.EdgesMoved {
-		t.Fatalf("%s: moved-edge counts diverge: ref=%d csr=%d parallel=%d",
-			name, refMig.EdgesMoved, csrMig.EdgesMoved, parMig.EdgesMoved)
+	if csrMig.EdgesMoved != refMig.EdgesMoved {
+		t.Fatalf("%s: moved-edge counts diverge: ref=%d csr=%d", name, refMig.EdgesMoved, csrMig.EdgesMoved)
 	}
 	sameAccounting(t, name+"/rebalanced-csr", refRes, csrRes)
-	sameAccounting(t, name+"/rebalanced-parallel", refRes, parRes)
 	for v := range refVals {
 		if !eq(refVals[v], csrVals[v]) {
 			t.Fatalf("%s: csr value diverges at vertex %d", name, v)
-		}
-		if !eq(refVals[v], parVals[v]) {
-			t.Fatalf("%s: parallel value diverges at vertex %d", name, v)
 		}
 	}
 }
 
 // TestEngineEquivalenceRebalanced proves Rebalancer support is identical in
-// the reference engine and in Run at one and four workers: dynamic migration
-// keeps all three legs on the same trajectory, and the sharded loop re-derives
-// its group ranges against every freshly compiled placement.
+// the reference engine and in Run: dynamic migration keeps both legs on the
+// same trajectory, and Run sweeps every freshly compiled placement.
 func TestEngineEquivalenceRebalanced(t *testing.T) {
 	// The equivalence graph is too sparse here: network time dominates and is
 	// identical per machine, so the migrator stays quiet. A denser graph on a

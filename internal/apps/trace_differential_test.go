@@ -11,7 +11,7 @@ import (
 )
 
 // This file extends the equivalence and chaos suites to the structured event
-// layer: the three legs must emit *identical* event sequences — the same
+// layer: both legs must emit *identical* event sequences — the same
 // barriers, the same per-machine phase times, the same frontier sizes, the
 // same fault-protocol decisions — for every program, with and without faults.
 // trace.Event is comparable, so identity is slices.Equal, and on top of it
@@ -32,9 +32,7 @@ func tracedRun[V, A any](t *testing.T, which string, prog engine.Program[V, A], 
 	case "reference":
 		res, _, err = engine.RunReference[V, A](prog, pl, cl, opts)
 	case "csr":
-		res, _, err = engine.Run[V, A](prog, pl, cl, withWorkers(opts, 1))
-	case "parallel":
-		res, _, err = engine.Run[V, A](prog, pl, cl, withWorkers(opts, 4))
+		res, _, err = engine.Run[V, A](prog, pl, cl, opts)
 	default:
 		t.Fatalf("unknown engine %q", which)
 	}
@@ -79,31 +77,23 @@ func checkTraceDifferential[V, A any](t *testing.T, name string, prog engine.Pro
 	t.Helper()
 	refEvents, refRes := tracedRun[V, A](t, "reference", prog, pl, cl, opts)
 	csrEvents, _ := tracedRun[V, A](t, "csr", prog, pl, cl, opts)
-	parEvents, _ := tracedRun[V, A](t, "parallel", prog, pl, cl, opts)
 
 	if len(refEvents) == 0 {
 		t.Fatalf("%s: no events recorded", name)
 	}
-	for other, events := range map[string][]trace.Event{"csr": csrEvents, "parallel": parEvents} {
-		if !slices.Equal(refEvents, events) {
-			i, a, b := firstDiff(refEvents, events)
-			t.Errorf("%s: reference and %s streams differ (len %d vs %d) at event %d:\nreference: %+v\n%s: %+v",
-				name, other, len(refEvents), len(events), i, a, other, b)
-		}
-	}
-	if t.Failed() {
-		return
+	if !slices.Equal(refEvents, csrEvents) {
+		i, a, b := firstDiff(refEvents, csrEvents)
+		t.Fatalf("%s: reference and csr streams differ (len %d vs %d) at event %d:\nreference: %+v\ncsr: %+v",
+			name, len(refEvents), len(csrEvents), i, a, b)
 	}
 
 	refChrome, refProm := exporters(t, refEvents)
-	for other, events := range map[string][]trace.Event{"csr": csrEvents, "parallel": parEvents} {
-		chrome, prom := exporters(t, events)
-		if !bytes.Equal(refChrome, chrome) {
-			t.Errorf("%s: Chrome trace JSON differs between reference and %s", name, other)
-		}
-		if !bytes.Equal(refProm, prom) {
-			t.Errorf("%s: Prometheus exposition differs between reference and %s", name, other)
-		}
+	chrome, prom := exporters(t, csrEvents)
+	if !bytes.Equal(refChrome, chrome) {
+		t.Errorf("%s: Chrome trace JSON differs between reference and csr", name)
+	}
+	if !bytes.Equal(refProm, prom) {
+		t.Errorf("%s: Prometheus exposition differs between reference and csr", name)
 	}
 
 	// The stream must carry the whole run: one step-begin per executed
@@ -211,7 +201,7 @@ func TestTraceNilCollectorIdentical(t *testing.T) {
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
 	_, traced := tracedRun[prState, float64](t, "csr", NewPageRank(), pl, cl, engine.Options{})
-	plain, _, err := engine.Run[prState, float64](NewPageRank(), pl, cl, engine.Options{Workers: 1})
+	plain, _, err := engine.Run[prState, float64](NewPageRank(), pl, cl, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,6 @@
-// Package cliutil holds the small parsers the command-line tools share:
-// cluster specifications, share vectors, and estimator selection.
+// Package cliutil holds the small helpers the command-line tools share:
+// parsers for cluster specifications, share vectors and estimator selection,
+// and the -trace-out/-metrics-out output files.
 package cliutil
 
 import (

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/bits"
-	"runtime"
 	"testing"
 
 	"proxygraph/internal/gen"
@@ -133,28 +132,6 @@ func BenchmarkEngineGatherPageRankReference(b *testing.B) {
 		})
 }
 
-// perCPU asks for one engine worker per CPU, so the BenchmarkEngine*Parallel*
-// benchmarks scale with go test's -cpu list.
-func perCPU() Options { return Options{Workers: runtime.GOMAXPROCS(0)} }
-
-func BenchmarkEngineParallelPageRank(b *testing.B) {
-	pl := benchPlacement(b, benchPowerLaw(b))
-	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
-	runGatherBench[float64, float64](b, rankProgram{}, pl,
-		func(p Program[float64, float64], pl *Placement) (*Result, []float64, error) {
-			return Run[float64, float64](p, pl, cl, perCPU())
-		})
-}
-
-func BenchmarkEngineParallelSSSP(b *testing.B) {
-	pl := benchPlacement(b, benchRing(20000))
-	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
-	runGatherBench[uint32, uint32](b, benchSSSPProgram{}, pl,
-		func(p Program[uint32, uint32], pl *Placement) (*Result, []uint32, error) {
-			return Run[uint32, uint32](p, pl, cl, perCPU())
-		})
-}
-
 func BenchmarkEngineGatherSSSP(b *testing.B) {
 	pl := benchPlacement(b, benchRing(20000))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
@@ -245,14 +222,5 @@ func BenchmarkEngineClusterBFS(b *testing.B) {
 	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
 		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
 			return Run[benchClusterState, uint64](p, pl, cl, Options{})
-		})
-}
-
-func BenchmarkEngineClusterBFSParallel(b *testing.B) {
-	pl := benchPlacement(b, benchRing(20000))
-	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
-	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
-		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
-			return Run[benchClusterState, uint64](p, pl, cl, perCPU())
 		})
 }

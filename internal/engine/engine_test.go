@@ -455,35 +455,31 @@ func (rankProgram) Apply(vs []graph.VertexID, vals []float64, acc []float64, has
 	return append(signal, vs...)
 }
 
-// checkEngines runs prog through RunReference, Run at one worker and Run at
-// each further worker count, and asserts that all of them charge identical
-// accounting and compute identical vertex values. The programs the engine
-// tests use either run dense supersteps only or have an exactly associative
-// Sum, so the comparison needs no tolerance.
-func checkEngines[V comparable, A any](t *testing.T, label string, prog Program[V, A], pl *Placement, cl *cluster.Cluster, workers ...int) {
+// checkEngines runs prog through RunReference and Run and asserts that both
+// charge identical accounting and compute identical vertex values. The
+// programs the engine tests use either run dense supersteps only or have an
+// exactly associative Sum, so the comparison needs no tolerance.
+func checkEngines[V comparable, A any](t *testing.T, label string, prog Program[V, A], pl *Placement, cl *cluster.Cluster) {
 	t.Helper()
 	refRes, refVals, err := RunReference[V, A](prog, pl, cl, Options{})
 	if err != nil {
 		t.Fatalf("%s reference: %v", label, err)
 	}
-	for _, w := range append([]int{1}, workers...) {
-		res, vals, err := Run[V, A](prog, pl, cl, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", label, w, err)
-		}
-		equalResults(t, refRes, res)
-		for v := range refVals {
-			if vals[v] != refVals[v] {
-				t.Fatalf("%s workers=%d: vertex %d: %v != reference %v", label, w, v, vals[v], refVals[v])
-			}
+	res, vals, err := Run[V, A](prog, pl, cl, Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	equalResults(t, refRes, res)
+	for v := range refVals {
+		if vals[v] != refVals[v] {
+			t.Fatalf("%s: vertex %d: %v != reference %v", label, v, vals[v], refVals[v])
 		}
 	}
 }
 
-// The "ParallelMatchesSequential" and "Sharded" tests below and in
-// parallel_test.go predate the single engine.Run (the test floor pins their
-// names): each now compares RunReference, Run at one worker and Run at
-// several workers.
+// The "ParallelMatchesSequential" tests below predate the single engine.Run
+// (the test floor pins their names): each now compares RunReference and Run,
+// on the graphs and machine counts the deleted multi-worker tests also used.
 func TestRunSyncParallelMatchesSequential(t *testing.T) {
 	g := testGraph(20, 500, 6000)
 	for _, m := range []int{1, 2, 4, 8} {
@@ -500,8 +496,14 @@ func TestRunSyncParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEngines[float64, float64](t, fmt.Sprintf("m=%d", m), rankProgram{}, pl, cl, 4)
+		checkEngines[float64, float64](t, fmt.Sprintf("m=%d", m), rankProgram{}, pl, cl)
 	}
+	small := testGraph(31, 120, 1200)
+	pl, err := NewPlacement(small, moduloOwner(small, 3), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEngines[float64, float64](t, "small", rankProgram{}, pl, testCluster(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge"))
 }
 
 // minProgram exercises the frontier path (ApplyAll=false, GatherBoth).
@@ -531,23 +533,24 @@ func (minProgram) Apply(vs []graph.VertexID, vals []uint32, acc []uint32, has []
 }
 
 func TestRunSyncParallelFrontierMatchesSequential(t *testing.T) {
-	g := testGraph(21, 400, 2000)
 	cl := testCluster(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge")
-	pl, err := NewPlacement(g, moduloOwner(g, 3), 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, g := range []*graph.Graph{testGraph(21, 400, 2000), testGraph(32, 120, 800)} {
+		pl, err := NewPlacement(g, moduloOwner(g, 3), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEngines[uint32, uint32](t, fmt.Sprintf("min/%d", g.NumVertices), minProgram{}, pl, cl)
 	}
-	checkEngines[uint32, uint32](t, "min", minProgram{}, pl, cl, 4)
 }
 
+// TestRunSyncParallelClusterMismatch: both engines refuse a placement whose
+// machine count differs from the cluster's.
 func TestRunSyncParallelClusterMismatch(t *testing.T) {
 	g := testGraph(22, 20, 60)
 	pl, _ := NewPlacement(g, moduloOwner(g, 2), 2)
 	cl := testCluster(t, "c4.xlarge")
-	for _, w := range []int{1, 4} {
-		if _, _, err := Run[float64, float64](rankProgram{}, pl, cl, Options{Workers: w}); err == nil {
-			t.Errorf("workers=%d: expected mismatch error", w)
-		}
+	if _, _, err := Run[float64, float64](rankProgram{}, pl, cl, Options{}); err == nil {
+		t.Error("expected mismatch error")
 	}
 	if _, _, err := RunReference[float64, float64](rankProgram{}, pl, cl, Options{}); err == nil {
 		t.Error("reference: expected mismatch error")

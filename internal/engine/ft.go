@@ -55,11 +55,6 @@ type FaultConfig struct {
 
 // Options bundles the optional behaviours of a synchronous run.
 type Options struct {
-	// Workers is the number of host goroutines Run spreads each superstep's
-	// phases over; 0 or 1 runs every phase inline on the caller's goroutine.
-	// It never affects results, accounting or traces, only host-side speed.
-	// RunReference ignores it.
-	Workers int
 	// Rebalancer, when non-nil, is invoked after every superstep barrier and
 	// may migrate edges between machines (see Rebalancer).
 	Rebalancer Rebalancer

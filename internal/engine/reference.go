@@ -15,7 +15,7 @@ import (
 // call and applying one vertex per Program.Apply call: the per-edge and
 // per-vertex forms of the contract. It is the executable specification
 // of the engine's semantics, options included (rebalancing, fault injection,
-// tracing, warm-start frontier; Options.Workers is ignored) — Run must charge
+// tracing, warm-start frontier) — Run must charge
 // per-machine times, energy and communication bit-identically to this
 // function and emit the same trace events; the equivalence suite in
 // internal/apps enforces exactly that. Use Run for real work: it computes the

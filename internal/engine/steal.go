@@ -7,14 +7,10 @@ import (
 
 // stealTasks runs fn(w, task) for every task in [0, tasks), distributing
 // tasks over workers goroutines through a shared atomic claim counter — the
-// work-stealing loop the parallel block compile introduced, factored out so
-// every engine phase that is a bag of independent tasks (block compiles,
-// gather shards, dense apply chunks) shares one implementation. Worker w
-// processes whichever tasks it wins, so fn must be safe for any (worker,
-// task) pairing; phases that need deterministic results therefore key their
-// writes on the task (disjoint vertex ranges) and keep per-worker state
-// restricted to values whose merge is order-insensitive (exact integer sums,
-// maxima).
+// work-stealing loop of the placement's block compile, one machine block per
+// task. Worker w processes whichever tasks it wins, so fn must be safe for any
+// (worker, task) pairing: the compile keys its output on the task and keeps
+// only scratch space per worker.
 //
 // With one worker the loop runs inline on the caller's goroutine: no spawn,
 // no atomics contention, identical task order to a plain loop.

@@ -8,11 +8,12 @@ import (
 
 // This file keeps the original single-threaded partitioner loops as
 // executable specifications, mirroring how engine.RunReference anchors
-// engine.Run: the production paths in randomhash.go, hybrid.go,
-// ginger.go, oblivious.go and hdrf.go shard their scans, window-batch their
-// order-dependent streams and use the quantized picker, and the ingress
-// differential test asserts their owner vectors are bit-identical to these
-// references at every shard count, window size and share vector. The specs
+// engine.Run: the production paths in randomhash.go, hybrid.go and ginger.go
+// shard their hash scans over GOMAXPROCS, oblivious.go, hdrf.go and ginger's
+// refinement run their order-dependent streams as one loop over cheaper data
+// structures, all use the quantized picker, and the ingress differential test
+// asserts their owner vectors are bit-identical to these references at every
+// GOMAXPROCS and share vector. The specs
 // deliberately share no code with the production paths (naive binary-search
 // picks, sorted CSR builds, straight-line per-edge loops), so the
 // differential is a real cross-implementation check.
