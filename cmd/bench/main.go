@@ -21,69 +21,9 @@ import (
 
 	"proxygraph/internal/cliutil"
 	"proxygraph/internal/exp"
-	"proxygraph/internal/metrics"
 	"proxygraph/internal/report"
 	"proxygraph/internal/trace"
 )
-
-type experiment struct {
-	name string
-	desc string
-	run  func(*exp.Lab) ([]*metrics.Table, error)
-}
-
-func one(f func(*exp.Lab) (*metrics.Table, error)) func(*exp.Lab) ([]*metrics.Table, error) {
-	return func(l *exp.Lab) ([]*metrics.Table, error) {
-		t, err := f(l)
-		if err != nil {
-			return nil, err
-		}
-		return []*metrics.Table{t}, nil
-	}
-}
-
-func experiments() []experiment {
-	return []experiment{
-		{"table1", "machine configurations", func(l *exp.Lab) ([]*metrics.Table, error) {
-			return []*metrics.Table{exp.TableI()}, nil
-		}},
-		{"table2", "graphs with fitted alphas", one((*exp.Lab).TableII)},
-		{"fig2", "estimated vs real speedup scaling", one((*exp.Lab).Fig2)},
-		{"fig4", "imbalanced vs balanced per-machine execution profile", one((*exp.Lab).Fig4)},
-		{"fig6", "power-law degree distribution", one((*exp.Lab).Fig6)},
-		{"fig8a", "CCR accuracy, c4 ladder", one((*exp.Lab).Fig8a)},
-		{"fig8b", "CCR accuracy, 2xlarge categories", one((*exp.Lab).Fig8b)},
-		{"fig9", "Case 1 runtimes (EC2, 4 apps x 4 graphs x 5 cuts)", func(l *exp.Lab) ([]*metrics.Table, error) {
-			tables, err := l.Fig9()
-			if err != nil {
-				return nil, err
-			}
-			summary, err := l.Fig9Summary()
-			if err != nil {
-				return nil, err
-			}
-			return append(tables, summary), nil
-		}},
-		{"fig10a", "Case 2 performance and energy", one((*exp.Lab).Fig10a)},
-		{"fig10b", "Case 3 performance and energy", one((*exp.Lab).Fig10b)},
-		{"fig11", "cost/performance Pareto", one((*exp.Lab).Fig11)},
-		{"replication", "replication factor by algorithm (incl. HDRF)", one((*exp.Lab).ReplicationStudy)},
-		{"ingress", "loading/finalization makespans", one((*exp.Lab).IngressStudy)},
-		{"dynamic", "Mizan-style dynamic balancing vs static CCR ingress", one((*exp.Lab).DynamicStudy)},
-		{"amortization", "one-time profiling cost vs session gains", one((*exp.Lab).AmortizationStudy)},
-		{"session", "placement cache vs rebuilt ingress, charged sessions", one((*exp.Lab).SessionThroughputStudy)},
-		{"recovery", "checkpoint interval vs crash-recovery cost", one((*exp.Lab).RecoveryStudy)},
-		{"clusterbfs", "proxy-predicted vs measured placement for bitset-state batched traversal", one((*exp.Lab).ClusterBFSStudy)},
-		{"evolve", "evolving graphs: amended placement + resumed apps vs full rebuild", one((*exp.Lab).EvolveStudy)},
-		{"overload", "multi-tenant service under bursty overload (admission, shedding, retries)", one((*exp.Lab).ServiceOverloadStudy)},
-		{"freqsweep", "CCR vs little-machine frequency", one((*exp.Lab).FrequencySweep)},
-		{"abl-hybrid", "hybrid threshold sweep", one((*exp.Lab).AblationHybridThreshold)},
-		{"abl-ginger", "ginger gamma sweep", one((*exp.Lab).AblationGingerGamma)},
-		{"abl-proxyset", "proxy set coverage", one((*exp.Lab).AblationProxySet)},
-		{"abl-scale", "CCR scale invariance", one((*exp.Lab).AblationScaleInvariance)},
-		{"abl-subsample", "proxies vs natural-graph subsampling", one((*exp.Lab).AblationSubsample)},
-	}
-}
 
 func main() {
 	var (
@@ -100,10 +40,10 @@ func main() {
 	)
 	flag.Parse()
 
-	exps := experiments()
+	exps := exp.Catalog()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-12s %s\n", e.name, e.desc)
+			fmt.Printf("%-12s %s\n", e.Name, e.Desc)
 		}
 		return
 	}
@@ -112,9 +52,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	names := map[string]experiment{}
+	names := map[string]exp.Experiment{}
 	for _, e := range exps {
-		names[e.name] = e
+		names[e.Name] = e
 	}
 
 	// Open observability outputs before any experiment runs: a bad path must
@@ -155,9 +95,8 @@ func main() {
 		}
 	}
 	for _, name := range selected {
-		e := names[name]
 		start := time.Now()
-		tables, err := e.run(lab)
+		tables, err := names[name].Run(lab)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -209,12 +148,12 @@ func main() {
 
 // selectExperiments resolves the -exp flag against the catalog: "all" keeps
 // catalog order, otherwise a comma-separated list is validated name by name.
-func selectExperiments(which string, exps []experiment) ([]string, error) {
+func selectExperiments(which string, exps []exp.Experiment) ([]string, error) {
 	names := map[string]bool{}
 	var order []string
 	for _, e := range exps {
-		names[e.name] = true
-		order = append(order, e.name)
+		names[e.Name] = true
+		order = append(order, e.Name)
 	}
 	if which == "all" {
 		return order, nil

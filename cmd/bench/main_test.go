@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"proxygraph/internal/exp"
 )
 
 // TestMain lets the tests run the command itself: with BENCH_AS_MAIN set the
@@ -70,7 +72,7 @@ func TestCPUProfileLeavesTheReportAlone(t *testing.T) {
 }
 
 func TestSelectExperimentsAll(t *testing.T) {
-	exps := experiments()
+	exps := exp.Catalog()
 	got, err := selectExperiments("all", exps)
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +81,14 @@ func TestSelectExperimentsAll(t *testing.T) {
 		t.Fatalf("selected %d of %d experiments", len(got), len(exps))
 	}
 	for i, e := range exps {
-		if got[i] != e.name {
-			t.Fatalf("catalog order lost at %d: %q != %q", i, got[i], e.name)
+		if got[i] != e.Name {
+			t.Fatalf("catalog order lost at %d: %q != %q", i, got[i], e.Name)
 		}
 	}
 }
 
 func TestSelectExperimentsList(t *testing.T) {
-	got, err := selectExperiments(" fig4 , recovery ", experiments())
+	got, err := selectExperiments(" fig4 , recovery ", exp.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestSelectExperimentsList(t *testing.T) {
 }
 
 func TestSelectExperimentsUnknown(t *testing.T) {
-	_, err := selectExperiments("fig4,nonsense", experiments())
+	_, err := selectExperiments("fig4,nonsense", exp.Catalog())
 	if err == nil {
 		t.Fatal("unknown experiment must be rejected")
 	}
@@ -109,16 +111,16 @@ func TestSelectExperimentsUnknown(t *testing.T) {
 // other in the -exp lookup map.
 func TestCatalogHasUniqueNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range experiments() {
-		if seen[e.name] {
-			t.Errorf("duplicate experiment name %q", e.name)
+	for _, e := range exp.Catalog() {
+		if seen[e.Name] {
+			t.Errorf("duplicate experiment name %q", e.Name)
 		}
-		seen[e.name] = true
-		if e.desc == "" {
-			t.Errorf("experiment %q has no description", e.name)
+		seen[e.Name] = true
+		if e.Desc == "" {
+			t.Errorf("experiment %q has no description", e.Name)
 		}
-		if e.run == nil {
-			t.Errorf("experiment %q has no run function", e.name)
+		if e.Run == nil {
+			t.Errorf("experiment %q has no run function", e.Name)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 		clusterSpec = flag.String("cluster", "xeon:4:2.5,xeon:12:2.5", "machines: catalog names or name:cores:freqGHz")
 		algo        = flag.String("algo", "hybrid", "partitioning algorithm")
 		estimator   = flag.String("estimator", "proxy", "CCR source: proxy, prior-work, default")
-		poolFile    = flag.String("pool", "", "CCR pool JSON from cmd/profiler (overrides -estimator)")
+		poolFile    = flag.String("pool", "", "CCR pool JSON from proxygraph profile (overrides -estimator)")
 		seed        = flag.Uint64("seed", 42, "run seed")
 		timeline    = flag.Bool("trace", false, "print the superstep timeline")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of the run here (open chrome://tracing or ui.perfetto.dev)")
@@ -415,7 +415,7 @@ func loadGraph(file, specName string, scale int, seed uint64) (*graph.Graph, err
 			return gen.Generate(s.Scale(scale), seed)
 		}
 	}
-	return nil, fmt.Errorf("unknown spec %q (see graphgen -list)", specName)
+	return nil, fmt.Errorf("unknown spec %q (see proxygraph gen -list)", specName)
 }
 
 func resolveCCR(cl *cluster.Cluster, app apps.App, poolFile, estimator string, scale int, seed uint64) (core.CCR, error) {

@@ -10,6 +10,8 @@ import (
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
+	"proxygraph/internal/engine"
+	"proxygraph/internal/partition"
 )
 
 // ParseCluster turns a comma-separated machine list into a Cluster. Each
@@ -55,7 +57,10 @@ func ParseMachine(entry string) (cluster.Machine, error) {
 // shares; an empty string yields uniform shares over machines.
 func ParseShares(weights string, machines int) ([]float64, error) {
 	if weights == "" {
-		return uniform(machines), nil
+		if machines < 1 || machines > engine.MaxMachines {
+			return nil, fmt.Errorf("%d machines, want 1 to %d", machines, engine.MaxMachines)
+		}
+		return partition.UniformShares(machines), nil
 	}
 	var ws []float64
 	for _, f := range strings.Split(weights, ",") {
@@ -65,33 +70,7 @@ func ParseShares(weights string, machines int) ([]float64, error) {
 		}
 		ws = append(ws, v)
 	}
-	return normalize(ws)
-}
-
-func uniform(m int) []float64 {
-	shares := make([]float64, m)
-	for i := range shares {
-		shares[i] = 1 / float64(m)
-	}
-	return shares
-}
-
-func normalize(ws []float64) ([]float64, error) {
-	if len(ws) == 0 {
-		return nil, fmt.Errorf("empty weight vector")
-	}
-	sum := 0.0
-	for _, w := range ws {
-		if w <= 0 {
-			return nil, fmt.Errorf("weight %v must be positive", w)
-		}
-		sum += w
-	}
-	out := make([]float64, len(ws))
-	for i, w := range ws {
-		out[i] = w / sum
-	}
-	return out, nil
+	return partition.NormalizeShares(ws)
 }
 
 // ParseEstimator builds the named CCR estimator: "proxy" (profiling at

@@ -70,9 +70,14 @@ func TestParseSharesWeighted(t *testing.T) {
 }
 
 func TestParseSharesErrors(t *testing.T) {
-	for _, spec := range []string{"1,x", "0,1", "-1,2"} {
+	for _, spec := range []string{"1,x", "0,1", "-1,2", "NaN,1", "1,+Inf"} {
 		if _, err := ParseShares(spec, 2); err == nil {
 			t.Errorf("spec %q should error", spec)
+		}
+	}
+	for _, machines := range []int{-1, 0, 65} {
+		if s, err := ParseShares("", machines); err == nil {
+			t.Errorf("%d machines should error, got shares %v", machines, s)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func (c CCR) Error(truth CCR) (float64, error) {
 
 // Pool is the CCR pool of Fig 7a: the offline-profiled CCR of every reusable
 // application, keyed by application name. Pools serialize to JSON so
-// cmd/profiler can persist them ("each application's CCR will be collected
+// proxygraph profile can persist them ("each application's CCR will be collected
 // into a CCR pool for future use").
 type Pool struct {
 	ccrs map[string]CCR
@@ -172,7 +172,7 @@ func (p *Pool) SaveFile(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadPoolFile reads a pool written by SaveFile (or cmd/profiler).
+// LoadPoolFile reads a pool written by SaveFile (or proxygraph profile).
 func LoadPoolFile(path string) (*Pool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

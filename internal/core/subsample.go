@@ -69,12 +69,32 @@ func (pp *ProxyProfiler) CoveredAlphaRange() (lo, hi float64) {
 	return lo, hi
 }
 
-// Covers reports whether alpha lies within the proxy set's range, with the
-// tolerance the paper implies by spacing proxies ~0.15 apart.
+// proxyBandSlack widens a proxy set's α span by the tolerance the paper
+// implies by spacing proxies ~0.15 apart.
+const proxyBandSlack = 0.1
+
+// Covers reports whether alpha lies within the proxy set's range, widened by
+// proxyBandSlack.
 func (pp *ProxyProfiler) Covers(alpha float64) bool {
 	lo, hi := pp.CoveredAlphaRange()
-	const slack = 0.1
-	return alpha >= lo-slack && alpha <= hi+slack
+	return inBand(alpha, lo, hi)
+}
+
+// inBand is the Covers rule for a proxy set spanning [lo, hi].
+func inBand(alpha, lo, hi float64) bool {
+	return alpha >= lo-proxyBandSlack && alpha <= hi+proxyBandSlack
+}
+
+// DefaultProxyBand applies the Covers rule to the default proxy set
+// (gen.ProxyGraphs) without generating it: it returns the band of exponents
+// that set covers and whether alpha lies inside it. For any alpha > 1,
+// EnsureCoverage extends NewProxyProfiler's set exactly when covered is false.
+func DefaultProxyBand(alpha float64) (lo, hi float64, covered bool) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, s := range gen.ProxyGraphs() {
+		lo, hi = math.Min(lo, s.Alpha), math.Max(hi, s.Alpha)
+	}
+	return lo - proxyBandSlack, hi + proxyBandSlack, inBand(alpha, lo, hi)
 }
 
 // ClosestProxy returns the proxy whose α is nearest to alpha, for flows that

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"proxygraph/internal/apps"
@@ -84,6 +85,34 @@ func TestProxyCoverage(t *testing.T) {
 		if pp.Covers(alpha) {
 			t.Errorf("alpha %v should not be covered", alpha)
 		}
+	}
+}
+
+// TestDefaultProxyBandMatchesCovers pins the offline band verdict to the
+// profiler's own rule: every α in [1.70, 2.60] is covered by DefaultProxyBand
+// exactly when a freshly generated default profiler Covers it.
+func TestDefaultProxyBandMatchesCovers(t *testing.T) {
+	pp, err := NewProxyProfiler(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, _ := DefaultProxyBand(2)
+	if math.Abs(lo-1.85) > 1e-9 || math.Abs(hi-2.40) > 1e-9 {
+		t.Errorf("default band [%v, %v], want [1.85, 2.40]", lo, hi)
+	}
+	inside := 0
+	for i := 0; i <= 90; i++ {
+		alpha := 1.70 + float64(i)/100
+		_, _, covered := DefaultProxyBand(alpha)
+		if covered != pp.Covers(alpha) {
+			t.Errorf("alpha %.2f: DefaultProxyBand covered=%v, Covers=%v", alpha, covered, pp.Covers(alpha))
+		}
+		if covered {
+			inside++
+		}
+	}
+	if inside < 50 || inside > 56 {
+		t.Errorf("%d of 91 sweep points inside the band, want the ~55 of [1.85, 2.40]", inside)
 	}
 }
 

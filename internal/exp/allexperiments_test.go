@@ -3,50 +3,18 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"proxygraph/internal/metrics"
 )
 
 // TestEveryExperimentProducesWellFormedTables runs the complete experiment
-// catalog once at a tiny scale and checks structural invariants shared by
-// all outputs: a title, a header, at least one row, rectangular-enough rows,
-// and CSV that round-trips the row count. This is the integration net under
-// cmd/bench and the benchmark harness.
+// catalog (Catalog, the list cmd/bench runs) once at a tiny scale and checks
+// structural invariants shared by all outputs: a title, a header, at least
+// one row, rectangular-enough rows, and CSV that round-trips the row count.
+// This is the integration net under cmd/bench and the benchmark harness.
 func TestEveryExperimentProducesWellFormedTables(t *testing.T) {
 	lab := NewLab(Config{Scale: 1024, Seed: 42})
-	catalog := []struct {
-		name string
-		run  func() ([]*metrics.Table, error)
-	}{
-		{"table1", func() ([]*metrics.Table, error) { return []*metrics.Table{TableI()}, nil }},
-		{"table2", wrap(lab.TableII)},
-		{"fig2", wrap(lab.Fig2)},
-		{"fig4", wrap(lab.Fig4)},
-		{"fig6", wrap(lab.Fig6)},
-		{"fig8a", wrap(lab.Fig8a)},
-		{"fig8b", wrap(lab.Fig8b)},
-		{"fig9", lab.Fig9},
-		{"fig9summary", wrap(lab.Fig9Summary)},
-		{"fig10a", wrap(lab.Fig10a)},
-		{"fig10b", wrap(lab.Fig10b)},
-		{"fig11", wrap(lab.Fig11)},
-		{"replication", wrap(lab.ReplicationStudy)},
-		{"ingress", wrap(lab.IngressStudy)},
-		{"dynamic", wrap(lab.DynamicStudy)},
-		{"amortization", wrap(lab.AmortizationStudy)},
-		{"session", wrap(lab.SessionThroughputStudy)},
-		{"recovery", wrap(lab.RecoveryStudy)},
-		{"freqsweep", wrap(lab.FrequencySweep)},
-		{"abl-hybrid", wrap(lab.AblationHybridThreshold)},
-		{"abl-ginger", wrap(lab.AblationGingerGamma)},
-		{"abl-proxyset", wrap(lab.AblationProxySet)},
-		{"abl-scale", wrap(lab.AblationScaleInvariance)},
-		{"abl-subsample", wrap(lab.AblationSubsample)},
-	}
-	for _, exp := range catalog {
-		exp := exp
-		t.Run(exp.name, func(t *testing.T) {
-			tables, err := exp.run()
+	for _, e := range Catalog() {
+		t.Run(e.Name, func(t *testing.T) {
+			tables, err := e.Run(lab)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,15 +52,5 @@ func TestEveryExperimentProducesWellFormedTables(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func wrap(f func() (*metrics.Table, error)) func() ([]*metrics.Table, error) {
-	return func() ([]*metrics.Table, error) {
-		tab, err := f()
-		if err != nil {
-			return nil, err
-		}
-		return []*metrics.Table{tab}, nil
 	}
 }

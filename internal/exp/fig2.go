@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"fmt"
+
 	"proxygraph/internal/apps"
 	"proxygraph/internal/core"
 	"proxygraph/internal/gen"
+	"proxygraph/internal/graph"
 	"proxygraph/internal/metrics"
 )
 
@@ -65,23 +68,13 @@ func (l *Lab) Fig6() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	deg, count := degreeHistogram(g)
 	t := metrics.NewTable("Fig 6: power-law degree distribution ("+g.Name+")",
 		"degree bucket", "vertices")
-	// Log-spaced buckets: [1,2), [2,4), [4,8), ...
-	bucketLo := 1
-	idx := 0
-	for bucketLo <= maxInt(deg) {
-		hi := bucketLo * 2
-		total := int64(0)
-		for idx < len(deg) && deg[idx] < hi {
-			total += count[idx]
-			idx++
-		}
+	// Out-degrees, the side Algorithm 1 samples from its power law.
+	for b, total := range graph.LogDegreeBuckets(g.OutDegrees()) {
 		if total > 0 {
-			t.AddRow(formatRange(bucketLo, hi-1), formatCount(total))
+			t.AddRow(graph.LogDegreeBucketLabel(b), fmt.Sprint(total))
 		}
-		bucketLo = hi
 	}
 	t.AddNote("alpha (declared) = %.2f; counts decay linearly in log-log space", g.Alpha)
 	return t, nil

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
@@ -104,29 +102,4 @@ func (l *Lab) realCCR(cl *cluster.Cluster, app apps.App, reals []*graph.Graph) (
 		agg[k] /= slowest
 	}
 	return core.CCR{App: app.Name(), Ratios: agg}, nil
-}
-
-func maxInt(xs []int) int {
-	best := 0
-	for _, x := range xs {
-		if x > best {
-			best = x
-		}
-	}
-	return best
-}
-
-func formatRange(lo, hi int) string {
-	if lo == hi {
-		return fmt.Sprint(lo)
-	}
-	return fmt.Sprintf("%d-%d", lo, hi)
-}
-
-func formatCount(c int64) string { return fmt.Sprint(c) }
-
-// degreeHistogram adapts graph.DegreeHistogram over out-degrees, the side
-// of the distribution Algorithm 1 samples from its power law.
-func degreeHistogram(g *graph.Graph) ([]int, []int64) {
-	return graph.DegreeHistogram(g.OutDegrees())
 }

@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // VertexID identifies a vertex. Graphs in this reproduction stay below 2^32
@@ -107,24 +107,36 @@ func (g *Graph) MaxDegree() int {
 	return int(maxDeg)
 }
 
-// DegreeHistogram returns (degree, count) pairs sorted by degree for the
-// given degree array, skipping degrees with zero count. This is the data
-// behind the paper's Fig 6 (power-law degree distribution).
-func DegreeHistogram(degrees []int32) (deg []int, count []int64) {
-	m := map[int32]int64{}
+// LogDegreeBuckets counts degrees in the power-of-two buckets [2^b, 2^(b+1))
+// for b = 0, 1, ..., the binning of the paper's Fig 6. Degree 0 joins bucket
+// 0; when no degree is positive there are no buckets.
+func LogDegreeBuckets(degrees []int32) []int64 {
+	var buckets []int64
+	zeros := int64(0)
 	for _, d := range degrees {
-		m[d]++
+		if d == 0 {
+			zeros++
+			continue
+		}
+		b := bits.Len32(uint32(d)) - 1
+		for len(buckets) <= b {
+			buckets = append(buckets, 0)
+		}
+		buckets[b]++
 	}
-	deg = make([]int, 0, len(m))
-	for d := range m {
-		deg = append(deg, int(d))
+	if len(buckets) > 0 {
+		buckets[0] += zeros
 	}
-	sort.Ints(deg)
-	count = make([]int64, len(deg))
-	for i, d := range deg {
-		count[i] = m[int32(d)]
+	return buckets
+}
+
+// LogDegreeBucketLabel names bucket b of LogDegreeBuckets: "1", "2-3",
+// "4-7", ...
+func LogDegreeBucketLabel(b int) string {
+	if b == 0 {
+		return "1"
 	}
-	return deg, count
+	return fmt.Sprintf("%d-%d", 1<<b, 1<<(b+1)-1)
 }
 
 // CSR is a compressed-sparse-row adjacency structure over a Graph.

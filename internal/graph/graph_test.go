@@ -94,11 +94,14 @@ func TestAvgDegree(t *testing.T) {
 }
 
 func TestDegreeHistogram(t *testing.T) {
-	deg, count := DegreeHistogram([]int32{3, 3, 3, 2, 1, 1})
-	wantDeg := []int{1, 2, 3}
-	wantCount := []int64{2, 1, 3}
-	if !reflect.DeepEqual(deg, wantDeg) || !reflect.DeepEqual(count, wantCount) {
-		t.Errorf("histogram = %v/%v, want %v/%v", deg, count, wantDeg, wantCount)
+	got := LogDegreeBuckets([]int32{0, 1, 1, 2, 3, 4, 9, 15})
+	if want := []int64{3, 2, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("buckets = %v, want %v", got, want)
+	}
+	for _, degrees := range [][]int32{nil, {0, 0}} {
+		if got := LogDegreeBuckets(degrees); got != nil {
+			t.Errorf("LogDegreeBuckets(%v) = %v, want no buckets", degrees, got)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"proxygraph/internal/engine"
@@ -62,15 +63,15 @@ func UniformShares(m int) []float64 {
 }
 
 // NormalizeShares scales a positive weight vector (e.g. raw CCRs) to sum
-// to 1. It errors on empty input or non-positive weights.
+// to 1. It errors on empty input or a weight that is not finite and positive.
 func NormalizeShares(weights []float64) ([]float64, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("partition: empty weight vector")
 	}
 	sum := 0.0
 	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("partition: weight %d is %v, must be positive", i, w)
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("partition: weight %d is %v, must be finite and positive", i, w)
 		}
 		sum += w
 	}
@@ -91,12 +92,12 @@ func checkShares(shares []float64, minMachines int) error {
 	}
 	sum := 0.0
 	for i, s := range shares {
-		if s <= 0 {
-			return fmt.Errorf("partition: share %d is %v, must be positive", i, s)
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("partition: share %d is %v, must be finite and positive", i, s)
 		}
 		sum += s
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("partition: shares sum to %v, want 1 (use NormalizeShares)", sum)
 	}
 	return nil

@@ -81,6 +81,11 @@ func TestNormalizeShares(t *testing.T) {
 	if _, err := NormalizeShares([]float64{1, -2}); err == nil {
 		t.Error("negative weight should error")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if s, err := NormalizeShares([]float64{bad, 1}); err == nil {
+			t.Errorf("weight %v should error, got shares %v", bad, s)
+		}
+	}
 }
 
 func TestPartitionersRejectBadShares(t *testing.T) {
@@ -94,6 +99,13 @@ func TestPartitionersRejectBadShares(t *testing.T) {
 		}
 		if _, err := p.Partition(g, []float64{1.5, -0.5}, 1); err == nil {
 			t.Errorf("%s: negative share should error", p.Name())
+		}
+		// NaN fails every ordered comparison, so only a check written to
+		// fail on it keeps it out; +Inf with a -Inf partner sums to NaN.
+		for _, shares := range [][]float64{{math.NaN(), 1}, {0.5, math.NaN()}, {math.Inf(1), 1}, {math.Inf(1), math.Inf(-1)}} {
+			if _, err := Apply(p, g, shares, 1); err == nil {
+				t.Errorf("%s: Apply with shares %v should error", p.Name(), shares)
+			}
 		}
 	}
 }

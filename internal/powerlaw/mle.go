@@ -8,7 +8,7 @@ import (
 // This file adds maximum-likelihood α estimation from observed degrees —
 // the Clauset–Shalizi–Newman approach — complementing the paper's
 // moment-matching fit (Eq 7), which only needs |V| and |E|. When the full
-// degree sequence is available (e.g. from cmd/graphstats), the MLE uses all
+// degree sequence is available (e.g. from proxygraph stats), the MLE uses all
 // of it and is robust to the tail truncation that skews moment fits.
 
 // FitAlphaMLE estimates α by maximizing the discrete power-law likelihood
@@ -41,8 +41,8 @@ func FitAlphaMLE(degrees []int32, dmin int) (float64, error) {
 	return solveMLE(n, sumLog, dmin, maxDeg)
 }
 
-// FitAlphaFromHistogram is FitAlphaMLE over (degree, count) pairs, the form
-// graph.DegreeHistogram produces.
+// FitAlphaFromHistogram is FitAlphaMLE over (degree, count) pairs: one pair
+// per distinct degree.
 func FitAlphaFromHistogram(deg []int, count []int64, dmin int) (float64, error) {
 	if len(deg) != len(count) {
 		return 0, fmt.Errorf("powerlaw: histogram lengths differ (%d vs %d)", len(deg), len(count))

@@ -401,7 +401,7 @@ func RecommendCluster(catalog []Machine, speeds advisor.Speeds, req AdvisorReque
 }
 
 // LoadPoolFile reads a CCR pool JSON written by Pool.SaveFile or
-// cmd/profiler.
+// proxygraph profile.
 func LoadPoolFile(path string) (*Pool, error) { return core.LoadPoolFile(path) }
 
 // FitAlphaMLE estimates α by maximum likelihood from an observed degree
