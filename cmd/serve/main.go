@@ -40,6 +40,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -224,7 +225,7 @@ type server struct {
 // newServer generates the Table II graph catalog at 1/scale and starts the
 // service with an Observer folding every event into the registry. With a
 // journal path configured it first recovers the previous incarnation's state:
-// terminal jobs reappear with their results and budget charges, in-flight
+// terminal jobs reappear with their status and budget charges, in-flight
 // jobs re-enter the queue, and new job ids continue the journal sequence so
 // status URLs stay valid across the restart.
 func newServer(cfg *appConfig, extra trace.Collector) (*server, error) {
@@ -437,6 +438,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.exportCounter("proxygraph_journal_errors", "journal write failures", c.JournalErrors)
 	s.exportCounter("proxygraph_jobs_recovered_done", "terminal jobs rebuilt from the journal at startup", c.RecoveredDone)
 	s.exportCounter("proxygraph_jobs_recovered_requeued", "in-flight jobs re-enqueued from the journal at startup", c.RecoveredRequeued)
+	s.exportCounter("proxygraph_job_results_expired", "done jobs whose result left the service's retention window", c.ResultsExpired)
+	// The process's own footprint: a plateauing live heap is what the
+	// result window promises (DESIGN.md §7).
+	rt := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/sched/goroutines:goroutines"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(rt)
+	s.reg.Gauge("proxygraph_go_heap_live_bytes", "heap bytes marked live by the last garbage collection").Set(float64(rt[0].Value.Uint64()))
+	s.reg.Gauge("proxygraph_go_goroutines", "live goroutines").Set(float64(rt[1].Value.Uint64()))
+	s.exportCounter("proxygraph_go_gc_cycles", "completed garbage collection cycles", rt[2].Value.Uint64())
 	degraded, _ := s.svc.Degraded()
 	degVal := 0.0
 	if degraded {

@@ -276,18 +276,26 @@ func TestServeHTTP(t *testing.T) {
 	counters := []string{
 		"proxygraph_jobs_completed", "proxygraph_jobs_failed", "proxygraph_jobs_submitted", "proxygraph_jobs_deduped",
 		"proxygraph_journal_appends", "proxygraph_journal_errors",
-		"proxygraph_jobs_recovered_done", "proxygraph_jobs_recovered_requeued",
+		"proxygraph_jobs_recovered_done", "proxygraph_jobs_recovered_requeued", "proxygraph_job_results_expired",
 		"proxygraph_placement_cache_hits", "proxygraph_placement_cache_misses", "proxygraph_placement_cache_evictions",
 	}
-	for _, name := range counters {
+	// The runtime's GC cycle count is a counter too, but the runtime may
+	// collect between two scrapes with no job in flight.
+	for _, name := range append(counters, "proxygraph_go_gc_cycles") {
 		if first.typ[name] != "counter" {
 			t.Errorf("%s is exported as %q, want a counter", name, first.typ[name])
 		}
 	}
-	for _, name := range []string{"proxygraph_degraded", "proxygraph_placement_cache_entries", "proxygraph_placement_cache_bytes"} {
+	for _, name := range []string{
+		"proxygraph_degraded", "proxygraph_placement_cache_entries", "proxygraph_placement_cache_bytes",
+		"proxygraph_go_heap_live_bytes", "proxygraph_go_goroutines",
+	} {
 		if first.typ[name] != "gauge" {
 			t.Errorf("%s is exported as %q, want a gauge", name, first.typ[name])
 		}
+	}
+	if first.value["proxygraph_go_heap_live_bytes"] <= 0 || first.value["proxygraph_go_goroutines"] <= 0 {
+		t.Errorf("runtime gauges: live heap %v B, %v goroutines", first.value["proxygraph_go_heap_live_bytes"], first.value["proxygraph_go_goroutines"])
 	}
 	if got, want := first.value["proxygraph_jobs_completed"], float64(srv.svc.Counters().Completed); got != want || got < 4 {
 		t.Errorf("proxygraph_jobs_completed %v, the service counts %v", got, want)
@@ -312,6 +320,9 @@ func TestServeHTTP(t *testing.T) {
 		if after.value[name] < idle.value[name] {
 			t.Errorf("%s fell from %v to %v", name, idle.value[name], after.value[name])
 		}
+	}
+	if after.value["proxygraph_go_gc_cycles"] < first.value["proxygraph_go_gc_cycles"] {
+		t.Errorf("proxygraph_go_gc_cycles fell from %v to %v", first.value["proxygraph_go_gc_cycles"], after.value["proxygraph_go_gc_cycles"])
 	}
 	for _, name := range []string{"proxygraph_jobs_completed", "proxygraph_jobs_submitted", "proxygraph_placement_cache_misses"} {
 		if after.value[name] != idle.value[name]+1 {

@@ -51,7 +51,7 @@ const (
 	// charged accounting (Seconds = execution sim-seconds, Ingress, Energy)
 	// and the placement-cache outcome (Flag). The application output itself
 	// is not journaled; after recovery Status reports the charges but Result
-	// returns an accounting-only result.
+	// returns ErrResultExpired.
 	RecordComplete
 	// RecordFail is a job's unsuccessful terminal transition; Error holds the
 	// final attempt's error text.

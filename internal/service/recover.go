@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 
-	"proxygraph/internal/engine"
 	"proxygraph/internal/workload"
 )
 
 // restore replays a decoded journal into a fresh machine, rebuilding tenant
-// budgets, the queue, completed results and the idempotency index, and
-// re-enqueueing every job that was queued or running at crash time.
+// budgets, the queue, the idempotency index and every terminal job as a
+// tombstone (the journal records charges, not outputs, so a recovered done job
+// has no result), and re-enqueueing every job that was queued or running at
+// crash time.
 //
 // Recovery invariants (see DESIGN.md §Durability and recovery):
 //
@@ -88,7 +89,8 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			m.removeQueued(js)
 			js.state = StateDone
 			js.attempts = r.Attempt
-			js.result = &engine.Result{SimSeconds: r.Seconds, EnergyJoules: r.Energy}
+			js.execSeconds = r.Seconds
+			js.energy = r.Energy
 			js.ingress = r.Ingress
 			js.cacheHit = r.Flag
 			m.counters.Completed++
@@ -145,8 +147,8 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 	for id, js := range m.jobs {
 		if js.state == StateDone && !charged[id] {
 			ts := m.tenant(js.tenant)
-			ts.spentSeconds += js.ingress + js.result.SimSeconds
-			ts.spentJoules += js.result.EnergyJoules
+			ts.spentSeconds += js.ingress + js.execSeconds
+			ts.spentJoules += js.energy
 		}
 	}
 

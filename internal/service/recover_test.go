@@ -217,6 +217,60 @@ func TestServiceKillRecover(t *testing.T) {
 	}
 }
 
+// TestServiceRecoveredResultExpired pins what recovery rebuilds of a done job:
+// the journal records charges, not outputs, so the recovered job is a
+// tombstone. Result reports ErrResultExpired instead of a result with no
+// output, and Status reports the charges the job had before the crash.
+func TestServiceRecoveredResultExpired(t *testing.T) {
+	jobs, err := workload.RandomJobs(2, 256, 121)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := NewMemJournal()
+	cfg := Config{Cluster: caseTwo(t), Workers: 1, Journal: journal}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var before []JobStatus
+	for _, job := range jobs {
+		id, err := svc.Submit(ctx, "t", job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := svc.Wait(ctx, id)
+		if err != nil || st.State != "done" {
+			t.Fatalf("job %d: %+v %v", id, st, err)
+		}
+		before = append(before, st)
+	}
+	svc.Close()
+
+	check := leakCheck(t)
+	cfg.Journal, cfg.Recovery = NewMemJournalFrom(journal.Bytes())
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer check()
+	defer recovered.Close()
+	for _, want := range before {
+		if res, err := recovered.Result(want.ID); !errors.Is(err, ErrResultExpired) || res != nil {
+			t.Fatalf("recovered job %d: result %+v, err %v; want ErrResultExpired", want.ID, res, err)
+		}
+		st, err := recovered.Status(want.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != want.State || st.ExecSeconds != want.ExecSeconds ||
+			st.IngressSeconds != want.IngressSeconds || st.EnergyJoules != want.EnergyJoules {
+			t.Fatalf("recovered job %d: %+v, before the crash %+v", want.ID, st, want)
+		}
+	}
+}
+
 // TestServiceIdempotentResubmit pins the dedup contract on a live service:
 // same key + same work returns the original id without re-executing or
 // re-charging; same key + different work is a client bug (ErrKeyConflict).

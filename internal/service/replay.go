@@ -81,6 +81,8 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 		jr     *workload.JobResult
 	}
 	var active []run
+	// waits holds every dispatch's queue wait, for the report's percentiles.
+	var waits []float64
 	clock, next := 0.0, 0
 	for {
 		// Admit every arrival due at the current clock.
@@ -105,6 +107,7 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 				idleWait = wait
 				break
 			}
+			waits = append(waits, clock-js.enqueuedAt)
 			if err := cfg.Flaky.Err(js.id, js.attempts); err != nil {
 				m.fail(clock, js, err, true)
 				continue
@@ -158,8 +161,8 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 	rep.Counters = m.counters
 	rep.Jobs = m.list("")
 	rep.Tenants = m.usage()
-	rep.QueueWaitP50 = percentile(m.queueWaits, 0.50)
-	rep.QueueWaitP99 = percentile(m.queueWaits, 0.99)
+	rep.QueueWaitP50 = percentile(waits, 0.50)
+	rep.QueueWaitP99 = percentile(waits, 0.99)
 	if cfg.Cache != nil {
 		rep.Cache = cfg.Cache.Stats()
 	}

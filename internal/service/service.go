@@ -78,8 +78,8 @@ type Config struct {
 	Journal Journal
 	// Recovery, when non-nil, is a decoded journal (from Recover or
 	// OpenFileJournal) replayed into the state machine before the workers
-	// start: terminal jobs are rebuilt with their results and budget charges,
-	// in-flight and queued jobs are re-enqueued.
+	// start: terminal jobs are rebuilt as tombstones (status and budget
+	// charges, no result), in-flight and queued jobs are re-enqueued.
 	Recovery *Recovery
 	// Resolve maps a recovered submit record's (app, graph, seed) identity
 	// back to a runnable workload.Job so re-enqueued jobs can execute.
@@ -328,13 +328,19 @@ func (s *Service) Status(id int) (JobStatus, error) {
 	return s.m.status(js), nil
 }
 
-// Result returns a completed job's engine result (nil until StateDone).
+// Result returns a completed job's engine result (nil until StateDone). The
+// service holds the results of its last QueueBound+Workers completions only:
+// for an older done job, and for one recovered from the journal, Result
+// returns ErrResultExpired while Status keeps reporting the job's charges.
 func (s *Service) Result(id int) (*engine.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	js, ok := s.m.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w (%d)", ErrUnknownJob, id)
+	}
+	if js.state == StateDone && js.result == nil {
+		return nil, fmt.Errorf("%w (%d)", ErrResultExpired, id)
 	}
 	return js.result, nil
 }

@@ -46,6 +46,11 @@ var (
 	ErrClosed = errors.New("service: closed")
 	// ErrUnknownJob reports a Status/Wait lookup for an id never issued.
 	ErrUnknownJob = errors.New("service: unknown job id")
+	// ErrResultExpired reports a Result lookup for a done job whose output
+	// the service no longer holds: it left the window of the last
+	// QueueBound+Workers completions, or the job was recovered from the
+	// journal. Status still reports the job's state and charges.
+	ErrResultExpired = errors.New("service: job result expired")
 	// ErrDegraded rejects submissions while the service is in degraded mode:
 	// a journal write failed, so new work cannot be made durable. Admitted
 	// work keeps draining; only admission is shed. See DESIGN.md §Durability.
@@ -135,6 +140,9 @@ type Counters struct {
 	// RecoveredDone and RecoveredRequeued count jobs rebuilt from the journal
 	// at startup: already-terminal ones and in-flight ones re-enqueued.
 	RecoveredDone, RecoveredRequeued uint64
+	// ResultsExpired counts done jobs whose result left the window of the
+	// last QueueBound+Workers completions.
+	ResultsExpired uint64
 }
 
 // breaker states.
@@ -158,12 +166,16 @@ type tenantState struct {
 }
 
 // jobState is one submitted job's full record. The machine owns every field;
-// drivers read snapshots via status().
+// drivers read snapshots via status(). A terminal job is a tombstone: finish
+// drops its workload and context, and retain drops its result once newer
+// completions push it out of the window, so what stays answers status() and
+// nothing more.
 type jobState struct {
 	id       int
 	tenant   string
 	priority int
-	job      workload.Job
+	// job is the runnable work, the zero Job once terminal.
+	job workload.Job
 
 	// key is the client-supplied idempotency key ("" = none); fp the job's
 	// content fingerprint, used to detect key reuse for different work.
@@ -176,7 +188,8 @@ type jobState struct {
 	graphName string
 	seed      uint64
 
-	// ctx is the submitter's context (live service only; nil in replays).
+	// ctx is the submitter's context (live service only; nil in replays and
+	// once terminal).
 	ctx context.Context
 	// deadline is an absolute clock value (replay only; 0 = none).
 	deadline float64
@@ -188,10 +201,14 @@ type jobState struct {
 	submittedAt float64
 	queueWait   float64 // accumulated across dispatches
 
-	result   *engine.Result
-	ingress  float64
-	cacheHit bool
-	err      error
+	// result is the successful attempt's engine result while the job is in
+	// the retention window, nil otherwise. The charges below outlive it.
+	result      *engine.Result
+	execSeconds float64
+	energy      float64
+	ingress     float64
+	cacheHit    bool
+	err         error
 
 	done chan struct{} // closed on terminal state (live service)
 }
@@ -213,8 +230,10 @@ type machine struct {
 	nextID   int
 	running  int
 	counters Counters
-	// queueWaits collects every dispatch's wait for percentile reporting.
-	queueWaits []float64
+	// results is the retention window: the last len(results) completed jobs,
+	// a ring whose next write goes to results[nextResult].
+	results    []*jobState
+	nextResult int
 	// idem maps idempotency keys to their job: a resubmission with a known
 	// key returns the existing job instead of double-executing it.
 	idem map[string]*jobState
@@ -225,12 +244,17 @@ type machine struct {
 	degradedErr error
 }
 
+// newMachine builds the state machine for a normalized config. Its result
+// window holds QueueBound+Workers jobs, the most the service can hold
+// admitted at once: a client that submits up to that capacity and then waits
+// finds every one of its results.
 func newMachine(cfg Config) *machine {
 	m := &machine{
 		cfg:     cfg,
 		tenants: make(map[string]*tenantState),
 		jobs:    make(map[int]*jobState),
 		idem:    make(map[string]*jobState),
+		results: make([]*jobState, cfg.QueueBound+cfg.Workers),
 	}
 	for _, t := range cfg.Tenants {
 		m.tenants[t.Name] = &tenantState{Tenant: t}
@@ -509,8 +533,12 @@ func (m *machine) removeQueued(js *jobState) {
 }
 
 // finish closes the job's completion channel (idempotently safe because it is
-// only called once per terminal transition).
+// only called once per terminal transition) and drops the workload and the
+// submitter's context, so the job table pins neither the submitted graph nor
+// anything the context carries.
 func (m *machine) finish(js *jobState) {
+	js.job = workload.Job{}
+	js.ctx = nil
 	if js.done != nil {
 		close(js.done)
 	}
@@ -561,7 +589,6 @@ func (m *machine) dispatch(now float64) (js *jobState, wait float64) {
 	m.journalBest(Record{Kind: RecordStart, ID: best.id, Attempt: best.attempts})
 	w := now - best.enqueuedAt
 	best.queueWait += w
-	m.queueWaits = append(m.queueWaits, w)
 	m.emit(trace.Event{Kind: trace.KindQueue, Machine: -1, Step: best.id, Label: best.tenant, Seconds: w})
 	return best, 0
 }
@@ -572,8 +599,11 @@ func (m *machine) complete(now float64, js *jobState, jr *workload.JobResult) {
 	ts := m.tenant(js.tenant)
 	js.state = StateDone
 	js.result = jr.Exec
+	js.execSeconds = jr.Exec.SimSeconds
+	js.energy = jr.Exec.EnergyJoules
 	js.ingress = jr.IngressSeconds
 	js.cacheHit = jr.CacheHit
+	m.retain(js)
 	ts.spentSeconds += jr.IngressSeconds + jr.Exec.SimSeconds
 	ts.spentJoules += jr.Exec.EnergyJoules
 	m.running--
@@ -599,6 +629,17 @@ func (m *machine) complete(now float64, js *jobState, jr *workload.JobResult) {
 		}
 	}
 	m.finish(js)
+}
+
+// retain puts a completed job into the result window. The slot's previous
+// occupant, the oldest retained job, loses its result and keeps its charges.
+func (m *machine) retain(js *jobState) {
+	if old := m.results[m.nextResult]; old != nil {
+		old.result = nil
+		m.counters.ResultsExpired++
+	}
+	m.results[m.nextResult] = js
+	m.nextResult = (m.nextResult + 1) % len(m.results)
 }
 
 // fail records a failed attempt at clock value now. Retryable failures go
@@ -705,12 +746,10 @@ func (m *machine) status(js *jobState) JobStatus {
 		Attempts:         js.attempts,
 		Key:              js.key,
 		QueueWaitSeconds: js.queueWait,
+		ExecSeconds:      js.execSeconds,
 		IngressSeconds:   js.ingress,
+		EnergyJoules:     js.energy,
 		CacheHit:         js.cacheHit,
-	}
-	if js.result != nil {
-		st.ExecSeconds = js.result.SimSeconds
-		st.EnergyJoules = js.result.EnergyJoules
 	}
 	if js.err != nil {
 		st.Error = js.err.Error()
