@@ -18,8 +18,9 @@ test:
 # sequential specs at GOMAXPROCS 1, 2, 3 and 8, the delete index to a full scan, and at -cpu 1,2,4 the
 # placement compile to a stable sort and master selection to the serial
 # reservoir sample), the allocation guards (ingress budgets; the engine's
-# superstep loop allocates no more than the sequential loop it replaced,
-# nothing per superstep and, in the reference engine, nothing per edge — next to the
+# superstep loop allocates nothing per superstep, in either engine, and the
+# reference engine nothing per edge; the accountant's charges allocate
+# nothing, and the async apps nothing per round — next to the
 # property tests holding every program's Fold and Apply to their one-element
 # forms and its Init to the per-vertex definition;
 # placement finalization allocates by machine count, never by edge count; both
@@ -46,7 +47,7 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition
@@ -78,7 +79,6 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzChromeTrace -fuzztime $(FUZZTIME) ./internal/trace
 	go test -run '^$$' -fuzz FuzzPrometheus -fuzztime $(FUZZTIME) ./internal/trace
-	go test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/engine
 	go test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzClusterBFS -fuzztime $(FUZZTIME) ./internal/apps
 	go test -run '^$$' -fuzz FuzzDelta -fuzztime $(FUZZTIME) ./internal/graph

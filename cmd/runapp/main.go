@@ -120,10 +120,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rec *trace.Recorder
-	if outs != nil {
-		rec = trace.NewRecorder()
-	}
+	// The timeline, the straggler shares and the sinks all read the last
+	// run's events.
+	rec := trace.NewRecorder()
 	res, fastest, err := runRepeated(app, pl, cl, opts, rec, *repeat, *cpuProfile)
 	if err != nil {
 		fatal(err)
@@ -139,7 +138,7 @@ func main() {
 		fmt.Printf("  m%-2d %-14s busy %s  sent %.0f KB  share %.1f%%\n",
 			p, m.Name, metrics.Seconds(res.BusySeconds[p]), res.CommBytes[p]/1024, shares[p]*100)
 	}
-	if stragglers := engine.StragglerShare(res); stragglers != nil {
+	if stragglers := trace.StragglerShare(rec.Events); stragglers != nil {
 		fmt.Printf("straggler shares   %v\n", formatShares(stragglers))
 	}
 	if *repeat > 1 {
@@ -151,9 +150,9 @@ func main() {
 	}
 	if *timeline {
 		fmt.Println()
-		fmt.Print(engine.TraceGantt(res, 48))
+		fmt.Print(trace.Gantt(rec.Events, res.App+" on "+res.Graph, res.SimSeconds, 48))
 	}
-	if rec != nil {
+	if outs != nil {
 		if err := outs.write(rec.Events); err != nil {
 			fatal(err)
 		}
@@ -306,28 +305,20 @@ func runRepeated(app apps.App, pl *engine.Placement, cl *cluster.Cluster, opts *
 }
 
 // runTraced executes the app with the requested fault options and trace
-// recorder attached. Apps off the synchronous GAS engine have no supersteps
-// for either to act on: asking for them there is an input error, except that
-// the async Coloring can still be traced through its Trace field.
+// recorder attached. Every app takes the recorder; fault injection and
+// checkpointing need supersteps on the synchronous GAS engine, so asking for
+// them elsewhere is an input error.
 func runTraced(app apps.App, pl *engine.Placement, cl *cluster.Cluster,
 	opts *engine.Options, rec *trace.Recorder) (*engine.Result, error) {
 	full := engine.Options{}
 	if opts != nil {
+		if !apps.Synchronous(app) {
+			return nil, fmt.Errorf("%s does not run on the synchronous GAS engine; fault injection and checkpointing need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach", app.Name())
+		}
 		full = *opts
 	}
 	if rec != nil {
 		full.Trace = rec
-	}
-	if !apps.Synchronous(app) {
-		c, coloring := app.(*apps.Coloring)
-		switch {
-		case opts != nil:
-			return nil, fmt.Errorf("%s does not run on the synchronous GAS engine; fault injection and checkpointing need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach", app.Name())
-		case rec != nil && !coloring:
-			return nil, fmt.Errorf("%s does not support execution tracing; -trace-out/-metrics-out need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach, coloring", app.Name())
-		case rec != nil:
-			c.Trace = rec
-		}
 	}
 	return apps.Run(app, pl, cl, full)
 }

@@ -54,14 +54,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := proxygraph.RunWithCCR(pr, g, cl, proxygraph.NewHybrid(), ccr, 5)
+		shares, err := ccr.SharesFor(cl)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pl, err := proxygraph.Partition(proxygraph.NewHybrid(), g, shares, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, events, err := proxygraph.RunTraced(pr, pl, cl)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("=== %s ===\n", sys.name)
-		fmt.Print(proxygraph.TraceGantt(res, 44))
-		shares := proxygraph.StragglerShare(res)
+		fmt.Print(proxygraph.TraceGantt(res, events, 44))
+		stragglers := proxygraph.StragglerShare(events)
 		fmt.Printf("straggler shares: little %.0f%%, big %.0f%%; makespan %.4fs\n\n",
-			shares[0]*100, shares[1]*100, res.SimSeconds)
+			stragglers[0]*100, stragglers[1]*100, res.SimSeconds)
 	}
 }

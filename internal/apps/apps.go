@@ -15,6 +15,7 @@ import (
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
+	"proxygraph/internal/trace"
 )
 
 // App is one runnable graph application.
@@ -33,20 +34,30 @@ type synchronous interface {
 	run(pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error)
 }
 
+// offEngine is implemented by the applications that charge their own
+// accountant instead of running on the engine (Coloring, SSSP, KCore,
+// Triangle Count, delta PageRank): of engine.Options they take the collector.
+type offEngine interface {
+	runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error)
+}
+
 // Run executes app with engine options attached: rebalancing, fault injection
 // and checkpointing, tracing, a warm-start frontier. Applications on the
-// synchronous GAS engine honour them; the asynchronous and one-shot
-// applications (Coloring, SSSP, KCore, Triangle Count, delta PageRank) have
-// no supersteps for options to act on and run exactly as app.Run does.
+// synchronous GAS engine honour them all; the asynchronous and one-shot
+// applications (Coloring, SSSP, KCore, Triangle Count, delta PageRank) honour
+// opts.Trace and have no engine supersteps for the others to act on.
 func Run(app App, pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
-	if s, ok := app.(synchronous); ok {
-		return s.run(pl, cl, opts)
+	switch a := app.(type) {
+	case synchronous:
+		return a.run(pl, cl, opts)
+	case offEngine:
+		return a.runTraced(pl, cl, opts.Trace)
 	}
 	return app.Run(pl, cl)
 }
 
 // Synchronous reports whether app executes on the synchronous GAS engine,
-// that is whether Run honours engine.Options for it.
+// that is whether Run honours every engine.Option for it, not only Trace.
 func Synchronous(app App) bool {
 	_, ok := app.(synchronous)
 	return ok

@@ -6,6 +6,7 @@ import (
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/fault"
+	"proxygraph/internal/trace"
 )
 
 // This file is the chaos/equivalence suite of the fault-tolerance ISSUE: for
@@ -31,10 +32,10 @@ func chaosSchedule() *fault.Schedule {
 	}}
 }
 
-// hasPhase reports whether the trace contains a phase of the given kind.
-func hasPhase(res *engine.Result, kind string) bool {
-	for _, st := range res.Trace {
-		if st.Kind == kind {
+// hasStall reports whether the stream charged a stall of the given kind.
+func hasStall(events []trace.Event, kind string) bool {
+	for _, e := range events {
+		if e.Kind == trace.KindStall && e.Label == kind {
 			return true
 		}
 	}
@@ -42,9 +43,10 @@ func hasPhase(res *engine.Result, kind string) bool {
 }
 
 // checkChaos runs prog fault-free on the reference engine, then under cfg on
-// both legs, asserting value equivalence against the fault-free run
-// and bitwise accounting equivalence across the faulted runs.
-func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, cfg *engine.FaultConfig, eq func(a, b V) bool) *engine.Result {
+// both legs, asserting value equivalence against the fault-free run and
+// bitwise accounting and event equivalence across the faulted runs. It
+// returns the faulted reference run and its events.
+func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, cfg *engine.FaultConfig, eq func(a, b V) bool) (*engine.Result, []trace.Event) {
 	t.Helper()
 
 	_, baseVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{})
@@ -52,17 +54,18 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 		t.Fatalf("%s fault-free: %v", name, err)
 	}
 
-	opts := engine.Options{Fault: cfg}
-	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, opts)
+	refRec, csrRec := trace.NewRecorder(), trace.NewRecorder()
+	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{Fault: cfg, Trace: refRec})
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, opts)
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Fault: cfg, Trace: csrRec})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
 
 	sameAccounting(t, name+"/csr", refRes, csrRes)
+	sameEvents(t, name+"/csr", refRec.Events, csrRec.Events)
 	if refRes.Checkpoints != csrRes.Checkpoints || refRes.Recoveries != csrRes.Recoveries {
 		t.Errorf("%s: protocol counters disagree: ref %d/%d csr %d/%d", name,
 			refRes.Checkpoints, refRes.Recoveries, csrRes.Checkpoints, csrRes.Recoveries)
@@ -76,7 +79,7 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 			t.Fatalf("%s/csr: vertex %d recovered to %v, fault-free %v", name, v, csrVals[v], baseVals[v])
 		}
 	}
-	return refRes
+	return refRes, refRec.Events
 }
 
 func TestChaosRecoverySixApps(t *testing.T) {
@@ -89,7 +92,7 @@ func TestChaosRecoverySixApps(t *testing.T) {
 		Policy:          engine.RecoverCheckpoint,
 	}
 
-	check := func(t *testing.T, res *engine.Result, baseline float64) {
+	check := func(t *testing.T, res *engine.Result, events []trace.Event, baseline float64) {
 		t.Helper()
 		if res.Recoveries < 1 {
 			t.Fatal("scheduled crash never fired")
@@ -97,8 +100,8 @@ func TestChaosRecoverySixApps(t *testing.T) {
 		if res.Checkpoints < 1 {
 			t.Fatal("no checkpoint written")
 		}
-		if !hasPhase(res, "recover") || !hasPhase(res, "checkpoint") {
-			t.Fatal("trace is missing recover/checkpoint phases")
+		if !hasStall(events, "recover") || !hasStall(events, "checkpoint") {
+			t.Fatal("trace is missing recover/checkpoint stalls")
 		}
 		if res.SimSeconds <= baseline {
 			t.Fatalf("faulted run not slower than fault-free: %v <= %v", res.SimSeconds, baseline)
@@ -110,36 +113,36 @@ func TestChaosRecoverySixApps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := checkChaos[prState, float64](t, "pagerank", NewPageRank(), pl, cl, cfg,
+		res, events := checkChaos[prState, float64](t, "pagerank", NewPageRank(), pl, cl, cfg,
 			func(a, b prState) bool { return floatClose(a.rank, b.rank) && a.invOut == b.invOut })
-		check(t, res, base.SimSeconds)
+		check(t, res, events, base.SimSeconds)
 	})
 	t.Run("components", func(t *testing.T) {
 		base, err := NewConnectedComponents().Run(pl, cl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := checkChaos[uint32, uint32](t, "components", NewConnectedComponents(), pl, cl, cfg, exact[uint32])
-		check(t, res, base.SimSeconds)
+		res, events := checkChaos[uint32, uint32](t, "components", NewConnectedComponents(), pl, cl, cfg, exact[uint32])
+		check(t, res, events, base.SimSeconds)
 	})
 	t.Run("bfs", func(t *testing.T) {
 		base, err := NewBFS().Run(pl, cl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := checkChaos[int32, int32](t, "bfs", NewBFS(), pl, cl, cfg, exact[int32])
-		check(t, res, base.SimSeconds)
+		res, events := checkChaos[int32, int32](t, "bfs", NewBFS(), pl, cl, cfg, exact[int32])
+		check(t, res, events, base.SimSeconds)
 	})
 	t.Run("hops", func(t *testing.T) {
 		// Min is exactly associative even on floats, so recovery must be
 		// bitwise despite the replay running on a different placement.
-		res := checkChaos[float64, float64](t, "hops", hopsProgram{}, pl, cl, cfg, exact[float64])
+		res, _ := checkChaos[float64, float64](t, "hops", hopsProgram{}, pl, cl, cfg, exact[float64])
 		if res.Recoveries < 1 {
 			t.Fatal("scheduled crash never fired")
 		}
 	})
 	t.Run("core-cascade", func(t *testing.T) {
-		res := checkChaos[coreState, int32](t, "core-cascade", cascadeProgram{k: 3}, pl, cl, cfg, exact[coreState])
+		res, _ := checkChaos[coreState, int32](t, "core-cascade", cascadeProgram{k: 3}, pl, cl, cfg, exact[coreState])
 		if res.Recoveries < 1 {
 			t.Fatal("scheduled crash never fired")
 		}
@@ -148,7 +151,7 @@ func TestChaosRecoverySixApps(t *testing.T) {
 		// OR is exactly associative, so recovery must be bitwise even though
 		// the replay runs on the repartitioned survivor placement.
 		prog := &ClusterBFS{Sources: spreadSources(g.NumVertices, MaxBatchSources), MaxIters: 1000}
-		res := checkChaos[ClusterState, uint64](t, "clusterbfs", prog, pl, cl, cfg, exact[ClusterState])
+		res, _ := checkChaos[ClusterState, uint64](t, "clusterbfs", prog, pl, cl, cfg, exact[ClusterState])
 		if res.Recoveries < 1 {
 			t.Fatal("scheduled crash never fired")
 		}
@@ -187,9 +190,9 @@ func TestChaosFullRestart(t *testing.T) {
 	restart := &engine.FaultConfig{Injector: sched, CheckpointEvery: 2, Policy: engine.RecoverRestart}
 	ckpt := &engine.FaultConfig{Injector: sched, CheckpointEvery: 2, Policy: engine.RecoverCheckpoint}
 
-	resRestart := checkChaos[prState, float64](t, "pagerank-restart", NewPageRank(), pl, cl, restart,
+	resRestart, _ := checkChaos[prState, float64](t, "pagerank-restart", NewPageRank(), pl, cl, restart,
 		func(a, b prState) bool { return floatClose(a.rank, b.rank) })
-	resCkpt := checkChaos[prState, float64](t, "pagerank-ckpt", NewPageRank(), pl, cl, ckpt,
+	resCkpt, _ := checkChaos[prState, float64](t, "pagerank-ckpt", NewPageRank(), pl, cl, ckpt,
 		func(a, b prState) bool { return floatClose(a.rank, b.rank) })
 
 	if resRestart.Recoveries != 1 || resCkpt.Recoveries != 1 {

@@ -165,7 +165,7 @@ func TestClusterBFSChaosDifferential(t *testing.T) {
 		Policy:          engine.RecoverCheckpoint,
 	}
 	prog := &ClusterBFS{Sources: spreadSources(g.NumVertices, MaxBatchSources), MaxIters: 1000}
-	res := checkChaos[ClusterState, uint64](t, "clusterbfs", prog, pl, cl, cfg, exact[ClusterState])
+	res, _ := checkChaos[ClusterState, uint64](t, "clusterbfs", prog, pl, cl, cfg, exact[ClusterState])
 	if res.Recoveries < 1 {
 		t.Fatal("scheduled crash never fired")
 	}

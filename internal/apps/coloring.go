@@ -23,11 +23,6 @@ type Coloring struct {
 	MaxRounds int
 	// Seed drives the random priorities.
 	Seed uint64
-	// Trace, when non-nil, receives structured execution events. Coloring
-	// is off the synchronous engine (its async loop has no fault barriers;
-	// see Synchronous), so the collector is attached here instead of via
-	// engine.Options.
-	Trace trace.Collector
 }
 
 // NewColoring returns the default configuration.
@@ -65,6 +60,10 @@ type ColoringResult struct {
 
 // Run implements App.
 func (c *Coloring) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
+	return c.runTraced(pl, cl, nil)
+}
+
+func (c *Coloring) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
 	if cl.Size() != pl.M {
 		return nil, fmt.Errorf("coloring: placement has %d machines, cluster %d", pl.M, cl.Size())
 	}
@@ -94,11 +93,12 @@ func (c *Coloring) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Resul
 	stamp := int64(0)
 
 	account := engine.NewAccountant(cl, c.coeffs())
-	account.SetCollector(c.Trace)
+	account.SetCollector(tc)
+	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0
 	for ; rounds < c.MaxRounds; rounds++ {
 		account.StepBegin(rounds, n, "async")
-		counters := make([]engine.StepCounters, pl.M)
+		clear(counters)
 		changed := false
 		for p := 0; p < pl.M; p++ {
 			sc := &counters[p]

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"proxygraph/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/trace"
 )
 
 // This file is the cross-engine equivalence suite: six applications run
@@ -77,14 +79,15 @@ func sameAccounting(t *testing.T, label string, a, b *engine.Result) {
 			t.Errorf("%s: machine %d CommBytes %v != %v", label, p, a.CommBytes[p], b.CommBytes[p])
 		}
 	}
-	if len(a.Trace) != len(b.Trace) {
-		t.Errorf("%s: trace length %d != %d", label, len(a.Trace), len(b.Trace))
-		return
-	}
-	for i := range a.Trace {
-		if a.Trace[i].Barrier != b.Trace[i].Barrier {
-			t.Errorf("%s: step %d barrier %v != %v", label, i, a.Trace[i].Barrier, b.Trace[i].Barrier)
-		}
+}
+
+// sameEvents asserts two legs emitted identical event streams: the per-step
+// timeline agrees, barrier by barrier, not only its sum.
+func sameEvents(t *testing.T, label string, a, b []trace.Event) {
+	t.Helper()
+	if !slices.Equal(a, b) {
+		i, x, y := firstDiff(a, b)
+		t.Errorf("%s: event streams differ (len %d vs %d) at event %d:\n%+v\n%+v", label, len(a), len(b), i, x, y)
 	}
 }
 
@@ -93,16 +96,18 @@ func sameAccounting(t *testing.T, label string, a, b *engine.Result) {
 func checkEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, eq func(a, b V) bool) {
 	t.Helper()
 
-	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{})
+	refRec, csrRec := trace.NewRecorder(), trace.NewRecorder()
+	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{Trace: refRec})
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{})
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Trace: csrRec})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
 
 	sameAccounting(t, name+"/csr", refRes, csrRes)
+	sameEvents(t, name+"/csr", refRec.Events, csrRec.Events)
 
 	for v := range refVals {
 		if !eq(refVals[v], csrVals[v]) {
@@ -273,13 +278,13 @@ func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine
 		mig.Trigger = 1.05
 		return mig
 	}
-	refMig := newMig()
-	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{Rebalancer: refMig})
+	refMig, refRec := newMig(), trace.NewRecorder()
+	refRes, refVals, err := engine.RunReference[V, A](prog, pl, cl, engine.Options{Rebalancer: refMig, Trace: refRec})
 	if err != nil {
 		t.Fatalf("%s reference: %v", name, err)
 	}
-	csrMig := newMig()
-	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: csrMig})
+	csrMig, csrRec := newMig(), trace.NewRecorder()
+	csrRes, csrVals, err := engine.Run[V, A](prog, pl, cl, engine.Options{Rebalancer: csrMig, Trace: csrRec})
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
@@ -294,6 +299,7 @@ func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine
 		t.Fatalf("%s: moved-edge counts diverge: ref=%d csr=%d", name, refMig.EdgesMoved, csrMig.EdgesMoved)
 	}
 	sameAccounting(t, name+"/rebalanced-csr", refRes, csrRes)
+	sameEvents(t, name+"/rebalanced-csr", refRec.Events, csrRec.Events)
 	for v := range refVals {
 		if !eq(refVals[v], csrVals[v]) {
 			t.Fatalf("%s: csr value diverges at vertex %d", name, v)

@@ -6,6 +6,7 @@ import (
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/trace"
 )
 
 // KCore computes the full k-core decomposition of the undirected structure
@@ -55,6 +56,10 @@ type KCoreResult struct {
 
 // Run implements App.
 func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
+	return kc.runTraced(pl, cl, nil)
+}
+
+func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
 	if cl.Size() != pl.M {
 		return nil, fmt.Errorf("kcore: placement has %d machines, cluster %d", pl.M, cl.Size())
 	}
@@ -85,6 +90,7 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 	}
 
 	account := engine.NewAccountant(cl, kc.coeffs())
+	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0
 	k := int32(1)
@@ -100,6 +106,8 @@ func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result,
 		}
 		// Peel all vertices below k, in synchronized rounds, before raising k.
 		for {
+			// The frontier is every survivor: each one is degree-checked.
+			account.StepBegin(rounds, remaining, "sync")
 			rounds++
 			clear(counters)
 			before := remaining

@@ -6,6 +6,7 @@ import (
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
+	"proxygraph/internal/trace"
 )
 
 // PageRankDelta is the asynchronous, push-based ("delta") PageRank that
@@ -53,6 +54,10 @@ func (pr *PageRankDelta) coeffs() engine.CostCoeffs {
 // Run implements App. The Output is the []float64 rank vector, on the same
 // scale as the synchronous PageRank (ranks sum to ~N).
 func (pr *PageRankDelta) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
+	return pr.runTraced(pl, cl, nil)
+}
+
+func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
 	if cl.Size() != pl.M {
 		return nil, fmt.Errorf("pagerank_async: placement has %d machines, cluster %d", pl.M, cl.Size())
 	}
@@ -72,9 +77,13 @@ func (pr *PageRankDelta) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine
 	}
 
 	account := engine.NewAccountant(cl, pr.coeffs())
+	account.SetCollector(tc)
+	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0
 	for ; rounds < pr.MaxRounds; rounds++ {
-		counters := make([]engine.StepCounters, pl.M)
+		// Like Coloring's, a round sweeps every master.
+		account.StepBegin(rounds, n, "async")
+		clear(counters)
 		anyActive := false
 		for p := 0; p < pl.M; p++ {
 			sc := &counters[p]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"proxygraph/internal/engine"
+	"proxygraph/internal/trace"
 )
 
 func TestPageRankDeltaConvergesToSyncFixedPoint(t *testing.T) {
@@ -46,15 +47,16 @@ func TestPageRankDeltaInvariantAcrossPlacements(t *testing.T) {
 
 func TestPageRankDeltaUsesAsyncAccounting(t *testing.T) {
 	g := testGraph(t, 92, 400, 3200)
-	res, err := NewPageRankDelta().Run(moduloPlacement(t, g, 2), multiCluster(t, 2))
+	rec := trace.NewRecorder()
+	res, err := Run(NewPageRankDelta(), moduloPlacement(t, g, 2), multiCluster(t, 2), engine.Options{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Supersteps != 0 {
 		t.Errorf("async run reports %d sync supersteps", res.Supersteps)
 	}
-	if len(res.Trace) == 0 || res.Trace[0].Kind != "async" {
-		t.Error("async run should record async trace phases")
+	if sum := trace.Summarize(rec.Events); sum.AsyncRounds == 0 || sum.SyncSteps != 0 {
+		t.Errorf("async run traced %d async rounds and %d sync steps", sum.AsyncRounds, sum.SyncSteps)
 	}
 	if res.SimSeconds <= 0 {
 		t.Error("no simulated time charged")

@@ -9,6 +9,7 @@ import (
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/partition"
+	"proxygraph/internal/trace"
 )
 
 // evolveEquiv derives a delta and its evolved graph from the shared
@@ -301,16 +302,19 @@ func TestChaosAmendedPlacement(t *testing.T) {
 			CheckpointEvery: 3,
 			Policy:          engine.RecoverCheckpoint,
 		}
-		opts := engine.Options{Fault: cfg, InitialActive: resume.Seed()}
-		refRes, refVals, err := engine.RunReference[uint32, uint32](resume, pl, cl, opts)
+		refRec, csrRec := trace.NewRecorder(), trace.NewRecorder()
+		refRes, refVals, err := engine.RunReference[uint32, uint32](resume, pl, cl,
+			engine.Options{Fault: cfg, InitialActive: resume.Seed(), Trace: refRec})
 		if err != nil {
 			t.Fatalf("schedule %d reference: %v", schedSeed, err)
 		}
-		csrRes, csrVals, err := engine.Run[uint32, uint32](resume, pl, cl, opts)
+		csrRes, csrVals, err := engine.Run[uint32, uint32](resume, pl, cl,
+			engine.Options{Fault: cfg, InitialActive: resume.Seed(), Trace: csrRec})
 		if err != nil {
 			t.Fatalf("schedule %d csr: %v", schedSeed, err)
 		}
 		sameAccounting(t, "amended/csr", refRes, csrRes)
+		sameEvents(t, "amended/csr", refRec.Events, csrRec.Events)
 		for v := range want {
 			if refVals[v] != want[v] || csrVals[v] != want[v] {
 				t.Fatalf("schedule %d vertex %d: ref=%d csr=%d, fault-free %d",

@@ -7,6 +7,7 @@ import (
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/trace"
 )
 
 // SSSP computes single-source shortest paths over weighted edges with
@@ -60,6 +61,10 @@ type SSSPResult struct {
 
 // Run implements App.
 func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
+	return s.runTraced(pl, cl, nil)
+}
+
+func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
 	if cl.Size() != pl.M {
 		return nil, fmt.Errorf("sssp: placement has %d machines, cluster %d", pl.M, cl.Size())
 	}
@@ -77,6 +82,7 @@ func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, e
 	active := make([]bool, n)
 	nextActive := make([]bool, n)
 	active[s.Source] = true
+	frontier, nextFrontier := 1, 0
 
 	// touched stamps (machine, vertex) partial sends per round.
 	touched := make([]int64, n)
@@ -85,13 +91,17 @@ func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, e
 	}
 
 	account := engine.NewAccountant(cl, s.coeffs())
+	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	anyChange := false
 	relax := func(sc *engine.StepCounters, p int, stamp int64, from, to graph.VertexID, w float64) {
 		sc.Gathers++
 		if nd := dist[from] + w; nd < dist[to] {
 			dist[to] = nd
-			nextActive[to] = true
+			if !nextActive[to] {
+				nextActive[to] = true
+				nextFrontier++
+			}
 			anyChange = true
 			sc.Applies++
 			sc.UpdatesOut += float64(mirrorsOf(pl, to, p))
@@ -105,6 +115,7 @@ func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, e
 	}
 	rounds := 0
 	for ; rounds < s.MaxIters; rounds++ {
+		account.StepBegin(rounds, frontier, "sync")
 		clear(counters)
 		anyChange = false
 		for p := 0; p < pl.M; p++ {
@@ -129,6 +140,7 @@ func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, e
 		}
 		active, nextActive = nextActive, active
 		clear(nextActive)
+		frontier, nextFrontier = nextFrontier, 0
 	}
 
 	reached := 0

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"proxygraph/internal/cluster"
@@ -81,11 +80,7 @@ func checkTraceDifferential[V, A any](t *testing.T, name string, prog engine.Pro
 	if len(refEvents) == 0 {
 		t.Fatalf("%s: no events recorded", name)
 	}
-	if !slices.Equal(refEvents, csrEvents) {
-		i, a, b := firstDiff(refEvents, csrEvents)
-		t.Fatalf("%s: reference and csr streams differ (len %d vs %d) at event %d:\nreference: %+v\ncsr: %+v",
-			name, len(refEvents), len(csrEvents), i, a, b)
-	}
+	sameEvents(t, name, refEvents, csrEvents)
 
 	refChrome, refProm := exporters(t, refEvents)
 	chrome, prom := exporters(t, csrEvents)
@@ -215,9 +210,7 @@ func TestTraceColoringAsync(t *testing.T) {
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
 	rec := trace.NewRecorder()
-	col := NewColoring()
-	col.Trace = rec
-	res, err := col.Run(pl, cl)
+	res, err := Run(NewColoring(), pl, cl, engine.Options{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

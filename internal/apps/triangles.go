@@ -6,6 +6,7 @@ import (
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/trace"
 )
 
 // TriangleCount counts the triangles in the graph's undirected structure,
@@ -52,6 +53,10 @@ type TriangleResult struct {
 
 // Run implements App.
 func (tc *TriangleCount) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
+	return tc.runTraced(pl, cl, nil)
+}
+
+func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, col trace.Collector) (*engine.Result, error) {
 	if cl.Size() != pl.M {
 		return nil, fmt.Errorf("triangle_count: placement has %d machines, cluster %d", pl.M, cl.Size())
 	}
@@ -115,7 +120,10 @@ func (tc *TriangleCount) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine
 		}
 	}
 
+	// The whole count is one step over every vertex.
 	account := engine.NewAccountant(cl, tc.coeffs())
+	account.SetCollector(col)
+	account.StepBegin(0, g.NumVertices, "sync")
 	account.Superstep(counters)
 
 	// Each triangle is seen by its three edges.

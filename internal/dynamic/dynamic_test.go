@@ -10,6 +10,7 @@ import (
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/partition"
+	"proxygraph/internal/trace"
 )
 
 func caseTwoCluster(t *testing.T) *cluster.Cluster {
@@ -168,15 +169,15 @@ func TestMigrationChargedAsStall(t *testing.T) {
 	pr := apps.NewPageRank()
 	pr.Tolerance = 0
 	pr.MaxIters = 8
-	res, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: NewMigrator(9)})
-	if err != nil {
+	rec := trace.NewRecorder()
+	if _, err := apps.Run(pr, uniformPlacement(t, g, 2), cl, engine.Options{Rebalancer: NewMigrator(9), Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, st := range res.Trace {
-		if st.Kind == "migrate" {
+	for _, e := range rec.Events {
+		if e.Kind == trace.KindStall && e.Label == "migrate" {
 			found = true
-			if st.Barrier <= 0 {
+			if e.Seconds <= 0 {
 				t.Error("migration stall carries no time")
 			}
 		}

@@ -99,13 +99,10 @@ type Result struct {
 	Gathers float64
 	// EnergyJoules is the total cluster energy over the makespan.
 	EnergyJoules float64
-	// Trace records per-phase per-machine timings for straggler analysis
-	// (see TraceGantt and StragglerShare).
-	Trace []StepTiming
 	// Checkpoints counts superstep checkpoints written during the run and
 	// Recoveries the crash recoveries performed; both zero on fault-free
 	// runs. Their time and energy costs are folded into SimSeconds,
-	// EnergyJoules and the "checkpoint"/"recover" trace phases.
+	// EnergyJoules and the "checkpoint"/"recover" stalls of the run's trace.
 	Checkpoints, Recoveries int
 	// Output carries the application result (ranks, labels, counts...).
 	Output any
@@ -137,7 +134,8 @@ type Accountant struct {
 	gathers    float64
 	asyncBusy  []float64 // pending async time per machine, not yet folded
 	asyncDirty bool
-	trace      []StepTiming
+	// step holds the last charged step's per-machine seconds (see Superstep).
+	step []float64
 
 	// tc, when non-nil, receives structured execution events; curStep and
 	// curKind carry the engine's step context (set by StepBegin) into the
@@ -161,6 +159,7 @@ func NewAccountant(cl *cluster.Cluster, coeffs CostCoeffs) *Accountant {
 		busy:      make([]float64, cl.Size()),
 		comm:      make([]float64, cl.Size()),
 		asyncBusy: make([]float64, cl.Size()),
+		step:      make([]float64, cl.Size()),
 	}
 }
 
@@ -279,12 +278,17 @@ func (a *Accountant) Retired(p int) bool {
 // communicates, then all meet at the barrier. Communication overlaps
 // computation (PowerGraph pipelines sends during the gather/scatter sweeps),
 // so a machine's step time is the larger of the two, not their sum.
-func (a *Accountant) Superstep(counters []StepCounters) {
+//
+// It returns each machine's step time, 0 for a retired machine. The slice is
+// the accountant's own buffer: it stays valid until the next Superstep or
+// Async charge, so a caller that keeps the numbers must copy them.
+func (a *Accountant) Superstep(counters []StepCounters) []float64 {
 	a.foldAsync()
 	a.steps++
 	eff := a.effective()
 	worst := 0.0
-	perMachine := make([]float64, len(counters))
+	perMachine := a.step[:len(counters)]
+	clear(perMachine)
 	for p, sc := range counters {
 		if a.retiredAt[p] >= 0 {
 			continue // dead machines do no work, not even step overhead
@@ -303,7 +307,6 @@ func (a *Accountant) Superstep(counters []StepCounters) {
 		}
 	}
 	a.simTime += worst
-	a.trace = append(a.trace, StepTiming{Kind: "sync", PerMachine: perMachine, Barrier: worst})
 	if a.tc != nil {
 		for p, sc := range counters {
 			if a.retiredAt[p] >= 0 {
@@ -313,27 +316,30 @@ func (a *Accountant) Superstep(counters []StepCounters) {
 		}
 		a.tc.Event(trace.Event{Kind: trace.KindStepEnd, Step: a.curStep, Machine: -1, Label: a.curKind, Seconds: worst})
 	}
+	return perMachine
 }
 
 // Async charges one asynchronous phase: machines work independently with no
 // barrier; their busy times accumulate until the next fold.
 func (a *Accountant) Async(counters []StepCounters) {
 	eff := a.effective()
-	perMachine := make([]float64, len(counters))
+	perMachine := a.step[:len(counters)]
 	for p, sc := range counters {
 		if a.retiredAt[p] >= 0 {
+			perMachine[p] = 0
 			continue
 		}
 		m := eff.Machines[p]
 		a.gathers += sc.Gathers
-		t := math.Max(m.ComputeTime(sc.work(a.coeffs)), eff.Net.TransferTime(sc.commBytes(a.coeffs)))
+		tCompute := m.ComputeTime(sc.work(a.coeffs))
+		bytes := sc.commBytes(a.coeffs)
+		t := math.Max(tCompute, eff.Net.TransferTime(bytes))
 		a.asyncBusy[p] += t
-		a.busy[p] += m.ComputeTime(sc.work(a.coeffs))
-		a.comm[p] += sc.commBytes(a.coeffs)
+		a.busy[p] += tCompute
+		a.comm[p] += bytes
 		a.asyncDirty = true
 		perMachine[p] = t
 	}
-	a.trace = append(a.trace, StepTiming{Kind: "async", PerMachine: perMachine})
 	if a.tc != nil {
 		for p, sc := range counters {
 			if a.retiredAt[p] >= 0 {
@@ -347,15 +353,6 @@ func (a *Accountant) Async(counters []StepCounters) {
 	}
 }
 
-// LastStep returns the most recently recorded phase timing (zero value when
-// nothing has been charged yet).
-func (a *Accountant) LastStep() StepTiming {
-	if len(a.trace) == 0 {
-		return StepTiming{}
-	}
-	return a.trace[len(a.trace)-1]
-}
-
 // Stall charges a full-cluster pause of the given duration (e.g. a dynamic
 // rebalancing migration): the makespan advances with no machine busy.
 func (a *Accountant) Stall(seconds float64, kind string) {
@@ -363,14 +360,7 @@ func (a *Accountant) Stall(seconds float64, kind string) {
 		return
 	}
 	a.foldAsync()
-	per := make([]float64, len(a.busy))
-	for i := range per {
-		if a.retiredAt[i] < 0 {
-			per[i] = seconds
-		}
-	}
 	a.simTime += seconds
-	a.trace = append(a.trace, StepTiming{Kind: kind, PerMachine: per, Barrier: seconds})
 	a.emit(trace.Event{Kind: trace.KindStall, Step: a.curStep, Machine: -1, Label: kind, Seconds: seconds})
 }
 
@@ -403,7 +393,6 @@ func (a *Accountant) Finish(app, graphName string, output any) *Result {
 		CommBytes:   a.comm,
 		Supersteps:  a.steps,
 		Gathers:     a.gathers,
-		Trace:       a.trace,
 		Output:      output,
 	}
 	for p, m := range a.cl.Machines {
@@ -415,27 +404,6 @@ func (a *Accountant) Finish(app, graphName string, output any) *Result {
 		res.EnergyJoules += m.Energy(a.busy[p], on)
 	}
 	return res
-}
-
-// AccountSnapshot is the accounting state a checkpoint persists: everything
-// the Result accumulates, frozen at the barrier the checkpoint was written.
-type AccountSnapshot struct {
-	SimSeconds  float64
-	BusySeconds []float64
-	CommBytes   []float64
-	Supersteps  int
-	Gathers     float64
-}
-
-// Snapshot captures the accumulated counters (deep copies, safe to retain).
-func (a *Accountant) Snapshot() AccountSnapshot {
-	return AccountSnapshot{
-		SimSeconds:  a.simTime,
-		BusySeconds: append([]float64(nil), a.busy...),
-		CommBytes:   append([]float64(nil), a.comm...),
-		Supersteps:  a.steps,
-		Gathers:     a.gathers,
-	}
 }
 
 // Validate checks that a counters slice matches the cluster size.

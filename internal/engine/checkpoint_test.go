@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // ckptState is a representative POD vertex state (mirrors apps' prState).
 type ckptState struct {
@@ -12,120 +9,15 @@ type ckptState struct {
 	Flag   bool
 }
 
-func sampleCheckpoint() *Checkpoint[ckptState] {
-	c := &Checkpoint[ckptState]{
-		Step:        7,
-		Vals:        make([]ckptState, 100),
-		Active:      make([]bool, 100),
-		ActiveCount: 0,
-		Acct: AccountSnapshot{
-			SimSeconds:  3.25,
-			BusySeconds: []float64{1.5, 0.25, 3.0},
-			CommBytes:   []float64{1024, 0, 4096},
-			Supersteps:  7,
-			Gathers:     123456,
-		},
-	}
-	for i := range c.Vals {
-		c.Vals[i] = ckptState{Rank: float64(i) * 0.5, InvOut: 1 / float64(i+1), Flag: i%3 == 0}
-		if i%2 == 0 {
-			c.Active[i] = true
-			c.ActiveCount++
-		}
-	}
-	return c
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	c := sampleCheckpoint()
-	data, err := c.EncodeBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sz, err := c.SizeBytes(); err != nil || sz != int64(len(data)) {
-		t.Fatalf("SizeBytes = %d, %v; encoded %d bytes", sz, err, len(data))
-	}
-	got, err := DecodeCheckpoint[ckptState](data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != c.Step || got.ActiveCount != c.ActiveCount {
-		t.Fatalf("header mismatch: %d/%d vs %d/%d", got.Step, got.ActiveCount, c.Step, c.ActiveCount)
-	}
-	for i := range c.Vals {
-		if got.Vals[i] != c.Vals[i] {
-			t.Fatalf("vertex %d: %+v != %+v", i, got.Vals[i], c.Vals[i])
-		}
-		if got.Active[i] != c.Active[i] {
-			t.Fatalf("active %d: %v != %v", i, got.Active[i], c.Active[i])
-		}
-	}
-	if got.Acct.SimSeconds != c.Acct.SimSeconds || got.Acct.Supersteps != c.Acct.Supersteps || got.Acct.Gathers != c.Acct.Gathers {
-		t.Fatalf("accounting scalars mismatch: %+v vs %+v", got.Acct, c.Acct)
-	}
-	for p := range c.Acct.BusySeconds {
-		if got.Acct.BusySeconds[p] != c.Acct.BusySeconds[p] || got.Acct.CommBytes[p] != c.Acct.CommBytes[p] {
-			t.Fatalf("accounting machine %d mismatch", p)
-		}
-	}
-}
-
-func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
-	c := sampleCheckpoint()
-	data, err := c.EncodeBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every truncation must produce a clean error, never a panic.
-	for cut := 0; cut < len(data); cut += 7 {
-		if _, err := DecodeCheckpoint[ckptState](data[:cut]); err == nil {
-			t.Fatalf("truncation at %d bytes decoded successfully", cut)
-		}
-	}
-
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0xff
-	if _, err := DecodeCheckpoint[ckptState](bad); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("corrupt magic: err = %v", err)
-	}
-
-	// Wrong state size (decoding with a different V).
-	if _, err := DecodeCheckpoint[float64](data); err == nil {
-		t.Fatal("decoding with mismatched state type succeeded")
-	}
-
-	// A hostile header declaring a huge vertex count must be rejected by the
-	// total-size check before any allocation happens.
-	hostile := append([]byte(nil), data...)
-	off := len(checkpointMagic) + 4 + 8
-	for i := 0; i < 8; i++ {
-		hostile[off+i] = 0xff
-	}
-	if _, err := DecodeCheckpoint[ckptState](hostile); err == nil {
-		t.Fatal("hostile vertex count decoded successfully")
-	}
-
-	// A non-0/1 active flag is corruption.
-	vsize, err := stateSize[ckptState]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	badFlag := append([]byte(nil), data...)
-	headerLen := len(checkpointMagic) + 4 + 8 + 8 + 8 + 4
-	badFlag[headerLen+len(c.Vals)*vsize] = 2
-	if _, err := DecodeCheckpoint[ckptState](badFlag); err == nil {
-		t.Fatal("corrupt active flag decoded successfully")
-	}
-}
-
 func TestCheckpointRejectsPointerStates(t *testing.T) {
 	type bad struct{ P *int }
-	c := &Checkpoint[bad]{Vals: make([]bad, 1), Active: make([]bool, 1)}
-	if _, err := c.EncodeBinary(); err == nil {
-		t.Fatal("encoding a pointer-bearing state succeeded")
+	if _, err := stateSize[bad](); err == nil {
+		t.Fatal("a pointer-bearing state was accepted for checkpointing")
 	}
-	if _, err := DecodeCheckpoint[bad](nil); err == nil {
-		t.Fatal("decoding a pointer-bearing state succeeded")
+	if _, err := stateSize[[]float64](); err == nil {
+		t.Fatal("a slice state was accepted for checkpointing")
+	}
+	if n, err := stateSize[ckptState](); err != nil || n != 24 {
+		t.Fatalf("stateSize[ckptState] = %d, %v; want 24 bytes", n, err)
 	}
 }

@@ -118,11 +118,11 @@ func newFTRun[V any](cfg *FaultConfig, cl *cluster.Cluster) (*ftRun[V], error) {
 // baseline records the initial state (after Init, before superstep 0). It is
 // free: every machine can re-derive it from the input graph, which is exactly
 // what a full restart does.
-func (f *ftRun[V]) baseline(vals []V, active []bool, activeCount int, a *Accountant) {
+func (f *ftRun[V]) baseline(vals []V, active []bool, activeCount int) {
 	if f == nil {
 		return
 	}
-	f.init = snapshotCheckpoint(0, vals, active, activeCount, a)
+	f.init = snapshotCheckpoint(0, vals, active, activeCount)
 }
 
 // beforeStep installs the effective cluster for the coming superstep.
@@ -160,7 +160,7 @@ func (f *ftRun[V]) barrier(step int, terminated bool, a *Accountant, vals []V, a
 		if err != nil {
 			return nil, nil, err
 		}
-		f.ckpt = snapshotCheckpoint(step+1, vals, active, activeCount, a)
+		f.ckpt = snapshotCheckpoint(step+1, vals, active, activeCount)
 		stall := f.storageSeconds(pl, vsize)
 		a.emit(trace.Event{
 			Kind: trace.KindCheckpoint, Step: step + 1, Machine: -1,

@@ -4,29 +4,33 @@ import (
 	"testing"
 
 	"proxygraph/internal/cluster"
+	"proxygraph/internal/trace"
 )
 
 func TestAccountantStallErrorPaths(t *testing.T) {
 	cl := testCluster(t, "c4.xlarge", "c4.2xlarge")
 	a := NewAccountant(cl, CostCoeffs{})
+	rec := trace.NewRecorder()
+	a.SetCollector(rec)
 
-	// Negative and zero stalls are no-ops: no time, no trace entry.
+	// Negative and zero stalls are no-ops: no time, no trace event.
 	a.Stall(-1, "bogus")
 	a.Stall(0, "bogus")
-	if got := a.Finish("x", "g", nil); got.SimSeconds != 0 || len(got.Trace) != 0 {
-		t.Fatalf("non-positive stalls charged: sim=%v trace=%d", got.SimSeconds, len(got.Trace))
+	if got := a.Finish("x", "g", nil); got.SimSeconds != 0 || len(rec.Events) != 0 {
+		t.Fatalf("non-positive stalls charged: sim=%v events=%v", got.SimSeconds, rec.Events)
 	}
 
-	// A positive stall charges every alive machine, but not retired ones.
+	// A positive stall advances the makespan and emits one stall event.
 	b := NewAccountant(cl, CostCoeffs{})
+	b.SetCollector(rec)
 	b.Retire(1)
 	b.Stall(2.5, "checkpoint")
 	if b.simTime != 2.5 {
 		t.Fatalf("stall did not advance makespan: %v", b.simTime)
 	}
-	last := b.LastStep()
-	if last.Kind != "checkpoint" || last.PerMachine[0] != 2.5 || last.PerMachine[1] != 0 {
-		t.Fatalf("stall trace = %+v", last)
+	want := trace.Event{Kind: trace.KindStall, Machine: -1, Label: "checkpoint", Seconds: 2.5}
+	if len(rec.Events) != 1 || rec.Events[0] != want {
+		t.Fatalf("stall events = %+v, want %+v", rec.Events, want)
 	}
 }
 
@@ -41,7 +45,9 @@ func TestAccountantRetire(t *testing.T) {
 		t.Fatal("retired flags wrong")
 	}
 	a.Retire(1) // idempotent
-	a.Superstep([]StepCounters{{Gathers: 10}, {Gathers: 10}})
+	if times := a.Superstep([]StepCounters{{Gathers: 10}, {Gathers: 10}}); times[0] <= 0 || times[1] != 0 {
+		t.Fatalf("step times = %v, want the dead machine at 0", times)
+	}
 	res := a.Finish("x", "g", nil)
 	// The dead machine charged nothing in the second step.
 	if res.BusySeconds[1] >= res.BusySeconds[0] {
@@ -57,21 +63,6 @@ func TestAccountantRetire(t *testing.T) {
 	// Out-of-range retire is ignored.
 	a.Retire(-1)
 	a.Retire(99)
-}
-
-func TestAccountantSnapshotDeepCopies(t *testing.T) {
-	cl := testCluster(t, "c4.xlarge")
-	a := NewAccountant(cl, CostCoeffs{OpsPerGather: 1e6, AccumBytes: 10})
-	a.Superstep([]StepCounters{{Gathers: 5, PartialsOut: 2}})
-	snap := a.Snapshot()
-	if snap.SimSeconds != a.simTime || snap.Supersteps != 1 || snap.Gathers != 5 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	snap.BusySeconds[0] = -1
-	snap.CommBytes[0] = -1
-	if a.busy[0] < 0 || a.comm[0] < 0 {
-		t.Fatal("snapshot aliases the accountant's slices")
-	}
 }
 
 func TestAccountantEffectiveCluster(t *testing.T) {
@@ -178,7 +169,7 @@ func TestNewFTRunValidation(t *testing.T) {
 	// The nil controller's hooks are all no-ops.
 	var ft *ftRun[int32]
 	a := NewAccountant(cl, CostCoeffs{})
-	ft.baseline(nil, nil, 0, a)
+	ft.baseline(nil, nil, 0)
 	ft.beforeStep(0, a)
 	if r, p, err := ft.barrier(0, false, a, nil, nil, 0, nil); r != nil || p != nil || err != nil {
 		t.Fatal("nil controller acted")

@@ -93,6 +93,9 @@ type Program[V, A any] interface {
 type Rebalancer interface {
 	// Decide inspects the last superstep and optionally returns a new owner
 	// assignment. moved is the number of edges that changed machines.
+	// perMachineSeconds is the step's time per machine (0 for a crashed
+	// one), lent for the call: the engine reuses the slice at the next
+	// superstep, so Decide must not keep it.
 	Decide(step int, perMachineSeconds []float64, pl *Placement) (owner []int32, moved int64, ok bool)
 }
 

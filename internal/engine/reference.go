@@ -74,7 +74,7 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 	if err != nil {
 		return nil, nil, err
 	}
-	ft.baseline(vals, active, frontCount, account)
+	ft.baseline(vals, active, frontCount)
 
 	// Per-superstep scratch, allocated once and cleared in place.
 	counters := make([]StepCounters, pl.M)
@@ -171,12 +171,11 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 			}
 		}
 
-		account.Superstep(counters)
+		times := account.Superstep(counters)
 
 		// Dynamic rebalancing hook, identical to Run's.
 		if rb != nil {
-			last := account.LastStep()
-			if owner, moved, ok := rb.Decide(step, last.PerMachine, pl); ok {
+			if owner, moved, ok := rb.Decide(step, times, pl); ok {
 				newPl, err := NewPlacement(g, owner, pl.M)
 				if err != nil {
 					return nil, nil, fmt.Errorf("engine: rebalance at step %d: %w", step, err)

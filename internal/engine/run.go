@@ -84,7 +84,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 	if err != nil {
 		return nil, nil, err
 	}
-	ft.baseline(r.vals, r.front.bits, r.front.count, account)
+	ft.baseline(r.vals, r.front.bits, r.front.count)
 
 	// One |V|-sized list for the whole run receives Program.Apply's signalled
 	// vertices, so its append never allocates. Frontier programs get a second
@@ -137,14 +137,13 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 			// regardless of activity (see CostCoeffs.OpsPerVertex).
 			counters[p].Vertices = float64(len(r.pl.MasterVerts[p]))
 		}
-		account.Superstep(counters)
+		times := account.Superstep(counters)
 
 		// Dynamic rebalancing hook: migrate edges between barriers, paying
 		// for the moved state on the wire. The new placement arrives with
 		// freshly compiled edge blocks.
 		if rb := opts.Rebalancer; rb != nil {
-			last := account.LastStep()
-			if owner, moved, ok := rb.Decide(step, last.PerMachine, r.pl); ok {
+			if owner, moved, ok := rb.Decide(step, times, r.pl); ok {
 				newPl, err := NewPlacement(g, owner, pl.M)
 				if err != nil {
 					return nil, nil, fmt.Errorf("engine: rebalance at step %d: %w", step, err)

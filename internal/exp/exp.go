@@ -32,8 +32,8 @@ type Config struct {
 	// Seed drives all generation and hashing.
 	Seed uint64
 	// Collector, when non-nil, receives structured execution events from
-	// every run an experiment performs of an app on the synchronous engine
-	// (cmd/bench's -trace-out/-metrics-out plumb a recorder through here).
+	// every app run an experiment performs through the lab (cmd/bench's
+	// -trace-out/-metrics-out plumb a recorder through here).
 	Collector trace.Collector
 }
 
@@ -242,9 +242,8 @@ func (l *Lab) runWithSystem(cl *cluster.Cluster, sys System, app apps.App,
 	return l.runApp(app, pl, cl)
 }
 
-// runApp executes the app with the lab's event collector attached; apps off
-// the synchronous engine (the async Coloring, Triangle Count) run untraced,
-// which changes nothing about their results.
+// runApp executes the app with the lab's event collector attached, which
+// changes nothing about its results.
 func (l *Lab) runApp(app apps.App, pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
 	return apps.Run(app, pl, cl, engine.Options{Trace: l.Cfg.Collector})
 }

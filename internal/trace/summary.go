@@ -42,13 +42,14 @@ type Summary struct {
 	Machines []MachineSummary
 }
 
-// Summarize folds an event stream into a Summary. It replaces the ad-hoc
-// straggler math experiments used to do on Result.Trace: the same numbers,
-// derived from the structured stream.
+// maxMachines caps the machine indices the summaries size their tables by,
+// like the Chrome exporter's process cap: a corrupt stream must not force a
+// huge allocation.
+const maxMachines = 4096
+
+// Summarize folds an event stream into a Summary: the per-machine straggler
+// numbers the paper reads off its timelines.
 func Summarize(events []Event) Summary {
-	// Same process cap as the Chrome exporter: a corrupt stream must not
-	// force a huge allocation.
-	const maxMachines = 4096
 	numMachines := 0
 	for _, e := range events {
 		if e.Machine+1 > numMachines && e.Machine < maxMachines {
@@ -164,6 +165,130 @@ func Summarize(events []Event) Summary {
 		s.Imbalance = imbalanceSum / float64(imbalanceSteps)
 	}
 	return s
+}
+
+// phase is one accounted phase of a run's timeline — a sync superstep, an
+// async round or a full-cluster stall — with each machine's time in it.
+type phase struct {
+	kind       string // "sync", "async" or the stall kind
+	perMachine []float64
+}
+
+// straggler returns the first slowest machine of the phase.
+func (ph phase) straggler() int {
+	worst, idx := -1.0, 0
+	for p, t := range ph.perMachine {
+		if t > worst {
+			worst, idx = t, p
+		}
+	}
+	return idx
+}
+
+// timeline replays one run's event stream into its phases. A machine's time
+// in a step is its KindMachineStep seconds (the max of compute and overlapped
+// communication); in a stall every machine waits the stall's seconds except
+// the crashed ones, which read 0 from their KindCrash on.
+func timeline(events []Event) []phase {
+	numMachines := 0
+	for _, e := range events {
+		if e.Kind == KindMachineStep && e.Machine+1 > numMachines && e.Machine < maxMachines {
+			numMachines = e.Machine + 1
+		}
+	}
+	var phases []phase
+	crashed := make([]bool, numMachines)
+	cur := make([]float64, numMachines)
+	for _, e := range events {
+		inRange := e.Machine >= 0 && e.Machine < numMachines
+		switch e.Kind {
+		case KindStepBegin:
+			clear(cur)
+		case KindMachineStep:
+			if inRange {
+				cur[e.Machine] = e.Seconds
+			}
+		case KindStepEnd:
+			phases = append(phases, phase{kind: e.Label, perMachine: append([]float64(nil), cur...)})
+			clear(cur)
+		case KindCrash:
+			if inRange {
+				crashed[e.Machine] = true
+			}
+		case KindStall:
+			per := make([]float64, numMachines)
+			for p := range per {
+				if !crashed[p] {
+					per[p] = e.Seconds
+				}
+			}
+			phases = append(phases, phase{kind: e.Label, perMachine: per})
+		}
+	}
+	return phases
+}
+
+// Gantt renders one run's timeline as an ASCII chart, one row per (phase,
+// machine), bars scaled to the slowest machine-phase. The header names the
+// run (title) and its makespan. Each phase's straggler is marked with '*': on
+// an imbalanced partition the same machine stars in every step — exactly the
+// imbalance the paper's CCR-guided partitioning removes.
+//
+//	step  0 sync  m0 |############********|*
+//	              m1 |########            |
+func Gantt(events []Event, title string, makespan float64, width int) string {
+	if width < 10 {
+		width = 10
+	}
+	phases := timeline(events)
+	var maxT float64
+	for _, ph := range phases {
+		for _, t := range ph.perMachine {
+			if t > maxT {
+				maxT = t
+			}
+		}
+	}
+	if maxT == 0 {
+		return "(empty trace)\n"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %d phases, makespan %.6fs\n", title, len(phases), makespan)
+	for i, ph := range phases {
+		straggler := ph.straggler()
+		for p, t := range ph.perMachine {
+			bar := int(t / maxT * float64(width))
+			label := " "
+			if p == straggler {
+				label = "*"
+			}
+			head := ""
+			if p == 0 {
+				head = fmt.Sprintf("step %3d %-5s", i, ph.kind)
+			}
+			fmt.Fprintf(&b, "%-14s m%-2d |%-*s|%s\n", head, p, width, strings.Repeat("#", bar), label)
+		}
+	}
+	return b.String()
+}
+
+// StragglerShare returns, per machine, the fraction of one run's phases in
+// which it was the straggler (nil when no machine ran a step). A perfectly
+// balanced heterogeneous run spreads stragglers; a thread-count-misestimated
+// run pins them on one machine.
+func StragglerShare(events []Event) []float64 {
+	phases := timeline(events)
+	if len(phases) == 0 || len(phases[0].perMachine) == 0 {
+		return nil
+	}
+	shares := make([]float64, len(phases[0].perMachine))
+	for _, ph := range phases {
+		shares[ph.straggler()]++
+	}
+	for i := range shares {
+		shares[i] /= float64(len(phases))
+	}
+	return shares
 }
 
 // fmtSeconds renders a duration compactly for the report.

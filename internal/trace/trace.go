@@ -1,11 +1,12 @@
 // Package trace is the simulator's structured observability layer: engines
 // emit typed execution events into a Collector, and this package turns the
 // stream into Chrome trace JSON (chrome.go), Prometheus text exposition
-// (registry.go, observer.go) or a straggler summary (summary.go).
+// (registry.go, observer.go) or a straggler summary, Gantt chart and
+// straggler shares (summary.go). The stream is a run's only timeline record.
 //
 // The event stream is part of the engine's determinism contract: for the same
 // program, placement, cluster and options, engine.RunReference and engine.Run
-// at any worker count emit identical event sequences — every quantity in an
+// emit identical event sequences — every quantity in an
 // Event is one the equivalence suites already pin bit-identically across
 // engines (step counters, per-machine charged times, frontier sizes, fault
 // protocol decisions). The differential test in internal/apps locks this
@@ -39,7 +40,7 @@ const (
 	// this step (straggler throttling or network degradation).
 	KindFault
 	// KindCheckpoint is a superstep checkpoint write: Step is the superstep
-	// the checkpoint resumes at, Bytes its encoded footprint, Seconds the
+	// the checkpoint resumes at, Bytes its charged footprint, Seconds the
 	// storage stall charged for it.
 	KindCheckpoint
 	// KindCrash is a permanent machine failure at the barrier ending Step.

@@ -129,9 +129,7 @@ type Session struct {
 	// Partitioner is the ingress algorithm (default Hybrid).
 	Partitioner partition.Partitioner
 	// Trace, when non-nil, receives structured execution events from every
-	// job that supports the full-options entry point. Jobs without one (the
-	// async Coloring, Triangle Count) run untraced with identical results.
-	// Sessions additionally emit one KindIngress event per job reporting the
+	// job (see apps.Run). Sessions additionally emit one KindIngress event per job reporting the
 	// placement-cache outcome and any charged ingress makespan.
 	Trace trace.Collector
 	// Cache, when non-nil, memoizes finalized placements across jobs: a

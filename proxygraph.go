@@ -43,6 +43,7 @@ import (
 	"proxygraph/internal/metrics"
 	"proxygraph/internal/partition"
 	"proxygraph/internal/powerlaw"
+	"proxygraph/internal/trace"
 	"proxygraph/internal/workload"
 )
 
@@ -346,12 +347,31 @@ func SampleEdges(g *Graph, fraction float64, seed uint64) (*Graph, error) {
 	return graph.SampleEdges(g, fraction, seed)
 }
 
-// TraceGantt renders a Result's execution trace as an ASCII timeline for
-// straggler analysis.
-func TraceGantt(res *Result, width int) string { return engine.TraceGantt(res, width) }
+// TraceEvent is one structured execution event: a step, a machine's share
+// of it, a stall, a fault (see internal/trace).
+type TraceEvent = trace.Event
 
-// StragglerShare returns, per machine, the fraction of phases it straggled.
-func StragglerShare(res *Result) []float64 { return engine.StragglerShare(res) }
+// RunTraced executes app over a finalized placement and returns the result
+// with the run's event stream, the timeline TraceGantt and StragglerShare
+// read.
+func RunTraced(app App, pl *Placement, cl *Cluster) (*Result, []TraceEvent, error) {
+	rec := trace.NewRecorder()
+	res, err := apps.Run(app, pl, cl, engine.Options{Trace: rec})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rec.Events, nil
+}
+
+// TraceGantt renders a run's events as an ASCII timeline for straggler
+// analysis.
+func TraceGantt(res *Result, events []TraceEvent, width int) string {
+	return trace.Gantt(events, res.App+" on "+res.Graph, res.SimSeconds, width)
+}
+
+// StragglerShare returns, per machine, the fraction of a run's phases it
+// straggled.
+func StragglerShare(events []TraceEvent) []float64 { return trace.StragglerShare(events) }
 
 // IngressReport breaks down the loading/finalization phase per machine.
 type IngressReport = engine.IngressReport

@@ -2,6 +2,7 @@ package proxygraph
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -241,14 +242,25 @@ func TestFacadeTraceHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunUniform(NewPageRank(), g, cl, NewRandomHash(), 23)
+	pl, err := Partition(NewRandomHash(), g, UniformShares(2), 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gantt := TraceGantt(res, 20); len(gantt) == 0 {
-		t.Error("empty gantt")
+	res, events, err := RunTraced(NewPageRank(), pl, cl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shares := StragglerShare(res)
+	plain, err := RunUniform(NewPageRank(), g, cl, NewRandomHash(), 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimSeconds != plain.SimSeconds {
+		t.Errorf("traced makespan %v, untraced %v", res.SimSeconds, plain.SimSeconds)
+	}
+	if gantt := TraceGantt(res, events, 20); !strings.HasPrefix(gantt, "pagerank on tr: ") {
+		t.Errorf("gantt does not name the run:\n%s", gantt)
+	}
+	shares := StragglerShare(events)
 	if len(shares) != 2 {
 		t.Fatalf("straggler shares = %v", shares)
 	}
@@ -256,7 +268,7 @@ func TestFacadeTraceHelpers(t *testing.T) {
 	if shares[0] < 0.9 {
 		t.Errorf("xlarge straggler share = %v, want ~1", shares[0])
 	}
-	pl, err := Partition(NewHybrid(), g, UniformShares(2), 23)
+	pl, err = Partition(NewHybrid(), g, UniformShares(2), 23)
 	if err != nil {
 		t.Fatal(err)
 	}
