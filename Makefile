@@ -28,7 +28,9 @@ test:
 # differential pinning the CSR builders to a per-row sort and the unsorted one
 # to first occurrences in edge order; KCore allocates nothing per vertex and
 # at most one raw CSR's bytes of adjacency, next to the differential pinning its
-# survivor-list peel to the scan-all loop), the batched-BFS differential suite pinning
+# survivor-list peel to the scan-all loop; a recorded solo run priced on each
+# machine type charges what running it there does, bit for bit, and a stream
+# whose charges depended on its cluster is refused), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
 # evolving-graph differentials (amended placements inside their imbalance
 # envelope, O(|delta|) fingerprints bit-identical to full rescans,
@@ -38,7 +40,7 @@ test:
 # they keep compiling and reporting; timing is benchmark/'s job, see
 # bench-compare), the end-to-end benchmark's own contract tests, and a short
 # fuzz pass over every decoder/encoder boundary (the job-submission endpoint
-# included) plus the packed-traversal and
+# and the CCR pool loader included) plus the packed-traversal and
 # delta property fuzzers.
 check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
@@ -47,7 +49,7 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition
@@ -83,6 +85,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzClusterBFS -fuzztime $(FUZZTIME) ./internal/apps
 	go test -run '^$$' -fuzz FuzzDelta -fuzztime $(FUZZTIME) ./internal/graph
 	go test -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME) ./cmd/serve
+	go test -run '^$$' -fuzz FuzzPoolJSON -fuzztime $(FUZZTIME) ./internal/core
 
 # crash-smoke runs the end-to-end crash-restart check: a journaling serve
 # process is kill -9'd mid-life and restarted; status URLs, idempotency keys

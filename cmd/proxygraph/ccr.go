@@ -50,8 +50,9 @@ func profileCmd(args []string, w io.Writer) error {
 	if err := pool.SaveFile(*out); err != nil {
 		return err
 	}
+	groups, _ := cl.Groups()
 	fmt.Fprintf(w, "profiled %d applications with %q on %d machine groups -> %s\n",
-		pool.Len(), est.Name(), len(cl.Representatives()), *out)
+		pool.Len(), est.Name(), len(groups), *out)
 	return nil
 }
 

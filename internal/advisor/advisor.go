@@ -14,7 +14,6 @@ import (
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
-	"proxygraph/internal/engine"
 )
 
 // coordinationOverhead is the per-additional-machine throughput discount
@@ -36,38 +35,23 @@ func MeasureSpeeds(machines []cluster.Machine, applications []apps.App, profiler
 	if profiler == nil || len(profiler.Proxies) == 0 {
 		return nil, fmt.Errorf("advisor: need a profiler with proxy graphs")
 	}
-	speeds := Speeds{}
-	for _, m := range machines {
-		if _, done := speeds[m.Name]; done {
-			continue
-		}
-		solo, err := cluster.New(m)
-		if err != nil {
-			return nil, err
-		}
-		logSum := 0.0
-		runs := 0
-		for _, app := range applications {
-			for _, proxy := range profiler.Proxies {
-				res, err := app.Run(engine.SingleMachine(proxy), solo)
-				if err != nil {
-					return nil, fmt.Errorf("advisor: profiling %s on %s: %w", app.Name(), m.Name, err)
-				}
-				// A zero (or negative/non-finite) makespan would send the log
-				// term to ±Inf/NaN and poison the geometric mean — every speed
-				// built from it, and every Recommend ranking downstream, would
-				// be garbage. Instant proxy runs can legitimately happen with a
-				// degenerate proxy graph or a stubbed application, so fail
-				// loudly instead of propagating the poison.
-				if res.SimSeconds <= 0 || math.IsInf(res.SimSeconds, 0) || math.IsNaN(res.SimSeconds) {
-					return nil, fmt.Errorf("advisor: profiling %s on %s returned non-positive makespan %v; cannot fold into geometric mean",
-						app.Name(), m.Name, res.SimSeconds)
-				}
-				logSum += math.Log(1 / res.SimSeconds)
-				runs++
+	logSums := map[string]float64{}
+	runs := 0
+	for _, app := range applications {
+		for _, proxy := range profiler.Proxies {
+			secs, err := core.SoloSeconds(app, proxy, machines)
+			if err != nil {
+				return nil, err
 			}
+			for name, t := range secs {
+				logSums[name] += math.Log(1 / t)
+			}
+			runs++
 		}
-		speeds[m.Name] = math.Exp(logSum / float64(runs))
+	}
+	speeds := make(Speeds, len(logSums))
+	for name, s := range logSums {
+		speeds[name] = math.Exp(s / float64(runs))
 	}
 	return speeds, nil
 }

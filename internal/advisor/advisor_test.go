@@ -157,7 +157,8 @@ func TestEndToEndRecommendation(t *testing.T) {
 // yield +Inf speeds; MeasureSpeeds must refuse instead.
 type zeroTimeApp struct{}
 
-func (zeroTimeApp) Name() string { return "zero-stub" }
+func (zeroTimeApp) Name() string              { return "zero-stub" }
+func (zeroTimeApp) Coeffs() engine.CostCoeffs { return engine.CostCoeffs{} }
 func (zeroTimeApp) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
 	return &engine.Result{SimSeconds: 0}, nil
 }

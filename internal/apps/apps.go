@@ -24,6 +24,8 @@ type App interface {
 	Name() string
 	// Run executes the application over a placement on a cluster.
 	Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error)
+	// Coeffs are its cost constants, with which engine.Price re-prices a run.
+	Coeffs() engine.CostCoeffs
 }
 
 // synchronous is implemented by the applications that execute on the

@@ -31,9 +31,9 @@ func NewColoring() *Coloring { return &Coloring{MaxRounds: 64, Seed: 1} }
 // Name implements App.
 func (c *Coloring) Name() string { return "coloring" }
 
-// coeffs: neighborhood scans walk adjacency lists (streaming) but consult
+// Coeffs: neighborhood scans walk adjacency lists (streaming) but consult
 // each neighbor's current color through a random index.
-func (c *Coloring) coeffs() engine.CostCoeffs {
+func (c *Coloring) Coeffs() engine.CostCoeffs {
 	return engine.CostCoeffs{
 		OpsPerGather:    90,  // per neighbor probe
 		BytesPerGather:  140, // neighbor id (stream) + color load (random)
@@ -92,7 +92,7 @@ func (c *Coloring) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace
 	}
 	stamp := int64(0)
 
-	account := engine.NewAccountant(cl, c.coeffs())
+	account := engine.NewAccountant(cl, c.Coeffs())
 	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0

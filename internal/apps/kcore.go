@@ -27,9 +27,9 @@ func NewKCore() *KCore { return &KCore{} }
 // Name implements App.
 func (kc *KCore) Name() string { return "kcore" }
 
-// coeffs: peeling scans are degree checks (cheap) with occasional neighbor
+// Coeffs: peeling scans are degree checks (cheap) with occasional neighbor
 // decrements through random indices.
-func (kc *KCore) coeffs() engine.CostCoeffs {
+func (kc *KCore) Coeffs() engine.CostCoeffs {
 	return engine.CostCoeffs{
 		OpsPerGather:    40, // per degree check / neighbor decrement
 		BytesPerGather:  80,
@@ -89,7 +89,7 @@ func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.C
 		alive[p] = arena[len(arena)-len(verts):]
 	}
 
-	account := engine.NewAccountant(cl, kc.coeffs())
+	account := engine.NewAccountant(cl, kc.Coeffs())
 	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0

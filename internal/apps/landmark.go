@@ -64,6 +64,9 @@ func NewLandmarkOracle() *LandmarkOracle { return &LandmarkOracle{K: 16, MaxIter
 // Name implements App.
 func (o *LandmarkOracle) Name() string { return "landmark_oracle" }
 
+// Coeffs implements App: the packed traversal is ClusterBFS's.
+func (o *LandmarkOracle) Coeffs() engine.CostCoeffs { return (&ClusterBFS{}).Coeffs() }
+
 // Landmarks returns the K highest-total-degree vertices of g, ties broken
 // toward the lower vertex ID — a pure function of the graph, so cached
 // placements and replayed jobs pick identical roots.
@@ -154,6 +157,9 @@ func NewKSeedReach() *KSeedReach {
 
 // Name implements App.
 func (r *KSeedReach) Name() string { return "kseed_reach" }
+
+// Coeffs implements App: the packed traversal is ClusterBFS's.
+func (r *KSeedReach) Coeffs() engine.CostCoeffs { return (&ClusterBFS{}).Coeffs() }
 
 // Run implements App. The Output is a *ReachSummary.
 func (r *KSeedReach) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {

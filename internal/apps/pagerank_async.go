@@ -33,10 +33,10 @@ func NewPageRankDelta() *PageRankDelta {
 // Name implements App.
 func (pr *PageRankDelta) Name() string { return "pagerank_async" }
 
-// coeffs: pushes are slightly cheaper than the sync engine's gathers (no
+// Coeffs: pushes are slightly cheaper than the sync engine's gathers (no
 // full-edge rescan), with the async engine's locking overhead folded into
 // the serial fraction.
-func (pr *PageRankDelta) coeffs() engine.CostCoeffs {
+func (pr *PageRankDelta) Coeffs() engine.CostCoeffs {
 	return engine.CostCoeffs{
 		OpsPerGather:    50, // per pushed residual
 		BytesPerGather:  300,
@@ -76,7 +76,7 @@ func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc
 		residual[v] = 1 - pr.Damping
 	}
 
-	account := engine.NewAccountant(cl, pr.coeffs())
+	account := engine.NewAccountant(cl, pr.Coeffs())
 	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	rounds := 0

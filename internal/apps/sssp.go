@@ -31,10 +31,10 @@ func NewSSSP() *SSSP { return &SSSP{Source: 0, Undirected: true, MaxIters: 10000
 // Name implements App.
 func (s *SSSP) Name() string { return "sssp" }
 
-// coeffs: relaxations read a distance and a weight per edge and
+// Coeffs: relaxations read a distance and a weight per edge and
 // conditionally write — comparable to connected components with an extra
 // float compare.
-func (s *SSSP) coeffs() engine.CostCoeffs {
+func (s *SSSP) Coeffs() engine.CostCoeffs {
 	return engine.CostCoeffs{
 		OpsPerGather:    80,
 		BytesPerGather:  130,
@@ -90,7 +90,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 		touched[i] = -1
 	}
 
-	account := engine.NewAccountant(cl, s.coeffs())
+	account := engine.NewAccountant(cl, s.Coeffs())
 	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	anyChange := false

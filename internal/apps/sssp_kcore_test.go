@@ -256,7 +256,7 @@ func kcoreScanAll(kc *KCore, pl *engine.Placement, cl *cluster.Cluster) *engine.
 	removed := make([]bool, n)
 	remaining := n
 
-	account := engine.NewAccountant(cl, kc.coeffs())
+	account := engine.NewAccountant(cl, kc.Coeffs())
 	rounds := 0
 	k := int32(1)
 	for remaining > 0 {

@@ -25,10 +25,10 @@ func NewTriangleCount() *TriangleCount { return &TriangleCount{} }
 // Name implements App.
 func (tc *TriangleCount) Name() string { return "triangle_count" }
 
-// coeffs: merge probes stream two sorted arrays — very cache-friendly, so
+// Coeffs: merge probes stream two sorted arrays — very cache-friendly, so
 // few memory bytes per op; Triangle Count is the compute-bound application
 // that keeps scaling with cores in Fig 2.
-func (tc *TriangleCount) coeffs() engine.CostCoeffs {
+func (tc *TriangleCount) Coeffs() engine.CostCoeffs {
 	return engine.CostCoeffs{
 		OpsPerGather:    30, // per merge probe
 		BytesPerGather:  30,
@@ -121,7 +121,7 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 	}
 
 	// The whole count is one step over every vertex.
-	account := engine.NewAccountant(cl, tc.coeffs())
+	account := engine.NewAccountant(cl, tc.Coeffs())
 	account.SetCollector(col)
 	account.StepBegin(0, g.NumVertices, "sync")
 	account.Superstep(counters)

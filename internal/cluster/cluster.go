@@ -69,16 +69,6 @@ func (c *Cluster) Groups() (keys []string, members map[string][]int) {
 	return keys, members
 }
 
-// Representatives returns one machine index per group, keyed by group name.
-func (c *Cluster) Representatives() map[string]int {
-	_, members := c.Groups()
-	reps := make(map[string]int, len(members))
-	for k, idx := range members {
-		reps[k] = idx[0]
-	}
-	return reps
-}
-
 // TotalCostPerHour sums the machines' hourly rates.
 func (c *Cluster) TotalCostPerHour() float64 {
 	total := 0.0

@@ -281,7 +281,7 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-func TestGroupsAndRepresentatives(t *testing.T) {
+func TestGroups(t *testing.T) {
 	c4x, _ := ByName("c4.xlarge")
 	c42, _ := ByName("c4.2xlarge")
 	c, err := New(c4x, c42, c4x, c4x)
@@ -295,12 +295,8 @@ func TestGroupsAndRepresentatives(t *testing.T) {
 	if len(members["c4.xlarge"]) != 3 || len(members["c4.2xlarge"]) != 1 {
 		t.Errorf("membership wrong: %v", members)
 	}
-	reps := c.Representatives()
-	if len(reps) != 2 {
-		t.Errorf("representatives = %v", reps)
-	}
-	if c.Machines[reps["c4.xlarge"]].Name != "c4.xlarge" {
-		t.Error("representative points at wrong machine")
+	if keys[0] != "c4.2xlarge" || members["c4.xlarge"][0] != 0 {
+		t.Errorf("groups %v, members %v: want sorted keys and members in machine order", keys, members)
 	}
 }
 

@@ -145,23 +145,38 @@ func (p *Pool) MarshalJSON() ([]byte, error) {
 	return json.Marshal(list)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It refuses what no profiling
+// run produces: an empty or repeated app name, an app with no ratios, a ratio
+// that is not finite and positive, and ratios whose smallest is not exactly 1
+// (Eq 1 gives the slowest group ratio 1). On error p is left unchanged.
 func (p *Pool) UnmarshalJSON(data []byte) error {
 	var list []CCR
 	if err := json.Unmarshal(data, &list); err != nil {
 		return err
 	}
-	p.ccrs = make(map[string]CCR, len(list))
+	ccrs := make(map[string]CCR, len(list))
 	for _, c := range list {
-		p.ccrs[c.App] = c
+		if _, dup := ccrs[c.App]; dup || c.App == "" {
+			return fmt.Errorf("core: pool app name %q is empty or repeated", c.App)
+		}
+		if len(c.Ratios) == 0 {
+			return fmt.Errorf("core: pool entry %q has no ratios", c.App)
+		}
+		slowest := math.Inf(1)
+		for g, r := range c.Ratios {
+			if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+				return fmt.Errorf("core: pool entry %q has ratio %v for group %q", c.App, r, g)
+			}
+			slowest = math.Min(slowest, r)
+		}
+		if slowest != 1 {
+			return fmt.Errorf("core: pool entry %q has smallest ratio %v, want 1", c.App, slowest)
+		}
+		ccrs[c.App] = c
 	}
+	p.ccrs = ccrs
 	return nil
 }
-
-// logOf and expOf keep the geometric-mean helpers local without pulling math
-// into the estimator file's import block twice.
-func logOf(x float64) float64 { return math.Log(x) }
-func expOf(x float64) float64 { return math.Exp(x) }
 
 // SaveFile writes the pool as indented JSON to path.
 func (p *Pool) SaveFile(path string) error {

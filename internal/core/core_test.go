@@ -354,8 +354,8 @@ func TestPoolFileRoundTrip(t *testing.T) {
 }
 
 func TestMeasureCCRParallelDeterministic(t *testing.T) {
-	// The per-group profiling runs execute concurrently; the assembled CCR
-	// must not depend on scheduling.
+	// One recorded run is priced once per group; the assembled CCR must be the
+	// same on every measurement, to the last bit.
 	cl := mustCluster(t, "c4.xlarge", "c4.2xlarge", "c4.4xlarge", "c4.8xlarge")
 	g, err := gen.Generate(gen.Spec{Name: "par", Vertices: 3000, Edges: 24000, Kind: gen.KindPowerLaw}, 77)
 	if err != nil {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/trace"
 )
 
 // Estimator produces an application's CCR for a cluster. Three estimators
@@ -124,21 +126,20 @@ func (pp *ProxyProfiler) Estimate(cl *cluster.Cluster, app apps.App) (CCR, error
 	if len(pp.Proxies) == 0 {
 		return CCR{}, fmt.Errorf("core: proxy profiler has no proxy graphs")
 	}
-	keys, _ := cl.Groups()
-	logSum := make(map[string]float64, len(keys))
+	logSum := map[string]float64{}
 	for _, proxy := range pp.Proxies {
 		c, err := MeasureCCR(cl, app, proxy)
 		if err != nil {
 			return CCR{}, err
 		}
 		for g, r := range c.Ratios {
-			logSum[g] += logOf(r)
+			logSum[g] += math.Log(r)
 		}
 	}
-	c := CCR{App: app.Name(), Ratios: make(map[string]float64, len(keys))}
+	c := CCR{App: app.Name(), Ratios: make(map[string]float64, len(logSum))}
 	slowest := 0.0
 	for g, s := range logSum {
-		v := expOf(s / float64(len(pp.Proxies)))
+		v := math.Exp(s / float64(len(pp.Proxies)))
 		c.Ratios[g] = v
 		if slowest == 0 || v < slowest {
 			slowest = v
@@ -151,49 +152,55 @@ func (pp *ProxyProfiler) Estimate(cl *cluster.Cluster, app apps.App) (CCR, error
 }
 
 // MeasureCCR measures the ground-truth CCR of app on cl using graph g: one
-// standalone run per machine group, executed concurrently as in Section
-// III-B ("each profiling set is executed on one machine from each group in
-// parallel", without communication interference — the runs share nothing).
-// With a natural graph as g this is the "real" CCR the paper validates
-// proxies against in Fig 8.
+// standalone run per machine group (Section III-B: "each profiling set is
+// executed on one machine from each group in parallel", without communication
+// interference), simulated by SoloSeconds. With a natural graph as g this is
+// the "real" CCR the paper validates proxies against in Fig 8.
 func MeasureCCR(cl *cluster.Cluster, app apps.App, g *graph.Graph) (CCR, error) {
-	reps := cl.Representatives()
-	pl := engine.SingleMachine(g)
-
-	type outcome struct {
-		group string
-		time  float64
-		err   error
-	}
-	results := make(chan outcome, len(reps))
-	for group, idx := range reps {
-		go func(group string, m cluster.Machine) {
-			solo, err := cluster.New(m)
-			if err != nil {
-				results <- outcome{group: group, err: err}
-				return
-			}
-			res, err := app.Run(pl, solo)
-			if err != nil {
-				results <- outcome{group: group, err: fmt.Errorf("core: profiling %s on %s: %w", app.Name(), group, err)}
-				return
-			}
-			results <- outcome{group: group, time: res.SimSeconds}
-		}(group, cl.Machines[idx])
-	}
-	times := make(map[string]float64, len(reps))
-	var firstErr error
-	for range reps {
-		o := <-results
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
-		}
-		times[o.group] = o.time
-	}
-	if firstErr != nil {
-		return CCR{}, firstErr
+	times, err := SoloSeconds(app, g, cl.Machines)
+	if err != nil {
+		return CCR{}, err
 	}
 	return FromTimes(app.Name(), times)
+}
+
+// SoloSeconds is every profiling run: app's simulated makespan on g alone on
+// one machine of each type in machines, keyed by machine name. A solo run's
+// step counters do not depend on the machine, so it runs app once, records
+// the steps and prices them on each type with engine.Price, bit for bit what
+// one run per type would charge.
+func SoloSeconds(app apps.App, g *graph.Graph, machines []cluster.Machine) (map[string]float64, error) {
+	if len(machines) == 0 {
+		return nil, fmt.Errorf("core: no machines to profile %s on", app.Name())
+	}
+	solo, err := cluster.New(machines[0])
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewRecorder()
+	if _, err := apps.Run(app, engine.SingleMachine(g), solo, engine.Options{Trace: rec}); err != nil {
+		return nil, fmt.Errorf("core: profiling %s: %w", app.Name(), err)
+	}
+	times := make(map[string]float64, len(machines))
+	for _, m := range machines {
+		if _, done := times[m.Name]; done {
+			continue
+		}
+		if solo, err = cluster.New(m); err != nil {
+			return nil, err
+		}
+		res, err := engine.Price(rec.Events, solo, app.Coeffs())
+		if err != nil {
+			return nil, fmt.Errorf("core: profiling %s on %s: %w", app.Name(), m.Name, err)
+		}
+		// A zero or non-finite time would poison every ratio and geometric
+		// mean built from it (a stub app with zero coefficients prices to 0).
+		if t := res.SimSeconds; t <= 0 || math.IsInf(t, 0) || math.IsNaN(t) {
+			return nil, fmt.Errorf("core: profiling %s on %s: invalid makespan %v", app.Name(), m.Name, t)
+		}
+		times[m.Name] = res.SimSeconds
+	}
+	return times, nil
 }
 
 // BuildPool profiles every application with the estimator and collects the

@@ -237,6 +237,8 @@ func (a *Accountant) emitMachineStep(p int, sc StepCounters, m cluster.Machine, 
 		CommSeconds:   net.TransferTime(sc.commBytes(a.coeffs)),
 		Gathers:       sc.Gathers,
 		Applies:       sc.Applies,
+		Vertices:      sc.Vertices,
+		MaxUnit:       sc.MaxUnit,
 		PartialsOut:   sc.PartialsOut,
 		UpdatesOut:    sc.UpdatesOut,
 	})
@@ -404,6 +406,43 @@ func (a *Accountant) Finish(app, graphName string, output any) *Result {
 		res.EnergyJoules += m.Energy(a.busy[p], on)
 	}
 	return res
+}
+
+// Price charges a recorded run to cl: it replays the step counters of the
+// run's machine-step events through a fresh Accountant, so there is one cost
+// model. It refuses every event but step begins, machine steps and step ends
+// (a stall, fault, crash, checkpoint, recovery or rebalance depended on the
+// recorded cluster), a machine outside cl, and a stream with no step. The
+// Result has no App, Graph or Output.
+func Price(events []trace.Event, cl *cluster.Cluster, coeffs CostCoeffs) (*Result, error) {
+	a := NewAccountant(cl, coeffs)
+	counters := make([]StepCounters, cl.Size())
+	steps := 0
+	for _, e := range events {
+		switch e.Kind {
+		case trace.KindStepBegin:
+			clear(counters)
+		case trace.KindMachineStep:
+			if e.Machine < 0 || e.Machine >= len(counters) {
+				return nil, fmt.Errorf("engine: cannot price machine %d on %d machines", e.Machine, len(counters))
+			}
+			counters[e.Machine] = StepCounters{Gathers: e.Gathers, Applies: e.Applies, Vertices: e.Vertices,
+				MaxUnit: e.MaxUnit, PartialsOut: e.PartialsOut, UpdatesOut: e.UpdatesOut}
+		case trace.KindStepEnd:
+			if e.Label == "async" {
+				a.Async(counters)
+			} else {
+				a.Superstep(counters)
+			}
+			steps++
+		default:
+			return nil, fmt.Errorf("engine: cannot price a %s event: its charge depends on the recorded cluster", e.Kind)
+		}
+	}
+	if steps == 0 {
+		return nil, fmt.Errorf("engine: no step to price")
+	}
+	return a.Finish("", "", nil), nil
 }
 
 // Validate checks that a counters slice matches the cluster size.

@@ -103,11 +103,11 @@ func (l *Lab) AblationProxySet() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	reals, err := l.realGraphs()
+	cl := LadderC4()
+	truths, err := l.groundTruths(cl)
 	if err != nil {
 		return nil, err
 	}
-	cl := LadderC4()
 
 	t := metrics.NewTable("Ablation: proxy set coverage (mean CCR error on the c4 ladder)",
 		"proxy set", "pagerank", "coloring", "connected_components", "triangle_count", "mean")
@@ -127,16 +127,12 @@ func (l *Lab) AblationProxySet() (*metrics.Table, error) {
 		}
 		row := []string{set.name}
 		var errs []float64
-		for _, app := range apps.All() {
-			truth, err := l.realCCR(cl, app, reals)
-			if err != nil {
-				return nil, err
-			}
+		for j, app := range apps.All() {
 			est, err := pp.Estimate(cl, app)
 			if err != nil {
 				return nil, err
 			}
-			e, err := est.Error(truth)
+			e, err := est.Error(truths[j])
 			if err != nil {
 				return nil, err
 			}

@@ -262,24 +262,6 @@ func (l *Lab) realGraphs() ([]*graph.Graph, error) {
 	return gs, nil
 }
 
-// geoMeanMap returns per-key geometric means over a list of ratio maps.
-func geoMeanMap(ms []map[string]float64) map[string]float64 {
-	if len(ms) == 0 {
-		return nil
-	}
-	sums := map[string]float64{}
-	for _, m := range ms {
-		for k, v := range m {
-			sums[k] += logOf(v)
-		}
-	}
-	out := make(map[string]float64, len(sums))
-	for k, s := range sums {
-		out[k] = expOf(s / float64(len(ms)))
-	}
-	return out
-}
-
 // sortedKeys returns the map's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -56,7 +56,7 @@ func (l *Lab) ReplicationStudy() (*metrics.Table, error) {
 // graph at several sampling fractions, on the c4 ladder.
 func (l *Lab) AblationSubsample() (*metrics.Table, error) {
 	cl := LadderC4()
-	reals, err := l.realGraphs()
+	truths, err := l.groundTruths(cl)
 	if err != nil {
 		return nil, err
 	}
@@ -82,16 +82,12 @@ func (l *Lab) AblationSubsample() (*metrics.Table, error) {
 	for i, est := range estimators {
 		row := []string{labels[i]}
 		var errs []float64
-		for _, app := range apps.All() {
-			truth, err := l.realCCR(cl, app, reals)
-			if err != nil {
-				return nil, err
-			}
+		for j, app := range apps.All() {
 			got, err := est.Estimate(cl, app)
 			if err != nil {
 				return nil, err
 			}
-			e, err := got.Error(truth)
+			e, err := got.Error(truths[j])
 			if err != nil {
 				return nil, err
 			}

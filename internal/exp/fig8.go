@@ -4,7 +4,6 @@ import (
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
-	"proxygraph/internal/graph"
 	"proxygraph/internal/metrics"
 )
 
@@ -27,7 +26,7 @@ func (l *Lab) Fig8b() (*metrics.Table, error) {
 }
 
 func (l *Lab) figure8(title string, cl *cluster.Cluster, order []string) (*metrics.Table, error) {
-	reals, err := l.realGraphs()
+	truths, err := l.groundTruths(cl)
 	if err != nil {
 		return nil, err
 	}
@@ -38,11 +37,7 @@ func (l *Lab) figure8(title string, cl *cluster.Cluster, order []string) (*metri
 	t := metrics.NewTable(title, append([]string{"app", "series"}, order...)...)
 
 	var proxyErrs, priorErrs []float64
-	for _, app := range apps.All() {
-		truth, err := l.realCCR(cl, app, reals)
-		if err != nil {
-			return nil, err
-		}
+	for i, app := range apps.All() {
 		proxy, err := pp.Estimate(cl, app)
 		if err != nil {
 			return nil, err
@@ -58,15 +53,15 @@ func (l *Lab) figure8(title string, cl *cluster.Cluster, order []string) (*metri
 			}
 			t.AddRow(row...)
 		}
-		addSeries("real graphs", truth)
+		addSeries("real graphs", truths[i])
 		addSeries("synthetic", proxy)
 		addSeries("prior estimate", prior)
 
-		pe, err := proxy.Error(truth)
+		pe, err := proxy.Error(truths[i])
 		if err != nil {
 			return nil, err
 		}
-		we, err := prior.Error(truth)
+		we, err := prior.Error(truths[i])
 		if err != nil {
 			return nil, err
 		}
@@ -79,27 +74,22 @@ func (l *Lab) figure8(title string, cl *cluster.Cluster, order []string) (*metri
 	return t, nil
 }
 
-// realCCR measures the ground-truth CCR as the geometric mean over the four
-// emulated real-world graphs.
-func (l *Lab) realCCR(cl *cluster.Cluster, app apps.App, reals []*graph.Graph) (core.CCR, error) {
-	ratioMaps := make([]map[string]float64, 0, len(reals))
-	for _, g := range reals {
-		c, err := core.MeasureCCR(cl, app, g)
+// groundTruths returns the ground-truth CCR of each of apps.All() on cl: the
+// geometric mean over the four emulated real-world graphs, which is what a
+// proxy profiler holding those graphs as its proxies estimates.
+func (l *Lab) groundTruths(cl *cluster.Cluster) ([]core.CCR, error) {
+	reals, err := l.realGraphs()
+	if err != nil {
+		return nil, err
+	}
+	truth := &core.ProxyProfiler{Proxies: reals}
+	var ccrs []core.CCR
+	for _, app := range apps.All() {
+		c, err := truth.Estimate(cl, app)
 		if err != nil {
-			return core.CCR{}, err
+			return nil, err
 		}
-		ratioMaps = append(ratioMaps, c.Ratios)
+		ccrs = append(ccrs, c)
 	}
-	agg := geoMeanMap(ratioMaps)
-	// Renormalize so the slowest group is exactly 1.
-	slowest := 0.0
-	for _, v := range agg {
-		if slowest == 0 || v < slowest {
-			slowest = v
-		}
-	}
-	for k := range agg {
-		agg[k] /= slowest
-	}
-	return core.CCR{App: app.Name(), Ratios: agg}, nil
+	return ccrs, nil
 }

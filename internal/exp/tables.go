@@ -2,16 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/metrics"
 	"proxygraph/internal/powerlaw"
 )
-
-func logOf(x float64) float64 { return math.Log(x) }
-func expOf(x float64) float64 { return math.Exp(x) }
 
 // TableI reproduces the paper's Table I: the Amazon virtual machine and
 // local physical machine configurations.

@@ -140,8 +140,8 @@ type Event struct {
 	// time to the gather, apply and bookkeeping phases; CommSeconds is the
 	// communication time overlapped with them (KindMachineStep).
 	GatherSeconds, ApplySeconds, BookSeconds, CommSeconds float64
-	// Raw step counters (KindMachineStep).
-	Gathers, Applies, PartialsOut, UpdatesOut float64
+	// Raw step counters (KindMachineStep), all of engine.StepCounters.
+	Gathers, Applies, Vertices, MaxUnit, PartialsOut, UpdatesOut float64
 	// Bytes is a data footprint (checkpoint encoding size).
 	Bytes int64
 	// Moved counts edges that changed machines (rebalance, recovery).

@@ -303,23 +303,20 @@ func (s *Session) place(part partition.Partitioner, job Job, shares []float64) (
 // representative runs every (application, proxy) set standalone; groups run
 // in parallel, so the offline cost is the slowest group's total.
 func profilingCost(cl *cluster.Cluster, pp *core.ProxyProfiler) (float64, error) {
-	reps := cl.Representatives()
-	worst := 0.0
-	for _, idx := range reps {
-		solo, err := cluster.New(cl.Machines[idx])
-		if err != nil {
-			return 0, err
-		}
-		total := 0.0
-		for _, app := range apps.All() {
-			for _, proxy := range pp.Proxies {
-				res, err := app.Run(engine.SingleMachine(proxy), solo)
-				if err != nil {
-					return 0, err
-				}
-				total += res.SimSeconds
+	totals := map[string]float64{}
+	for _, app := range apps.All() {
+		for _, proxy := range pp.Proxies {
+			secs, err := core.SoloSeconds(app, proxy, cl.Machines)
+			if err != nil {
+				return 0, err
+			}
+			for group, t := range secs {
+				totals[group] += t
 			}
 		}
+	}
+	worst := 0.0
+	for _, total := range totals {
 		if total > worst {
 			worst = total
 		}
