@@ -30,18 +30,20 @@ test:
 # at most one raw CSR's bytes of adjacency, next to the differential pinning its
 # survivor-list peel to the scan-all loop; a recorded solo run priced on each
 # machine type charges what running it there does, bit for bit, and a stream
-# whose charges depended on its cluster is refused), the batched-BFS differential suite pinning
+# whose charges depended on its cluster is refused; every app's result and
+# event stream are the same, bit for bit, when each machine's local edge list
+# is shuffled), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
 # evolving-graph differentials (amended placements inside their imbalance
 # envelope, O(|delta|) fingerprints bit-identical to full rescans,
 # process-stable partitioner cache keys), the overload and evolve golden files
 # pinning the service control plane and the incremental-recomputation chain
-# byte-for-byte, one iteration of every engine and ingress micro-benchmark (so
-# they keep compiling and reporting; timing is benchmark/'s job, see
-# bench-compare), the end-to-end benchmark's own contract tests, and a short
-# fuzz pass over every decoder/encoder boundary (the job-submission endpoint
-# and the CCR pool loader included) plus the packed-traversal and
-# delta property fuzzers.
+# byte-for-byte, one iteration of every engine and ingress micro-benchmark and
+# of the root experiment harness's table1 (so they keep compiling and
+# reporting; timing is benchmark/'s job, see bench-compare), the end-to-end
+# benchmark's own contract tests, and a short fuzz pass over every
+# decoder/encoder boundary (the job-submission endpoint and the CCR pool
+# loader included) plus the packed-traversal and delta property fuzzers.
 check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 	go vet ./...
@@ -49,10 +51,11 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition
+	go test -run '^$$' -bench 'Experiments/table1$$' -benchtime 1x .
 	$(MAKE) bench-contract
 	$(MAKE) fuzz-smoke
 

@@ -1,14 +1,16 @@
 package proxygraph
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the DESIGN.md ablations. Each benchmark regenerates its
-// experiment at the default scale (1/64 of Table II) and prints the
-// resulting table once, so
+// Benchmark harness: BenchmarkExperiments runs one sub-benchmark per entry of
+// exp.Catalog() — every table and figure of the paper's evaluation, the
+// DESIGN.md ablations and the extension studies. Each regenerates its
+// experiment at the default scale (1/64 of Table II) and prints the resulting
+// tables once, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the paper's entire evaluation section. cmd/bench offers the
-// same experiments with a -scale flag for full-size runs.
+// reproduces the paper's entire evaluation section, and
+// go test -bench 'Experiments/fig9$' one experiment. cmd/bench offers the same
+// catalog with a -scale flag for full-size runs.
 
 import (
 	"fmt"
@@ -16,7 +18,6 @@ import (
 	"testing"
 
 	"proxygraph/internal/exp"
-	"proxygraph/internal/metrics"
 )
 
 // benchLab is shared across benchmarks so graphs, proxies and CCR pools are
@@ -28,200 +29,23 @@ var benchLab = sync.OnceValue(func() *exp.Lab {
 // printOnce guards each experiment's table output.
 var printOnce sync.Map
 
-func emit(b *testing.B, key string, tables ...*metrics.Table) {
-	b.Helper()
-	if _, loaded := printOnce.LoadOrStore(key, true); loaded {
-		return
-	}
-	for _, t := range tables {
-		fmt.Printf("\n%s\n", t)
-	}
-}
-
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.TableI()
-		emit(b, "table1", t)
-	}
-}
-
-func BenchmarkTableII(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.TableII()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "table2", t)
-	}
-}
-
-func BenchmarkFig2(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig2", t)
-	}
-}
-
-func BenchmarkFig6(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig6", t)
-	}
-}
-
-func BenchmarkFig8a(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig8a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig8a", t)
-	}
-}
-
-func BenchmarkFig8b(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig8b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig8b", t)
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		tables, err := lab.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		summary, err := lab.Fig9Summary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig9", append(tables, summary)...)
-	}
-}
-
-func BenchmarkFig10a(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig10a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig10a", t)
-	}
-}
-
-func BenchmarkFig10b(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig10b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig10b", t)
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "fig11", t)
-	}
-}
-
-func BenchmarkAblationHybridThreshold(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.AblationHybridThreshold()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "abl-hybrid", t)
-	}
-}
-
-func BenchmarkAblationGingerGamma(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.AblationGingerGamma()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "abl-ginger", t)
-	}
-}
-
-func BenchmarkAblationProxySet(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.AblationProxySet()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "abl-proxyset", t)
-	}
-}
-
-func BenchmarkAblationScaleInvariance(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.AblationScaleInvariance()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "abl-scale", t)
-	}
-}
-
-func BenchmarkReplicationStudy(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.ReplicationStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "replication", t)
-	}
-}
-
-func BenchmarkIngressStudy(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.IngressStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "ingress", t)
-	}
-}
-
-func BenchmarkAblationSubsample(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.AblationSubsample()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "abl-subsample", t)
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Catalog() {
+		b.Run(e.Name, func(b *testing.B) {
+			lab := benchLab()
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run(lab)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, printed := printOnce.LoadOrStore(e.Name, true); printed {
+					continue
+				}
+				for _, t := range tables {
+					fmt.Printf("\n%s\n", t)
+				}
+			}
+		})
 	}
 }
 
@@ -256,60 +80,5 @@ func BenchmarkEndToEnd(b *testing.B) {
 				b.ReportMetric(res.SimSeconds, "sim-s/op")
 			}
 		})
-	}
-}
-
-func BenchmarkDynamicStudy(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.DynamicStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "dynamic", t)
-	}
-}
-
-func BenchmarkAmortizationStudy(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.AmortizationStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "amortization", t)
-	}
-}
-
-func BenchmarkFrequencySweep(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.FrequencySweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "freqsweep", t)
-	}
-}
-
-func BenchmarkRecoveryStudy(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.RecoveryStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "recovery", t)
-	}
-}
-
-func BenchmarkClusterBFSStudy(b *testing.B) {
-	lab := benchLab()
-	for i := 0; i < b.N; i++ {
-		t, err := lab.ClusterBFSStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit(b, "clusterbfs", t)
 	}
 }

@@ -24,8 +24,10 @@
 //	res, _ := proxygraph.RunPooled(proxygraph.NewPageRank(), g, cl,
 //	        proxygraph.NewHybrid(), pool, 7)
 //
-// Everything the paper evaluates is reproducible through Lab (see
-// bench_test.go and cmd/bench).
+// The examples in example_test.go run this flow end to end, and go test
+// checks what they print. Everything the paper evaluates is reproducible with
+// cmd/bench, or as go test -bench Experiments (BenchmarkExperiments in
+// bench_test.go runs one sub-benchmark per experiment).
 package proxygraph
 
 import (
@@ -52,26 +54,15 @@ import (
 // Graph is an immutable edge-list graph (see internal/graph).
 type Graph = graph.Graph
 
-// Edge is a directed edge.
-type Edge = graph.Edge
-
-// VertexID identifies a vertex.
-type VertexID = graph.VertexID
-
-// Spec describes a graph to generate; Kind selects the structural family.
+// Spec describes a graph to generate; its Kind selects the structural
+// family.
 type Spec = gen.Spec
 
-// Kind selects a generator family (power-law proxy, amazon-like, ...).
-type Kind = gen.Kind
-
-// Generator kinds.
+// Generator kinds: the paper's power-law proxies and a social-network-like
+// graph.
 const (
 	KindPowerLaw = gen.KindPowerLaw
-	KindAmazon   = gen.KindAmazon
-	KindCitation = gen.KindCitation
 	KindSocial   = gen.KindSocial
-	KindWiki     = gen.KindWiki
-	KindRMAT     = gen.KindRMAT
 )
 
 // Generate materializes a graph spec deterministically from seed
@@ -157,17 +148,8 @@ func AppByName(name string) (App, error) { return apps.ByName(name) }
 // NewPageRank returns the PageRank application with PowerGraph defaults.
 func NewPageRank() *apps.PageRank { return apps.NewPageRank() }
 
-// NewColoring returns the asynchronous greedy Coloring application.
-func NewColoring() *apps.Coloring { return apps.NewColoring() }
-
 // NewConnectedComponents returns the label-propagation CC application.
 func NewConnectedComponents() *apps.ConnectedComponents { return apps.NewConnectedComponents() }
-
-// NewTriangleCount returns the Triangle Count application.
-func NewTriangleCount() *apps.TriangleCount { return apps.NewTriangleCount() }
-
-// NewBFS returns the BFS extension application.
-func NewBFS() *apps.BFS { return apps.NewBFS() }
 
 // --- Partitioning ---
 
@@ -187,17 +169,11 @@ func PartitionerByName(name string) (Partitioner, error) { return partition.ByNa
 // NewRandomHash returns the weighted Random Hash vertex-cut.
 func NewRandomHash() *partition.RandomHash { return partition.NewRandomHash() }
 
-// NewOblivious returns the greedy Oblivious vertex-cut.
-func NewOblivious() *partition.Oblivious { return partition.NewOblivious() }
-
 // NewGrid returns the 2D Grid-constrained vertex-cut.
 func NewGrid() *partition.Grid { return partition.NewGrid() }
 
 // NewHybrid returns the Hybrid mixed-cut.
 func NewHybrid() *partition.Hybrid { return partition.NewHybrid() }
-
-// NewGinger returns the Ginger (Fennel-style) mixed-cut.
-func NewGinger() *partition.Ginger { return partition.NewGinger() }
 
 // UniformShares returns equal shares for m machines (the default system).
 func UniformShares(m int) []float64 { return partition.UniformShares(m) }
@@ -238,10 +214,17 @@ func NewThreadCountEstimator() *core.ThreadCount { return core.NewThreadCount() 
 // UniformEstimator returns the default system's all-machines-equal estimate.
 func UniformEstimator() Estimator { return core.Uniform{} }
 
-// MeasureCCR measures the ground-truth CCR of app on cl using graph g
-// (one standalone run per machine group).
+// MeasureCCR measures the ground-truth CCR of app on cl using graph g: one
+// solo run, priced on each machine group (see SoloSeconds).
 func MeasureCCR(cl *Cluster, app App, g *Graph) (CCR, error) {
 	return core.MeasureCCR(cl, app, g)
+}
+
+// SoloSeconds returns app's simulated makespan on g alone on one machine of
+// each type in machines, keyed by machine name: one recorded run, priced on
+// every type.
+func SoloSeconds(app App, g *Graph, machines []Machine) (map[string]float64, error) {
+	return core.SoloSeconds(app, g, machines)
 }
 
 // BuildPool profiles every application with the estimator and collects the
@@ -252,8 +235,8 @@ func BuildPool(cl *Cluster, applications []App, est Estimator) (*Pool, error) {
 
 // --- End-to-end runs ---
 
-// Run partitions g over cl with explicit shares and executes the app.
-func Run(app App, g *Graph, cl *Cluster, p Partitioner, shares []float64, seed uint64) (*Result, error) {
+// run partitions g over cl with explicit shares and executes the app.
+func run(app App, g *Graph, cl *Cluster, p Partitioner, shares []float64, seed uint64) (*Result, error) {
 	pl, err := partition.Apply(p, g, shares, seed)
 	if err != nil {
 		return nil, err
@@ -268,7 +251,7 @@ func RunWithCCR(app App, g *Graph, cl *Cluster, p Partitioner, ccr CCR, seed uin
 	if err != nil {
 		return nil, err
 	}
-	return Run(app, g, cl, p, shares, seed)
+	return run(app, g, cl, p, shares, seed)
 }
 
 // RunPooled picks the app's CCR from the pool and runs like RunWithCCR.
@@ -283,69 +266,21 @@ func RunPooled(app App, g *Graph, cl *Cluster, p Partitioner, pool *Pool, seed u
 // RunUniform partitions g evenly (the default homogeneous assumption) and
 // executes the app.
 func RunUniform(app App, g *Graph, cl *Cluster, p Partitioner, seed uint64) (*Result, error) {
-	return Run(app, g, cl, p, partition.UniformShares(cl.Size()), seed)
+	return run(app, g, cl, p, partition.UniformShares(cl.Size()), seed)
 }
 
 // --- Experiments ---
 
-// Lab reproduces the paper's tables and figures (see internal/exp).
-type Lab = exp.Lab
-
-// ExpConfig controls experiment scale and seeds.
-type ExpConfig = exp.Config
-
 // Table is the formatted output of one experiment.
 type Table = metrics.Table
-
-// NewLab creates an experiment lab. A zero config selects the defaults
-// (scale 1/64, seed 42).
-func NewLab(cfg ExpConfig) *Lab { return exp.NewLab(cfg) }
 
 // TableI renders the machine-configuration table.
 func TableI() *Table { return exp.TableI() }
 
 // --- Extensions beyond the paper ---
 
-// NewSSSP returns the weighted single-source shortest-paths extension.
-func NewSSSP() *apps.SSSP { return apps.NewSSSP() }
-
-// NewKCore returns the k-core decomposition extension.
-func NewKCore() *apps.KCore { return apps.NewKCore() }
-
-// NewClusterBFS returns the bit-parallel batched multi-source BFS extension
-// (64 sources packed one bit lane per uint64 word).
-func NewClusterBFS() *apps.ClusterBFS { return apps.NewClusterBFS() }
-
-// NewLandmarkOracle returns the landmark distance-oracle workload built on
-// ClusterBFS.
-func NewLandmarkOracle() *apps.LandmarkOracle { return apps.NewLandmarkOracle() }
-
-// NewKSeedReach returns the k-seed reachability workload built on ClusterBFS.
-func NewKSeedReach() *apps.KSeedReach { return apps.NewKSeedReach() }
-
-// NewHDRF returns the HDRF streaming vertex-cut extension.
-func NewHDRF() *partition.HDRF { return partition.NewHDRF() }
-
 // PartitionersWithExtensions returns the paper's five algorithms plus HDRF.
 func PartitionersWithExtensions() []Partitioner { return partition.WithExtensions() }
-
-// NewSubsampleProfiler returns the natural-graph subsampling estimator the
-// paper's introduction argues against; see the abl-subsample experiment for
-// the quantified comparison.
-func NewSubsampleProfiler(reference *Graph, fraction float64, seed uint64) *core.SubsampleProfiler {
-	return core.NewSubsampleProfiler(reference, fraction, seed)
-}
-
-// AttachWeights assigns deterministic pseudo-random edge weights in
-// [minW, maxW), enabling the weighted applications.
-func AttachWeights(g *Graph, minW, maxW float32, seed uint64) *Graph {
-	return graph.AttachWeights(g, minW, maxW, seed)
-}
-
-// SampleEdges returns a uniform edge subsample of g (vertex set unchanged).
-func SampleEdges(g *Graph, fraction float64, seed uint64) (*Graph, error) {
-	return graph.SampleEdges(g, fraction, seed)
-}
 
 // TraceEvent is one structured execution event: a step, a machine's share
 // of it, a stall, a fault (see internal/trace).
@@ -402,11 +337,8 @@ type AdvisorRequest = advisor.Request
 // AdvisorSelection is one recommended cluster composition.
 type AdvisorSelection = advisor.Selection
 
-// Advisor objectives.
-const (
-	AdvisorMaxSpeed          = advisor.MaxSpeed
-	AdvisorMaxSpeedPerDollar = advisor.MaxSpeedPerDollar
-)
+// AdvisorMaxSpeed maximizes throughput within the budget.
+const AdvisorMaxSpeed = advisor.MaxSpeed
 
 // MeasureSpeeds profiles machines standalone on the proxy set and returns
 // per-type speeds for RecommendCluster.
@@ -423,18 +355,6 @@ func RecommendCluster(catalog []Machine, speeds advisor.Speeds, req AdvisorReque
 // LoadPoolFile reads a CCR pool JSON written by Pool.SaveFile or
 // proxygraph profile.
 func LoadPoolFile(path string) (*Pool, error) { return core.LoadPoolFile(path) }
-
-// FitAlphaMLE estimates α by maximum likelihood from an observed degree
-// sequence (Clauset-style), complementing the paper's |V|,|E| moment fit.
-func FitAlphaMLE(degrees []int32, dmin int) (float64, error) {
-	return powerlaw.FitAlphaMLE(degrees, dmin)
-}
-
-// FromDegreeSequence generates a graph matching an out-degree sequence (the
-// configuration model) — custom proxies cloned from a measured workload.
-func FromDegreeSequence(name string, degrees []int32, seed uint64) (*Graph, error) {
-	return gen.FromDegreeSequence(name, degrees, seed)
-}
 
 // WorkloadJob is one application × graph unit in a session.
 type WorkloadJob = workload.Job
