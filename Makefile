@@ -35,12 +35,13 @@ test:
 # is shuffled), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
 # evolving-graph differentials (amended placements inside their imbalance
-# envelope, O(|delta|) fingerprints bit-identical to full rescans,
+# envelope, O(|delta|) fingerprints bit-identical to full rescans, the
+# sharded rescan equal to its sequential sum at GOMAXPROCS 1, 2, 3 and 8,
 # process-stable partitioner cache keys), the overload and evolve golden files
 # pinning the service control plane and the incremental-recomputation chain
-# byte-for-byte, one iteration of every engine and ingress micro-benchmark and
-# of the root experiment harness's table1 (so they keep compiling and
-# reporting; timing is benchmark/'s job, see bench-compare), the end-to-end
+# byte-for-byte, one iteration of every engine, ingress, amend and delta
+# micro-benchmark and of the root experiment harness's table1 (so they keep
+# compiling and reporting; timing is benchmark/'s job, see bench-compare), the end-to-end
 # benchmark's own contract tests, and a short fuzz pass over every
 # decoder/encoder boundary (the job-submission endpoint and the CCR pool
 # loader included) plus the packed-traversal and delta property fuzzers.
@@ -52,9 +53,9 @@ check:
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine
 	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
-	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
+	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestFingerprintWorkerInvariance|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
-	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition
+	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition ./internal/graph
 	go test -run '^$$' -bench 'Experiments/table1$$' -benchtime 1x .
 	$(MAKE) bench-contract
 	$(MAKE) fuzz-smoke

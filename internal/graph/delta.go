@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -93,10 +94,13 @@ func (d *Delta) Validate(base *Graph) error {
 // ascending index order. It errors when any delete has no match left —
 // deleting an absent edge is a versioning bug, not a no-op.
 //
-// The scan over the base edges is one bitmap test per edge: the multiset of
-// wanted occurrences is consulted only for edges whose source vertex appears
-// as the source of some delete, so a batch costs O(|E|) cheap tests plus map
-// work proportional to the out-degrees of the sources it deletes from.
+// The scan over the base edges is one filter test per edge: a one-hash bitmap
+// over the deletes' (Src, Dst) pairs, at least 64 bits per delete, so the
+// multiset of wanted occurrences is consulted for the edges that repeat a
+// deleted pair plus a false-positive share of the rest near 1/64. A batch
+// costs O(|E|) cheap tests plus map work proportional to how often its pairs
+// occur. The map stays the authority: it keeps float32 == weight matching
+// for the triple form.
 func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 	if len(d.Deletes) == 0 {
 		return nil, nil
@@ -123,18 +127,25 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 	}
 	n := VertexID(base.NumVertices)
 	want := make(map[occurrence]int, len(d.Deletes))
-	fromSrc := make([]uint64, (base.NumVertices+63)/64)
+	// Fibonacci hashing: the top logBits bits of the pair times 2^64/φ.
+	logBits := bits.Len(uint(64*len(d.Deletes) - 1))
+	shift := 64 - logBits
+	slot := func(e Edge) uint64 {
+		return (uint64(e.Src)<<32 | uint64(e.Dst)) * 0x9e3779b97f4a7c15 >> shift
+	}
+	filter := make([]uint64, 1<<logBits/64)
 	for j, e := range d.Deletes {
 		if e.Src >= n || e.Dst >= n {
 			// No base edge reaches outside the base vertex space.
 			return nil, missing(e)
 		}
 		want[key(e, weight(j))]++
-		fromSrc[e.Src>>6] |= 1 << (e.Src & 63)
+		s := slot(e)
+		filter[s>>6] |= 1 << (s & 63)
 	}
 	idx := make([]int, 0, len(d.Deletes))
 	for i, e := range base.Edges {
-		if fromSrc[e.Src>>6]&(1<<(e.Src&63)) == 0 {
+		if s := slot(e); filter[s>>6]&(1<<(s&63)) == 0 {
 			continue
 		}
 		k := key(e, base.Weight(i))
@@ -178,25 +189,28 @@ func (d *Delta) Apply(base *Graph) (*Graph, error) {
 	if weighted {
 		weights = make([]float32, 0, kept+len(d.Inserts))
 	}
-	di := 0
-	for i, e := range base.Edges {
-		if di < len(deleted) && deleted[di] == i {
-			di++
-			continue
-		}
-		edges = append(edges, e)
-		if weighted {
-			weights = append(weights, base.Weight(i))
+	// Survivors are copied a run at a time, between consecutive deletes.
+	keep := func(lo, hi int) {
+		edges = append(edges, base.Edges[lo:hi]...)
+		if base.Weights != nil {
+			weights = append(weights, base.Weights[lo:hi]...)
 		}
 	}
-	for i, e := range d.Inserts {
-		edges = append(edges, e)
-		if weighted {
-			w := float32(1)
-			if d.InsertWeights != nil {
-				w = d.InsertWeights[i]
-			}
-			weights = append(weights, w)
+	lo := 0
+	for _, i := range deleted {
+		keep(lo, i)
+		lo = i + 1
+	}
+	keep(lo, len(base.Edges))
+	edges = append(edges, d.Inserts...)
+	if weighted {
+		if base.Weights == nil {
+			weights = appendOnes(weights, kept)
+		}
+		if d.InsertWeights != nil {
+			weights = append(weights, d.InsertWeights...)
+		} else {
+			weights = appendOnes(weights, len(d.Inserts))
 		}
 	}
 
@@ -212,6 +226,14 @@ func (d *Delta) Apply(base *Graph) (*Graph, error) {
 		return nil, fmt.Errorf("delta: evolved graph invalid: %w", err)
 	}
 	return evolved, nil
+}
+
+// appendOnes appends n unit weights.
+func appendOnes(w []float32, n int) []float32 {
+	for range n {
+		w = append(w, 1)
+	}
+	return w
 }
 
 // Inverse returns the batch that undoes this one against its base graph: the

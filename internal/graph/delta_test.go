@@ -336,16 +336,22 @@ func TestDeltaInverseRoundTrip(t *testing.T) {
 	sameMultiset(t, "round trip", base, back)
 }
 
-// FuzzDelta drives random mutation batches end to end: any delta the
-// validator accepts must apply cleanly, produce a structurally valid graph
-// with the implied edge count, and unapply (via Inverse) back to the base
-// graph's exact weighted-edge multiset.
+// FuzzDelta drives random mutation batches end to end: DeletedIndices must
+// agree with its full-scan spec on every batch, in indices and in whether the
+// batch resolves, so a pair-filter collision can never drop a wanted pair;
+// any delta the validator accepts must apply cleanly, produce a structurally
+// valid graph with the implied edge count, and unapply (via Inverse) back to
+// the base graph's exact weighted-edge multiset. The high bit of nIns selects
+// the triple form (DeleteWeights set from the chosen occurrences).
 func FuzzDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(3), uint8(2))
 	f.Add([]byte{0xff, 0x00, 0x80}, uint8(0), uint8(5))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(8), uint8(0))
 	f.Add([]byte{}, uint8(1), uint8(1))
 	f.Add([]byte{1, 2, 3, 4}, uint8(0), uint8(0x82)) // a delete outside the base vertex space
+	// Pairs repeated at different weights, every occurrence deleted in the
+	// triple form.
+	f.Add([]byte{5}, uint8(0x81), uint8(7))
 	f.Fuzz(func(t *testing.T, data []byte, nIns, nDel uint8) {
 		next := func(i int) int {
 			if len(data) == 0 {
@@ -371,13 +377,27 @@ func FuzzDelta(f *testing.F) {
 
 		d := &Delta{Time: 1 + uint64(next(3)%9)}
 		for i := 0; i < int(nDel)%8 && i < len(base.Edges); i++ {
-			d.Deletes = append(d.Deletes, base.Edges[next(7*i)%len(base.Edges)])
+			at := next(7*i) % len(base.Edges)
+			d.Deletes = append(d.Deletes, base.Edges[at])
+			d.DeleteWeights = append(d.DeleteWeights, base.Weights[at])
 		}
 		outside := nDel&0x80 != 0
 		if outside {
 			// An endpoint the base has no vertex for: a rejection, never a
 			// panic, however the deletes are indexed.
 			d.Deletes = append(d.Deletes, Edge{Src: VertexID(n + next(5)), Dst: VertexID(next(6) % n)})
+			d.DeleteWeights = append(d.DeleteWeights, 1)
+		}
+		if nIns&0x80 == 0 {
+			d.DeleteWeights = nil
+		}
+		want, resolves := deletedIndicesFullScan(d, base)
+		got, err := d.DeletedIndices(base)
+		if resolves != (err == nil) {
+			t.Fatalf("full scan resolves=%v, DeletedIndices error %v", resolves, err)
+		}
+		if resolves && !slices.Equal(got, want) {
+			t.Fatalf("DeletedIndices %v, full scan %v", got, want)
 		}
 		for i := 0; i < int(nIns)%8; i++ {
 			u := next(11*i) % n
@@ -404,11 +424,10 @@ func FuzzDelta(f *testing.F) {
 		if err := evolved.Validate(); err != nil {
 			t.Fatalf("evolved graph invalid: %v", err)
 		}
-		deleted, err := d.DeletedIndices(base)
-		if err != nil {
-			t.Fatalf("apply succeeded but DeletedIndices failed: %v", err)
+		if !resolves {
+			t.Fatal("apply succeeded but the full scan does not resolve the deletes")
 		}
-		if want := len(base.Edges) - len(deleted) + len(d.Inserts); len(evolved.Edges) != want {
+		if want := len(base.Edges) - len(d.Deletes) + len(d.Inserts); len(evolved.Edges) != want {
 			t.Fatalf("evolved has %d edges, want %d", len(evolved.Edges), want)
 		}
 		inv, err := d.Inverse(base)

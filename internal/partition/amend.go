@@ -7,6 +7,7 @@ import (
 
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/rng"
 )
 
 // Amender is implemented by partitioners that can patch an existing owner
@@ -77,6 +78,54 @@ func amendSurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *g
 	return kept, nil
 }
 
+// carrySurvivors is amendSurvivors for partitioners whose owner is a pure
+// function of the edge (RandomHash, Hybrid): equal occurrences of a pair
+// always have equal owners, so which occurrence of a repeated pair a delete
+// claimed does not matter, and the delete index need not be resolved.
+// Instead one lockstep walk of base.Edges against evolved.Edges[:kept] —
+// Apply's survivors, in stream order — carries each survivor's owner and
+// skips the base edges the evolved graph lacks. The returned vector has
+// evolved's length; its insert tail is left for the caller to fill.
+//
+// The walk is also the cross-check that evolved really is d applied to base:
+// it fails unless the survivors are a subsequence of base.Edges, and unless
+// the skipped edges are the deletes' pairs (compared as an order-free sum of
+// pair hashes), which is what lets the caller derive degree changes from the
+// delta alone.
+func carrySurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph) ([]int32, error) {
+	if len(owner) != len(base.Edges) {
+		return nil, fmt.Errorf("owner vector has %d entries for %d base edges", len(owner), len(base.Edges))
+	}
+	keptCount := len(base.Edges) - len(d.Deletes)
+	if keptCount < 0 || len(evolved.Edges) != keptCount+len(d.Inserts) {
+		return nil, fmt.Errorf("evolved graph has %d edges, delta implies %d", len(evolved.Edges), keptCount+len(d.Inserts))
+	}
+	out := make([]int32, len(evolved.Edges))
+	survivors := evolved.Edges[:keptCount]
+	var skipped, deleted uint64
+	j := 0
+	for i, e := range base.Edges {
+		if j < len(survivors) && e == survivors[j] {
+			out[j] = owner[i]
+			j++
+			continue
+		}
+		skipped += pairHash(e)
+	}
+	for _, e := range d.Deletes {
+		deleted += pairHash(e)
+	}
+	if j != keptCount || skipped != deleted {
+		return nil, fmt.Errorf("evolved graph's first %d edges are not base's edges minus the deletes, in stream order", keptCount)
+	}
+	return out, nil
+}
+
+// pairHash is one term of carrySurvivors' order-free pair multiset sum.
+func pairHash(e graph.Edge) uint64 {
+	return rng.Hash64(uint64(e.Src)<<32 | uint64(e.Dst))
+}
+
 // Amend implements Amender. RandomHash owners are pure per-edge hashes, so
 // surviving owners are already what a full re-ingress would produce and only
 // the inserts need hashing — the result is bit-identical to Partition on the
@@ -85,64 +134,91 @@ func (rh *RandomHash) Amend(base *graph.Graph, owner []int32, d *graph.Delta, ev
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
-	kept, err := amendSurvivors(base, owner, d, evolved)
+	out, err := carrySurvivors(base, owner, d, evolved)
 	if err != nil {
 		return nil, err
 	}
 	pk := newPicker(shares)
-	for _, e := range evolved.Edges[len(kept):] {
-		kept = append(kept, pk.pick(edgeHash(seed, e)))
+	for i := len(base.Edges) - len(d.Deletes); i < len(out); i++ {
+		out[i] = pk.pick(edgeHash(seed, evolved.Edges[i]))
 	}
-	return kept, nil
+	return out, nil
 }
 
 // Amend implements Amender. A Hybrid owner depends on its edge, the seed and
 // the destination's degree class, so surviving owners stay valid except where
-// the delta moved a destination across the threshold; those edges and the
-// inserts are re-hashed, and the result is bit-identical to Partition on the
-// evolved graph.
+// the delta moved a destination across the threshold; those edges (usually
+// none) and the inserts are re-hashed, and the result is bit-identical to
+// Partition on the evolved graph.
 func (h *Hybrid) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
-	kept, err := amendSurvivors(base, owner, d, evolved)
+	out, err := carrySurvivors(base, owner, d, evolved)
 	if err != nil {
 		return nil, err
 	}
 	pk := newPicker(shares)
-	baseIn := base.InDegrees()
 	evolvedIn := evolved.InDegreesParallel(resolveShards(len(evolved.Edges)))
-	flipped := classFlips(baseIn, evolvedIn, h.Threshold)
-	keptCount := len(kept)
-	kept = kept[:len(evolved.Edges)]
-	parallelRanges(len(evolved.Edges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := evolved.Edges[i]
-			if i < keptCount && !flipped[e.Dst] {
-				continue
-			}
-			if evolvedIn[e.Dst] > h.Threshold {
-				kept[i] = pk.pick(vertexHash(seed+1, e.Src))
-			} else {
-				kept[i] = pk.pick(vertexHash(seed, e.Dst))
-			}
+	hash := func(e graph.Edge) int32 {
+		if evolvedIn[e.Dst] > h.Threshold {
+			return pk.pick(vertexHash(seed+1, e.Src))
 		}
-	})
-	return kept, nil
+		return pk.pick(vertexHash(seed, e.Dst))
+	}
+	keptCount := len(base.Edges) - len(d.Deletes)
+	if flips := degreeFlips(d, evolvedIn, h.Threshold); len(flips) > 0 {
+		flipped := vertexMask(evolved.NumVertices, flips)
+		parallelRanges(keptCount, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if e := evolved.Edges[i]; flipped[e.Dst] {
+					out[i] = hash(e)
+				}
+			}
+		})
+	}
+	for i := keptCount; i < len(out); i++ {
+		out[i] = hash(evolved.Edges[i])
+	}
+	return out, nil
 }
 
-// classFlips reports, per evolved vertex, whether the delta moved its
-// in-degree across the high-degree threshold.
-func classFlips(baseIn, evolvedIn []int32, threshold int32) []bool {
-	flipped := make([]bool, len(evolvedIn))
-	for v := range evolvedIn {
-		var db int32
-		if v < len(baseIn) {
-			db = baseIn[v]
-		}
-		flipped[v] = (db > threshold) != (evolvedIn[v] > threshold)
+// degreeFlips returns, in no particular order, the evolved vertices whose
+// in-degree the delta moved across the high-degree threshold. Only a delta
+// endpoint can change in-degree, so each destination's base in-degree is its
+// evolved one minus the inserts into it plus the deletes from it; no base
+// scan is needed. A vertex past the evolved vertex space (dropped by a
+// shrink) has no evolved edges and is skipped; a vertex past the base space
+// has base in-degree 0, which the same arithmetic yields. The deletes must be
+// the edges Apply removed, which the callers' survivor checks establish.
+func degreeFlips(d *graph.Delta, evolvedIn []int32, threshold int32) []graph.VertexID {
+	net := make(map[graph.VertexID]int32, d.Size())
+	for _, e := range d.Inserts {
+		net[e.Dst]++
 	}
-	return flipped
+	for _, e := range d.Deletes {
+		net[e.Dst]--
+	}
+	var flips []graph.VertexID
+	for v, change := range net {
+		if int(v) >= len(evolvedIn) {
+			continue
+		}
+		now := evolvedIn[v]
+		if (now-change > threshold) != (now > threshold) {
+			flips = append(flips, v)
+		}
+	}
+	return flips
+}
+
+// vertexMask marks vs in a per-vertex mask over n vertices.
+func vertexMask(n int, vs []graph.VertexID) []bool {
+	mask := make([]bool, n)
+	for _, v := range vs {
+		mask[v] = true
+	}
+	return mask
 }
 
 // Amend implements Amender. The surviving owners keep their machines; the
@@ -277,9 +353,8 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolve
 		return nil, err
 	}
 	pk := newPicker(shares)
-	baseIn := base.InDegrees()
 	inDeg := evolved.InDegreesParallel(resolveShards(len(evolved.Edges)))
-	flipped := classFlips(baseIn, inDeg, gp.Threshold)
+	flipped := vertexMask(evolved.NumVertices, degreeFlips(d, inDeg, gp.Threshold))
 
 	// Recover assign from surviving low→low edges: the refined placement
 	// grouped each low-degree destination's in-edges on one machine.

@@ -75,6 +75,41 @@ func BenchmarkIngressHybrid(b *testing.B) {
 		})
 }
 
+// BenchmarkAmendHybrid amends a Hybrid placement across one evolve step the
+// size of the end-to-end benchmark's cold_ingest batches: a power-law graph
+// of about 27 k edges, 1 % of its edges inserted and 0.5 % deleted.
+func BenchmarkAmendHybrid(b *testing.B) {
+	base, err := gen.Generate(gen.Spec{
+		Name: "amend-bench", Vertices: 3400, Edges: 27000, Kind: gen.KindPowerLaw,
+	}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := gen.RandomDelta(base, gen.DeltaSpec{
+		Inserts: len(base.Edges) / 100, Deletes: len(base.Edges) / 200, Time: 1,
+	}, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	evolved, err := d.Apply(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shares := UniformShares(4)
+	p := NewHybrid()
+	owner, err := p.Partition(base, shares, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runIngressBench(b, evolved, func() []int32 {
+		amended, err := p.Amend(base, owner, d, evolved, shares, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return amended
+	})
+}
+
 func BenchmarkIngressGinger(b *testing.B) {
 	g := benchGraph(b)
 	shares := UniformShares(8)

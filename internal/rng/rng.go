@@ -31,7 +31,14 @@ func Hash64(x uint64) uint64 {
 // Hash2 mixes two 64-bit values into one hash. Order matters:
 // Hash2(a, b) != Hash2(b, a) in general.
 func Hash2(a, b uint64) uint64 {
-	return Hash64(a ^ (Hash64(b) + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2)))
+	return Hash2Hashed(a, Hash64(b))
+}
+
+// Hash2Hashed is Hash2 with its second operand already hashed:
+// Hash2Hashed(a, Hash64(b)) == Hash2(a, b). A loop that mixes many values
+// with one constant b hashes b once, outside the loop.
+func Hash2Hashed(a, hb uint64) uint64 {
+	return Hash64(a ^ (hb + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2)))
 }
 
 // Hash3 mixes three 64-bit values into one hash.

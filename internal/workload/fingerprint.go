@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"proxygraph/internal/graph"
@@ -41,12 +42,60 @@ func vertexTerm(n int) uint64 {
 // only on the multiset, so a placement-cache hit across a permutation is
 // sound for outputs; charged times reflect the cached stream order, which is
 // the same blur dynamic rebalancing already introduces.
+//
+// The same order-freedom lets the scan shard: contiguous edge ranges are
+// summed across GOMAXPROCS (the caller's goroutine takes the first), and the
+// result is bit-identical at every shard count.
 func rescanFingerprint(g *graph.Graph) uint64 {
 	fp := vertexTerm(g.NumVertices)
-	for i, e := range g.Edges {
-		fp += edgeTerm(e, g.Weight(i))
+	n := len(g.Edges)
+	shards := min(runtime.GOMAXPROCS(0), n)
+	if shards <= 1 {
+		return fp + edgeTermSum(g, 0, n)
 	}
-	return fp
+	// One allocation for the join state, plus one closure per extra shard.
+	acc := &struct {
+		wg  sync.WaitGroup
+		sum atomic.Uint64
+	}{}
+	acc.wg.Add(shards - 1)
+	for s := 1; s < shards; s++ {
+		lo, hi := n*s/shards, n*(s+1)/shards
+		go func() {
+			defer acc.wg.Done()
+			acc.sum.Add(edgeTermSum(g, lo, hi))
+		}()
+	}
+	fp += edgeTermSum(g, 0, n/shards)
+	acc.wg.Wait()
+	return fp + acc.sum.Load()
+}
+
+// unitWeightHash is the hashed weight operand of every unweighted edge term.
+var unitWeightHash = rng.Hash64(uint64(math.Float32bits(1)))
+
+// edgeTermSum is Σ edgeTerm over g.Edges[lo:hi] mod 2^64, with edgeTerm's
+// hashes written out so that work shared between edges is done once:
+// generated edge lists come grouped by source, so Hash3's inner
+// Hash2(fpEdgeDomain, src) is recomputed only when the source changes, and
+// unweighted graphs take the weight operand's hash from unitWeightHash
+// instead of rehashing the constant 1 per edge.
+func edgeTermSum(g *graph.Graph, lo, hi int) uint64 {
+	var sum uint64
+	weights := g.Weights
+	src, srcHash := graph.VertexID(0), rng.Hash2(fpEdgeDomain, 0)
+	for i, e := range g.Edges[lo:hi] {
+		if e.Src != src {
+			src, srcHash = e.Src, rng.Hash2(fpEdgeDomain, uint64(e.Src))
+		}
+		pair := rng.Hash2(srcHash, uint64(e.Dst))
+		if weights == nil {
+			sum += rng.Hash2Hashed(pair, unitWeightHash)
+		} else {
+			sum += rng.Hash2(pair, uint64(math.Float32bits(weights[lo+i])))
+		}
+	}
+	return sum
 }
 
 // fpMu guards fpMemo. The memo keys on weak pointers so it never pins a

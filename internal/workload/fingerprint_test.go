@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,6 +141,56 @@ func TestFingerprintUnweightedEqualsUnitWeights(t *testing.T) {
 	}
 	if GraphFingerprint(bare) == GraphFingerprint(scaled) {
 		t.Fatal("a changed weight must change the fingerprint")
+	}
+}
+
+// fingerprintSpec is the executable spec of rescanFingerprint: one
+// sequential Σ edgeTerm, the weight read per edge.
+func fingerprintSpec(g *graph.Graph) uint64 {
+	fp := vertexTerm(g.NumVertices)
+	for i, e := range g.Edges {
+		fp += edgeTerm(e, g.Weight(i))
+	}
+	return fp
+}
+
+// TestFingerprintWorkerInvariance pins the sharded rescan to the sequential
+// spec at every shard count, on weighted and unweighted graphs down to zero
+// and one edge (fewer edges than shards).
+func TestFingerprintWorkerInvariance(t *testing.T) {
+	multi := &graph.Graph{Name: "multi", NumVertices: 211}
+	state := uint64(7)
+	for i := 0; i < 4099; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		u, v := graph.VertexID(state>>33%211), graph.VertexID(state>>13%23)
+		multi.Edges = append(multi.Edges, graph.Edge{Src: u, Dst: v})
+		multi.Weights = append(multi.Weights, float32(state>>50%5)/2)
+	}
+	// Grouped by source, as generated graphs are, so source runs cross the
+	// shard boundaries.
+	grouped := slices.SortedStableFunc(slices.Values(multi.Edges), func(a, b graph.Edge) int {
+		return cmp.Compare(a.Src, b.Src)
+	})
+	graphs := []*graph.Graph{
+		{Name: "empty", NumVertices: 3},
+		{Name: "empty-weighted", NumVertices: 3, Weights: []float32{}},
+		{Name: "one", NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 1}}},
+		{Name: "one-weighted", NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 1}}, Weights: []float32{2.5}},
+		{Name: "seven", NumVertices: 211, Edges: multi.Edges[:7]},
+		{Name: "seven-weighted", NumVertices: 211, Edges: multi.Edges[:7], Weights: multi.Weights[:7]},
+		{Name: "multi-bare", NumVertices: 211, Edges: multi.Edges},
+		multi,
+		{Name: "grouped", NumVertices: 211, Edges: grouped},
+		{Name: "grouped-weighted", NumVertices: 211, Edges: grouped, Weights: multi.Weights},
+	}
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, g := range graphs {
+			if got, want := rescanFingerprint(g), fingerprintSpec(g); got != want {
+				t.Errorf("GOMAXPROCS %d, %s: sharded rescan %#x, sequential spec %#x", procs, g.Name, got, want)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
