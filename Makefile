@@ -9,11 +9,13 @@ test:
 	go test ./...
 
 # check is the pre-merge gate: formatting and static analysis, the race
-# detector over the packages that run goroutines (the engine's parallel block
-# compile, the parallel ingress scans, the single-flight placement
-# cache, the multi-tenant job service's worker pool, including the
-# fault-recovery paths exercised by the chaos suite) or are otherwise
-# concurrency-sensitive (the metrics registry), the differential tests pinning
+# detector over the packages that run goroutines (internal/par, the one
+# fan-out, and its callers: the engine's parallel block compile, the parallel
+# ingress scans and in-degree count, the sharded fingerprint rescan, and Fig 9's
+# concurrent cells, whose event stream must come out the same at GOMAXPROCS 1
+# and 4; the single-flight placement cache, the multi-tenant job service's
+# worker pool, including the fault-recovery paths exercised by the chaos suite)
+# or are otherwise concurrency-sensitive (the metrics registry), the differential tests pinning
 # each fast path to its executable spec (the partitioners to their
 # sequential specs at GOMAXPROCS 1, 2, 3 and 8, the delete index to a full scan, and at -cpu 1,2,4 the
 # placement compile to a stable sort and master selection to the serial
@@ -48,7 +50,8 @@ test:
 check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 	go vet ./...
-	go test -race ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
+	go test -race ./internal/par ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
+	go test -race -run TestFig9TraceStream ./internal/exp
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec' ./internal/engine

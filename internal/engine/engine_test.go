@@ -307,7 +307,7 @@ func (sumProgram) Apply(vs []graph.VertexID, vals []int64, acc []int64, has []bo
 	return signal
 }
 
-func TestRunSyncComputesExactResultAcrossPlacements(t *testing.T) {
+func TestRunComputesExactResultAcrossPlacements(t *testing.T) {
 	g := testGraph(5, 60, 600)
 	want := g.InDegrees()
 
@@ -336,7 +336,7 @@ func TestRunSyncComputesExactResultAcrossPlacements(t *testing.T) {
 	}
 }
 
-func TestRunSyncClusterSizeMismatch(t *testing.T) {
+func TestRunRejectsClusterSizeMismatch(t *testing.T) {
 	g := testGraph(6, 10, 20)
 	pl, _ := NewPlacement(g, moduloOwner(g, 2), 2)
 	cl := testCluster(t, "c4.xlarge")
@@ -345,7 +345,7 @@ func TestRunSyncClusterSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestRunSyncChargesMoreCommForMoreMirrors(t *testing.T) {
+func TestRunChargesMoreCommForMoreMirrors(t *testing.T) {
 	g := testGraph(7, 40, 800)
 	coeffs := sumProgram{}.Coeffs()
 	_ = coeffs
@@ -477,10 +477,9 @@ func checkEngines[V comparable, A any](t *testing.T, label string, prog Program[
 	}
 }
 
-// The "ParallelMatchesSequential" tests below predate the single engine.Run
-// (the test floor pins their names): each now compares RunReference and Run,
-// on the graphs and machine counts the deleted multi-worker tests also used.
-func TestRunSyncParallelMatchesSequential(t *testing.T) {
+// TestRunMatchesReference and TestRunFrontierMatchesReference compare Run with
+// RunReference on the dense and the frontier path.
+func TestRunMatchesReference(t *testing.T) {
 	g := testGraph(20, 500, 6000)
 	for _, m := range []int{1, 2, 4, 8} {
 		names := make([]string, m)
@@ -532,7 +531,7 @@ func (minProgram) Apply(vs []graph.VertexID, vals []uint32, acc []uint32, has []
 	return signal
 }
 
-func TestRunSyncParallelFrontierMatchesSequential(t *testing.T) {
+func TestRunFrontierMatchesReference(t *testing.T) {
 	cl := testCluster(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge")
 	for _, g := range []*graph.Graph{testGraph(21, 400, 2000), testGraph(32, 120, 800)} {
 		pl, err := NewPlacement(g, moduloOwner(g, 3), 3)
@@ -543,9 +542,9 @@ func TestRunSyncParallelFrontierMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunSyncParallelClusterMismatch: both engines refuse a placement whose
+// TestRunAndReferenceRejectClusterMismatch: both engines refuse a placement whose
 // machine count differs from the cluster's.
-func TestRunSyncParallelClusterMismatch(t *testing.T) {
+func TestRunAndReferenceRejectClusterMismatch(t *testing.T) {
 	g := testGraph(22, 20, 60)
 	pl, _ := NewPlacement(g, moduloOwner(g, 2), 2)
 	cl := testCluster(t, "c4.xlarge")

@@ -14,10 +14,10 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"proxygraph/internal/graph"
+	"proxygraph/internal/par"
 	"proxygraph/internal/rng"
 )
 
@@ -135,17 +135,15 @@ func (c *blockCompiler) compile(p int, both bool) machineBlocks {
 
 // compileBlocks builds every machine's gather layout. Blocks are mutually
 // independent — each reads only LocalEdges[p], the shared graph and the
-// master table — so they compile through the shared work-stealing loop, one
-// machine block per task, with bit-identical output at any worker count.
-// Compile workspaces are per worker (each holds |V|-sized counting arrays,
-// so the worker count — at most one per block; blocks asks for one per CPU —
-// also caps compile memory), created lazily so only workers that actually win
-// a task pay for one.
-func (pl *Placement) compileBlocks(both bool, workers int) []machineBlocks {
+// master table — so they compile through par.Tasks, one machine block per
+// task, with bit-identical output at any worker count. Compile workspaces are
+// per worker (each holds |V|-sized counting arrays, so the worker count — at
+// most one per block and one per CPU — also caps compile memory), created
+// lazily so only workers that actually win a task pay for one.
+func (pl *Placement) compileBlocks(both bool) []machineBlocks {
 	blocks := make([]machineBlocks, pl.M)
-	workers = max(1, min(workers, pl.M))
-	compilers := make([]*blockCompiler, workers)
-	stealTasks(workers, pl.M, func(w, p int) {
+	compilers := make([]*blockCompiler, par.Workers(pl.M))
+	par.Tasks(pl.M, func(w, p int) {
 		c := compilers[w]
 		if c == nil {
 			c = &blockCompiler{pl: pl, byDst: graph.NewGrouper(pl.G.NumVertices)}
@@ -167,7 +165,7 @@ func (pl *Placement) blocks(both bool) []machineBlocks {
 	if both {
 		c = &pl.compiled[1]
 	}
-	c.once.Do(func() { c.blocks = pl.compileBlocks(both, runtime.GOMAXPROCS(0)) })
+	c.once.Do(func() { c.blocks = pl.compileBlocks(both) })
 	return c.blocks
 }
 

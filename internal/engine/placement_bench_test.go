@@ -18,13 +18,14 @@ func BenchmarkNewPlacement(b *testing.B) {
 }
 
 // BenchmarkCompileBothBlocks times the both-direction block compile that the
-// first GatherBoth run on a placement pays lazily.
+// first GatherBoth run on a placement pays lazily, on -cpu workers (-cpu 1
+// gives the single-worker figure).
 func BenchmarkCompileBothBlocks(b *testing.B) {
 	pl := benchPlacement(b, benchPowerLaw(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if blocks := pl.compileBlocks(true, 1); len(blocks) != pl.M {
+		if blocks := pl.compileBlocks(true); len(blocks) != pl.M {
 			b.Fatalf("compiled %d blocks for %d machines", len(blocks), pl.M)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"proxygraph/internal/graph"
@@ -9,7 +10,7 @@ import (
 
 // TestCompileBlocksParallelMatchesSequential pins the parallel machine-block
 // compiler to its sequential path: every field of every machine's layout must
-// be identical at any worker count, for both gather directions.
+// be identical at any GOMAXPROCS, for both gather directions.
 func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 	const n, m, machines = 400, 3200, 7
 	g := &graph.Graph{NumVertices: n}
@@ -28,10 +29,12 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := map[bool][]machineBlocks{false: pl.compileBlocks(false, 1), true: pl.compileBlocks(true, 1)}
+	withProcs(t, 1)
+	seq := map[bool][]machineBlocks{false: pl.compileBlocks(false), true: pl.compileBlocks(true)}
 	for _, shards := range []int{2, 3, 8} {
+		withProcs(t, shards)
 		for _, both := range []bool{false, true} {
-			a, b := seq[both], pl.compileBlocks(both, shards)
+			a, b := seq[both], pl.compileBlocks(both)
 			for p := 0; p < machines; p++ {
 				if !groupedEqual(a[p].byDst, b[p].byDst) || !groupedEqual(a[p].bySrc, b[p].bySrc) {
 					t.Fatalf("shards=%d both=%v: machine %d blocks differ", shards, both, p)
@@ -47,6 +50,14 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withProcs sets GOMAXPROCS, which sizes the block compile, for the rest of
+// the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func groupedEqual(a, b graph.Grouped) bool {

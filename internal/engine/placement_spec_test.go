@@ -141,7 +141,8 @@ func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 7} {
 					t.Run(fmt.Sprintf("%s/machines=%d/both=%v/workers=%d", g.Name, machines, both, workers), func(t *testing.T) {
-						got := pl.compileBlocks(both, workers)
+						withProcs(t, workers)
+						got := pl.compileBlocks(both)
 						for p := range want {
 							checkGrouped(t, fmt.Sprintf("machine %d byDst", p), got[p].byDst, want[p].byDst)
 							checkGrouped(t, fmt.Sprintf("machine %d bySrc", p), got[p].bySrc, want[p].bySrc)

@@ -43,7 +43,7 @@ func (l *Lab) AblationHybridThreshold() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := app.Run(pl, cl)
+		res, err := l.runApp(app, pl, cl)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func (l *Lab) AblationGingerGamma() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := app.Run(pl, cl)
+		res, err := l.runApp(app, pl, cl)
 		if err != nil {
 			return nil, err
 		}

@@ -109,7 +109,7 @@ func (l *Lab) ClusterBFSStudy() (*metrics.Table, error) {
 	var scalarSeconds float64
 	for _, src := range batch.Sources {
 		b := &apps.BFS{Source: src, MaxIters: 1000}
-		res, err := b.Run(pl, cl)
+		res, err := l.runApp(b, pl, cl)
 		if err != nil {
 			return nil, err
 		}

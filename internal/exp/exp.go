@@ -220,9 +220,9 @@ func Case3Cluster() *cluster.Cluster {
 // --- Shared run helpers ---
 
 // runWithSystem partitions g for cl guided by the system's CCR estimate and
-// executes the app, returning the result.
+// executes the app with tr attached, returning the result.
 func (l *Lab) runWithSystem(cl *cluster.Cluster, sys System, app apps.App,
-	g *graph.Graph, part partition.Partitioner) (*engine.Result, error) {
+	g *graph.Graph, part partition.Partitioner, tr trace.Collector) (*engine.Result, error) {
 	pool, err := l.Pool(cl, sys.Est)
 	if err != nil {
 		return nil, err
@@ -239,7 +239,7 @@ func (l *Lab) runWithSystem(cl *cluster.Cluster, sys System, app apps.App,
 	if err != nil {
 		return nil, err
 	}
-	return l.runApp(app, pl, cl)
+	return apps.Run(app, pl, cl, engine.Options{Trace: tr})
 }
 
 // runApp executes the app with the lab's event collector attached, which

@@ -175,7 +175,7 @@ func (l *Lab) DynamicStudy() (*metrics.Table, error) {
 	for _, g := range reals {
 		times := map[string]float64{}
 		for _, sys := range systems {
-			res, err := l.runWithSystem(cl, sys, apps.NewPageRank(), g, part)
+			res, err := l.runWithSystem(cl, sys, apps.NewPageRank(), g, part, l.Cfg.Collector)
 			if err != nil {
 				return nil, err
 			}
@@ -195,7 +195,7 @@ func (l *Lab) DynamicStudy() (*metrics.Table, error) {
 			return nil, err
 		}
 		mig := dynamic.NewMigrator(l.Cfg.Seed)
-		dynRes, err := apps.Run(apps.NewPageRank(), pl, cl, engine.Options{Rebalancer: mig})
+		dynRes, err := apps.Run(apps.NewPageRank(), pl, cl, engine.Options{Rebalancer: mig, Trace: l.Cfg.Collector})
 		if err != nil {
 			return nil, err
 		}

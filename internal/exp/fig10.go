@@ -43,7 +43,7 @@ func (l *Lab) figure10(title string, cl *cluster.Cluster) (*metrics.Table, error
 		for _, g := range reals {
 			var times, energies [3]float64
 			for i, sys := range systems {
-				res, err := l.runWithSystem(cl, sys, app, g, part)
+				res, err := l.runWithSystem(cl, sys, app, g, part, l.Cfg.Collector)
 				if err != nil {
 					return nil, err
 				}

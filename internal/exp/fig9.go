@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"proxygraph/internal/apps"
 	"proxygraph/internal/metrics"
+	"proxygraph/internal/par"
 	"proxygraph/internal/partition"
+	"proxygraph/internal/trace"
 )
 
 // Fig9 reproduces the paper's Fig 9 (a-d): Case 1 application runtimes on
@@ -47,23 +50,41 @@ func (l *Lab) Fig9() ([]*metrics.Table, error) {
 	allApps := apps.All()
 	type cell struct{ tPrior, tOurs float64 }
 	cells := make([]cell, len(allApps)*len(reals)*len(parts))
-	err = runParallel(len(cells), func(i int) error {
+	// Cells run concurrently, so each records into its own recorder; the
+	// collector gets their events afterwards, in cell order, which is the
+	// stream a sequential run would have sent.
+	recs := make([]*trace.Recorder, len(cells))
+	run := func(i int) error {
 		app := allApps[i/(len(reals)*len(parts))]
 		g := reals[i/len(parts)%len(reals)]
 		part := parts[i%len(parts)]
-		resPrior, err := l.runWithSystem(cl, prior, app, g, part)
+		var tr trace.Collector
+		if l.Cfg.Collector != nil {
+			recs[i] = trace.NewRecorder()
+			tr = recs[i]
+		}
+		resPrior, err := l.runWithSystem(cl, prior, app, g, part, tr)
 		if err != nil {
 			return err
 		}
-		resOurs, err := l.runWithSystem(cl, ours, app, g, part)
+		resOurs, err := l.runWithSystem(cl, ours, app, g, part, tr)
 		if err != nil {
 			return err
 		}
 		cells[i] = cell{resPrior.SimSeconds, resOurs.SimSeconds}
 		return nil
-	})
-	if err != nil {
+	}
+	errs := make([]error, len(cells))
+	par.Tasks(len(cells), func(_, i int) { errs[i] = run(i) })
+	if err := cmp.Or(errs...); err != nil { // the lowest-index error
 		return nil, err
+	}
+	if l.Cfg.Collector != nil {
+		for _, rec := range recs {
+			for _, e := range rec.Events {
+				l.Cfg.Collector.Event(e)
+			}
+		}
 	}
 
 	for a, app := range allApps {

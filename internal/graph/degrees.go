@@ -1,6 +1,10 @@
 package graph
 
-import "sync"
+import (
+	"sync"
+
+	"proxygraph/internal/par"
+)
 
 // degreeScratch pools the per-worker counting arrays of the parallel degree
 // scans. Before pooling, every call allocated workers×|V| int32s, so the
@@ -30,48 +34,33 @@ func putDegreeScratch(s []int32) {
 	degreeScratch.Put(&s)
 }
 
-// InDegreesParallel computes InDegrees with up to workers goroutines: each
-// worker counts a contiguous edge range into a pooled private array, then the
-// per-vertex sums are merged (also sharded, by vertex range) into a freshly
-// allocated result. Integer addition is exact and commutative, so the result
-// is bit-identical to the sequential scan at every worker count — the property
-// the ingress differential test relies on. Callers should size workers to real
-// parallelism, not to the edge count.
-func (g *Graph) InDegreesParallel(workers int) []int32 {
-	if workers > len(g.Edges) {
-		workers = len(g.Edges)
-	}
-	if workers <= 1 {
+// InDegreesParallel computes InDegrees across par.Ranges: each worker counts
+// a contiguous edge range into a pooled private array, then the per-vertex
+// sums are merged (also by range, over vertices) into a freshly allocated
+// result. Integer addition is exact and commutative, so the result is
+// bit-identical to the sequential scan at every worker count — the property
+// the ingress differential test relies on.
+func (g *Graph) InDegreesParallel() []int32 {
+	workers := par.Workers(len(g.Edges))
+	if workers == 1 {
 		return g.InDegrees()
 	}
-	out := make([]int32, g.NumVertices)
 	parts := make([][]int32, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			deg := getDegreeScratch(g.NumVertices)
-			for _, e := range g.Edges[len(g.Edges)*w/workers : len(g.Edges)*(w+1)/workers] {
-				deg[e.Dst]++
+	par.Ranges(len(g.Edges), func(w, lo, hi int) {
+		deg := getDegreeScratch(g.NumVertices)
+		for _, e := range g.Edges[lo:hi] {
+			deg[e.Dst]++
+		}
+		parts[w] = deg
+	})
+	out := make([]int32, g.NumVertices)
+	par.Ranges(g.NumVertices, func(_, lo, hi int) {
+		for _, part := range parts {
+			for v := lo; v < hi; v++ {
+				out[v] += part[v]
 			}
-			parts[w] = deg
-		}(w)
-	}
-	wg.Wait()
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, part := range parts {
-				for v := lo; v < hi; v++ {
-					out[v] += part[v]
-				}
-			}
-		}(g.NumVertices*w/workers, g.NumVertices*(w+1)/workers)
-	}
-	wg.Wait()
+		}
+	})
 	for _, part := range parts {
 		putDegreeScratch(part)
 	}

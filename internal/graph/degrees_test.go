@@ -1,9 +1,18 @@
 package graph
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 )
+
+// withProcs sets GOMAXPROCS, which sizes the parallel scans, for the rest of
+// the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func TestInDegreesParallelMatchesSequential(t *testing.T) {
 	graphs := []*Graph{
@@ -14,15 +23,16 @@ func TestInDegreesParallelMatchesSequential(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := g.InDegrees()
-		for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-			got := g.InDegreesParallel(workers)
+		for _, procs := range []int{1, 2, 3, 8, 64} {
+			withProcs(t, procs)
+			got := g.InDegreesParallel()
 			if len(got) != len(want) {
-				t.Fatalf("graph %d workers %d: length %d, want %d", gi, workers, len(got), len(want))
+				t.Fatalf("graph %d GOMAXPROCS %d: length %d, want %d", gi, procs, len(got), len(want))
 			}
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("graph %d workers %d: vertex %d degree %d, want %d",
-						gi, workers, v, got[v], want[v])
+					t.Fatalf("graph %d GOMAXPROCS %d: vertex %d degree %d, want %d",
+						gi, procs, v, got[v], want[v])
 				}
 			}
 		}
@@ -46,12 +56,13 @@ func TestOutDegreesParallelMatchesSequential(t *testing.T) {
 		for i, e := range g.Edges {
 			transpose.Edges[i] = Edge{Src: e.Dst, Dst: e.Src}
 		}
-		for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-			got := transpose.InDegreesParallel(workers)
+		for _, procs := range []int{1, 2, 3, 8, 64} {
+			withProcs(t, procs)
+			got := transpose.InDegreesParallel()
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("graph %d workers %d: vertex %d out-degree %d, want %d",
-						gi, workers, v, got[v], want[v])
+					t.Fatalf("graph %d GOMAXPROCS %d: vertex %d out-degree %d, want %d",
+						gi, procs, v, got[v], want[v])
 				}
 			}
 		}

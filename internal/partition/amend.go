@@ -7,6 +7,7 @@ import (
 
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/par"
 	"proxygraph/internal/rng"
 )
 
@@ -159,7 +160,7 @@ func (h *Hybrid) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved
 		return nil, err
 	}
 	pk := newPicker(shares)
-	evolvedIn := evolved.InDegreesParallel(resolveShards(len(evolved.Edges)))
+	evolvedIn := evolved.InDegreesParallel()
 	hash := func(e graph.Edge) int32 {
 		if evolvedIn[e.Dst] > h.Threshold {
 			return pk.pick(vertexHash(seed+1, e.Src))
@@ -169,7 +170,7 @@ func (h *Hybrid) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved
 	keptCount := len(base.Edges) - len(d.Deletes)
 	if flips := degreeFlips(d, evolvedIn, h.Threshold); len(flips) > 0 {
 		flipped := vertexMask(evolved.NumVertices, flips)
-		parallelRanges(keptCount, func(lo, hi int) {
+		par.Ranges(keptCount, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if e := evolved.Edges[i]; flipped[e.Dst] {
 					out[i] = hash(e)
@@ -353,7 +354,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolve
 		return nil, err
 	}
 	pk := newPicker(shares)
-	inDeg := evolved.InDegreesParallel(resolveShards(len(evolved.Edges)))
+	inDeg := evolved.InDegreesParallel()
 	flipped := vertexMask(evolved.NumVertices, degreeFlips(d, inDeg, gp.Threshold))
 
 	// Recover assign from surviving low→low edges: the refined placement
@@ -391,7 +392,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolve
 
 	keptCount := len(kept)
 	kept = kept[:len(evolved.Edges)]
-	parallelRanges(len(evolved.Edges), func(lo, hi int) {
+	par.Ranges(len(evolved.Edges), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := evolved.Edges[i]
 			if i < keptCount && !flipped[e.Dst] && inDeg[e.Dst] <= gp.Threshold && !subset[e.Dst] {

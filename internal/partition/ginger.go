@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"proxygraph/internal/graph"
+	"proxygraph/internal/par"
 )
 
 // Ginger is the heuristic refinement of Hybrid from PowerLyra, following
@@ -46,13 +47,13 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]in
 		return nil, err
 	}
 	pk := newPicker(shares)
-	inDeg := g.InDegreesParallel(resolveShards(len(g.Edges)))
+	inDeg := g.InDegreesParallel()
 	owner := make([]int32, len(g.Edges))
 
 	// Phase 1 (as Hybrid): low-degree in-edges group with the target,
 	// high-degree in-edges scatter by source hash.
 	assign := make([]int32, g.NumVertices) // low-degree vertex -> machine
-	parallelRanges(len(assign), func(lo, hi int) {
+	par.Ranges(len(assign), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			assign[v] = pk.pick(vertexHash(seed, graph.VertexID(v)))
 		}
@@ -60,7 +61,7 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]in
 
 	gp.refine(g, shares, inDeg, assign)
 
-	parallelRanges(len(g.Edges), func(lo, hi int) {
+	par.Ranges(len(g.Edges), func(_, lo, hi int) {
 		edges := g.Edges[lo:hi]
 		for i := range edges {
 			e := edges[i]

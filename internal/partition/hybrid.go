@@ -1,6 +1,9 @@
 package partition
 
-import "proxygraph/internal/graph"
+import (
+	"proxygraph/internal/graph"
+	"proxygraph/internal/par"
+)
 
 // Hybrid is the mixed-cut of PowerLyra (Section II-C): edge-cut for
 // low-degree vertices, vertex-cut for high-degree ones.
@@ -35,9 +38,9 @@ func (h *Hybrid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int
 	}
 	pk := newPicker(shares)
 	owner := make([]int32, len(g.Edges))
-	inDeg := g.InDegreesParallel(resolveShards(len(g.Edges)))
+	inDeg := g.InDegreesParallel()
 
-	parallelRanges(len(g.Edges), func(lo, hi int) {
+	par.Ranges(len(g.Edges), func(_, lo, hi int) {
 		edges := g.Edges[lo:hi]
 		for i := range edges {
 			e := edges[i]

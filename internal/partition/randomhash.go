@@ -1,6 +1,9 @@
 package partition
 
-import "proxygraph/internal/graph"
+import (
+	"proxygraph/internal/graph"
+	"proxygraph/internal/par"
+)
 
 // RandomHash is the baseline vertex-cut of PowerGraph, extended per Section
 // II-B1 of the paper: each edge is assigned by a random hash, with machine
@@ -24,7 +27,7 @@ func (*RandomHash) Partition(g *graph.Graph, shares []float64, seed uint64) ([]i
 	}
 	pk := newPicker(shares)
 	owner := make([]int32, len(g.Edges))
-	parallelRanges(len(g.Edges), func(lo, hi int) {
+	par.Ranges(len(g.Edges), func(_, lo, hi int) {
 		edges := g.Edges[lo:hi]
 		for i := range edges {
 			owner[lo+i] = pk.pick(edgeHash(seed, edges[i]))

@@ -4,10 +4,10 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"weak"
 
 	"proxygraph/internal/graph"
+	"proxygraph/internal/par"
 	"proxygraph/internal/rng"
 )
 
@@ -43,32 +43,18 @@ func vertexTerm(n int) uint64 {
 // sound for outputs; charged times reflect the cached stream order, which is
 // the same blur dynamic rebalancing already introduces.
 //
-// The same order-freedom lets the scan shard: contiguous edge ranges are
-// summed across GOMAXPROCS (the caller's goroutine takes the first), and the
-// result is bit-identical at every shard count.
+// The same order-freedom lets the scan shard: par.Ranges sums contiguous edge
+// ranges into one slot per worker, and the result is bit-identical at every
+// worker count.
 func rescanFingerprint(g *graph.Graph) uint64 {
-	fp := vertexTerm(g.NumVertices)
 	n := len(g.Edges)
-	shards := min(runtime.GOMAXPROCS(0), n)
-	if shards <= 1 {
-		return fp + edgeTermSum(g, 0, n)
+	sums := make([]uint64, par.Workers(n))
+	par.Ranges(n, func(w, lo, hi int) { sums[w] = edgeTermSum(g, lo, hi) })
+	fp := vertexTerm(g.NumVertices)
+	for _, s := range sums {
+		fp += s
 	}
-	// One allocation for the join state, plus one closure per extra shard.
-	acc := &struct {
-		wg  sync.WaitGroup
-		sum atomic.Uint64
-	}{}
-	acc.wg.Add(shards - 1)
-	for s := 1; s < shards; s++ {
-		lo, hi := n*s/shards, n*(s+1)/shards
-		go func() {
-			defer acc.wg.Done()
-			acc.sum.Add(edgeTermSum(g, lo, hi))
-		}()
-	}
-	fp += edgeTermSum(g, 0, n/shards)
-	acc.wg.Wait()
-	return fp + acc.sum.Load()
+	return fp
 }
 
 // unitWeightHash is the hashed weight operand of every unweighted edge term.
