@@ -91,7 +91,7 @@ func buildConfig(args []string) (*appConfig, error) {
 		cooldown    = fs.Float64("breaker-cooldown", 5, "breaker open interval seconds")
 		workers     = fs.Int("workers", 4, "worker pool size")
 		cacheSize   = fs.Int("cache-entries", 64, "placement cache entry bound (0 = unbounded)")
-		cacheBytes  = fs.Int64("cache-bytes", 0, "placement cache approximate byte bound (0 = unbounded)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "placement cache byte bound, on each placement's footprint with every gather layout compiled (0 = unbounded)")
 		charge      = fs.Bool("charge-ingress", true, "charge cold ingress makespans to jobs")
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON here on shutdown")
 		journal     = fs.String("journal", "", "write-ahead job journal path; enables crash-restart recovery (empty = in-memory only)")
@@ -457,7 +457,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.exportCounter("proxygraph_placement_cache_misses", "placement cache misses", stats.Misses)
 		s.exportCounter("proxygraph_placement_cache_evictions", "placement cache evictions", stats.Evictions)
 		s.reg.Gauge("proxygraph_placement_cache_entries", "placement cache entries").Set(float64(stats.Entries))
-		s.reg.Gauge("proxygraph_placement_cache_bytes", "placement cache approximate bytes").Set(float64(stats.Bytes))
+		s.reg.Gauge("proxygraph_placement_cache_bytes", "upper bound on the bytes the cached placements hold with every gather layout compiled").Set(float64(stats.Bytes))
 	}
 	s.scrape.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -42,122 +42,155 @@ type Placement struct {
 	// MasterVerts[p] lists the vertices mastered on machine p.
 	MasterVerts [][]graph.VertexID
 
-	// Compiled machine-local gather layouts (see machineBlocks), one per
-	// gather direction, each built by the first run that asks for it (see
-	// blocks): most placements only ever serve one direction, and the
-	// applications with loops of their own (SSSP, KCore, Coloring) neither.
+	// The compiled machine-local gather layouts, three in all, each built by
+	// the first run that reads it:
+	//
+	//   - GatherIn byDst, 4 B per edge, on the first GatherIn run;
+	//   - GatherIn bySrc, 4 B per edge, on the first sparse GatherIn step;
+	//   - GatherBoth byDst, 8 B per edge, on the first GatherBoth run — also
+	//     GatherBoth's bySrc (see blockCompiler.compile).
+	//
+	// Each adds per machine one key and one offset per distinct key, and the
+	// byDst ones a remote flag; FootprintBound charges all three. Most
+	// placements only ever serve one direction, the applications with loops
+	// of their own (SSSP, KCore, Coloring) neither, and PageRank, the one
+	// shipped GatherIn app, applies every vertex every step and never takes
+	// a sparse one.
+	//
+	// compiled holds each direction's byDst (see blocks), inSources
+	// GatherIn's bySrc (see sources), each behind its own Once.
 	compiled [2]struct {
 		once   sync.Once
 		blocks []machineBlocks
 	}
+	inSources struct {
+		once  sync.Once
+		bySrc []graph.Grouped
+	}
 }
 
-// machineBlocks is one machine's compiled gather layout: its local edges
-// expanded into gather records (from, into) and grouped twice.
+// machineBlocks is one machine's destination-grouped gather layout: its local
+// edges expanded into gather records (from, into) and grouped by gather
+// destination, so the engine's dense sweep is a single sequential pass over
+// contiguous [dst | src...] runs with no indirection through g.Edges, and the
+// per-destination bookkeeping the accountant needs (contributions per
+// destination, one partial per remote master) falls out of the group
+// boundaries for free. Records within a group keep local-edge order, so
+// per-destination fold order — and therefore floating-point results — is
+// bit-identical to a walk of LocalEdges.
 //
-// byDst groups records by gather destination, so the engine's dense sweep is
-// a single sequential pass over contiguous [dst | src...] runs with no
-// indirection through g.Edges, and the per-destination bookkeeping the
-// accountant needs (contributions per destination, one partial per remote
-// master) falls out of the group boundaries for free. Records within a group
-// keep local-edge order, so per-destination fold order — and therefore
-// floating-point results — is bit-identical to a walk of LocalEdges.
-//
-// bySrc groups the same records by gather source, giving the sparse-frontier
-// sweep O(log K) lookup of an active vertex's local records so supersteps
-// with small frontiers skip inactive edges entirely.
+// The same records grouped by gather source give the sparse-frontier sweep
+// O(log K) lookup of an active vertex's local records, so supersteps with
+// small frontiers skip inactive edges entirely.
 type machineBlocks struct {
 	byDst graph.Grouped
-	bySrc graph.Grouped
 	// remote[i] reports that byDst.Keys[i]'s master is on another machine,
 	// precomputing the PartialsOut test of the gather hot loop.
 	remote []bool
 }
 
-// blockCompiler is one worker's compile workspace: a counting-sort Grouper per
-// grouping, allocated once per worker instead of once per machine. bySrc is
-// nil when compiling both-direction blocks, which need only one grouping.
+// blockCompiler is one worker's compile workspace: a counting-sort Grouper,
+// allocated once per worker instead of once per machine.
 type blockCompiler struct {
-	pl           *Placement
-	byDst, bySrc *graph.Grouper
+	pl *Placement
+	gr *graph.Grouper
 }
 
-// compile groups machine p's gather records for the given direction in two
-// passes over LocalEdges[p] — count, then place — reading the records straight
-// from the edge list. For GatherIn each edge (u,v) yields one record v←u; for
-// GatherBoth it yields v←u then u←v, matching the reference engine's per-edge
-// gather order, and the stable grouping preserves per-destination
-// accumulation order exactly.
+// compileIn and compileBoth group machine p's gather records for their
+// direction by destination, in two passes over LocalEdges[p] — count, then
+// place — reading the records straight from the edge list. For GatherIn each
+// edge (u,v) yields one record v←u; for GatherBoth it yields v←u then u←v,
+// matching the reference engine's per-edge gather order, and the stable
+// grouping preserves per-destination accumulation order exactly.
 //
 // In the both-direction record set every record v←u has its mirror u←v next
 // to it, so grouping by destination and grouping by source append the same
 // companions to the same groups in the same edge order: the two groupings are
-// equal, and bySrc shares byDst's (read-only) storage.
-func (c *blockCompiler) compile(p int, both bool) machineBlocks {
-	pl := c.pl
-	edges, local := pl.G.Edges, pl.LocalEdges[p]
-	var b machineBlocks
-	if both {
-		for _, ei := range local {
-			e := edges[ei]
-			c.byDst.Count(e.Dst)
-			c.byDst.Count(e.Src)
-		}
-		c.byDst.Layout()
-		for _, ei := range local {
-			e := edges[ei]
-			c.byDst.Place(e.Dst, e.Src)
-			c.byDst.Place(e.Src, e.Dst)
-		}
-		b.byDst = c.byDst.Done()
-		b.bySrc = b.byDst
-	} else {
-		for _, ei := range local {
-			e := edges[ei]
-			c.byDst.Count(e.Dst)
-			c.bySrc.Count(e.Src)
-		}
-		c.byDst.Layout()
-		c.bySrc.Layout()
-		for _, ei := range local {
-			e := edges[ei]
-			c.byDst.Place(e.Dst, e.Src)
-			c.bySrc.Place(e.Src, e.Dst)
-		}
-		b.byDst, b.bySrc = c.byDst.Done(), c.bySrc.Done()
+// equal, and GatherBoth's source grouping is its byDst.
+func (c *blockCompiler) compileIn(p int) machineBlocks {
+	gr, edges, local := c.gr, c.pl.G.Edges, c.pl.LocalEdges[p]
+	for _, ei := range local {
+		gr.Count(edges[ei].Dst)
 	}
+	gr.Layout()
+	for _, ei := range local {
+		e := edges[ei]
+		gr.Place(e.Dst, e.Src)
+	}
+	return c.done(p)
+}
+
+func (c *blockCompiler) compileBoth(p int) machineBlocks {
+	gr, edges, local := c.gr, c.pl.G.Edges, c.pl.LocalEdges[p]
+	for _, ei := range local {
+		e := edges[ei]
+		gr.Count(e.Dst)
+		gr.Count(e.Src)
+	}
+	gr.Layout()
+	for _, ei := range local {
+		e := edges[ei]
+		gr.Place(e.Dst, e.Src)
+		gr.Place(e.Src, e.Dst)
+	}
+	return c.done(p)
+}
+
+// done takes machine p's finished destination grouping and flags its remote
+// destinations.
+func (c *blockCompiler) done(p int) machineBlocks {
+	b := machineBlocks{byDst: c.gr.Done()}
 	b.remote = make([]bool, len(b.byDst.Keys))
 	for i, d := range b.byDst.Keys {
-		b.remote[i] = pl.Master[d] != int32(p)
+		b.remote[i] = c.pl.Master[d] != int32(p)
 	}
 	return b
 }
 
-// compileBlocks builds every machine's gather layout. Blocks are mutually
-// independent — each reads only LocalEdges[p], the shared graph and the
-// master table — so they compile through par.Tasks, one machine block per
-// task, with bit-identical output at any worker count. Compile workspaces are
-// per worker (each holds |V|-sized counting arrays, so the worker count — at
-// most one per block and one per CPU — also caps compile memory), created
-// lazily so only workers that actually win a task pay for one.
-func (pl *Placement) compileBlocks(both bool) []machineBlocks {
-	blocks := make([]machineBlocks, pl.M)
-	compilers := make([]*blockCompiler, par.Workers(pl.M))
-	par.Tasks(pl.M, func(w, p int) {
-		c := compilers[w]
-		if c == nil {
-			c = &blockCompiler{pl: pl, byDst: graph.NewGrouper(pl.G.NumVertices)}
-			if !both {
-				c.bySrc = graph.NewGrouper(pl.G.NumVertices)
-			}
-			compilers[w] = c
-		}
-		blocks[p] = c.compile(p, both)
-	})
-	return blocks
+// groupBySource groups machine p's GatherIn records v←u by source u, in the
+// same two passes as compileIn.
+func (c *blockCompiler) groupBySource(p int) graph.Grouped {
+	gr, edges, local := c.gr, c.pl.G.Edges, c.pl.LocalEdges[p]
+	for _, ei := range local {
+		gr.Count(edges[ei].Src)
+	}
+	gr.Layout()
+	for _, ei := range local {
+		e := edges[ei]
+		gr.Place(e.Src, e.Dst)
+	}
+	return gr.Done()
 }
 
-// blocks returns the compiled gather layout for the requested direction,
+// perMachine compiles every machine's layout through par.Tasks, one machine
+// per task, handing each its worker's compile workspace. Machines are
+// mutually independent — a grouping reads only LocalEdges[p], the shared graph
+// and the master table — so output is bit-identical at any worker count. Each
+// workspace holds |V|-sized counting arrays, so the worker count — at most one
+// per machine and one per CPU — also caps compile memory, and it is created on
+// its worker's first task, so only workers that actually win a task pay for
+// one. compile is a method expression, so passing it allocates nothing.
+func perMachine[T any](pl *Placement, compile func(c *blockCompiler, p int) T) []T {
+	out := make([]T, pl.M)
+	cs := make([]*blockCompiler, par.Workers(pl.M))
+	par.Tasks(pl.M, func(w, p int) {
+		if cs[w] == nil {
+			cs[w] = &blockCompiler{pl: pl, gr: graph.NewGrouper(pl.G.NumVertices)}
+		}
+		out[p] = compile(cs[w], p)
+	})
+	return out
+}
+
+// compileBlocks builds every machine's destination-grouped layout.
+func (pl *Placement) compileBlocks(both bool) []machineBlocks {
+	if both {
+		return perMachine(pl, (*blockCompiler).compileBoth)
+	}
+	return perMachine(pl, (*blockCompiler).compileIn)
+}
+
+// blocks returns the destination-grouped layout for the requested direction,
 // compiling it on first use; concurrent runs over one placement share the
 // result.
 func (pl *Placement) blocks(both bool) []machineBlocks {
@@ -167,6 +200,36 @@ func (pl *Placement) blocks(both bool) []machineBlocks {
 	}
 	c.once.Do(func() { c.blocks = pl.compileBlocks(both) })
 	return c.blocks
+}
+
+// sources returns every machine's GatherIn records grouped by source, which a
+// GatherIn run asks for on its first sparse superstep, compiling them on
+// first use; concurrent runs over one placement share the result.
+func (pl *Placement) sources() []graph.Grouped {
+	c := &pl.inSources
+	c.once.Do(func() { c.bySrc = perMachine(pl, (*blockCompiler).groupBySource) })
+	return c.bySrc
+}
+
+// FootprintBound returns an upper bound on the bytes pl holds once all three
+// gather layouts are compiled (see Placement.compiled), not counting the
+// graph it finalizes, which its caller owns:
+//
+//   - per edge, 24 B: EdgeOwner and LocalEdges, 4 B each, and the gather
+//     records, 4 + 4 B in the two GatherIn groupings and 8 B in GatherBoth's;
+//   - per vertex, 16 B: ReplicaMask 8 B, Master and MasterVerts 4 B each;
+//   - per replica, 26 B: a machine's distinct keys in any grouping are
+//     vertices replicated on it, each costing a 4 B key and a 4 B offset in
+//     each of the three groupings plus a remote flag in the two byDst ones;
+//   - per machine, under 512 B: slice headers and each grouping's closing
+//     offset.
+//
+// It is a bound for a cache's byte budget (see workload.PlacementCache), so
+// it costs one pass over the replica masks and never compiles anything.
+func (pl *Placement) FootprintBound() int64 {
+	edges := int64(len(pl.EdgeOwner))
+	verts := int64(len(pl.Master))
+	return 24*edges + 16*verts + 26*pl.Replicas() + 512*int64(pl.M)
 }
 
 // NewPlacement finalizes an edge assignment. owner must assign every edge of

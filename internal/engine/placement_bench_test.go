@@ -30,3 +30,17 @@ func BenchmarkCompileBothBlocks(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompileInBlocks times the in-direction block compile that the first
+// GatherIn run on a placement pays lazily — the destination grouping only; a
+// sparse step's source grouping compiles separately — on -cpu workers.
+func BenchmarkCompileInBlocks(b *testing.B) {
+	pl := benchPlacement(b, benchPowerLaw(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if blocks := pl.compileBlocks(false); len(blocks) != pl.M {
+			b.Fatalf("compiled %d blocks for %d machines", len(blocks), pl.M)
+		}
+	}
+}

@@ -10,7 +10,9 @@ import (
 
 // TestCompileBlocksParallelMatchesSequential pins the parallel machine-block
 // compiler to its sequential path: every field of every machine's layout must
-// be identical at any GOMAXPROCS, for both gather directions.
+// be identical at any GOMAXPROCS, for both gather directions and both
+// groupings, the source grouping fetched through the lazy path a sparse
+// superstep takes.
 func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 	const n, m, machines = 400, 3200, 7
 	g := &graph.Graph{NumVertices: n}
@@ -25,18 +27,32 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 		owner = append(owner, int32(rng.Hash2(97, uint64(i))%machines))
 	}
 
-	pl, err := NewPlacement(g, owner, machines)
-	if err != nil {
-		t.Fatal(err)
+	// A fresh placement per worker count, so its lazy compiles run at that
+	// count.
+	placement := func() *Placement {
+		pl, err := NewPlacement(g, owner, machines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
 	}
+	// The reference compiles every layout now, at one worker; the lazy
+	// getters would otherwise build it inside the loop at the loop's count.
 	withProcs(t, 1)
-	seq := map[bool][]machineBlocks{false: pl.compileBlocks(false), true: pl.compileBlocks(true)}
+	seq := placement()
+	seq.blocks(false)
+	seq.blocks(true)
+	seq.sources()
+	if seq.inSources.bySrc == nil {
+		t.Fatal("reference source grouping not compiled at one worker")
+	}
 	for _, shards := range []int{2, 3, 8} {
 		withProcs(t, shards)
+		pl := placement()
 		for _, both := range []bool{false, true} {
-			a, b := seq[both], pl.compileBlocks(both)
+			a, b := seq.blocks(both), pl.blocks(both)
 			for p := 0; p < machines; p++ {
-				if !groupedEqual(a[p].byDst, b[p].byDst) || !groupedEqual(a[p].bySrc, b[p].bySrc) {
+				if !groupedEqual(a[p].byDst, b[p].byDst) || !both && !groupedEqual(seq.sources()[p], pl.sources()[p]) {
 					t.Fatalf("shards=%d both=%v: machine %d blocks differ", shards, both, p)
 				}
 				if len(a[p].remote) != len(b[p].remote) {

@@ -70,10 +70,18 @@ func hashedOwner(g *graph.Graph, m int) []int32 {
 	return owner
 }
 
-// specBlock is the naive statement of what compile must produce for machine
-// p: expand the machine's edges into gather records in local-edge order, then
-// stable-sort them by the grouping key.
-func specBlock(pl *Placement, p int, both bool) machineBlocks {
+// specLayout is one machine's gather layout in one direction as the spec
+// states it: both groupings of its records and byDst's remote flags.
+type specLayout struct {
+	byDst, bySrc graph.Grouped
+	remote       []bool
+}
+
+// specBlock is the naive statement of what compileIn, compileBoth and
+// groupBySource must produce for machine p: expand the machine's edges into
+// gather records in local-edge order, then stable-sort them by the grouping
+// key.
+func specBlock(pl *Placement, p int, both bool) specLayout {
 	type record struct{ into, from graph.VertexID }
 	var records []record
 	for i, e := range pl.G.Edges {
@@ -101,7 +109,7 @@ func specBlock(pl *Placement, p int, both bool) machineBlocks {
 	}
 	into := func(r record) graph.VertexID { return r.into }
 	from := func(r record) graph.VertexID { return r.from }
-	b := machineBlocks{byDst: group(into, from), bySrc: group(from, into)}
+	b := specLayout{byDst: group(into, from), bySrc: group(from, into)}
 	for _, d := range b.byDst.Keys {
 		b.remote = append(b.remote, pl.Master[d] != int32(p))
 	}
@@ -110,7 +118,9 @@ func specBlock(pl *Placement, p int, both bool) machineBlocks {
 
 // TestCompileBlocksMatchesStableSortSpec pins the counting-pass compile to the
 // stable sort it stands for, field by field, and checks that every compiled
-// slice was allocated at its final size.
+// slice was allocated at its final size. Both groupings are fetched the way a
+// run fetches them, through blocks and the lazy sources, on a fresh placement
+// per worker count so each compile runs at that count.
 func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
 	checkGrouped := func(t *testing.T, what string, got, want graph.Grouped) {
 		t.Helper()
@@ -130,22 +140,33 @@ func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
 	}
 	for _, g := range specGraphs() {
 		for _, machines := range []int{1, 3, 4, 64} {
-			pl, err := NewPlacement(g, hashedOwner(g, machines), machines)
-			if err != nil {
-				t.Fatalf("%s on %d machines: %v", g.Name, machines, err)
+			owner := hashedOwner(g, machines)
+			placement := func(t *testing.T) *Placement {
+				pl, err := NewPlacement(g, owner, machines)
+				if err != nil {
+					t.Fatalf("%s on %d machines: %v", g.Name, machines, err)
+				}
+				return pl
 			}
+			specPl := placement(t)
 			for _, both := range []bool{false, true} {
-				want := make([]machineBlocks, machines)
+				want := make([]specLayout, machines)
 				for p := range want {
-					want[p] = specBlock(pl, p, both)
+					want[p] = specBlock(specPl, p, both)
 				}
 				for _, workers := range []int{1, 2, 7} {
 					t.Run(fmt.Sprintf("%s/machines=%d/both=%v/workers=%d", g.Name, machines, both, workers), func(t *testing.T) {
 						withProcs(t, workers)
-						got := pl.compileBlocks(both)
+						pl := placement(t)
+						got := pl.blocks(both)
 						for p := range want {
+							// GatherBoth's source grouping is its byDst.
+							bySrc := got[p].byDst
+							if !both {
+								bySrc = pl.sources()[p]
+							}
 							checkGrouped(t, fmt.Sprintf("machine %d byDst", p), got[p].byDst, want[p].byDst)
-							checkGrouped(t, fmt.Sprintf("machine %d bySrc", p), got[p].bySrc, want[p].bySrc)
+							checkGrouped(t, fmt.Sprintf("machine %d bySrc", p), bySrc, want[p].bySrc)
 							if !slices.Equal(got[p].remote, want[p].remote) {
 								t.Fatalf("machine %d remote\n got %v\nwant %v", p, got[p].remote, want[p].remote)
 							}
@@ -212,52 +233,66 @@ func TestMasterSelectionMatchesReservoirSpec(t *testing.T) {
 // TestNewPlacementAllocs is finalization's allocation guard (same shape as
 // TestRunAllocs and partition's TestIngressAllocs): NewPlacement allocates
 // the same few objects whatever the machine count, and the first compile of
-// either gather direction a number fixed by the machine count — every slice
-// is sized before it is filled — so an eight-times-larger graph costs not one
+// each gather layout a number fixed by the machine count — every slice is
+// sized before it is filled — so an eight-times-larger graph costs not one
 // allocation more.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to one, so the compiles run on one
-// worker. Measured: 10 for NewPlacement, then 10+7m and 7+4m for m machines.
+// worker. Measured for m machines: 10 for NewPlacement; 7+4m for the first
+// blocks(false) and 7+3m for its lazy source grouping, sources(); 7+4m for
+// the first blocks(true).
 func TestNewPlacementAllocs(t *testing.T) {
-	measure := func(g *graph.Graph, machines int) (finalize, compileIn, compileBoth float64) {
+	type allocs struct{ finalize, in, inSrc, both float64 }
+	measure := func(g *graph.Graph, machines int) allocs {
 		owner := hashedOwner(g, machines)
-		var pl *Placement
-		newPlacement := func() {
-			var err error
-			if pl, err = NewPlacement(g, owner, machines); err != nil {
-				t.Fatal(err)
-			}
+		// after counts the allocations of a fresh placement followed by the
+		// given compiles.
+		after := func(compiles ...func(*Placement)) float64 {
+			return testing.AllocsPerRun(5, func() {
+				pl, err := NewPlacement(g, owner, machines)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, compile := range compiles {
+					compile(pl)
+				}
+			})
 		}
-		finalize = testing.AllocsPerRun(5, newPlacement)
-		withIn := testing.AllocsPerRun(5, func() {
-			newPlacement()
-			pl.blocks(false)
-		})
-		withBoth := testing.AllocsPerRun(5, func() {
-			newPlacement()
-			pl.blocks(true)
-		})
-		return finalize, withIn - finalize, withBoth - finalize
+		in := func(pl *Placement) { pl.blocks(false) }
+		inSrc := func(pl *Placement) { pl.sources() }
+		both := func(pl *Placement) { pl.blocks(true) }
+		finalize := after()
+		withIn, withBoth := after(in), after(both)
+		return allocs{
+			finalize: finalize,
+			in:       withIn - finalize,
+			inSrc:    after(in, inSrc) - withIn,
+			both:     withBoth - finalize,
+		}
 	}
 	small, large := testGraph(5, 2000, 8000), testGraph(6, 2000, 64000)
 	// The process's first collection starts the background mark workers; have
 	// it happen here, not inside whichever measurement first fills the heap.
 	runtime.GC()
 	for _, machines := range []int{4, 16} {
-		finalize, compileIn, compileBoth := measure(small, machines)
-		t.Logf("%d machines: NewPlacement %.0f allocations, first blocks(false) %.0f, first blocks(true) %.0f", machines, finalize, compileIn, compileBoth)
-		if ceiling := float64(10); finalize > ceiling {
-			t.Errorf("%d machines: NewPlacement allocates %.0f, want at most %.0f", machines, finalize, ceiling)
+		got := measure(small, machines)
+		t.Logf("%d machines: NewPlacement %.0f allocations; first blocks(false) %.0f, then sources() %.0f; first blocks(true) %.0f",
+			machines, got.finalize, got.in, got.inSrc, got.both)
+		for _, c := range []struct {
+			what         string
+			got, ceiling float64
+		}{
+			{"NewPlacement", got.finalize, 10},
+			{"the first blocks(false)", got.in, float64(7 + 4*machines)},
+			{"the first sources()", got.inSrc, float64(7 + 3*machines)},
+			{"the first blocks(true)", got.both, float64(7 + 4*machines)},
+		} {
+			if c.got > c.ceiling {
+				t.Errorf("%d machines: %s allocates %.0f, want at most %.0f", machines, c.what, c.got, c.ceiling)
+			}
 		}
-		if ceiling := float64(10 + 7*machines); compileIn > ceiling {
-			t.Errorf("%d machines: the first blocks(false) allocates %.0f, want at most %.0f", machines, compileIn, ceiling)
-		}
-		if ceiling := float64(7 + 4*machines); compileBoth > ceiling {
-			t.Errorf("%d machines: the first blocks(true) allocates %.0f, want at most %.0f", machines, compileBoth, ceiling)
-		}
-		if f, i, b := measure(large, machines); f != finalize || i != compileIn || b != compileBoth {
-			t.Errorf("%d machines: 8x the edges moved allocations from %.0f+%.0f+%.0f to %.0f+%.0f+%.0f: something grows with |E|",
-				machines, finalize, compileIn, compileBoth, f, i, b)
+		if big := measure(large, machines); big != got {
+			t.Errorf("%d machines: 8x the edges moved allocations from %+v to %+v: something grows with |E|", machines, got, big)
 		}
 	}
 }

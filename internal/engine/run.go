@@ -19,8 +19,9 @@ import (
 // gather destination, so the sweep is sequential with no indirection through
 // g.Edges and the per-destination skew/partial bookkeeping falls out of the
 // group boundaries), and frontier-driven programs switch to a sparse worklist
-// sweep whenever the active set drops below the hybrid frontier's density
-// threshold, skipping inactive edges entirely.
+// sweep over the records grouped by source — compiled by the first sparse
+// superstep in that direction — whenever the active set drops below the
+// hybrid frontier's density threshold, skipping inactive edges entirely.
 //
 // A run is one goroutine: the step counters are written in place and
 // activations go straight into the next frontier. Host parallelism lives
@@ -38,7 +39,7 @@ import (
 //
 // Options add dynamic rebalancing, fault injection with checkpoint recovery,
 // tracing and a warm-start frontier. A placement change (migration, crash
-// repartition) swaps in freshly compiled blocks. Buffers are allocated once
+// repartition) swaps in the new placement's layouts. Buffers are allocated once
 // per run and reused across supersteps.
 func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts Options) (*Result, []V, error) {
 	if cl.Size() != pl.M {
@@ -49,8 +50,8 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 
 	r := &sweep[V, A]{
 		prog:     prog,
-		pl:       pl,
 		applyAll: prog.ApplyAll(),
+		both:     prog.Direction() == GatherBoth,
 		rt:       Runtime{NumVertices: n, NumEdges: len(g.Edges)},
 		vals:     make([]V, n),
 		acc:      make([]A, n),
@@ -58,8 +59,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 		counters: make([]StepCounters, pl.M),
 	}
 	applyAll := r.applyAll
-	both := prog.Direction() == GatherBoth
-	r.blocks = pl.blocks(both)
+	r.place(pl)
 	counters := r.counters
 
 	prog.Init(r.vals, g)
@@ -148,7 +148,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 				if err != nil {
 					return nil, nil, fmt.Errorf("engine: rebalance at step %d: %w", step, err)
 				}
-				r.pl, r.blocks = newPl, newPl.blocks(both)
+				r.place(newPl)
 				account.emit(trace.Event{Kind: trace.KindRebalance, Step: step, Machine: -1, Moved: moved})
 				account.Stall(cl.Net.TransferTime(float64(moved)*migratedEdgeBytes), "migrate")
 			}
@@ -188,7 +188,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 			return nil, nil, err
 		}
 		if newPl != nil {
-			r.pl, r.blocks = newPl, newPl.blocks(both)
+			r.place(newPl)
 		}
 		if restore != nil {
 			copy(r.vals, restore.Vals)
@@ -212,11 +212,15 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 type sweep[V, A any] struct {
 	prog     Program[V, A]
 	applyAll bool
+	both     bool // the program gathers in both directions
 	rt       Runtime
 
-	// pl and blocks follow placement changes (rebalancing, crash recovery).
+	// pl and its layouts follow placement changes (rebalancing, crash
+	// recovery): blocks from the start, and for GatherIn bySrc from the first
+	// sparse step (GatherBoth's source grouping is its blocks' byDst).
 	pl     *Placement
 	blocks []machineBlocks
+	bySrc  []graph.Grouped
 
 	vals []V
 	acc  []A
@@ -246,6 +250,12 @@ type sweep[V, A any] struct {
 	sparse bool
 	srcs   []graph.VertexID
 	act    []bool
+}
+
+// place points the run at pl: its destination-grouped blocks now, a GatherIn
+// source grouping on the next sparse step (see gatherSparse).
+func (r *sweep[V, A]) place(pl *Placement) {
+	r.pl, r.blocks, r.bySrc = pl, pl.blocks(r.both), nil
 }
 
 // gatherDense accumulates every machine's contributions — machine-major, so
@@ -283,15 +293,22 @@ func (r *sweep[V, A]) gatherDense() {
 }
 
 // gatherSparse is gatherDense driven by the sorted worklist of active
-// sources: each machine's source-grouped block yields an active vertex's
-// records in O(log K).
+// sources: each machine's source grouping yields an active vertex's records
+// in O(log K). GatherBoth's is its byDst; a GatherIn run's first sparse step
+// on a placement fetches GatherIn's, compiling it if no run has yet.
 func (r *sweep[V, A]) gatherSparse() {
+	if !r.both && r.bySrc == nil {
+		r.bySrc = r.pl.sources()
+	}
 	prog, vals, acc, has := r.prog, r.vals, r.acc, r.has
 	touched, contribs, master := r.touched, r.contribs, r.pl.Master
 	dirty := r.dirty
 	for p := range r.blocks {
 		sc := &r.counters[p]
-		blk := &r.blocks[p].bySrc
+		blk := &r.blocks[p].byDst
+		if !r.both {
+			blk = &r.bySrc[p]
+		}
 		// The +1 keeps every stamp above the zero touched is reset to (p <
 		// MaxMachines, so it fits a byte).
 		stamp := uint8(p + 1)

@@ -155,8 +155,8 @@ func deletedIndicesFullScan(d *Delta, base *Graph) ([]int, bool) {
 	return idx, len(idx) == len(d.Deletes)
 }
 
-// TestDeletedIndicesMatchesFullScan pins the source-filtered scan to the full
-// scan it replaced, on the shapes where a vertex index could go wrong.
+// TestDeletedIndicesMatchesFullScan pins the (Src, Dst)-pair-filtered scan to
+// the full scan it replaced, on the shapes where a pair filter could go wrong.
 func TestDeletedIndicesMatchesFullScan(t *testing.T) {
 	// A multigraph with a hub (vertex 0 sources every third edge), repeated
 	// pairs and a small weight alphabet, so pairs recur at equal and at

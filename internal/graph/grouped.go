@@ -13,9 +13,9 @@ import (
 //
 // Keys holds the distinct keys in ascending order; the companions of Keys[i]
 // occupy Vals[Offs[i]:Offs[i+1]] in input order (the grouping is stable).
-// The engine compiles each machine's local edges into two of these — one
-// grouped by gather destination for dense sweeps, one grouped by gather
-// source for sparse-frontier sweeps (see internal/engine/placement.go).
+// The engine groups each machine's gather records into these: by gather
+// destination for dense sweeps, and by gather source, compiled on the first
+// sparse-frontier sweep (see layout in internal/engine/placement.go).
 type Grouped struct {
 	Keys []VertexID
 	Offs []int32

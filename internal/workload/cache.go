@@ -25,17 +25,17 @@ import (
 // Concurrent callers asking for the same key are single-flighted: the first
 // runs ingress, later ones block on its completion and share the placement.
 // Sharing is sound because a Placement is immutable once finalized — every
-// engine entry point treats it as read-only (the lazily compiled GatherBoth
-// blocks are behind a sync.Once).
+// engine entry point treats it as read-only (each lazily compiled gather
+// layout is behind a sync.Once).
 //
 // A cache shared by a long-running multi-tenant service cannot grow without
-// bound, so the cache optionally enforces an entry-count and an
-// approximate-byte limit with LRU eviction: whenever a build completes, the
-// least-recently-used finished entries are dropped until both limits hold
-// again. In-flight builds are never evicted (their waiters hold the entry),
-// so a burst of more concurrent distinct keys than MaxEntries can transiently
-// exceed the entry limit until those builds finish; completed state never
-// does. Evicting never invalidates placements already handed out — callers
+// bound, so the cache optionally enforces an entry-count and a byte limit
+// (on engine.Placement.FootprintBound) with LRU eviction: whenever a build
+// completes, the least-recently-used finished entries are dropped until both
+// limits hold again. In-flight builds are never evicted (their waiters hold
+// the entry), so a burst of more concurrent distinct keys than MaxEntries can
+// transiently exceed the entry limit until those builds finish; completed
+// state never does. Evicting never invalidates placements already handed out — callers
 // keep their references, the cache just forgets.
 type PlacementCache struct {
 	mu      sync.Mutex
@@ -102,9 +102,10 @@ func NewPlacementCache() *PlacementCache {
 }
 
 // NewBoundedPlacementCache returns a cache evicting least-recently-used
-// placements beyond maxEntries entries or approximately maxBytes of placement
-// footprint. A zero (or negative) limit means unbounded in that dimension, so
-// NewBoundedPlacementCache(0, 0) behaves exactly like NewPlacementCache.
+// placements beyond maxEntries entries or maxBytes of placement footprint, as
+// bounded by engine.Placement.FootprintBound. A zero (or negative) limit
+// means unbounded in that dimension, so NewBoundedPlacementCache(0, 0)
+// behaves exactly like NewPlacementCache.
 func NewBoundedPlacementCache(maxEntries int, maxBytes int64) *PlacementCache {
 	c := NewPlacementCache()
 	c.maxEntries = maxEntries
@@ -129,7 +130,8 @@ type CacheStats struct {
 	// byte bound.
 	Evictions uint64
 	// Entries is the current entry count (including in-flight builds) and
-	// Bytes the approximate footprint of the completed ones.
+	// Bytes the completed ones' summed FootprintBound: an upper bound on what
+	// they hold with every gather layout compiled.
 	Entries int
 	Bytes   int64
 	// IngressWallSeconds is the host wall-clock time spent inside
@@ -275,12 +277,19 @@ func (c *PlacementCache) join(e *cacheEntry) (*engine.Placement, bool, error) {
 // promote it into the LRU order and enforce the bounds.
 func (c *PlacementCache) finish(e *cacheEntry, elapsed time.Duration) {
 	close(e.done)
+	var bytes int64
+	if e.err == nil {
+		// Every gather layout compiles only when a run first reads it; the
+		// bound charges all three up front so eviction errs toward staying
+		// under the budget.
+		bytes = e.pl.FootprintBound()
+	}
 	c.mu.Lock()
 	c.ingressWall += elapsed
 	if e.err != nil {
 		delete(c.entries, e.key)
 	} else if cur, still := c.entries[e.key]; still && cur == e {
-		e.bytes = placementBytes(e.pl)
+		e.bytes = bytes
 		c.bytes += e.bytes
 		e.elem = c.lru.PushFront(e)
 		c.evictOverLimitLocked(e)
@@ -320,24 +329,6 @@ func (c *PlacementCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
 	c.evictions++
-}
-
-// placementBytes approximates the resident footprint a finalized placement
-// can grow to: the ownership and replica tables plus the compiled per-machine
-// gather blocks, which expand every edge into a (from, into) record grouped
-// two ways per gather direction. Either direction's blocks compile only when
-// a run first asks for them — the estimate charges both up front so eviction
-// errs toward staying under the bound.
-func placementBytes(pl *engine.Placement) int64 {
-	edges := int64(len(pl.EdgeOwner))
-	verts := int64(len(pl.Master))
-	// EdgeOwner (4B) + LocalEdges indices (4B) + two grouped copies of
-	// 8B gather records for each of the in- and both-direction layouts.
-	edgeBytes := edges * (4 + 4 + 4*16)
-	// ReplicaMask (8B) + Master (4B) + MasterVerts entries (4B) + grouped
-	// key/offset tables (~16B across the compiled blocks).
-	vertBytes := verts * (8 + 4 + 4 + 16)
-	return edgeBytes + vertBytes
 }
 
 // keyFP fingerprints one ingress invocation, with the graph identified by an

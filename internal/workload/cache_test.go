@@ -128,7 +128,7 @@ func TestPlacementCacheSingleFlight(t *testing.T) {
 }
 
 // TestPlacementCacheBounds pins the LRU policy: the cache never holds more
-// completed entries (or approximate bytes) than configured, evicts in
+// completed entries (or footprint-bound bytes) than configured, evicts in
 // least-recently-used order, and counts every eviction.
 func TestPlacementCacheBounds(t *testing.T) {
 	c := NewBoundedPlacementCache(3, 0)
