@@ -36,7 +36,8 @@ test:
 # machine type charges what running it there does, bit for bit, and a stream
 # whose charges depended on its cluster is refused; every app's result and
 # event stream are the same, bit for bit, when each machine's local edge list
-# is shuffled), the batched-BFS differential suite pinning
+# is shuffled; a journal append encodes its frame in place and allocates
+# nothing), the batched-BFS differential suite pinning
 # the 64-lane packed traversal to 64 scalar runs at -cpu 1,2,4, the
 # evolving-graph differentials (amended placements inside their imbalance
 # envelope, O(|delta|) fingerprints bit-identical to full rescans, the
@@ -57,7 +58,7 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestFootprintBoundCoversCompiledPlacement|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder' ./internal/partition ./internal/engine ./internal/graph ./internal/apps
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestFootprintBoundCoversCompiledPlacement|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder|TestJournalAppendAllocs' ./internal/partition ./internal/engine ./internal/graph ./internal/apps ./internal/service
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestFingerprintWorkerInvariance|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition ./internal/graph

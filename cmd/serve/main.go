@@ -8,7 +8,7 @@
 //
 //	POST /jobs            {"tenant","app","graph"}        -> {"id": 7}
 //	GET  /jobs/7                                          -> job status JSON
-//	GET  /jobs?tenant=x                                   -> job list JSON
+//	GET  /jobs?tenant=x&after=7&limit=100                 -> job list JSON
 //	GET  /tenants                                         -> per-tenant usage
 //	GET  /healthz                                         -> 200 "ok"
 //	GET  /metrics                                         -> Prometheus text
@@ -26,6 +26,14 @@
 // honours an Idempotency-Key header so resubmissions after a crash or client
 // timeout never run the same work twice. SIGTERM/SIGINT drains in-flight
 // jobs for -drain-timeout seconds before canceling what remains.
+//
+// The job table keeps every queued and running job and at least the last
+// -queue+-workers finished ones. Each time that many more finished jobs have
+// left this window, the journal is compacted to a snapshot and they are
+// pruned: a pruned id answers 404 and its idempotency key is free again.
+// GET /jobs pages the table in ascending id order: after is the last id of
+// the previous page (default 0), limit the page size (default and cap
+// service.MaxListPage); a malformed or negative value answers 400.
 package main
 
 import (
@@ -421,7 +429,19 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.svc.List(r.URL.Query().Get("tenant")))
+	q := r.URL.Query()
+	var page [2]int // after, limit
+	for i, name := range []string{"after", "limit"} {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s %q: want a non-negative integer", name, v))
+				return
+			}
+			page[i] = n
+		}
+	}
+	writeJSON(w, http.StatusOK, s.svc.List(q.Get("tenant"), page[0], page[1]))
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -439,6 +459,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.exportCounter("proxygraph_jobs_recovered_done", "terminal jobs rebuilt from the journal at startup", c.RecoveredDone)
 	s.exportCounter("proxygraph_jobs_recovered_requeued", "in-flight jobs re-enqueued from the journal at startup", c.RecoveredRequeued)
 	s.exportCounter("proxygraph_job_results_expired", "done jobs whose result left the service's retention window", c.ResultsExpired)
+	s.exportCounter("proxygraph_journal_compactions", "journal snapshot-and-truncate compactions", c.JournalCompactions)
+	s.exportCounter("proxygraph_job_tombstones_pruned", "finished jobs pruned from the job table", c.TombstonesPruned)
 	// The process's own footprint: a plateauing live heap is what the
 	// result window promises (DESIGN.md §7).
 	rt := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/sched/goroutines:goroutines"}, {Name: "/gc/cycles/total:gc-cycles"}}

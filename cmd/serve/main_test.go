@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -244,6 +245,24 @@ func TestServeHTTP(t *testing.T) {
 	resp.Body.Close()
 	if len(list) != 3 || list[0].Tenant != "gold" {
 		t.Fatalf("gold list: %+v", list)
+	}
+	// Paging: after the first gold job, one job per page.
+	resp, err = http.Get(fmt.Sprintf("%s/jobs?tenant=gold&after=%d&limit=1", ts.URL, list[0].ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page []service.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(page) != 1 || page[0].ID != list[1].ID {
+		t.Fatalf("page after job %d: %+v, want job %d", list[0].ID, page, list[1].ID)
+	}
+	for _, q := range []string{"after=-1", "after=x", "limit=-5", "limit=1.5"} {
+		if resp, err := http.Get(ts.URL + "/jobs?" + q); err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET /jobs?%s: %v %v, want 400", q, resp.StatusCode, err)
+		}
 	}
 
 	// Tenants endpoint reports bronze's spend.

@@ -196,6 +196,8 @@ func TestServiceHTTPRestartRecovery(t *testing.T) {
 		"proxygraph_journal_appends",
 		"proxygraph_degraded 0",
 		"proxygraph_jobs_deduped 1",
+		"proxygraph_journal_compactions 0",
+		"proxygraph_job_tombstones_pruned 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

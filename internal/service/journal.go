@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -66,12 +67,29 @@ const (
 	// record instead — the invariant is that a tenant is never charged twice
 	// for one job, and never escapes a charge for a job journaled complete.
 	RecordBudgetCharge
+	// RecordSnapshot opens a compacted journal and is only ever its first
+	// frame. Seed is the base sequence: the last sequence number the journal
+	// had issued when it compacted. The RecordTenant and RecordJob frames
+	// directly after it are the snapshot's body and share its sequence
+	// number; the records after the body are numbered on from the base, so
+	// job ids stay their submit records' sequence numbers across compaction.
+	RecordSnapshot
+	// RecordTenant is one tenant's state in a snapshot: Seconds and Energy
+	// are its spend, Attempt its consecutive terminal failures, and Flag an
+	// open (or half-open) circuit breaker.
+	RecordTenant
+	// RecordJob is one job the service still held at compaction: the submit
+	// record's identity fields with the id explicit in ID, its lifecycle
+	// State, its Attempt count, its charges and cache outcome (Seconds =
+	// execution sim-seconds, Ingress, Energy, Flag) and its Error text.
+	RecordJob
 
 	numRecordKinds = iota
 )
 
 var recordKindNames = [...]string{
 	"submit", "admit", "start", "retry", "complete", "fail", "shed", "budget-charge",
+	"snapshot", "tenant", "job",
 }
 
 // String names the kind for logs and debugging.
@@ -115,6 +133,10 @@ type Record struct {
 	Seconds, Ingress, Energy float64
 	// Flag is the placement-cache outcome of a completed job.
 	Flag bool
+	// State is a snapshotted job's lifecycle state (RecordJob only; zero
+	// otherwise). It rides in the flag byte's upper bits, which journals
+	// without snapshots leave zero.
+	State State
 	// Error is the failure text (fail) or the shed reason (shed).
 	Error string
 }
@@ -127,54 +149,60 @@ const journalMagic = "PGWJ1\n"
 // keeps a hostile length prefix from forcing a huge allocation.
 const maxRecordPayload = 1 << 20
 
+// snapshotHeadFrame is the size of a RecordSnapshot frame: the frame header,
+// the flat payload and five empty strings.
+const snapshotHeadFrame = 8 + recordFixedSize + 5*4
+
 // recordFixedSize is the flat portion of a payload: kind, id, attempt,
 // priority, seed, fingerprint, three float64s, flag.
 const recordFixedSize = 1 + 8 + 4 + 4 + 8 + 8 + 8*3 + 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodePayload serializes a record's canonical payload.
-func encodePayload(r Record) []byte {
-	n := recordFixedSize + 5*4 + len(r.Tenant) + len(r.App) + len(r.Graph) + len(r.Key) + len(r.Error)
-	buf := make([]byte, 0, n)
-	buf = append(buf, byte(r.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.ID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Attempt))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(r.Priority)))
-	buf = binary.LittleEndian.AppendUint64(buf, r.Seed)
-	buf = binary.LittleEndian.AppendUint64(buf, r.Fingerprint)
-	buf = appendFloat(buf, r.Seconds)
-	buf = appendFloat(buf, r.Ingress)
-	buf = appendFloat(buf, r.Energy)
+// appendFrame appends a record's frame to dst: the payload's length and
+// CRC-32C, then the canonical payload. It writes in place, so appending to a
+// buffer with room allocates nothing.
+func appendFrame(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = append(dst, byte(r.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Attempt))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(r.Priority)))
+	dst = binary.LittleEndian.AppendUint64(dst, r.Seed)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Fingerprint)
+	dst = appendFloat(dst, r.Seconds)
+	dst = appendFloat(dst, r.Ingress)
+	dst = appendFloat(dst, r.Energy)
+	flags := byte(r.State) << 1
 	if r.Flag {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		flags |= 1
 	}
-	for _, s := range []string{r.Tenant, r.App, r.Graph, r.Key, r.Error} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
+	dst = append(dst, flags)
+	for _, s := range [...]string{r.Tenant, r.App, r.Graph, r.Key, r.Error} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+		dst = append(dst, s...)
 	}
-	return buf
+	payload := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst
 }
 
 func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// encodeFrame wraps a record's payload with the length prefix and CRC-32C.
-func encodeFrame(r Record) []byte {
-	payload := encodePayload(r)
-	frame := make([]byte, 0, 8+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
-	return append(frame, payload...)
+// appendSnapshotHead appends the start of a compacted journal image: the
+// magic and the RecordSnapshot frame whose base is seq.
+func appendSnapshotHead(dst []byte, seq uint64) []byte {
+	return appendFrame(append(dst, journalMagic...), Record{Kind: RecordSnapshot, Seed: seq})
 }
 
 // decodePayload parses one payload. The declared string lengths are validated
 // against the remaining bytes before any slice is taken, and the payload must
 // be consumed exactly — trailing bytes mean the frame was not produced by
-// encodePayload and are rejected, which keeps decode∘encode an identity.
+// appendFrame and are rejected, which keeps decode∘encode an identity.
 func decodePayload(data []byte) (Record, error) {
 	var r Record
 	if len(data) < recordFixedSize {
@@ -201,12 +229,10 @@ func decodePayload(data []byte) (Record, error) {
 	off += 8
 	r.Energy = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 	off += 8
-	switch data[off] {
-	case 0:
-	case 1:
-		r.Flag = true
-	default:
-		return r, fmt.Errorf("service: journal record flag is %d, want 0 or 1", data[off])
+	r.Flag = data[off]&1 == 1
+	r.State = State(data[off] >> 1)
+	if r.State != 0 && r.Kind != RecordJob || int(r.State) >= len(stateNames) {
+		return r, fmt.Errorf("service: journal record flag byte is %d", data[off])
 	}
 	off++
 	for _, dst := range []*string{&r.Tenant, &r.App, &r.Graph, &r.Key, &r.Error} {
@@ -232,17 +258,19 @@ func decodePayload(data []byte) (Record, error) {
 func EncodeJournal(recs []Record) []byte {
 	buf := []byte(journalMagic)
 	for _, r := range recs {
-		buf = append(buf, encodeFrame(r)...)
+		buf = appendFrame(buf, r)
 	}
 	return buf
 }
 
 // DecodeJournal parses a journal image, tolerating the torn or corrupt tail a
-// crash leaves behind: it returns every cleanly framed record (Seq assigned
-// by position, 1-based), the byte offset up to which the image is intact, and
-// a non-nil err describing why decoding stopped early — nil when the whole
-// image parsed. Decoding never panics and never allocates from a hostile
-// length prefix; recovery keeps data[:good] and discards the rest.
+// crash leaves behind: it returns every cleanly framed record, the byte
+// offset up to which the image is intact, and a non-nil err describing why
+// decoding stopped early — nil when the whole image parsed. Seq is assigned
+// by position, 1-based; in a compacted image the snapshot's frames carry its
+// base sequence and the records after it count on from there. Decoding never
+// panics and never allocates from a hostile length prefix; recovery keeps
+// data[:good] and discards the rest.
 func DecodeJournal(data []byte) (recs []Record, good int, err error) {
 	if len(data) == 0 {
 		return nil, 0, nil
@@ -251,6 +279,8 @@ func DecodeJournal(data []byte) (recs []Record, good int, err error) {
 		return nil, 0, fmt.Errorf("service: bad journal magic")
 	}
 	off := len(journalMagic)
+	var seq uint64  // the last sequence number issued
+	inBody := false // inside a snapshot's body
 	for off < len(data) {
 		if len(data)-off < 8 {
 			return recs, off, fmt.Errorf("service: torn frame header at offset %d", off)
@@ -271,11 +301,32 @@ func DecodeJournal(data []byte) (recs []Record, good int, err error) {
 		if derr != nil {
 			return recs, off, fmt.Errorf("service: frame at offset %d: %w", off, derr)
 		}
+		switch r.Kind {
+		case RecordSnapshot:
+			if len(recs) != 0 {
+				return recs, off, fmt.Errorf("service: snapshot frame at offset %d is not the journal's first", off)
+			}
+			seq, inBody = r.Seed, true
+		case RecordTenant, RecordJob:
+			if !inBody {
+				return recs, off, fmt.Errorf("service: %s frame at offset %d outside a snapshot", r.Kind, off)
+			}
+		default:
+			seq, inBody = seq+1, false
+		}
 		off += 8 + plen
-		r.Seq = uint64(len(recs) + 1)
+		r.Seq = seq
 		recs = append(recs, r)
 	}
 	return recs, off, nil
+}
+
+// lastSeq is the sequence number a journal holding recs has issued last.
+func lastSeq(recs []Record) uint64 {
+	if len(recs) == 0 {
+		return 0
+	}
+	return recs[len(recs)-1].Seq
 }
 
 // Journal is the durable record sink the service writes through. Append must
@@ -285,9 +336,22 @@ func DecodeJournal(data []byte) (recs []Record, good int, err error) {
 // by entering degraded mode rather than crashing or acknowledging
 // un-journaled work. Implementations must be safe for use under the
 // service's mutex (the service serializes calls itself).
+//
+// The service compacts the journals this package provides (FileJournal,
+// MemJournal, FaultJournal); with any other Journal it never compacts, and so
+// never prunes its job table either.
 type Journal interface {
 	Append(Record) (uint64, error)
 	Close() error
+}
+
+// compactor is a Journal that can replace its whole image with a snapshot:
+// the magic, a RecordSnapshot frame whose base is the journal's current
+// sequence, and body, the snapshot's RecordTenant and RecordJob frames.
+// Appends then continue the sequence. The replacement is atomic: on error
+// the old image is intact.
+type compactor interface {
+	compact(body []byte) error
 }
 
 // Recovery is a decoded journal ready to replay into a new service.
@@ -323,27 +387,46 @@ func Recover(path string) (*Recovery, error) {
 }
 
 // rawJournal is the byte-level surface shared by the concrete journals; the
-// fault-injecting wrapper corrupts frames through it.
+// fault-injecting wrapper corrupts frames and forwards compactions through
+// it.
 type rawJournal interface {
 	writeRaw(b []byte) error
 	syncRaw() error
+	// replace swaps the image for a snapshot with base seq and continues
+	// the sequence from there.
+	replace(seq uint64, body []byte) error
 	Close() error
 }
+
+// compactSuffix names the temporary file a FileJournal writes its snapshot
+// to before renaming it over the journal.
+const compactSuffix = ".compact"
 
 // FileJournal appends checksummed frames to a file, fsyncing each append so
 // an acknowledged record survives power loss.
 type FileJournal struct {
-	mu  sync.Mutex
-	f   *os.File
-	seq uint64
+	mu    sync.Mutex
+	f     *os.File
+	path  string
+	seq   uint64
+	frame []byte // Append's scratch: one frame, reused
+	// onStep, when set, runs after each compaction step ("written",
+	// "synced", "renamed"); an error aborts the compaction there. Tests use
+	// it to capture the files a crash at that step would leave.
+	onStep func(step string) error
 }
 
 // OpenFileJournal opens (or creates) the journal at path for appending and
 // decodes what is already there: the returned Recovery replays the prior
 // incarnation's state, and any torn tail is truncated away so new appends
 // extend the intact prefix. The journal's sequence continues after the
-// recovered records, keeping job ids unique across restarts.
+// recovered records, keeping job ids unique across restarts. A snapshot file
+// left by a compaction that crashed before its rename is deleted: the journal
+// it would have replaced is still whole.
 func OpenFileJournal(path string) (*FileJournal, *Recovery, error) {
+	if err := os.Remove(path + compactSuffix); err != nil && !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("service: remove stale snapshot: %w", err)
+	}
 	rec, err := Recover(path)
 	if err != nil {
 		return nil, nil, err
@@ -372,26 +455,27 @@ func OpenFileJournal(path string) (*FileJournal, *Recovery, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &FileJournal{f: f, seq: uint64(len(rec.Records))}, rec, nil
+	return &FileJournal{f: f, path: path, seq: lastSeq(rec.Records)}, rec, nil
 }
 
-// Append implements Journal: frame, write, fsync.
+// Append implements Journal: frame, write, fsync. The frame is built in a
+// scratch buffer the journal keeps.
 func (j *FileJournal) Append(r Record) (uint64, error) {
-	if err := j.writeRaw(encodeFrame(r)); err != nil {
-		return 0, err
-	}
-	if err := j.syncRaw(); err != nil {
-		return 0, err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.frame = appendFrame(j.frame[:0], r)
+	if _, err := j.f.Write(j.frame); err != nil {
+		return 0, err
+	}
+	if err := j.f.Sync(); err != nil {
+		return 0, err
+	}
 	j.seq++
 	return j.seq, nil
 }
 
-// writeRaw and syncRaw lock internally (rather than relying on Append's
-// critical section) so the fault-injecting wrapper can drive them directly
-// without racing a concurrent reader.
+// writeRaw and syncRaw lock internally so the fault-injecting wrapper can
+// drive them directly without racing a concurrent reader.
 func (j *FileJournal) writeRaw(b []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -403,6 +487,80 @@ func (j *FileJournal) syncRaw() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.f.Sync()
+}
+
+func (j *FileJournal) compact(body []byte) error {
+	j.mu.Lock()
+	seq := j.seq
+	j.mu.Unlock()
+	return j.replace(seq, body)
+}
+
+// replace writes the snapshot to a temporary file, fsyncs it, renames it over
+// the journal and fsyncs the directory, so a crash at any point leaves either
+// the old journal or the new one whole. The temporary file's handle becomes
+// the journal's.
+func (j *FileJournal) replace(seq uint64, body []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	tmp := j.path + compactSuffix
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("service: compact journal: %w", err)
+	}
+	j.frame = appendSnapshotHead(j.frame[:0], seq)
+	_, err = f.Write(j.frame)
+	if err == nil {
+		_, err = f.Write(body)
+	}
+	if err == nil {
+		err = j.step("written")
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = j.step("synced")
+	}
+	if err == nil {
+		err = os.Rename(tmp, j.path)
+	}
+	if err != nil {
+		f.Close()
+		_ = os.Remove(tmp) // best effort: the next OpenFileJournal removes it too
+		return fmt.Errorf("service: compact journal: %w", err)
+	}
+	// From here the new image is the journal; a failure leaves it in place.
+	err = j.step("renamed")
+	if err == nil {
+		err = syncDir(filepath.Dir(j.path))
+	}
+	_ = j.f.Close() // the replaced image, fsynced with its last append
+	j.f, j.seq = f, seq
+	if err != nil {
+		return fmt.Errorf("service: compact journal: %w", err)
+	}
+	return nil
+}
+
+func (j *FileJournal) step(name string) error {
+	if j.onStep == nil {
+		return nil
+	}
+	return j.onStep(name)
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close releases the file. The journal is not usable afterwards.
@@ -435,17 +593,16 @@ func NewMemJournalFrom(data []byte) (*MemJournal, *Recovery) {
 	if rec.GoodBytes > 0 {
 		j.buf = append(j.buf[:0], data[:rec.GoodBytes]...)
 	}
-	j.seq = uint64(len(rec.Records))
+	j.seq = lastSeq(rec.Records)
 	return j, rec
 }
 
-// Append implements Journal.
+// Append implements Journal. The frame is encoded in place at the end of the
+// image, so an append costs only the buffer's amortized growth.
 func (j *MemJournal) Append(r Record) (uint64, error) {
-	if err := j.writeRaw(encodeFrame(r)); err != nil {
-		return 0, err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.buf = appendFrame(j.buf, r)
 	j.seq++
 	return j.seq, nil
 }
@@ -460,6 +617,24 @@ func (j *MemJournal) writeRaw(b []byte) error {
 }
 
 func (j *MemJournal) syncRaw() error { return nil }
+
+func (j *MemJournal) compact(body []byte) error {
+	j.mu.Lock()
+	seq := j.seq
+	j.mu.Unlock()
+	return j.replace(seq, body)
+}
+
+// replace swaps to a fresh buffer holding the snapshot, sized for a tail as
+// long as the snapshot itself.
+func (j *MemJournal) replace(seq uint64, body []byte) error {
+	buf := make([]byte, 0, 2*(len(journalMagic)+snapshotHeadFrame+len(body)))
+	buf = append(appendSnapshotHead(buf, seq), body...)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.buf, j.seq = buf, seq
+	return nil
+}
 
 // Close implements Journal (a no-op for memory).
 func (j *MemJournal) Close() error { return nil }

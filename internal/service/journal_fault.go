@@ -82,6 +82,7 @@ type FaultJournal struct {
 	spec    JournalFaultSpec
 	seq     uint64 // acknowledged records, continues the inner journal's
 	appends uint64 // Append calls made, the schedule's clock
+	frame   []byte // Append's scratch
 }
 
 // NewFaultJournal wraps inner (a *FileJournal or *MemJournal — the wrapper
@@ -119,7 +120,8 @@ func (j *FaultJournal) faultFor(i uint64) JournalFaultKind {
 // index is due. Clean appends pass through with write+sync semantics.
 func (j *FaultJournal) Append(r Record) (uint64, error) {
 	j.appends++
-	frame := encodeFrame(r)
+	j.frame = appendFrame(j.frame[:0], r)
+	frame := j.frame
 	switch j.faultFor(j.appends) {
 	case JournalTornTail:
 		cut := 1 + int(rng.Hash3(j.seed, jfltDomain+1, j.appends)%uint64(len(frame)-1))
@@ -130,9 +132,8 @@ func (j *FaultJournal) Append(r Record) (uint64, error) {
 		return 0, fmt.Errorf("service: injected short write at append %d: %w", j.appends, io.ErrShortWrite)
 	case JournalCorruptBit:
 		h := rng.Hash3(j.seed, jfltDomain+2, j.appends)
-		corrupt := append([]byte(nil), frame...)
-		corrupt[h%uint64(len(corrupt))] ^= 1 << ((h >> 32) % 8)
-		if err := j.raw.writeRaw(corrupt); err != nil {
+		frame[h%uint64(len(frame))] ^= 1 << ((h >> 32) % 8)
+		if err := j.raw.writeRaw(frame); err != nil {
 			return 0, err
 		}
 		if err := j.raw.syncRaw(); err != nil {
@@ -153,6 +154,10 @@ func (j *FaultJournal) Append(r Record) (uint64, error) {
 	j.seq++
 	return j.seq, nil
 }
+
+// compact forwards a compaction to the wrapped journal, uninjected, with the
+// wrapper's sequence as the snapshot's base.
+func (j *FaultJournal) compact(body []byte) error { return j.raw.replace(j.seq, body) }
 
 // Close closes the wrapped journal.
 func (j *FaultJournal) Close() error { return j.raw.Close() }

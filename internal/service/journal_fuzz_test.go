@@ -29,6 +29,12 @@ func FuzzDecodeJournal(f *testing.F) {
 	badCRC := bytes.Clone(good)
 	badCRC[len(journalMagic)+4] ^= 0x01
 	f.Add(badCRC)
+	// Compacted images: a snapshot and its tail, torn inside the snapshot
+	// and inside the tail.
+	compacted := EncodeJournal(compactedRecords())
+	f.Add(compacted)
+	f.Add(compacted[:len(EncodeJournal(compactedRecords()[:4]))+9])
+	f.Add(compacted[:len(compacted)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, goodN, _ := DecodeJournal(data)
@@ -50,9 +56,19 @@ func FuzzDecodeJournal(f *testing.F) {
 				t.Fatalf("good prefix not clean: %d bytes, %d records, err %v", againN, len(again), err)
 			}
 		}
+		// Sequence numbers are positional from the base: a snapshot's frames
+		// carry its base, every other record the previous sequence plus one.
+		var seq uint64
 		for i, r := range recs {
-			if r.Seq != uint64(i+1) {
-				t.Fatalf("record %d has seq %d", i, r.Seq)
+			switch r.Kind {
+			case RecordSnapshot:
+				seq = r.Seed
+			case RecordTenant, RecordJob:
+			default:
+				seq++
+			}
+			if r.Seq != seq {
+				t.Fatalf("record %d (%s) has seq %d, want %d", i, r.Kind, r.Seq, seq)
 			}
 		}
 	})
@@ -60,17 +76,18 @@ func FuzzDecodeJournal(f *testing.F) {
 
 // TestServiceJournalFuzzSeedRoundTrips keeps the fuzz seed corpus honest
 // under plain `go test`: the canonical encoding must decode with full
-// coverage and re-encode to identical bytes.
+// coverage and re-encode to identical bytes, with and without a snapshot.
 func TestServiceJournalFuzzSeedRoundTrips(t *testing.T) {
-	data := EncodeJournal(sampleRecords())
-	recs, good, err := DecodeJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good != len(data) {
-		t.Fatalf("good=%d, want %d", good, len(data))
-	}
-	if out := EncodeJournal(recs); !bytes.Equal(out, data) {
-		t.Fatal("round trip changed bytes")
+	for _, data := range [][]byte{EncodeJournal(sampleRecords()), EncodeJournal(compactedRecords())} {
+		recs, good, err := DecodeJournal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if good != len(data) {
+			t.Fatalf("good=%d, want %d", good, len(data))
+		}
+		if out := EncodeJournal(recs); !bytes.Equal(out, data) {
+			t.Fatal("round trip changed bytes")
+		}
 	}
 }

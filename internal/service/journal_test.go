@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
@@ -8,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"proxygraph/internal/workload"
 )
 
 // sampleRecords exercises every record kind, every string field, and the
@@ -24,6 +29,189 @@ func sampleRecords() []Record {
 		{Kind: RecordFail, ID: 2, Attempt: 3, Error: "service: transient attempt failure (injected)"},
 		{Kind: RecordShed, ID: 3, Error: "priority"},
 		{Kind: RecordSubmit, Tenant: "bronze", Priority: -1}, // empty strings, zero job
+	}
+}
+
+// compactedRecords is a compacted journal: a snapshot with base 40 holding
+// two tenants and three jobs (running, done, canceled), then a tail that
+// admits a new job and completes the running one.
+func compactedRecords() []Record {
+	return []Record{
+		{Kind: RecordSnapshot, Seed: 40},
+		{Kind: RecordTenant, Tenant: "bronze", Seconds: 1.5, Energy: 20, Attempt: 2, Flag: true},
+		{Kind: RecordTenant, Tenant: "gold", Seconds: 7.25, Energy: 900.5},
+		{Kind: RecordJob, ID: 36, State: StateRunning, Attempt: 1, Priority: 2, Tenant: "gold",
+			App: "pagerank", Graph: "LiveJournal", Key: "req-9", Seed: 3, Fingerprint: 42,
+			Error: "service: injected transient fault"},
+		{Kind: RecordJob, ID: 21, State: StateDone, Tenant: "gold", App: "bfs", Graph: "wiki",
+			Seconds: 3.5, Ingress: 0.25, Energy: 700.5, Flag: true},
+		{Kind: RecordJob, ID: 26, State: StateCanceled, Priority: -1, Tenant: "bronze", Error: "service: closed"},
+		{Kind: RecordSubmit, Tenant: "gold", App: "sssp", Graph: "wiki", Key: "req-10", Priority: 2},
+		{Kind: RecordAdmit, ID: 41},
+		{Kind: RecordComplete, ID: 36, Attempt: 1, Seconds: 2, Energy: 10},
+		{Kind: RecordBudgetCharge, ID: 36, Tenant: "gold", Seconds: 2, Energy: 10},
+	}
+}
+
+// compactedSeqs are compactedRecords' sequence numbers: the snapshot's frames
+// carry its base, the tail counts on from it.
+var compactedSeqs = []uint64{40, 40, 40, 40, 40, 40, 41, 42, 43, 44}
+
+// TestServiceJournalParentFormat pins the PGWJ1 encoding of journals without
+// snapshots to the bytes the encoder wrote before compaction existed, so a
+// journal an older build left behind still recovers.
+func TestServiceJournalParentFormat(t *testing.T) {
+	img := EncodeJournal(sampleRecords())
+	sum := sha256.Sum256(img)
+	if got, want := hex.EncodeToString(sum[:]), "f0d8d39b83f75680ba76dde7fd23d1ff2f2d6917c4385d7ffc0e2ac330eadd02"; len(img) != 871 || got != want {
+		t.Fatalf("sample journal is %d bytes with sha256 %s, want 871 bytes with %s", len(img), got, want)
+	}
+}
+
+// TestServiceJournalSnapshotFrames pins the compacted image's codec: snapshot
+// frames round-trip, sequence numbers continue from the base, a snapshot is
+// only accepted as the first frame and its body only directly after it, and
+// a journal rebuilt from the image appends after the tail.
+func TestServiceJournalSnapshotFrames(t *testing.T) {
+	recs := compactedRecords()
+	img := EncodeJournal(recs)
+	got, good, err := DecodeJournal(img)
+	if err != nil || good != len(img) || len(got) != len(recs) {
+		t.Fatalf("decoded %d records, %d of %d bytes, err %v", len(got), good, len(img), err)
+	}
+	for i := range got {
+		want := recs[i]
+		want.Seq = compactedSeqs[i]
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got[i], want)
+		}
+	}
+	if out := EncodeJournal(got); !bytes.Equal(out, img) {
+		t.Fatal("decode∘encode changed a compacted image")
+	}
+	j, rec := NewMemJournalFrom(img)
+	if seq, err := j.Append(Record{Kind: RecordAdmit, ID: 45}); err != nil || seq != 45 || rec.Err != nil {
+		t.Fatalf("append after the tail: seq %d, err %v, recovery err %v", seq, err, rec.Err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		recs []Record
+		keep int // records decoded before the error
+	}{
+		{"snapshot-not-first", append([]Record{{Kind: RecordAdmit, ID: 1}}, recs...), 1},
+		{"body-after-tail", append(append([]Record(nil), recs...), recs[1]), len(recs)},
+		{"body-without-snapshot", recs[1:], 0},
+		{"state-outside-job", []Record{{Kind: RecordComplete, ID: 1, State: StateDone}}, 0},
+	} {
+		got, good, err := DecodeJournal(EncodeJournal(tc.recs))
+		if err == nil || len(got) != tc.keep || good != len(EncodeJournal(tc.recs[:tc.keep])) {
+			t.Errorf("%s: %d records, %d good bytes, err %v; want %d records and an error", tc.name, len(got), good, err, tc.keep)
+		}
+	}
+}
+
+// TestJournalAppendAllocs pins the in-place frame encoding: an append into a
+// MemJournal with room, and a FileJournal append's frame build, allocate
+// nothing; a snapshot's body allocates the same for ten kept jobs as for a
+// hundred.
+func TestJournalAppendAllocs(t *testing.T) {
+	r := sampleRecords()[0]
+	mem := NewMemJournal()
+	for i := 0; i < 1000; i++ {
+		mem.Append(r)
+	}
+	mem.buf = mem.buf[:len(journalMagic)]
+	if n := testing.AllocsPerRun(500, func() { mem.Append(r) }); n != 0 {
+		t.Errorf("MemJournal.Append into a pre-grown buffer: %v allocs, want 0", n)
+	}
+
+	file, _, err := OpenFileJournal(filepath.Join(t.TempDir(), "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if _, err := file.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() { file.frame = appendFrame(file.frame[:0], r) }); n != 0 {
+		t.Errorf("FileJournal frame build: %v allocs, want 0", n)
+	}
+
+	snapshotAllocs := func(jobs int) float64 {
+		m := newMachine(Config{QueueBound: jobs, TenantQueueBound: jobs, Workers: 1})
+		for i := 0; i < jobs; i++ {
+			if _, _, err := m.submit(0, "t", "", workload.Job{}, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := m.appendSnapshot(nil, 0)
+		return testing.AllocsPerRun(50, func() { buf = m.appendSnapshot(buf[:0], 0) })
+	}
+	if few, many := snapshotAllocs(10), snapshotAllocs(100); few != many {
+		t.Errorf("snapshot body allocates %v times for 10 jobs and %v for 100, want the same", few, many)
+	}
+}
+
+// TestServiceJournalCompact pins compaction on both journals: the image
+// becomes the snapshot, appends continue the sequence, and a reopened file
+// journal recovers the snapshot and deletes a stale temporary file.
+func TestServiceJournalCompact(t *testing.T) {
+	recs := compactedRecords()
+	body := EncodeJournal(recs[1:6])[len(journalMagic):]
+	tail := recs[6:]
+
+	mem := NewMemJournal()
+	for i := 0; i < 40; i++ {
+		mem.Append(Record{Kind: RecordAdmit, ID: i})
+	}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	file, _, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		file.Append(Record{Kind: RecordAdmit, ID: i})
+	}
+	for _, j := range []interface {
+		compactor
+		Journal
+	}{mem, file} {
+		if err := j.compact(body); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range tail {
+			if seq, err := j.Append(r); err != nil || seq != uint64(41+i) {
+				t.Fatalf("%T append %d after compaction: seq %d, err %v", j, i, seq, err)
+			}
+		}
+	}
+	want := EncodeJournal(recs)
+	if got := mem.Bytes(); !bytes.Equal(got, want) {
+		t.Fatal("compacted MemJournal image differs from the snapshot plus tail")
+	}
+	file.Close()
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("compacted FileJournal image differs from the snapshot plus tail (err %v)", err)
+	}
+
+	stale := path + compactSuffix
+	if err := os.WriteFile(stale, want[:20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, rec, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale snapshot file survived the reopen: %v", err)
+	}
+	if rec.Err != nil || len(rec.Records) != len(recs) {
+		t.Fatalf("reopened journal: %d records, err %v", len(rec.Records), rec.Err)
+	}
+	if seq, err := file.Append(Record{Kind: RecordAdmit, ID: 45}); err != nil || seq != 45 {
+		t.Fatalf("append after reopen: seq %d, err %v", seq, err)
 	}
 }
 

@@ -30,6 +30,15 @@ import (
 //   - In-flight jobs are re-enqueued with a background context (the original
 //     submitter's context did not survive the crash) and a zero readyAt —
 //     pending retry backoffs collapse, the job is immediately runnable.
+//   - A compacted journal opens with a snapshot: each tenant's spend and
+//     breaker state, and every job the service held, with its id. Spend is
+//     restored as recorded, so a snapshotted done job is never charged
+//     again; the records after the snapshot replay as above.
+//   - Breaker state follows the journal: a terminal failure counts toward
+//     the tenant's threshold, a completion resets it, a snapshot's tenant
+//     frame restores both, and a breaker open (or half-open) at the crash
+//     reopens with its cooldown counted from the restart. With the breaker
+//     disabled all of this is ignored.
 //
 // restore never writes to the journal for replayed transitions (the records
 // are already there); only jobs that cannot be re-resolved get a fresh fail
@@ -43,6 +52,23 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			maxSeq = int(r.Seq)
 		}
 		switch r.Kind {
+		case RecordTenant:
+			ts := m.tenant(r.Tenant)
+			ts.spentSeconds, ts.spentJoules = r.Seconds, r.Energy
+			if m.cfg.BreakerThreshold > 0 {
+				ts.consecFails = r.Attempt
+				if r.Flag {
+					ts.breaker = breakerOpen
+				}
+			}
+		case RecordJob:
+			if m.jobs[r.ID] != nil {
+				continue
+			}
+			m.restoreJob(r)
+			if r.State == StateDone {
+				charged[r.ID] = true // the tenant's snapshotted spend holds it
+			}
 		case RecordSubmit:
 			m.counters.Submitted++
 			subs[int(r.Seq)] = r
@@ -95,6 +121,10 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			js.cacheHit = r.Flag
 			m.counters.Completed++
 			m.counters.RecoveredDone++
+			if m.cfg.BreakerThreshold > 0 {
+				ts := m.tenant(js.tenant)
+				ts.consecFails, ts.breaker = 0, breakerClosed
+			}
 			m.finish(js)
 		case RecordBudgetCharge:
 			if m.jobs[r.ID] == nil || charged[r.ID] {
@@ -115,6 +145,12 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			js.err = errors.New(r.Error)
 			m.counters.Failed++
 			m.counters.RecoveredDone++
+			if m.cfg.BreakerThreshold > 0 {
+				ts := m.tenant(js.tenant)
+				if ts.consecFails++; ts.consecFails >= m.cfg.BreakerThreshold {
+					ts.breaker = breakerOpen
+				}
+			}
 			m.finish(js)
 		case RecordShed:
 			js := m.jobs[r.ID]
@@ -180,4 +216,51 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 	if maxSeq > m.nextID {
 		m.nextID = maxSeq
 	}
+}
+
+// restoreJob rebuilds a job from its snapshot record: a queued or running job
+// goes back into the queue, a terminal one becomes the tombstone it was.
+func (m *machine) restoreJob(r Record) {
+	js := &jobState{
+		id:          r.ID,
+		tenant:      r.Tenant,
+		priority:    r.Priority,
+		key:         r.Key,
+		fp:          r.Fingerprint,
+		appName:     r.App,
+		graphName:   r.Graph,
+		seed:        r.Seed,
+		state:       StateQueued,
+		attempts:    r.Attempt,
+		execSeconds: r.Seconds,
+		ingress:     r.Ingress,
+		energy:      r.Energy,
+		cacheHit:    r.Flag,
+		done:        make(chan struct{}),
+	}
+	if r.Error != "" {
+		js.err = errors.New(r.Error)
+	}
+	m.jobs[js.id] = js
+	if js.key != "" {
+		m.idem[js.key] = js
+	}
+	m.counters.Admitted++
+	switch r.State {
+	case StateQueued, StateRunning:
+		js.ctx = context.Background()
+		m.queue = append(m.queue, js)
+		m.tenant(js.tenant).queued++
+		return
+	case StateDone:
+		m.counters.Completed++
+	case StateFailed:
+		m.counters.Failed++
+	case StateCanceled:
+		js.err = ErrClosed
+		m.counters.Canceled++
+	}
+	js.state = r.State
+	m.counters.RecoveredDone++
+	m.finish(js)
 }

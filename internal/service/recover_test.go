@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -45,11 +50,24 @@ func jobCatalog(jobs []workload.Job) func(app, graphName string, seed uint64) (w
 // TestServiceKillRecover is the crash-recovery headline: run a bursty
 // 3-tenant load against a journaling service, "kill -9" it at seeded journal
 // offsets (truncate the image mid-record, mid-magic, anywhere), recover a new
-// service from the surviving prefix, idempotently resubmit everything, and
-// require the exact same terminal states, the same per-job charges, stable
-// ids for every acknowledged job, and tenant budgets without a double charge
-// at any offset.
+// service from the surviving prefix, and idempotently resubmit every job the
+// service has not pruned. The recovered table holds only the jobs it had, in
+// the states and with the charges they had; every resubmitted job ends done
+// with its baseline charges, every acknowledged job keeps its id and dedups,
+// and tenant budgets carry no double charge at any offset. The whole case
+// never compacts, so every job is resubmitted. The compacted case serves its load
+// through a window of R = 3, so its journal has compacted four times and
+// opens with a snapshot that holds an unfinished job; its cuts fall inside
+// the snapshot and inside the tail after it.
 func TestServiceKillRecover(t *testing.T) {
+	t.Run("whole", func(t *testing.T) { killRecover(t, 32, 2, 8, 8, 0) })
+	t.Run("compacted", func(t *testing.T) { killRecover(t, 2, 1, 17, 2, 4) })
+}
+
+// killRecover runs n keyed jobs, burst at a time, through a service with the
+// given queue bound and workers whose journal compacts compactions times,
+// then crashes and recovers it at seeded cuts.
+func killRecover(t *testing.T, queue, workers, n, burst int, compactions uint64) {
 	cl := caseTwo(t)
 	jobs, err := workload.RandomJobs(8, 256, 81)
 	if err != nil {
@@ -68,13 +86,44 @@ func TestServiceKillRecover(t *testing.T) {
 			// No cache and no ingress charge: a job's charge is a pure function
 			// of (app, graph, seed, cluster), so re-executed work charges what
 			// the first execution did and budget comparisons are exact.
-			Workers:    2,
-			QueueBound: 32,
+			Workers:    workers,
+			QueueBound: queue,
 			Seed:       7,
 		}
 	}
 	keyOf := func(i int) string { return fmt.Sprintf("req-%d", i) }
 	tenantOf := func(i int) string { return tenants[i%len(tenants)].Name }
+	jobOf := func(i int) workload.Job { return jobs[i%len(jobs)] }
+	// runKeyed submits jobs idx, burst at a time, waits for each burst and
+	// returns each job's id and final status.
+	runKeyed := func(t *testing.T, svc *Service, idx []int) (map[int]int, map[int]JobStatus) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		ids, final := make(map[int]int), make(map[int]JobStatus)
+		for lo := 0; lo < len(idx); lo += burst {
+			chunk := idx[lo:min(lo+burst, len(idx))]
+			for _, i := range chunk {
+				id, err := svc.SubmitKey(ctx, tenantOf(i), keyOf(i), jobOf(i))
+				if err != nil {
+					t.Fatalf("job %d rejected: %v", i, err)
+				}
+				ids[i] = id
+			}
+			for _, i := range chunk {
+				st, err := svc.Wait(ctx, ids[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				final[i] = st
+			}
+		}
+		return ids, final
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 
 	// Baseline: run everything to completion, keep the journal image.
 	journal := NewMemJournal()
@@ -84,43 +133,69 @@ func TestServiceKillRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseID := make(map[string]int)
-	for i, job := range jobs {
-		id, err := svc.SubmitKey(context.Background(), tenantOf(i), keyOf(i), job)
-		if err != nil {
-			t.Fatalf("job %d rejected: %v", i, err)
-		}
-		baseID[keyOf(i)] = id
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	baseStatus := make(map[string]JobStatus)
-	for i := range jobs {
-		st, err := svc.Status(baseID[keyOf(i)])
-		if err != nil {
-			t.Fatal(err)
-		}
+	baseID, baseStatus := runKeyed(t, svc, all)
+	keyByID := make(map[int]int)
+	for i, st := range baseStatus {
 		if st.State != "done" {
 			t.Fatalf("baseline job %d state %s: %s", i, st.State, st.Error)
 		}
-		baseStatus[keyOf(i)] = st
+		keyByID[baseID[i]] = i
 	}
 	baseSpend := make(map[string][2]float64)
 	for _, u := range svc.Usage() {
 		baseSpend[u.Tenant.Name] = [2]float64{u.SpentSeconds, u.SpentJoules}
 	}
+	if c := svc.Counters().JournalCompactions; c != compactions {
+		t.Fatalf("baseline compacted %d times, want %d", c, compactions)
+	}
 	svc.Close()
 	img := journal.Bytes()
 
+	// What the full image says the client knew at the snapshot: every job
+	// with an id up to the base had been submitted, and all but the ones
+	// the snapshot holds unfinished had finished.
+	full, _, err := DecodeJournal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base uint64
+	snapEnd, tenantsEnd := len(journalMagic), len(journalMagic)
+	liveAtSnap := make(map[int]bool)
+	for i, r := range full {
+		if r.Kind != RecordSnapshot && r.Kind != RecordTenant && r.Kind != RecordJob {
+			break
+		}
+		snapEnd = len(EncodeJournal(full[:i+1]))
+		switch r.Kind {
+		case RecordSnapshot:
+			base = r.Seed
+		case RecordTenant:
+			tenantsEnd = snapEnd
+		case RecordJob:
+			if r.State == StateQueued || r.State == StateRunning {
+				liveAtSnap[r.ID] = true
+			}
+		}
+	}
+	if (compactions > 0) != (base > 0) || (compactions > 0) != (len(liveAtSnap) > 0) {
+		t.Fatalf("%d compactions, snapshot base %d holding %d unfinished jobs", compactions, base, len(liveAtSnap))
+	}
+
 	// Crash offsets: both edges plus seeded cuts everywhere in between —
 	// mid-magic, mid-frame, between a submit and its admit, between a
-	// complete and its budget charge. The invariants must hold at ALL of them.
+	// complete and its budget charge; in a compacted image, inside the
+	// snapshot and inside its tail. The invariants must hold at ALL of them.
 	offsets := []int{0, len(journalMagic) / 2, len(img) - 1, len(img)}
-	for i := uint64(0); i < 5; i++ {
-		offsets = append(offsets, int(rng.Hash3(81, 0x6b696c6c, i)%uint64(len(img))))
+	cutIn := func(lo, hi int, salt uint64, count int) {
+		for i := uint64(0); i < uint64(count); i++ {
+			offsets = append(offsets, lo+int(rng.Hash3(81, salt, i)%uint64(hi-lo)))
+		}
+	}
+	if base == 0 {
+		cutIn(0, len(img), 0x6b696c6c, 5)
+	} else {
+		cutIn(len(journalMagic), snapEnd, 0x736e6170, 4)
+		cutIn(snapEnd, len(img), 0x7461696c, 4)
 	}
 
 	for _, cut := range offsets {
@@ -128,8 +203,10 @@ func TestServiceKillRecover(t *testing.T) {
 			check := leakCheck(t)
 			j2, rec := NewMemJournalFrom(img[:cut])
 			// What the surviving prefix acknowledged: submits whose admit
-			// record also made it. Those ids must be stable across recovery.
+			// record also made it, and the jobs its snapshot holds. Those ids
+			// must be stable across recovery.
 			acked := make(map[string]int)
+			ackedID := make(map[int]bool)
 			subKeys := make(map[int]string)
 			for _, r := range rec.Records {
 				switch r.Kind {
@@ -137,46 +214,79 @@ func TestServiceKillRecover(t *testing.T) {
 					subKeys[int(r.Seq)] = r.Key
 				case RecordAdmit:
 					if k, ok := subKeys[r.ID]; ok {
-						acked[k] = r.ID
+						acked[k], ackedID[r.ID] = r.ID, true
 					}
+				case RecordJob:
+					acked[r.Key], ackedID[r.ID] = r.ID, true
 				}
 			}
 
 			cfg := baseCfg()
+			cfg.Resolve = resolve
+			// The recovered table, before any worker runs: every job it holds
+			// is the job it was, under its id, queued or done with the
+			// charges it had.
+			m := newMachine(mustNormalize(t, cfg))
+			m.restore(rec.Records, resolve)
+			for _, st := range m.list("", 0, 0) {
+				i, ok := keyByID[st.ID]
+				if want := baseStatus[i]; !ok || st.Key != keyOf(i) || st.Tenant != want.Tenant {
+					t.Fatalf("cut %d: recovered job %+v is not the baseline's job %d", cut, st, st.ID)
+				}
+				if st.State != "queued" && (st.State != "done" ||
+					st.ExecSeconds != baseStatus[i].ExecSeconds || st.EnergyJoules != baseStatus[i].EnergyJoules) {
+					t.Fatalf("cut %d: recovered job %+v, baseline %+v", cut, st, baseStatus[i])
+				}
+			}
+
 			cfg.Journal = j2
 			cfg.Recovery = rec
-			cfg.Resolve = resolve
 			svc2, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer check()
 			defer svc2.Close()
-
-			// The client's crash protocol: resubmit everything with the same
-			// idempotency keys. Survivors dedup, lost work re-admits — and
-			// nothing conflicts.
-			ids := make(map[string]int)
-			for i, job := range jobs {
-				id, err := svc2.SubmitKey(context.Background(), tenantOf(i), keyOf(i), job)
-				if err != nil {
-					t.Fatalf("resubmit %d after recovery: %v", i, err)
-				}
-				ids[keyOf(i)] = id
-			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			if err := svc2.Drain(ctx); err != nil {
 				t.Fatal(err)
 			}
 
-			for i := range jobs {
-				k := keyOf(i)
-				st, err := svc2.Status(ids[k])
-				if err != nil {
-					t.Fatal(err)
+			// The client's crash protocol: resubmit, with the same keys, every
+			// job except the ones the service has pruned — the acknowledged
+			// ones first, which dedup, then the lost ones, which re-admit.
+			// A pruned job finished at least R completions ago and is no
+			// longer listed: it was acknowledged and is gone, or its id is
+			// at most the snapshot's base and the snapshot did not hold it
+			// unfinished. Its key is free, so resubmitting it would run it
+			// twice. Without compaction nothing is pruned and every job is
+			// resubmitted.
+			listed := make(map[int]bool)
+			for _, st := range svc2.List("", 0, 0) {
+				listed[st.ID] = true
+			}
+			var ackedIdx, lostIdx []int
+			for i := range all {
+				id := baseID[i]
+				if !listed[id] && (ackedID[id] || uint64(id) <= base && !liveAtSnap[id]) {
+					continue
 				}
-				want := baseStatus[k]
+				if _, ok := acked[keyOf(i)]; ok {
+					ackedIdx = append(ackedIdx, i)
+				} else {
+					lostIdx = append(lostIdx, i)
+				}
+			}
+			if base == 0 && len(ackedIdx)+len(lostIdx) != n {
+				t.Fatalf("cut %d: %d of %d jobs resubmitted from an uncompacted journal", cut, len(ackedIdx)+len(lostIdx), n)
+			}
+			ids, final := runKeyed(t, svc2, ackedIdx)
+			lostIDs, lostFinal := runKeyed(t, svc2, lostIdx)
+			maps.Copy(ids, lostIDs)
+			maps.Copy(final, lostFinal)
+			for i, st := range final {
+				k, want := keyOf(i), baseStatus[i]
 				if st.State != "done" {
 					t.Fatalf("cut %d job %s: state %s: %s", cut, k, st.State, st.Error)
 				}
@@ -187,27 +297,31 @@ func TestServiceKillRecover(t *testing.T) {
 					t.Fatalf("cut %d job %s: charges %g/%g, want %g/%g",
 						cut, k, st.ExecSeconds, st.EnergyJoules, want.ExecSeconds, want.EnergyJoules)
 				}
-				if id, ok := acked[k]; ok && ids[k] != id {
-					t.Fatalf("cut %d job %s: acknowledged id %d changed to %d", cut, k, id, ids[k])
+				if id, ok := acked[k]; ok && ids[i] != id {
+					t.Fatalf("cut %d job %s: acknowledged id %d changed to %d", cut, k, id, ids[i])
 				}
 			}
 			// Tenant budgets: recovered charges plus re-executed charges must
 			// equal the baseline spend exactly once per job — a double charge
 			// (complete record AND derived charge AND live re-charge) would
-			// show up here at the offsets that split record pairs.
+			// show up here at the offsets that split record pairs. A cut
+			// through a snapshot's tenant frames, which a whole-file rename
+			// never leaves, loses spend; there no tenant may be over-charged.
 			for _, u := range svc2.Usage() {
 				want, ok := baseSpend[u.Tenant.Name]
 				if !ok {
 					continue
 				}
-				if !floatsClose(u.SpentSeconds, want[0]) || !floatsClose(u.SpentJoules, want[1]) {
+				exact := floatsClose(u.SpentSeconds, want[0]) && floatsClose(u.SpentJoules, want[1])
+				under := u.SpentSeconds <= want[0]*(1+1e-9) && u.SpentJoules <= want[1]*(1+1e-9)
+				if !exact && (cut >= tenantsEnd || !under) {
 					t.Fatalf("cut %d tenant %s: spend %g/%g, want %g/%g",
 						cut, u.Tenant.Name, u.SpentSeconds, u.SpentJoules, want[0], want[1])
 				}
 			}
 			c := svc2.Counters()
-			if got := int(c.Deduped); got != len(acked) {
-				t.Fatalf("cut %d: deduped %d, want %d (one per acknowledged job)", cut, got, len(acked))
+			if got := int(c.Deduped); got != len(ackedIdx) {
+				t.Fatalf("cut %d: deduped %d, want %d (one per acknowledged job resubmitted)", cut, got, len(ackedIdx))
 			}
 			// The journal left behind must itself recover cleanly.
 			if _, _, err := DecodeJournal(j2.Bytes()); err != nil {
@@ -566,5 +680,344 @@ func TestServiceRecoverUnresolvable(t *testing.T) {
 	m3.restore(rec3.Records, nil)
 	if len(m3.jobs) != 0 || m3.counters.Admitted != 0 {
 		t.Fatalf("unacknowledged submit admitted: %d jobs", len(m3.jobs))
+	}
+}
+
+// TestServiceRecoverBreaker pins breaker recovery: a restart restores each
+// tenant's circuit breaker from the journal instead of closing it. A tail of
+// threshold failures restores an open breaker that rejects for a full
+// cooldown on the new clock and then admits a half-open probe; a completion
+// after the failures restores a closed one. A snapshot restores the same
+// breaker, failure count and jobs as the records it replaces, and a service
+// with the breaker disabled restores none of it.
+func TestServiceRecoverBreaker(t *testing.T) {
+	cfg := Config{Cluster: caseTwo(t), BreakerThreshold: 2, BreakerCooldown: 5, QueueBound: 10}
+	live := cfg
+	journal := NewMemJournal()
+	live.Journal = journal
+	m := newMachine(mustNormalize(t, live))
+	run := func(now float64, ok bool) {
+		t.Helper()
+		js, _, err := m.submit(now, "t", "", workload.Job{}, nil, 0)
+		if err != nil {
+			t.Fatalf("submit at %g: %v", now, err)
+		}
+		if d, _ := m.dispatch(now); d != js {
+			t.Fatalf("dispatch at %g returned %v", now, d)
+		}
+		if ok {
+			m.complete(now, js, &workload.JobResult{Exec: &engine.Result{SimSeconds: 1, EnergyJoules: 2}})
+		} else {
+			m.fail(now, js, errors.New("boom"), false)
+		}
+	}
+	restore := func(cfg Config, recs []Record) *machine {
+		t.Helper()
+		r := newMachine(mustNormalize(t, cfg))
+		r.restore(recs, nil)
+		return r
+	}
+	// snapshot is the image a compaction of m would write, holding every job.
+	snapshot := func() []Record {
+		t.Helper()
+		recs, _, err := DecodeJournal(journal.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := m.appendSnapshot(appendSnapshotHead(nil, lastSeq(recs)), 0)
+		snap, _, err := DecodeJournal(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	// check restores the journal as it stands and as a snapshot, and
+	// requires the breaker state and consecutive failures given.
+	check := func(name string, breaker, fails int) *machine {
+		t.Helper()
+		recs, _, err := DecodeJournal(journal.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromRecs, fromSnap := restore(cfg, recs), restore(cfg, snapshot())
+		for _, r := range []*machine{fromRecs, fromSnap} {
+			if ts := r.tenant("t"); ts.breaker != breaker || ts.consecFails != fails || ts.openedAt != 0 {
+				t.Fatalf("%s: restored breaker %d after %d failures (opened at %g), want %d after %d",
+					name, ts.breaker, ts.consecFails, ts.openedAt, breaker, fails)
+			}
+		}
+		if a, b := fromRecs.list("", 0, 0), fromSnap.list("", 0, 0); !sameJobs(a, b) {
+			t.Fatalf("%s: snapshot restores jobs\n%+v\nrecords restore\n%+v", name, b, a)
+		}
+		if a, b := fromRecs.usage(), fromSnap.usage(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: snapshot restores tenants %+v, records %+v", name, b, a)
+		}
+		off := cfg
+		off.BreakerThreshold = 0
+		for _, r := range []*machine{restore(off, recs), restore(off, snapshot())} {
+			if ts := r.tenant("t"); ts.breaker != breakerClosed || ts.consecFails != 0 {
+				t.Fatalf("%s: breaker disabled, yet restored state %d after %d failures", name, ts.breaker, ts.consecFails)
+			}
+		}
+		return fromRecs
+	}
+
+	run(0, true)
+	run(1, false)
+	check("one failure", breakerClosed, 1)
+
+	run(2, false) // the threshold: trips
+	r := check("tripped", breakerOpen, 2)
+	for _, now := range []float64{0, 4.9} {
+		if _, _, err := r.submit(now, "t", "", workload.Job{}, nil, 0); !errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("restored open breaker admitted at %g: %v", now, err)
+		}
+	}
+	if _, _, err := r.submit(5, "t", "", workload.Job{}, nil, 0); err != nil {
+		t.Fatalf("restored breaker rejected its half-open probe after the cooldown: %v", err)
+	}
+	if ts := r.tenant("t"); ts.breaker != breakerHalfOpen {
+		t.Fatalf("restored breaker state %d after its cooldown, want half-open", ts.breaker)
+	}
+
+	run(8, false) // a failed probe re-opens
+	check("failed probe", breakerOpen, 3)
+
+	run(14, true) // a successful probe closes
+	r = check("closed", breakerClosed, 0)
+	if _, _, err := r.submit(0, "t", "", workload.Job{}, nil, 0); err != nil {
+		t.Fatalf("restored closed breaker rejected: %v", err)
+	}
+}
+
+// compactingFileService runs a journaling service with a window of R = 3 on a
+// FileJournal at path, with onStep hooked into its compactions. It returns
+// the service and a submit function that runs job i (key req-i, tenant gold
+// or bronze) to its end, closed loop, so no job is in flight between calls.
+func compactingFileService(t *testing.T, path string, onStep func(svc *Service, step string) error) (*Service, func(i int)) {
+	t.Helper()
+	cl := caseTwo(t)
+	jobs, err := workload.RandomJobs(4, 256, 131)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj, _, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fj.Close() })
+	svc, err := New(Config{Cluster: cl, QueueBound: 2, Workers: 1, Journal: fj, Resolve: jobCatalog(jobs),
+		Tenants: []Tenant{{Name: "gold", Priority: 1}, {Name: "bronze"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj.onStep = func(step string) error { return onStep(svc, step) }
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return svc, func(i int) {
+		t.Helper()
+		id, err := svc.SubmitKey(ctx, []string{"gold", "bronze"}[i%2], fmt.Sprintf("req-%d", i), jobs[i%len(jobs)])
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if st, err := svc.Wait(ctx, id); err != nil || st.State != "done" {
+			t.Fatalf("job %d: %+v %v", i, st, err)
+		}
+	}
+}
+
+// sameJobs compares two job tables, ignoring queue waits (recovery does not
+// journal them).
+func sameJobs(a, b []JobStatus) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		x.QueueWaitSeconds, y.QueueWaitSeconds = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// TestServiceFileJournalCompactionCrash crashes a journaling service at each
+// step of its second compaction — at seeded offsets of the snapshot's
+// temporary file, after its fsync, and after its rename — by capturing the
+// files such a crash would leave. Every capture must reopen without the
+// temporary file and recover either the state before the compaction or the
+// state after it, with bit-identical tenant spend; the restarted service must
+// list the post-compaction jobs under their ids, and resubmitting every
+// listed job's key must dedup without charging anyone again.
+func TestServiceFileJournalCompactionCrash(t *testing.T) {
+	type capture struct {
+		name           string
+		journal, tmp   []byte
+		hasTmp, isPost bool
+	}
+	var (
+		captures []capture
+		pre      []JobStatus
+		spend    []TenantUsage
+	)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.journal")
+	svc, run := compactingFileService(t, path, func(svc *Service, step string) error {
+		if svc.m.counters.JournalCompactions != 1 {
+			return nil
+		}
+		old, err := os.ReadFile(path)
+		if err != nil {
+			t.Error(err)
+		}
+		tmp, _ := os.ReadFile(path + compactSuffix)
+		switch step {
+		case "written":
+			pre, spend = svc.m.list("", 0, 0), svc.m.usage()
+			for i := uint64(0); i < 4; i++ {
+				cut := int(rng.Hash3(131, 0x636d7074, i) % uint64(len(tmp)))
+				captures = append(captures, capture{fmt.Sprintf("written-%d", cut), old, tmp[:cut], true, false})
+			}
+		case "synced":
+			captures = append(captures, capture{"synced", old, tmp, true, false})
+		case "renamed":
+			captures = append(captures, capture{"renamed", old, nil, false, true})
+		}
+		return nil
+	})
+	// Compactions after the 6th and 9th job; stop right after the second.
+	for i := 0; i < 9; i++ {
+		run(i)
+	}
+	if c := svc.Counters(); c.JournalCompactions != 2 || len(captures) != 6 {
+		t.Fatalf("%d compactions, %d captures", c.JournalCompactions, len(captures))
+	}
+	post := svc.List("", 0, 0)
+	svc.Close()
+	if len(pre) != 6 || len(post) != 3 {
+		t.Fatalf("%d jobs before the second compaction, %d after; want 6 and 3", len(pre), len(post))
+	}
+
+	jobs, err := workload.RandomJobs(4, 256, 131)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range captures {
+		t.Run(c.name, func(t *testing.T) {
+			cpath := filepath.Join(t.TempDir(), "jobs.journal")
+			if err := os.WriteFile(cpath, c.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c.hasTmp {
+				if err := os.WriteFile(cpath+compactSuffix, c.tmp, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fj, rec, err := OpenFileJournal(cpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fj.Close()
+			if _, err := os.Stat(cpath + compactSuffix); !os.IsNotExist(err) {
+				t.Fatalf("temporary snapshot survived the reopen: %v", err)
+			}
+			if rec.Err != nil {
+				t.Fatalf("recovery: %v", rec.Err)
+			}
+			cfg := Config{Cluster: caseTwo(t), QueueBound: 2, Workers: 1, Journal: fj, Recovery: rec,
+				Resolve: jobCatalog(jobs), Tenants: []Tenant{{Name: "gold", Priority: 1}, {Name: "bronze"}}}
+
+			// The journal itself holds the state before or after compacting.
+			m := newMachine(mustNormalize(t, cfg))
+			m.restore(rec.Records, cfg.Resolve)
+			want := pre
+			if c.isPost {
+				want = post
+			}
+			if got := m.list("", 0, 0); !sameJobs(got, want) {
+				t.Fatalf("recovered jobs:\n%+v\nwant\n%+v", got, want)
+			}
+			if got := m.usage(); !reflect.DeepEqual(got, spend) {
+				t.Fatalf("recovered spend %+v, want %+v", got, spend)
+			}
+
+			check := leakCheck(t)
+			svc2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer check()
+			defer svc2.Close()
+			if got := svc2.List("", 0, 0); !sameJobs(got, post) {
+				t.Fatalf("restarted service lists\n%+v\nwant\n%+v", got, post)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			for _, st := range post {
+				var i int
+				fmt.Sscanf(st.Key, "req-%d", &i)
+				if id, err := svc2.SubmitKey(ctx, st.Tenant, st.Key, jobs[i%len(jobs)]); err != nil || id != st.ID {
+					t.Fatalf("resubmitting %s: id %d, err %v; want %d", st.Key, id, err, st.ID)
+				}
+			}
+			if err := svc2.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := svc2.Usage(); !reflect.DeepEqual(got, spend) {
+				t.Fatalf("spend after resubmission %+v, want %+v", got, spend)
+			}
+			if c := svc2.Counters(); c.Deduped != uint64(len(post)) || c.Admitted != uint64(len(want)) {
+				t.Fatalf("counters after resubmission: %+v", c)
+			}
+		})
+	}
+}
+
+// TestServiceCompactionFailure pins the failed-compaction contract: a
+// snapshot that cannot be made durable leaves the old journal intact and the
+// job table unpruned, removes its temporary file, and degrades the service
+// like any failed journal write.
+func TestServiceCompactionFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	var before []byte
+	svc, run := compactingFileService(t, path, func(_ *Service, step string) error {
+		if step != "synced" {
+			return nil
+		}
+		var err error
+		before, err = os.ReadFile(path)
+		if err != nil {
+			t.Error(err)
+		}
+		return errors.New("injected snapshot fsync failure")
+	})
+	defer svc.Close()
+	for i := 0; i < 6; i++ {
+		run(i)
+	}
+	if deg, err := svc.Degraded(); !deg || err == nil {
+		t.Fatalf("Degraded() = %v, %v after a failed compaction", deg, err)
+	}
+	if c := svc.Counters(); c.JournalCompactions != 0 || c.JournalErrors != 1 || c.TombstonesPruned != 0 {
+		t.Fatalf("counters: %+v", c)
+	}
+	if list := svc.List("", 0, 0); len(list) != 6 {
+		t.Fatalf("%d jobs listed after a failed compaction, want all 6", len(list))
+	}
+	if after, err := os.ReadFile(path); err != nil || before == nil || !bytes.Equal(after, before) {
+		t.Fatalf("journal changed by a failed compaction (err %v)", err)
+	}
+	if _, err := os.Stat(path + compactSuffix); !os.IsNotExist(err) {
+		t.Fatalf("failed compaction left its temporary file: %v", err)
+	}
+	recs, _, err := DecodeJournal(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(mustNormalize(t, Config{Cluster: caseTwo(t)}))
+	m.restore(recs, nil)
+	if got := m.list("", 0, 0); !sameJobs(got, svc.List("", 0, 0)) {
+		t.Fatalf("intact journal recovers\n%+v\nwant\n%+v", got, svc.List("", 0, 0))
 	}
 }

@@ -159,7 +159,7 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 	}
 
 	rep.Counters = m.counters
-	rep.Jobs = m.list("")
+	rep.Jobs = m.list("", 0, 0)
 	rep.Tenants = m.usage()
 	rep.QueueWaitP50 = percentile(waits, 0.50)
 	rep.QueueWaitP99 = percentile(waits, 0.99)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"proxygraph/internal/apps"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
+	"proxygraph/internal/trace"
 	"proxygraph/internal/workload"
 )
 
@@ -79,7 +81,7 @@ func TestServiceResultWindow(t *testing.T) {
 	if st, err := svc.Wait(ctx, ids[0]); err != nil || st != done[0] {
 		t.Fatalf("expired job's wait %+v %v, want %+v", st, err, done[0])
 	}
-	if list := svc.List("t"); len(list) != len(ids) || list[0] != done[0] {
+	if list := svc.List("t", 0, 0); len(list) != len(ids) || list[0] != done[0] {
 		t.Fatalf("list %+v, want first row %+v", list, done[0])
 	}
 	if id, err := svc.SubmitKey(ctx, "t", keyOf(0), jobOf(0)); err != nil || id != ids[0] {
@@ -139,22 +141,28 @@ func submitCollectable(t *testing.T, svc *Service, released chan struct{}) int {
 }
 
 // TestServiceMemoryPlateau pins bounded memory for a long-running service:
-// past the result window, a finished job costs its tombstone and its journal
-// records, not its output. A job's output on this graph is at least 16 KiB;
-// the budget is 2 KiB per job.
+// past the result window, a finished job costs nothing that stays. A job's
+// output on this graph is at least 16 KiB; the live heap may grow by 128 B
+// per job over jobs 500..2000, and the journal image after 2,000 jobs may be
+// no larger than the image after 500 plus one window's records.
 func TestServiceMemoryPlateau(t *testing.T) {
 	const (
-		jobs     = 2000
-		mark     = 500
-		perJobKB = 2
+		jobs      = 2000
+		mark      = 500
+		perJobB   = 128
+		queue     = 64
+		workers   = 2
+		windowLen = queue + workers
 	)
 	g := powerLawGraph(t, 4096, 13)
 	check := leakCheck(t)
+	journal := NewMemJournal()
 	svc, err := New(Config{
-		Cluster: caseTwo(t),
-		Cache:   workload.NewPlacementCache(),
-		Workers: 2,
-		Journal: NewMemJournal(),
+		Cluster:    caseTwo(t),
+		Cache:      workload.NewPlacementCache(),
+		QueueBound: queue,
+		Workers:    workers,
+		Journal:    journal,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +174,7 @@ func TestServiceMemoryPlateau(t *testing.T) {
 		{App: apps.NewConnectedComponents(), Graph: g, Seed: 1},
 	}
 	var base uint64
+	var batchBytes, markBytes int
 	ids := make([]int, len(work))
 	for n := 0; n < jobs; n += len(work) {
 		for i, job := range work {
@@ -178,17 +187,180 @@ func TestServiceMemoryPlateau(t *testing.T) {
 				t.Fatalf("job %d: %+v %v", n+i, st, err)
 			}
 		}
-		if n+len(work) == mark {
+		switch n + len(work) {
+		case len(work):
+			batchBytes = len(journal.Bytes()) - len(journalMagic)
+		case mark:
 			base = liveHeap()
+			markBytes = len(journal.Bytes())
 		}
 	}
 	perJob := (float64(liveHeap()) - float64(base)) / (jobs - mark)
 	t.Logf("live heap grew %.0f B per job over jobs %d..%d", perJob, mark, jobs)
-	if perJob > perJobKB<<10 {
-		t.Errorf("live heap grew %.0f B per job over jobs %d..%d, budget %d B", perJob, mark, jobs, perJobKB<<10)
+	if perJob > perJobB {
+		t.Errorf("live heap grew %.0f B per job over jobs %d..%d, budget %d B", perJob, mark, jobs, perJobB)
+	}
+	endBytes, window := len(journal.Bytes()), windowLen*batchBytes/len(work)
+	t.Logf("journal image %d B after job %d, %d B after job %d; one window's records are %d B", markBytes, mark, endBytes, jobs, window)
+	if endBytes > markBytes+window {
+		t.Errorf("journal image grew from %d B after job %d to %d B after job %d, more than one window's %d B", markBytes, mark, endBytes, jobs, window)
+	}
+	if c := svc.Counters(); c.JournalCompactions == 0 || c.TombstonesPruned == 0 {
+		t.Errorf("no compaction in %d jobs: %+v", jobs, c)
 	}
 	svc.Close()
 	check()
+}
+
+// TestServiceCompaction pins the compaction rule on a live service with a
+// window of R = QueueBound+Workers = 3. Each time R finished jobs have left
+// the window, the journal becomes a snapshot and those jobs, with their
+// idempotency keys, leave the job table; what is left recovers to the same
+// table and spend. A service without a journal prunes on the same trigger.
+// Compaction adds no trace event: the journal events are one per append.
+func TestServiceCompaction(t *testing.T) {
+	const window = 2 + 1
+	g := powerLawGraph(t, 256, 5)
+	jobOf := func(i int) workload.Job {
+		if i%2 == 0 {
+			return workload.Job{App: apps.NewBFS(), Graph: g, Seed: uint64(i)}
+		}
+		return workload.Job{App: apps.NewConnectedComponents(), Graph: g, Seed: uint64(i)}
+	}
+	keyOf := func(i int) string { return fmt.Sprintf("req-%d", i) }
+	for _, journaled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("journal=%v", journaled), func(t *testing.T) {
+			check := leakCheck(t)
+			journal := NewMemJournal()
+			events := trace.NewRecorder()
+			cfg := Config{Cluster: caseTwo(t), QueueBound: 2, Workers: 1, Trace: events}
+			if journaled {
+				cfg.Journal = journal
+			}
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer check()
+			defer svc.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+
+			// 4R jobs one at a time: compactions at the 2R-th, 3R-th and
+			// 4R-th completion, each pruning the R oldest.
+			ids := make([]int, 4*window)
+			for i := range ids {
+				if ids[i], err = svc.SubmitKey(ctx, "t", keyOf(i), jobOf(i)); err != nil {
+					t.Fatal(err)
+				}
+				if st, err := svc.Wait(ctx, ids[i]); err != nil || st.State != "done" {
+					t.Fatalf("job %d: %+v %v", i, st, err)
+				}
+			}
+			c := svc.Counters()
+			wantCompactions := uint64(0)
+			if journaled {
+				wantCompactions = 3
+			}
+			if c.JournalCompactions != wantCompactions || c.TombstonesPruned != 3*window {
+				t.Fatalf("counters: %+v; want %d compactions, %d pruned", c, wantCompactions, 3*window)
+			}
+			list := svc.List("", 0, 0)
+			if len(list) != window || list[0].ID != ids[3*window] {
+				t.Fatalf("job table after compaction: %+v, want jobs %v", list, ids[3*window:])
+			}
+			if _, err := svc.Status(ids[0]); !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("pruned job's status: %v, want ErrUnknownJob", err)
+			}
+			journalEvents := 0
+			for _, e := range events.Events {
+				if e.Kind == trace.KindJournal {
+					journalEvents++
+				}
+			}
+			if journalEvents != int(c.JournalAppends) {
+				t.Fatalf("%d journal events for %d appends", journalEvents, c.JournalAppends)
+			}
+
+			if journaled {
+				rcfg := cfg
+				rcfg.Trace = nil
+				rcfg.Journal, rcfg.Recovery = NewMemJournalFrom(journal.Bytes())
+				recovered, err := New(rcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := recovered.List("", 0, 0)
+				for i := range got {
+					got[i].QueueWaitSeconds = list[i].QueueWaitSeconds
+				}
+				if !reflect.DeepEqual(got, list) {
+					t.Fatalf("recovered job table:\n%+v\nwant\n%+v", got, list)
+				}
+				if !reflect.DeepEqual(recovered.Usage(), svc.Usage()) {
+					t.Fatalf("recovered spend %+v, want %+v", recovered.Usage(), svc.Usage())
+				}
+				recovered.Close()
+			}
+
+			// A listed job's key still dedups; a pruned job's key has lapsed.
+			last := len(ids) - 1
+			if id, err := svc.SubmitKey(ctx, "t", keyOf(last), jobOf(last)); err != nil || id != ids[last] {
+				t.Fatalf("listed job's key: id %d, err %v; want %d", id, err, ids[last])
+			}
+			if id, err := svc.SubmitKey(ctx, "t", keyOf(0), jobOf(0)); err != nil || id <= ids[last] {
+				t.Fatalf("pruned job's key: id %d, err %v; want a new job", id, err)
+			}
+		})
+	}
+}
+
+// TestServiceListPages pages a 2,500-job table: every job appears exactly
+// once, in ascending id order, and a page never exceeds MaxListPage.
+func TestServiceListPages(t *testing.T) {
+	const jobs = 2500
+	m := newMachine(Config{QueueBound: jobs, TenantQueueBound: jobs, Workers: 1})
+	for i := 0; i < jobs; i++ {
+		if _, _, err := m.submit(0, []string{"a", "b"}[i%2], "", workload.Job{}, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := &Service{m: m}
+	for _, tc := range []struct {
+		tenant     string
+		limit, max int
+		want       int
+	}{
+		{"", 0, MaxListPage, jobs},
+		{"", 2 * MaxListPage, MaxListPage, jobs},
+		{"a", 333, 333, jobs / 2},
+	} {
+		var got []int
+		for after := 0; ; {
+			page := svc.List(tc.tenant, after, tc.limit)
+			if len(page) > tc.max {
+				t.Fatalf("%+v: page of %d", tc, len(page))
+			}
+			if len(page) == 0 {
+				break
+			}
+			for _, st := range page {
+				if st.ID <= after || tc.tenant != "" && st.Tenant != tc.tenant {
+					t.Fatalf("%+v: job %d (%s) on the page after %d", tc, st.ID, st.Tenant, after)
+				}
+				got = append(got, st.ID)
+				after = st.ID
+			}
+		}
+		if len(got) != tc.want {
+			t.Fatalf("%+v: paged %d jobs, want %d", tc, len(got), tc.want)
+		}
+		for i, id := range got {
+			if want := i + 1; tc.tenant == "" && id != want || tc.tenant == "a" && id != 2*i+1 {
+				t.Fatalf("%+v: job %d of the pages is id %d", tc, i, id)
+			}
+		}
+	}
 }
 
 // liveHeap is the heap in use after a full collection.

@@ -199,6 +199,7 @@ func New(cfg Config) (*Service, error) {
 		s.m.restore(cfg.Recovery.Records, cfg.Resolve)
 		s.m.emit(trace.Event{Kind: trace.KindJournal, Machine: -1,
 			Step: len(cfg.Recovery.Records), Label: "recover"})
+		s.m.compact()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -234,6 +235,7 @@ func (s *Service) SubmitKey(ctx context.Context, tenant, key string, job workloa
 		return 0, ErrClosed
 	}
 	js, dup, err := s.m.submit(s.now(), tenant, key, job, ctx, 0)
+	s.m.compact() // admission may have shed a queued job
 	if err != nil {
 		return 0, err
 	}
@@ -277,6 +279,7 @@ func (s *Service) worker() {
 					s.wakeAfter(js.readyAt - s.now())
 				}
 			}
+			s.m.compact()
 			s.cond.Broadcast()
 			continue
 		}
@@ -331,7 +334,8 @@ func (s *Service) Status(id int) (JobStatus, error) {
 // Result returns a completed job's engine result (nil until StateDone). The
 // service holds the results of its last QueueBound+Workers completions only:
 // for an older done job, and for one recovered from the journal, Result
-// returns ErrResultExpired while Status keeps reporting the job's charges.
+// returns ErrResultExpired while Status keeps reporting the job's charges —
+// until compaction prunes the job and both report ErrUnknownJob.
 func (s *Service) Result(id int) (*engine.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,11 +368,21 @@ func (s *Service) Wait(ctx context.Context, id int) (JobStatus, error) {
 	return s.m.status(js), nil
 }
 
-// List snapshots every job (or one tenant's), ordered by id.
-func (s *Service) List(tenant string) []JobStatus {
+// MaxListPage caps a List page, and is the page size when limit is not
+// positive.
+const MaxListPage = 1000
+
+// List snapshots one page of the job table (or of one tenant's jobs): the
+// jobs with ids above after, in ascending id order, at most limit of them —
+// MaxListPage when limit is not positive or exceeds it. A client pages by
+// passing the last id it got as the next after.
+func (s *Service) List(tenant string, after, limit int) []JobStatus {
+	if limit <= 0 || limit > MaxListPage {
+		limit = MaxListPage
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.m.list(tenant)
+	return s.m.list(tenant, after, limit)
 }
 
 // Counters snapshots the control-plane counters.

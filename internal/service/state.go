@@ -20,7 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"proxygraph/internal/engine"
@@ -44,7 +46,8 @@ var (
 	ErrBudgetExhausted = errors.New("service: tenant budget exhausted")
 	// ErrClosed rejects submissions to a closed service.
 	ErrClosed = errors.New("service: closed")
-	// ErrUnknownJob reports a Status/Wait lookup for an id never issued.
+	// ErrUnknownJob reports a Status/Wait lookup for an id never issued, or
+	// for a finished job compaction has pruned from the job table.
 	ErrUnknownJob = errors.New("service: unknown job id")
 	// ErrResultExpired reports a Result lookup for a done job whose output
 	// the service no longer holds: it left the window of the last
@@ -136,7 +139,12 @@ type Counters struct {
 	Deduped, RejectedDegraded uint64
 	// JournalAppends counts records made durable; JournalErrors failed writes
 	// (the first one flips degraded mode, so this is effectively 0 or 1).
+	// A compaction's snapshot frames are not appends.
 	JournalAppends, JournalErrors uint64
+	// JournalCompactions counts the journal's snapshot-and-truncate
+	// replacements; TombstonesPruned the terminal jobs dropped from the job
+	// table after one (or, without a journal, on the same trigger).
+	JournalCompactions, TombstonesPruned uint64
 	// RecoveredDone and RecoveredRequeued count jobs rebuilt from the journal
 	// at startup: already-terminal ones and in-flight ones re-enqueued.
 	RecoveredDone, RecoveredRequeued uint64
@@ -234,6 +242,11 @@ type machine struct {
 	// a ring whose next write goes to results[nextResult].
 	results    []*jobState
 	nextResult int
+	// retired lists the terminal jobs still in the job table in the order
+	// they finished; compact prunes its oldest.
+	retired []*jobState
+	// snap is compact's reusable buffer for the snapshot's frames.
+	snap []byte
 	// idem maps idempotency keys to their job: a resubmission with a known
 	// key returns the existing job instead of double-executing it.
 	idem map[string]*jobState
@@ -535,13 +548,119 @@ func (m *machine) removeQueued(js *jobState) {
 // finish closes the job's completion channel (idempotently safe because it is
 // only called once per terminal transition) and drops the workload and the
 // submitter's context, so the job table pins neither the submitted graph nor
-// anything the context carries.
+// anything the context carries. The job joins the retired list.
 func (m *machine) finish(js *jobState) {
 	js.job = workload.Job{}
 	js.ctx = nil
 	if js.done != nil {
 		close(js.done)
 	}
+	m.retired = append(m.retired, js)
+}
+
+// compact bounds the job table and the journal. A terminal job is stale once
+// it has left the window: R = QueueBound+Workers jobs finished after it, and
+// it holds no result. When R jobs are stale, the journal is replaced by a
+// snapshot of everything else (the tenants and every job still held) and
+// only then do the stale jobs and their idempotency keys leave the table.
+// Without a journal the stale jobs are pruned on the same trigger. A failed
+// snapshot leaves the old journal intact and degrades the service like any
+// failed write; a journal that cannot compact keeps every job. Only the live
+// service calls compact: a replay reports every job it admitted.
+func (m *machine) compact() {
+	r := len(m.results)
+	cut := len(m.retired) - r
+	if cut < r {
+		return
+	}
+	stale := 0
+	for i := range cut {
+		if m.stale(i, cut) {
+			stale++
+		}
+	}
+	if stale < r {
+		return
+	}
+	if m.cfg.Journal != nil {
+		c, ok := m.cfg.Journal.(compactor)
+		if !ok || m.degraded {
+			return
+		}
+		m.snap = m.appendSnapshot(m.snap[:0], cut)
+		if err := c.compact(m.snap); err != nil {
+			m.degrade(err)
+			return
+		}
+		m.counters.JournalCompactions++
+	}
+	kept := m.retired[:0]
+	for i, js := range m.retired {
+		if !m.stale(i, cut) {
+			kept = append(kept, js)
+			continue
+		}
+		delete(m.jobs, js.id)
+		if js.key != "" && m.idem[js.key] == js {
+			delete(m.idem, js.key)
+		}
+		m.counters.TombstonesPruned++
+	}
+	clear(m.retired[len(kept):])
+	m.retired = kept
+}
+
+// stale reports whether retired[i] has left the window, for a compaction
+// whose cut leaves R jobs finished after it: it is older than the cut and
+// holds no result.
+func (m *machine) stale(i, cut int) bool { return i < cut && m.retired[i].result == nil }
+
+// appendSnapshot appends the snapshot body for a compaction that prunes the
+// stale jobs among retired[:cut]: one RecordTenant per tenant, by name, then
+// one RecordJob per job kept — the queued and running ones by id, then the
+// terminal ones in the order they finished, so a restore rebuilds the
+// retired list. Spend and unfinished work come first: a snapshot is only
+// ever written whole, but were one torn, it would lose tombstones first.
+func (m *machine) appendSnapshot(dst []byte, cut int) []byte {
+	for _, name := range slices.Sorted(maps.Keys(m.tenants)) {
+		ts := m.tenants[name]
+		dst = appendFrame(dst, Record{
+			Kind: RecordTenant, Tenant: name,
+			Seconds: ts.spentSeconds, Energy: ts.spentJoules,
+			Attempt: ts.consecFails, Flag: ts.breaker != breakerClosed,
+		})
+	}
+	live := make([]*jobState, 0, max(len(m.jobs)-len(m.retired), 0))
+	for _, js := range m.jobs {
+		if !js.terminal() {
+			live = append(live, js)
+		}
+	}
+	slices.SortFunc(live, func(a, b *jobState) int { return a.id - b.id })
+	for _, js := range live {
+		dst = appendFrame(dst, jobRecord(js))
+	}
+	for i, js := range m.retired {
+		if !m.stale(i, cut) {
+			dst = appendFrame(dst, jobRecord(js))
+		}
+	}
+	return dst
+}
+
+// jobRecord is a job's RecordJob: everything status() and a restore need.
+func jobRecord(js *jobState) Record {
+	r := Record{
+		Kind: RecordJob, ID: js.id, State: js.state, Attempt: js.attempts,
+		Priority: js.priority, Tenant: js.tenant, App: js.appName,
+		Graph: js.graphName, Key: js.key, Seed: js.seed, Fingerprint: js.fp,
+		Seconds: js.execSeconds, Ingress: js.ingress, Energy: js.energy,
+		Flag: js.cacheHit,
+	}
+	if js.err != nil {
+		r.Error = js.err.Error()
+	}
+	return r
 }
 
 // dispatch selects the next runnable job at clock value now: the
@@ -757,16 +876,23 @@ func (m *machine) status(js *jobState) JobStatus {
 	return st
 }
 
-// list snapshots every job (optionally one tenant's), sorted by id.
-func (m *machine) list(tenant string) []JobStatus {
-	out := make([]JobStatus, 0, len(m.jobs))
+// list snapshots the jobs (optionally one tenant's) with ids above after,
+// ascending: the first limit of them, or all when limit is not positive.
+func (m *machine) list(tenant string, after, limit int) []JobStatus {
+	page := make([]*jobState, 0, len(m.jobs))
 	for _, js := range m.jobs {
-		if tenant != "" && js.tenant != tenant {
-			continue
+		if js.id > after && (tenant == "" || js.tenant == tenant) {
+			page = append(page, js)
 		}
-		out = append(out, m.status(js))
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(page, func(a, b *jobState) int { return a.id - b.id })
+	if limit > 0 && limit < len(page) {
+		page = page[:limit]
+	}
+	out := make([]JobStatus, len(page))
+	for i, js := range page {
+		out[i] = m.status(js)
+	}
 	return out
 }
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Crash-restart smoke for the durable control plane: build cmd/serve, run it
-# with a write-ahead journal, submit a keyed job over HTTP, kill -9 the
-# process, restart it against the same journal, and verify that the old
-# status URL still resolves, idempotent resubmission dedups to the old id,
-# and /metrics reports the recovery with the degraded gauge at 0. Finishes
-# with a SIGTERM to exercise the bounded drain path.
+# with a write-ahead journal and a result window of three jobs (-queue 2
+# -workers 1), submit a dozen keyed jobs over HTTP one after another so the
+# journal compacts, kill -9 the process, restart it against the same journal,
+# and verify that the latest job's status URL still resolves, idempotent
+# resubmission dedups to its id, and /metrics reports the recovery with the
+# degraded gauge at 0. Finishes with a SIGTERM to exercise the bounded drain
+# path.
 #
 # Needs only bash, curl and the Go toolchain. Used by CI's
 # crash-restart-smoke job and runnable locally: make crash-smoke
@@ -38,47 +40,59 @@ job_state() {
 
 go build -o "$DIR/serve" ./cmd/serve
 
+metric() {
+  curl -fsS "$BASE/metrics" | awk -v name="$1" '$1 == name { print $2 }'
+}
+
+submit() {
+  curl -fsS -X POST "$BASE/jobs" -H "Idempotency-Key: smoke-$1" \
+    -d '{"tenant":"gold","app":"pagerank","graph":"social_network"}' | tr -dc 0-9
+}
+
+serve() {
+  "$DIR/serve" -addr "$ADDR" -scale 512 -queue 2 -workers 1 -journal "$JOURNAL" -drain-timeout 5 &
+  PID=$!
+  wait_healthy
+}
+
 say "starting server with journal $JOURNAL"
-"$DIR/serve" -addr "$ADDR" -scale 512 -journal "$JOURNAL" -drain-timeout 5 &
-PID=$!
-wait_healthy
+serve
 
-ID=$(curl -fsS -X POST "$BASE/jobs" -H 'Idempotency-Key: smoke-1' \
-  -d '{"tenant":"gold","app":"pagerank","graph":"social_network"}' | tr -dc 0-9)
-[ -n "$ID" ] || die "submit returned no id"
-say "submitted job $ID"
-
-for _ in $(seq 1 200); do
-  [ "$(job_state "$ID")" = done ] && break
-  sleep 0.05
+JOBS=12
+for n in $(seq 1 "$JOBS"); do
+  ID=$(submit "$n")
+  [ -n "$ID" ] || die "submit $n returned no id"
+  for _ in $(seq 1 200); do
+    [ "$(job_state "$ID")" = done ] && break
+    sleep 0.05
+  done
+  [ "$(job_state "$ID")" = done ] || die "job $ID never completed"
 done
-[ "$(job_state "$ID")" = done ] || die "job $ID never completed"
-say "job $ID done; killing server with SIGKILL"
+say "submitted and completed $JOBS jobs; the latest is job $ID"
+
+COMPACTIONS=$(metric proxygraph_journal_compactions)
+[ "${COMPACTIONS:-0}" -gt 0 ] || die "journal never compacted (proxygraph_journal_compactions ${COMPACTIONS:-missing})"
+say "journal compacted $COMPACTIONS times; killing server with SIGKILL"
 
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
 say "restarting against the same journal"
-"$DIR/serve" -addr "$ADDR" -scale 512 -journal "$JOURNAL" -drain-timeout 5 &
-PID=$!
-wait_healthy
+serve
 
 STATE=$(job_state "$ID")
 [ "$STATE" = done ] || die "recovered job $ID is '$STATE', want done"
 say "status URL /jobs/$ID survived the crash (state done)"
 
-ID2=$(curl -fsS -X POST "$BASE/jobs" -H 'Idempotency-Key: smoke-1' \
-  -d '{"tenant":"gold","app":"pagerank","graph":"social_network"}' | tr -dc 0-9)
+ID2=$(submit "$JOBS")
 [ "$ID2" = "$ID" ] || die "idempotent resubmit returned id $ID2, want $ID"
 say "idempotent resubmission deduped to job $ID"
 
-METRICS=$(curl -fsS "$BASE/metrics")
-echo "$METRICS" | grep -q '^proxygraph_jobs_recovered_done 1' \
-  || die "metrics missing proxygraph_jobs_recovered_done 1"
-echo "$METRICS" | grep -q '^proxygraph_degraded 0' \
-  || die "metrics missing proxygraph_degraded 0"
-say "recovery metrics present"
+RECOVERED=$(metric proxygraph_jobs_recovered_done)
+[ "${RECOVERED:-0}" -gt 0 ] || die "metrics report no recovered jobs (proxygraph_jobs_recovered_done ${RECOVERED:-missing})"
+[ "$(metric proxygraph_degraded)" = 0 ] || die "metrics missing proxygraph_degraded 0"
+say "recovery metrics present ($RECOVERED jobs recovered)"
 
 say "graceful shutdown via SIGTERM"
 kill -TERM "$PID"
