@@ -19,15 +19,16 @@ test:
 # each fast path to its executable spec (the partitioners to their
 # sequential specs at GOMAXPROCS 1, 2, 3 and 8, the delete index to a full scan, and at -cpu 1,2,4 the
 # placement compile to a stable sort, master selection to the serial
-# reservoir sample and the GatherIn source grouping to one compile shared by
-# concurrent runs on their first sparse step), the allocation guards (ingress budgets; the engine's
+# reservoir sample, the GatherIn source grouping to one compile shared by
+# concurrent runs on their first sparse step, and the LocalEdges index to a
+# stable group-by-owner built once, only by the apps that walk it), the allocation guards (ingress budgets; the engine's
 # superstep loop allocates nothing per superstep, in either engine, and the
 # reference engine nothing per edge; the accountant's charges allocate
 # nothing, and the async apps nothing per round — next to the
 # property tests holding every program's Fold and Apply to their one-element
 # forms and its Init to the per-vertex definition;
 # placement finalization allocates by machine count, never by edge count, and
-# its footprint bound covers every compiled gather layout; both
+# its footprint bound covers the edge index and every compiled gather layout; both
 # undirected CSR builds allocate the same at any graph size, next to the
 # differential pinning the CSR builders to a per-row sort and the unsorted one
 # to first occurrences in edge order; KCore allocates nothing per vertex and
@@ -57,7 +58,7 @@ check:
 	go test -race -run TestFig9TraceStream ./internal/exp
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
-	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep' ./internal/engine
+	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep|TestLocalEdgesBuiltOnFirstWalk' ./internal/engine
 	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestFootprintBoundCoversCompiledPlacement|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder|TestJournalAppendAllocs' ./internal/partition ./internal/engine ./internal/graph ./internal/apps ./internal/service
 	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestFingerprintWorkerInvariance|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp

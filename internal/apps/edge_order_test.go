@@ -11,36 +11,57 @@ import (
 	"proxygraph/internal/trace"
 )
 
-// shuffledLocalEdges returns pl with every machine's local edge list permuted
-// by a seeded shuffle. Ownership, replicas and masters are pl's; the compiled
-// gather blocks are rebuilt from the new order on first use.
-func shuffledLocalEdges(pl *engine.Placement, seed uint64) *engine.Placement {
+// shuffledLocalEdges returns pl over a copy of its graph in which every
+// machine's edges are permuted by a seeded shuffle among that machine's own
+// slots of G.Edges, each carrying its weight along. EdgeOwner is pl's, so
+// every machine owns the same edges as before, only in another local order,
+// and the replicas come out the same; the masters are pl's too, since master
+// selection samples incidences in stream order. The local edge index and the
+// gather blocks are built from the new order on first use.
+func shuffledLocalEdges(t *testing.T, pl *engine.Placement, seed uint64) *engine.Placement {
 	src := rng.New(seed)
-	local := make([][]int32, len(pl.LocalEdges))
-	for p, edges := range pl.LocalEdges {
-		local[p] = slices.Clone(edges)
-		src.Shuffle(len(local[p]), func(i, j int) { local[p][i], local[p][j] = local[p][j], local[p][i] })
+	g := *pl.G
+	g.Edges = slices.Clone(pl.G.Edges)
+	g.Weights = slices.Clone(pl.G.Weights)
+	for _, slots := range pl.LocalEdges() {
+		perm := slices.Clone(slots)
+		src.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i, from := range perm {
+			g.Edges[slots[i]] = pl.G.Edges[from]
+			if g.Weights != nil {
+				g.Weights[slots[i]] = pl.G.Weights[from]
+			}
+		}
 	}
-	return &engine.Placement{
-		G: pl.G, M: pl.M, EdgeOwner: pl.EdgeOwner, LocalEdges: local,
-		ReplicaMask: pl.ReplicaMask, Master: pl.Master, MasterVerts: pl.MasterVerts,
+	shuffled, err := engine.NewPlacement(&g, pl.EdgeOwner, pl.M)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !slices.Equal(shuffled.ReplicaMask, pl.ReplicaMask) {
+		t.Fatal("the shuffle moved an edge between machines")
+	}
+	shuffled.Master, shuffled.MasterVerts = pl.Master, pl.MasterVerts
+	return shuffled
 }
 
 // TestClockInvariantUnderLocalEdgeOrder: the simulated clock is a function of
 // the placement, not of the order its edge lists happen to be stored in. Every
 // app runs on one placement and on the same placement with each machine's
-// LocalEdges shuffled; the result and the whole event stream must agree, with
-// floats compared bit for bit. Only PageRank's ranks may move: each
-// destination's fold sums the same contributions in another order, so they
-// may differ by float re-association, within floatClose's 1e-12 relative
-// bound. The graph carries weights so that SSSP relaxes along more than unit
-// hops.
+// edges shuffled within its own slots of the edge list, so the local edge
+// index walks them in another order; the result and the whole event stream
+// must agree, with floats compared bit for bit. Only PageRank's ranks may
+// move: each destination's fold sums the same contributions in another order,
+// so they may differ by float re-association, within floatClose's 1e-12
+// relative bound. The graph carries weights so that SSSP relaxes along more
+// than unit hops.
 func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 	g := graph.AttachWeights(equivGraph(t), 1, 10, 3)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
-	shuffled := shuffledLocalEdges(pl, 7)
+	shuffled := shuffledLocalEdges(t, pl, 7)
+	if slices.Equal(shuffled.G.Edges, pl.G.Edges) {
+		t.Fatal("the shuffle left every edge in place")
+	}
 
 	for _, app := range WithExtensions() {
 		t.Run(app.Name(), func(t *testing.T) {

@@ -100,7 +100,11 @@ func (cc *ConnectedComponents) Resume(prior []uint32, d *graph.Delta, evolved *g
 		}
 	}
 
+	// The reset vertices are counted as they are marked, so the seed is
+	// allocated once at its bound: every reset vertex and both endpoints of
+	// every insertion.
 	r.reset = make([]bool, n)
+	resets := 0
 	for v := 0; v < n && v < len(prior); v++ {
 		if int(prior[v]) >= n {
 			r.err = fmt.Errorf("apps: %s: prior label %d of vertex %d is not a vertex of the %d-vertex evolved graph", r.Name(), prior[v], v, n)
@@ -108,6 +112,12 @@ func (cc *ConnectedComponents) Resume(prior []uint32, d *graph.Delta, evolved *g
 		}
 		if resetLabels[prior[v]] {
 			r.reset[v] = true
+			resets++
+		}
+	}
+	r.seed = make([]graph.VertexID, 0, resets+2*len(d.Inserts))
+	for v, reset := range r.reset {
+		if reset {
 			seeded[v] = true
 			r.seed = append(r.seed, graph.VertexID(v))
 		}

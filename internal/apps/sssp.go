@@ -113,6 +113,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 			}
 		}
 	}
+	local := pl.LocalEdges()
 	rounds := 0
 	for ; rounds < s.MaxIters; rounds++ {
 		account.StepBegin(rounds, frontier, "sync")
@@ -122,7 +123,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 			sc := &counters[p]
 			sc.Vertices = float64(len(pl.MasterVerts[p]))
 			stamp := int64(rounds)*int64(pl.M) + int64(p) + 1
-			for _, ei := range pl.LocalEdges[p] {
+			for _, ei := range local[p] {
 				e := g.Edges[ei]
 				w := float64(g.Weight(int(ei)))
 				if active[e.Src] {

@@ -82,7 +82,7 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 	for p := 0; p < pl.M; p++ {
 		sc := &counters[p]
 		sc.Vertices = float64(len(pl.MasterVerts[p]))
-		for _, ei := range pl.LocalEdges[p] {
+		for _, ei := range pl.LocalEdges()[p] {
 			e := g.Edges[ei]
 			a, b := e.Src, e.Dst
 			if a > b {

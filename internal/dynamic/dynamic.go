@@ -66,7 +66,7 @@ func (m *Migrator) Decide(step int, times []float64, pl *engine.Placement) ([]in
 
 	// Move enough of the straggler's edges to close (Fraction of) the time
 	// gap, assuming the straggler's time is proportional to its edge count.
-	local := pl.LocalEdges[slowest]
+	local := pl.LocalEdges()[slowest]
 	if len(local) < 2 {
 		return nil, 0, false
 	}

@@ -77,7 +77,7 @@ func TestPlacementInvariants(t *testing.T) {
 	// Every edge appears in exactly one machine's local list.
 	seen := make([]bool, len(g.Edges))
 	for p := 0; p < m; p++ {
-		for _, ei := range pl.LocalEdges[p] {
+		for _, ei := range pl.LocalEdges()[p] {
 			if seen[ei] {
 				t.Fatalf("edge %d assigned twice", ei)
 			}
@@ -157,16 +157,6 @@ func TestEdgeCountsAndImbalance(t *testing.T) {
 	skewed := pl.Imbalance([]float64{0.7, 0.1, 0.1, 0.1})
 	if skewed < 2 {
 		t.Errorf("skewed-target imbalance = %v, want >> 1", skewed)
-	}
-}
-
-func TestNthSetBit(t *testing.T) {
-	mask := uint64(0b101101)
-	want := []int{0, 2, 3, 5}
-	for k, w := range want {
-		if got := nthSetBit(mask, k); got != w {
-			t.Errorf("nthSetBit(%b, %d) = %d, want %d", mask, k, got, w)
-		}
 	}
 }
 

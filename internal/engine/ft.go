@@ -287,7 +287,7 @@ func RepartitionSurvivors(pl *Placement, dead []bool) (*Placement, int64, error)
 		counts := make([]int64, len(survivors))
 		var total int64
 		for i, s := range survivors {
-			counts[i] = int64(len(pl.LocalEdges[s]))
+			counts[i] = int64(pl.edgeCount[s])
 			total += counts[i]
 		}
 		n := int64(len(orphans))

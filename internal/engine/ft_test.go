@@ -99,11 +99,11 @@ func TestRepartitionSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved != int64(len(pl.LocalEdges[1])) {
-		t.Fatalf("moved %d edges, machine 1 owned %d", moved, len(pl.LocalEdges[1]))
+	if moved != int64(len(pl.LocalEdges()[1])) {
+		t.Fatalf("moved %d edges, machine 1 owned %d", moved, len(pl.LocalEdges()[1]))
 	}
-	if len(newPl.LocalEdges[1]) != 0 {
-		t.Fatalf("dead machine still owns %d edges", len(newPl.LocalEdges[1]))
+	if len(newPl.LocalEdges()[1]) != 0 {
+		t.Fatalf("dead machine still owns %d edges", len(newPl.LocalEdges()[1]))
 	}
 	if len(newPl.MasterVerts[1]) != 0 {
 		t.Fatalf("dead machine still masters %d vertices", len(newPl.MasterVerts[1]))
@@ -114,8 +114,8 @@ func TestRepartitionSurvivors(t *testing.T) {
 		t.Fatalf("machine count changed: %d", newPl.M)
 	}
 	total := 0
-	for p := range newPl.LocalEdges {
-		total += len(newPl.LocalEdges[p])
+	for _, local := range newPl.LocalEdges() {
+		total += len(local)
 	}
 	if total != len(g.Edges) {
 		t.Fatalf("edges lost: %d of %d", total, len(g.Edges))
@@ -142,7 +142,7 @@ func TestRepartitionSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(newPl2.LocalEdges[1]) != 0 || len(newPl2.LocalEdges[3]) != 0 {
+	if len(newPl2.LocalEdges()[1]) != 0 || len(newPl2.LocalEdges()[3]) != 0 {
 		t.Fatal("dead machines own edges after cascade")
 	}
 

@@ -61,7 +61,7 @@ func Ingress(pl *Placement, cl *cluster.Cluster) (*IngressReport, error) {
 		if disk <= 0 {
 			disk = cluster.DefaultDiskGBs
 		}
-		loadBytes := float64(len(pl.LocalEdges[p])) * textBytesPerEdge
+		loadBytes := float64(pl.edgeCount[p]) * textBytesPerEdge
 		rep.LoadSeconds[p] = loadBytes / (disk * 1e9)
 		rep.ExchangeSeconds[p] = cl.Net.TransferTime(mirrorRecords[p] * mirrorRecordBytes)
 		if t := rep.LoadSeconds[p] + rep.ExchangeSeconds[p]; t > rep.Makespan {

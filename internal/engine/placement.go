@@ -26,39 +26,50 @@ const MaxMachines = 64
 
 // Placement is a finalized vertex-cut: every edge owned by one machine, every
 // vertex replicated onto the machines its edges touch, one replica per vertex
-// designated master (PowerGraph's finalization step).
+// designated master (PowerGraph's finalization step). NewPlacement builds it.
 type Placement struct {
 	G *graph.Graph
 	// M is the number of machines.
 	M int
 	// EdgeOwner[i] is the machine owning G.Edges[i].
 	EdgeOwner []int32
-	// LocalEdges[p] lists the indices of edges owned by machine p.
-	LocalEdges [][]int32
 	// ReplicaMask[v] has bit p set when vertex v has a replica on machine p.
 	ReplicaMask []uint64
 	// Master[v] is the machine holding vertex v's master replica.
 	Master []int32
 	// MasterVerts[p] lists the vertices mastered on machine p.
 	MasterVerts [][]graph.VertexID
+	// edgeCount[p] is the number of edges machine p owns, tallied by
+	// NewPlacement's owner scan.
+	edgeCount [MaxMachines]int32
 
-	// The compiled machine-local gather layouts, three in all, each built by
-	// the first run that reads it:
+	// Four per-edge structures are built lazily, each by the first reader
+	// that asks for it:
 	//
+	//   - the local edge index, 4 B per edge, on the first LocalEdges call;
 	//   - GatherIn byDst, 4 B per edge, on the first GatherIn run;
 	//   - GatherIn bySrc, 4 B per edge, on the first sparse GatherIn step;
 	//   - GatherBoth byDst, 8 B per edge, on the first GatherBoth run — also
-	//     GatherBoth's bySrc (see blockCompiler.compile).
+	//     GatherBoth's bySrc (see blockCompiler.compileBoth).
 	//
-	// Each adds per machine one key and one offset per distinct key, and the
-	// byDst ones a remote flag; FootprintBound charges all three. Most
-	// placements only ever serve one direction, the applications with loops
-	// of their own (SSSP, KCore, Coloring) neither, and PageRank, the one
-	// shipped GatherIn app, applies every vertex every step and never takes
-	// a sparse one.
+	// Each gather layout adds per machine one key and one offset per distinct
+	// key, and the byDst ones a remote flag; FootprintBound charges all four.
+	// Most placements only ever serve one gather direction, the applications
+	// with loops of their own (SSSP, KCore, Coloring, Triangle Count)
+	// neither, and PageRank, the one shipped GatherIn app, applies every
+	// vertex every step and never takes a sparse one. Only SSSP, Triangle
+	// Count, the straggler migrator and RunReference walk the edge index; the
+	// block compiles group each machine's edges from EdgeOwner in a transient
+	// arena of their own, so a placement served only by engine programs never
+	// holds it.
 	//
-	// compiled holds each direction's byDst (see blocks), inSources
-	// GatherIn's bySrc (see sources), each behind its own Once.
+	// local holds the edge index (see LocalEdges), compiled each direction's
+	// byDst (see blocks), inSources GatherIn's bySrc (see sources), each
+	// behind its own Once.
+	local struct {
+		once  sync.Once
+		edges [][]int32
+	}
 	compiled [2]struct {
 		once   sync.Once
 		blocks []machineBlocks
@@ -67,6 +78,54 @@ type Placement struct {
 		once  sync.Once
 		bySrc []graph.Grouped
 	}
+}
+
+// LocalEdges returns, for every machine p, the indices of the edges it owns in
+// increasing order, building the index on first call; concurrent callers share
+// the result. The lists are windows of one arena, machine by machine, each
+// with len == cap, so appending to one never writes into the next. Callers
+// must not modify them.
+func (pl *Placement) LocalEdges() [][]int32 {
+	c := &pl.local
+	c.once.Do(func() {
+		var ix ownerIndex
+		ix.build(pl)
+		c.edges = make([][]int32, pl.M)
+		for p := range c.edges {
+			c.edges[p] = ix.machine(p)
+		}
+	})
+	return c.edges
+}
+
+// ownerIndex groups a placement's edge indices by owning machine, in increasing
+// order within each machine: machine p's edges are edges[at[p]:at[p+1]].
+type ownerIndex struct {
+	edges []int32
+	at    [MaxMachines + 1]int32
+}
+
+// build fills ix from pl.EdgeOwner with a counting sort whose counts
+// NewPlacement already took: prefix-sum, then place. The placing loop runs on
+// locals, not through ix, so no store reloads ix.
+func (ix *ownerIndex) build(pl *Placement) {
+	owner := pl.EdgeOwner
+	var at [MaxMachines + 1]int32
+	for p := 0; p < pl.M; p++ {
+		at[p+1] = at[p] + pl.edgeCount[p]
+	}
+	ix.at = at
+	edges := make([]int32, len(owner))
+	for i, p := range owner {
+		edges[at[p]] = int32(i)
+		at[p]++
+	}
+	ix.edges = edges
+}
+
+// machine returns machine p's edge indices, capped at their own length.
+func (ix *ownerIndex) machine(p int) []int32 {
+	return ix.edges[ix.at[p]:ix.at[p+1]:ix.at[p+1]]
 }
 
 // machineBlocks is one machine's destination-grouped gather layout: its local
@@ -90,14 +149,16 @@ type machineBlocks struct {
 }
 
 // blockCompiler is one worker's compile workspace: a counting-sort Grouper,
-// allocated once per worker instead of once per machine.
+// allocated once per worker instead of once per machine, and the compile's
+// shared, read-only grouping of edges by owner.
 type blockCompiler struct {
-	pl *Placement
-	gr *graph.Grouper
+	pl    *Placement
+	local *ownerIndex
+	gr    graph.Grouper
 }
 
 // compileIn and compileBoth group machine p's gather records for their
-// direction by destination, in two passes over LocalEdges[p] — count, then
+// direction by destination, in two passes over its local edges — count, then
 // place — reading the records straight from the edge list. For GatherIn each
 // edge (u,v) yields one record v←u; for GatherBoth it yields v←u then u←v,
 // matching the reference engine's per-edge gather order, and the stable
@@ -108,7 +169,7 @@ type blockCompiler struct {
 // companions to the same groups in the same edge order: the two groupings are
 // equal, and GatherBoth's source grouping is its byDst.
 func (c *blockCompiler) compileIn(p int) machineBlocks {
-	gr, edges, local := c.gr, c.pl.G.Edges, c.pl.LocalEdges[p]
+	gr, edges, local := &c.gr, c.pl.G.Edges, c.local.machine(p)
 	for _, ei := range local {
 		gr.Count(edges[ei].Dst)
 	}
@@ -121,7 +182,7 @@ func (c *blockCompiler) compileIn(p int) machineBlocks {
 }
 
 func (c *blockCompiler) compileBoth(p int) machineBlocks {
-	gr, edges, local := c.gr, c.pl.G.Edges, c.pl.LocalEdges[p]
+	gr, edges, local := &c.gr, c.pl.G.Edges, c.local.machine(p)
 	for _, ei := range local {
 		e := edges[ei]
 		gr.Count(e.Dst)
@@ -150,7 +211,7 @@ func (c *blockCompiler) done(p int) machineBlocks {
 // groupBySource groups machine p's GatherIn records v←u by source u, in the
 // same two passes as compileIn.
 func (c *blockCompiler) groupBySource(p int) graph.Grouped {
-	gr, edges, local := c.gr, c.pl.G.Edges, c.pl.LocalEdges[p]
+	gr, edges, local := &c.gr, c.pl.G.Edges, c.local.machine(p)
 	for _, ei := range local {
 		gr.Count(edges[ei].Src)
 	}
@@ -163,21 +224,27 @@ func (c *blockCompiler) groupBySource(p int) graph.Grouped {
 }
 
 // perMachine compiles every machine's layout through par.Tasks, one machine
-// per task, handing each its worker's compile workspace. Machines are
-// mutually independent — a grouping reads only LocalEdges[p], the shared graph
-// and the master table — so output is bit-identical at any worker count. Each
-// workspace holds |V|-sized counting arrays, so the worker count — at most one
-// per machine and one per CPU — also caps compile memory, and it is created on
-// its worker's first task, so only workers that actually win a task pay for
-// one. compile is a method expression, so passing it allocates nothing.
+// per task, handing each its worker's compile workspace. It first groups the
+// edges by owner into a transient arena, 4 B per edge, that lives only as long
+// as the compile, so compiling never builds the placement's own LocalEdges.
+// Machines are mutually independent — a grouping reads only machine p's
+// edges, the shared graph and the master table — so output is bit-identical
+// at any worker count. Each workspace holds |V|-sized counting arrays, so the
+// worker count — at most one per machine and one per CPU — also caps compile
+// memory, and its arrays are made on its worker's first task, so only workers
+// that actually win a task pay for them. compile is a method expression, so
+// passing it allocates nothing.
 func perMachine[T any](pl *Placement, compile func(c *blockCompiler, p int) T) []T {
 	out := make([]T, pl.M)
-	cs := make([]*blockCompiler, par.Workers(pl.M))
+	var local ownerIndex
+	local.build(pl)
+	cs := make([]blockCompiler, par.Workers(pl.M))
 	par.Tasks(pl.M, func(w, p int) {
-		if cs[w] == nil {
-			cs[w] = &blockCompiler{pl: pl, gr: graph.NewGrouper(pl.G.NumVertices)}
+		c := &cs[w]
+		if c.pl == nil {
+			*c = blockCompiler{pl: pl, local: &local, gr: graph.NewGrouper(pl.G.NumVertices)}
 		}
-		out[p] = compile(cs[w], p)
+		out[p] = compile(c, p)
 	})
 	return out
 }
@@ -211,12 +278,13 @@ func (pl *Placement) sources() []graph.Grouped {
 	return c.bySrc
 }
 
-// FootprintBound returns an upper bound on the bytes pl holds once all three
-// gather layouts are compiled (see Placement.compiled), not counting the
-// graph it finalizes, which its caller owns:
+// FootprintBound returns an upper bound on the bytes pl holds once all four
+// lazily built structures exist (see Placement.local), not counting the graph
+// it finalizes, which its caller owns:
 //
-//   - per edge, 24 B: EdgeOwner and LocalEdges, 4 B each, and the gather
-//     records, 4 + 4 B in the two GatherIn groupings and 8 B in GatherBoth's;
+//   - per edge, 24 B: EdgeOwner and the LocalEdges index, 4 B each, and the
+//     gather records, 4 + 4 B in the two GatherIn groupings and 8 B in
+//     GatherBoth's;
 //   - per vertex, 16 B: ReplicaMask 8 B, Master and MasterVerts 4 B each;
 //   - per replica, 26 B: a machine's distinct keys in any grouping are
 //     vertices replicated on it, each costing a 4 B key and a 4 B offset in
@@ -225,7 +293,7 @@ func (pl *Placement) sources() []graph.Grouped {
 //     offset.
 //
 // It is a bound for a cache's byte budget (see workload.PlacementCache), so
-// it costs one pass over the replica masks and never compiles anything.
+// it costs one pass over the replica masks and never builds anything.
 func (pl *Placement) FootprintBound() int64 {
 	edges := int64(len(pl.EdgeOwner))
 	verts := int64(len(pl.Master))
@@ -246,21 +314,20 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 		G:           g,
 		M:           m,
 		EdgeOwner:   owner,
-		LocalEdges:  make([][]int32, m),
 		ReplicaMask: make([]uint64, n),
 		Master:      make([]int32, n),
 		MasterVerts: make([][]graph.VertexID, m),
 	}
-	// One scan of the owner vector validates it and counts what the rest of
-	// finalization sizes itself by: edges per machine, incidences per vertex.
+	// One scan of the owner vector validates it, marks replicas and counts
+	// edges per machine and the incidences per vertex that master selection
+	// samples from.
 	edges := g.Edges
-	edgeCount := make([]int32, m)
 	incidences := make([]int32, n)
 	for i, p := range owner {
 		if p < 0 || int(p) >= m {
 			return nil, fmt.Errorf("engine: edge %d assigned to machine %d outside [0, %d)", i, p, m)
 		}
-		edgeCount[p]++
+		pl.edgeCount[p]++
 		e := edges[i]
 		pl.ReplicaMask[e.Src] |= 1 << uint(p)
 		pl.ReplicaMask[e.Dst] |= 1 << uint(p)
@@ -287,13 +354,7 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 			winner[v] = sampledIncidence(uint64(v), k)
 		}
 	}
-	local := make([]int32, len(owner))
-	for p, at := 0, int32(0); p < m; p++ {
-		pl.LocalEdges[p] = local[at : at : at+edgeCount[p]]
-		at += edgeCount[p]
-	}
 	for i, p := range owner {
-		pl.LocalEdges[p] = append(pl.LocalEdges[p], int32(i))
 		e := edges[i]
 		// A vertex's incidences are numbered in stream order, Src before Dst.
 		if winner[e.Src]--; winner[e.Src] == 0 {
@@ -331,14 +392,6 @@ func sampledIncidence(v uint64, k int32) int32 {
 	return 1
 }
 
-// nthSetBit returns the position of the k-th (0-based) set bit of mask.
-func nthSetBit(mask uint64, k int) int {
-	for i := 0; i < k; i++ {
-		mask &= mask - 1
-	}
-	return bits.TrailingZeros64(mask)
-}
-
 // Replicas returns the total number of vertex replicas (masters + mirrors).
 func (pl *Placement) Replicas() int64 {
 	var total int64
@@ -369,8 +422,8 @@ func (pl *Placement) ReplicationFactor() float64 {
 // EdgeCounts returns the number of edges owned by each machine.
 func (pl *Placement) EdgeCounts() []int64 {
 	counts := make([]int64, pl.M)
-	for p, local := range pl.LocalEdges {
-		counts[p] = int64(len(local))
+	for p := range counts {
+		counts[p] = int64(pl.edgeCount[p])
 	}
 	return counts
 }

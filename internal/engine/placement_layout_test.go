@@ -125,9 +125,9 @@ func sameGroupings(a, b []graph.Grouped) bool {
 }
 
 // TestFootprintBoundCoversCompiledPlacement pins FootprintBound, a cache's
-// byte budget input, at or above what a placement holds once all three gather
-// layouts are compiled — the capacity bytes of every slice it owns, slice
-// headers included — and
+// byte budget input, at or above what a placement holds once all four lazily
+// built structures exist — the LocalEdges index and the three gather layouts,
+// the capacity bytes of every slice it owns, slice headers included — and
 // within 1.5x of it, so a budget is not spent on bytes nobody holds.
 func TestFootprintBoundCoversCompiledPlacement(t *testing.T) {
 	header := int64(unsafe.Sizeof([]int32(nil)))
@@ -136,9 +136,10 @@ func TestFootprintBoundCoversCompiledPlacement(t *testing.T) {
 	}
 	capBytes := func(pl *Placement) int64 {
 		n := 4*int64(cap(pl.EdgeOwner)+cap(pl.Master)) + 8*int64(cap(pl.ReplicaMask))
-		n += header * int64(cap(pl.LocalEdges)+cap(pl.MasterVerts))
-		for p := range pl.LocalEdges {
-			n += 4 * int64(cap(pl.LocalEdges[p])+cap(pl.MasterVerts[p]))
+		local := pl.LocalEdges()
+		n += header * int64(cap(local)+cap(pl.MasterVerts))
+		for p := range local {
+			n += 4 * int64(cap(local[p])+cap(pl.MasterVerts[p]))
 		}
 		for _, both := range []bool{false, true} {
 			blocks := pl.blocks(both)

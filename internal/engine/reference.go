@@ -10,7 +10,7 @@ import (
 )
 
 // RunReference executes prog with the original edge-list engine: every
-// superstep walks pl.LocalEdges[p] as an index list into g.Edges and filters
+// superstep walks pl.LocalEdges()[p] as an index list into g.Edges and filters
 // sources against a dense active bitmap, folding one source per Program.Fold
 // call and applying one vertex per Program.Apply call: the per-edge and
 // per-vertex forms of the contract. It is the executable specification
@@ -103,7 +103,7 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 			// step*M+p injective over pairs, and the +1 keeps every stamp
 			// above the -1 the touched array is initialised with.
 			stampBase := int64(step)*int64(pl.M) + int64(p) + 1
-			for _, ei := range pl.LocalEdges[p] {
+			for _, ei := range pl.LocalEdges()[p] {
 				e := g.Edges[ei]
 				if active[e.Src] {
 					one[0] = e.Src

@@ -44,9 +44,10 @@ type Grouper struct {
 	out     Grouped // the grouping under construction, between Layout and Done
 }
 
-// NewGrouper returns a workspace for keys in [0, n).
-func NewGrouper(n int) *Grouper {
-	return &Grouper{count: make([]int32, n), present: make([]uint64, (n+63)/64)}
+// NewGrouper returns a workspace for keys in [0, n). It is a value, so a
+// caller can embed it in a workspace of its own at no extra allocation.
+func NewGrouper(n int) Grouper {
+	return Grouper{count: make([]int32, n), present: make([]uint64, (n+63)/64)}
 }
 
 // Count records one occurrence of key k.
