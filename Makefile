@@ -8,7 +8,8 @@ build:
 test:
 	go test ./...
 
-# check is the pre-merge gate: formatting and static analysis, the race
+# check is the pre-merge gate, and CI's test job runs exactly it (make build
+# test check FUZZTIME=30s): formatting and static analysis, the race
 # detector over the packages that run goroutines (internal/par, the one
 # fan-out, and its callers: the engine's parallel block compile, the parallel
 # ingress scans and in-degree count, the sharded fingerprint rescan, and Fig 9's

@@ -9,8 +9,8 @@ package proxygraph
 //	go test -bench=. -benchmem
 //
 // reproduces the paper's entire evaluation section, and
-// go test -bench 'Experiments/fig9$' one experiment. cmd/bench offers the same
-// catalog with a -scale flag for full-size runs.
+// go test -bench 'Experiments/fig9$' one experiment. proxygraph bench offers
+// the same catalog with a -scale flag for full-size runs.
 
 import (
 	"fmt"

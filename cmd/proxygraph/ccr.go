@@ -10,14 +10,13 @@ import (
 
 	"proxygraph/internal/advisor"
 	"proxygraph/internal/apps"
-	"proxygraph/internal/cliutil"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
 	"proxygraph/internal/metrics"
 )
 
 // profileCmd runs every application on one machine per group of the cluster
-// and writes the CCR pool as JSON (the pool runapp -pool reads).
+// and writes the CCR pool as JSON (the pool run -pool reads).
 func profileCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	clusterSpec := fs.String("cluster", "m4.2xlarge,c4.2xlarge",
@@ -30,11 +29,11 @@ func profileCmd(args []string, w io.Writer) error {
 		return err
 	}
 
-	cl, err := cliutil.ParseCluster(*clusterSpec)
+	cl, err := cluster.Parse(*clusterSpec)
 	if err != nil {
 		return err
 	}
-	est, err := cliutil.ParseEstimator(*estimator, *scale, *seed)
+	est, err := parseEstimator(*estimator, *scale, *seed)
 	if err != nil {
 		return err
 	}
@@ -54,6 +53,21 @@ func profileCmd(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "profiled %d applications with %q on %d machine groups -> %s\n",
 		pool.Len(), est.Name(), len(groups), *out)
 	return nil
+}
+
+// parseEstimator builds the named CCR estimator: "proxy" (profiling at
+// 1/scale), "prior-work" (thread counts) or "default" (uniform).
+func parseEstimator(name string, scale int, seed uint64) (core.Estimator, error) {
+	switch name {
+	case "proxy":
+		return core.NewProxyProfiler(scale, seed)
+	case "prior-work":
+		return core.NewThreadCount(), nil
+	case "default":
+		return core.Uniform{}, nil
+	default:
+		return nil, fmt.Errorf("unknown estimator %q (want proxy, prior-work or default)", name)
+	}
 }
 
 // adviseCmd profiles the EC2 catalog on the proxies and ranks the machine

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 
-	"proxygraph/internal/cliutil"
 	"proxygraph/internal/core"
+	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/metrics"
@@ -65,12 +66,7 @@ func genCmd(args []string, w io.Writer) error {
 // spec of the named kind.
 func resolveSpec(name, kind string, vertices, edges int64, alpha float64) (gen.Spec, error) {
 	if name != "" {
-		for _, s := range gen.TableII() {
-			if s.Name == name {
-				return s, nil
-			}
-		}
-		return gen.Spec{}, fmt.Errorf("unknown spec %q (try -list)", name)
+		return tableII(name)
 	}
 	for k := gen.KindPowerLaw; k <= gen.KindRMAT; k++ {
 		if k.String() == kind {
@@ -78,6 +74,16 @@ func resolveSpec(name, kind string, vertices, edges int64, alpha float64) (gen.S
 		}
 	}
 	return gen.Spec{}, fmt.Errorf("unknown kind %q", kind)
+}
+
+// tableII returns the Table II spec with the given name.
+func tableII(name string) (gen.Spec, error) {
+	for _, s := range gen.TableII() {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return gen.Spec{}, fmt.Errorf("unknown spec %q (see proxygraph gen -list)", name)
 }
 
 // statsCmd summarizes a graph file, or fits α from -vertices/-edges alone.
@@ -176,7 +182,7 @@ func partitionCmd(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shares, err := cliutil.ParseShares(*weights, *machines)
+	shares, err := parseShares(*weights, *machines)
 	if err != nil {
 		return err
 	}
@@ -202,10 +208,35 @@ func partitionCmd(args []string, w io.Writer) error {
 	return nil
 }
 
-// loadGraph reads the -file graph of stats and partition.
+// loadGraph reads the -file graph of stats, partition and run, naming it
+// after the file when the file carries no name.
 func loadGraph(path string) (*graph.Graph, error) {
 	if path == "" {
 		return nil, errors.New("need -file")
 	}
-	return graph.ReadFile(path)
+	g, err := graph.ReadFile(path)
+	if err == nil && g.Name == "" {
+		g.Name = path
+	}
+	return g, err
+}
+
+// parseShares parses a comma-separated weight list ("1,3.5") into normalized
+// shares; an empty string yields uniform shares over machines.
+func parseShares(weights string, machines int) ([]float64, error) {
+	if weights == "" {
+		if machines < 1 || machines > engine.MaxMachines {
+			return nil, fmt.Errorf("%d machines, want 1 to %d", machines, engine.MaxMachines)
+		}
+		return partition.UniformShares(machines), nil
+	}
+	var ws []float64
+	for _, f := range strings.Split(weights, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad weight %q: %v", f, err)
+		}
+		ws = append(ws, v)
+	}
+	return partition.NormalizeShares(ws)
 }

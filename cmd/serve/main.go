@@ -55,7 +55,7 @@ import (
 	"syscall"
 	"time"
 
-	"proxygraph/internal/cliutil"
+	"proxygraph/internal/cluster"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/rng"
@@ -121,7 +121,7 @@ func buildConfig(args []string) (*appConfig, error) {
 	if *scale < 1 {
 		return nil, fmt.Errorf("serve: -scale must be positive, got %d", *scale)
 	}
-	cl, err := cliutil.ParseCluster(*clusterSpec)
+	cl, err := cluster.Parse(*clusterSpec)
 	if err != nil {
 		return nil, err
 	}

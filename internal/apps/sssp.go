@@ -10,12 +10,15 @@ import (
 	"proxygraph/internal/trace"
 )
 
-// SSSP computes single-source shortest paths over weighted edges with
-// synchronous Bellman–Ford-style relaxation, the frontier pattern of
-// PowerGraph's sssp toolkit. It is an extension beyond the paper's four
-// benchmarks: a weighted application demonstrating that the profiling flow
-// accepts arbitrary vertex programs (Section III-B). Unweighted graphs relax
-// with unit weights, making SSSP coincide with BFS distances.
+// SSSP computes single-source shortest paths over weighted edges in frontier
+// rounds, the pattern of PowerGraph's sssp toolkit. Each round scans every
+// machine's local edges and relaxes out of the previous round's frontier in
+// place: a distance lowered earlier in the scan feeds later relaxations in
+// the same round, so the rounds and their charges follow local edge order,
+// though the final distances do not. It is an extension beyond the paper's
+// four benchmarks: a weighted application demonstrating that the profiling
+// flow accepts arbitrary vertex programs (Section III-B). Unweighted graphs
+// relax with unit weights, making SSSP coincide with BFS distances.
 type SSSP struct {
 	// Source is the root vertex.
 	Source graph.VertexID

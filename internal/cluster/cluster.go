@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Network models the interconnect between machines: full bisection bandwidth
@@ -47,6 +49,37 @@ func New(machines ...Machine) (*Cluster, error) {
 		}
 	}
 	return &Cluster{Machines: machines, Net: DefaultNetwork()}, nil
+}
+
+// Parse builds a cluster from a comma-separated machine list. Each entry is
+// either a Table I catalog name ("c4.2xlarge") or a custom local Xeon in
+// name:cores:freqGHz form ("xeon:12:2.5"); blank entries are skipped.
+func Parse(spec string) (*Cluster, error) {
+	var machines []Machine
+	for _, entry := range strings.Split(spec, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
+		}
+		if m, ok := ByName(entry); ok {
+			machines = append(machines, m)
+			continue
+		}
+		fields := strings.Split(entry, ":")
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("machine %q: not in catalog and not name:cores:freqGHz", entry)
+		}
+		cores, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("machine %q: bad core count: %v", entry, err)
+		}
+		freq, err := strconv.ParseFloat(fields[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("machine %q: bad frequency: %v", entry, err)
+		}
+		machines = append(machines, LocalXeon(fmt.Sprintf("%s-%dc", fields[0], cores), cores, freq))
+	}
+	return New(machines...)
 }
 
 // Size returns the number of machines.

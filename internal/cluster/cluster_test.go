@@ -382,3 +382,45 @@ func TestDiskBandwidthDefaults(t *testing.T) {
 		t.Error("DefaultDiskGBs must be positive")
 	}
 }
+
+func TestParseClusterCatalogNames(t *testing.T) {
+	cl, err := Parse("m4.2xlarge, c4.2xlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Size() != 2 || cl.Machines[0].Name != "m4.2xlarge" {
+		t.Errorf("cluster = %v", cl.Machines)
+	}
+}
+
+func TestParseClusterCustomXeons(t *testing.T) {
+	cl, err := Parse("xeon:4:2.5,xeon:12:2.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Size() != 2 {
+		t.Fatalf("size = %d", cl.Size())
+	}
+	m := cl.Machines[0]
+	if m.Name != "xeon-4c" || m.ComputeThreads != 4 || m.FreqGHz != 2.5 {
+		t.Errorf("machine = %+v", m)
+	}
+}
+
+func TestParseClusterMixedAndSpaces(t *testing.T) {
+	cl, err := Parse(" c4.xlarge , xeon:8:2.2 , ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Size() != 2 {
+		t.Errorf("size = %d", cl.Size())
+	}
+}
+
+func TestParseClusterErrors(t *testing.T) {
+	for _, spec := range []string{"nonexistent", "xeon:4", "xeon:x:2.5", "xeon:4:y", ""} {
+		if _, err := Parse(spec); err == nil {
+			t.Errorf("spec %q should error", spec)
+		}
+	}
+}

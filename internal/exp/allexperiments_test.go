@@ -6,10 +6,11 @@ import (
 )
 
 // TestEveryExperimentProducesWellFormedTables runs the complete experiment
-// catalog (Catalog, the list cmd/bench runs) once at a tiny scale and checks
-// structural invariants shared by all outputs: a title, a header, at least
-// one row, rectangular-enough rows, and CSV that round-trips the row count.
-// This is the integration net under cmd/bench and the benchmark harness.
+// catalog (Catalog, the list proxygraph bench runs) once at a tiny scale and
+// checks structural invariants shared by all outputs: a title, a header, at
+// least one row, rectangular-enough rows, and CSV that round-trips the row
+// count. This is the integration net under proxygraph bench and the
+// benchmark harness.
 func TestEveryExperimentProducesWellFormedTables(t *testing.T) {
 	lab := NewLab(Config{Scale: 1024, Seed: 42})
 	for _, e := range Catalog() {

@@ -2,8 +2,8 @@ package exp
 
 import "proxygraph/internal/metrics"
 
-// Experiment is one entry of the evaluation catalog: the name cmd/bench
-// selects it by, a one-line description and the Lab method behind it.
+// Experiment is one entry of the evaluation catalog: the name proxygraph
+// bench selects it by, a one-line description and the Lab method behind it.
 type Experiment struct {
 	Name string
 	Desc string
@@ -20,7 +20,7 @@ func one(f func(*Lab) (*metrics.Table, error)) func(*Lab) ([]*metrics.Table, err
 	}
 }
 
-// Catalog returns every experiment, in the order cmd/bench runs them.
+// Catalog returns every experiment, in the order proxygraph bench runs them.
 func Catalog() []Experiment {
 	return []Experiment{
 		{"table1", "machine configurations", func(*Lab) ([]*metrics.Table, error) {

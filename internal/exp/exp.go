@@ -1,17 +1,17 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // (Section V) plus the ablations DESIGN.md calls out. Each experiment is a
 // method on Lab returning metrics.Tables, so the root benchmarks and
-// cmd/bench print identical output.
+// proxygraph bench print identical output.
 //
 // Experiments run at 1/Config.Scale of the paper's Table II graph sizes.
 // CCRs and speedups are ratios, and the paper itself notes that graph size
 // "only affects the magnitude of execution time" (§II-A), so the shape of
-// every result is preserved; cmd/bench -scale 1 reproduces full-size runs.
+// every result is preserved; proxygraph bench -scale 1 reproduces full-size
+// runs.
 package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -32,8 +32,8 @@ type Config struct {
 	// Seed drives all generation and hashing.
 	Seed uint64
 	// Collector, when non-nil, receives structured execution events from
-	// every app run an experiment performs through the lab (cmd/bench's
-	// -trace-out/-metrics-out plumb a recorder through here).
+	// every app run an experiment performs through the lab (proxygraph
+	// bench's -trace-out/-metrics-out plumb a recorder through here).
 	Collector trace.Collector
 }
 
@@ -260,14 +260,4 @@ func (l *Lab) realGraphs() ([]*graph.Graph, error) {
 		gs[i] = g
 	}
 	return gs, nil
-}
-
-// sortedKeys returns the map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -115,17 +115,10 @@ func (s Spec) Scale(factor int) Spec {
 		return s
 	}
 	out := s
-	out.Vertices = max64(1, s.Vertices/int64(factor))
-	out.Edges = max64(1, s.Edges/int64(factor))
+	out.Vertices = max(1, s.Vertices/int64(factor))
+	out.Edges = max(1, s.Edges/int64(factor))
 	out.Name = fmt.Sprintf("%s/%d", s.Name, factor)
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Generate materializes the spec deterministically from seed.

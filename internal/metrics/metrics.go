@@ -1,5 +1,5 @@
 // Package metrics provides the summary statistics and table formatting the
-// experiment harness (package exp), the benchmarks and cmd/bench share.
+// experiment harness (package exp), the benchmarks and proxygraph bench share.
 package metrics
 
 import (
@@ -65,8 +65,8 @@ func Min(xs []float64) float64 {
 }
 
 // Table is a titled grid of cells used for every experiment's output, so the
-// benchmark harness and cmd/bench print the same rows the paper's tables and
-// figures report.
+// benchmark harness and proxygraph bench print the same rows the paper's
+// tables and figures report.
 type Table struct {
 	// Title heads the rendered table (e.g. "Fig 9a: Pagerank, Case 1").
 	Title string

@@ -1,5 +1,5 @@
 // Package report renders experiment tables into a self-contained HTML
-// report with inline SVG bar charts, so a full `cmd/bench -html` run
+// report with inline SVG bar charts, so a full `proxygraph bench -html` run
 // produces a single reviewable artifact alongside the text tables.
 package report
 
@@ -168,13 +168,6 @@ func clip(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 var page = template.Must(template.New("report").Parse(`<!DOCTYPE html>

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,23 +224,12 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 			bounds = append(bounds, b)
 		}
 		sort.Float64s(bounds)
-		bounds = slicesCompact(bounds)
+		bounds = slices.Compact(bounds)
 		s.bounds = bounds
 		s.counts = make([]uint64, len(bounds))
 	}
 	r.mu.Unlock()
 	return Histogram{mu: &r.mu, s: s}
-}
-
-// slicesCompact removes adjacent duplicates from a sorted slice.
-func slicesCompact(xs []float64) []float64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // Observe records v; NaN observations are dropped.

@@ -26,7 +26,7 @@
 //
 // The examples in example_test.go run this flow end to end, and go test
 // checks what they print. Everything the paper evaluates is reproducible with
-// cmd/bench, or as go test -bench Experiments (BenchmarkExperiments in
+// proxygraph bench, or as go test -bench Experiments (BenchmarkExperiments in
 // bench_test.go runs one sub-benchmark per experiment).
 package proxygraph
 
