@@ -24,8 +24,9 @@ test:
 # concurrent runs on their first sparse step, and the LocalEdges index to a
 # stable group-by-owner built once, only by the apps that walk it), the allocation guards (ingress budgets; the engine's
 # superstep loop allocates nothing per superstep, in either engine, and the
-# reference engine nothing per edge; the accountant's charges allocate
-# nothing, and the async apps nothing per round — next to the
+# reference engine nothing per edge; a frontier run allocates at most
+# (sizeof V + sizeof A + 15) bytes per vertex and SSSP 11; the accountant's
+# charges allocate nothing, and the async apps nothing per round — next to the
 # property tests holding every program's Fold and Apply to their one-element
 # forms and its Init to the per-vertex definition;
 # placement finalization allocates by machine count, never by edge count, and
@@ -44,7 +45,8 @@ test:
 # evolving-graph differentials (amended placements inside their imbalance
 # envelope, O(|delta|) fingerprints bit-identical to full rescans, the
 # sharded rescan equal to its sequential sum at GOMAXPROCS 1, 2, 3 and 8,
-# process-stable partitioner cache keys), the overload and evolve golden files
+# process-stable partitioner cache keys, their type strings equal to %T),
+# the overload and evolve golden files
 # pinning the service control plane and the incremental-recomputation chain
 # byte-for-byte, one iteration of every engine, ingress, amend and delta
 # micro-benchmark and of the root experiment harness's table1 (so they keep
@@ -60,8 +62,8 @@ check:
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential|TestDeletedIndicesMatchesFullScan' ./internal/partition ./internal/engine ./internal/graph
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep|TestLocalEdgesBuiltOnFirstWalk' ./internal/engine
-	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestFootprintBoundCoversCompiledPlacement|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder|TestJournalAppendAllocs' ./internal/partition ./internal/engine ./internal/graph ./internal/apps ./internal/service
-	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestFingerprintWorkerInvariance|TestPartitionerFingerprintStability' ./internal/partition ./internal/workload
+	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression|TestRunAllocs|TestRunBytes|TestSSSPRunBytes|TestAccountantAllocs|TestAsyncAppsAllocateNothingPerRound|TestPropertyFoldContract|TestPropertyApplyContract|TestPropertyInitContract|TestNewPlacementAllocs|TestFootprintBoundCoversCompiledPlacement|TestBuildUndirectedCSRAllocs|TestKCoreRunAllocs|TestKCoreMatchesScanAllSpec|TestBuildCSRMatchesSortSpec|TestPriceMatchesRun|TestPriceRefusesClusterDependentStreams|TestClockInvariantUnderLocalEdgeOrder|TestJournalAppendAllocs' ./internal/partition ./internal/engine ./internal/graph ./internal/apps ./internal/service
+	go test -run 'TestAmendDifferential|TestEvolveFingerprint|TestFingerprintWorkerInvariance|TestPartitionerFingerprintStability|TestPartitionerTypeStringMatchesPercentT' ./internal/partition ./internal/workload
 	go test -run 'TestGoldenTables/(overload|evolve)' ./internal/exp
 	go test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/partition ./internal/graph
 	go test -run '^$$' -bench 'Experiments/table1$$' -benchtime 1x .

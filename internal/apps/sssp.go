@@ -87,17 +87,17 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 	active[s.Source] = true
 	frontier, nextFrontier := 1, 0
 
-	// touched stamps (machine, vertex) partial sends per round.
-	touched := make([]int64, n)
-	for i := range touched {
-		touched[i] = -1
-	}
+	// touched[v] is one more than the last machine that relaxed into v this
+	// round, so each (machine, vertex) partial is counted once: machines run
+	// in order within a round, and the round's clear zeroes every stamp
+	// (p < MaxMachines, so p+1 fits a byte).
+	touched := make([]uint8, n)
 
 	account := engine.NewAccountant(cl, s.Coeffs())
 	account.SetCollector(tc)
 	counters := make([]engine.StepCounters, pl.M)
 	anyChange := false
-	relax := func(sc *engine.StepCounters, p int, stamp int64, from, to graph.VertexID, w float64) {
+	relax := func(sc *engine.StepCounters, p int, stamp uint8, from, to graph.VertexID, w float64) {
 		sc.Gathers++
 		if nd := dist[from] + w; nd < dist[to] {
 			dist[to] = nd
@@ -121,11 +121,12 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 	for ; rounds < s.MaxIters; rounds++ {
 		account.StepBegin(rounds, frontier, "sync")
 		clear(counters)
+		clear(touched)
 		anyChange = false
 		for p := 0; p < pl.M; p++ {
 			sc := &counters[p]
 			sc.Vertices = float64(len(pl.MasterVerts[p]))
-			stamp := int64(rounds)*int64(pl.M) + int64(p) + 1
+			stamp := uint8(p + 1)
 			for _, ei := range local[p] {
 				e := g.Edges[ei]
 				w := float64(g.Weight(int(ei)))

@@ -146,9 +146,13 @@ type Accountant struct {
 	curKind string
 }
 
-// NewAccountant creates an accountant for a run over cl.
+// NewAccountant creates an accountant for a run over cl. Its five
+// per-machine slices share one allocation, each capped so that an append to
+// one (Result.BusySeconds, say) cannot write into the next.
 func NewAccountant(cl *cluster.Cluster, coeffs CostCoeffs) *Accountant {
-	retired := make([]float64, cl.Size())
+	buf, m := make([]float64, 5*cl.Size()), cl.Size()
+	part := func(i int) []float64 { return buf[i*m : (i+1)*m : (i+1)*m] }
+	retired := part(0)
 	for i := range retired {
 		retired[i] = -1
 	}
@@ -156,10 +160,10 @@ func NewAccountant(cl *cluster.Cluster, coeffs CostCoeffs) *Accountant {
 		cl:        cl,
 		coeffs:    coeffs,
 		retiredAt: retired,
-		busy:      make([]float64, cl.Size()),
-		comm:      make([]float64, cl.Size()),
-		asyncBusy: make([]float64, cl.Size()),
-		step:      make([]float64, cl.Size()),
+		busy:      part(1),
+		comm:      part(2),
+		asyncBusy: part(3),
+		step:      part(4),
 	}
 }
 

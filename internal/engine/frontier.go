@@ -18,15 +18,15 @@ import (
 const sparseFrontierDenom = 8
 
 // frontier is the hybrid active-vertex set: a dense bitmap that is always
-// maintained (for O(1) membership tests during dense sweeps) plus a sparse
-// worklist kept only while the frontier stays under the density threshold.
-// Once the worklist overflows the frontier degrades to bitmap-only and the
-// engine runs dense supersteps; resetting costs O(active), not O(|V|), while
-// the worklist survives.
+// maintained (for O(1) membership tests during dense sweeps) plus a worklist
+// of capacity |V|, meaningful only under the density threshold. A run keeps
+// one: once the gather has read it, clearBits empties the bitmap, the
+// worklist's storage receives Program.Apply's signalled vertices and take
+// adopts them, so the list never grows.
 type frontier struct {
 	bits []bool
 	list []graph.VertexID
-	// listCap is the worklist length at which the frontier degrades; it is
+	// listCap is the largest worklist a sparse frontier holds; it is
 	// |V|/sparseFrontierDenom + 1, so overflow ⇔ the step must run dense.
 	listCap  int
 	count    int
@@ -34,7 +34,7 @@ type frontier struct {
 }
 
 func newFrontier(n int) frontier {
-	return frontier{bits: make([]bool, n), listCap: n/sparseFrontierDenom + 1}
+	return frontier{bits: make([]bool, n), list: make([]graph.VertexID, 0, n), listCap: n/sparseFrontierDenom + 1}
 }
 
 // fill activates every vertex (the first superstep's frontier), in
@@ -50,36 +50,44 @@ func (f *frontier) fill() {
 
 // seed activates exactly the given vertices (the warm-start superstep-0
 // frontier). Duplicates are tolerated — Options.InitialActive is
-// caller-supplied — by testing the bitmap before each add.
+// caller-supplied — by testing the bitmap before each append.
 func (f *frontier) seed(vs []graph.VertexID) {
+	list := f.list[:0]
 	for _, v := range vs {
 		if !f.bits[v] {
-			f.add(v)
+			f.bits[v] = true
+			list = append(list, v)
 		}
+	}
+	f.take(list)
+}
+
+// take adopts list — Program.Apply's signalled vertices, appended to
+// f.list[:0] — as the frontier, sparse exactly when it holds at most listCap.
+// Masters partition the vertex set, so the list holds no duplicates.
+func (f *frontier) take(list []graph.VertexID) {
+	for _, v := range list {
+		f.bits[v] = true
+	}
+	f.list = list
+	f.count = len(list)
+	f.overflow = len(list) > f.listCap
+}
+
+// clearBits deactivates every vertex in O(active) when sparse, O(|V|)
+// otherwise. The worklist's contents are left for take to overwrite.
+func (f *frontier) clearBits() {
+	if f.overflow {
+		clear(f.bits)
+		return
+	}
+	for _, v := range f.list {
+		f.bits[v] = false
 	}
 }
 
-// add activates v. Each vertex is applied at most once per superstep (masters
-// partition the vertex set), so callers never add the same vertex twice and
-// the worklist needs no deduplication.
-func (f *frontier) add(v graph.VertexID) {
-	f.bits[v] = true
-	f.count++
-	if !f.overflow {
-		if len(f.list) >= f.listCap {
-			f.overflow = true
-			f.list = f.list[:0]
-		} else {
-			f.list = append(f.list, v)
-		}
-	}
-}
-
-// has reports whether v is active.
-func (f *frontier) has(v graph.VertexID) bool { return f.bits[v] }
-
-// sparse reports whether the frontier is under the density threshold and
-// still carries its worklist.
+// sparse reports whether the frontier is under the density threshold, so its
+// worklist holds exactly the active vertices.
 func (f *frontier) sparse() bool { return !f.overflow }
 
 // sorted returns the worklist in ascending vertex order (sorting in place),
@@ -90,10 +98,8 @@ func (f *frontier) sorted() []graph.VertexID {
 }
 
 // restore overwrites the frontier from a checkpointed bitmap. The worklist is
-// rebuilt in ascending order exactly when the set is under the density
-// threshold, matching what organic add()s would have produced (overflow
-// triggers on the add that would push the list past listCap, so a finished
-// frontier overflows iff count > listCap).
+// rebuilt, in ascending order, exactly when count ≤ listCap: what take would
+// have adopted, up to the order sorted() imposes before any sweep.
 func (f *frontier) restore(active []bool, count int) {
 	copy(f.bits, active)
 	f.count = count
@@ -106,18 +112,4 @@ func (f *frontier) restore(active []bool, count int) {
 			}
 		}
 	}
-}
-
-// reset deactivates everything in O(active) when sparse, O(|V|) otherwise.
-func (f *frontier) reset() {
-	if f.overflow {
-		clear(f.bits)
-	} else {
-		for _, v := range f.list {
-			f.bits[v] = false
-		}
-	}
-	f.list = f.list[:0]
-	f.count = 0
-	f.overflow = false
 }

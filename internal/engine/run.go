@@ -23,11 +23,12 @@ import (
 // superstep in that direction — whenever the active set drops below the
 // hybrid frontier's density threshold, skipping inactive edges entirely.
 //
-// A run is one goroutine: the step counters are written in place and
-// activations go straight into the next frontier. Host parallelism lives
-// outside the superstep loop — the block compile, the ingress scans and the
-// service's job workers — because the simulated cluster's clock, not the
-// host's, is the result.
+// A run is one goroutine: the step counters are written in place, and the
+// run keeps one frontier whose worklist storage receives Program.Apply's
+// signalled vertices and becomes the next superstep's frontier. Host
+// parallelism lives outside the superstep loop — the block compile, the
+// ingress scans and the service's job workers — because the simulated
+// cluster's clock, not the host's, is the result.
 //
 // Simulated times, energy and communication are bit-identical to
 // RunReference: each per-machine counter is a sum of exactly-representable
@@ -40,7 +41,8 @@ import (
 // Options add dynamic rebalancing, fault injection with checkpoint recovery,
 // tracing and a warm-start frontier. A placement change (migration, crash
 // repartition) swaps in the new placement's layouts. Buffers are allocated once
-// per run and reused across supersteps.
+// per run and reused across supersteps: (sizeof V + sizeof A + 15) bytes per
+// vertex for a frontier program, sizeof V + sizeof A + 6 for an ApplyAll one.
 func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts Options) (*Result, []V, error) {
 	if cl.Size() != pl.M {
 		return nil, nil, fmt.Errorf("engine: placement has %d machines, cluster %d", pl.M, cl.Size())
@@ -70,7 +72,7 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 	// The frontier starts full — every vertex gathers in superstep 0, exactly
 	// as the reference engine's all-true active bitmap prescribes — unless a
 	// warm-start seed narrows it to the vertices a delta batch touched.
-	r.front, r.next = newFrontier(n), newFrontier(n)
+	r.front = newFrontier(n)
 	if opts.InitialActive != nil && !applyAll {
 		if err := validateInitialActive(opts.InitialActive, n); err != nil {
 			return nil, nil, err
@@ -86,17 +88,12 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 	}
 	ft.baseline(r.vals, r.front.bits, r.front.count)
 
-	// One |V|-sized list for the whole run receives Program.Apply's signalled
-	// vertices, so its append never allocates. Frontier programs get a second
-	// one (both from one allocation) for the list of vertices to apply: the
+	// Frontier programs get a |V|-sized list of vertices to apply: the
 	// gathered vertices of a dense step, or the dirty list a sparse gather
 	// builds — the two never live at once, and a destination is dirty at most
-	// once per step, so neither list ever grows.
-	if applyAll {
-		r.signal = make([]graph.VertexID, n)
-	} else {
-		lists := make([]graph.VertexID, 2*n)
-		r.signal, r.gathered = lists[:n], lists[n:]
+	// once per step, so the list never grows.
+	if !applyAll {
+		r.gathered = make([]graph.VertexID, n)
 		r.dirty = r.gathered[:0]
 		r.touched = make([]uint8, n)
 		r.contribs = make([]int32, n)
@@ -121,9 +118,9 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 		}
 
 		// Gather, then apply+scatter: masters apply, changed vertices count
-		// their mirror broadcasts and activate themselves in the next
-		// frontier. Only gathered destinations can apply after a sparse
-		// gather, so that sweep visits the dirty list instead of every vertex.
+		// their mirror broadcasts and become the next frontier. Only gathered
+		// destinations can apply after a sparse gather, so that sweep visits
+		// the dirty list instead of every vertex.
 		if r.sparse {
 			r.gatherSparse()
 			r.apply(r.dirty)
@@ -169,15 +166,10 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 			clear(r.acc)
 		}
 
+		// A frontier program's step changed something exactly when it
+		// signalled a vertex, so termination needs no O(|V|) emptiness scan.
 		terminated := !r.changed
 		r.changed = false
-		if !applyAll && !terminated {
-			r.front, r.next = r.next, r.front
-			r.next.reset()
-			// The frontier count is maintained live by the apply phase, so
-			// termination needs no O(|V|) emptiness scan.
-			terminated = r.front.count == 0
-		}
 
 		// Fault barrier: write a due checkpoint, then fire a scheduled crash.
 		// On a crash the run rolls back to the returned checkpoint and resumes
@@ -193,7 +185,6 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 		if restore != nil {
 			copy(r.vals, restore.Vals)
 			r.front.restore(restore.Active, restore.ActiveCount)
-			r.next.reset()
 			step = restore.Step - 1 // loop increment lands on restore.Step
 			continue
 		}
@@ -232,21 +223,23 @@ type sweep[V, A any] struct {
 	// along the dirty list — and contribs[d] counts that machine's gathers.
 	touched  []uint8
 	contribs []int32
-	// signal and gathered back the lists the apply phase hands to and gets
-	// back from Program.Apply.
-	signal, gathered []graph.VertexID
+	// gathered backs the list of vertices a dense step applies.
+	gathered []graph.VertexID
 	// dirty lists the destinations a sparse step gathered into, so apply and
 	// the accumulator reset cost O(gathered), not O(|V|).
 	dirty []graph.VertexID
 
-	front, next frontier
+	// front is the run's frontier: the gather reads it, then the apply phase
+	// clears it and refills it with the step's signalled vertices.
+	front frontier
 	// counters is what the accountant is charged with for the step.
 	counters []StepCounters
 	// changed reports that the step applied a vertex whose value changed.
 	changed bool
 
 	// Per-superstep inputs: the direction choice and the active sources as a
-	// sorted worklist (sparse) or a bitmap (dense; nil when all are active).
+	// sorted worklist (sparse) or a bitmap (dense; nil when all are active),
+	// views of front that are dead once the gather is done.
 	sparse bool
 	srcs   []graph.VertexID
 	act    []bool
@@ -345,19 +338,19 @@ func (r *sweep[V, A]) gatherSparse() {
 // apply runs the apply+scatter phase: one Program.Apply call per vertex list,
 // then the accounting from the list handed in (Applies) and the list of
 // signalled vertices it returns (a signalled vertex charges its mirror
-// broadcasts and activates itself in the next frontier). On ApplyAll steps the
-// lists are the machines' masters; otherwise list is the dirty list after a
-// sparse gather and nil after a dense one, when every vertex is scanned for
-// whether it gathered something. Counters are attributed to each vertex's
-// master machine.
+// broadcasts). On ApplyAll steps the lists are the machines' masters, and the
+// full frontier's worklist storage is Apply's signal scratch; otherwise list
+// is the dirty list after a sparse gather and nil after a dense one, when
+// every vertex is scanned for whether it gathered something, and the
+// frontier, read by the gather and now cleared, takes the signalled vertices.
+// Counters are attributed to each vertex's master machine.
 func (r *sweep[V, A]) apply(list []graph.VertexID) {
 	masks := r.pl.ReplicaMask
 	counters := r.counters
-	signal := r.signal[:0]
 
 	if r.applyAll {
 		for p, vs := range r.pl.MasterVerts {
-			out := r.prog.Apply(vs, r.vals, r.acc, r.has, &r.rt, signal)
+			out := r.prog.Apply(vs, r.vals, r.acc, r.has, &r.rt, r.front.list[:0])
 			// Every replica but the master's own receives the new value.
 			updates, self := 0, uint64(1)<<uint(p)
 			for _, v := range out {
@@ -378,7 +371,8 @@ func (r *sweep[V, A]) apply(list []graph.VertexID) {
 			}
 		}
 	}
-	out := r.prog.Apply(list, r.vals, r.acc, r.has, &r.rt, signal)
+	r.front.clearBits()
+	out := r.prog.Apply(list, r.vals, r.acc, r.has, &r.rt, r.front.list[:0])
 	master := r.pl.Master
 	var applies, updates [MaxMachines]int64
 	for _, v := range list {
@@ -393,7 +387,5 @@ func (r *sweep[V, A]) apply(list []graph.VertexID) {
 		counters[p].UpdatesOut += float64(updates[p])
 	}
 	r.changed = len(out) > 0
-	for _, v := range out {
-		r.next.add(v)
-	}
+	r.front.take(out)
 }

@@ -357,7 +357,8 @@ func (c *PlacementCache) keyFP(graphFP uint64, part partition.Partitioner, share
 // process runs).
 func partitionerFingerprint(part partition.Partitioner) uint64 {
 	h := rng.Hash2(0x70617274 /* "part" */, rng.HashString(part.Name()))
-	h = rng.Hash2(h, rng.HashString(fmt.Sprintf("%T", part)))
+	// reflect's type string is what %T prints, without a printer per lookup.
+	h = rng.Hash2(h, rng.HashString(reflect.TypeOf(part).String()))
 	v := reflect.ValueOf(part)
 	for v.Kind() == reflect.Pointer {
 		if v.IsNil() {

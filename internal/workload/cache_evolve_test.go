@@ -2,6 +2,8 @@ package workload
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +94,19 @@ func TestPlacementCacheJoinOnFailedBuild(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed build left an entry cached")
+	}
+}
+
+// TestPartitionerTypeStringMatchesPercentT: partitionerFingerprint hashes
+// reflect's type string where it once hashed fmt's %T, and cache keys must
+// stay byte-identical, so the two strings must agree for every shipped
+// partitioner (and for a pointer-receiver type defined outside the package).
+func TestPartitionerTypeStringMatchesPercentT(t *testing.T) {
+	parts := append(partition.WithExtensions(), &pointerTunedPart{})
+	for _, p := range parts {
+		if got, want := reflect.TypeOf(p).String(), fmt.Sprintf("%T", p); got != want {
+			t.Errorf("%s: reflect type string %q, %%T prints %q", p.Name(), got, want)
+		}
 	}
 }
 
