@@ -66,7 +66,7 @@ func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 	for _, app := range WithExtensions() {
 		t.Run(app.Name(), func(t *testing.T) {
 			if app.Name() == "sssp" {
-				t.Skip("SSSP relaxes dist in place within one scan of LocalEdges, so its rounds follow edge order; ROADMAP direction 2 makes it synchronous Bellman-Ford")
+				t.Skip("SSSP relaxes dist in place within one scan of LocalEdges, so its rounds follow edge order; moving SSSP onto engine.Run as synchronous Bellman-Ford lifts this skip")
 			}
 			run := func(pl *engine.Placement) (*engine.Result, []trace.Event) {
 				rec := trace.NewRecorder()
