@@ -1,67 +1,67 @@
 package exp
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-// update rewrites the golden files with the current output:
-//
-//	go test ./internal/exp -run TestGoldenTables -update
-//
-// Review the resulting testdata/*.golden diff like any other code change —
-// these files pin the rendered experiment tables byte-for-byte, so an
-// unexpected diff means an accounting, partitioning, or formatting change.
-var update = flag.Bool("update", false, "rewrite golden files with current output")
-
-// TestGoldenTables locks the rendered output of a representative experiment
-// slice (scaling ladder, cross-category cluster, fault recovery, and the new
-// trace-derived execution profiles) against checked-in golden files. The whole
-// pipeline under each table — generation, proxy profiling, partitioning, all
-// three engines' accounting, and table formatting — is deterministic for a
-// fixed (Scale, Seed), so any byte of drift is a real behaviour change.
+// TestGoldenTables reruns a slice of the catalog — scaling ladder,
+// cross-category cluster, fault recovery, the overload service and the
+// trace-derived profiles — each on a fresh Lab of its own at GOMAXPROCS 1,
+// against the goldens TestEveryExperimentProducesWellFormedTables pins. That
+// test runs every entry on one shared Lab, in catalog order, at the default
+// GOMAXPROCS; this one pins that an entry's rendering depends on neither what
+// the Lab cached before it nor how many threads ran it.
 func TestGoldenTables(t *testing.T) {
-	lab := NewLab(Config{Scale: 1024, Seed: 42})
-	cases := []struct {
-		name string
-		run  func() (interface{ String() string }, error)
-	}{
-		{"fig2", func() (interface{ String() string }, error) { return lab.Fig2() }},
-		{"fig4", func() (interface{ String() string }, error) { return lab.Fig4() }},
-		{"fig8a", func() (interface{ String() string }, error) { return lab.Fig8a() }},
-		{"recovery", func() (interface{ String() string }, error) { return lab.RecoveryStudy() }},
-		{"overload", func() (interface{ String() string }, error) { return lab.ServiceOverloadStudy() }},
-		{"clusterbfs", func() (interface{ String() string }, error) { return lab.ClusterBFSStudy() }},
-		{"evolve", func() (interface{ String() string }, error) { return lab.EvolveStudy() }},
+	if *update {
+		t.Skip("goldens are rewritten by TestEveryExperimentProducesWellFormedTables")
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			tab, err := tc.run()
+	byName := make(map[string]Experiment)
+	for _, e := range Catalog() {
+		byName[e.Name] = e
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, name := range []string{"fig2", "fig4", "fig8a", "recovery", "overload", "clusterbfs", "evolve"} {
+		t.Run(name, func(t *testing.T) {
+			e, ok := byName[name]
+			if !ok {
+				t.Fatalf("no catalog entry %q", name)
+			}
+			tables, err := e.Run(NewLab(Config{Scale: 1024, Seed: 42}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tab.String()
-			path := filepath.Join("testdata", tc.name+".golden")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			var rendered strings.Builder
+			for _, tab := range tables {
+				rendered.WriteString(tab.String())
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("output drifted from %s (rerun with -update if intended)\n--- want ---\n%s\n--- got ---\n%s",
-					path, want, got)
-			}
+			checkGolden(t, name, rendered.String())
 		})
+	}
+}
+
+// TestGoldenFilesMatchCatalog checks that testdata holds exactly one golden
+// per Catalog entry. -update writes goldens but never deletes them, so a
+// renamed or removed entry would otherwise leave a file nothing reads.
+func TestGoldenFilesMatchCatalog(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]bool)
+	for _, e := range Catalog() {
+		want[e.Name+".golden"] = true
+	}
+	for _, f := range files {
+		name := filepath.Base(f)
+		if !want[name] {
+			t.Errorf("%s names no catalog entry", f)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("no golden testdata/%s", name)
 	}
 }
