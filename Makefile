@@ -42,15 +42,16 @@ check: build test
 bench-contract:
 	cd benchmark && go vet . && go test .
 
-# bench-compare measures one workload on a parent commit and on the working
-# tree in alternating pairs and prints, per end-to-end metric, both medians,
-# both quartile ranges and the pairs the working tree won — the evidence a
-# performance change quotes. About 30 s per pair; run it on an idle host.
+# bench-compare measures each workload of the space-separated WORKLOAD list on
+# a parent commit and on the working tree in alternating pairs (at least 2)
+# and prints, per workload and end-to-end metric, both medians, both quartile
+# ranges and the pairs the working tree won — the evidence a performance
+# change quotes. About 30 s per pair; run it on an idle host.
 PARENT ?= HEAD
 WORKLOAD ?= cold_ingest
 PAIRS ?= 10
 bench-compare:
-	bash scripts/bench_compare.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+	bash scripts/bench_compare.sh $(PARENT) '$(WORKLOAD)' $(PAIRS)
 
 # fuzz-smoke runs every fuzz target of the module for FUZZTIME, one go test
 # run each (-fuzz takes one target), so a new Fuzz function joins by itself.

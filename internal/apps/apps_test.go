@@ -50,9 +50,9 @@ func multiCluster(t *testing.T, n int) *cluster.Cluster {
 
 func moduloPlacement(t *testing.T, g *graph.Graph, m int) *engine.Placement {
 	t.Helper()
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	for i := range owner {
-		owner[i] = int32(i % m)
+		owner[i] = engine.Machine(i % m)
 	}
 	pl, err := engine.NewPlacement(g, owner, m)
 	if err != nil {

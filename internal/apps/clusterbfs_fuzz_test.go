@@ -59,9 +59,9 @@ func FuzzClusterBFS(f *testing.F) {
 			}
 		}
 
-		owner := make([]int32, len(g.Edges))
+		owner := make([]engine.Machine, len(g.Edges))
 		for i := range owner {
-			owner[i] = int32(i % 2)
+			owner[i] = engine.Machine(i % 2)
 		}
 		pl, err := engine.NewPlacement(g, owner, 2)
 		if err != nil {

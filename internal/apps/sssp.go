@@ -111,7 +111,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 		}
 		if touched[to] != stamp {
 			touched[to] = stamp
-			if pl.Master[to] != int32(p) {
+			if pl.Master[to] != engine.Machine(p) {
 				sc.PartialsOut++
 			}
 		}

@@ -339,9 +339,9 @@ func TestKCoreMatchesScanAllSpec(t *testing.T) {
 			g.Edges = append(g.Edges, E(u, v))
 		}
 		for _, machines := range []int{1, 3, 4} {
-			owner := make([]int32, len(g.Edges))
+			owner := make([]engine.Machine, len(g.Edges))
 			for i := range owner {
-				owner[i] = int32(rng.Hash2(seed, uint64(i)) % uint64(machines))
+				owner[i] = engine.Machine(rng.Hash2(seed, uint64(i)) % uint64(machines))
 			}
 			pl, err := engine.NewPlacement(g, owner, machines)
 			if err != nil {

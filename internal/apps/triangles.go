@@ -106,11 +106,11 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 				sc.MaxUnit = float64(probes) // one edge's merge is sequential
 			}
 			sc.Applies++
-			if pl.Master[a] != int32(p) && sentStamp[a] != int32(p) {
+			if pl.Master[a] != engine.Machine(p) && sentStamp[a] != int32(p) {
 				sentStamp[a] = int32(p)
 				sc.PartialsOut++
 			}
-			if pl.Master[b] != int32(p) && sentStamp[b] != int32(p) {
+			if pl.Master[b] != engine.Machine(p) && sentStamp[b] != int32(p) {
 				sentStamp[b] = int32(p)
 				sc.PartialsOut++
 			}

@@ -41,7 +41,7 @@ func NewMigrator(seed uint64) *Migrator {
 }
 
 // Decide implements engine.Rebalancer.
-func (m *Migrator) Decide(step int, times []float64, pl *engine.Placement) ([]int32, int64, bool) {
+func (m *Migrator) Decide(step int, times []float64, pl *engine.Placement) ([]engine.Machine, int64, bool) {
 	if m.MaxMigrations > 0 && m.Migrations >= m.MaxMigrations {
 		return nil, 0, false
 	}
@@ -79,7 +79,7 @@ func (m *Migrator) Decide(step int, times []float64, pl *engine.Placement) ([]in
 		move = len(local) - 1
 	}
 
-	owner := make([]int32, len(pl.EdgeOwner))
+	owner := make([]engine.Machine, len(pl.EdgeOwner))
 	copy(owner, pl.EdgeOwner)
 	// Derive the per-step stream by hashing, not adding: Seed+step makes
 	// migrator seeds s and s+1 replay each other's streams one step apart
@@ -96,7 +96,7 @@ func (m *Migrator) Decide(step int, times []float64, pl *engine.Placement) ([]in
 	}
 	idx := int(src.Uint64n(uint64(len(local))))
 	for i := 0; i < move; i++ {
-		owner[local[idx]] = int32(fastest)
+		owner[local[idx]] = engine.Machine(fastest)
 		moved++
 		idx = (idx + stride) % len(local)
 	}

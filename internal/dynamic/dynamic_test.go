@@ -141,7 +141,7 @@ func TestMigratorUnlimitedWhenZero(t *testing.T) {
 
 func TestDecideIgnoresZeroTimeMachines(t *testing.T) {
 	g := testGraph(t, 7, 100, 600)
-	pl, err := engine.NewPlacement(g, make([]int32, len(g.Edges)), 3)
+	pl, err := engine.NewPlacement(g, make([]engine.Machine, len(g.Edges)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMigrationChargedAsStall(t *testing.T) {
 
 func TestDecideEdgeCases(t *testing.T) {
 	g := testGraph(t, 5, 100, 600)
-	pl, err := engine.NewPlacement(g, make([]int32, len(g.Edges)), 2)
+	pl, err := engine.NewPlacement(g, make([]engine.Machine, len(g.Edges)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

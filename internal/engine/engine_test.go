@@ -24,10 +24,10 @@ func testGraph(seed uint64, n, m int) *graph.Graph {
 	return g
 }
 
-func moduloOwner(g *graph.Graph, m int) []int32 {
-	owner := make([]int32, len(g.Edges))
+func moduloOwner(g *graph.Graph, m int) []Machine {
+	owner := make([]Machine, len(g.Edges))
 	for i := range owner {
-		owner[i] = int32(i % m)
+		owner[i] = Machine(i % m)
 	}
 	return owner
 }
@@ -57,13 +57,15 @@ func TestNewPlacementValidation(t *testing.T) {
 	if _, err := NewPlacement(g, moduloOwner(g, 2), MaxMachines+1); err == nil {
 		t.Error("too many machines should error")
 	}
-	if _, err := NewPlacement(g, make([]int32, 3), 2); err == nil {
+	if _, err := NewPlacement(g, make([]Machine, 3), 2); err == nil {
 		t.Error("owner length mismatch should error")
 	}
-	bad := moduloOwner(g, 2)
-	bad[0] = 7
-	if _, err := NewPlacement(g, bad, 2); err == nil {
-		t.Error("out-of-range owner should error")
+	for _, p := range []Machine{7, 2, 255} {
+		bad := moduloOwner(g, 2)
+		bad[0] = p
+		if _, err := NewPlacement(g, bad, 2); err == nil {
+			t.Errorf("owner %d on 2 machines should error", p)
+		}
 	}
 }
 
@@ -82,7 +84,7 @@ func TestPlacementInvariants(t *testing.T) {
 				t.Fatalf("edge %d assigned twice", ei)
 			}
 			seen[ei] = true
-			if pl.EdgeOwner[ei] != int32(p) {
+			if pl.EdgeOwner[ei] != Machine(p) {
 				t.Fatalf("edge %d in machine %d's list but owned by %d", ei, p, pl.EdgeOwner[ei])
 			}
 		}
@@ -111,7 +113,7 @@ func TestPlacementInvariants(t *testing.T) {
 	total := 0
 	for p := 0; p < m; p++ {
 		for _, v := range pl.MasterVerts[p] {
-			if pl.Master[v] != int32(p) {
+			if pl.Master[v] != Machine(p) {
 				t.Fatalf("vertex %d in machine %d master list but Master=%d", v, p, pl.Master[v])
 			}
 		}

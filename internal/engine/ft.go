@@ -276,7 +276,7 @@ func RepartitionSurvivors(pl *Placement, dead []bool) (*Placement, int64, error)
 		return nil, 0, fmt.Errorf("engine: no surviving machines to repartition onto")
 	}
 
-	owner := append([]int32(nil), pl.EdgeOwner...)
+	owner := append([]Machine(nil), pl.EdgeOwner...)
 	var orphans []int32
 	for i, o := range owner {
 		if dead[o] {
@@ -328,7 +328,7 @@ func RepartitionSurvivors(pl *Placement, dead []bool) (*Placement, int64, error)
 		oi := 0
 		for i, s := range survivors {
 			for k := int64(0); k < quota[i]; k++ {
-				owner[orphans[oi]] = int32(s)
+				owner[orphans[oi]] = Machine(s)
 				oi++
 			}
 		}
@@ -346,7 +346,7 @@ func RepartitionSurvivors(pl *Placement, dead []bool) (*Placement, int64, error)
 	rehashed := false
 	for v, p := range newPl.Master {
 		if dead[p] {
-			newPl.Master[v] = int32(survivors[rng.Hash64(uint64(v))%uint64(len(survivors))])
+			newPl.Master[v] = Machine(survivors[rng.Hash64(uint64(v))%uint64(len(survivors))])
 			rehashed = true
 		}
 	}

@@ -30,7 +30,7 @@ func TestIngressReport(t *testing.T) {
 		t.Error("expected machine-count mismatch error")
 	}
 	// Skewed placements load the loaded machine longer.
-	skewOwner := make([]int32, len(g.Edges))
+	skewOwner := make([]Machine, len(g.Edges))
 	for i := range skewOwner {
 		if i%10 == 0 {
 			skewOwner[i] = 1

@@ -24,6 +24,13 @@ import (
 // MaxMachines bounds cluster size; replica sets are stored as 64-bit masks.
 const MaxMachines = 64
 
+// Machine is a machine id in [0, MaxMachines): the element type of every
+// per-edge owner vector and per-vertex master table.
+type Machine uint8
+
+// The build fails here if MaxMachines ever outgrows a Machine.
+const _ = Machine(MaxMachines - 1)
+
 // Placement is a finalized vertex-cut: every edge owned by one machine, every
 // vertex replicated onto the machines its edges touch, one replica per vertex
 // designated master (PowerGraph's finalization step). NewPlacement builds it.
@@ -32,11 +39,11 @@ type Placement struct {
 	// M is the number of machines.
 	M int
 	// EdgeOwner[i] is the machine owning G.Edges[i].
-	EdgeOwner []int32
+	EdgeOwner []Machine
 	// ReplicaMask[v] has bit p set when vertex v has a replica on machine p.
 	ReplicaMask []uint64
 	// Master[v] is the machine holding vertex v's master replica.
-	Master []int32
+	Master []Machine
 	// MasterVerts[p] lists the vertices mastered on machine p.
 	MasterVerts [][]graph.VertexID
 	// edgeCount[p] is the number of edges machine p owns, tallied by
@@ -203,7 +210,7 @@ func (c *blockCompiler) done(p int) machineBlocks {
 	b := machineBlocks{byDst: c.gr.Done()}
 	b.remote = make([]bool, len(b.byDst.Keys))
 	for i, d := range b.byDst.Keys {
-		b.remote[i] = c.pl.Master[d] != int32(p)
+		b.remote[i] = c.pl.Master[d] != Machine(p)
 	}
 	return b
 }
@@ -282,10 +289,10 @@ func (pl *Placement) sources() []graph.Grouped {
 // lazily built structures exist (see Placement.local), not counting the graph
 // it finalizes, which its caller owns:
 //
-//   - per edge, 24 B: EdgeOwner and the LocalEdges index, 4 B each, and the
+//   - per edge, 21 B: EdgeOwner 1 B, the LocalEdges index 4 B, and the
 //     gather records, 4 + 4 B in the two GatherIn groupings and 8 B in
 //     GatherBoth's;
-//   - per vertex, 16 B: ReplicaMask 8 B, Master and MasterVerts 4 B each;
+//   - per vertex, 13 B: ReplicaMask 8 B, Master 1 B and MasterVerts 4 B;
 //   - per replica, 26 B: a machine's distinct keys in any grouping are
 //     vertices replicated on it, each costing a 4 B key and a 4 B offset in
 //     each of the three groupings plus a remote flag in the two byDst ones;
@@ -297,12 +304,12 @@ func (pl *Placement) sources() []graph.Grouped {
 func (pl *Placement) FootprintBound() int64 {
 	edges := int64(len(pl.EdgeOwner))
 	verts := int64(len(pl.Master))
-	return 24*edges + 16*verts + 26*pl.Replicas() + 512*int64(pl.M)
+	return 21*edges + 13*verts + 26*pl.Replicas() + 512*int64(pl.M)
 }
 
 // NewPlacement finalizes an edge assignment. owner must assign every edge of
 // g to a machine in [0, m).
-func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
+func NewPlacement(g *graph.Graph, owner []Machine, m int) (*Placement, error) {
 	if m < 1 || m > MaxMachines {
 		return nil, fmt.Errorf("engine: machine count %d outside [1, %d]", m, MaxMachines)
 	}
@@ -315,7 +322,7 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 		M:           m,
 		EdgeOwner:   owner,
 		ReplicaMask: make([]uint64, n),
-		Master:      make([]int32, n),
+		Master:      make([]Machine, n),
 		MasterVerts: make([][]graph.VertexID, m),
 	}
 	// One scan of the owner vector validates it, marks replicas and counts
@@ -324,7 +331,7 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 	edges := g.Edges
 	incidences := make([]int32, n)
 	for i, p := range owner {
-		if p < 0 || int(p) >= m {
+		if int(p) >= m {
 			return nil, fmt.Errorf("engine: edge %d assigned to machine %d outside [0, %d)", i, p, m)
 		}
 		pl.edgeCount[p]++
@@ -349,7 +356,7 @@ func NewPlacement(g *graph.Graph, owner []int32, m int) (*Placement, error) {
 	winner := incidences
 	for v, k := range incidences {
 		if k == 0 {
-			pl.Master[v] = int32(rng.Hash64(uint64(v)) % uint64(m))
+			pl.Master[v] = Machine(rng.Hash64(uint64(v)) % uint64(m))
 		} else {
 			winner[v] = sampledIncidence(uint64(v), k)
 		}
@@ -456,7 +463,7 @@ func (pl *Placement) Imbalance(shares []float64) float64 {
 // profiling runs of Section III-B (each profiling set executes on one machine
 // "without communication interference").
 func SingleMachine(g *graph.Graph) *Placement {
-	owner := make([]int32, len(g.Edges))
+	owner := make([]Machine, len(g.Edges))
 	pl, err := NewPlacement(g, owner, 1)
 	if err != nil {
 		// Unreachable: a single-machine assignment is always valid.

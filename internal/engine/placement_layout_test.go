@@ -135,7 +135,7 @@ func TestFootprintBoundCoversCompiledPlacement(t *testing.T) {
 		return 4 * int64(cap(g.Keys)+cap(g.Offs)+cap(g.Vals))
 	}
 	capBytes := func(pl *Placement) int64 {
-		n := 4*int64(cap(pl.EdgeOwner)+cap(pl.Master)) + 8*int64(cap(pl.ReplicaMask))
+		n := int64(unsafe.Sizeof(Machine(0)))*int64(cap(pl.EdgeOwner)+cap(pl.Master)) + 8*int64(cap(pl.ReplicaMask))
 		local := pl.LocalEdges()
 		n += header * int64(cap(local)+cap(pl.MasterVerts))
 		for p := range local {

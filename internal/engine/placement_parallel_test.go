@@ -16,7 +16,7 @@ import (
 func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 	const n, m, machines = 400, 3200, 7
 	g := &graph.Graph{NumVertices: n}
-	owner := make([]int32, 0, m)
+	owner := make([]Machine, 0, m)
 	for i := 0; i < m; i++ {
 		u := graph.VertexID(rng.Hash2(91, uint64(i)) % n)
 		v := graph.VertexID(rng.Hash2(93, uint64(i)) % n)
@@ -24,7 +24,7 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 			v = (v + 1) % n
 		}
 		g.Edges = append(g.Edges, graph.Edge{Src: u, Dst: v})
-		owner = append(owner, int32(rng.Hash2(97, uint64(i))%machines))
+		owner = append(owner, Machine(rng.Hash2(97, uint64(i))%machines))
 	}
 
 	// A fresh placement per worker count, so its lazy compiles run at that

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/rng"
 )
@@ -60,11 +61,11 @@ func specGraphs() []*graph.Graph {
 
 // hashedOwner spreads edges over m machines unevenly (machine 0 gets about a
 // third), so blocks differ in size and some machines of 64 own nothing.
-func hashedOwner(g *graph.Graph, m int) []int32 {
-	owner := make([]int32, len(g.Edges))
+func hashedOwner(g *graph.Graph, m int) []Machine {
+	owner := make([]Machine, len(g.Edges))
 	for i := range owner {
 		if h := rng.Hash2(41, uint64(i)); h%3 != 0 {
-			owner[i] = int32(h / 3 % uint64(m))
+			owner[i] = Machine(h / 3 % uint64(m))
 		}
 	}
 	return owner
@@ -85,7 +86,7 @@ func specBlock(pl *Placement, p int, both bool) specLayout {
 	type record struct{ into, from graph.VertexID }
 	var records []record
 	for i, e := range pl.G.Edges {
-		if pl.EdgeOwner[i] != int32(p) {
+		if pl.EdgeOwner[i] != Machine(p) {
 			continue
 		}
 		records = append(records, record{into: e.Dst, from: e.Src})
@@ -111,7 +112,7 @@ func specBlock(pl *Placement, p int, both bool) specLayout {
 	from := func(r record) graph.VertexID { return r.from }
 	b := specLayout{byDst: group(into, from), bySrc: group(from, into)}
 	for _, d := range b.byDst.Keys {
-		b.remote = append(b.remote, pl.Master[d] != int32(p))
+		b.remote = append(b.remote, pl.Master[d] != Machine(p))
 	}
 	return b
 }
@@ -191,12 +192,9 @@ func TestMasterSelectionMatchesReservoirSpec(t *testing.T) {
 				t.Fatalf("%s on %d machines: %v", g.Name, machines, err)
 			}
 
-			master := make([]int32, g.NumVertices)
-			for v := range master {
-				master[v] = -1
-			}
+			master := make([]Machine, g.NumVertices)
 			incidences := make([]int32, g.NumVertices)
-			pickMaster := func(v graph.VertexID, p int32) {
+			pickMaster := func(v graph.VertexID, p Machine) {
 				incidences[v]++
 				if rng.Hash2(uint64(v), uint64(incidences[v]))%uint64(incidences[v]) == 0 {
 					master[v] = p
@@ -209,8 +207,8 @@ func TestMasterSelectionMatchesReservoirSpec(t *testing.T) {
 			}
 			masterVerts := make([][]graph.VertexID, machines)
 			for v := range master {
-				if master[v] < 0 {
-					master[v] = int32(rng.Hash64(uint64(v)) % uint64(machines))
+				if incidences[v] == 0 {
+					master[v] = Machine(rng.Hash64(uint64(v)) % uint64(machines))
 				}
 				masterVerts[master[v]] = append(masterVerts[master[v]], graph.VertexID(v))
 			}
@@ -296,4 +294,120 @@ func TestNewPlacementAllocs(t *testing.T) {
 			t.Errorf("%d machines: 8x the edges moved allocations from %+v to %+v: something grows with |E|", machines, got, big)
 		}
 	}
+}
+
+// TestNewPlacementBytes pins what finalization allocates to its per-vertex
+// tables: ReplicaMask 8 B, Master 1 B, the MasterVerts arena 4 B and the
+// transient incidence counts 4 B, plus 16 KiB for the placement itself and
+// its per-machine slices. Nothing is charged per edge: the caller's owner
+// vector is kept, not copied. A four-byte Master would add 3 B per vertex and
+// fail.
+func TestNewPlacementBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews bytes/op")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, err := gen.Generate(gen.Spec{
+		Name: "alloc", Vertices: 20000, Edges: 160000, Kind: gen.KindPowerLaw,
+	}, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const machines, runs = 8, 5
+	owner := moduloOwner(g, machines)
+	finalize := func() {
+		if _, err := NewPlacement(g, owner, machines); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finalize()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		finalize()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	const perVertex = 8 + 1 + 4 + 4
+	ceiling := uint64(perVertex*g.NumVertices + 16<<10)
+	t.Logf("%d vertices, %d edges on %d machines: %d bytes per NewPlacement, ceiling %d", g.NumVertices, len(g.Edges), machines, got, ceiling)
+	if got > ceiling {
+		t.Errorf("NewPlacement allocates %d bytes, want at most %d·|V| + 16 KiB = %d", got, perVertex, ceiling)
+	}
+}
+
+// FuzzNewPlacement checks finalization against its contract on arbitrary
+// owner vectors: it fails exactly when the machine count is outside
+// [1, MaxMachines] or some owner is not below it, and otherwise every edge is
+// counted once, replicated on both endpoints under its owner, every vertex
+// with edges is mastered on one of its replicas, and MasterVerts lists every
+// vertex once, under its master. The graph is a pure function of the owner
+// vector's length, with isolated vertices and self-loops.
+func FuzzNewPlacement(f *testing.F) {
+	f.Add(byte(4), []byte{0, 1, 2, 3, 3, 2, 1, 0})
+	f.Add(byte(1), []byte{})
+	f.Add(byte(0), []byte{0})
+	f.Add(byte(65), []byte{0, 1})
+	f.Add(byte(64), []byte{63, 0, 17})
+	f.Add(byte(2), []byte{0, 2})
+	f.Add(byte(2), []byte{1, 255})
+	f.Fuzz(func(t *testing.T, m byte, raw []byte) {
+		if len(raw) > 1<<12 {
+			raw = raw[:1<<12]
+		}
+		n := len(raw)/2 + 3
+		g := &graph.Graph{Name: "fuzz", NumVertices: n}
+		owner := make([]Machine, len(raw))
+		valid := m >= 1 && int(m) <= MaxMachines
+		for i, b := range raw {
+			g.Edges = append(g.Edges, graph.Edge{
+				Src: graph.VertexID(rng.Hash2(1, uint64(i)) % uint64(n)),
+				Dst: graph.VertexID(rng.Hash2(2, uint64(i)) % uint64(n)),
+			})
+			owner[i] = Machine(b)
+			valid = valid && b < m
+		}
+		pl, err := NewPlacement(g, owner, int(m))
+		if (err == nil) != valid {
+			t.Fatalf("m=%d owner=%v: error %v, want error %t", m, raw, err, !valid)
+		}
+		if err != nil {
+			return
+		}
+		var total int64
+		for _, c := range pl.EdgeCounts() {
+			total += c
+		}
+		if total != int64(len(g.Edges)) {
+			t.Fatalf("EdgeCounts sum to %d, want %d", total, len(g.Edges))
+		}
+		for i, e := range g.Edges {
+			bit := uint64(1) << owner[i]
+			if pl.ReplicaMask[e.Src]&bit == 0 || pl.ReplicaMask[e.Dst]&bit == 0 {
+				t.Fatalf("edge %d %v on machine %d: endpoint masks %b, %b", i, e, owner[i], pl.ReplicaMask[e.Src], pl.ReplicaMask[e.Dst])
+			}
+		}
+		for v, mask := range pl.ReplicaMask {
+			if int(pl.Master[v]) >= pl.M {
+				t.Fatalf("vertex %d mastered on machine %d of %d", v, pl.Master[v], pl.M)
+			}
+			if mask != 0 && mask&(1<<pl.Master[v]) == 0 {
+				t.Fatalf("vertex %d mastered on %d outside its replicas %b", v, pl.Master[v], mask)
+			}
+		}
+		listed := make([]int, n)
+		for p, vs := range pl.MasterVerts {
+			for _, v := range vs {
+				if pl.Master[v] != Machine(p) {
+					t.Fatalf("vertex %d listed under machine %d, mastered on %d", v, p, pl.Master[v])
+				}
+				listed[v]++
+			}
+		}
+		for v, c := range listed {
+			if c != 1 {
+				t.Fatalf("vertex %d listed %d times in MasterVerts", v, c)
+			}
+		}
+	})
 }

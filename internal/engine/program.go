@@ -96,7 +96,7 @@ type Rebalancer interface {
 	// perMachineSeconds is the step's time per machine (0 for a crashed
 	// one), lent for the call: the engine reuses the slice at the next
 	// superstep, so Decide must not keep it.
-	Decide(step int, perMachineSeconds []float64, pl *Placement) (owner []int32, moved int64, ok bool)
+	Decide(step int, perMachineSeconds []float64, pl *Placement) (owner []Machine, moved int64, ok bool)
 }
 
 // migratedEdgeBytes is the wire cost of moving one edge (endpoints plus the

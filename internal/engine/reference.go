@@ -113,7 +113,7 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 					if touched[e.Dst] != stampBase {
 						touched[e.Dst] = stampBase
 						contribs[e.Dst] = 0
-						if pl.Master[e.Dst] != int32(p) {
+						if pl.Master[e.Dst] != Machine(p) {
 							sc.PartialsOut++
 						}
 					}
@@ -130,7 +130,7 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 					if touched[e.Src] != stampBase {
 						touched[e.Src] = stampBase
 						contribs[e.Src] = 0
-						if pl.Master[e.Src] != int32(p) {
+						if pl.Master[e.Src] != Machine(p) {
 							sc.PartialsOut++
 						}
 					}

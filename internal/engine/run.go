@@ -321,7 +321,7 @@ func (r *sweep[V, A]) gatherSparse() {
 				if touched[d] != stamp {
 					touched[d] = stamp
 					contribs[d] = 0
-					if master[d] != int32(p) {
+					if master[d] != Machine(p) {
 						sc.PartialsOut++
 					}
 				}

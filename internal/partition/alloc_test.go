@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 )
@@ -124,5 +125,77 @@ func TestHybridShardedBytesRegression(t *testing.T) {
 	if ratio := float64(b8) / float64(b1); ratio > 1.15 {
 		t.Errorf("sharded hybrid allocates %.2fx the single-worker bytes (%d vs %d); scratch is no longer pooled",
 			ratio, b8, b1)
+	}
+}
+
+// bytesPerRun is allocsPerRun for bytes: the average TotalAlloc growth of one
+// call of f after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestIngressBytes pins what the hash ingresses allocate per call at one
+// worker to what they must: the owner vector they return, one byte per edge,
+// Hybrid's in-degrees, 4 B per vertex, and for Hybrid.Amend 32 B per delta
+// edge for degreeFlips' map, plus 16 KiB for the picker and small state. A
+// four-byte machine id would add 3 B per edge and fail every row.
+func TestIngressBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews bytes/op")
+	}
+	withProcs(t, 1)
+	g := allocGraph(t)
+	shares := UniformShares(8)
+	d, err := gen.RandomDelta(g, gen.DeltaSpec{
+		Inserts: len(g.Edges) / 100, Deletes: len(g.Edges) / 200, Time: 1,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evolved, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHybrid()
+	owner, err := h.Partition(g, shares, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 16 << 10
+	edges, verts := len(g.Edges), g.NumVertices
+	cases := []struct {
+		name    string
+		ceiling int
+		run     func() ([]engine.Machine, error)
+	}{
+		{"hybrid", edges + 4*verts + slack, func() ([]engine.Machine, error) {
+			return h.Partition(g, shares, 7)
+		}},
+		{"random", edges + slack, func() ([]engine.Machine, error) {
+			return NewRandomHash().Partition(g, shares, 7)
+		}},
+		{"hybrid-amend", len(evolved.Edges) + 4*evolved.NumVertices + 32*d.Size() + slack, func() ([]engine.Machine, error) {
+			return h.Amend(g, owner, d, evolved, shares, 7)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := bytesPerRun(5, func() {
+				if _, err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s: %d bytes per call, ceiling %d", c.name, got, c.ceiling)
+			if got > uint64(c.ceiling) {
+				t.Errorf("%s allocates %d bytes per call, want at most %d", c.name, got, c.ceiling)
+			}
+		})
 	}
 }

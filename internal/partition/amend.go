@@ -37,7 +37,7 @@ import (
 // leaves behind is absorbed by migration during execution.
 type Amender interface {
 	Partitioner
-	Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error)
+	Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error)
 }
 
 // AmendApply patches a base placement for the evolved graph via a.Amend and
@@ -55,7 +55,7 @@ func AmendApply(a Amender, basePl *engine.Placement, d *graph.Delta, evolved *gr
 // compaction and returns the surviving owners in stream order, with capacity
 // for the insert tail. It also cross-checks that evolved really is d applied
 // to base, since Amend trusts evolved.Edges' layout.
-func amendSurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph) ([]int32, error) {
+func amendSurvivors(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph) ([]engine.Machine, error) {
 	if len(owner) != len(base.Edges) {
 		return nil, fmt.Errorf("owner vector has %d entries for %d base edges", len(owner), len(base.Edges))
 	}
@@ -67,7 +67,7 @@ func amendSurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *g
 	if len(evolved.Edges) != keptCount+len(d.Inserts) {
 		return nil, fmt.Errorf("evolved graph has %d edges, delta implies %d", len(evolved.Edges), keptCount+len(d.Inserts))
 	}
-	kept := make([]int32, 0, keptCount+len(d.Inserts))
+	kept := make([]engine.Machine, 0, keptCount+len(d.Inserts))
 	di := 0
 	for i, o := range owner {
 		if di < len(deleted) && deleted[di] == i {
@@ -93,7 +93,7 @@ func amendSurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *g
 // the skipped edges are the deletes' pairs (compared as an order-free sum of
 // pair hashes), which is what lets the caller derive degree changes from the
 // delta alone.
-func carrySurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph) ([]int32, error) {
+func carrySurvivors(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph) ([]engine.Machine, error) {
 	if len(owner) != len(base.Edges) {
 		return nil, fmt.Errorf("owner vector has %d entries for %d base edges", len(owner), len(base.Edges))
 	}
@@ -101,7 +101,7 @@ func carrySurvivors(base *graph.Graph, owner []int32, d *graph.Delta, evolved *g
 	if keptCount < 0 || len(evolved.Edges) != keptCount+len(d.Inserts) {
 		return nil, fmt.Errorf("evolved graph has %d edges, delta implies %d", len(evolved.Edges), keptCount+len(d.Inserts))
 	}
-	out := make([]int32, len(evolved.Edges))
+	out := make([]engine.Machine, len(evolved.Edges))
 	survivors := evolved.Edges[:keptCount]
 	var skipped, deleted uint64
 	j := 0
@@ -131,7 +131,7 @@ func pairHash(e graph.Edge) uint64 {
 // surviving owners are already what a full re-ingress would produce and only
 // the inserts need hashing — the result is bit-identical to Partition on the
 // evolved graph.
-func (rh *RandomHash) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (rh *RandomHash) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func (rh *RandomHash) Amend(base *graph.Graph, owner []int32, d *graph.Delta, ev
 // the delta moved a destination across the threshold; those edges (usually
 // none) and the inserts are re-hashed, and the result is bit-identical to
 // Partition on the evolved graph.
-func (h *Hybrid) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (h *Hybrid) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func (h *Hybrid) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved
 	}
 	pk := newPicker(shares)
 	evolvedIn := evolved.InDegreesParallel()
-	hash := func(e graph.Edge) int32 {
+	hash := func(e graph.Edge) engine.Machine {
 		if evolvedIn[e.Dst] > h.Threshold {
 			return pk.pick(vertexHash(seed+1, e.Src))
 		}
@@ -227,7 +227,7 @@ func vertexMask(n int, vs []graph.VertexID) []bool {
 // survivors would leave them, and the inserts then continue that stream
 // through the same greedy rule as Partition. Deleted edges' mirrors and load
 // are genuinely forgotten — the rebuilt state reflects only what survives.
-func (ob *Oblivious) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (ob *Oblivious) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func (ob *Oblivious) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evo
 				best, bestScore = p, score
 			}
 		}
-		kept = append(kept, best)
+		kept = append(kept, engine.Machine(best))
 		load[best]++
 		placed[e.Src] |= 1 << uint(best)
 		placed[e.Dst] |= 1 << uint(best)
@@ -269,7 +269,7 @@ func (ob *Oblivious) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evo
 // stream — scored at their evolved edge indices (so tie-breaking matches what
 // a full ingress would hash for the tail) with loads normalized against the
 // evolved edge count.
-func (h *HDRF) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (h *HDRF) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -311,7 +311,7 @@ func (h *HDRF) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *
 				maxLoad = l
 			}
 		}
-		best := int32(0)
+		best := engine.Machine(0)
 		bestScore := -1.0
 		for p := 0; p < m; p++ {
 			rep := 0.0
@@ -325,9 +325,9 @@ func (h *HDRF) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *
 			bal := (maxLoad - load[p]) / (1 + maxLoad - minLoad)
 			score := rep + h.Lambda*bal
 			if score > bestScore {
-				bestScore, best = score, int32(p)
+				bestScore, best = score, engine.Machine(p)
 			} else if score == bestScore && hdrfTie(seed, i, p) > hdrfTie(seed, i, int(best)) {
-				best = int32(p)
+				best = engine.Machine(p)
 			}
 		}
 		kept = append(kept, best)
@@ -345,7 +345,7 @@ func (h *HDRF) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *
 // carries its machine), hash-seeds the vertices it cannot recover, re-runs
 // the Fennel refinement over only the vertices the delta disturbed, and
 // replays the final scan.
-func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (gp *Ginger) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -359,7 +359,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolve
 
 	// Recover assign from surviving low→low edges: the refined placement
 	// grouped each low-degree destination's in-edges on one machine.
-	assign := make([]int32, evolved.NumVertices)
+	assign := make([]engine.Machine, evolved.NumVertices)
 	recovered := make([]bool, evolved.NumVertices)
 	for i, o := range kept {
 		dst := evolved.Edges[i].Dst
@@ -412,7 +412,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolve
 // refineSubset runs the Fennel-style refinement sweep of refine over
 // only the given vertices (in ID order, as the full sweep visits them),
 // against loads accumulated from the complete assignment.
-func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []int32, shares []float64, subset map[graph.VertexID]bool) {
+func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []engine.Machine, shares []float64, subset map[graph.VertexID]bool) {
 	if len(subset) == 0 {
 		return
 	}
@@ -454,13 +454,13 @@ func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []int32, sh
 				neighborCount[assign[u]]++
 			}
 		}
-		best := int32(0)
+		best := engine.Machine(0)
 		bestScore := 0.0
 		for p := 0; p < m; p++ {
 			balance := 0.5 * gp.Gamma * (vCount[p] + ratio*eCount[p])
 			score := neighborCount[p] - hetFactor[p]*balance
 			if p == 0 || score > bestScore {
-				best, bestScore = int32(p), score
+				best, bestScore = engine.Machine(p), score
 			}
 		}
 		assign[v] = best

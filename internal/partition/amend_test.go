@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 )
@@ -21,11 +22,11 @@ var amendShapes = []struct {
 
 // normImbalance is the owner vector's worst per-machine overload relative to
 // its share target: 1.0 is perfect proportionality.
-func normImbalance(t *testing.T, owner []int32, shares []float64) float64 {
+func normImbalance(t *testing.T, owner []engine.Machine, shares []float64) float64 {
 	t.Helper()
 	counts := make([]float64, len(shares))
 	for i, p := range owner {
-		if p < 0 || int(p) >= len(shares) {
+		if int(p) >= len(shares) {
 			t.Fatalf("edge %d assigned to machine %d outside [0,%d)", i, p, len(shares))
 		}
 		counts[p]++
@@ -40,7 +41,7 @@ func normImbalance(t *testing.T, owner []int32, shares []float64) float64 {
 }
 
 // sameOwners asserts two owner vectors are bit-identical.
-func sameOwners(t *testing.T, label string, got, want []int32) {
+func sameOwners(t *testing.T, label string, got, want []engine.Machine) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d owners vs %d", label, len(got), len(want))
@@ -76,7 +77,7 @@ func TestAmendDifferential(t *testing.T) {
 
 	// Worker invariance: the amended vector for a config must not depend on
 	// GOMAXPROCS. Keyed per (base, partitioner, shape, m, share).
-	pinned := map[string][]int32{}
+	pinned := map[string][]engine.Machine{}
 
 	bases := []*graph.Graph{
 		testGraph(t, 71, 800, 6400),

@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 )
@@ -27,7 +28,7 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-func runIngressBench(b *testing.B, g *graph.Graph, run func() []int32) {
+func runIngressBench(b *testing.B, g *graph.Graph, run func() []engine.Machine) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,7 +40,7 @@ func runIngressBench(b *testing.B, g *graph.Graph, run func() []int32) {
 	b.ReportMetric(float64(len(g.Edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-func benchVariants(b *testing.B, g *graph.Graph, reference func() []int32, production func() []int32) {
+func benchVariants(b *testing.B, g *graph.Graph, reference func() []engine.Machine, production func() []engine.Machine) {
 	b.Helper()
 	b.Run("reference", func(b *testing.B) { runIngressBench(b, g, reference) })
 	b.Run("production", func(b *testing.B) { runIngressBench(b, g, production) })
@@ -50,8 +51,8 @@ func BenchmarkIngressRandom(b *testing.B) {
 	shares := UniformShares(8)
 	p := NewRandomHash()
 	benchVariants(b, g,
-		func() []int32 { return referenceRandom(g, shares, 1) },
-		func() []int32 {
+		func() []engine.Machine { return referenceRandom(g, shares, 1) },
+		func() []engine.Machine {
 			owner, err := p.Partition(g, shares, 1)
 			if err != nil {
 				b.Fatal(err)
@@ -65,8 +66,8 @@ func BenchmarkIngressHybrid(b *testing.B) {
 	shares := UniformShares(8)
 	p := NewHybrid()
 	benchVariants(b, g,
-		func() []int32 { return referenceHybrid(p, g, shares, 1) },
-		func() []int32 {
+		func() []engine.Machine { return referenceHybrid(p, g, shares, 1) },
+		func() []engine.Machine {
 			owner, err := p.Partition(g, shares, 1)
 			if err != nil {
 				b.Fatal(err)
@@ -101,7 +102,7 @@ func BenchmarkAmendHybrid(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runIngressBench(b, evolved, func() []int32 {
+	runIngressBench(b, evolved, func() []engine.Machine {
 		amended, err := p.Amend(base, owner, d, evolved, shares, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -115,8 +116,8 @@ func BenchmarkIngressGinger(b *testing.B) {
 	shares := UniformShares(8)
 	p := NewGinger()
 	benchVariants(b, g,
-		func() []int32 { return referenceGinger(p, g, shares, 1) },
-		func() []int32 {
+		func() []engine.Machine { return referenceGinger(p, g, shares, 1) },
+		func() []engine.Machine {
 			owner, err := p.Partition(g, shares, 1)
 			if err != nil {
 				b.Fatal(err)

@@ -3,6 +3,7 @@ package partition
 import (
 	"sync"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/par"
 )
@@ -42,17 +43,17 @@ var gingerInCSRPool = sync.Pool{New: func() any { return new(graph.CSR) }}
 // GOMAXPROCS workers; the greedy refinement between them visits vertices in
 // ID order against evolving loads and is sequential by definition (see
 // refine). The owner vector is bit-identical to referenceGinger.
-func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
 	pk := newPicker(shares)
 	inDeg := g.InDegreesParallel()
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 
 	// Phase 1 (as Hybrid): low-degree in-edges group with the target,
 	// high-degree in-edges scatter by source hash.
-	assign := make([]int32, g.NumVertices) // low-degree vertex -> machine
+	assign := make([]engine.Machine, g.NumVertices) // low-degree vertex -> machine
 	par.Ranges(len(assign), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			assign[v] = pk.pick(vertexHash(seed, graph.VertexID(v)))
@@ -82,7 +83,7 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]in
 // unsorted in-CSR. Row order within a neighborhood differs from the sorted
 // reference CSR, which is invisible: the histogram accumulates exact integer
 // counts, so per-machine neighborCount — and every score — is bit-identical.
-func (gp *Ginger) refine(g *graph.Graph, shares []float64, inDeg []int32, assign []int32) {
+func (gp *Ginger) refine(g *graph.Graph, shares []float64, inDeg []int32, assign []engine.Machine) {
 	m := len(shares)
 	vCount := make([]float64, m)
 	eCount := make([]float64, m)
@@ -121,13 +122,13 @@ func (gp *Ginger) refine(g *graph.Graph, shares []float64, inDeg []int32, assign
 				neighborCount[assign[u]]++
 			}
 		}
-		best := int32(0)
+		best := engine.Machine(0)
 		bestScore := 0.0
 		for p := 0; p < m; p++ {
 			balance := 0.5 * gp.Gamma * (vCount[p] + ratio*eCount[p])
 			score := neighborCount[p] - hetFactor[p]*balance
 			if p == 0 || score > bestScore {
-				best, bestScore = int32(p), score
+				best, bestScore = engine.Machine(p), score
 			}
 		}
 		assign[v] = best

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 )
 
@@ -60,7 +61,7 @@ func unionBest(su, sv []int32, inSet []bool, score func(int32) float64) int32 {
 }
 
 // Partition implements Partitioner.
-func (*Grid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (*Grid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ func (*Grid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, 
 
 	load := make([]int64, m)
 	total := int64(0)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	inSet := make([]bool, m)
 	for i, e := range g.Edges {
 		su, sv := sets[shard(e.Src)], sets[shard(e.Dst)]
@@ -122,7 +123,7 @@ func (*Grid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, 
 		for _, p := range su {
 			inSet[p] = false
 		}
-		owner[i] = best
+		owner[i] = engine.Machine(best)
 		load[best]++
 		total++
 	}

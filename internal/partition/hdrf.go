@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/rng"
 )
@@ -47,7 +48,7 @@ func (*HDRF) Name() string { return "hdrf" }
 // degrees, replica masks and the live min/max of the load vector all evolve
 // per edge), so it runs as one sequential loop, bit-identical to
 // referenceHDRF.
-func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -56,11 +57,11 @@ func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32
 	partial := make([]int32, g.NumVertices) // streaming partial degrees
 	load := make([]float64, m)              // share-normalized loads
 	rawLoad := make([]int64, m)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 
 	// scoreEdge picks edge i's machine from its endpoint replica masks and
 	// gather scores, exactly as the spec's scan.
-	scoreEdge := func(i int, maskU, maskV uint64, gU, gV float64) int32 {
+	scoreEdge := func(i int, maskU, maskV uint64, gU, gV float64) engine.Machine {
 		minLoad, maxLoad := load[0], load[0]
 		for _, l := range load[1:] {
 			if l < minLoad {
@@ -70,7 +71,7 @@ func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32
 				maxLoad = l
 			}
 		}
-		best := int32(0)
+		best := engine.Machine(0)
 		bestScore := -1.0
 		for p := 0; p < m; p++ {
 			rep := 0.0
@@ -84,9 +85,9 @@ func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32
 			bal := (maxLoad - load[p]) / (1 + maxLoad - minLoad)
 			score := rep + h.Lambda*bal
 			if score > bestScore {
-				bestScore, best = score, int32(p)
+				bestScore, best = score, engine.Machine(p)
 			} else if score == bestScore && hdrfTie(seed, i, p) > hdrfTie(seed, i, int(best)) {
-				best = int32(p)
+				best = engine.Machine(p)
 			}
 		}
 		return best

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/par"
 )
@@ -32,12 +33,12 @@ func (*Hybrid) Name() string { return "hybrid" }
 // owner is a pure function of its endpoints and the seed, so both the
 // in-degree count and the assignment scan shard across GOMAXPROCS
 // workers; the result is bit-identical to referenceHybrid at any worker count.
-func (h *Hybrid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (h *Hybrid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
 	pk := newPicker(shares)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	inDeg := g.InDegreesParallel()
 
 	par.Ranges(len(g.Edges), func(_, lo, hi int) {

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/bits"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 )
 
@@ -42,7 +43,7 @@ func obliviousCandidates(maskU, maskV, allMask uint64) uint64 {
 // Single-candidate edges commit without touching the load vector at all: the
 // common case once the stream warms up, since most edges land inside an
 // endpoint's existing replica set.
-func (*Oblivious) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (*Oblivious) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
@@ -50,15 +51,15 @@ func (*Oblivious) Partition(g *graph.Graph, shares []float64, seed uint64) ([]in
 	// placed[v] is the bitmask of machines already hosting a replica of v.
 	placed := make([]uint64, g.NumVertices)
 	load := make([]int64, m)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	allMask := uint64(1)<<uint(m) - 1
 
 	// pickBest resolves a non-empty candidate set exactly as the spec's scan:
 	// lowest normalized load, first index winning ties. A single candidate
 	// needs no scan — the scan could only return that machine.
-	pickBest := func(candidates uint64) int32 {
+	pickBest := func(candidates uint64) engine.Machine {
 		if candidates&(candidates-1) == 0 {
-			return int32(bits.TrailingZeros64(candidates))
+			return engine.Machine(bits.TrailingZeros64(candidates))
 		}
 		best := int32(-1)
 		bestScore := 0.0
@@ -70,7 +71,7 @@ func (*Oblivious) Partition(g *graph.Graph, shares []float64, seed uint64) ([]in
 				best, bestScore = p, score
 			}
 		}
-		return best
+		return engine.Machine(best)
 	}
 
 	for i, e := range g.Edges {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/rng"
 )
 
@@ -44,7 +45,7 @@ func TestIngressDifferential(t *testing.T) {
 	const seed = 101
 	for _, m := range []int{1, 2, 4, 7, 8} {
 		for si, shares := range diffShareVectors(t, m) {
-			refs := map[string][]int32{
+			refs := map[string][]engine.Machine{
 				"random":    referenceRandom(g, shares, seed),
 				"hybrid":    referenceHybrid(NewHybrid(), g, shares, seed),
 				"ginger":    referenceGinger(NewGinger(), g, shares, seed),
@@ -53,7 +54,7 @@ func TestIngressDifferential(t *testing.T) {
 			}
 			// Baseline owner vectors, shared across every worker count: the
 			// host's core count must never change a single edge.
-			base := map[string][]int32{}
+			base := map[string][]engine.Machine{}
 			for _, procs := range []int{1, 2, 3, 8} {
 				withProcs(t, procs)
 				for _, p := range WithExtensions() {
@@ -205,7 +206,7 @@ func TestHDRFSeedAffectsTieBreaks(t *testing.T) {
 	}
 	// The first edge of the stream is a full tie (no replicas, all loads
 	// zero): across a handful of seeds its placement must vary.
-	first := map[int32]bool{}
+	first := map[engine.Machine]bool{}
 	for seed := uint64(1); seed <= 8; seed++ {
 		owner, err := h.Partition(g, shares, seed)
 		if err != nil {

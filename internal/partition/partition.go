@@ -26,7 +26,7 @@ type Partitioner interface {
 	Name() string
 	// Partition returns the owning machine of every edge. shares must be a
 	// normalized distribution over machines; seed drives the hashing.
-	Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error)
+	Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error)
 }
 
 // All returns the paper's five partitioning algorithms with default
@@ -119,13 +119,13 @@ func cumulative(shares []float64) []float64 {
 // the weighted extension of PowerGraph's random edge placement (Fig 4 of the
 // paper: "the probability of generating indexes for each machine strictly
 // follows the CCR").
-func pick(cum []float64, hash uint64) int32 {
+func pick(cum []float64, hash uint64) engine.Machine {
 	u := float64(hash>>11) / (1 << 53)
 	idx := sort.SearchFloat64s(cum, u)
 	if idx >= len(cum) {
 		idx = len(cum) - 1
 	}
-	return int32(idx)
+	return engine.Machine(idx)
 }
 
 // Apply runs the partitioner and finalizes the result into a Placement.

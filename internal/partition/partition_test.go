@@ -20,11 +20,11 @@ func testGraph(t *testing.T, seed uint64, n, m int) *graph.Graph {
 	return g
 }
 
-func edgeShares(t *testing.T, g *graph.Graph, owner []int32, m int) []float64 {
+func edgeShares(t *testing.T, g *graph.Graph, owner []engine.Machine, m int) []float64 {
 	t.Helper()
 	counts := make([]float64, m)
 	for i, p := range owner {
-		if p < 0 || int(p) >= m {
+		if int(p) >= m {
 			t.Fatalf("edge %d assigned to %d outside [0,%d)", i, p, m)
 		}
 		counts[p]++
@@ -205,7 +205,7 @@ func TestTwoMachineWeighted(t *testing.T) {
 	}
 }
 
-func replicationFactor(t *testing.T, g *graph.Graph, owner []int32, m int) float64 {
+func replicationFactor(t *testing.T, g *graph.Graph, owner []engine.Machine, m int) float64 {
 	t.Helper()
 	pl, err := engine.NewPlacement(g, owner, m)
 	if err != nil {
@@ -282,7 +282,7 @@ func TestHybridGroupsLowDegreeInEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	inDeg := g.InDegrees()
-	at := map[graph.VertexID]int32{}
+	at := map[graph.VertexID]engine.Machine{}
 	for i, e := range g.Edges {
 		if inDeg[e.Dst] > h.Threshold {
 			continue

@@ -1,10 +1,14 @@
 package partition
 
-import "sort"
+import (
+	"sort"
+
+	"proxygraph/internal/engine"
+)
 
 // pickerBuckets sizes the quantized start-index table of picker. 512 buckets
 // keep the forward scan near zero steps even for 64 machines with skewed
-// shares, at 2KB per partition call.
+// shares, at 512 B per partition call.
 const pickerBuckets = 512
 
 // picker resolves weighted machine picks with exactly the semantics of pick
@@ -17,21 +21,21 @@ const pickerBuckets = 512
 // differential test pins.
 type picker struct {
 	cum   []float64
-	table []int32
+	table []engine.Machine
 }
 
 // newPicker builds the quantized lookup for a validated share vector.
 func newPicker(shares []float64) picker {
 	cum := cumulative(shares)
-	table := make([]int32, pickerBuckets)
+	table := make([]engine.Machine, pickerBuckets)
 	for b := range table {
-		table[b] = int32(sort.SearchFloat64s(cum, float64(b)/pickerBuckets))
+		table[b] = engine.Machine(sort.SearchFloat64s(cum, float64(b)/pickerBuckets))
 	}
 	return picker{cum: cum, table: table}
 }
 
 // pick maps a hash to a machine exactly as pick(cum, hash) does.
-func (pk *picker) pick(hash uint64) int32 {
+func (pk *picker) pick(hash uint64) engine.Machine {
 	u := float64(hash>>11) / (1 << 53)
 	idx := pk.table[int(u*pickerBuckets)]
 	for pk.cum[idx] < u {

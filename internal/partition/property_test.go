@@ -155,7 +155,7 @@ func TestPropertyHybridLowDegreeColocation(t *testing.T) {
 			return false
 		}
 		inDeg := g.InDegrees()
-		at := map[graph.VertexID]int32{}
+		at := map[graph.VertexID]engine.Machine{}
 		for i, e := range g.Edges {
 			if inDeg[e.Dst] > h.Threshold {
 				continue

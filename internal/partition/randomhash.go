@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/par"
 )
@@ -21,12 +22,12 @@ func (*RandomHash) Name() string { return "random" }
 // Partition implements Partitioner. Every edge's owner is a pure function of
 // its endpoints and the seed, so the scan is sharded across GOMAXPROCS
 // workers; the result is bit-identical to referenceRandom at any worker count.
-func (*RandomHash) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (*RandomHash) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
 	pk := newPicker(shares)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	par.Ranges(len(g.Edges), func(_, lo, hi int) {
 		edges := g.Edges[lo:hi]
 		for i := range edges {

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/bits"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 )
 
@@ -19,9 +20,9 @@ import (
 // differential is a real cross-implementation check.
 
 // referenceRandom is the sequential spec of RandomHash.Partition.
-func referenceRandom(g *graph.Graph, shares []float64, seed uint64) []int32 {
+func referenceRandom(g *graph.Graph, shares []float64, seed uint64) []engine.Machine {
 	cum := cumulative(shares)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	for i, e := range g.Edges {
 		owner[i] = pick(cum, edgeHash(seed, e))
 	}
@@ -29,9 +30,9 @@ func referenceRandom(g *graph.Graph, shares []float64, seed uint64) []int32 {
 }
 
 // referenceHybrid is the sequential spec of Hybrid.Partition.
-func referenceHybrid(h *Hybrid, g *graph.Graph, shares []float64, seed uint64) []int32 {
+func referenceHybrid(h *Hybrid, g *graph.Graph, shares []float64, seed uint64) []engine.Machine {
 	cum := cumulative(shares)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	inDeg := g.InDegrees()
 	for i, e := range g.Edges {
 		if inDeg[e.Dst] > h.Threshold {
@@ -46,7 +47,7 @@ func referenceHybrid(h *Hybrid, g *graph.Graph, shares []float64, seed uint64) [
 // refineSequential is the sequential spec of Ginger's greedy refinement:
 // vertices in ID order against evolving per-machine loads, in-neighborhoods
 // from a freshly built sorted CSR.
-func refineSequential(gp *Ginger, g *graph.Graph, shares []float64, inDeg []int32, assign []int32) {
+func refineSequential(gp *Ginger, g *graph.Graph, shares []float64, inDeg []int32, assign []engine.Machine) {
 	m := len(shares)
 	inCSR := g.BuildInCSR()
 	vCount := make([]float64, m)
@@ -83,13 +84,13 @@ func refineSequential(gp *Ginger, g *graph.Graph, shares []float64, inDeg []int3
 				neighborCount[assign[u]]++
 			}
 		}
-		best := int32(0)
+		best := engine.Machine(0)
 		bestScore := 0.0
 		for p := 0; p < m; p++ {
 			balance := 0.5 * gp.Gamma * (vCount[p] + ratio*eCount[p])
 			score := neighborCount[p] - hetFactor[p]*balance
 			if p == 0 || score > bestScore {
-				best, bestScore = int32(p), score
+				best, bestScore = engine.Machine(p), score
 			}
 		}
 		assign[v] = best
@@ -100,11 +101,11 @@ func refineSequential(gp *Ginger, g *graph.Graph, shares []float64, inDeg []int3
 
 // referenceGinger is the sequential spec of Ginger.Partition: naive hash
 // phases around the sequential refinement sweep.
-func referenceGinger(gp *Ginger, g *graph.Graph, shares []float64, seed uint64) []int32 {
+func referenceGinger(gp *Ginger, g *graph.Graph, shares []float64, seed uint64) []engine.Machine {
 	cum := cumulative(shares)
 	inDeg := g.InDegrees()
-	owner := make([]int32, len(g.Edges))
-	assign := make([]int32, g.NumVertices)
+	owner := make([]engine.Machine, len(g.Edges))
+	assign := make([]engine.Machine, g.NumVertices)
 	for v := range assign {
 		assign[v] = pick(cum, vertexHash(seed, graph.VertexID(v)))
 	}
@@ -121,11 +122,11 @@ func referenceGinger(gp *Ginger, g *graph.Graph, shares []float64, seed uint64) 
 
 // referenceOblivious is the sequential spec of Oblivious.Partition: one
 // straight-line pass, candidate set derived and scored per edge.
-func referenceOblivious(g *graph.Graph, shares []float64) []int32 {
+func referenceOblivious(g *graph.Graph, shares []float64) []engine.Machine {
 	m := len(shares)
 	placed := make([]uint64, g.NumVertices)
 	load := make([]int64, m)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	allMask := uint64(1)<<uint(m) - 1
 	for i, e := range g.Edges {
 		maskU, maskV := placed[e.Src], placed[e.Dst]
@@ -151,7 +152,7 @@ func referenceOblivious(g *graph.Graph, shares []float64) []int32 {
 				best, bestScore = p, score
 			}
 		}
-		owner[i] = best
+		owner[i] = engine.Machine(best)
 		load[best]++
 		placed[e.Src] |= 1 << uint(best)
 		placed[e.Dst] |= 1 << uint(best)
@@ -161,13 +162,13 @@ func referenceOblivious(g *graph.Graph, shares []float64) []int32 {
 
 // referenceHDRF is the sequential spec of HDRF.Partition: one straight-line
 // pass, partial degrees, thetas and the full score scan inline per edge.
-func referenceHDRF(h *HDRF, g *graph.Graph, shares []float64, seed uint64) []int32 {
+func referenceHDRF(h *HDRF, g *graph.Graph, shares []float64, seed uint64) []engine.Machine {
 	m := len(shares)
 	placed := make([]uint64, g.NumVertices)
 	partial := make([]int32, g.NumVertices)
 	load := make([]float64, m)
 	rawLoad := make([]int64, m)
-	owner := make([]int32, len(g.Edges))
+	owner := make([]engine.Machine, len(g.Edges))
 	for i, e := range g.Edges {
 		partial[e.Src]++
 		partial[e.Dst]++
@@ -184,7 +185,7 @@ func referenceHDRF(h *HDRF, g *graph.Graph, shares []float64, seed uint64) []int
 				maxLoad = l
 			}
 		}
-		best := int32(0)
+		best := engine.Machine(0)
 		bestScore := -1.0
 		for p := 0; p < m; p++ {
 			rep := 0.0
@@ -198,9 +199,9 @@ func referenceHDRF(h *HDRF, g *graph.Graph, shares []float64, seed uint64) []int
 			bal := (maxLoad - load[p]) / (1 + maxLoad - minLoad)
 			score := rep + h.Lambda*bal
 			if score > bestScore {
-				bestScore, best = score, int32(p)
+				bestScore, best = score, engine.Machine(p)
 			} else if score == bestScore && hdrfTie(seed, i, p) > hdrfTie(seed, i, int(best)) {
-				best = int32(p)
+				best = engine.Machine(p)
 			}
 		}
 		owner[i] = best

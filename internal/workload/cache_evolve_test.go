@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"proxygraph/internal/engine"
 	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/partition"
@@ -27,7 +28,7 @@ func newBlockingFailPart() *blockingFailPart {
 
 func (p *blockingFailPart) Name() string { return "blocking-fail" }
 
-func (p *blockingFailPart) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (p *blockingFailPart) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	p.startedOnce.Do(func() { close(p.started) })
 	<-p.release
 	return nil, errors.New("ingress exploded")
@@ -121,7 +122,7 @@ type pointerTunedPart struct {
 }
 
 func (p *pointerTunedPart) Name() string { return "pointer-tuned" }
-func (p *pointerTunedPart) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (p *pointerTunedPart) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	return nil, errors.New("fingerprint-only stub")
 }
 
@@ -181,14 +182,14 @@ func TestPartitionerFingerprintStability(t *testing.T) {
 type plainPart struct{ inner partition.Partitioner }
 
 func (p plainPart) Name() string { return p.inner.Name() }
-func (p plainPart) Partition(g *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (p plainPart) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	return p.inner.Partition(g, shares, seed)
 }
 
 // failAmender amends by failing, exercising the fallback-to-full-build path.
 type failAmender struct{ *partition.Hybrid }
 
-func (f failAmender) Amend(base *graph.Graph, owner []int32, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]int32, error) {
+func (f failAmender) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	return nil, errors.New("amend refused")
 }
 

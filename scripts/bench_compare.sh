@@ -1,26 +1,36 @@
 #!/usr/bin/env bash
-# Paired comparison of one benchmark workload between a parent commit and the
+# Paired comparison of benchmark workloads between a parent commit and the
 # working tree, by the rule a claimed gain has to pass (choosing-metrics §8):
 # alternating pairs, one seed per pair, the contract's run length on both
 # sides; for every end-to-end metric it prints both medians, both quartile
-# ranges and how many pairs the working tree won.
+# ranges and how many pairs the working tree won, one table per workload.
 #
-#   scripts/bench_compare.sh <parent-ref> <workload> [pairs (default 10)]
-#   make bench-compare PARENT=<parent-ref> WORKLOAD=<workload> [PAIRS=10]
+#   scripts/bench_compare.sh <parent-ref> '<workload> [<workload>...]' [pairs (default 10, at least 2)]
+#   make bench-compare PARENT=<parent-ref> WORKLOAD='<workload> [<workload>...]' [PAIRS=10]
 #
-# The parent is exported with git archive into a temporary directory and both
+# The two binaries are built once and every workload's pairs run before the
+# next workload starts; its table prints as soon as its pairs are done. The
+# parent is exported with git archive into a temporary directory and both
 # benchmark binaries run from temporary directories, so nothing is written
 # into the repository. Needs bash, tar, python3 and the Go toolchain; run it
 # on an otherwise idle host.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,14p' "$0" | cut -c3- >&2
+  sed -n '2,18p' "$0" | cut -c3- >&2
   exit 2
 fi
 ref=$1
-workload=$2
+read -r -a workloads <<<"$2"
 pairs=${3:-10}
+if ! [[ $pairs =~ ^[0-9]+$ ]] || [ "$pairs" -lt 2 ]; then
+  echo "bench-compare: pairs must be a whole number of at least 2 (quartiles need two runs a side), got $pairs" >&2
+  exit 2
+fi
+if [ ${#workloads[@]} -eq 0 ]; then
+  echo "bench-compare: no workload named" >&2
+  exit 2
+fi
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -32,18 +42,9 @@ git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
 (cd "$root/benchmark" && go build -o "$tmp/change.bin" .)
 seconds=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")
 
-for pair in $(seq 1 "$pairs"); do
-  # Odd pairs run the parent first, even pairs the change.
-  order="parent change"
-  [ $((pair % 2)) -eq 0 ] && order="change parent"
-  for side in $order; do
-    echo "bench-compare: pair $pair/$pairs $side $workload seed $pair" >&2
-    line=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>/dev/null | tail -n 1)
-    echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line}" >>"$tmp/runs.jsonl"
-  done
-done
-
-python3 - "$tmp/runs.jsonl" "$root/BENCHMARK.json" "$ref" "$workload" <<'EOF'
+# table prints one workload's comparison from its runs file.
+table() {
+python3 - "$@" <<'EOF'
 import json, statistics, sys
 runs, spec, ref, workload = sys.argv[1:5]
 metrics = json.load(open(spec))["end_to_end"]
@@ -84,3 +85,20 @@ for m in metrics:
         verdict = "within bound"
     print(f"{name:20} {pm:14.6g} {p1:11.6g} ..{p3:11.6g} {cm:14.6g} {c1:11.6g} ..{c3:11.6g} {delta:+8.1%} {won:>6}/{len(p):<2}  {verdict}")
 EOF
+}
+
+for workload in "${workloads[@]}"; do
+  runs="$tmp/runs-$workload.jsonl"
+  for pair in $(seq 1 "$pairs"); do
+    # Odd pairs run the parent first, even pairs the change.
+    order="parent change"
+    [ $((pair % 2)) -eq 0 ] && order="change parent"
+    for side in $order; do
+      echo "bench-compare: pair $pair/$pairs $side $workload seed $pair" >&2
+      line=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>/dev/null | tail -n 1)
+      echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line}" >>"$runs"
+    done
+  done
+  table "$runs" "$root/BENCHMARK.json" "$ref" "$workload"
+  echo
+done
