@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math/bits"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
@@ -164,16 +165,7 @@ func losesTo(priority []uint64, v, u graph.VertexID) bool {
 
 // mirrorsOf counts the replicas of v other than the one on machine p.
 func mirrorsOf(pl *engine.Placement, v graph.VertexID, p int) int {
-	mask := pl.ReplicaMask[v]
-	count := 0
-	for mask != 0 {
-		mask &= mask - 1
-		count++
-	}
-	if pl.ReplicaMask[v]&(1<<uint(p)) != 0 {
-		count--
-	}
-	return count
+	return bits.OnesCount64(pl.ReplicaMask[v] &^ (1 << uint(p)))
 }
 
 // ValidateColoring confirms no edge connects two same-colored vertices.

@@ -24,13 +24,8 @@ func (l *Lab) AblationHybridThreshold() (*metrics.Table, error) {
 		return nil, err
 	}
 	ours := systems[2]
-	pool, err := l.Pool(cl, ours.Est)
-	if err != nil {
-		return nil, err
-	}
 	app := apps.NewPageRank()
-	ccr, _ := pool.Get(app.Name())
-	shares, err := ccr.SharesFor(cl)
+	shares, err := l.shares(cl, ours, app.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -65,13 +60,8 @@ func (l *Lab) AblationGingerGamma() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := l.Pool(cl, systems[2].Est)
-	if err != nil {
-		return nil, err
-	}
 	app := apps.NewConnectedComponents()
-	ccr, _ := pool.Get(app.Name())
-	shares, err := ccr.SharesFor(cl)
+	shares, err := l.shares(cl, systems[2], app.Name())
 	if err != nil {
 		return nil, err
 	}

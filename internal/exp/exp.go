@@ -223,15 +223,7 @@ func Case3Cluster() *cluster.Cluster {
 // executes the app with tr attached, returning the result.
 func (l *Lab) runWithSystem(cl *cluster.Cluster, sys System, app apps.App,
 	g *graph.Graph, part partition.Partitioner, tr trace.Collector) (*engine.Result, error) {
-	pool, err := l.Pool(cl, sys.Est)
-	if err != nil {
-		return nil, err
-	}
-	ccr, ok := pool.Get(app.Name())
-	if !ok {
-		return nil, fmt.Errorf("exp: no pooled CCR for %q under %s", app.Name(), sys.Name)
-	}
-	shares, err := ccr.SharesFor(cl)
+	shares, err := l.shares(cl, sys, app.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -240,6 +232,20 @@ func (l *Lab) runWithSystem(cl *cluster.Cluster, sys System, app apps.App,
 		return nil, err
 	}
 	return apps.Run(app, pl, cl, engine.Options{Trace: tr})
+}
+
+// shares returns the per-machine share vector of cl that the system's pooled
+// CCR estimate for the named app gives.
+func (l *Lab) shares(cl *cluster.Cluster, sys System, app string) ([]float64, error) {
+	pool, err := l.Pool(cl, sys.Est)
+	if err != nil {
+		return nil, err
+	}
+	ccr, ok := pool.Get(app)
+	if !ok {
+		return nil, fmt.Errorf("exp: no pooled CCR for %q under %s", app, sys.Name)
+	}
+	return ccr.SharesFor(cl)
 }
 
 // runApp executes the app with the lab's event collector attached, which

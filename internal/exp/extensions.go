@@ -124,12 +124,7 @@ func (l *Lab) IngressStudy() (*metrics.Table, error) {
 		var makespans [2]float64
 		var repl [2]float64
 		for i, sys := range []System{systems[0], systems[2]} {
-			pool, err := l.Pool(cl, sys.Est)
-			if err != nil {
-				return nil, err
-			}
-			ccr, _ := pool.Get(app.Name())
-			shares, err := ccr.SharesFor(cl)
+			shares, err := l.shares(cl, sys, app.Name())
 			if err != nil {
 				return nil, err
 			}
@@ -181,12 +176,7 @@ func (l *Lab) DynamicStudy() (*metrics.Table, error) {
 			}
 			times[sys.Name] = res.SimSeconds
 		}
-		pool, err := l.Pool(cl, systems[0].Est)
-		if err != nil {
-			return nil, err
-		}
-		ccr, _ := pool.Get("pagerank")
-		shares, err := ccr.SharesFor(cl)
+		shares, err := l.shares(cl, systems[0], "pagerank")
 		if err != nil {
 			return nil, err
 		}

@@ -31,15 +31,7 @@ func (l *Lab) Fig4() (*metrics.Table, error) {
 	t := metrics.NewTable("Fig 4: imbalanced (default) vs balanced (proxy) execution profile (pagerank, c4 ladder)",
 		"system", "machine", "busy", "gather", "apply", "comm", "idle", "straggled")
 	for _, sys := range []System{systems[0], systems[2]} { // default vs proxy (ours)
-		pool, err := l.Pool(cl, sys.Est)
-		if err != nil {
-			return nil, err
-		}
-		ccr, ok := pool.Get(app.Name())
-		if !ok {
-			return nil, fmt.Errorf("exp: no pooled CCR for %q under %s", app.Name(), sys.Name)
-		}
-		shares, err := ccr.SharesFor(cl)
+		shares, err := l.shares(cl, sys, app.Name())
 		if err != nil {
 			return nil, err
 		}

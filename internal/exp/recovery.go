@@ -27,16 +27,11 @@ func (l *Lab) RecoveryStudy() (*metrics.Table, error) {
 	// Proxy-guided shares: on a balanced placement losing any machine is a
 	// genuine capacity loss. (A uniform split would make the ladder's smallest
 	// machine the straggler, and crashing it would speed the run up.)
-	pp, err := l.Profiler()
+	systems, err := l.Systems()
 	if err != nil {
 		return nil, err
 	}
-	pool, err := l.Pool(cl, pp)
-	if err != nil {
-		return nil, err
-	}
-	ccr, _ := pool.Get("pagerank")
-	shares, err := ccr.SharesFor(cl)
+	shares, err := l.shares(cl, systems[2], "pagerank")
 	if err != nil {
 		return nil, err
 	}

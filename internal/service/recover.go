@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -35,22 +34,27 @@ import (
 //     restored as recorded, so a snapshotted done job is never charged
 //     again; the records after the snapshot replay as above.
 //   - Breaker state follows the journal: a terminal failure counts toward
-//     the tenant's threshold, a completion resets it, a snapshot's tenant
-//     frame restores both, and a breaker open (or half-open) at the crash
-//     reopens with its cooldown counted from the restart. With the breaker
-//     disabled all of this is ignored.
+//     the tenant's threshold (a closed→open trip counts in BreakerTrips), a
+//     completion resets it, a snapshot's tenant frame restores both, and a
+//     breaker open (or half-open) at the crash reopens with its cooldown
+//     counted from the restart. A job that fails because it cannot be
+//     re-resolved counts too, as its fail record will at the next recovery.
+//     With the breaker disabled all of this is ignored.
 //
-// restore never writes to the journal for replayed transitions (the records
-// are already there); only jobs that cannot be re-resolved get a fresh fail
-// record so the next recovery agrees with this one.
+// restore runs each record through the live transitions (admit, done, failed,
+// shed, cancel) with the journal and the collector detached: the records are
+// already written and were observed then. Only jobs that cannot be
+// re-resolved get a fresh fail record, so the next recovery agrees.
 func (m *machine) restore(recs []Record, resolve func(app, graphName string, seed uint64) (workload.Job, error)) {
+	journal, tr := m.cfg.Journal, m.cfg.Trace
+	m.cfg.Journal, m.cfg.Trace = nil, nil
 	subs := make(map[int]Record) // submit seq -> record, awaiting its admit
 	charged := make(map[int]bool)
 	maxSeq := 0
 	for _, r := range recs {
-		if int(r.Seq) > maxSeq {
-			maxSeq = int(r.Seq)
-		}
+		maxSeq = max(maxSeq, int(r.Seq))
+		js := m.jobs[r.ID]
+		open := js != nil && !js.terminal()
 		switch r.Kind {
 		case RecordTenant:
 			ts := m.tenant(r.Tenant)
@@ -62,126 +66,63 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 				}
 			}
 		case RecordJob:
-			if m.jobs[r.ID] != nil {
-				continue
-			}
-			m.restoreJob(r)
-			if r.State == StateDone {
-				charged[r.ID] = true // the tenant's snapshotted spend holds it
+			if js == nil {
+				js = jobOf(r.ID, r)
+				charged[js.id] = js.state == StateDone // the tenant frame holds it
+				m.restoreJob(js)
 			}
 		case RecordSubmit:
 			m.counters.Submitted++
 			subs[int(r.Seq)] = r
 		case RecordAdmit:
-			sub, ok := subs[r.ID]
-			if !ok || m.jobs[r.ID] != nil {
-				continue
+			if sub, ok := subs[r.ID]; ok && js == nil {
+				m.admit(jobOf(r.ID, sub))
 			}
-			ts := m.tenant(sub.Tenant)
-			js := &jobState{
-				id:        r.ID,
-				tenant:    sub.Tenant,
-				priority:  sub.Priority,
-				key:       sub.Key,
-				fp:        sub.Fingerprint,
-				appName:   sub.App,
-				graphName: sub.Graph,
-				seed:      sub.Seed,
-				ctx:       context.Background(),
-				state:     StateQueued,
-				done:      make(chan struct{}),
-			}
-			m.jobs[js.id] = js
-			m.queue = append(m.queue, js)
-			ts.queued++
-			if js.key != "" {
-				m.idem[js.key] = js
-			}
-			m.counters.Admitted++
-		case RecordStart:
-			if js := m.jobs[r.ID]; js != nil && !js.terminal() {
+		case RecordStart, RecordRetry:
+			if open {
 				js.attempts = r.Attempt
-			}
-		case RecordRetry:
-			if js := m.jobs[r.ID]; js != nil && !js.terminal() {
-				js.attempts = r.Attempt
-				m.counters.Retries++
+				if r.Kind == RecordRetry {
+					m.counters.Retries++
+				}
 			}
 		case RecordComplete:
-			js := m.jobs[r.ID]
-			if js == nil || js.terminal() {
-				continue
+			if open {
+				m.removeQueued(js)
+				js.attempts, js.execSeconds, js.ingress, js.energy, js.cacheHit = r.Attempt, r.Seconds, r.Ingress, r.Energy, r.Flag
+				m.done(js)
 			}
-			m.removeQueued(js)
-			js.state = StateDone
-			js.attempts = r.Attempt
-			js.execSeconds = r.Seconds
-			js.energy = r.Energy
-			js.ingress = r.Ingress
-			js.cacheHit = r.Flag
-			m.counters.Completed++
-			m.counters.RecoveredDone++
-			if m.cfg.BreakerThreshold > 0 {
-				ts := m.tenant(js.tenant)
-				ts.consecFails, ts.breaker = 0, breakerClosed
-			}
-			m.finish(js)
 		case RecordBudgetCharge:
-			if m.jobs[r.ID] == nil || charged[r.ID] {
-				continue
+			if js != nil && !charged[r.ID] {
+				charged[r.ID] = true
+				ts := m.tenant(r.Tenant)
+				ts.spentSeconds += r.Seconds
+				ts.spentJoules += r.Energy
 			}
-			charged[r.ID] = true
-			ts := m.tenant(r.Tenant)
-			ts.spentSeconds += r.Seconds
-			ts.spentJoules += r.Energy
 		case RecordFail:
-			js := m.jobs[r.ID]
-			if js == nil || js.terminal() {
-				continue
+			if open {
+				m.removeQueued(js)
+				js.attempts, js.err = r.Attempt, errors.New(r.Error)
+				m.failed(0, js)
 			}
-			m.removeQueued(js)
-			js.state = StateFailed
-			js.attempts = r.Attempt
-			js.err = errors.New(r.Error)
-			m.counters.Failed++
-			m.counters.RecoveredDone++
-			if m.cfg.BreakerThreshold > 0 {
-				ts := m.tenant(js.tenant)
-				if ts.consecFails++; ts.consecFails >= m.cfg.BreakerThreshold {
-					ts.breaker = breakerOpen
-				}
-			}
-			m.finish(js)
 		case RecordShed:
-			js := m.jobs[r.ID]
-			if js == nil || js.terminal() {
-				continue
+			switch {
+			case !open:
+			case r.Error == shedReasonCanceled:
+				m.removeQueued(js)
+				m.cancel(js)
+			default:
+				m.shed(js, r.Error)
 			}
-			m.removeQueued(js)
-			if r.Error == shedReasonCanceled {
-				js.state = StateCanceled
-				js.err = ErrClosed
-				m.counters.Canceled++
-			} else {
-				js.state = StateShed
-				js.err = fmt.Errorf("service: shed (%s)", r.Error)
-				if r.Error == "deadline" {
-					m.counters.ShedDeadline++
-				} else {
-					m.counters.ShedPriority++
-				}
-			}
-			m.counters.RecoveredDone++
-			m.finish(js)
 		}
 	}
+	m.counters.RecoveredDone = uint64(len(m.retired))
 
 	// Derive the budget charge for any completed job whose paired charge
 	// record was lost to the crash. complete() always writes the two records
 	// adjacently under the machine lock, so a prefix cut can orphan at most
 	// the tail pair — but the derivation is written to handle any number.
-	for id, js := range m.jobs {
-		if js.state == StateDone && !charged[id] {
+	for _, js := range m.retired {
+		if js.state == StateDone && !charged[js.id] {
 			ts := m.tenant(js.tenant)
 			ts.spentSeconds += js.ingress + js.execSeconds
 			ts.spentJoules += js.energy
@@ -191,7 +132,9 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 	// Re-resolve the workload for every job going back into the queue. The
 	// journal stores identity (app, graph, seed), not the graph itself —
 	// resolution rebuilds or looks up the actual job. Unresolvable jobs fail
-	// loudly instead of haunting the queue.
+	// loudly instead of haunting the queue, and that failure is new: it is
+	// journaled and observed.
+	m.cfg.Journal, m.cfg.Trace = journal, tr
 	for _, js := range append([]*jobState(nil), m.queue...) {
 		var job workload.Job
 		err := errors.New("service: no Resolve configured")
@@ -200,67 +143,42 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 		}
 		if err != nil {
 			m.removeQueued(js)
-			js.state = StateFailed
 			js.err = fmt.Errorf("service: unresolvable after recovery (app %q graph %q): %w", js.appName, js.graphName, err)
-			m.counters.Failed++
-			m.journalBest(Record{Kind: RecordFail, ID: js.id, Attempt: js.attempts, Error: js.err.Error()})
-			m.finish(js)
+			m.failed(0, js)
 			continue
 		}
 		js.job = job
-		m.counters.RecoveredRequeued++
 	}
+	m.counters.RecoveredRequeued = uint64(len(m.queue))
 
 	// Ids continue after the highest replayed sequence even if the journal
 	// was swapped for a fresh one, so recovered status URLs stay unique.
-	if maxSeq > m.nextID {
-		m.nextID = maxSeq
-	}
+	m.nextID = max(m.nextID, maxSeq)
 }
 
-// restoreJob rebuilds a job from its snapshot record: a queued or running job
-// goes back into the queue, a terminal one becomes the tombstone it was.
-func (m *machine) restoreJob(r Record) {
-	js := &jobState{
-		id:          r.ID,
-		tenant:      r.Tenant,
-		priority:    r.Priority,
-		key:         r.Key,
-		fp:          r.Fingerprint,
-		appName:     r.App,
-		graphName:   r.Graph,
-		seed:        r.Seed,
-		state:       StateQueued,
-		attempts:    r.Attempt,
-		execSeconds: r.Seconds,
-		ingress:     r.Ingress,
-		energy:      r.Energy,
-		cacheHit:    r.Flag,
-		done:        make(chan struct{}),
-	}
-	if r.Error != "" {
-		js.err = errors.New(r.Error)
-	}
-	m.jobs[js.id] = js
-	if js.key != "" {
-		m.idem[js.key] = js
-	}
-	m.counters.Admitted++
-	switch r.State {
-	case StateQueued, StateRunning:
-		js.ctx = context.Background()
-		m.queue = append(m.queue, js)
-		m.tenant(js.tenant).queued++
+// restoreJob admits a job rebuilt from its snapshot record: a queued or
+// running job stays queued, a terminal one becomes the tombstone it was. Its
+// terminal step runs with the breaker detached, because the snapshot's tenant
+// frames, written first, already hold its effect. A shed job's reason
+// survives only in its error text, so it counts toward no shed counter.
+func (m *machine) restoreJob(js *jobState) {
+	m.admit(js)
+	if !js.terminal() {
+		js.state = StateQueued
 		return
-	case StateDone:
-		m.counters.Completed++
-	case StateFailed:
-		m.counters.Failed++
-	case StateCanceled:
-		js.err = ErrClosed
-		m.counters.Canceled++
 	}
-	js.state = r.State
-	m.counters.RecoveredDone++
-	m.finish(js)
+	m.removeQueued(js)
+	threshold := m.cfg.BreakerThreshold
+	m.cfg.BreakerThreshold = 0
+	switch js.state {
+	case StateDone:
+		m.done(js)
+	case StateFailed:
+		m.failed(0, js)
+	case StateCanceled:
+		m.cancel(js)
+	default:
+		m.finish(js)
+	}
+	m.cfg.BreakerThreshold = threshold
 }

@@ -732,14 +732,33 @@ func TestServiceRecoverBreaker(t *testing.T) {
 		return snap
 	}
 	// check restores the journal as it stands and as a snapshot, and
-	// requires the breaker state and consecutive failures given.
-	check := func(name string, breaker, fails int) *machine {
+	// requires the breaker state and consecutive failures given. The
+	// restore from records must also agree with the live machine on jobs,
+	// tenants and job counters, and count the closed→open trips given: it
+	// has no half-open state, so it replays a failed probe as one more
+	// failure of an open breaker, not as a trip.
+	check := func(name string, breaker, fails int, trips uint64) *machine {
 		t.Helper()
 		recs, _, err := DecodeJournal(journal.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
 		fromRecs, fromSnap := restore(cfg, recs), restore(cfg, snapshot())
+		if a, b := fromRecs.list("", 0, 0), m.list("", 0, 0); !sameJobs(a, b) {
+			t.Fatalf("%s: records restore jobs\n%+v\nlive\n%+v", name, a, b)
+		}
+		if a, b := fromRecs.usage(), m.usage(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: records restore tenants %+v, live %+v", name, a, b)
+		}
+		counts := func(c Counters) [5]uint64 {
+			return [5]uint64{c.Submitted, c.Admitted, c.Completed, c.Failed, c.Retries}
+		}
+		if a, b := counts(fromRecs.counters), counts(m.counters); a != b {
+			t.Fatalf("%s: records restore submitted, admitted, completed, failed, retries %v, live %v", name, a, b)
+		}
+		if got := fromRecs.counters.BreakerTrips; got != trips {
+			t.Fatalf("%s: records restore %d breaker trips, want %d", name, got, trips)
+		}
 		for _, r := range []*machine{fromRecs, fromSnap} {
 			if ts := r.tenant("t"); ts.breaker != breaker || ts.consecFails != fails || ts.openedAt != 0 {
 				t.Fatalf("%s: restored breaker %d after %d failures (opened at %g), want %d after %d",
@@ -764,10 +783,10 @@ func TestServiceRecoverBreaker(t *testing.T) {
 
 	run(0, true)
 	run(1, false)
-	check("one failure", breakerClosed, 1)
+	check("one failure", breakerClosed, 1, 0)
 
 	run(2, false) // the threshold: trips
-	r := check("tripped", breakerOpen, 2)
+	r := check("tripped", breakerOpen, 2, 1)
 	for _, now := range []float64{0, 4.9} {
 		if _, _, err := r.submit(now, "t", "", workload.Job{}, nil, 0); !errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("restored open breaker admitted at %g: %v", now, err)
@@ -781,10 +800,10 @@ func TestServiceRecoverBreaker(t *testing.T) {
 	}
 
 	run(8, false) // a failed probe re-opens
-	check("failed probe", breakerOpen, 3)
+	check("failed probe", breakerOpen, 3, 1)
 
 	run(14, true) // a successful probe closes
-	r = check("closed", breakerClosed, 0)
+	r = check("closed", breakerClosed, 0, 1)
 	if _, _, err := r.submit(0, "t", "", workload.Job{}, nil, 0); err != nil {
 		t.Fatalf("restored closed breaker rejected: %v", err)
 	}

@@ -19,7 +19,7 @@ import (
 	"proxygraph/internal/workload"
 )
 
-func caseTwo(t *testing.T) *cluster.Cluster {
+func caseTwo(t testing.TB) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.New(
 		cluster.LocalXeon("xeon-4c", 4, 2.5),

@@ -132,7 +132,9 @@ type Counters struct {
 	// Completed and Failed count terminal outcomes; Canceled jobs were
 	// queued when the service closed.
 	Completed, Failed, Canceled uint64
-	// BreakerTrips counts closed→open transitions across tenants.
+	// BreakerTrips counts closed→open transitions across tenants, and
+	// failed half-open probes. A recovery counts the closed→open trips its
+	// replayed failures make.
 	BreakerTrips uint64
 	// Deduped counts submissions answered by an existing job via its
 	// idempotency key; RejectedDegraded submissions shed in degraded mode.
@@ -438,12 +440,13 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	// rejected and the service degrades, because accepting work that cannot
 	// be made durable would silently break the contract.
 	appName, graphName := jobNames(job)
+	sub := Record{
+		Kind: RecordSubmit, Tenant: tenant, App: appName, Graph: graphName,
+		Seed: job.Seed, Key: key, Fingerprint: fp, Priority: ts.Priority,
+	}
 	var id int
 	if m.cfg.Journal != nil {
-		seq, err := m.cfg.Journal.Append(Record{
-			Kind: RecordSubmit, Tenant: tenant, App: appName, Graph: graphName,
-			Seed: job.Seed, Key: key, Fingerprint: fp, Priority: ts.Priority,
-		})
+		seq, err := m.cfg.Journal.Append(sub)
 		if err != nil {
 			m.degrade(err)
 			return nil, false, fmt.Errorf("%w: %v", ErrDegraded, err)
@@ -465,36 +468,27 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 		m.nextID++
 		id = m.nextID
 	}
-	js = &jobState{
-		id:          id,
-		tenant:      tenant,
-		priority:    ts.Priority,
-		job:         job,
-		key:         key,
-		fp:          fp,
-		appName:     appName,
-		graphName:   graphName,
-		seed:        job.Seed,
-		ctx:         ctx,
-		deadline:    deadline,
-		state:       StateQueued,
-		enqueuedAt:  now,
-		readyAt:     now,
-		submittedAt: now,
-		done:        make(chan struct{}),
-	}
-	m.jobs[js.id] = js
-	m.queue = append(m.queue, js)
-	ts.queued++
-	if key != "" {
-		m.idem[key] = js
-	}
+	js = jobOf(id, sub)
+	js.job, js.ctx, js.deadline = job, ctx, deadline
+	js.enqueuedAt, js.readyAt, js.submittedAt = now, now, now
+	m.admit(js)
 	if m.cfg.BreakerThreshold > 0 && ts.breaker == breakerHalfOpen {
 		ts.probeRunning = true
 	}
-	m.counters.Admitted++
 	m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Step: js.id, Label: "admit"})
 	return js, false, nil
+}
+
+// admit enters a new job into the job table, its key into the idempotency
+// index and the job into its tenant's queue.
+func (m *machine) admit(js *jobState) {
+	m.jobs[js.id] = js
+	if js.key != "" {
+		m.idem[js.key] = js
+	}
+	m.queue = append(m.queue, js)
+	m.tenant(js.tenant).queued++
+	m.counters.Admitted++
 }
 
 // shedCandidate returns the queued job load shedding would evict for an
@@ -663,6 +657,23 @@ func jobRecord(js *jobState) Record {
 	return r
 }
 
+// jobOf is jobRecord's inverse: the job a submit or snapshot record
+// describes, under the given id (a submit record's id is its sequence
+// number, not a field).
+func jobOf(id int, r Record) *jobState {
+	js := &jobState{
+		id: id, state: r.State, attempts: r.Attempt,
+		priority: r.Priority, tenant: r.Tenant, appName: r.App,
+		graphName: r.Graph, key: r.Key, seed: r.Seed, fp: r.Fingerprint,
+		execSeconds: r.Seconds, ingress: r.Ingress, energy: r.Energy,
+		cacheHit: r.Flag, ctx: context.Background(), done: make(chan struct{}),
+	}
+	if r.Error != "" {
+		js.err = errors.New(r.Error)
+	}
+	return js
+}
+
 // dispatch selects the next runnable job at clock value now: the
 // highest-priority queued job whose backoff has elapsed, FIFO among equals.
 // Queued jobs whose deadline already passed are shed on the way. It returns
@@ -716,7 +727,6 @@ func (m *machine) dispatch(now float64) (js *jobState, wait float64) {
 // charges, breaker close, terminal bookkeeping.
 func (m *machine) complete(now float64, js *jobState, jr *workload.JobResult) {
 	ts := m.tenant(js.tenant)
-	js.state = StateDone
 	js.result = jr.Exec
 	js.execSeconds = jr.Exec.SimSeconds
 	js.energy = jr.Exec.EnergyJoules
@@ -726,7 +736,6 @@ func (m *machine) complete(now float64, js *jobState, jr *workload.JobResult) {
 	ts.spentSeconds += jr.IngressSeconds + jr.Exec.SimSeconds
 	ts.spentJoules += jr.Exec.EnergyJoules
 	m.running--
-	m.counters.Completed++
 	// Complete before charge, always in that order: recovery derives the
 	// missing charge from the complete record if the crash lands between
 	// them, so a tenant is never double-charged at any journal offset.
@@ -739,7 +748,16 @@ func (m *machine) complete(now float64, js *jobState, jr *workload.JobResult) {
 		Kind: RecordBudgetCharge, ID: js.id, Tenant: js.tenant,
 		Seconds: jr.IngressSeconds + jr.Exec.SimSeconds, Energy: jr.Exec.EnergyJoules,
 	})
+	m.done(js)
+}
+
+// done makes a job that is out of the queue completed, closing its tenant's
+// breaker.
+func (m *machine) done(js *jobState) {
+	js.state = StateDone
+	m.counters.Completed++
 	if m.cfg.BreakerThreshold > 0 {
+		ts := m.tenant(js.tenant)
 		ts.consecFails = 0
 		if ts.breaker != breakerClosed {
 			ts.breaker = breakerClosed
@@ -781,11 +799,17 @@ func (m *machine) fail(now float64, js *jobState, err error, retryable bool) {
 		m.emit(trace.Event{Kind: trace.KindRetry, Machine: -1, Step: js.id, Resume: js.attempts, Label: js.tenant, Seconds: backoff})
 		return
 	}
+	m.failed(now, js)
+}
+
+// failed makes a job that is out of the queue failed, with js.err its error,
+// at clock value now. The failure counts toward its tenant's breaker.
+func (m *machine) failed(now float64, js *jobState) {
 	js.state = StateFailed
 	m.counters.Failed++
-	m.journalBest(Record{Kind: RecordFail, ID: js.id, Attempt: js.attempts, Error: err.Error()})
-	ts := m.tenant(js.tenant)
+	m.journalBest(Record{Kind: RecordFail, ID: js.id, Attempt: js.attempts, Error: js.err.Error()})
 	if m.cfg.BreakerThreshold > 0 {
+		ts := m.tenant(js.tenant)
 		ts.consecFails++
 		tripped := ts.breaker == breakerClosed && ts.consecFails >= m.cfg.BreakerThreshold
 		reopened := ts.breaker == breakerHalfOpen // failed probe
@@ -818,13 +842,18 @@ func (m *machine) backoff(jobID, attempt int) float64 {
 func (m *machine) cancelQueued() {
 	for _, js := range m.queue {
 		m.tenant(js.tenant).queued--
-		js.state = StateCanceled
-		js.err = ErrClosed
-		m.counters.Canceled++
-		m.journalBest(Record{Kind: RecordShed, ID: js.id, Error: shedReasonCanceled})
-		m.finish(js)
+		m.cancel(js)
 	}
 	m.queue = nil
+}
+
+// cancel makes a job that is out of the queue canceled.
+func (m *machine) cancel(js *jobState) {
+	js.state = StateCanceled
+	js.err = ErrClosed
+	m.counters.Canceled++
+	m.journalBest(Record{Kind: RecordShed, ID: js.id, Error: shedReasonCanceled})
+	m.finish(js)
 }
 
 // idle reports no queued or running work.
