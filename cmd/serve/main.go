@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -226,8 +227,11 @@ type server struct {
 	// scrape serialises /metrics, and exported holds each lifetime counter's
 	// value as of the previous scrape: the service keeps totals, a registry
 	// counter takes increments, so a scrape adds what the total grew by.
+	// gcPauses does the same for each bucket of the runtime's GC pause
+	// histogram.
 	scrape   sync.Mutex
 	exported map[string]uint64
+	gcPauses []uint64
 }
 
 // newServer generates the Table II graph catalog at 1/scale and starts the
@@ -468,6 +472,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.Gauge("proxygraph_go_heap_live_bytes", "heap bytes marked live by the last garbage collection").Set(float64(rt[0].Value.Uint64()))
 	s.reg.Gauge("proxygraph_go_goroutines", "live goroutines").Set(float64(rt[1].Value.Uint64()))
 	s.exportCounter("proxygraph_go_gc_cycles", "completed garbage collection cycles", rt[2].Value.Uint64())
+	s.exportGCPauses()
 	degraded, _ := s.svc.Degraded()
 	degVal := 0.0
 	if degraded {
@@ -496,6 +501,42 @@ func (s *server) exportCounter(name, help string, total uint64) {
 		c.Add(float64(total - last))
 		s.exported[name] = total
 	}
+}
+
+// exportGCPauses brings the histogram proxygraph_go_gc_pause_seconds up to
+// the runtime's /gc/pauses:seconds, a lifetime histogram of stop-the-world
+// pauses in much finer buckets. What each runtime bucket grew by since the
+// previous scrape lands in the first exported bucket whose bound is at or
+// above the runtime bucket's upper edge, so no pause is reported shorter
+// than it was. The runtime keeps no sum; each pause adds its runtime
+// bucket's lower edge, so _sum is a lower bound. The caller holds s.scrape.
+func (s *server) exportGCPauses() {
+	bounds := []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1}
+	h := s.reg.Histogram("proxygraph_go_gc_pause_seconds", "garbage collection stop-the-world pauses", bounds)
+	rt := []metrics.Sample{{Name: "/gc/pauses:seconds"}}
+	metrics.Read(rt)
+	if rt[0].Value.Kind() != metrics.KindFloat64Histogram {
+		return
+	}
+	pauses := rt[0].Value.Float64Histogram()
+	if s.gcPauses == nil {
+		s.gcPauses = make([]uint64, len(pauses.Counts))
+	}
+	counts := make([]uint64, len(bounds)+1)
+	sum := 0.0
+	for k, total := range pauses.Counts {
+		grew := total - s.gcPauses[k]
+		if grew == 0 {
+			continue
+		}
+		s.gcPauses[k] = total
+		i, _ := slices.BinarySearch(bounds, pauses.Buckets[k+1])
+		counts[i] += grew
+		if lo := pauses.Buckets[k]; lo > 0 {
+			sum += float64(grew) * lo
+		}
+	}
+	h.AddCounts(counts, sum)
 }
 
 func (s *server) mux() *http.ServeMux {

@@ -385,6 +385,40 @@ func scrapeMetrics(t *testing.T, base string) metricsScrape {
 	return out
 }
 
+// TestGCPauseHistogram: /metrics exports the runtime's GC pauses as a
+// histogram that a forced collection moves, and whose +Inf bucket is its
+// count.
+func TestGCPauseHistogram(t *testing.T) {
+	cfg, err := buildConfig([]string{"-scale", "2048"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.svc.Close()
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+
+	const name = "proxygraph_go_gc_pause_seconds"
+	before := scrapeMetrics(t, ts.URL)
+	if before.typ[name] != "histogram" {
+		t.Fatalf("%s is exported as %q, want a histogram", name, before.typ[name])
+	}
+	runtime.GC()
+	after := scrapeMetrics(t, ts.URL)
+	if after.value[name+"_count"] <= before.value[name+"_count"] {
+		t.Errorf("%s_count went from %v to %v over a forced collection", name, before.value[name+"_count"], after.value[name+"_count"])
+	}
+	if inf := after.value[name+`_bucket{le="+Inf"}`]; inf != after.value[name+"_count"] {
+		t.Errorf("%s: +Inf bucket %v, count %v", name, inf, after.value[name+"_count"])
+	}
+	if after.value[name+"_sum"] <= before.value[name+"_sum"] {
+		t.Errorf("%s_sum went from %v to %v over a forced collection", name, before.value[name+"_sum"], after.value[name+"_sum"])
+	}
+}
+
 // TestPprofBehindFlag: the profile endpoints exist only when asked for.
 func TestPprofBehindFlag(t *testing.T) {
 	for _, tc := range []struct {

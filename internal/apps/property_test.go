@@ -467,7 +467,7 @@ func TestPropertyInitContract(t *testing.T) {
 		}
 		resume := NewConnectedComponents().Resume(prior, d, g)
 		ok = initEquals(t, "connected_components_resume", resume, g, exact[uint32], func(v int) uint32 {
-			if v < short && !resume.reset[v] {
+			if v < short && resume.flags[v]&flagReset == 0 {
 				return prior[v]
 			}
 			return uint32(v)

@@ -70,12 +70,22 @@ type ConnectedComponentsResume struct {
 	ConnectedComponents
 	// Prior is the base-graph labelling (Components.Labels).
 	Prior []uint32
-	reset []bool
+	// flags holds one byte of flag bits per evolved vertex; Init reads
+	// flagReset.
+	flags []uint8
 	seed  []graph.VertexID
 	// err is set when Prior is no labelling of the evolved graph; run
 	// returns it instead of starting the engine.
 	err error
 }
+
+// The bits of ConnectedComponentsResume.flags. flagResetLabel is indexed by
+// label (a label is a vertex ID), the others by vertex.
+const (
+	flagResetLabel uint8 = 1 << iota // a deletion touches the prior component with this label
+	flagReset                        // the vertex restarts at its own ID
+	flagSeeded                       // the vertex is in the seed frontier
+)
 
 // Resume returns cc warm-started from the prior labelling for the evolved
 // graph d produced. Vertices beyond the prior labelling start at their own ID
@@ -86,16 +96,14 @@ func (cc *ConnectedComponents) Resume(prior []uint32, d *graph.Delta, evolved *g
 
 	// Labels of prior components that a deletion touches: all their members
 	// reset and reseed, since a split strands too-small labels anywhere in
-	// the component. A label is a vertex ID, so the marks live in a slice
-	// indexed by label (one allocation with the seeded marks); the member
-	// scan below is where a label that is no vertex of the evolved graph gets
-	// rejected.
-	marks := make([]bool, 2*n)
-	resetLabels, seeded := marks[:n], marks[n:]
+	// the component. A label is a vertex ID, so its mark is a bit of the
+	// per-vertex flag bytes; the member scan below is where a label that is
+	// no vertex of the evolved graph gets rejected.
+	r.flags = make([]uint8, n)
 	for _, e := range d.Deletes {
 		for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
 			if int(v) < len(prior) && int(prior[v]) < n {
-				resetLabels[prior[v]] = true
+				r.flags[prior[v]] |= flagResetLabel
 			}
 		}
 	}
@@ -103,29 +111,27 @@ func (cc *ConnectedComponents) Resume(prior []uint32, d *graph.Delta, evolved *g
 	// The reset vertices are counted as they are marked, so the seed is
 	// allocated once at its bound: every reset vertex and both endpoints of
 	// every insertion.
-	r.reset = make([]bool, n)
 	resets := 0
 	for v := 0; v < n && v < len(prior); v++ {
 		if int(prior[v]) >= n {
 			r.err = fmt.Errorf("apps: %s: prior label %d of vertex %d is not a vertex of the %d-vertex evolved graph", r.Name(), prior[v], v, n)
 			return r
 		}
-		if resetLabels[prior[v]] {
-			r.reset[v] = true
+		if r.flags[prior[v]]&flagResetLabel != 0 {
+			r.flags[v] |= flagReset
 			resets++
 		}
 	}
 	r.seed = make([]graph.VertexID, 0, resets+2*len(d.Inserts))
-	for v, reset := range r.reset {
-		if reset {
-			seeded[v] = true
+	for v, f := range r.flags {
+		if f&flagReset != 0 {
 			r.seed = append(r.seed, graph.VertexID(v))
 		}
 	}
 	for _, e := range d.Inserts {
 		for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
-			if int(v) < n && !seeded[v] {
-				seeded[v] = true
+			if int(v) < n && r.flags[v]&(flagReset|flagSeeded) == 0 {
+				r.flags[v] |= flagSeeded
 				r.seed = append(r.seed, v)
 			}
 		}
@@ -140,7 +146,7 @@ func (r *ConnectedComponentsResume) Name() string { return "connected_components
 // reset or lies beyond the prior labelling, its own ID otherwise.
 func (r *ConnectedComponentsResume) Init(vals []uint32, g *graph.Graph) {
 	for v := range vals {
-		if v < len(r.Prior) && !r.reset[v] {
+		if v < len(r.Prior) && r.flags[v]&flagReset == 0 {
 			vals[v] = r.Prior[v]
 		} else {
 			vals[v] = uint32(v)

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"proxygraph/internal/engine"
@@ -141,6 +142,48 @@ func TestCCResumeRejectsForeignPrior(t *testing.T) {
 		}
 	}()
 	SummarizeComponents([]uint32{0, 0, 7})
+}
+
+// TestCCResumeBytes pins what Resume allocates to what the resumed run reads:
+// one flag byte per evolved vertex, and the seed frontier at its bound of
+// 4 B for every reset vertex and both endpoints of every insertion, plus
+// 16 KiB for the resume value. Separate reset-label, seeded and reset arrays
+// cost two bytes per vertex more and fail it.
+func TestCCResumeBytes(t *testing.T) {
+	base := testGraph(t, 29, 20000, 80000)
+	cc := NewConnectedComponents()
+	res, err := cc.Run(moduloPlacement(t, base, 4), heteroCluster(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := res.Output.(Components).Labels
+	d, evolved := evolveEquiv(t, base, len(base.Edges)/100, len(base.Edges)/200, 3)
+
+	resetLabels := map[uint32]bool{}
+	for _, e := range d.Deletes {
+		resetLabels[prior[e.Src]], resetLabels[prior[e.Dst]] = true, true
+	}
+	resets := 0
+	for _, label := range prior {
+		if resetLabels[label] {
+			resets++
+		}
+	}
+	resume := func() { cc.Resume(prior, d, evolved) }
+	resume()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		resume()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	ceiling := uint64(evolved.NumVertices + 4*(resets+2*len(d.Inserts)) + 16<<10)
+	t.Logf("%d vertices, %d resets, %d inserts: %d bytes per Resume, ceiling %d", evolved.NumVertices, resets, len(d.Inserts), got, ceiling)
+	if got > ceiling {
+		t.Errorf("Resume allocates %d bytes, want at most 1·|V| + 4·(resets + 2·inserts) + 16 KiB = %d", got, ceiling)
+	}
 }
 
 // TestPRResumeWithinEnvelope is acceptance check (b) for PageRank: the

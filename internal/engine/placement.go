@@ -327,9 +327,11 @@ func NewPlacement(g *graph.Graph, owner []Machine, m int) (*Placement, error) {
 	}
 	// One scan of the owner vector validates it, marks replicas and counts
 	// edges per machine and the incidences per vertex that master selection
-	// samples from.
+	// samples from. The counts are dead once the masters are chosen, and
+	// there is one per vertex as there is one MasterVerts entry per vertex,
+	// so their array becomes the MasterVerts arena.
 	edges := g.Edges
-	incidences := make([]int32, n)
+	incidences := make([]graph.VertexID, n)
 	for i, p := range owner {
 		if int(p) >= m {
 			return nil, fmt.Errorf("engine: edge %d assigned to machine %d outside [0, %d)", i, p, m)
@@ -353,6 +355,8 @@ func NewPlacement(g *graph.Graph, owner []Machine, m int) (*Placement, error) {
 	// The sample is resolved per vertex first (which incidence wins depends
 	// only on the vertex and its incidence count): each count is overwritten
 	// with its winner's number, and the edge scan below counts down to it.
+	// A countdown hits zero exactly once, at the winner; the decrements after
+	// it wrap, harmlessly, since nothing reads the counts again.
 	winner := incidences
 	for v, k := range incidences {
 		if k == 0 {
@@ -375,7 +379,7 @@ func NewPlacement(g *graph.Graph, owner []Machine, m int) (*Placement, error) {
 	for _, p := range pl.Master {
 		masterCount[p]++
 	}
-	verts := make([]graph.VertexID, n)
+	verts := incidences
 	for p, at := 0, int32(0); p < m; p++ {
 		pl.MasterVerts[p] = verts[at : at : at+masterCount[p]]
 		at += masterCount[p]
@@ -390,10 +394,10 @@ func NewPlacement(g *graph.Graph, owner []Machine, m int) (*Placement, error) {
 // reservoir sample of size one keeps: incidence i replaces the current pick
 // when Hash2(v, i) mod i is zero, so the survivor is the largest such i, found
 // from the top without visiting the rest (i = 1 always replaces).
-func sampledIncidence(v uint64, k int32) int32 {
+func sampledIncidence(v uint64, k graph.VertexID) graph.VertexID {
 	for i := uint64(k); i > 1; i-- {
 		if rng.Hash2(v, i)%i == 0 {
-			return int32(i)
+			return graph.VertexID(i)
 		}
 	}
 	return 1

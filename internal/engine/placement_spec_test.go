@@ -236,7 +236,7 @@ func TestMasterSelectionMatchesReservoirSpec(t *testing.T) {
 // allocation more.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to one, so the compiles run on one
-// worker. Measured for m machines: 7 for NewPlacement; 7+4m for the first
+// worker. Measured for m machines: 6 for NewPlacement; 7+4m for the first
 // blocks(false) and 7+3m for its lazy source grouping, sources(); 7+4m for
 // the first blocks(true). Each compile's 7 include its transient
 // group-by-owner arena.
@@ -281,7 +281,7 @@ func TestNewPlacementAllocs(t *testing.T) {
 			what         string
 			got, ceiling float64
 		}{
-			{"NewPlacement", got.finalize, 7},
+			{"NewPlacement", got.finalize, 6},
 			{"the first blocks(false)", got.in, float64(7 + 4*machines)},
 			{"the first sources()", got.inSrc, float64(7 + 3*machines)},
 			{"the first blocks(true)", got.both, float64(7 + 4*machines)},
@@ -297,11 +297,10 @@ func TestNewPlacementAllocs(t *testing.T) {
 }
 
 // TestNewPlacementBytes pins what finalization allocates to its per-vertex
-// tables: ReplicaMask 8 B, Master 1 B, the MasterVerts arena 4 B and the
-// transient incidence counts 4 B, plus 16 KiB for the placement itself and
-// its per-machine slices. Nothing is charged per edge: the caller's owner
-// vector is kept, not copied. A four-byte Master would add 3 B per vertex and
-// fail.
+// tables: ReplicaMask 8 B, Master 1 B and the MasterVerts arena 4 B, plus
+// 16 KiB for the placement itself and its per-machine slices. Nothing is
+// charged per edge: the caller's owner vector is kept, not copied. A
+// four-byte Master would add 3 B per vertex and fail.
 func TestNewPlacementBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews bytes/op")
@@ -328,7 +327,7 @@ func TestNewPlacementBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / runs
-	const perVertex = 8 + 1 + 4 + 4
+	const perVertex = 8 + 1 + 4
 	ceiling := uint64(perVertex*g.NumVertices + 16<<10)
 	t.Logf("%d vertices, %d edges on %d machines: %d bytes per NewPlacement, ceiling %d", g.NumVertices, len(g.Edges), machines, got, ceiling)
 	if got > ceiling {

@@ -35,6 +35,8 @@ func TestInDegreesParallelMatchesSequential(t *testing.T) {
 						gi, procs, v, got[v], want[v])
 				}
 			}
+			// The next scan starts from this array's dirty counts.
+			ReleaseDegrees(got)
 		}
 	}
 }
@@ -90,5 +92,35 @@ func TestCSRIntoMatchesBuild(t *testing.T) {
 				t.Fatalf("graph %d: vertex %d row %v, want %v", gi, v, a, b)
 			}
 		}
+	}
+}
+
+// TestInDegreesReleaseAllocs pins what a warm InDegreesParallel and
+// ReleaseDegrees pair allocates at two workers: 4 + 2·2 = 8 small objects —
+// the box slice, the scan's two closures, each par.Ranges call's WaitGroup
+// and spawned goroutine, and the box ReleaseDegrees puts the result in. No
+// count array is allocated, and a scratch array goes back to the pool in the
+// box it came out in: a fresh result array, or a box per returned array,
+// would push the count past the ceiling. The scheduler adds a stray
+// allocation now and then, so the average may exceed it by under a half.
+func TestInDegreesReleaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a race build's sync.Pool drops items at random")
+	}
+	withProcs(t, 2)
+	g := randomGraph(t, 83, 5000, 40000)
+	pair := func() { ReleaseDegrees(g.InDegreesParallel()) }
+	pair()
+	const runs, ceiling = 100, 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%.2f allocations, %d bytes per pair", got, (after.TotalAlloc-before.TotalAlloc)/runs)
+	if got > ceiling+0.5 {
+		t.Errorf("a warm InDegreesParallel + ReleaseDegrees pair allocates %.2f objects, want at most %d", got, ceiling)
 	}
 }

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"testing"
+
+	"proxygraph/internal/rng"
 )
 
 // deltaBase is a small weighted graph with a duplicate edge, so the
@@ -440,4 +443,67 @@ func FuzzDelta(f *testing.F) {
 		}
 		sameMultiset(t, "fuzz round trip", base, back)
 	})
+}
+
+// TestDeltaApplyBytes pins what Apply allocates to the evolved graph it
+// returns and the delete resolution: the edge list, 8 B per evolved edge, and
+// when either side is weighted the weights, 4 B per evolved edge; up to 80 B
+// per delete for DeletedIndices' occurrence map, filter bitmap and index
+// list; and 16 KiB for the graph value and its name.
+func TestDeltaApplyBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews bytes/op")
+	}
+	base := randomGraph(t, 131, 20000, 160000)
+	weighted := &Graph{Name: "weighted", NumVertices: base.NumVertices, Edges: base.Edges,
+		Weights: make([]float32, len(base.Edges))}
+	for i := range weighted.Weights {
+		weighted.Weights[i] = float32(i%7 + 1)
+	}
+	d := &Delta{Time: 1}
+	for i := 0; i < len(base.Edges); i += 200 {
+		d.Deletes = append(d.Deletes, base.Edges[i])
+	}
+	src := rng.New(7)
+	for len(d.Inserts) < len(base.Edges)/100 {
+		if u, v := VertexID(src.Intn(base.NumVertices)), VertexID(src.Intn(base.NumVertices)); u != v {
+			d.Inserts = append(d.Inserts, Edge{u, v})
+			d.InsertWeights = append(d.InsertWeights, 2)
+		}
+	}
+	unweightedInserts := &Delta{Time: 1, Deletes: d.Deletes, Inserts: d.Inserts}
+	for _, c := range []struct {
+		name       string
+		base       *Graph
+		d          *Delta
+		edgeBytes  int
+		wantWeight bool
+	}{
+		{"unweighted", base, unweightedInserts, 8, false},
+		{"weighted inserts", base, d, 8 + 4, true},
+		{"weighted", weighted, d, 8 + 4, true},
+	} {
+		evolved, err := c.d.Apply(c.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (evolved.Weights != nil) != c.wantWeight {
+			t.Fatalf("%s: evolved weights %v, want weighted %v", c.name, evolved.Weights != nil, c.wantWeight)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := c.d.Apply(c.base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		ceiling := uint64(c.edgeBytes*len(evolved.Edges) + 80*len(c.d.Deletes) + 16<<10)
+		t.Logf("%s: %d evolved edges, %d deletes: %d bytes per Apply, ceiling %d", c.name, len(evolved.Edges), len(c.d.Deletes), got, ceiling)
+		if got > ceiling {
+			t.Errorf("%s: Apply allocates %d bytes, want at most %d·|E'| + 80·|Deletes| + 16 KiB = %d", c.name, got, c.edgeBytes, ceiling)
+		}
+	}
 }

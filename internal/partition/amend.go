@@ -161,6 +161,7 @@ func (h *Hybrid) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta
 	}
 	pk := newPicker(shares)
 	evolvedIn := evolved.InDegreesParallel()
+	defer graph.ReleaseDegrees(evolvedIn)
 	hash := func(e graph.Edge) engine.Machine {
 		if evolvedIn[e.Dst] > h.Threshold {
 			return pk.pick(vertexHash(seed+1, e.Src))
@@ -355,6 +356,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delt
 	}
 	pk := newPicker(shares)
 	inDeg := evolved.InDegreesParallel()
+	defer graph.ReleaseDegrees(inDeg)
 	flipped := vertexMask(evolved.NumVertices, degreeFlips(d, inDeg, gp.Threshold))
 
 	// Recover assign from surviving low→low edges: the refined placement

@@ -49,6 +49,7 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]en
 	}
 	pk := newPicker(shares)
 	inDeg := g.InDegreesParallel()
+	defer graph.ReleaseDegrees(inDeg)
 	owner := make([]engine.Machine, len(g.Edges))
 
 	// Phase 1 (as Hybrid): low-degree in-edges group with the target,

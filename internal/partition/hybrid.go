@@ -40,6 +40,7 @@ func (h *Hybrid) Partition(g *graph.Graph, shares []float64, seed uint64) ([]eng
 	pk := newPicker(shares)
 	owner := make([]engine.Machine, len(g.Edges))
 	inDeg := g.InDegreesParallel()
+	defer graph.ReleaseDegrees(inDeg)
 
 	par.Ranges(len(g.Edges), func(_, lo, hi int) {
 		edges := g.Edges[lo:hi]

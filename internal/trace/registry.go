@@ -251,6 +251,30 @@ func (h Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
+// AddCounts adds counts[i] observations to the bucket of the histogram's
+// i-th ascending bound, counts[len(bounds)] to the implicit +Inf bucket, and
+// sum to the running sum: how a source that keeps its own histogram, such as
+// the Go runtime, folds what it saw since the last export in without
+// replaying each observation. A counts of any other length, or a non-finite
+// sum, is dropped whole.
+func (h Histogram) AddCounts(counts []uint64, sum float64) {
+	if math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(counts) != len(h.s.bounds)+1 {
+		return
+	}
+	for i, c := range counts[:len(h.s.counts)] {
+		h.s.counts[i] += c
+	}
+	for _, c := range counts {
+		h.s.count += c
+	}
+	h.s.sum += sum
+}
+
 // formatValue renders a sample value the way Prometheus clients do.
 func formatValue(v float64) string {
 	switch {

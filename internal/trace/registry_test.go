@@ -64,6 +64,18 @@ func TestRegistryHistogram(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+
+	// The same five observations added as bucket counts expose the same
+	// buckets, sum and count.
+	batched := NewRegistry()
+	b := batched.Histogram("latency_seconds", "Latency.", []float64{0.1, 1, 10})
+	b.AddCounts([]uint64{1, 1, 0, 0}, 0.55)
+	b.AddCounts([]uint64{0, 1, 1, 1}, 55.5)
+	b.AddCounts([]uint64{1, 1, 1}, 1)             // wrong length: dropped
+	b.AddCounts([]uint64{1, 1, 1, 1}, math.NaN()) // dropped
+	if got := expose(t, batched); got != out {
+		t.Errorf("bucket counts exposed\n%s\nobservations exposed\n%s", got, out)
+	}
 }
 
 func TestRegistrySanitization(t *testing.T) {

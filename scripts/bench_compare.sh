@@ -95,7 +95,14 @@ for workload in "${workloads[@]}"; do
     [ $((pair % 2)) -eq 0 ] && order="change parent"
     for side in $order; do
       echo "bench-compare: pair $pair/$pairs $side $workload seed $pair" >&2
-      line=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>/dev/null | tail -n 1)
+      # The run's stderr is kept: a run that fails its checks exits 1, and
+      # its own report of why is the last thing it wrote there.
+      stderr="$tmp/stderr-$workload-$pair-$side"
+      if ! line=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>"$stderr" | tail -n 1); then
+        echo "bench-compare: pair $pair/$pairs, $side side, workload $workload, seed $pair: the benchmark exited non-zero; the end of its stderr:" >&2
+        tail -n 20 "$stderr" >&2
+        exit 1
+      fi
       echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line}" >>"$runs"
     done
   done
