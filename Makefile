@@ -17,7 +17,7 @@ check: build test
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 # Static analysis.
 	go vet ./...
-# The race detector on every package but the root (88 s under -race) and internal/exp (311 s), timed on 2 vCPUs.
+# The race detector on every package but the root (88 s under -race) and internal/exp (144 s), timed on 2 vCPUs.
 	go test -race $(filter-out proxygraph proxygraph/internal/exp,$(PKGS))
 # Fig 9's concurrent cells, whose event stream must be the same at GOMAXPROCS 1 and 4, raced.
 	go test -race -run TestFig9TraceStream ./internal/exp

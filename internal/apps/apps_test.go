@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"proxygraph/internal/cluster"
@@ -64,6 +65,25 @@ func moduloPlacement(t *testing.T, g *graph.Graph, m int) *engine.Placement {
 // E builds an edge literal for tests.
 func E(u, v int) graph.Edge {
 	return graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(v)}
+}
+
+// sortedUndirected is the naive statement of the undirected neighbor sets,
+// built without graph.BuildUndirectedSets: expand every edge into both rows,
+// sort each row, drop repeats. The spec loops read it, so a differential test
+// against one also checks the unsorted sets against independently sorted rows.
+func sortedUndirected(g *graph.Graph) *graph.CSR {
+	rows := make([][]graph.VertexID, g.NumVertices)
+	for _, e := range g.Edges {
+		rows[e.Src] = append(rows[e.Src], e.Dst)
+		rows[e.Dst] = append(rows[e.Dst], e.Src)
+	}
+	c := &graph.CSR{Offsets: make([]int64, g.NumVertices+1)}
+	for v, row := range rows {
+		slices.Sort(row)
+		c.Targets = append(c.Targets, slices.Compact(row)...)
+		c.Offsets[v+1] = int64(len(c.Targets))
+	}
+	return c
 }
 
 // --- Reference implementations ---
@@ -360,11 +380,11 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 func TestTriangleCountKnownGraphs(t *testing.T) {
 	// A triangle plus a pendant edge: exactly one triangle.
 	g := &graph.Graph{NumVertices: 4, Edges: []graph.Edge{E(0, 1), E(1, 2), E(2, 0), E(2, 3)}}
-	count, err := CountTriangles(g, mustMachine(t, "c4.xlarge"))
+	res, err := NewTriangleCount().Run(engine.SingleMachine(g), singleCluster(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 1 {
+	if count := res.Output.(TriangleResult).Total; count != 1 {
 		t.Errorf("triangle+pendant = %d, want 1", count)
 	}
 	// K4 has 4 triangles.
@@ -374,11 +394,11 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 			k4.Edges = append(k4.Edges, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(v)})
 		}
 	}
-	count, err = CountTriangles(k4, mustMachine(t, "c4.xlarge"))
+	res, err = NewTriangleCount().Run(engine.SingleMachine(k4), singleCluster(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 4 {
+	if count := res.Output.(TriangleResult).Total; count != 4 {
 		t.Errorf("K4 = %d triangles, want 4", count)
 	}
 }
@@ -388,11 +408,11 @@ func TestTriangleCountHandlesDuplicateAndReverseEdges(t *testing.T) {
 	g := &graph.Graph{NumVertices: 3, Edges: []graph.Edge{
 		E(0, 1), E(1, 0), E(1, 2), E(2, 1), E(2, 0), E(0, 2), E(0, 1),
 	}}
-	count, err := CountTriangles(g, mustMachine(t, "c4.xlarge"))
+	res, err := NewTriangleCount().Run(engine.SingleMachine(g), singleCluster(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 1 {
+	if count := res.Output.(TriangleResult).Total; count != 1 {
 		t.Errorf("got %d, want 1", count)
 	}
 }

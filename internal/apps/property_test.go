@@ -158,7 +158,7 @@ func TestPropertySSSPTriangleInequality(t *testing.T) {
 func TestPropertyKCoreDegeneracyBound(t *testing.T) {
 	f := func(seed uint64, rawN, rawM uint16) bool {
 		g := propGraph(t, seed, rawN, rawM)
-		und := g.BuildUndirectedCSR()
+		und := sortedUndirected(g)
 		res, err := NewKCore().Run(engine.SingleMachine(g), singleCluster(t))
 		if err != nil {
 			return false

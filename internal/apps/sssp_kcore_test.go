@@ -153,7 +153,7 @@ func TestSSSPInvariantAcrossPlacements(t *testing.T) {
 
 // refCoreNumbers peels sequentially with a bucket queue.
 func refCoreNumbers(g *graph.Graph) []int32 {
-	und := g.BuildUndirectedCSR()
+	und := sortedUndirected(g)
 	n := g.NumVertices
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -247,7 +247,7 @@ func TestKCoreMaxKCap(t *testing.T) {
 func kcoreScanAll(kc *KCore, pl *engine.Placement, cl *cluster.Cluster) *engine.Result {
 	g := pl.G
 	n := g.NumVertices
-	und := g.BuildUndirectedCSR()
+	und := sortedUndirected(g)
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {
 		deg[v] = int32(und.Degree(graph.VertexID(v)))

@@ -205,13 +205,22 @@ func TestAmazonHasMoreTrianglesThanProxy(t *testing.T) {
 	}
 }
 
-// countTriangles is a reference O(Σ min-degree) triangle counter used only in
-// tests (the real implementation lives in internal/apps).
+// countTriangles is a reference triangle counter used only in tests (the
+// real implementation lives in internal/apps): for every edge (u, v), the
+// neighbours of v that were marked as neighbours of u.
 func countTriangles(g *graph.Graph) int64 {
-	csr := g.BuildUndirectedCSR()
+	und := g.BuildUndirectedSets()
+	mark := make([]graph.VertexID, g.NumVertices)
 	var total int64
 	for _, e := range g.Edges {
-		total += int64(graph.IntersectionSize(csr.Neighbors(e.Src), csr.Neighbors(e.Dst)))
+		for _, w := range und.Neighbors(e.Src) {
+			mark[w] = e.Src + 1
+		}
+		for _, w := range und.Neighbors(e.Dst) {
+			if mark[w] == e.Src+1 {
+				total++
+			}
+		}
 	}
 	return total / 3
 }

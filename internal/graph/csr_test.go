@@ -10,9 +10,10 @@ import (
 	"proxygraph/internal/rng"
 )
 
-// specCSR is the naive statement of what the three sorted builders return:
-// expand every edge into its row (both rows for the undirected view), sort
-// each row, drop duplicates from undirected rows, concatenate.
+// specCSR is the naive statement of what the two sorted builders return, and
+// of the undirected sets once their rows are sorted: expand every edge into
+// its row (both rows for the undirected view), sort each row, drop duplicates
+// from undirected rows, concatenate.
 func specCSR(g *graph.Graph, view string) *graph.CSR {
 	rows := make([][]graph.VertexID, g.NumVertices)
 	for _, e := range g.Edges {
@@ -86,8 +87,7 @@ func sortedRows(c *graph.CSR) *graph.CSR {
 
 // TestBuildCSRMatchesSortSpec pins the counting-pass builders to the naive
 // spec, offsets and targets alike. The unsorted undirected builder must hold
-// the sorted builder's neighbor sets, row by row, in first-occurrence edge
-// order.
+// the spec's neighbor sets, row by row, in first-occurrence edge order.
 func TestBuildCSRMatchesSortSpec(t *testing.T) {
 	graphs := []*graph.Graph{
 		{Name: "empty"},
@@ -107,9 +107,7 @@ func TestBuildCSRMatchesSortSpec(t *testing.T) {
 		graphs = append(graphs, g)
 	}
 	for _, g := range graphs {
-		for view, got := range map[string]*graph.CSR{
-			"out": g.BuildOutCSR(), "in": g.BuildInCSR(), "undirected": g.BuildUndirectedCSR(),
-		} {
+		for view, got := range map[string]*graph.CSR{"out": g.BuildOutCSR(), "in": g.BuildInCSR()} {
 			want := specCSR(g, view)
 			if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Targets, want.Targets) {
 				t.Errorf("%s %s (|V|=%d |E|=%d): CSR differs from the sort spec", g.Name, view, g.NumVertices, len(g.Edges))
@@ -125,23 +123,17 @@ func TestBuildCSRMatchesSortSpec(t *testing.T) {
 	}
 }
 
-// TestBuildUndirectedCSRAllocs holds both undirected builders to a handful of
+// TestBuildUndirectedCSRAllocs holds BuildUndirectedSets to a handful of
 // allocations that do not grow with the graph: a per-row or per-vertex
-// allocation (the sort.Slice closure the sorted builder once made for every
-// row) shows as a different count at ten times the vertices.
+// allocation shows as a different count at ten times the vertices.
 func TestBuildUndirectedCSRAllocs(t *testing.T) {
-	for name, build := range map[string]func(*graph.Graph) *graph.CSR{
-		"BuildUndirectedCSR":  (*graph.Graph).BuildUndirectedCSR,
-		"BuildUndirectedSets": (*graph.Graph).BuildUndirectedSets,
-	} {
-		allocs := func(n int) float64 {
-			g := multigraph(3, n, 8*n)
-			return testing.AllocsPerRun(10, func() { build(g) })
-		}
-		small, large := allocs(500), allocs(5000)
-		t.Logf("%s: %.0f allocations at |V|=500, %.0f at |V|=5000", name, small, large)
-		if small != large || small > 6 {
-			t.Errorf("%s allocates %.0f times at |V|=500 and %.0f at |V|=5000, want the same count, at most 6", name, small, large)
-		}
+	allocs := func(n int) float64 {
+		g := multigraph(3, n, 8*n)
+		return testing.AllocsPerRun(10, func() { g.BuildUndirectedSets() })
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("BuildUndirectedSets: %.0f allocations at |V|=500, %.0f at |V|=5000", small, large)
+	if small != large || small > 6 {
+		t.Errorf("BuildUndirectedSets allocates %.0f times at |V|=500 and %.0f at |V|=5000, want the same count, at most 6", small, large)
 	}
 }

@@ -140,10 +140,10 @@ func LogDegreeBucketLabel(b int) string {
 }
 
 // CSR is a compressed-sparse-row adjacency structure over a Graph.
-// Neighbors of v occupy Targets[Offsets[v]:Offsets[v+1]]. The Build*CSR
-// builders sort every row, which enables the linear-merge set intersections
-// Triangle Count needs; BuildUndirectedSets and InCSRInto leave rows in edge
-// order.
+// Neighbors of v occupy Targets[Offsets[v]:Offsets[v+1]]. BuildOutCSR and
+// BuildInCSR sort every row, for consumers whose output follows neighbor
+// order (delta PageRank, the adjacency writer, Ginger's reference spec);
+// BuildUndirectedSets and InCSRInto leave rows in edge order.
 type CSR struct {
 	Offsets []int64
 	Targets []VertexID
@@ -170,16 +170,15 @@ const (
 	byBoth               // both: the symmetric structure
 )
 
-// buildCSR builds adjacency with every row in ascending order (and, byBoth,
-// duplicates removed) by two counting passes and no comparison sort. The
-// first pass scatters the transpose in edge order; the second walks the
-// transpose's rows in ascending order and appends each row's index to the
-// rows it names, so every output row fills in ascending order. The symmetric
-// structure is its own transpose, so it too needs only the one staging array.
-// O(V + E), and the number of allocations does not depend on V.
+// buildCSR builds directed adjacency with every row in ascending order by two
+// counting passes and no comparison sort. The first pass scatters the
+// transpose in edge order; the second walks the transpose's rows in ascending
+// order and appends each row's index to the rows it names, so every output row
+// fills in ascending order. O(V + E), and the number of allocations does not
+// depend on V.
 func buildCSR(n int, edges []Edge, rows rowsBy) *CSR {
 	var t CSR // the transpose: keyed by the other endpoint
-	buildCSRInto(&t, n, edges, [...]rowsBy{bySrc: byDst, byDst: bySrc, byBoth: byBoth}[rows])
+	buildCSRInto(&t, n, edges, [...]rowsBy{bySrc: byDst, byDst: bySrc}[rows])
 	c := &CSR{Offsets: make([]int64, n+1), Targets: make([]VertexID, len(t.Targets))}
 	for _, k := range t.Targets {
 		c.Offsets[k+1]++
@@ -192,9 +191,6 @@ func buildCSR(n int, edges []Edge, rows rowsBy) *CSR {
 		}
 	}
 	c.rewindRows(n)
-	if rows == byBoth {
-		c.dedupRows(n)
-	}
 	return c
 }
 
@@ -214,41 +210,18 @@ func (c *CSR) rewindRows(n int) {
 	c.Offsets[0] = 0
 }
 
-// dedupRows removes duplicate neighbors in each (sorted) row in place,
-// compacting Targets and rewriting Offsets behind the read position.
-func (c *CSR) dedupRows(n int) {
-	out := int64(0)
-	for v := 0; v < n; v++ {
-		start, end := c.Offsets[v], c.Offsets[v+1]
-		c.Offsets[v] = out
-		for i := start; i < end; i++ {
-			if t := c.Targets[i]; i == start || t != c.Targets[out-1] {
-				c.Targets[out] = t
-				out++
-			}
-		}
-	}
-	c.Offsets[n] = out
-	c.Targets = c.Targets[:out]
-}
-
 // BuildOutCSR builds out-adjacency (neighbors reachable from each source).
 func (g *Graph) BuildOutCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, bySrc) }
 
 // BuildInCSR builds in-adjacency (sources pointing at each target).
 func (g *Graph) BuildInCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byDst) }
 
-// BuildUndirectedCSR builds symmetric adjacency with duplicate neighbors
-// removed and every row ascending, the view Triangle Count's merge
-// intersections need.
-func (g *Graph) BuildUndirectedCSR() *CSR { return buildCSR(g.NumVertices, g.Edges, byBoth) }
-
 // BuildUndirectedSets builds symmetric adjacency with duplicate neighbors
 // removed but rows unsorted: each row keeps its neighbors' first occurrences
 // in edge order. It is one scatter (buildCSRInto) and one in-place
 // compaction, with no transpose and no ordering pass, for consumers that
-// only visit, mark or count each neighbor once (KCore, Coloring). O(V + E),
-// and the number of allocations does not depend on V.
+// only visit, mark or count each neighbor once (KCore, Coloring, Triangle
+// Count). O(V + E), and the number of allocations does not depend on V.
 func (g *Graph) BuildUndirectedSets() *CSR {
 	c := &CSR{}
 	buildCSRInto(c, g.NumVertices, g.Edges, byBoth)
@@ -323,25 +296,6 @@ func buildCSRInto(c *CSR, n int, edges []Edge, rows rowsBy) {
 // InCSRInto rebuilds in-adjacency (sources pointing at each target) into c,
 // with unsorted rows in stable edge order. See buildCSRInto.
 func (g *Graph) InCSRInto(c *CSR) { buildCSRInto(c, g.NumVertices, g.Edges, byDst) }
-
-// IntersectionSize returns |a ∩ b| for two ascending-sorted neighbor lists,
-// by linear merge. It is the inner loop of Triangle Count.
-func IntersectionSize(a, b []VertexID) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
 
 // FootprintBytes estimates the on-disk text footprint of the graph, matching
 // the methodology behind Table II's Footprint column (tab-separated decimal
