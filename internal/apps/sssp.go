@@ -82,8 +82,11 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 		dist[v] = math.Inf(1)
 	}
 	dist[s.Source] = 0
-	active := make([]bool, n)
-	nextActive := make([]bool, n)
+	// active and nextActive, swapped each round, share one allocation.
+	// touched keeps its own: one 3|V|-byte block can round up a page further
+	// than the 2|V| and |V| ones (at 11k vertices, 40 KiB against 36 KiB).
+	flags := make([]bool, 2*n)
+	active, nextActive := flags[:n:n], flags[n:]
 	active[s.Source] = true
 	frontier, nextFrontier := 1, 0
 

@@ -82,6 +82,29 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// TestSSSPAllocs pins a run's allocations at eight: dist, the one array
+// behind active and nextActive, touched, the per-machine counters and the
+// boxed output, plus the accountant's two and the result (the placement's
+// local edges are built by the first run). Separate flag arrays would be one
+// more.
+func TestSSSPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	g := testGraph(t, 60, 300, 1800)
+	graph.AttachWeights(g, 1, 10, 60)
+	pl, cl := moduloPlacement(t, g, 3), multiCluster(t, 3)
+	s := NewSSSP()
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := s.Run(pl, cl); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 8 {
+		t.Errorf("SSSP allocates %.0f per run, the guard allows 8", got)
+	}
+}
+
 func TestSSSPUnweightedEqualsBFS(t *testing.T) {
 	g := testGraph(t, 64, 400, 1600)
 	ssspRes, err := NewSSSP().Run(engine.SingleMachine(g), singleCluster(t))

@@ -68,17 +68,22 @@ func (c CCR) Groups() []string {
 // SharesFor converts the CCR into a normalized per-machine share vector for
 // the given cluster: each machine's share is proportional to its group's
 // ratio. This is the weight vector the heterogeneity-aware partitioners
-// consume.
+// consume. The ratios are written into the returned slice and normalized
+// there (partition.NormalizeSharesInPlace), so the vector is the call's one
+// allocation.
 func (c CCR) SharesFor(cl *cluster.Cluster) ([]float64, error) {
-	weights := make([]float64, cl.Size())
+	shares := make([]float64, cl.Size())
 	for i, m := range cl.Machines {
 		r, ok := c.Ratios[m.Name]
 		if !ok {
 			return nil, fmt.Errorf("core: CCR for %q has no ratio for machine group %q", c.App, m.Name)
 		}
-		weights[i] = r
+		shares[i] = r
 	}
-	return partition.NormalizeShares(weights)
+	if err := partition.NormalizeSharesInPlace(shares); err != nil {
+		return nil, err
+	}
+	return shares, nil
 }
 
 // Error returns the mean relative error of this CCR against a ground-truth

@@ -13,6 +13,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"proxygraph/internal/engine"
@@ -62,24 +63,36 @@ func UniformShares(m int) []float64 {
 	return shares
 }
 
-// NormalizeShares scales a positive weight vector (e.g. raw CCRs) to sum
-// to 1. It errors on empty input or a weight that is not finite and positive.
+// NormalizeShares returns a copy of a positive weight vector (e.g. raw
+// CCRs) scaled to sum to 1, leaving weights as it was. It errors as
+// NormalizeSharesInPlace does.
 func NormalizeShares(weights []float64) ([]float64, error) {
+	shares := slices.Clone(weights)
+	if err := NormalizeSharesInPlace(shares); err != nil {
+		return nil, err
+	}
+	return shares, nil
+}
+
+// NormalizeSharesInPlace scales a positive weight vector to sum to 1 in
+// place, so a caller that builds the weights allocates only the shares. It
+// errors, leaving weights unchanged, on empty input or a weight that is not
+// finite and positive.
+func NormalizeSharesInPlace(weights []float64) error {
 	if len(weights) == 0 {
-		return nil, fmt.Errorf("partition: empty weight vector")
+		return fmt.Errorf("partition: empty weight vector")
 	}
 	sum := 0.0
 	for i, w := range weights {
 		if !(w > 0) || math.IsInf(w, 1) {
-			return nil, fmt.Errorf("partition: weight %d is %v, must be finite and positive", i, w)
+			return fmt.Errorf("partition: weight %d is %v, must be finite and positive", i, w)
 		}
 		sum += w
 	}
-	shares := make([]float64, len(weights))
 	for i, w := range weights {
-		shares[i] = w / sum
+		weights[i] = w / sum
 	}
-	return shares, nil
+	return nil
 }
 
 // checkShares validates a share vector for m machines.

@@ -577,7 +577,7 @@ func TestServiceDegradedMode(t *testing.T) {
 		if d, _ := m.dispatch(3); d != js1 {
 			t.Fatal("queued job not dispatchable while degraded")
 		}
-		m.complete(3, js1, &workload.JobResult{Exec: &engine.Result{}})
+		m.complete(3, js1, workload.JobResult{Exec: &engine.Result{}})
 		if js1.state != StateDone {
 			t.Fatalf("job 1 state %s", js1.state)
 		}
@@ -706,7 +706,7 @@ func TestServiceRecoverBreaker(t *testing.T) {
 			t.Fatalf("dispatch at %g returned %v", now, d)
 		}
 		if ok {
-			m.complete(now, js, &workload.JobResult{Exec: &engine.Result{SimSeconds: 1, EnergyJoules: 2}})
+			m.complete(now, js, workload.JobResult{Exec: &engine.Result{SimSeconds: 1, EnergyJoules: 2}})
 		} else {
 			m.fail(now, js, errors.New("boom"), false)
 		}

@@ -78,7 +78,7 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 	type run struct {
 		js     *jobState
 		finish float64
-		jr     *workload.JobResult
+		jr     workload.JobResult
 	}
 	var active []run
 	// waits holds every dispatch's queue wait, for the report's percentiles.

@@ -99,13 +99,18 @@ func (c *Config) normalize() error {
 	if c.Cluster == nil {
 		return fmt.Errorf("service: config needs a cluster")
 	}
-	for name, v := range map[string]int{
-		"queue bound": c.QueueBound, "tenant queue bound": c.TenantQueueBound,
-		"max retries": c.MaxRetries, "breaker threshold": c.BreakerThreshold,
-		"workers": c.Workers,
+	// A slice, not a map, so the first negative bound in declaration order
+	// is the one named.
+	for _, b := range []struct {
+		name string
+		v    int
+	}{
+		{"queue bound", c.QueueBound}, {"tenant queue bound", c.TenantQueueBound},
+		{"max retries", c.MaxRetries}, {"breaker threshold", c.BreakerThreshold},
+		{"workers", c.Workers},
 	} {
-		if v < 0 {
-			return fmt.Errorf("service: negative %s (%d)", name, v)
+		if b.v < 0 {
+			return fmt.Errorf("service: negative %s (%d)", b.name, b.v)
 		}
 	}
 	if c.BaseBackoff < 0 || c.MaxBackoff < 0 || c.BreakerCooldown < 0 {
@@ -113,6 +118,11 @@ func (c *Config) normalize() error {
 	}
 	if c.Estimator == nil {
 		c.Estimator = core.NewThreadCount()
+	}
+	// Resolved once here, so the session's RunJob does not build a fresh
+	// Hybrid for every served job.
+	if c.Partitioner == nil {
+		c.Partitioner = partition.NewHybrid()
 	}
 	if c.QueueBound == 0 {
 		c.QueueBound = 64
@@ -294,12 +304,12 @@ func (s *Service) worker() {
 }
 
 // runAttempt executes one attempt outside the lock.
-func (s *Service) runAttempt(js *jobState) (*workload.JobResult, error) {
+func (s *Service) runAttempt(js *jobState) (workload.JobResult, error) {
 	if err := js.ctx.Err(); err != nil {
-		return nil, err
+		return workload.JobResult{}, err
 	}
 	if err := s.cfg.Flaky.Err(js.id, js.attempts); err != nil {
-		return nil, err
+		return workload.JobResult{}, err
 	}
 	return s.session.RunJob(s.pool, js.job, engine.Options{Fault: s.cfg.Fault, Trace: s.tr})
 }

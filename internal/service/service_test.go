@@ -15,6 +15,7 @@ import (
 	"proxygraph/internal/core"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/fault"
+	"proxygraph/internal/partition"
 	"proxygraph/internal/trace"
 	"proxygraph/internal/workload"
 )
@@ -314,7 +315,7 @@ func TestServiceBreaker(t *testing.T) {
 	if d, _ := m.dispatch(13); d != probe2 {
 		t.Fatal("probe2 not dispatched")
 	}
-	m.complete(13, probe2, &workload.JobResult{Exec: &engine.Result{}})
+	m.complete(13, probe2, workload.JobResult{Exec: &engine.Result{}})
 	if ts := m.tenant("t"); ts.breaker != breakerClosed {
 		t.Fatal("successful probe did not close breaker")
 	}
@@ -339,7 +340,7 @@ func TestServiceBudget(t *testing.T) {
 	if d, _ := m.dispatch(0); d != js {
 		t.Fatal("dispatch")
 	}
-	m.complete(0, js, &workload.JobResult{Exec: &engine.Result{SimSeconds: 0.6}, IngressSeconds: 0.3})
+	m.complete(0, js, workload.JobResult{Exec: &engine.Result{SimSeconds: 0.6}, IngressSeconds: 0.3})
 	// 0.9s spent: still under budget.
 	js2, _, err := m.submit(1, "metered", "", job, nil, 0)
 	if err != nil {
@@ -348,7 +349,7 @@ func TestServiceBudget(t *testing.T) {
 	if d, _ := m.dispatch(1); d != js2 {
 		t.Fatal("dispatch 2")
 	}
-	m.complete(1, js2, &workload.JobResult{Exec: &engine.Result{SimSeconds: 0.5}})
+	m.complete(1, js2, workload.JobResult{Exec: &engine.Result{SimSeconds: 0.5}})
 	// 1.4s spent >= 1.0 cap: cut off.
 	if _, _, err := m.submit(2, "metered", "", job, nil, 0); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("over-budget submit: %v", err)
@@ -576,6 +577,57 @@ func TestServiceConfigValidation(t *testing.T) {
 	}
 	if _, err := Replay(Config{}, nil); err == nil {
 		t.Error("replay accepted missing cluster")
+	}
+}
+
+// TestServiceConfigErrorNamesFirstBound pins which of several negative
+// bounds the error names: the first in declaration order, on every call.
+func TestServiceConfigErrorNamesFirstBound(t *testing.T) {
+	cl := caseTwo(t)
+	for i := 0; i < 100; i++ {
+		cfg := Config{Cluster: cl, QueueBound: -1, Workers: -1}
+		err := cfg.normalize()
+		if err == nil || err.Error() != "service: negative queue bound (-1)" {
+			t.Fatalf("call %d: %v, want the queue bound named", i, err)
+		}
+	}
+}
+
+// TestServiceDefaultPartitionerKeysLikeHybrid pins that New's default
+// partitioner, resolved once, keys the placement cache exactly as a fresh
+// partition.NewHybrid() does: a job served by a service with no Partitioner
+// and then by one with an explicit Hybrid is one miss, then one hit.
+func TestServiceDefaultPartitionerKeysLikeHybrid(t *testing.T) {
+	cl := caseTwo(t)
+	jobs, err := workload.RandomJobs(1, 256, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := workload.NewPlacementCache()
+	check := leakCheck(t)
+	defer check()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, part := range []partition.Partitioner{nil, partition.NewHybrid()} {
+		svc, err := New(Config{Cluster: cl, Partitioner: part, Cache: cache, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := svc.Submit(ctx, "t", jobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := svc.Wait(ctx, id)
+		svc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "done" || st.CacheHit != (i == 1) {
+			t.Fatalf("service %d: state %s, cache hit %v; want done, hit %v", i, st.State, st.CacheHit, i == 1)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("cache saw %d misses and %d hits, want 1 and 1", st.Misses, st.Hits)
 	}
 }
 

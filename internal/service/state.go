@@ -725,7 +725,7 @@ func (m *machine) dispatch(now float64) (js *jobState, wait float64) {
 
 // complete records a successful attempt finishing at clock value now: budget
 // charges, breaker close, terminal bookkeeping.
-func (m *machine) complete(now float64, js *jobState, jr *workload.JobResult) {
+func (m *machine) complete(now float64, js *jobState, jr workload.JobResult) {
 	ts := m.tenant(js.tenant)
 	js.result = jr.Exec
 	js.execSeconds = jr.Exec.SimSeconds

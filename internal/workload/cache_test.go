@@ -12,7 +12,7 @@ import (
 	"proxygraph/internal/trace"
 )
 
-func cacheGraph(t *testing.T, seed uint64, n, m int) *graph.Graph {
+func cacheGraph(t testing.TB, seed uint64, n, m int) *graph.Graph {
 	t.Helper()
 	g, err := gen.Generate(gen.Spec{
 		Name: "cache-test", Vertices: int64(n), Edges: int64(m), Kind: gen.KindPowerLaw,

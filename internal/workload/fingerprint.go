@@ -148,14 +148,6 @@ func ReleaseGraphFingerprint(g *graph.Graph) {
 	fpMu.Unlock()
 }
 
-// FingerprintMemoSize reports the number of memoized graph fingerprints,
-// for tests and capacity monitoring.
-func FingerprintMemoSize() int {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	return len(fpMemo)
-}
-
 // EvolveFingerprint returns evolved's content fingerprint computed from
 // base's memoized fingerprint and the batch alone — O(|batch|) hashing
 // instead of an O(|E|) rescan (deletes over a weighted base additionally pay

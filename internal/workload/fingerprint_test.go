@@ -21,6 +21,13 @@ func fpBase() *graph.Graph {
 	}
 }
 
+// FingerprintMemoSize reports the number of memoized graph fingerprints.
+func FingerprintMemoSize() int {
+	fpMu.Lock()
+	defer fpMu.Unlock()
+	return len(fpMemo)
+}
+
 // rescanCopy re-hashes a structural copy of g, so the memo entry written by
 // EvolveFingerprint cannot mask a wrong incremental value.
 func rescanCopy(g *graph.Graph) uint64 {

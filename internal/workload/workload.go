@@ -103,17 +103,6 @@ type Report struct {
 	JobErrors []error
 }
 
-// FailedJobs counts the non-nil entries of JobErrors.
-func (r *Report) FailedJobs() int {
-	n := 0
-	for _, err := range r.JobErrors {
-		if err != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Total returns profiling plus all job time.
 func (r *Report) Total() float64 {
 	if len(r.CumulativeSeconds) == 0 {
@@ -246,28 +235,31 @@ type JobResult struct {
 // the job service can attach per-job fault schedules while keeping session
 // tracing. RunJob is safe for concurrent use when the session's fields are
 // not mutated: the cache single-flights and everything else is read-only.
-func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (*JobResult, error) {
+// The result is returned by value, so a job allocates no result box of its
+// own; a nil Partitioner means a fresh Hybrid on every call, which a caller
+// running many jobs avoids by setting one.
+func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (JobResult, error) {
 	part := s.Partitioner
 	if part == nil {
 		part = partition.NewHybrid()
 	}
 	ccr, ok := pool.Get(job.App.Name())
 	if !ok {
-		return nil, fmt.Errorf("workload: no CCR for %q", job.App.Name())
+		return JobResult{}, fmt.Errorf("workload: no CCR for %q", job.App.Name())
 	}
 	shares, err := ccr.SharesFor(s.Cluster)
 	if err != nil {
-		return nil, err
+		return JobResult{}, err
 	}
 	pl, hit, err := s.place(part, job, shares)
 	if err != nil {
-		return nil, err
+		return JobResult{}, err
 	}
 	ingress := 0.0
 	if s.ChargeIngress && !hit {
 		ir, err := engine.Ingress(pl, s.Cluster)
 		if err != nil {
-			return nil, err
+			return JobResult{}, err
 		}
 		ingress = ir.Makespan
 	}
@@ -283,9 +275,9 @@ func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (*JobRes
 	}
 	res, err := apps.Run(job.App, pl, s.Cluster, opts)
 	if err != nil {
-		return nil, err
+		return JobResult{}, err
 	}
-	return &JobResult{Exec: res, IngressSeconds: ingress, CacheHit: hit}, nil
+	return JobResult{Exec: res, IngressSeconds: ingress, CacheHit: hit}, nil
 }
 
 // place builds (or fetches) the job's finalized placement. Without a cache

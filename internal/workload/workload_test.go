@@ -12,7 +12,7 @@ import (
 	"proxygraph/internal/trace"
 )
 
-func caseTwo(t *testing.T) *cluster.Cluster {
+func caseTwo(t testing.TB) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.New(
 		cluster.LocalXeon("xeon-4c", 4, 2.5),
@@ -171,6 +171,17 @@ func TestCrossoverUnequalLengths(t *testing.T) {
 	if got := Crossover(&Report{}, b); got != 0 {
 		t.Errorf("empty report crossed at %d", got)
 	}
+}
+
+// FailedJobs counts the non-nil entries of JobErrors.
+func (r *Report) FailedJobs() int {
+	n := 0
+	for _, err := range r.JobErrors {
+		if err != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSessionContinueOnError pins per-job failure containment: a failing job
@@ -352,4 +363,78 @@ func TestRunJobPassesOptionsThrough(t *testing.T) {
 	if warm.Exec.Supersteps != 1 {
 		t.Fatalf("BFS seeded with an empty frontier ran %d supersteps, want 1: RunJob dropped InitialActive", warm.Exec.Supersteps)
 	}
+}
+
+// hitFixture returns a cached session, a job whose placement the cache
+// already holds, and that placement: RunJob of the job is a cache hit, and
+// apps.Run on the placement is the same run without the session around it.
+func hitFixture(tb testing.TB) (*Session, *core.Pool, Job, *engine.Placement) {
+	tb.Helper()
+	cl := caseTwo(tb)
+	// A small graph keeps the run short enough that RunJob's own time shows.
+	job := Job{App: apps.NewBFS(), Graph: cacheGraph(tb, 5, 64, 256), Seed: 1}
+	pool, err := core.BuildPool(cl, []apps.App{job.App}, core.NewThreadCount())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := &Session{Cluster: cl, Partitioner: partition.NewHybrid(), Cache: NewPlacementCache()}
+	if jr, err := s.RunJob(pool, job, engine.Options{}); err != nil || jr.CacheHit {
+		tb.Fatalf("first run: hit %v, err %v; want a miss", jr.CacheHit, err)
+	}
+	ccr, _ := pool.Get(job.App.Name())
+	shares, err := ccr.SharesFor(cl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl, hit, err := s.Cache.Place(s.Partitioner, job.Graph, shares, job.Seed)
+	if err != nil || !hit {
+		tb.Fatalf("cached placement: hit %v, err %v", hit, err)
+	}
+	return s, pool, job, pl
+}
+
+// TestRunJobAllocs holds a cache-hit RunJob to one allocation more than the
+// bare run it wraps: the shares vector. Partitioner, result and the
+// normalization all come without one.
+func TestRunJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	s, pool, job, pl := hitFixture(t)
+	bare := testing.AllocsPerRun(10, func() {
+		if _, err := apps.Run(job.App, pl, s.Cluster, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	served := testing.AllocsPerRun(10, func() {
+		if jr, err := s.RunJob(pool, job, engine.Options{}); err != nil || !jr.CacheHit {
+			t.Fatalf("hit %v, err %v", jr.CacheHit, err)
+		}
+	})
+	if served > bare+1 {
+		t.Errorf("cache-hit RunJob allocates %.0f, apps.Run %.0f: %.0f more, want at most 1 (the shares)", served, bare, served-bare)
+	}
+}
+
+// BenchmarkRunJobHit times a cache-hit RunJob next to a bare apps.Run of
+// the same job on the same placement, so the difference is RunJob's own
+// time and allocations: shares, cache lookup and result.
+func BenchmarkRunJobHit(b *testing.B) {
+	s, pool, job, pl := hitFixture(b)
+	b.Run("RunJob", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := s.RunJob(pool, job, engine.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apps.Run", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := apps.Run(job.App, pl, s.Cluster, engine.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
