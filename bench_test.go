@@ -23,7 +23,7 @@ import (
 // benchLab is shared across benchmarks so graphs, proxies and CCR pools are
 // generated once, as in the paper's one-time offline profiling.
 var benchLab = sync.OnceValue(func() *exp.Lab {
-	return exp.NewLab(exp.DefaultConfig())
+	return exp.NewLab(exp.Config{})
 })
 
 // printOnce guards each experiment's table output.

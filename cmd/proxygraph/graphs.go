@@ -132,7 +132,7 @@ func statsCmd(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "warning         %v\n", err)
 		}
 	}
-	// The verdict is the rule core.ProxyProfiler.EnsureCoverage applies.
+	// The verdict is the proxy-coverage rule over the default proxy set.
 	lo, hi, covered := core.DefaultProxyBand(alpha)
 	switch {
 	case fitErr != nil:

@@ -35,7 +35,7 @@ func TestSubcommandsMatchGoldenFiles(t *testing.T) {
 		{"gen_kind", "gen -kind powerlaw -vertices 3000 -alpha 2.1 -seed 7 -out p.txt"},
 		{"stats_file", "stats -file g.bin -histogram"},
 		{"stats_inside", "stats -file p.txt"},
-		// α = 1.8746 lies in [1.85, 1.90): EnsureCoverage adds no proxy for
+		// α = 1.8746 lies in [1.85, 1.90): the default proxy set covers
 		// it, so the verdict must be "inside".
 		{"stats_counts", "stats -vertices 1000 -edges 6500"},
 		{"partition_ginger", "partition -file g.bin -algo ginger -weights 1,3.5"},

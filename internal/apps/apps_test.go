@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -13,6 +14,16 @@ import (
 	"proxygraph/internal/rng"
 	"proxygraph/internal/trace"
 )
+
+// ValidateColoring confirms no edge connects two same-colored vertices.
+func ValidateColoring(g *graph.Graph, colors []int32) error {
+	for i, e := range g.Edges {
+		if colors[e.Src] == colors[e.Dst] {
+			return fmt.Errorf("coloring: edge %d (%d-%d) endpoints share color %d", i, e.Src, e.Dst, colors[e.Src])
+		}
+	}
+	return nil
+}
 
 func testGraph(t *testing.T, seed uint64, n, m int) *graph.Graph {
 	t.Helper()

@@ -167,13 +167,3 @@ func losesTo(priority []uint64, v, u graph.VertexID) bool {
 func mirrorsOf(pl *engine.Placement, v graph.VertexID, p int) int {
 	return bits.OnesCount64(pl.ReplicaMask[v] &^ (1 << uint(p)))
 }
-
-// ValidateColoring confirms no edge connects two same-colored vertices.
-func ValidateColoring(g *graph.Graph, colors []int32) error {
-	for i, e := range g.Edges {
-		if colors[e.Src] == colors[e.Dst] {
-			return fmt.Errorf("coloring: edge %d (%d-%d) endpoints share color %d", i, e.Src, e.Dst, colors[e.Src])
-		}
-	}
-	return nil
-}

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"math"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
@@ -119,16 +118,4 @@ func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc
 	}
 
 	return account.Finish(pr.Name(), g.Name, rank), nil
-}
-
-// RankDistance returns the maximum absolute difference between two rank
-// vectors, a convergence check used by tests and examples.
-func RankDistance(a, b []float64) float64 {
-	worst := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -1,11 +1,24 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"proxygraph/internal/engine"
 	"proxygraph/internal/trace"
 )
+
+// RankDistance returns the maximum absolute difference between two rank
+// vectors, the convergence check of the PageRank tests.
+func RankDistance(a, b []float64) float64 {
+	worst := 0.0
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
 
 func TestPageRankDeltaConvergesToSyncFixedPoint(t *testing.T) {
 	g := testGraph(t, 90, 500, 4000)

@@ -45,17 +45,16 @@ func tracedRun[V, A any](t *testing.T, which string, prog engine.Program[V, A], 
 // engines is what -trace-out users rely on.
 func exporters(t *testing.T, events []trace.Event) (chrome, prom []byte) {
 	t.Helper()
-	chrome, err := trace.ChromeTrace(events)
-	if err != nil {
+	var chromeBuf, promBuf bytes.Buffer
+	if err := trace.WriteChromeTrace(&chromeBuf, events); err != nil {
 		t.Fatal(err)
 	}
 	reg := trace.NewRegistry()
 	trace.Observe(reg, events)
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&promBuf); err != nil {
 		t.Fatal(err)
 	}
-	return chrome, buf.Bytes()
+	return chromeBuf.Bytes(), promBuf.Bytes()
 }
 
 // firstDiff pinpoints where two event streams diverge for the failure report.

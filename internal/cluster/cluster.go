@@ -101,12 +101,3 @@ func (c *Cluster) Groups() (keys []string, members map[string][]int) {
 	sort.Strings(keys)
 	return keys, members
 }
-
-// TotalCostPerHour sums the machines' hourly rates.
-func (c *Cluster) TotalCostPerHour() float64 {
-	total := 0.0
-	for _, m := range c.Machines {
-		total += m.CostPerHour
-	}
-	return total
-}

@@ -300,16 +300,6 @@ func TestGroups(t *testing.T) {
 	}
 }
 
-func TestTotalCostPerHour(t *testing.T) {
-	c4x, _ := ByName("c4.xlarge")
-	c42, _ := ByName("c4.2xlarge")
-	c, _ := New(c4x, c42)
-	want := 0.209 + 0.419
-	if math.Abs(c.TotalCostPerHour()-want) > 1e-12 {
-		t.Errorf("TotalCostPerHour = %v, want %v", c.TotalCostPerHour(), want)
-	}
-}
-
 func TestLocalXeonScaling(t *testing.T) {
 	small := LocalXeon("s", 4, 2.5)
 	large := LocalXeon("l", 12, 2.5)

@@ -260,7 +260,7 @@ func TestProxyProfilerErrors(t *testing.T) {
 	}
 }
 
-func TestBuildPoolAndRefresh(t *testing.T) {
+func TestBuildPool(t *testing.T) {
 	cl := mustCluster(t, "c4.xlarge", "c4.2xlarge")
 	pool, err := BuildPool(cl, apps.All(), NewThreadCount())
 	if err != nil {
@@ -268,36 +268,6 @@ func TestBuildPoolAndRefresh(t *testing.T) {
 	}
 	if pool.Len() != 4 {
 		t.Fatalf("pool has %d apps, want 4", pool.Len())
-	}
-	// Refresh with the same cluster: nothing to do.
-	n, err := pool.Refresh(cl, apps.All(), NewThreadCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("refresh updated %d apps on unchanged cluster", n)
-	}
-	// Add a new machine type: every app needs a refresh.
-	bigger := mustCluster(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge")
-	n, err = pool.Refresh(bigger, apps.All(), NewThreadCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Errorf("refresh updated %d apps, want 4", n)
-	}
-	c, _ := pool.Get("pagerank")
-	if _, ok := c.Ratios["c4.8xlarge"]; !ok {
-		t.Error("refresh did not add the new group")
-	}
-	// New applications get added too.
-	extra := len(apps.WithExtensions()) - len(apps.All())
-	n, err = pool.Refresh(bigger, apps.WithExtensions(), NewThreadCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != extra {
-		t.Errorf("refresh added %d apps, want %d (the extensions)", n, extra)
 	}
 }
 

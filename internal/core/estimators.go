@@ -216,34 +216,3 @@ func BuildPool(cl *cluster.Cluster, applications []apps.App, est Estimator) (*Po
 	}
 	return pool, nil
 }
-
-// Refresh re-profiles only the machine groups missing from the pool's CCRs,
-// supporting the paper's incremental flow: "re-profiling is only required if
-// new machine types are deployed". It returns how many applications were
-// updated.
-func (p *Pool) Refresh(cl *cluster.Cluster, applications []apps.App, est Estimator) (int, error) {
-	keys, _ := cl.Groups()
-	updated := 0
-	for _, app := range applications {
-		c, ok := p.Get(app.Name())
-		missing := !ok
-		if ok {
-			for _, g := range keys {
-				if _, has := c.Ratios[g]; !has {
-					missing = true
-					break
-				}
-			}
-		}
-		if !missing {
-			continue
-		}
-		fresh, err := est.Estimate(cl, app)
-		if err != nil {
-			return updated, err
-		}
-		p.Put(fresh)
-		updated++
-	}
-	return updated, nil
-}

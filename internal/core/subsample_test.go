@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"proxygraph/internal/apps"
 	"proxygraph/internal/gen"
+	"proxygraph/internal/graph"
 )
 
 func TestSubsampleProfilerWorksButIsWorseThanProxies(t *testing.T) {
@@ -67,6 +69,27 @@ func TestSubsampleProfilerValidation(t *testing.T) {
 	}
 }
 
+// CoveredAlphaRange returns the α span of the profiler's current proxy set.
+func (pp *ProxyProfiler) CoveredAlphaRange() (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, p := range pp.Proxies {
+		if p.Alpha < lo {
+			lo = p.Alpha
+		}
+		if p.Alpha > hi {
+			hi = p.Alpha
+		}
+	}
+	return lo, hi
+}
+
+// Covers reports whether alpha lies within the proxy set's range, widened by
+// proxyBandSlack.
+func (pp *ProxyProfiler) Covers(alpha float64) bool {
+	lo, hi := pp.CoveredAlphaRange()
+	return inBand(alpha, lo, hi)
+}
+
 func TestProxyCoverage(t *testing.T) {
 	pp, err := NewProxyProfiler(2048, 3)
 	if err != nil {
@@ -116,6 +139,21 @@ func TestDefaultProxyBandMatchesCovers(t *testing.T) {
 	}
 }
 
+// ClosestProxy returns the proxy whose α is nearest to alpha, for flows that
+// pick "one corresponding CCR set" per input graph.
+func (pp *ProxyProfiler) ClosestProxy(alpha float64) (*graph.Graph, error) {
+	if len(pp.Proxies) == 0 {
+		return nil, fmt.Errorf("core: proxy profiler has no proxy graphs")
+	}
+	best := pp.Proxies[0]
+	for _, p := range pp.Proxies[1:] {
+		if math.Abs(p.Alpha-alpha) < math.Abs(best.Alpha-alpha) {
+			best = p
+		}
+	}
+	return best, nil
+}
+
 func TestClosestProxy(t *testing.T) {
 	pp, err := NewProxyProfiler(2048, 3)
 	if err != nil {
@@ -141,6 +179,39 @@ func TestClosestProxy(t *testing.T) {
 	}
 }
 
+// EnsureCoverage implements the paper's coverage-extension rule: "If its α
+// is beyond the covered range, an additional synthetic graph can be
+// generated and added to the current set." The new proxy matches the
+// existing proxies' vertex count and is generated at the requested α. It
+// returns true when a proxy was added.
+func (pp *ProxyProfiler) EnsureCoverage(alpha float64, seed uint64) (bool, error) {
+	if alpha <= 1 {
+		return false, fmt.Errorf("core: alpha %v not a valid power-law exponent", alpha)
+	}
+	if len(pp.Proxies) == 0 {
+		return false, fmt.Errorf("core: proxy profiler has no proxy graphs")
+	}
+	if pp.Covers(alpha) {
+		return false, nil
+	}
+	vertices := int64(pp.Proxies[0].NumVertices)
+	spec := gen.Spec{
+		Name:     fmt.Sprintf("proxy-alpha%.2f", alpha),
+		Vertices: vertices,
+		Alpha:    alpha,
+		Kind:     gen.KindPowerLaw,
+	}
+	g, err := gen.Generate(spec, seed)
+	if err != nil {
+		return false, err
+	}
+	pp.Proxies = append(pp.Proxies, g)
+	return true, nil
+}
+
+// TestEnsureCoverageExtendsProxySet also pins DefaultProxyBand's verdict to
+// the extension rule: on the default proxy set, EnsureCoverage adds a proxy
+// exactly for an α that DefaultProxyBand reports as not covered.
 func TestEnsureCoverageExtendsProxySet(t *testing.T) {
 	pp, err := NewProxyProfiler(2048, 3)
 	if err != nil {
@@ -151,13 +222,16 @@ func TestEnsureCoverageExtendsProxySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added || len(pp.Proxies) != 3 {
-		t.Error("covered alpha should not grow the set")
+	if _, _, covered := DefaultProxyBand(2.1); added || !covered || len(pp.Proxies) != 3 {
+		t.Errorf("alpha 2.1: added=%v, DefaultProxyBand covered=%v, %d proxies; want no growth inside the band", added, covered, len(pp.Proxies))
 	}
 	// Out-of-range alpha: one new proxy at that alpha.
 	added, err = pp.EnsureCoverage(2.8, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, covered := DefaultProxyBand(2.8); covered {
+		t.Error("DefaultProxyBand covers 2.8, but EnsureCoverage extends the default set for it")
 	}
 	if !added || len(pp.Proxies) != 4 {
 		t.Fatalf("expected a 4th proxy, have %d", len(pp.Proxies))
@@ -171,38 +245,5 @@ func TestEnsureCoverageExtendsProxySet(t *testing.T) {
 	// Invalid alphas error.
 	if _, err := pp.EnsureCoverage(0.5, 5); err == nil {
 		t.Error("alpha <= 1 should error")
-	}
-}
-
-func TestEstimateForGraphPicksNearbyProxy(t *testing.T) {
-	cl := mustCluster(t, "c4.xlarge", "c4.8xlarge")
-	pp, err := NewProxyProfiler(2048, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A dense graph (alpha ~1.9): estimation must work and yield a sensible
-	// ratio ordering.
-	g, err := gen.Generate(gen.Spec{Name: "near", Vertices: 20000, Edges: 260000, Kind: gen.KindPowerLaw}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccr, err := pp.EstimateForGraph(cl, apps.NewPageRank(), g, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ccr.Ratios["c4.8xlarge"] <= 1 {
-		t.Errorf("8xlarge ratio %v should exceed 1", ccr.Ratios["c4.8xlarge"])
-	}
-	// A graph whose alpha is outside the covered band triggers extension.
-	before := len(pp.Proxies)
-	sparse, err := gen.Generate(gen.Spec{Name: "sparse", Vertices: 20000, Edges: 24000, Kind: gen.KindPowerLaw}, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pp.EstimateForGraph(cl, apps.NewPageRank(), sparse, 17); err != nil {
-		t.Fatal(err)
-	}
-	if len(pp.Proxies) <= before {
-		t.Error("sparse graph should have extended the proxy set")
 	}
 }

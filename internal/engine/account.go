@@ -275,11 +275,6 @@ func (a *Accountant) Retire(p int) {
 	}
 }
 
-// Retired reports whether machine p has been retired by a fault.
-func (a *Accountant) Retired(p int) bool {
-	return p >= 0 && p < len(a.retiredAt) && a.retiredAt[p] >= 0
-}
-
 // Superstep charges one synchronous step: every machine computes and
 // communicates, then all meet at the barrier. Communication overlaps
 // computation (PowerGraph pipelines sends during the gather/scatter sweeps),

@@ -41,7 +41,7 @@ func TestAccountantRetire(t *testing.T) {
 	a.Superstep([]StepCounters{{Gathers: 10}, {Gathers: 10}})
 	tAlive := a.simTime
 	a.Retire(1)
-	if !a.Retired(1) || a.Retired(0) {
+	if a.retiredAt[1] < 0 || a.retiredAt[0] >= 0 {
 		t.Fatal("retired flags wrong")
 	}
 	a.Retire(1) // idempotent

@@ -20,6 +20,10 @@ import (
 // function and emit the same trace events; the equivalence suite in
 // internal/apps enforces exactly that. Use Run for real work: it computes the
 // same answer faster.
+//
+// Test support: internal/apps compares Run against it in equivalence_test.go,
+// chaos_test.go, resume_test.go, trace_differential_test.go, clusterbfs_test.go
+// and clusterbfs_fuzz_test.go.
 func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts Options) (*Result, []V, error) {
 	rb := opts.Rebalancer
 	if cl.Size() != pl.M {

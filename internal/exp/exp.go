@@ -37,9 +37,6 @@ type Config struct {
 	Collector trace.Collector
 }
 
-// DefaultConfig returns the benchmark-friendly configuration.
-func DefaultConfig() Config { return Config{Scale: 64, Seed: 42} }
-
 func (c *Config) defaults() {
 	if c.Scale <= 0 {
 		c.Scale = 64

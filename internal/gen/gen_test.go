@@ -296,62 +296,3 @@ func BenchmarkGeneratePowerLaw(b *testing.B) {
 		}
 	}
 }
-
-func TestFromDegreeSequenceMatchesDegrees(t *testing.T) {
-	// Clone a power-law graph's degree shape through the configuration model.
-	orig := mustGen(t, Spec{Name: "shape", Vertices: 5000, Edges: 30000, Kind: KindPowerLaw}, 51)
-	seq := DegreeSequenceOf(orig)
-	clone, err := FromDegreeSequence("clone", seq, 52)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clone.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := clone.OutDegrees()
-	mismatched := 0
-	for v := range seq {
-		if got[v] != seq[v] {
-			mismatched++
-		}
-	}
-	// Self-loop drops may lose a handful of edges.
-	if float64(mismatched) > 0.01*float64(len(seq)) {
-		t.Errorf("%d/%d vertices deviate from the requested degrees", mismatched, len(seq))
-	}
-	if math.Abs(float64(clone.NumEdges()-orig.NumEdges())) > 0.01*float64(orig.NumEdges()) {
-		t.Errorf("edge counts diverge: %d vs %d", clone.NumEdges(), orig.NumEdges())
-	}
-}
-
-func TestFromDegreeSequenceValidation(t *testing.T) {
-	if _, err := FromDegreeSequence("x", []int32{1}, 1); err == nil {
-		t.Error("single vertex should error")
-	}
-	if _, err := FromDegreeSequence("x", []int32{1, -1}, 1); err == nil {
-		t.Error("negative degree should error")
-	}
-	if _, err := FromDegreeSequence("x", []int32{5, 1}, 1); err == nil {
-		t.Error("degree exceeding n-1 should error")
-	}
-}
-
-func TestFromDegreeSequenceDeterministic(t *testing.T) {
-	seq := []int32{3, 2, 1, 0, 4, 2, 2, 1}
-	a, err := FromDegreeSequence("det", seq, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromDegreeSequence("det", seq, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Edges) != len(b.Edges) {
-		t.Fatal("nondeterministic edge count")
-	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			t.Fatal("nondeterministic edges")
-		}
-	}
-}

@@ -38,7 +38,7 @@ type Delta struct {
 	// when non-nil, each delete claims the first remaining occurrence of its
 	// (Src, Dst, weight) triple instead of the bare pair — needed to undo an
 	// insertion exactly when the same pair already exists at another weight
-	// (Inverse sets this).
+	// (the Inverse test oracle in delta_test.go sets it).
 	DeleteWeights []float32
 	// NumVertices, when non-zero, is the evolved graph's vertex count
 	// (growing or shrinking the ID space). Zero keeps the base count. Apply
@@ -234,50 +234,6 @@ func appendOnes(w []float32, n int) []float32 {
 		w = append(w, 1)
 	}
 	return w
-}
-
-// Inverse returns the batch that undoes this one against its base graph: the
-// deleted edges re-inserted (with their original weights) and the inserts
-// deleted, restoring the base vertex count. The inverse's deletes carry
-// weights (DeleteWeights) so they claim exactly the inserted occurrences even
-// when the same (Src, Dst) pair survives at another weight. Applying the
-// inverse to the evolved graph yields a graph with exactly the base's edge
-// multiset — the re-inserted edges land at the tail rather than their
-// original stream positions, so the round trip is multiset- and
-// fingerprint-exact (the content fingerprint is order-independent) but not
-// order-exact.
-func (d *Delta) Inverse(base *Graph) (*Delta, error) {
-	deleted, err := d.DeletedIndices(base)
-	if err != nil {
-		return nil, err
-	}
-	inv := &Delta{
-		Time:        d.Time + 1,
-		Inserts:     make([]Edge, len(deleted)),
-		Deletes:     append([]Edge(nil), d.Inserts...),
-		NumVertices: base.NumVertices,
-	}
-	for i, bi := range deleted {
-		inv.Inserts[i] = base.Edges[bi]
-	}
-	weighted := base.Weights != nil || d.InsertWeights != nil
-	if weighted {
-		// The evolved graph is weighted, so both columns are needed: weights
-		// for the re-inserted edges and exact-match weights for the deletes.
-		inv.InsertWeights = make([]float32, len(deleted))
-		for i, bi := range deleted {
-			inv.InsertWeights[i] = base.Weight(bi)
-		}
-		inv.DeleteWeights = make([]float32, len(d.Inserts))
-		for i := range d.Inserts {
-			if d.InsertWeights != nil {
-				inv.DeleteWeights[i] = d.InsertWeights[i]
-			} else {
-				inv.DeleteWeights[i] = 1
-			}
-		}
-	}
-	return inv, nil
 }
 
 // Touched returns the sorted distinct vertices incident to the batch's

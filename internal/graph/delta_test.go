@@ -9,6 +9,50 @@ import (
 	"proxygraph/internal/rng"
 )
 
+// Inverse returns the batch that undoes this one against its base graph: the
+// deleted edges re-inserted (with their original weights) and the inserts
+// deleted, restoring the base vertex count. The inverse's deletes carry
+// weights (DeleteWeights) so they claim exactly the inserted occurrences even
+// when the same (Src, Dst) pair survives at another weight. Applying the
+// inverse to the evolved graph yields a graph with exactly the base's edge
+// multiset — the re-inserted edges land at the tail rather than their
+// original stream positions, so the round trip is multiset- and
+// fingerprint-exact (the content fingerprint is order-independent) but not
+// order-exact.
+func (d *Delta) Inverse(base *Graph) (*Delta, error) {
+	deleted, err := d.DeletedIndices(base)
+	if err != nil {
+		return nil, err
+	}
+	inv := &Delta{
+		Time:        d.Time + 1,
+		Inserts:     make([]Edge, len(deleted)),
+		Deletes:     append([]Edge(nil), d.Inserts...),
+		NumVertices: base.NumVertices,
+	}
+	for i, bi := range deleted {
+		inv.Inserts[i] = base.Edges[bi]
+	}
+	weighted := base.Weights != nil || d.InsertWeights != nil
+	if weighted {
+		// The evolved graph is weighted, so both columns are needed: weights
+		// for the re-inserted edges and exact-match weights for the deletes.
+		inv.InsertWeights = make([]float32, len(deleted))
+		for i, bi := range deleted {
+			inv.InsertWeights[i] = base.Weight(bi)
+		}
+		inv.DeleteWeights = make([]float32, len(d.Inserts))
+		for i := range d.Inserts {
+			if d.InsertWeights != nil {
+				inv.DeleteWeights[i] = d.InsertWeights[i]
+			} else {
+				inv.DeleteWeights[i] = 1
+			}
+		}
+	}
+	return inv, nil
+}
+
 // deltaBase is a small weighted graph with a duplicate edge, so the
 // first-remaining-occurrence delete semantics are observable.
 func deltaBase() *Graph {

@@ -99,25 +99,6 @@ func (gr *Grouper) Done() Grouped {
 	return g
 }
 
-// GroupPairs groups the records (keys[i] -> vals[i]) by key: the Grouper
-// protocol over two parallel slices. scratch provides the counting workspace;
-// it must have length at least max(keys)+1 and hold only zeros, and it is
-// handed back zeroed so one scratch can serve many calls.
-func GroupPairs(keys, vals []VertexID, scratch []int32) Grouped {
-	if len(keys) != len(vals) {
-		panic("graph: GroupPairs key/val length mismatch")
-	}
-	gr := &Grouper{count: scratch, present: make([]uint64, (len(scratch)+63)/64)}
-	for _, k := range keys {
-		gr.Count(k)
-	}
-	gr.Layout()
-	for i, k := range keys {
-		gr.Place(k, vals[i])
-	}
-	return gr.Done()
-}
-
 // Find returns the group index of key k, or -1 when k has no records.
 func (g *Grouped) Find(k VertexID) int {
 	i := sort.Search(len(g.Keys), func(i int) bool { return g.Keys[i] >= k })
@@ -132,6 +113,3 @@ func (g *Grouped) Find(k VertexID) int {
 func (g *Grouped) Group(i int) []VertexID {
 	return g.Vals[g.Offs[i]:g.Offs[i+1]]
 }
-
-// NumRecords returns the total number of grouped records.
-func (g *Grouped) NumRecords() int { return len(g.Vals) }

@@ -4,6 +4,25 @@ import (
 	"testing"
 )
 
+// GroupPairs groups the records (keys[i] -> vals[i]) by key: the Grouper
+// protocol over two parallel slices. scratch provides the counting workspace;
+// it must have length at least max(keys)+1 and hold only zeros, and it is
+// handed back zeroed so one scratch can serve many calls.
+func GroupPairs(keys, vals []VertexID, scratch []int32) Grouped {
+	if len(keys) != len(vals) {
+		panic("graph: GroupPairs key/val length mismatch")
+	}
+	gr := &Grouper{count: scratch, present: make([]uint64, (len(scratch)+63)/64)}
+	for _, k := range keys {
+		gr.Count(k)
+	}
+	gr.Layout()
+	for i, k := range keys {
+		gr.Place(k, vals[i])
+	}
+	return gr.Done()
+}
+
 func TestGroupPairsStableGrouping(t *testing.T) {
 	// Records: (5->a) pairs interleaved with (2->b) pairs; stability means
 	// each key's companions keep input order.
@@ -44,8 +63,8 @@ func TestGroupPairsStableGrouping(t *testing.T) {
 	if g.Find(7) != -1 {
 		t.Error("Find on absent key should return -1")
 	}
-	if g.NumRecords() != len(keys) {
-		t.Errorf("NumRecords = %d, want %d", g.NumRecords(), len(keys))
+	if len(g.Vals) != len(keys) {
+		t.Errorf("%d records grouped, want %d", len(g.Vals), len(keys))
 	}
 	// The scratch must come back zeroed for reuse.
 	for i, c := range scratch {

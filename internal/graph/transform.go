@@ -6,30 +6,12 @@ import (
 	"proxygraph/internal/rng"
 )
 
-// This file holds graph transformations: reversal, undirected
-// materialization, subsampling and induced subgraphs. Subsampling exists
-// mainly to demonstrate the paper's motivating claim that "it is difficult
-// to subsample from a natural graph to capture its underlying
-// characteristics" (Section I) — package core's SubsampleProfiler builds on
-// it and the ablation in internal/exp quantifies how badly it estimates
-// CCRs compared to synthetic proxies.
-
-// Reverse returns a copy of g with every edge direction flipped.
-func Reverse(g *Graph) *Graph {
-	out := &Graph{
-		Name:        g.Name + "-reversed",
-		NumVertices: g.NumVertices,
-		Alpha:       g.Alpha,
-		Edges:       make([]Edge, len(g.Edges)),
-	}
-	for i, e := range g.Edges {
-		out.Edges[i] = Edge{Src: e.Dst, Dst: e.Src}
-	}
-	if g.Weights != nil {
-		out.Weights = append([]float32(nil), g.Weights...)
-	}
-	return out
-}
+// This file holds graph transformations: undirected materialization,
+// subsampling and edge weights. Subsampling exists mainly to demonstrate the
+// paper's motivating claim that "it is difficult to subsample from a natural
+// graph to capture its underlying characteristics" (Section I) — package
+// core's SubsampleProfiler builds on it and the ablation in internal/exp
+// quantifies how badly it estimates CCRs compared to synthetic proxies.
 
 // Undirected returns a copy of g with both orientations of every edge
 // (weights duplicated), the materialized form of the undirected view.
@@ -78,32 +60,12 @@ func SampleEdges(g *Graph, fraction float64, seed uint64) (*Graph, error) {
 	return out, nil
 }
 
-// InducedSubgraph returns the subgraph induced by keeping the first
-// keepVertices vertex IDs: edges with both endpoints below the cutoff
-// survive, and the vertex set shrinks. ID-prefix induction is the natural
-// "take the older part of the graph" sample for citation-like graphs.
-func InducedSubgraph(g *Graph, keepVertices int) (*Graph, error) {
-	if keepVertices <= 0 || keepVertices > g.NumVertices {
-		return nil, fmt.Errorf("graph: keepVertices %d outside [1, %d]", keepVertices, g.NumVertices)
-	}
-	out := &Graph{
-		Name:        fmt.Sprintf("%s-induced%d", g.Name, keepVertices),
-		NumVertices: keepVertices,
-	}
-	cut := VertexID(keepVertices)
-	for i, e := range g.Edges {
-		if e.Src < cut && e.Dst < cut {
-			out.Edges = append(out.Edges, e)
-			if g.Weights != nil {
-				out.Weights = append(out.Weights, g.Weights[i])
-			}
-		}
-	}
-	return out, nil
-}
-
 // AttachWeights assigns deterministic pseudo-random edge weights in
 // [minW, maxW), enabling the weighted applications (SSSP). It returns g.
+//
+// Test support: the SSSP and weighted-graph tests of internal/apps
+// (sssp_kcore_test.go, property_test.go, edge_order_test.go) build their
+// weighted inputs with it.
 func AttachWeights(g *Graph, minW, maxW float32, seed uint64) *Graph {
 	if maxW < minW {
 		minW, maxW = maxW, minW

@@ -16,29 +16,6 @@ func weightedDiamond() *Graph {
 	return g
 }
 
-func TestReverse(t *testing.T) {
-	g := weightedDiamond()
-	r := Reverse(g)
-	if r.NumVertices != g.NumVertices || len(r.Edges) != len(g.Edges) {
-		t.Fatal("reverse changed sizes")
-	}
-	for i, e := range g.Edges {
-		if r.Edges[i].Src != e.Dst || r.Edges[i].Dst != e.Src {
-			t.Fatalf("edge %d not reversed", i)
-		}
-		if r.Weights[i] != g.Weights[i] {
-			t.Fatalf("edge %d weight lost", i)
-		}
-	}
-	// Double reversal is the identity on edges.
-	rr := Reverse(r)
-	for i := range g.Edges {
-		if rr.Edges[i] != g.Edges[i] {
-			t.Fatal("double reverse not identity")
-		}
-	}
-}
-
 func TestUndirectedMaterialization(t *testing.T) {
 	g := weightedDiamond()
 	u := Undirected(g)
@@ -114,31 +91,6 @@ func TestSampleChangesDegreeShape(t *testing.T) {
 	}
 	if s.AvgDegree() > g.AvgDegree()*0.2 {
 		t.Errorf("sample avg degree %v vs original %v: expected ~10x thinner", s.AvgDegree(), g.AvgDegree())
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := randomGraph(t, 22, 100, 2000)
-	sub, err := InducedSubgraph(g, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices != 40 {
-		t.Fatalf("induced vertices = %d", sub.NumVertices)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range sub.Edges {
-		if e.Src >= 40 || e.Dst >= 40 {
-			t.Fatalf("edge %v outside induced set", e)
-		}
-	}
-	if _, err := InducedSubgraph(g, 0); err == nil {
-		t.Error("zero keep should error")
-	}
-	if _, err := InducedSubgraph(g, 101); err == nil {
-		t.Error("oversize keep should error")
 	}
 }
 

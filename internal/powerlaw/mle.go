@@ -41,34 +41,6 @@ func FitAlphaMLE(degrees []int32, dmin int) (float64, error) {
 	return solveMLE(n, sumLog, dmin, maxDeg)
 }
 
-// FitAlphaFromHistogram is FitAlphaMLE over (degree, count) pairs: one pair
-// per distinct degree.
-func FitAlphaFromHistogram(deg []int, count []int64, dmin int) (float64, error) {
-	if len(deg) != len(count) {
-		return 0, fmt.Errorf("powerlaw: histogram lengths differ (%d vs %d)", len(deg), len(count))
-	}
-	if dmin <= 0 {
-		dmin = 1
-	}
-	var (
-		n      float64
-		sumLog float64
-		maxDeg int
-	)
-	for i, d := range deg {
-		if d < dmin || count[i] <= 0 {
-			continue
-		}
-		c := float64(count[i])
-		n += c
-		sumLog += c * math.Log(float64(d))
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return solveMLE(n, sumLog, dmin, maxDeg)
-}
-
 // solveMLE finds α solving the score equation
 //
 //	Σ_{i=dmin..D} ln(i)·i^(-α) / Σ_{i=dmin..D} i^(-α) = sumLog / n

@@ -80,36 +80,6 @@ func TestFitAlphaMLEConcentratedDegrees(t *testing.T) {
 	}
 }
 
-func TestFitAlphaFromHistogramMatchesMLE(t *testing.T) {
-	degrees := samplePowerLawDegrees(t, 2.0, 40000, 1<<14, 11)
-	counts := map[int]int64{}
-	for _, d := range degrees {
-		counts[int(d)]++
-	}
-	var deg []int
-	var count []int64
-	for d := 1; d <= 1<<14; d++ {
-		if counts[d] > 0 {
-			deg = append(deg, d)
-			count = append(count, counts[d])
-		}
-	}
-	a, err := FitAlphaMLE(degrees, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FitAlphaFromHistogram(deg, count, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-b) > 1e-9 {
-		t.Errorf("histogram fit %v != sequence fit %v", b, a)
-	}
-	if _, err := FitAlphaFromHistogram([]int{1}, []int64{1, 2}, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestFitAlphaMLEWithDminCut(t *testing.T) {
 	// Fitting only the tail (dmin=4) still recovers alpha.
 	degrees := samplePowerLawDegrees(t, 2.1, 80000, 1<<15, 13)

@@ -9,6 +9,28 @@ import (
 	"proxygraph/internal/rng"
 )
 
+// PDF returns P(d) for degree d, or 0 if d is outside 1..D.
+func (ds *Dist) PDF(d int) float64 {
+	if d < 1 || d > ds.D {
+		return 0
+	}
+	if d == 1 {
+		return ds.cdf[0]
+	}
+	return ds.cdf[d-1] - ds.cdf[d-2]
+}
+
+// CDF returns P(degree <= d).
+func (ds *Dist) CDF(d int) float64 {
+	if d < 1 {
+		return 0
+	}
+	if d >= ds.D {
+		return 1
+	}
+	return ds.cdf[d-1]
+}
+
 func TestNewDistValidation(t *testing.T) {
 	cases := []struct {
 		alpha float64

@@ -153,15 +153,10 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1,
-// via inverse transform sampling.
-func (s *Source) ExpFloat64() float64 {
-	u := s.Float64()
-	// Float64 is in [0,1); 1-u is in (0,1], so the log is finite.
-	return -math.Log(1 - u)
-}
-
 // NormFloat64 returns a standard normal value via the Box-Muller transform.
+//
+// Test support: TestPropertyFoldContract and TestPropertyApplyContract in
+// internal/apps draw ranks and jitter from it.
 func (s *Source) NormFloat64() float64 {
 	for {
 		u1 := s.Float64()
@@ -188,6 +183,9 @@ func (s *Source) Perm(n int) []int {
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
+//
+// Test support: TestClockInvariantUnderLocalEdgeOrder in internal/apps
+// permutes each machine's local edges with it.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := s.Intn(i + 1)

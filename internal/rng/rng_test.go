@@ -173,23 +173,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(29)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Fatalf("ExpFloat64() = %v invalid", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1.0) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1.0", mean)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(31)
 	const n = 200000

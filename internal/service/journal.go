@@ -253,16 +253,6 @@ func decodePayload(data []byte) (Record, error) {
 	return r, nil
 }
 
-// EncodeJournal renders records as a complete journal image (magic plus one
-// frame per record) — the inverse of DecodeJournal on clean input.
-func EncodeJournal(recs []Record) []byte {
-	buf := []byte(journalMagic)
-	for _, r := range recs {
-		buf = appendFrame(buf, r)
-	}
-	return buf
-}
-
 // DecodeJournal parses a journal image, tolerating the torn or corrupt tail a
 // crash leaves behind: it returns every cleanly framed record, the byte
 // offset up to which the image is intact, and a non-nil err describing why
@@ -582,19 +572,6 @@ type MemJournal struct {
 // NewMemJournal returns an empty in-memory journal.
 func NewMemJournal() *MemJournal {
 	return &MemJournal{buf: []byte(journalMagic)}
-}
-
-// NewMemJournalFrom rebuilds a journal from a (possibly torn) image: the
-// intact prefix is kept, the tail discarded, and the sequence continues after
-// the recovered records — exactly what OpenFileJournal does on disk.
-func NewMemJournalFrom(data []byte) (*MemJournal, *Recovery) {
-	rec := RecoverBytes(data)
-	j := NewMemJournal()
-	if rec.GoodBytes > 0 {
-		j.buf = append(j.buf[:0], data[:rec.GoodBytes]...)
-	}
-	j.seq = lastSeq(rec.Records)
-	return j, rec
 }
 
 // Append implements Journal. The frame is encoded in place at the end of the

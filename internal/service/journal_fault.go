@@ -87,6 +87,9 @@ type FaultJournal struct {
 
 // NewFaultJournal wraps inner (a *FileJournal or *MemJournal — the wrapper
 // needs byte-level access to tear and corrupt frames) with the fault schedule.
+//
+// Test support: TestServiceHTTPDegraded in cmd/serve fails the server's
+// journal through it.
 func NewFaultJournal(inner Journal, seed uint64, spec JournalFaultSpec) (*FaultJournal, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

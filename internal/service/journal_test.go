@@ -15,6 +15,29 @@ import (
 	"proxygraph/internal/workload"
 )
 
+// EncodeJournal renders records as a complete journal image (magic plus one
+// frame per record) — the inverse of DecodeJournal on clean input.
+func EncodeJournal(recs []Record) []byte {
+	buf := []byte(journalMagic)
+	for _, r := range recs {
+		buf = appendFrame(buf, r)
+	}
+	return buf
+}
+
+// NewMemJournalFrom rebuilds a journal from a (possibly torn) image: the
+// intact prefix is kept, the tail discarded, and the sequence continues after
+// the recovered records — exactly what OpenFileJournal does on disk.
+func NewMemJournalFrom(data []byte) (*MemJournal, *Recovery) {
+	rec := RecoverBytes(data)
+	j := NewMemJournal()
+	if rec.GoodBytes > 0 {
+		j.buf = append(j.buf[:0], data[:rec.GoodBytes]...)
+	}
+	j.seq = lastSeq(rec.Records)
+	return j, rec
+}
+
 // sampleRecords exercises every record kind, every string field, and the
 // numeric edge cases (negative priority, NaN-free floats, max-ish ids).
 func sampleRecords() []Record {

@@ -119,11 +119,6 @@ func (c *Config) normalize() error {
 	if c.Estimator == nil {
 		c.Estimator = core.NewThreadCount()
 	}
-	// Resolved once here, so the session's RunJob does not build a fresh
-	// Hybrid for every served job.
-	if c.Partitioner == nil {
-		c.Partitioner = partition.NewHybrid()
-	}
 	if c.QueueBound == 0 {
 		c.QueueBound = 64
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,15 +60,6 @@ func fin(x float64) float64 {
 // outer fin matters: a huge-but-finite seconds value can overflow to +Inf
 // only after the multiply, and encoding/json rejects non-finite numbers.
 func usec(seconds float64) float64 { return fin(fin(seconds) * 1e6) }
-
-// ChromeTrace renders the event stream to Chrome trace JSON.
-func ChromeTrace(events []Event) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // WriteChromeTrace writes the event stream as Chrome trace JSON to w.
 func WriteChromeTrace(w io.Writer, events []Event) error {

@@ -9,25 +9,24 @@ import (
 
 func TestChromeTraceValidAndDeterministic(t *testing.T) {
 	events := syntheticRun()
-	a, err := ChromeTrace(events)
-	if err != nil {
+	var a, b bytes.Buffer
+	if err := WriteChromeTrace(&a, events); err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(a) {
-		t.Fatalf("output is not valid JSON:\n%s", a)
+	if !json.Valid(a.Bytes()) {
+		t.Fatalf("output is not valid JSON:\n%s", a.Bytes())
 	}
-	b, err := ChromeTrace(events)
-	if err != nil {
+	if err := WriteChromeTrace(&b, events); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two encodings of the same stream differ")
 	}
 
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(a, &doc); err != nil {
+	if err := json.Unmarshal(a.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
@@ -54,8 +53,8 @@ func TestChromeTraceValidAndDeterministic(t *testing.T) {
 }
 
 func TestChromeTraceBarrierTimeline(t *testing.T) {
-	b, err := ChromeTrace(syntheticRun()[:10])
-	if err != nil {
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, syntheticRun()[:10]); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -68,7 +67,7 @@ func TestChromeTraceBarrierTimeline(t *testing.T) {
 			Dur  float64 `json:"dur"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(b, &doc); err != nil {
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	// Step 1 starts after step 0's barrier (2.0s) plus the checkpoint stall
@@ -96,11 +95,11 @@ func TestChromeTraceHostileInput(t *testing.T) {
 		{Kind: Kind(250), Machine: 3},
 		{Kind: KindStepEnd, Machine: -1, Seconds: -1},
 	}
-	b, err := ChromeTrace(events)
-	if err != nil {
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, events); err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(b) {
-		t.Fatalf("hostile stream produced invalid JSON:\n%s", b)
+	if !json.Valid(b.Bytes()) {
+		t.Fatalf("hostile stream produced invalid JSON:\n%s", b.Bytes())
 	}
 }

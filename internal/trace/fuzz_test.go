@@ -64,10 +64,11 @@ func FuzzChromeTrace(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := eventsFromBytes(data)
-		out, err := ChromeTrace(events)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, events); err != nil {
 			t.Fatalf("encode failed: %v", err)
 		}
+		out := buf.Bytes()
 		if !json.Valid(out) {
 			t.Fatalf("invalid JSON for %d events:\n%s", len(events), out)
 		}
@@ -75,8 +76,8 @@ func FuzzChromeTrace(f *testing.F) {
 			t.Fatalf("invalid UTF-8 output")
 		}
 		// Determinism: re-encoding the same stream is byte-identical.
-		out2, err := ChromeTrace(events)
-		if err != nil || !bytes.Equal(out, out2) {
+		var again bytes.Buffer
+		if err := WriteChromeTrace(&again, events); err != nil || !bytes.Equal(out, again.Bytes()) {
 			t.Fatalf("re-encode differs (err=%v)", err)
 		}
 	})

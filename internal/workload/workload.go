@@ -111,6 +111,12 @@ func (r *Report) Total() float64 {
 	return r.CumulativeSeconds[len(r.CumulativeSeconds)-1]
 }
 
+// defaultPartitioner is the Hybrid every session with a nil Partitioner
+// uses. One instance can serve them all: Hybrid only reads its Threshold,
+// and the placement cache keys a partitioner by its field values, not its
+// address.
+var defaultPartitioner = partition.NewHybrid()
+
 // Session executes a job stream on a cluster under a CCR estimator.
 type Session struct {
 	// Cluster receives the jobs.
@@ -235,13 +241,13 @@ type JobResult struct {
 // the job service can attach per-job fault schedules while keeping session
 // tracing. RunJob is safe for concurrent use when the session's fields are
 // not mutated: the cache single-flights and everything else is read-only.
-// The result is returned by value, so a job allocates no result box of its
-// own; a nil Partitioner means a fresh Hybrid on every call, which a caller
-// running many jobs avoids by setting one.
+// The result is returned by value, and a nil Partitioner resolves to one
+// shared default Hybrid, so a job allocates neither a result box nor a
+// partitioner of its own.
 func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (JobResult, error) {
 	part := s.Partitioner
 	if part == nil {
-		part = partition.NewHybrid()
+		part = defaultPartitioner
 	}
 	ccr, ok := pool.Get(job.App.Name())
 	if !ok {

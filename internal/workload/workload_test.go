@@ -395,24 +395,29 @@ func hitFixture(tb testing.TB) (*Session, *core.Pool, Job, *engine.Placement) {
 
 // TestRunJobAllocs holds a cache-hit RunJob to one allocation more than the
 // bare run it wraps: the shares vector. Partitioner, result and the
-// normalization all come without one.
+// normalization all come without one, also when the session leaves
+// Partitioner nil.
 func TestRunJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	s, pool, job, pl := hitFixture(t)
+	fixture, pool, job, pl := hitFixture(t)
 	bare := testing.AllocsPerRun(10, func() {
-		if _, err := apps.Run(job.App, pl, s.Cluster, engine.Options{}); err != nil {
+		if _, err := apps.Run(job.App, pl, fixture.Cluster, engine.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	served := testing.AllocsPerRun(10, func() {
-		if jr, err := s.RunJob(pool, job, engine.Options{}); err != nil || !jr.CacheHit {
-			t.Fatalf("hit %v, err %v", jr.CacheHit, err)
+	// The default Hybrid keys the cache like the fixture's, so both hit.
+	for _, part := range []partition.Partitioner{fixture.Partitioner, nil} {
+		s := &Session{Cluster: fixture.Cluster, Partitioner: part, Cache: fixture.Cache}
+		served := testing.AllocsPerRun(10, func() {
+			if jr, err := s.RunJob(pool, job, engine.Options{}); err != nil || !jr.CacheHit {
+				t.Fatalf("partitioner %v: hit %v, err %v", part, jr.CacheHit, err)
+			}
+		})
+		if served > bare+1 {
+			t.Errorf("partitioner %v: cache-hit RunJob allocates %.0f, apps.Run %.0f: %.0f more, want at most 1 (the shares)", part, served, bare, served-bare)
 		}
-	})
-	if served > bare+1 {
-		t.Errorf("cache-hit RunJob allocates %.0f, apps.Run %.0f: %.0f more, want at most 1 (the shares)", served, bare, served-bare)
 	}
 }
 
