@@ -640,8 +640,8 @@ func TestParallelVariantsMatch(t *testing.T) {
 	}
 }
 
-// TestAsyncAppsAllocateNothingPerRound: Coloring and delta PageRank allocate
-// their step counters once per run, so a longer run allocates no more.
+// TestAsyncAppsAllocateNothingPerRound: Coloring and delta PageRank reuse
+// their step counters every round, so a longer run allocates no more.
 func TestAsyncAppsAllocateNothingPerRound(t *testing.T) {
 	g := testGraph(t, 93, 400, 3200)
 	pl := moduloPlacement(t, g, 2)

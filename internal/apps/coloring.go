@@ -95,7 +95,8 @@ func (c *Coloring) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace
 
 	account := engine.NewAccountant(cl, c.Coeffs())
 	account.SetCollector(tc)
-	counters := make([]engine.StepCounters, pl.M)
+	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
+	counters := countersBuf[:pl.M]
 	rounds := 0
 	for ; rounds < c.MaxRounds; rounds++ {
 		account.StepBegin(rounds, n, "async")

@@ -83,7 +83,8 @@ func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.C
 	// Keeping the order keeps the result: a peel lowers its neighbours'
 	// degrees at once, so who else falls in the same round depends on it.
 	arena := make([]graph.VertexID, 0, n)
-	alive := make([][]graph.VertexID, pl.M)
+	var aliveBuf [engine.MaxMachines][]graph.VertexID
+	alive := aliveBuf[:pl.M]
 	for p, verts := range pl.MasterVerts {
 		arena = append(arena, verts...)
 		alive[p] = arena[len(arena)-len(verts):]
@@ -91,7 +92,8 @@ func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.C
 
 	account := engine.NewAccountant(cl, kc.Coeffs())
 	account.SetCollector(tc)
-	counters := make([]engine.StepCounters, pl.M)
+	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
+	counters := countersBuf[:pl.M]
 	rounds := 0
 	k := int32(1)
 	for remaining > 0 {

@@ -77,7 +77,8 @@ func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc
 
 	account := engine.NewAccountant(cl, pr.Coeffs())
 	account.SetCollector(tc)
-	counters := make([]engine.StepCounters, pl.M)
+	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
+	counters := countersBuf[:pl.M]
 	rounds := 0
 	for ; rounds < pr.MaxRounds; rounds++ {
 		// Like Coloring's, a round sweeps every master.

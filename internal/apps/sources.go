@@ -3,6 +3,7 @@ package apps
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"proxygraph/internal/graph"
 )
@@ -34,7 +35,9 @@ func validateSource(app string, numVertices int, source graph.VertexID) error {
 }
 
 // validateSources checks a batched source set: non-empty, at most max roots,
-// every root in range, no root twice.
+// every root in range, no root twice. A set holds at most max (a packed
+// word's 64 lanes), so each root is checked against the earlier ones by a
+// scan, without a map.
 func validateSources(app string, numVertices int, sources []graph.VertexID, max int) error {
 	if len(sources) == 0 {
 		return fmt.Errorf("%s: %w", app, ErrNoSources)
@@ -42,16 +45,14 @@ func validateSources(app string, numVertices int, sources []graph.VertexID, max 
 	if len(sources) > max {
 		return fmt.Errorf("%s: %w: %d sources for %d lanes", app, ErrTooManySources, len(sources), max)
 	}
-	seen := make(map[graph.VertexID]int, len(sources))
 	for i, s := range sources {
 		if int(s) >= numVertices {
 			return fmt.Errorf("%s: %w: source %d is vertex %d in a graph with %d vertices",
 				app, ErrSourceOutOfRange, i, s, numVertices)
 		}
-		if j, dup := seen[s]; dup {
+		if j := slices.Index(sources[:i], s); j >= 0 {
 			return fmt.Errorf("%s: %w: vertex %d at indices %d and %d", app, ErrDuplicateSource, s, j, i)
 		}
-		seen[s] = i
 	}
 	return nil
 }

@@ -98,7 +98,8 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 
 	account := engine.NewAccountant(cl, s.Coeffs())
 	account.SetCollector(tc)
-	counters := make([]engine.StepCounters, pl.M)
+	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
+	counters := countersBuf[:pl.M]
 	anyChange := false
 	relax := func(sc *engine.StepCounters, p int, stamp uint8, from, to graph.VertexID, w float64) {
 		sc.Gathers++

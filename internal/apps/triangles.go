@@ -83,7 +83,8 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 		sentStamp[i] = -1
 	}
 
-	counters := make([]engine.StepCounters, pl.M)
+	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
+	counters := countersBuf[:pl.M]
 	for p := 0; p < pl.M; p++ {
 		sc := &counters[p]
 		sc.Vertices = float64(len(pl.MasterVerts[p]))

@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/partition"
@@ -112,24 +113,81 @@ func (c CCR) Error(truth CCR) (float64, error) {
 // application, keyed by application name. Pools serialize to JSON so
 // proxygraph profile can persist them ("each application's CCR will be collected
 // into a CCR pool for future use").
+//
+// A pool also remembers the share vector each application's CCR gives on each
+// cluster (SharesFor), so later jobs reuse the one-time measurement instead
+// of rebuilding it. It is safe for concurrent use, and must not be copied.
 type Pool struct {
-	ccrs map[string]CCR
+	mu     sync.Mutex
+	ccrs   map[string]CCR
+	shares map[sharesKey][]float64
+}
+
+// sharesKey names one memoized share vector: an application on a cluster.
+type sharesKey struct {
+	app string
+	cl  *cluster.Cluster
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{ccrs: map[string]CCR{}} }
 
-// Put stores an application's CCR, replacing any previous entry.
-func (p *Pool) Put(c CCR) { p.ccrs[c.App] = c }
+// Put stores an application's CCR, replacing any previous entry and the share
+// vectors built from it.
+func (p *Pool) Put(c CCR) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ccrs[c.App] = c
+	for k := range p.shares {
+		if k.app == c.App {
+			delete(p.shares, k)
+		}
+	}
+}
 
 // Get returns the CCR for the application.
 func (p *Pool) Get(app string) (CCR, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	c, ok := p.ccrs[app]
 	return c, ok
 }
 
+// SharesFor returns the application's share vector on cl (CCR.SharesFor).
+// The first call for an (app, cluster) pair builds it; later calls return the
+// same slice, so it is read-only: callers must not write to it. The cluster
+// is keyed by address and must not change after the first call.
+func (p *Pool) SharesFor(app string, cl *cluster.Cluster) ([]float64, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	key := sharesKey{app, cl}
+	if s, ok := p.shares[key]; ok {
+		return s, nil
+	}
+	c, ok := p.ccrs[app]
+	if !ok {
+		return nil, fmt.Errorf("core: no CCR for %q", app)
+	}
+	s, err := c.SharesFor(cl)
+	if err != nil {
+		return nil, err
+	}
+	if p.shares == nil {
+		p.shares = map[sharesKey][]float64{}
+	}
+	p.shares[key] = s
+	return s, nil
+}
+
 // Apps returns the pooled application names in sorted order.
 func (p *Pool) Apps() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.appsLocked()
+}
+
+// appsLocked is Apps for a caller that holds p.mu.
+func (p *Pool) appsLocked() []string {
 	names := make([]string, 0, len(p.ccrs))
 	for n := range p.ccrs {
 		names = append(names, n)
@@ -139,12 +197,18 @@ func (p *Pool) Apps() []string {
 }
 
 // Len returns the number of pooled applications.
-func (p *Pool) Len() int { return len(p.ccrs) }
+func (p *Pool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.ccrs)
+}
 
 // MarshalJSON implements json.Marshaler.
 func (p *Pool) MarshalJSON() ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	list := make([]CCR, 0, len(p.ccrs))
-	for _, name := range p.Apps() {
+	for _, name := range p.appsLocked() {
 		list = append(list, p.ccrs[name])
 	}
 	return json.Marshal(list)
@@ -179,7 +243,10 @@ func (p *Pool) UnmarshalJSON(data []byte) error {
 		}
 		ccrs[c.App] = c
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.ccrs = ccrs
+	clear(p.shares)
 	return nil
 }
 

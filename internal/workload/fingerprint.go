@@ -93,8 +93,16 @@ func edgeTermSum(g *graph.Graph, lo, hi int) uint64 {
 // address yields a distinct handle, so eviction is race-free by construction.
 var (
 	fpMu   sync.Mutex
-	fpMemo = map[weak.Pointer[graph.Graph]]uint64{}
+	fpMemo = map[weak.Pointer[graph.Graph]]fpEntry{}
 )
+
+// fpEntry is one memoized fingerprint and the cleanup that evicts it when its
+// graph is collected; ReleaseGraphFingerprint stops the cleanup, so a graph
+// released and fingerprinted again carries one cleanup, not one per release.
+type fpEntry struct {
+	fp      uint64
+	cleanup runtime.Cleanup
+}
 
 // GraphFingerprint hashes a graph's content (vertex count, weighted edge
 // multiset) into a stable 64-bit fingerprint, memoized per graph object. A
@@ -107,9 +115,9 @@ func GraphFingerprint(g *graph.Graph) uint64 {
 	}
 	w := weak.Make(g)
 	fpMu.Lock()
-	if fp, ok := fpMemo[w]; ok {
+	if e, ok := fpMemo[w]; ok {
 		fpMu.Unlock()
-		return fp
+		return e.fp
 	}
 	fpMu.Unlock()
 	fp := rescanFingerprint(g)
@@ -126,25 +134,28 @@ func memoFingerprint(g *graph.Graph, w weak.Pointer[graph.Graph], fp uint64) {
 	if _, ok := fpMemo[w]; ok {
 		return
 	}
-	fpMemo[w] = fp
-	runtime.AddCleanup(g, func(key weak.Pointer[graph.Graph]) {
+	fpMemo[w] = fpEntry{fp: fp, cleanup: runtime.AddCleanup(g, func(key weak.Pointer[graph.Graph]) {
 		fpMu.Lock()
 		delete(fpMemo, key)
 		fpMu.Unlock()
-	}, w)
+	}, w)}
 }
 
 // ReleaseGraphFingerprint drops g's memoized fingerprint immediately — the
 // explicit invalidation hook for callers retiring a graph before the garbage
 // collector would notice (e.g. a service evicting a tenant's graphs on
-// deadline). Safe to call for graphs that were never fingerprinted; the
-// collection-time cleanup tolerates the entry already being gone.
+// deadline). Safe to call for graphs that were never fingerprinted. The
+// entry's collection-time cleanup is stopped with it.
 func ReleaseGraphFingerprint(g *graph.Graph) {
 	if g == nil {
 		return
 	}
+	w := weak.Make(g)
 	fpMu.Lock()
-	delete(fpMemo, weak.Make(g))
+	if e, ok := fpMemo[w]; ok {
+		e.cleanup.Stop()
+		delete(fpMemo, w)
+	}
 	fpMu.Unlock()
 }
 

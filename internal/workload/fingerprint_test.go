@@ -235,6 +235,32 @@ func TestReleaseGraphFingerprint(t *testing.T) {
 	}
 }
 
+// TestReleaseStopsCleanup releases and re-fingerprints one live graph many
+// times. Each fingerprint arms a collection-time cleanup; a release that left
+// it armed kept a closure per cycle (about 40 bytes) on the heap until the
+// graph died, 400 KB over these cycles.
+func TestReleaseStopsCleanup(t *testing.T) {
+	const cycles = 10000
+	g := &graph.Graph{NumVertices: 3, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for range cycles {
+		GraphFingerprint(g)
+		ReleaseGraphFingerprint(g)
+	}
+	after := heap()
+	runtime.KeepAlive(g)
+	if grown := int64(after) - int64(before); grown > 64<<10 {
+		t.Errorf("%d release cycles on a live graph retained %d bytes after GC, want at most 64 KiB", cycles, grown)
+	}
+}
+
 // TestFingerprintedGraphsAreCollectable is the regression test for the memo
 // leak: the old sync.Map keyed on *graph.Graph pinned every fingerprinted
 // graph forever. With weak keys the graphs must become collectable once the

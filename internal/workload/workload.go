@@ -147,20 +147,11 @@ type Session struct {
 
 // Run executes the jobs. For the proxy profiler, the one-time profiling cost
 // is the simulated wall-clock of the profiling sets: machine groups profile
-// in parallel (Fig 7a), each group running every application over every
-// proxy graph in sequence.
+// in parallel (Fig 7a), each group running every pooled application over
+// every proxy graph in sequence.
 func (s *Session) Run(jobs []Job, est core.Estimator) (*Report, error) {
 	if s.Cluster == nil {
 		return nil, fmt.Errorf("workload: session has no cluster")
-	}
-
-	rep := &Report{System: est.Name()}
-	if pp, ok := est.(*core.ProxyProfiler); ok {
-		cost, err := profilingCost(s.Cluster, pp)
-		if err != nil {
-			return nil, err
-		}
-		rep.ProfilingSeconds = cost
 	}
 
 	// The CCR pool covers the paper's four applications plus whatever the job
@@ -177,6 +168,15 @@ func (s *Session) Run(jobs []Job, est core.Estimator) (*Report, error) {
 			pooled[job.App.Name()] = true
 			poolApps = append(poolApps, job.App)
 		}
+	}
+
+	rep := &Report{System: est.Name()}
+	if pp, ok := est.(*core.ProxyProfiler); ok {
+		cost, err := profilingCost(s.Cluster, pp, poolApps)
+		if err != nil {
+			return nil, err
+		}
+		rep.ProfilingSeconds = cost
 	}
 	pool, err := core.BuildPool(s.Cluster, poolApps, est)
 	if err != nil {
@@ -234,26 +234,22 @@ type JobResult struct {
 	CacheHit bool
 }
 
-// RunJob executes a single job against a prepared CCR pool: derive the
-// application's shares, build (or fetch) the placement, charge ingress if the
-// session does, and run. opts is merged with the session's collector — an
+// RunJob executes a single job against a prepared CCR pool: fetch the
+// application's shares (built once per pool and cluster), build (or fetch)
+// the placement, charge ingress if the session does, and run. opts is merged with the session's collector — an
 // explicit opts.Trace wins, otherwise the session's is used — so callers like
 // the job service can attach per-job fault schedules while keeping session
 // tracing. RunJob is safe for concurrent use when the session's fields are
 // not mutated: the cache single-flights and everything else is read-only.
-// The result is returned by value, and a nil Partitioner resolves to one
-// shared default Hybrid, so a job allocates neither a result box nor a
-// partitioner of its own.
+// The result is returned by value, a nil Partitioner resolves to one shared
+// default Hybrid and the pool hands out its stored shares, so a cache-hit job
+// allocates what apps.Run allocates and nothing more.
 func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (JobResult, error) {
 	part := s.Partitioner
 	if part == nil {
 		part = defaultPartitioner
 	}
-	ccr, ok := pool.Get(job.App.Name())
-	if !ok {
-		return JobResult{}, fmt.Errorf("workload: no CCR for %q", job.App.Name())
-	}
-	shares, err := ccr.SharesFor(s.Cluster)
+	shares, err := pool.SharesFor(job.App.Name(), s.Cluster)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -298,11 +294,12 @@ func (s *Session) place(part partition.Partitioner, job Job, shares []float64) (
 }
 
 // profilingCost charges the proxy profiling flow: each machine group's
-// representative runs every (application, proxy) set standalone; groups run
-// in parallel, so the offline cost is the slowest group's total.
-func profilingCost(cl *cluster.Cluster, pp *core.ProxyProfiler) (float64, error) {
+// representative runs every (application, proxy) set standalone, over the
+// applications the pool profiles; groups run in parallel, so the offline cost
+// is the slowest group's total.
+func profilingCost(cl *cluster.Cluster, pp *core.ProxyProfiler, applications []apps.App) (float64, error) {
 	totals := map[string]float64{}
-	for _, app := range apps.All() {
+	for _, app := range applications {
 		for _, proxy := range pp.Proxies {
 			secs, err := core.SoloSeconds(app, proxy, cl.Machines)
 			if err != nil {

@@ -46,6 +46,43 @@ func TestRandomJobsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSessionChargesEveryProfiledApp: the pool profiles the paper's four
+// applications plus each extension application the jobs bring, and the
+// profiling charge covers the same list. A BFS job adds BFS's proxy runs to
+// the charge; a PageRank job, already among the four, adds nothing.
+func TestSessionChargesEveryProfiledApp(t *testing.T) {
+	cl := caseTwo(t)
+	pp, err := core.NewProxyProfiler(1024, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cacheGraph(t, 5, 64, 256)
+	charge := func(app apps.App) float64 {
+		rep, err := (&Session{Cluster: cl}).Run([]Job{{App: app, Graph: g, Seed: 1}}, pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.ProfilingSeconds
+	}
+	paper, err := profilingCost(cl, pp, apps.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBFS, err := profilingCost(cl, pp, append(apps.All(), apps.NewBFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withBFS <= paper {
+		t.Fatalf("BFS's proxy runs cost nothing: %v with BFS, %v without", withBFS, paper)
+	}
+	if got := charge(apps.NewPageRank()); got != paper {
+		t.Errorf("PageRank session charged %v, want the four apps' %v", got, paper)
+	}
+	if got := charge(apps.NewBFS()); got != withBFS {
+		t.Errorf("BFS session charged %v, want %v with BFS profiled (%v without)", got, withBFS, paper)
+	}
+}
+
 func TestSessionProfilingAmortizes(t *testing.T) {
 	cl := caseTwo(t)
 	jobs, err := RandomJobs(30, 256, 11)
@@ -381,8 +418,7 @@ func hitFixture(tb testing.TB) (*Session, *core.Pool, Job, *engine.Placement) {
 	if jr, err := s.RunJob(pool, job, engine.Options{}); err != nil || jr.CacheHit {
 		tb.Fatalf("first run: hit %v, err %v; want a miss", jr.CacheHit, err)
 	}
-	ccr, _ := pool.Get(job.App.Name())
-	shares, err := ccr.SharesFor(cl)
+	shares, err := pool.SharesFor(job.App.Name(), cl)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -393,10 +429,9 @@ func hitFixture(tb testing.TB) (*Session, *core.Pool, Job, *engine.Placement) {
 	return s, pool, job, pl
 }
 
-// TestRunJobAllocs holds a cache-hit RunJob to one allocation more than the
-// bare run it wraps: the shares vector. Partitioner, result and the
-// normalization all come without one, also when the session leaves
-// Partitioner nil.
+// TestRunJobAllocs holds a cache-hit RunJob to the allocations of the bare
+// run it wraps: shares, partitioner and result all come without one, also
+// when the session leaves Partitioner nil.
 func TestRunJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -415,15 +450,15 @@ func TestRunJobAllocs(t *testing.T) {
 				t.Fatalf("partitioner %v: hit %v, err %v", part, jr.CacheHit, err)
 			}
 		})
-		if served > bare+1 {
-			t.Errorf("partitioner %v: cache-hit RunJob allocates %.0f, apps.Run %.0f: %.0f more, want at most 1 (the shares)", part, served, bare, served-bare)
+		if served != bare {
+			t.Errorf("partitioner %v: cache-hit RunJob allocates %.0f, apps.Run %.0f; want equal", part, served, bare)
 		}
 	}
 }
 
 // BenchmarkRunJobHit times a cache-hit RunJob next to a bare apps.Run of
 // the same job on the same placement, so the difference is RunJob's own
-// time and allocations: shares, cache lookup and result.
+// time (shares and cache lookup); their allocations are equal.
 func BenchmarkRunJobHit(b *testing.B) {
 	s, pool, job, pl := hitFixture(b)
 	b.Run("RunJob", func(b *testing.B) {
