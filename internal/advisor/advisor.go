@@ -32,17 +32,14 @@ func MeasureSpeeds(machines []cluster.Machine, applications []apps.App, profiler
 	if len(machines) == 0 || len(applications) == 0 {
 		return nil, fmt.Errorf("advisor: need machines and applications")
 	}
-	if profiler == nil || len(profiler.Proxies) == 0 {
-		return nil, fmt.Errorf("advisor: need a profiler with proxy graphs")
-	}
 	logSums := map[string]float64{}
 	runs := 0
 	for _, app := range applications {
-		for _, proxy := range profiler.Proxies {
-			secs, err := core.SoloSeconds(app, proxy, machines)
-			if err != nil {
-				return nil, err
-			}
+		solo, err := profiler.Profile(app, machines)
+		if err != nil {
+			return nil, err
+		}
+		for _, secs := range solo {
 			for name, t := range secs {
 				logSums[name] += math.Log(1 / t)
 			}

@@ -27,7 +27,7 @@ func TestOffEngineAppAllocs(t *testing.T) {
 		{NewSSSP(), 7},
 		{NewKCore(), 11},
 		{NewColoring(), 11},
-		{NewTriangleCount(), 20},
+		{NewTriangleCount(), 14},
 		{NewPageRankDelta(), 11},
 	} {
 		got := testing.AllocsPerRun(10, func() {

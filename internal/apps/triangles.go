@@ -73,7 +73,7 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 	// charged exactly once even if the edge list contains duplicates or both
 	// orientations; the first machine to reach a pair (in edge order) owns
 	// it.
-	seen := make(map[uint64]struct{}, len(g.Edges))
+	first := firstOccurrences(pl)
 
 	// Per-vertex counts travel to a remote master once per machine, not once
 	// per edge (PowerGraph aggregates partial sums locally before the
@@ -89,17 +89,12 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 		sc := &counters[p]
 		sc.Vertices = float64(len(pl.MasterVerts[p]))
 		for _, ei := range pl.LocalEdges()[p] {
-			e := g.Edges[ei]
-			a, b := e.Src, e.Dst
-			if a > b {
-				a, b = b, a
-			}
-			key := uint64(a)<<32 | uint64(b)
-			if _, dup := seen[key]; dup {
+			if first[ei/64]&(1<<(ei%64)) == 0 {
 				sc.Applies++ // duplicate detection still costs a probe
 				continue
 			}
-			seen[key] = struct{}{}
+			e := g.Edges[ei]
+			a, b := min(e.Src, e.Dst), max(e.Src, e.Dst)
 			// A merge scans min(len) on average; charge the merge length.
 			probes := min(und.Degree(a), und.Degree(b))
 			sc.Gathers += float64(probes)
@@ -126,6 +121,42 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 
 	out := TriangleResult{Total: total, PerVertex: perVertex}
 	return account.Finish(tc.Name(), g.Name, out), nil
+}
+
+// firstOccurrences returns one bit per edge, set on the edge at which the
+// charge walk (machine by machine, local edges in order) first reaches its
+// undirected pair. The walk is counting-sorted by the pair's lower endpoint,
+// in walk order within each bucket; reading the buckets in ascending order,
+// stamp[hi] == lo+1 means the pair {lo, hi} was reached before.
+func firstOccurrences(pl *engine.Placement) []uint64 {
+	g := pl.G
+	start := make([]int32, g.NumVertices+1)
+	for _, e := range g.Edges {
+		start[min(e.Src, e.Dst)+1]++
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	byLower := make([]int32, len(g.Edges))
+	for _, local := range pl.LocalEdges() {
+		for _, ei := range local {
+			lo := min(g.Edges[ei].Src, g.Edges[ei].Dst)
+			byLower[start[lo]] = ei
+			start[lo]++
+		}
+	}
+	stamp := start[:g.NumVertices] // reused, cleared: every mark is lo+1 >= 1
+	clear(stamp)
+	first := make([]uint64, (len(g.Edges)+63)/64)
+	for _, ei := range byLower {
+		e := g.Edges[ei]
+		lo, hi := min(e.Src, e.Dst), max(e.Src, e.Dst)
+		if stamp[hi] != int32(lo)+1 {
+			stamp[hi] = int32(lo) + 1
+			first[ei/64] |= 1 << (ei % 64)
+		}
+	}
+	return first
 }
 
 // countTriangles sums, over every pair {a, b} of the undirected neighbor

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"reflect"
+	"sync"
 	"testing"
 
 	"proxygraph/internal/apps"
@@ -257,6 +259,55 @@ func TestProxyProfilerErrors(t *testing.T) {
 	empty := &ProxyProfiler{}
 	if _, err := empty.Estimate(cl, apps.NewPageRank()); err == nil {
 		t.Error("profiler without proxies should error")
+	}
+	var none *ProxyProfiler
+	if _, err := none.Profile(apps.NewPageRank(), cl.Machines); err == nil {
+		t.Error("nil profiler should error")
+	}
+}
+
+// TestProfileConcurrent: Profile keeps no state, so four goroutines that
+// profile the four applications on one profiler, each in its own order, get
+// the sequential results bit for bit. make check runs it under the race
+// detector at 1, 2 and 4 procs.
+func TestProfileConcurrent(t *testing.T) {
+	machines := mustCluster(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge").Machines
+	pp, err := NewProxyProfiler(2048, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := apps.All()
+	want := make([][]map[string]float64, len(all))
+	for i, app := range all {
+		if want[i], err = pp.Profile(app, machines); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 4
+	got := make([][][]map[string]float64, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		got[w] = make([][]map[string]float64, len(all))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range all {
+				i := (w + k) % len(all)
+				if got[w][i], errs[w] = pp.Profile(all[i], machines); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		if !reflect.DeepEqual(got[w], want) {
+			t.Errorf("goroutine %d profiled %v, want %v", w, got[w], want)
+		}
 	}
 }
 

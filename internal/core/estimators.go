@@ -119,16 +119,39 @@ func NewProxyProfiler(scale int, seed uint64) (*ProxyProfiler, error) {
 // Name implements Estimator.
 func (*ProxyProfiler) Name() string { return "proxy" }
 
-// Estimate implements Estimator. The per-group capability is averaged
-// (geometric mean) over the proxy set, which covers the α range of natural
-// graphs.
+// Estimate implements Estimator: ProxyCCR of app's Profile on cl.
 func (pp *ProxyProfiler) Estimate(cl *cluster.Cluster, app apps.App) (CCR, error) {
-	if len(pp.Proxies) == 0 {
-		return CCR{}, fmt.Errorf("core: proxy profiler has no proxy graphs")
+	solo, err := pp.Profile(app, cl.Machines)
+	if err != nil {
+		return CCR{}, err
 	}
+	return ProxyCCR(app.Name(), solo)
+}
+
+// Profile is every proxy profiling run: app's SoloSeconds on each proxy, in
+// proxy order. It keeps no state, so concurrent calls are safe.
+func (pp *ProxyProfiler) Profile(app apps.App, machines []cluster.Machine) ([]map[string]float64, error) {
+	if pp == nil || len(pp.Proxies) == 0 {
+		return nil, fmt.Errorf("core: proxy profiler has no proxy graphs")
+	}
+	solo := make([]map[string]float64, len(pp.Proxies))
+	for i, proxy := range pp.Proxies {
+		secs, err := SoloSeconds(app, proxy, machines)
+		if err != nil {
+			return nil, err
+		}
+		solo[i] = secs
+	}
+	return solo, nil
+}
+
+// ProxyCCR reduces a Profile to app's CCR: each proxy's Eq 1 ratios are
+// averaged per group (geometric mean) over the proxy set, which covers the α
+// range of natural graphs, and renormalized so the slowest group is 1.
+func ProxyCCR(app string, solo []map[string]float64) (CCR, error) {
 	logSum := map[string]float64{}
-	for _, proxy := range pp.Proxies {
-		c, err := MeasureCCR(cl, app, proxy)
+	for _, times := range solo {
+		c, err := FromTimes(app, times)
 		if err != nil {
 			return CCR{}, err
 		}
@@ -136,10 +159,10 @@ func (pp *ProxyProfiler) Estimate(cl *cluster.Cluster, app apps.App) (CCR, error
 			logSum[g] += math.Log(r)
 		}
 	}
-	c := CCR{App: app.Name(), Ratios: make(map[string]float64, len(logSum))}
+	c := CCR{App: app, Ratios: make(map[string]float64, len(logSum))}
 	slowest := 0.0
 	for g, s := range logSum {
-		v := math.Exp(s / float64(len(pp.Proxies)))
+		v := math.Exp(s / float64(len(solo)))
 		c.Ratios[g] = v
 		if slowest == 0 || v < slowest {
 			slowest = v

@@ -171,14 +171,7 @@ func (s *Session) Run(jobs []Job, est core.Estimator) (*Report, error) {
 	}
 
 	rep := &Report{System: est.Name()}
-	if pp, ok := est.(*core.ProxyProfiler); ok {
-		cost, err := profilingCost(s.Cluster, pp, poolApps)
-		if err != nil {
-			return nil, err
-		}
-		rep.ProfilingSeconds = cost
-	}
-	pool, err := core.BuildPool(s.Cluster, poolApps, est)
+	pool, err := s.buildPool(rep, poolApps, est)
 	if err != nil {
 		return nil, err
 	}
@@ -293,30 +286,35 @@ func (s *Session) place(part partition.Partitioner, job Job, shares []float64) (
 	return s.Cache.Place(part, job.Graph, shares, job.Seed)
 }
 
-// profilingCost charges the proxy profiling flow: each machine group's
-// representative runs every (application, proxy) set standalone, over the
-// applications the pool profiles; groups run in parallel, so the offline cost
-// is the slowest group's total.
-func profilingCost(cl *cluster.Cluster, pp *core.ProxyProfiler, applications []apps.App) (float64, error) {
-	totals := map[string]float64{}
+// buildPool profiles the pooled applications with est. A proxy profiler's
+// runs also give the report its profiling charge (see Run).
+func (s *Session) buildPool(rep *Report, applications []apps.App, est core.Estimator) (*core.Pool, error) {
+	pp, ok := est.(*core.ProxyProfiler)
+	if !ok {
+		return core.BuildPool(s.Cluster, applications, est)
+	}
+	pool := core.NewPool()
+	groupSeconds := map[string]float64{}
 	for _, app := range applications {
-		for _, proxy := range pp.Proxies {
-			secs, err := core.SoloSeconds(app, proxy, cl.Machines)
-			if err != nil {
-				return 0, err
-			}
+		solo, err := pp.Profile(app, s.Cluster.Machines)
+		if err != nil {
+			return nil, err
+		}
+		for _, secs := range solo {
 			for group, t := range secs {
-				totals[group] += t
+				groupSeconds[group] += t
 			}
 		}
-	}
-	worst := 0.0
-	for _, total := range totals {
-		if total > worst {
-			worst = total
+		c, err := core.ProxyCCR(app.Name(), solo)
+		if err != nil {
+			return nil, err
 		}
+		pool.Put(c)
 	}
-	return worst, nil
+	for _, t := range groupSeconds {
+		rep.ProfilingSeconds = max(rep.ProfilingSeconds, t)
+	}
+	return pool, nil
 }
 
 // Crossover returns the 1-based job index at which a's cumulative time

@@ -64,11 +64,11 @@ func TestSessionChargesEveryProfiledApp(t *testing.T) {
 		}
 		return rep.ProfilingSeconds
 	}
-	paper, err := profilingCost(cl, pp, apps.All())
+	paper, err := profilingCostSpec(cl, pp, apps.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	withBFS, err := profilingCost(cl, pp, append(apps.All(), apps.NewBFS()))
+	withBFS, err := profilingCostSpec(cl, pp, append(apps.All(), apps.NewBFS()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,74 @@ func TestSessionChargesEveryProfiledApp(t *testing.T) {
 	}
 	if got := charge(apps.NewBFS()); got != withBFS {
 		t.Errorf("BFS session charged %v, want %v with BFS profiled (%v without)", got, withBFS, paper)
+	}
+}
+
+// profilingCostSpec is the charge Session.Run derives from its pool's
+// profiling runs, kept as its spec: each machine group runs every
+// (application, proxy) set in sequence, groups run in parallel, and the
+// offline cost is the slowest group's total.
+func profilingCostSpec(cl *cluster.Cluster, pp *core.ProxyProfiler, applications []apps.App) (float64, error) {
+	totals := map[string]float64{}
+	for _, app := range applications {
+		for _, proxy := range pp.Proxies {
+			secs, err := core.SoloSeconds(app, proxy, cl.Machines)
+			if err != nil {
+				return 0, err
+			}
+			for group, t := range secs {
+				totals[group] += t
+			}
+		}
+	}
+	worst := 0.0
+	for _, total := range totals {
+		worst = max(worst, total)
+	}
+	return worst, nil
+}
+
+// countedApp is PageRank under a name of its own that counts the reads of
+// its cost constants. Outside the app's own run, only a profiling run's
+// pricing reads them (core.SoloSeconds, once per machine type).
+type countedApp struct {
+	*apps.PageRank
+	reads *int
+}
+
+func (countedApp) Name() string { return "counted_pagerank" }
+
+func (c countedApp) Coeffs() engine.CostCoeffs {
+	*c.reads++
+	return c.PageRank.Coeffs()
+}
+
+// TestSessionProfilesEachPairOnce: a proxy session takes its profiling
+// charge and its pool's CCRs from the same runs, so each (application,
+// proxy) pair runs one time, not once for the charge and again for the pool.
+func TestSessionProfilesEachPairOnce(t *testing.T) {
+	cl := caseTwo(t)
+	pp, err := core.NewProxyProfiler(1024, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	app := countedApp{apps.NewPageRank(), &reads}
+	if _, err := core.SoloSeconds(app, pp.Proxies[0], cl.Machines); err != nil {
+		t.Fatal(err)
+	}
+	perRun := reads
+	if perRun == 0 {
+		t.Fatal("a profiling run read no cost constants")
+	}
+	reads = 0
+	job := Job{App: app, Graph: cacheGraph(t, 5, 64, 256), Seed: 1}
+	if _, err := (&Session{Cluster: cl}).Run([]Job{job}, pp); err != nil {
+		t.Fatal(err)
+	}
+	if reads != len(pp.Proxies)*perRun {
+		t.Errorf("session made %v profiling runs of %s, want one per proxy (%d)",
+			float64(reads)/float64(perRun), app.Name(), len(pp.Proxies))
 	}
 }
 
