@@ -27,6 +27,8 @@ check: build test
 	go test -race -cpu 1,2,4 -run TestPoolSharesFor ./internal/core
 # Four goroutines profiling on one proxy profiler, as Fig 9's cells do, raced at 1, 2 and 4 procs.
 	go test -race -cpu 1,2,4 -run TestProfileConcurrent ./internal/core
+# Four goroutines appending to one journal while others snapshot and compact it, raced at 1, 2 and 4 procs.
+	go test -race -cpu 1,2,4 -run TestJournalConcurrent ./internal/service
 # The placement compile, master selection, source grouping and edge index against their specs at 1, 2 and 4 procs.
 	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep|TestLocalEdgesBuiltOnFirstWalk' ./internal/engine
 # One iteration of every package's benchmarks but the root's catalog harness, so each keeps compiling and reporting.

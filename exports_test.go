@@ -29,19 +29,32 @@ type parsedFile struct {
 	path string // slash-separated, relative to the module root
 	fset *token.FileSet
 	file *ast.File
+	// imports maps the name the file imports a package of the module
+	// under to the package's directory, relative to the module root.
+	imports map[string]string
 }
 
 func (f parsedFile) dir() string { return filepath.ToSlash(filepath.Dir(f.path)) }
 
 func (f parsedFile) isTest() bool { return strings.HasSuffix(f.path, "_test.go") }
 
-// parseTree parses every .go file under root. Like the go command's ./...
-// pattern, it skips testdata and directories whose names begin with "." or
-// "_" (.git among them).
+// parseTree parses every .go file under root, the module whose go.mod is at
+// root. Like the go command's ./... pattern, it skips testdata and
+// directories whose names begin with "." or "_" (.git among them).
 func parseTree(t *testing.T, root string) []parsedFile {
 	t.Helper()
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := ""
+	for _, line := range strings.Split(string(mod), "\n") {
+		if m, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			module = strings.TrimSpace(m)
+		}
+	}
 	var files []parsedFile
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -64,7 +77,20 @@ func parseTree(t *testing.T, root string) []parsedFile {
 		if err != nil {
 			return err
 		}
-		files = append(files, parsedFile{path: filepath.ToSlash(rel), fset: fset, file: f})
+		imports := map[string]string{}
+		for _, spec := range f.Imports {
+			ipath, _ := strconv.Unquote(spec.Path.Value)
+			dir, ok := strings.CutPrefix(ipath, module+"/")
+			if !ok {
+				continue
+			}
+			name := dir[strings.LastIndex(dir, "/")+1:]
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = dir
+		}
+		files = append(files, parsedFile{path: filepath.ToSlash(rel), fset: fset, file: f, imports: imports})
 		return nil
 	})
 	if err != nil {
@@ -73,15 +99,36 @@ func parseTree(t *testing.T, root string) []parsedFile {
 	return files
 }
 
-// countIdents adds one to counts[name] for every identifier in n.
-// Comments are not part of the syntax tree, so names in them do not count.
-func countIdents(n ast.Node, counts map[string]int) {
+// countUses adds f's references in n to counts. Every identifier counts
+// under its name, which is how methods are matched. A reference that can
+// name a package-level function also counts under "dir.Name": an
+// unqualified identifier under the file's own directory, and x.Name under
+// the directory of the module package f imports as x. Comments are not part
+// of the syntax tree, so names in them do not count.
+func countUses(f parsedFile, n ast.Node, counts map[string]int) {
+	from := map[*ast.Ident]ast.Expr{} // a selector's name → what it selects from
 	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			counts[id.Name]++
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			from[x.Sel] = x.X
+		case *ast.Ident:
+			counts[x.Name]++
+			if sel, isSel := from[x]; !isSel {
+				counts[f.dir()+"."+x.Name]++
+			} else if pkg, ok := sel.(*ast.Ident); ok && f.imports[pkg.Name] != "" {
+				counts[f.imports[pkg.Name]+"."+x.Name]++
+			}
 		}
 		return true
 	})
+}
+
+// useKey is the key countUses counts fd's references under.
+func useKey(f parsedFile, fd *ast.FuncDecl) string {
+	if fd.Recv != nil {
+		return fd.Name.Name
+	}
+	return f.dir() + "." + fd.Name.Name
 }
 
 // funcLabel names a declaration as a reader searches for it: Name for a
@@ -123,37 +170,35 @@ func hasTestSupportMarker(doc *ast.CommentGroup) bool {
 // "file:line name" line per exported top-level function or method under
 // internal/ that breaks the rule "production code holds only what
 // production calls":
-//   - no non-test file uses its name outside its own declaration, and
-//     neither a Test support: marker nor a standard-library interface
-//     method of that name excuses it; or
+//   - no non-test file uses it outside its own declaration, and neither a
+//     Test support: marker nor a standard-library interface method of that
+//     name excuses it; or
 //   - it carries the marker, but no test file outside its own package
-//     uses its name, so it belongs in that package's test files.
+//     uses it, so it belongs in that package's test files.
 //
-// The match is by name, so a use of another identifier with the same
-// name counts as a use, a method named in one of the module's interfaces
-// among them: the scan can miss an unused function, never flag a used one.
+// A function is used where its package names it unqualified or another
+// package names it through its import (see countUses), so neither a struct
+// field of another package nor another package's function of the same name
+// hides it. A method is matched by name, so a use of another identifier
+// with the same name counts as a use, a method named in one of the module's
+// interfaces among them: the scan can miss an unused method.
 func unusedInternalExports(files []parsedFile) []string {
 	prodUses := map[string]int{}
-	for _, f := range files {
-		if !f.isTest() {
-			countIdents(f.file, prodUses)
-		}
-	}
-	// testUses[name] is the set of directories whose test files use name.
+	// testUses[key] is the set of directories whose test files use key.
 	testUses := map[string]map[string]bool{}
 	for _, f := range files {
 		if !f.isTest() {
+			countUses(f, f.file, prodUses)
 			continue
 		}
-		ast.Inspect(f.file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if testUses[id.Name] == nil {
-					testUses[id.Name] = map[string]bool{}
-				}
-				testUses[id.Name][f.dir()] = true
+		uses := map[string]int{}
+		countUses(f, f.file, uses)
+		for key := range uses {
+			if testUses[key] == nil {
+				testUses[key] = map[string]bool{}
 			}
-			return true
-		})
+			testUses[key][f.dir()] = true
+		}
 	}
 
 	var bad []string
@@ -166,17 +211,17 @@ func unusedInternalExports(files []parsedFile) []string {
 			if !ok || !fd.Name.IsExported() {
 				continue
 			}
-			name := fd.Name.Name
+			key := useKey(f, fd)
 			own := map[string]int{}
-			countIdents(fd, own)
-			used := prodUses[name] > own[name]
+			countUses(f, fd, own)
+			used := prodUses[key] > own[key]
 			marked := hasTestSupportMarker(fd.Doc)
-			iface := fd.Recv != nil && stdInterfaceMethods[name]
+			iface := fd.Recv != nil && stdInterfaceMethods[fd.Name.Name]
 			at := f.path + ":" + strconv.Itoa(f.fset.Position(fd.Pos()).Line) + " " + funcLabel(fd)
 			switch {
 			case !used && !marked && !iface:
 				bad = append(bad, at)
-			case marked && !usedOutside(testUses[name], f.dir()):
+			case marked && !usedOutside(testUses[key], f.dir()):
 				bad = append(bad, at+" ("+testSupportMarker+" but no test outside its package uses it)")
 			}
 		}
@@ -208,11 +253,12 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// writeTree writes files (slash-separated path → contents) under a fresh
-// temporary directory and returns it.
+// writeTree writes files (slash-separated path → contents) and the go.mod
+// of module m under a fresh temporary directory and returns it.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
+	files["go.mod"] = "module m\n"
 	for path, src := range files {
 		full := filepath.Join(root, filepath.FromSlash(path))
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
@@ -248,6 +294,29 @@ func TestUnusedInternalExportsOnSyntheticTrees(t *testing.T) {
 			files: map[string]string{
 				"internal/a/a.go": "package a\n\nfunc F() {}\n",
 				"internal/b/b.go": "package b\n\nimport \"m/internal/a\"\n\nfunc init() { a.F() }\n",
+			},
+		},
+		{
+			name: "struct field of the same name does not hide an uncalled function",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\nfunc Weighted() {}\n",
+				"internal/b/b.go": "package b\n\ntype T struct{ Weighted bool }\n\nfunc init() { _ = T{Weighted: true}.Weighted }\n",
+			},
+			want: []string{"internal/a/a.go:3 Weighted"},
+		},
+		{
+			name: "another package's function of the same name does not hide an uncalled function",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\nfunc Min() {}\n",
+				"main.go":         "package main\n\nimport (\n\t\"math\"\n\n\t\"m/internal/a\"\n)\n\nfunc main() { _ = math.Min(1, 2); _ = a.Max }\n",
+			},
+			want: []string{"internal/a/a.go:3 Min"},
+		},
+		{
+			name: "call through a renamed import counts",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\nfunc F() {}\n",
+				"main.go":         "package main\n\nimport x \"m/internal/a\"\n\nfunc main() { x.F() }\n",
 			},
 		},
 		{

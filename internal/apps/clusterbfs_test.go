@@ -196,7 +196,7 @@ func TestClusterBFSSourceValidation(t *testing.T) {
 		want error
 	}{
 		{"bfs/out-of-range", &BFS{Source: 200, MaxIters: 10}, ErrSourceOutOfRange},
-		{"sssp/out-of-range", &SSSP{Source: 1000, Undirected: true, MaxIters: 10}, ErrSourceOutOfRange},
+		{"sssp/out-of-range", &SSSP{Source: 1000, MaxIters: 10}, ErrSourceOutOfRange},
 		{"clusterbfs/empty", &ClusterBFS{Sources: nil, MaxIters: 10}, ErrNoSources},
 		{"clusterbfs/out-of-range", &ClusterBFS{Sources: []graph.VertexID{0, 200}, MaxIters: 10}, ErrSourceOutOfRange},
 		{"clusterbfs/duplicate", &ClusterBFS{Sources: []graph.VertexID{3, 4, 3}, MaxIters: 10}, ErrDuplicateSource},

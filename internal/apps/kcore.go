@@ -16,12 +16,9 @@ import (
 // it is an extension beyond the paper's benchmark set, exercising a
 // degeneracy-ordered, heavily iterative workload whose active set shrinks
 // unevenly across machines.
-type KCore struct {
-	// MaxK bounds the decomposition (0 = no bound).
-	MaxK int
-}
+type KCore struct{}
 
-// NewKCore returns an unbounded decomposition.
+// NewKCore returns a k-core decomposition.
 func NewKCore() *KCore { return &KCore{} }
 
 // Name implements App.
@@ -97,15 +94,6 @@ func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.C
 	rounds := 0
 	k := int32(1)
 	for remaining > 0 {
-		if kc.MaxK > 0 && int(k) > kc.MaxK {
-			// Everything left belongs to a core at least MaxK deep.
-			for _, list := range alive {
-				for _, v := range list {
-					core[v] = k - 1
-				}
-			}
-			break
-		}
 		// Peel all vertices below k, in synchronized rounds, before raising k.
 		for {
 			// The frontier is every survivor: each one is degree-checked.

@@ -18,18 +18,17 @@ import (
 // though the final distances do not. It is an extension beyond the paper's
 // four benchmarks: a weighted application demonstrating that the profiling
 // flow accepts arbitrary vertex programs (Section III-B). Unweighted graphs
-// relax with unit weights, making SSSP coincide with BFS distances.
+// relax with unit weights, making SSSP coincide with BFS distances. Every
+// edge relaxes in both directions: the distances are undirected.
 type SSSP struct {
 	// Source is the root vertex.
 	Source graph.VertexID
-	// Undirected relaxes both edge directions when true.
-	Undirected bool
 	// MaxIters bounds the relaxation rounds.
 	MaxIters int
 }
 
 // NewSSSP returns an undirected SSSP from vertex 0.
-func NewSSSP() *SSSP { return &SSSP{Source: 0, Undirected: true, MaxIters: 10000} }
+func NewSSSP() *SSSP { return &SSSP{Source: 0, MaxIters: 10000} }
 
 // Name implements App.
 func (s *SSSP) Name() string { return "sssp" }
@@ -137,7 +136,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 				if active[e.Src] {
 					relax(sc, p, stamp, e.Src, e.Dst, w)
 				}
-				if s.Undirected && active[e.Dst] {
+				if active[e.Dst] {
 					relax(sc, p, stamp, e.Dst, e.Src, w)
 				}
 			}

@@ -249,19 +249,6 @@ func TestKCoreKnownGraphs(t *testing.T) {
 	}
 }
 
-func TestKCoreMaxKCap(t *testing.T) {
-	g := testGraph(t, 74, 500, 5000)
-	kc := &KCore{MaxK: 2}
-	res, err := kc.Run(engine.SingleMachine(g), singleCluster(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Output.(KCoreResult)
-	if out.MaxCore > 2 {
-		t.Errorf("capped decomposition reports core %d > cap", out.MaxCore)
-	}
-}
-
 // kcoreScanAll is the peeling loop KCore.Run replaced, kept as its executable
 // spec: every round re-tests every master of every machine against a removed
 // bitmap, in MasterVerts order. Which vertices fall together in a round
@@ -283,14 +270,6 @@ func kcoreScanAll(kc *KCore, pl *engine.Placement, cl *cluster.Cluster) *engine.
 	rounds := 0
 	k := int32(1)
 	for remaining > 0 {
-		if kc.MaxK > 0 && int(k) > kc.MaxK {
-			for v := range removed {
-				if !removed[v] {
-					core[v] = k - 1
-				}
-			}
-			break
-		}
 		for {
 			rounds++
 			counters := make([]engine.StepCounters, pl.M)
@@ -343,8 +322,7 @@ func kcoreScanAll(kc *KCore, pl *engine.Placement, cl *cluster.Cluster) *engine.
 // machine times and barriers, Supersteps, Gathers, SimSeconds, energy, busy
 // time and traffic — and the decomposition itself. The graphs are random
 // multigraphs with parallel edges, reciprocal pairs, self-loops and a tail of
-// isolated vertices, hashed over 1, 3 and 4 machines, decomposed fully and
-// capped at MaxK 2.
+// isolated vertices, hashed over 1, 3 and 4 machines.
 func TestKCoreMatchesScanAllSpec(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		src := rng.New(seed)
@@ -377,21 +355,19 @@ func TestKCoreMatchesScanAllSpec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, maxK := range []int{0, 2} {
-				kc := &KCore{MaxK: maxK}
-				want := kcoreScanAll(kc, pl, cl)
-				got, err := kc.Run(pl, cl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("seed %d, %d machines, MaxK %d", seed, machines, maxK)
-				if math.Float64bits(got.SimSeconds) != math.Float64bits(want.SimSeconds) {
-					t.Errorf("%s: SimSeconds %v, spec %v", label, got.SimSeconds, want.SimSeconds)
-				}
-				if !reflect.DeepEqual(got, want) {
-					sameAccounting(t, label, want, got)
-					t.Fatalf("%s: result differs from the scan-all spec\n got %+v\nwant %+v", label, got.Output, want.Output)
-				}
+			kc := NewKCore()
+			want := kcoreScanAll(kc, pl, cl)
+			got, err := kc.Run(pl, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("seed %d, %d machines", seed, machines)
+			if math.Float64bits(got.SimSeconds) != math.Float64bits(want.SimSeconds) {
+				t.Errorf("%s: SimSeconds %v, spec %v", label, got.SimSeconds, want.SimSeconds)
+			}
+			if !reflect.DeepEqual(got, want) {
+				sameAccounting(t, label, want, got)
+				t.Fatalf("%s: result differs from the scan-all spec\n got %+v\nwant %+v", label, got.Output, want.Output)
 			}
 		}
 	}

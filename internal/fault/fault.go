@@ -186,13 +186,14 @@ type Spec struct {
 	// Crashes must leave at least one machine alive (Crashes < Machines) and
 	// target distinct machines at distinct steps.
 	Crashes, Stragglers, NetworkFaults int
-	// MinFactor bounds transient degradation from below; factors are drawn
-	// uniformly from [MinFactor, 1). Zero defaults to 0.25.
-	MinFactor float64
-	// MaxWindow bounds transient windows to [1, MaxWindow]. Zero defaults
-	// to 4.
-	MaxWindow int
 }
+
+// Transient events degrade by a factor drawn uniformly from
+// [minFactor, 1) for a window of 1 to maxWindow supersteps.
+const (
+	minFactor = 0.25
+	maxWindow = 4
+)
 
 // NewSchedule draws a deterministic schedule from seed: the same (seed, spec)
 // pair always yields the same events, sorted by (Step, Kind, Machine).
@@ -211,20 +212,6 @@ func NewSchedule(seed uint64, spec Spec) (*Schedule, error) {
 	}
 	if spec.Crashes < 0 || spec.Stragglers < 0 || spec.NetworkFaults < 0 {
 		return nil, fmt.Errorf("fault: negative event counts")
-	}
-	minFactor := spec.MinFactor
-	if minFactor == 0 {
-		minFactor = 0.25
-	}
-	if minFactor < 0 || minFactor >= 1 {
-		return nil, fmt.Errorf("fault: min factor %g outside (0, 1)", minFactor)
-	}
-	maxWindow := spec.MaxWindow
-	if maxWindow == 0 {
-		maxWindow = 4
-	}
-	if maxWindow < 1 {
-		return nil, fmt.Errorf("fault: max window %d, need >= 1", maxWindow)
 	}
 
 	src := rng.New(seed)

@@ -70,8 +70,6 @@ func TestFaultScheduleGenerator(t *testing.T) {
 		{Machines: 2, Horizon: 5, Crashes: 2},
 		{Machines: 2, Horizon: 5, Crashes: -1},
 		{Machines: 4, Horizon: 2, Crashes: 3},
-		{Machines: 2, Horizon: 5, MinFactor: 1.5},
-		{Machines: 2, Horizon: 5, MaxWindow: -1},
 	} {
 		if _, err := fault.NewSchedule(1, bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)

@@ -148,7 +148,7 @@ func TestAlphaRoundTripThroughGenerator(t *testing.T) {
 	for _, alpha := range []float64{1.95, 2.1, 2.3} {
 		spec := Spec{Name: "rt", Vertices: 100000, Edges: 0, Kind: KindPowerLaw, Alpha: alpha}
 		g := mustGen(t, spec, 17)
-		fitted, err := powerlaw.FitAlpha(g.AvgDegree(), powerlaw.FitOptions{MaxDegree: g.NumVertices - 1})
+		fitted, err := powerlaw.FitAlpha(g.AvgDegree(), g.NumVertices-1)
 		if err != nil {
 			t.Fatalf("alpha=%v: %v", alpha, err)
 		}

@@ -6,33 +6,12 @@ import (
 	"proxygraph/internal/rng"
 )
 
-// This file holds graph transformations: undirected materialization,
-// subsampling and edge weights. Subsampling exists mainly to demonstrate the
-// paper's motivating claim that "it is difficult to subsample from a natural
-// graph to capture its underlying characteristics" (Section I) — package
-// core's SubsampleProfiler builds on it and the ablation in internal/exp
+// This file holds graph transformations: subsampling and edge weights.
+// Subsampling exists mainly to demonstrate the paper's motivating claim that
+// "it is difficult to subsample from a natural graph to capture its
+// underlying characteristics" (Section I) — package core's
+// SubsampleProfiler builds on it and the ablation in internal/exp
 // quantifies how badly it estimates CCRs compared to synthetic proxies.
-
-// Undirected returns a copy of g with both orientations of every edge
-// (weights duplicated), the materialized form of the undirected view.
-func Undirected(g *Graph) *Graph {
-	out := &Graph{
-		Name:        g.Name + "-undirected",
-		NumVertices: g.NumVertices,
-		Alpha:       g.Alpha,
-		Edges:       make([]Edge, 0, 2*len(g.Edges)),
-	}
-	if g.Weights != nil {
-		out.Weights = make([]float32, 0, 2*len(g.Weights))
-	}
-	for i, e := range g.Edges {
-		out.Edges = append(out.Edges, e, Edge{Src: e.Dst, Dst: e.Src})
-		if g.Weights != nil {
-			out.Weights = append(out.Weights, g.Weights[i], g.Weights[i])
-		}
-	}
-	return out
-}
 
 // SampleEdges returns a uniform random sample keeping approximately fraction
 // of g's edges, with the vertex set unchanged. Edge sampling preserves the

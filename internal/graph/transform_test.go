@@ -10,31 +10,6 @@ import (
 	"proxygraph/internal/rng"
 )
 
-func weightedDiamond() *Graph {
-	g := diamond()
-	AttachWeights(g, 1, 10, 1)
-	return g
-}
-
-func TestUndirectedMaterialization(t *testing.T) {
-	g := weightedDiamond()
-	u := Undirected(g)
-	if len(u.Edges) != 2*len(g.Edges) {
-		t.Fatalf("undirected has %d edges, want %d", len(u.Edges), 2*len(g.Edges))
-	}
-	if err := u.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// In-degree of the undirected graph equals total degree of the original.
-	tot := g.TotalDegrees()
-	in := u.InDegrees()
-	for v := range tot {
-		if in[v] != tot[v] {
-			t.Fatalf("vertex %d: undirected in-degree %d != total degree %d", v, in[v], tot[v])
-		}
-	}
-}
-
 func TestSampleEdges(t *testing.T) {
 	g := randomGraph(t, 20, 500, 20000)
 	AttachWeights(g, 1, 5, 2)

@@ -50,20 +50,6 @@ func Max(xs []float64) float64 {
 	return best
 }
 
-// Min returns the minimum, or 0 for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
-}
-
 // Table is a titled grid of cells used for every experiment's output, so the
 // benchmark harness and proxygraph bench print the same rows the paper's
 // tables and figures report.

@@ -28,13 +28,12 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMaxMin(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if Max(xs) != 5 || Min(xs) != 1 {
-		t.Errorf("Max/Min = %v/%v", Max(xs), Min(xs))
+func TestMax(t *testing.T) {
+	if got := Max([]float64{3, 1, 4, 1, 5}); got != 5 {
+		t.Errorf("Max = %v", got)
 	}
-	if Max(nil) != 0 || Min(nil) != 0 {
-		t.Error("empty extrema should be 0")
+	if Max(nil) != 0 {
+		t.Error("empty maximum should be 0")
 	}
 }
 

@@ -122,61 +122,41 @@ func MeanDegree(alpha float64, maxDegree int) float64 {
 // the range attainable by any alpha in the search bracket.
 var ErrNoRoot = errors.New("powerlaw: average degree outside attainable range for alpha in bracket")
 
-// FitOptions configures FitAlpha.
-type FitOptions struct {
-	// MaxDegree is the support bound D in Eq 4. Zero selects DefaultMaxDegree
-	// (or the vertex count, whichever is smaller, when fitting from a graph).
-	MaxDegree int
-	// Lo, Hi bracket the search. Zeros select [1.05, 4.5], which covers the
-	// 1.9..2.4 band the paper reports for natural graphs with wide margin.
-	Lo, Hi float64
-	// Tol is the absolute tolerance on F(α). Zero selects 1e-9.
-	Tol float64
-	// MaxIter bounds Newton iterations. Zero selects 100.
-	MaxIter int
-}
-
-func (o *FitOptions) defaults() {
-	if o.MaxDegree == 0 {
-		o.MaxDegree = DefaultMaxDegree
-	}
-	if o.Lo == 0 {
-		o.Lo = 1.05
-	}
-	if o.Hi == 0 {
-		o.Hi = 4.5
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 100
-	}
-}
+// fitLo and fitHi bracket FitAlpha's search: [1.05, 4.5] covers the 1.9..2.4
+// band the paper reports for natural graphs with wide margin. fitTol is the
+// absolute tolerance on F(α), fitMaxIter the Newton iteration bound.
+const (
+	fitLo, fitHi = 1.05, 4.5
+	fitTol       = 1e-9
+	fitMaxIter   = 100
+)
 
 // FitAlpha solves Eq 7 for α given the empirical average degree
-// avgDegree = |E| / |V|. It runs Newton's method on
+// avgDegree = |E| / |V| and the support bound D = maxDegree of Eq 4 (zero
+// selects DefaultMaxDegree). It runs Newton's method on
 //
 //	F(α) = Σ d^(1-α) / Σ i^(-α) − avgDegree
 //
 // with an analytic derivative, falling back to bisection whenever a Newton
 // step leaves the bracket (guaranteeing convergence: F is strictly
 // decreasing in α).
-func FitAlpha(avgDegree float64, opts FitOptions) (float64, error) {
+func FitAlpha(avgDegree float64, maxDegree int) (float64, error) {
 	if avgDegree <= 0 || math.IsNaN(avgDegree) || math.IsInf(avgDegree, 0) {
 		return 0, fmt.Errorf("powerlaw: average degree must be positive and finite, got %v", avgDegree)
 	}
-	opts.defaults()
+	if maxDegree == 0 {
+		maxDegree = DefaultMaxDegree
+	}
 
 	f := func(alpha float64) (val, deriv float64) {
-		s0, s1, ls0, ls1 := partialSums(alpha, opts.MaxDegree)
+		s0, s1, ls0, ls1 := partialSums(alpha, maxDegree)
 		val = s1/s0 - avgDegree
 		// d/dα (s1/s0) = (s1'·s0 − s1·s0') / s0²  with s1' = −ls1, s0' = −ls0.
 		deriv = (-ls1*s0 + s1*ls0) / (s0 * s0)
 		return val, deriv
 	}
 
-	lo, hi := opts.Lo, opts.Hi
+	lo, hi := fitLo, fitHi
 	fLo, _ := f(lo)
 	fHi, _ := f(hi)
 	// F is decreasing: high alpha -> sparse -> small mean degree.
@@ -186,9 +166,9 @@ func FitAlpha(avgDegree float64, opts FitOptions) (float64, error) {
 	}
 
 	alpha := (lo + hi) / 2
-	for i := 0; i < opts.MaxIter; i++ {
+	for i := 0; i < fitMaxIter; i++ {
 		val, deriv := f(alpha)
-		if math.Abs(val) < opts.Tol {
+		if math.Abs(val) < fitTol {
 			return alpha, nil
 		}
 		// Maintain the bracket for the bisection fallback.
@@ -220,10 +200,10 @@ func FitAlphaForGraph(vertices, edges int64) (float64, error) {
 	if edges < 0 {
 		return 0, fmt.Errorf("powerlaw: edge count must be non-negative, got %d", edges)
 	}
-	opts := FitOptions{}
 	// Degrees cannot exceed the number of other vertices.
+	maxDegree := 0
 	if vertices-1 < DefaultMaxDegree && vertices > 1 {
-		opts.MaxDegree = int(vertices - 1)
+		maxDegree = int(vertices - 1)
 	}
-	return FitAlpha(float64(edges)/float64(vertices), opts)
+	return FitAlpha(float64(edges)/float64(vertices), maxDegree)
 }

@@ -172,7 +172,7 @@ func TestFitAlphaRecoversKnownAlpha(t *testing.T) {
 	for _, alpha := range []float64{1.8, 1.95, 2.1, 2.3, 2.8} {
 		const D = 100000
 		mean := MeanDegree(alpha, D)
-		got, err := FitAlpha(mean, FitOptions{MaxDegree: D})
+		got, err := FitAlpha(mean, D)
 		if err != nil {
 			t.Fatalf("alpha=%v: %v", alpha, err)
 		}
@@ -210,11 +210,11 @@ func TestFitAlphaForGraphTableII(t *testing.T) {
 
 func TestFitAlphaMonotone(t *testing.T) {
 	// Denser graphs must fit smaller alphas.
-	a1, err := FitAlpha(20, FitOptions{MaxDegree: 100000})
+	a1, err := FitAlpha(20, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := FitAlpha(3, FitOptions{MaxDegree: 100000})
+	a2, err := FitAlpha(3, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +224,14 @@ func TestFitAlphaMonotone(t *testing.T) {
 }
 
 func TestFitAlphaErrors(t *testing.T) {
-	if _, err := FitAlpha(-1, FitOptions{}); err == nil {
+	if _, err := FitAlpha(-1, 0); err == nil {
 		t.Error("negative average degree should error")
 	}
-	if _, err := FitAlpha(math.NaN(), FitOptions{}); err == nil {
+	if _, err := FitAlpha(math.NaN(), 0); err == nil {
 		t.Error("NaN average degree should error")
 	}
 	// Average degree 1e6 is unattainable with alpha >= 1.05 and D = 4096.
-	if _, err := FitAlpha(1e6, FitOptions{MaxDegree: 4096}); !errors.Is(err, ErrNoRoot) {
+	if _, err := FitAlpha(1e6, 4096); !errors.Is(err, ErrNoRoot) {
 		t.Errorf("expected ErrNoRoot, got %v", err)
 	}
 	if _, err := FitAlphaForGraph(0, 10); err == nil {
@@ -249,7 +249,7 @@ func TestFitAlphaRoundTripProperty(t *testing.T) {
 		alpha := 1.6 + float64(raw)/float64(1<<16)*1.4 // in [1.6, 3.0)
 		const D = 1 << 14
 		mean := MeanDegree(alpha, D)
-		got, err := FitAlpha(mean, FitOptions{MaxDegree: D})
+		got, err := FitAlpha(mean, D)
 		return err == nil && math.Abs(got-alpha) < 1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -271,7 +271,7 @@ func TestDistMeanConsistency(t *testing.T) {
 
 func BenchmarkFitAlpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := FitAlpha(13.1, FitOptions{MaxDegree: 1 << 16}); err != nil {
+		if _, err := FitAlpha(13.1, 1<<16); err != nil {
 			b.Fatal(err)
 		}
 	}

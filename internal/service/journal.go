@@ -376,16 +376,58 @@ func Recover(path string) (*Recovery, error) {
 	return RecoverBytes(data), nil
 }
 
-// rawJournal is the byte-level surface shared by the concrete journals; the
-// fault-injecting wrapper corrupts frames and forwards compactions through
-// it.
-type rawJournal interface {
-	writeRaw(b []byte) error
-	syncRaw() error
-	// replace swaps the image for a snapshot with base seq and continues
-	// the sequence from there.
-	replace(seq uint64, body []byte) error
+// journal is the write path every Journal this package provides shares: it
+// frames a record in a scratch buffer it keeps, writes and syncs the frame
+// to its store, and numbers it. A FileJournal, a MemJournal and a
+// FaultJournal differ only in their store.
+type journal struct {
+	mu    sync.Mutex
+	store store
+	seq   uint64
+	frame []byte // Append's and compact's scratch, reused
+}
+
+// store is where a journal's bytes go. The journal's lock serializes the
+// calls a journal makes.
+type store interface {
+	write(b []byte) error
+	sync() error
+	// swap replaces the whole image with image. The replacement is atomic:
+	// on error the old image is intact.
+	swap(image []byte) error
 	Close() error
+}
+
+// Append implements Journal: frame, write, sync. A record is numbered only
+// once its store has synced it.
+func (j *journal) Append(r Record) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.frame = appendFrame(j.frame[:0], r)
+	if err := j.store.write(j.frame); err != nil {
+		return 0, err
+	}
+	if err := j.store.sync(); err != nil {
+		return 0, err
+	}
+	j.seq++
+	return j.seq, nil
+}
+
+// compact implements compactor: the new image is the magic, a snapshot frame
+// whose base is the journal's sequence, and body.
+func (j *journal) compact(body []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.frame = append(appendSnapshotHead(j.frame[:0], j.seq), body...)
+	return j.store.swap(j.frame)
+}
+
+// Close releases the store. The journal is not usable afterwards.
+func (j *journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.store.Close()
 }
 
 // compactSuffix names the temporary file a FileJournal writes its snapshot
@@ -394,12 +436,12 @@ const compactSuffix = ".compact"
 
 // FileJournal appends checksummed frames to a file, fsyncing each append so
 // an acknowledged record survives power loss.
-type FileJournal struct {
-	mu    sync.Mutex
-	f     *os.File
-	path  string
-	seq   uint64
-	frame []byte // Append's scratch: one frame, reused
+type FileJournal struct{ journal }
+
+// fileStore is a FileJournal's store: the journal file.
+type fileStore struct {
+	f    *os.File
+	path string
 	// onStep, when set, runs after each compaction step ("written",
 	// "synced", "renamed"); an error aborts the compaction there. Tests use
 	// it to capture the files a crash at that step would leave.
@@ -445,75 +487,38 @@ func OpenFileJournal(path string) (*FileJournal, *Recovery, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &FileJournal{f: f, path: path, seq: lastSeq(rec.Records)}, rec, nil
+	return &FileJournal{journal{store: &fileStore{f: f, path: path}, seq: lastSeq(rec.Records)}}, rec, nil
 }
 
-// Append implements Journal: frame, write, fsync. The frame is built in a
-// scratch buffer the journal keeps.
-func (j *FileJournal) Append(r Record) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.frame = appendFrame(j.frame[:0], r)
-	if _, err := j.f.Write(j.frame); err != nil {
-		return 0, err
-	}
-	if err := j.f.Sync(); err != nil {
-		return 0, err
-	}
-	j.seq++
-	return j.seq, nil
-}
-
-// writeRaw and syncRaw lock internally so the fault-injecting wrapper can
-// drive them directly without racing a concurrent reader.
-func (j *FileJournal) writeRaw(b []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err := j.f.Write(b)
+func (s *fileStore) write(b []byte) error {
+	_, err := s.f.Write(b)
 	return err
 }
 
-func (j *FileJournal) syncRaw() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Sync()
-}
+func (s *fileStore) sync() error { return s.f.Sync() }
 
-func (j *FileJournal) compact(body []byte) error {
-	j.mu.Lock()
-	seq := j.seq
-	j.mu.Unlock()
-	return j.replace(seq, body)
-}
-
-// replace writes the snapshot to a temporary file, fsyncs it, renames it over
-// the journal and fsyncs the directory, so a crash at any point leaves either
+// swap writes the image to a temporary file, fsyncs it, renames it over the
+// journal and fsyncs the directory, so a crash at any point leaves either
 // the old journal or the new one whole. The temporary file's handle becomes
 // the journal's.
-func (j *FileJournal) replace(seq uint64, body []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp := j.path + compactSuffix
+func (s *fileStore) swap(image []byte) error {
+	tmp := s.path + compactSuffix
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("service: compact journal: %w", err)
 	}
-	j.frame = appendSnapshotHead(j.frame[:0], seq)
-	_, err = f.Write(j.frame)
+	_, err = f.Write(image)
 	if err == nil {
-		_, err = f.Write(body)
-	}
-	if err == nil {
-		err = j.step("written")
+		err = s.step("written")
 	}
 	if err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
-		err = j.step("synced")
+		err = s.step("synced")
 	}
 	if err == nil {
-		err = os.Rename(tmp, j.path)
+		err = os.Rename(tmp, s.path)
 	}
 	if err != nil {
 		f.Close()
@@ -521,23 +526,23 @@ func (j *FileJournal) replace(seq uint64, body []byte) error {
 		return fmt.Errorf("service: compact journal: %w", err)
 	}
 	// From here the new image is the journal; a failure leaves it in place.
-	err = j.step("renamed")
+	err = s.step("renamed")
 	if err == nil {
-		err = syncDir(filepath.Dir(j.path))
+		err = syncDir(filepath.Dir(s.path))
 	}
-	_ = j.f.Close() // the replaced image, fsynced with its last append
-	j.f, j.seq = f, seq
+	_ = s.f.Close() // the replaced image, fsynced with its last append
+	s.f = f
 	if err != nil {
 		return fmt.Errorf("service: compact journal: %w", err)
 	}
 	return nil
 }
 
-func (j *FileJournal) step(name string) error {
-	if j.onStep == nil {
+func (s *fileStore) step(name string) error {
+	if s.onStep == nil {
 		return nil
 	}
-	return j.onStep(name)
+	return s.onStep(name)
 }
 
 // syncDir fsyncs a directory, making a rename inside it durable.
@@ -553,72 +558,56 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Close releases the file. The journal is not usable afterwards.
-func (j *FileJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (s *fileStore) Close() error { return s.f.Close() }
 
 // MemJournal is the in-memory Journal fake: same framing, no filesystem. It
 // backs the crash-recovery tests — "kill -9" becomes truncating Bytes() at an
 // arbitrary offset and recovering from the prefix.
 type MemJournal struct {
+	journal
+	mem *memStore
+}
+
+// memStore is a MemJournal's store: the image in a buffer. Its own lock
+// keeps Bytes safe while a journal appends or compacts, a FaultJournal
+// wrapping the MemJournal among them.
+type memStore struct {
 	mu  sync.Mutex
 	buf []byte
-	seq uint64
 }
 
 // NewMemJournal returns an empty in-memory journal.
 func NewMemJournal() *MemJournal {
-	return &MemJournal{buf: []byte(journalMagic)}
+	mem := &memStore{buf: []byte(journalMagic)}
+	return &MemJournal{journal: journal{store: mem}, mem: mem}
 }
 
-// Append implements Journal. The frame is encoded in place at the end of the
-// image, so an append costs only the buffer's amortized growth.
-func (j *MemJournal) Append(r Record) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = appendFrame(j.buf, r)
-	j.seq++
-	return j.seq, nil
-}
-
-// writeRaw locks internally so the fault-injecting wrapper can drive it
-// directly while Bytes snapshots concurrently.
-func (j *MemJournal) writeRaw(b []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = append(j.buf, b...)
+// write appends b to the image, so an append costs only the buffer's
+// amortized growth.
+func (s *memStore) write(b []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = append(s.buf, b...)
 	return nil
 }
 
-func (j *MemJournal) syncRaw() error { return nil }
+func (s *memStore) sync() error { return nil }
 
-func (j *MemJournal) compact(body []byte) error {
-	j.mu.Lock()
-	seq := j.seq
-	j.mu.Unlock()
-	return j.replace(seq, body)
-}
-
-// replace swaps to a fresh buffer holding the snapshot, sized for a tail as
-// long as the snapshot itself.
-func (j *MemJournal) replace(seq uint64, body []byte) error {
-	buf := make([]byte, 0, 2*(len(journalMagic)+snapshotHeadFrame+len(body)))
-	buf = append(appendSnapshotHead(buf, seq), body...)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf, j.seq = buf, seq
+// swap copies the image into a fresh buffer with room for a tail as long as
+// the image itself.
+func (s *memStore) swap(image []byte) error {
+	buf := append(make([]byte, 0, 2*len(image)), image...)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = buf
 	return nil
 }
 
-// Close implements Journal (a no-op for memory).
-func (j *MemJournal) Close() error { return nil }
+func (s *memStore) Close() error { return nil }
 
 // Bytes snapshots the journal image.
 func (j *MemJournal) Bytes() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]byte(nil), j.buf...)
+	j.mem.mu.Lock()
+	defer j.mem.mu.Unlock()
+	return append([]byte(nil), j.mem.buf...)
 }

@@ -71,22 +71,27 @@ func (s JournalFaultSpec) Validate() error {
 // backoff-jitter and graph-fingerprint domains).
 const jfltDomain = 0x6a666c74 // "jflt"
 
-// FaultJournal wraps a FileJournal or MemJournal and injects write faults on
-// the spec's deterministic seed-driven schedule. It exists to prove the
-// degraded-mode contract: any injected failure must flip the service into
-// shedding mode — never panic it, never acknowledge lost work — and the
-// journal image left behind must recover to a consistent prefix.
-type FaultJournal struct {
-	raw     rawJournal
-	seed    uint64
-	spec    JournalFaultSpec
-	seq     uint64 // acknowledged records, continues the inner journal's
-	appends uint64 // Append calls made, the schedule's clock
-	frame   []byte // Append's scratch
+// FaultJournal is a FileJournal or MemJournal whose writes fail on the
+// spec's deterministic seed-driven schedule: the faults are injected beneath
+// the one journal Append, in its store. It exists to prove the degraded-mode
+// contract: any injected failure must flip the service into shedding mode —
+// never panic it, never acknowledge lost work — and the journal image left
+// behind must recover to a consistent prefix.
+type FaultJournal struct{ journal }
+
+// faultStore wraps a journal's store. Each write is one Append, and the
+// schedule's clock counts them; compactions pass through uninjected.
+type faultStore struct {
+	store
+	seed     uint64
+	spec     JournalFaultSpec
+	appends  uint64 // writes made, the schedule's clock
+	failSync bool   // the last write's sync is to fail
 }
 
-// NewFaultJournal wraps inner (a *FileJournal or *MemJournal — the wrapper
-// needs byte-level access to tear and corrupt frames) with the fault schedule.
+// NewFaultJournal wraps inner (a *FileJournal or *MemJournal — the faults
+// need byte-level access to its store to tear and corrupt frames) with the
+// fault schedule. The sequence continues inner's.
 //
 // Test support: TestServiceHTTPDegraded in cmd/serve fails the server's
 // journal through it.
@@ -94,73 +99,58 @@ func NewFaultJournal(inner Journal, seed uint64, spec JournalFaultSpec) (*FaultJ
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	fj := &FaultJournal{seed: seed, spec: spec}
+	var in *journal
 	switch t := inner.(type) {
 	case *FileJournal:
-		fj.raw, fj.seq = t, t.seq
+		in = &t.journal
 	case *MemJournal:
-		fj.raw, fj.seq = t, t.seq
+		in = &t.journal
 	default:
 		return nil, fmt.Errorf("service: FaultJournal needs a *FileJournal or *MemJournal, got %T", inner)
 	}
-	return fj, nil
+	return &FaultJournal{journal{store: &faultStore{store: in.store, seed: seed, spec: spec}, seq: in.seq}}, nil
 }
 
 // faultFor returns the fault kind for the i-th append (1-based), or -1 when
 // the append is clean.
-func (j *FaultJournal) faultFor(i uint64) JournalFaultKind {
-	if j.spec.EveryN <= 0 || i%uint64(j.spec.EveryN) != 0 {
+func (s *faultStore) faultFor(i uint64) JournalFaultKind {
+	if s.spec.EveryN <= 0 || i%uint64(s.spec.EveryN) != 0 {
 		return -1
 	}
-	kinds := j.spec.Kinds
+	kinds := s.spec.Kinds
 	if len(kinds) == 0 {
 		kinds = []JournalFaultKind{JournalTornTail, JournalShortWrite, JournalCorruptBit, JournalSyncError}
 	}
-	return kinds[rng.Hash3(j.seed, jfltDomain, i)%uint64(len(kinds))]
+	return kinds[rng.Hash3(s.seed, jfltDomain, i)%uint64(len(kinds))]
 }
 
-// Append implements Journal, injecting the scheduled fault if the append's
-// index is due. Clean appends pass through with write+sync semantics.
-func (j *FaultJournal) Append(r Record) (uint64, error) {
-	j.appends++
-	j.frame = appendFrame(j.frame[:0], r)
-	frame := j.frame
-	switch j.faultFor(j.appends) {
+// write injects the scheduled fault if the append's index is due. A torn
+// tail and a short write fail here; a corrupt bit is written and reported
+// clean; a sync error is written and fails the sync that follows.
+func (s *faultStore) write(frame []byte) error {
+	s.appends++
+	kind := s.faultFor(s.appends)
+	switch kind {
 	case JournalTornTail:
-		cut := 1 + int(rng.Hash3(j.seed, jfltDomain+1, j.appends)%uint64(len(frame)-1))
-		_ = j.raw.writeRaw(frame[:cut])
-		_ = j.raw.syncRaw()
-		return 0, fmt.Errorf("service: injected torn write (%d of %d bytes) at append %d", cut, len(frame), j.appends)
+		cut := 1 + int(rng.Hash3(s.seed, jfltDomain+1, s.appends)%uint64(len(frame)-1))
+		_ = s.store.write(frame[:cut])
+		_ = s.store.sync()
+		return fmt.Errorf("service: injected torn write (%d of %d bytes) at append %d", cut, len(frame), s.appends)
 	case JournalShortWrite:
-		return 0, fmt.Errorf("service: injected short write at append %d: %w", j.appends, io.ErrShortWrite)
+		return fmt.Errorf("service: injected short write at append %d: %w", s.appends, io.ErrShortWrite)
 	case JournalCorruptBit:
-		h := rng.Hash3(j.seed, jfltDomain+2, j.appends)
-		frame[h%uint64(len(frame))] ^= 1 << ((h >> 32) % 8)
-		if err := j.raw.writeRaw(frame); err != nil {
-			return 0, err
-		}
-		if err := j.raw.syncRaw(); err != nil {
-			return 0, err
-		}
-		j.seq++ // silently acknowledged — that is the point
-		return j.seq, nil
-	case JournalSyncError:
-		_ = j.raw.writeRaw(frame)
-		return 0, fmt.Errorf("service: injected fsync error at append %d", j.appends)
+		h := rng.Hash3(s.seed, jfltDomain+2, s.appends)
+		frame[h%uint64(len(frame))] ^= 1 << ((h >> 32) % 8) // silently acknowledged — that is the point
 	}
-	if err := j.raw.writeRaw(frame); err != nil {
-		return 0, err
-	}
-	if err := j.raw.syncRaw(); err != nil {
-		return 0, err
-	}
-	j.seq++
-	return j.seq, nil
+	err := s.store.write(frame)
+	s.failSync = err == nil && kind == JournalSyncError
+	return err
 }
 
-// compact forwards a compaction to the wrapped journal, uninjected, with the
-// wrapper's sequence as the snapshot's base.
-func (j *FaultJournal) compact(body []byte) error { return j.raw.replace(j.seq, body) }
-
-// Close closes the wrapped journal.
-func (j *FaultJournal) Close() error { return j.raw.Close() }
+func (s *faultStore) sync() error {
+	if s.failSync {
+		s.failSync = false
+		return fmt.Errorf("service: injected fsync error at append %d", s.appends)
+	}
+	return s.store.sync()
+}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"proxygraph/internal/workload"
@@ -32,7 +33,7 @@ func NewMemJournalFrom(data []byte) (*MemJournal, *Recovery) {
 	rec := RecoverBytes(data)
 	j := NewMemJournal()
 	if rec.GoodBytes > 0 {
-		j.buf = append(j.buf[:0], data[:rec.GoodBytes]...)
+		j.mem.buf = append(j.mem.buf[:0], data[:rec.GoodBytes]...)
 	}
 	j.seq = lastSeq(rec.Records)
 	return j, rec
@@ -144,7 +145,7 @@ func TestJournalAppendAllocs(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		mem.Append(r)
 	}
-	mem.buf = mem.buf[:len(journalMagic)]
+	mem.mem.buf = mem.mem.buf[:len(journalMagic)]
 	if n := testing.AllocsPerRun(500, func() { mem.Append(r) }); n != 0 {
 		t.Errorf("MemJournal.Append into a pre-grown buffer: %v allocs, want 0", n)
 	}
@@ -235,6 +236,151 @@ func TestServiceJournalCompact(t *testing.T) {
 	}
 	if seq, err := file.Append(Record{Kind: RecordAdmit, ID: 45}); err != nil || seq != 45 {
 		t.Fatalf("append after reopen: seq %d, err %v", seq, err)
+	}
+}
+
+// TestJournalsWriteSameBytes holds every journal to one image: a MemJournal,
+// a FileJournal and a FaultJournal that injects nothing over each of them
+// append the same records, compact and append a tail. Before and after the
+// compaction each image must be the records encoded, and every append must
+// return the same sequence number.
+func TestJournalsWriteSameBytes(t *testing.T) {
+	recs := compactedRecords()
+	body := EncodeJournal(recs[1:6])[len(journalMagic):]
+	tail := recs[6:]
+	var admits []Record
+	for i := 0; i < 40; i++ {
+		admits = append(admits, Record{Kind: RecordAdmit, ID: i})
+	}
+
+	dir := t.TempDir()
+	file := func(name string) (*FileJournal, func() []byte) {
+		path := filepath.Join(dir, name)
+		j, _, err := OpenFileJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, func() []byte {
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return img
+		}
+	}
+	clean := func(inner Journal) *FaultJournal {
+		fj, err := NewFaultJournal(inner, 1, JournalFaultSpec{EveryN: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fj
+	}
+	mem, underFault := NewMemJournal(), NewMemJournal()
+	fileJ, fileImage := file("file.journal")
+	faultFile, faultFileImage := file("fault.journal")
+	for _, tc := range []struct {
+		name string
+		j    interface {
+			Journal
+			compactor
+		}
+		image func() []byte
+	}{
+		{"mem", mem, mem.Bytes},
+		{"file", fileJ, fileImage},
+		{"fault-over-mem", clean(underFault), underFault.Bytes},
+		{"fault-over-file", clean(faultFile), faultFileImage},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, r := range admits {
+				if seq, err := tc.j.Append(r); err != nil || seq != uint64(i+1) {
+					t.Fatalf("append %d: seq %d, err %v", i, seq, err)
+				}
+			}
+			if got := tc.image(); !bytes.Equal(got, EncodeJournal(admits)) {
+				t.Fatal("image before compaction differs from the records encoded")
+			}
+			if err := tc.j.compact(body); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range tail {
+				if seq, err := tc.j.Append(r); err != nil || seq != uint64(41+i) {
+					t.Fatalf("append %d after compaction: seq %d, err %v", i, seq, err)
+				}
+			}
+			if err := tc.j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.image(); !bytes.Equal(got, EncodeJournal(recs)) {
+				t.Fatal("compacted image differs from the snapshot plus tail")
+			}
+		})
+	}
+}
+
+// TestJournalConcurrent appends from four goroutines while others snapshot
+// the image and compact, on a MemJournal and on a FaultJournal over one.
+// Every snapshot must decode cleanly, and so must the final image, whose
+// last sequence number counts every append. make check runs it under -race.
+func TestJournalConcurrent(t *testing.T) {
+	const writers, appends = 4, 200
+	body := EncodeJournal(compactedRecords()[1:3])[len(journalMagic):]
+	for _, name := range []string{"mem", "fault-over-mem"} {
+		t.Run(name, func(t *testing.T) {
+			mem := NewMemJournal()
+			var j interface {
+				Journal
+				compactor
+			} = mem
+			if name == "fault-over-mem" {
+				fj, err := NewFaultJournal(mem, 1, JournalFaultSpec{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				j = fj
+			}
+			var wg, readers sync.WaitGroup
+			done := make(chan struct{})
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < appends; i++ {
+						if _, err := j.Append(Record{Kind: RecordAdmit, ID: w*appends + i}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			for _, op := range []func() error{
+				func() error { _, _, err := DecodeJournal(mem.Bytes()); return err },
+				func() error { return j.compact(body) },
+			} {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						if err := op(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(done)
+			readers.Wait()
+			recs, _, err := DecodeJournal(mem.Bytes())
+			if err != nil || lastSeq(recs) != writers*appends {
+				t.Fatalf("final image: last sequence %d of %d appends, err %v", lastSeq(recs), writers*appends, err)
+			}
+		})
 	}
 }
 
@@ -496,7 +642,7 @@ func TestServiceFaultJournal(t *testing.T) {
 			}
 			var kinds []JournalFaultKind
 			for i := uint64(1); i <= 10; i++ {
-				kinds = append(kinds, fj.faultFor(i))
+				kinds = append(kinds, fj.store.(*faultStore).faultFor(i))
 			}
 			return kinds
 		}

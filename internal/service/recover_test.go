@@ -830,7 +830,7 @@ func compactingFileService(t *testing.T, path string, onStep func(svc *Service, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	fj.onStep = func(step string) error { return onStep(svc, step) }
+	fj.store.(*fileStore).onStep = func(step string) error { return onStep(svc, step) }
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
 	return svc, func(i int) {

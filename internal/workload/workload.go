@@ -82,8 +82,7 @@ type Report struct {
 	// ProfilingSeconds is the one-time offline profiling cost in simulated
 	// seconds (zero for configuration-based estimators).
 	ProfilingSeconds float64
-	// JobSeconds holds each job's execution makespan (zero for jobs that
-	// failed under ContinueOnError).
+	// JobSeconds holds each job's execution makespan.
 	JobSeconds []float64
 	// IngressSeconds holds each job's charged ingress makespan: zero unless
 	// the session sets ChargeIngress, and zero for placement-cache hits.
@@ -96,11 +95,6 @@ type Report struct {
 	// CacheHits and CacheMisses count this run's placement-cache outcomes
 	// (both zero when the session has no cache).
 	CacheHits, CacheMisses int
-	// JobErrors records each job's failure, index-aligned with JobSeconds
-	// (nil entries are successes). It is only populated when the session
-	// runs with ContinueOnError; otherwise the first error aborts the run
-	// and JobErrors stays nil.
-	JobErrors []error
 }
 
 // Total returns profiling plus all job time.
@@ -138,17 +132,12 @@ type Session struct {
 	// the cumulative-makespan effect the session-throughput experiment
 	// measures. JobSeconds stays execution-only either way.
 	ChargeIngress bool
-	// ContinueOnError keeps the session going past a failing job: the error
-	// is recorded in Report.JobErrors at the job's index (with zeroed time
-	// columns) instead of aborting the whole run. Session-level failures —
-	// a missing cluster, an unbuildable CCR pool — still abort.
-	ContinueOnError bool
 }
 
-// Run executes the jobs. For the proxy profiler, the one-time profiling cost
-// is the simulated wall-clock of the profiling sets: machine groups profile
-// in parallel (Fig 7a), each group running every pooled application over
-// every proxy graph in sequence.
+// Run executes the jobs; the first failing job aborts the run. For the proxy
+// profiler, the one-time profiling cost is the simulated wall-clock of the
+// profiling sets: machine groups profile in parallel (Fig 7a), each group
+// running every pooled application over every proxy graph in sequence.
 func (s *Session) Run(jobs []Job, est core.Estimator) (*Report, error) {
 	if s.Cluster == nil {
 		return nil, fmt.Errorf("workload: session has no cluster")
@@ -180,19 +169,7 @@ func (s *Session) Run(jobs []Job, est core.Estimator) (*Report, error) {
 	for _, job := range jobs {
 		jr, err := s.RunJob(pool, job, engine.Options{})
 		if err != nil {
-			if !s.ContinueOnError {
-				return nil, err
-			}
-			// Per-job failure containment: the job contributes zeroed time
-			// columns and its error, the session clock does not advance.
-			rep.JobSeconds = append(rep.JobSeconds, 0)
-			rep.IngressSeconds = append(rep.IngressSeconds, 0)
-			rep.CumulativeSeconds = append(rep.CumulativeSeconds, cumulative)
-			if rep.JobErrors == nil {
-				rep.JobErrors = make([]error, len(rep.JobSeconds)-1, len(jobs))
-			}
-			rep.JobErrors = append(rep.JobErrors, err)
-			continue
+			return nil, err
 		}
 		if s.Cache != nil {
 			if jr.CacheHit {
@@ -206,12 +183,6 @@ func (s *Session) Run(jobs []Job, est core.Estimator) (*Report, error) {
 		cumulative += jr.IngressSeconds + jr.Exec.SimSeconds
 		rep.CumulativeSeconds = append(rep.CumulativeSeconds, cumulative)
 		rep.TotalEnergyJoules += jr.Exec.EnergyJoules
-		if rep.JobErrors != nil {
-			rep.JobErrors = append(rep.JobErrors, nil)
-		}
-	}
-	if s.ContinueOnError && rep.JobErrors == nil {
-		rep.JobErrors = make([]error, len(rep.JobSeconds))
 	}
 	return rep, nil
 }
@@ -238,6 +209,9 @@ type JobResult struct {
 // default Hybrid and the pool hands out its stored shares, so a cache-hit job
 // allocates what apps.Run allocates and nothing more.
 func (s *Session) RunJob(pool *core.Pool, job Job, opts engine.Options) (JobResult, error) {
+	if job.App == nil || job.Graph == nil {
+		return JobResult{}, fmt.Errorf("workload: job needs an app and a graph")
+	}
 	part := s.Partitioner
 	if part == nil {
 		part = defaultPartitioner

@@ -278,22 +278,10 @@ func TestCrossoverUnequalLengths(t *testing.T) {
 	}
 }
 
-// FailedJobs counts the non-nil entries of JobErrors.
-func (r *Report) FailedJobs() int {
-	n := 0
-	for _, err := range r.JobErrors {
-		if err != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// TestSessionContinueOnError pins per-job failure containment: a failing job
-// aborts a default session, while a ContinueOnError session records the error
-// in JobErrors, zeroes the job's time columns, and keeps going with accounting
-// identical to a session that never saw the bad job.
-func TestSessionContinueOnError(t *testing.T) {
+// TestSessionFailStop pins per-job failure handling: a failing job aborts
+// the session with an error, and so does a job with no app or no graph,
+// which RunJob rejects before touching either.
+func TestSessionFailStop(t *testing.T) {
 	cl := caseTwo(t)
 	jobs, err := RandomJobs(4, 512, 13)
 	if err != nil {
@@ -306,52 +294,16 @@ func TestSessionContinueOnError(t *testing.T) {
 	badBFS := apps.NewBFS()
 	badBFS.Source = 1 << 30
 	bad.App = badBFS
-	withBad := append(append([]Job{}, jobs[:2]...), bad)
-	withBad = append(withBad, jobs[2:]...)
+	noApp, noGraph := jobs[1], jobs[1]
+	noApp.App, noGraph.Graph = nil, nil
 
 	s := &Session{Cluster: cl}
-	if _, err := s.Run(withBad, core.NewThreadCount()); err == nil {
-		t.Fatal("fail-stop session should abort on the bad job")
-	}
-
-	tolerant := &Session{Cluster: cl, ContinueOnError: true}
-	rep, err := tolerant.Run(withBad, core.NewThreadCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.JobSeconds) != len(withBad) || len(rep.JobErrors) != len(withBad) {
-		t.Fatalf("report covers %d/%d jobs, want %d", len(rep.JobSeconds), len(rep.JobErrors), len(withBad))
-	}
-	if rep.FailedJobs() != 1 || rep.JobErrors[2] == nil {
-		t.Fatalf("JobErrors = %v, want exactly index 2 failed", rep.JobErrors)
-	}
-	if rep.JobSeconds[2] != 0 || rep.IngressSeconds[2] != 0 {
-		t.Error("failed job charged time")
-	}
-	if rep.CumulativeSeconds[2] != rep.CumulativeSeconds[1] {
-		t.Error("failed job advanced the session clock")
-	}
-	// The surviving jobs' accounting matches a clean session of just them.
-	clean, err := (&Session{Cluster: cl}).Run(jobs, core.NewThreadCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append(append([]float64{}, rep.JobSeconds[:2]...), rep.JobSeconds[3:]...)
-	for i := range clean.JobSeconds {
-		if clean.JobSeconds[i] != got[i] {
-			t.Fatalf("surviving job %d: %.9f != clean %.9f", i, got[i], clean.JobSeconds[i])
+	for name, job := range map[string]Job{"bad BFS root": bad, "no app": noApp, "no graph": noGraph} {
+		withBad := append(append([]Job{}, jobs[:2]...), job)
+		withBad = append(withBad, jobs[2:]...)
+		if _, err := s.Run(withBad, core.NewThreadCount()); err == nil {
+			t.Errorf("%s: fail-stop session should abort on the bad job", name)
 		}
-	}
-	if clean.TotalEnergyJoules != rep.TotalEnergyJoules {
-		t.Error("failed job contributed energy")
-	}
-	// A clean ContinueOnError run reports a full slice of nil errors.
-	tolerantClean, err := tolerant.Run(jobs, core.NewThreadCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tolerantClean.JobErrors) != len(jobs) || tolerantClean.FailedJobs() != 0 {
-		t.Fatalf("clean tolerant run JobErrors = %v", tolerantClean.JobErrors)
 	}
 }
 
