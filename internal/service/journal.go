@@ -149,10 +149,6 @@ const journalMagic = "PGWJ1\n"
 // keeps a hostile length prefix from forcing a huge allocation.
 const maxRecordPayload = 1 << 20
 
-// snapshotHeadFrame is the size of a RecordSnapshot frame: the frame header,
-// the flat payload and five empty strings.
-const snapshotHeadFrame = 8 + recordFixedSize + 5*4
-
 // recordFixedSize is the flat portion of a payload: kind, id, attempt,
 // priority, seed, fingerprint, three float64s, flag.
 const recordFixedSize = 1 + 8 + 4 + 4 + 8 + 8 + 8*3 + 1

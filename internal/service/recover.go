@@ -41,10 +41,13 @@ import (
 //     re-resolved counts too, as its fail record will at the next recovery.
 //     With the breaker disabled all of this is ignored.
 //
-// restore runs each record through the live transitions (admit, done, failed,
-// shed, cancel) with the journal and the collector detached: the records are
-// already written and were observed then. Only jobs that cannot be
-// re-resolved get a fresh fail record, so the next recovery agrees.
+// restore runs each record through the live transitions (admit and retire)
+// with the journal and the collector detached: the records are already
+// written and were observed then. Only jobs that cannot be re-resolved get a
+// fresh fail record, so the next recovery agrees. The recovered counters obey
+// the live service's laws: a submission counts once its job is admitted (by
+// an admit record paired with its submit, or a snapshot's job record), and
+// every admitted job counts under its state.
 func (m *machine) restore(recs []Record, resolve func(app, graphName string, seed uint64) (workload.Job, error)) {
 	journal, tr := m.cfg.Journal, m.cfg.Trace
 	m.cfg.Journal, m.cfg.Trace = nil, nil
@@ -68,14 +71,15 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 		case RecordJob:
 			if js == nil {
 				js = jobOf(r.ID, r)
-				charged[js.id] = js.state == StateDone // the tenant frame holds it
-				m.restoreJob(js)
+				charged[js.id] = r.State == StateDone // the tenant frame holds it
+				m.counters.Submitted++
+				m.restoreJob(js, r.State)
 			}
 		case RecordSubmit:
-			m.counters.Submitted++
 			subs[int(r.Seq)] = r
 		case RecordAdmit:
 			if sub, ok := subs[r.ID]; ok && js == nil {
+				m.counters.Submitted++
 				m.admit(jobOf(r.ID, sub))
 			}
 		case RecordStart, RecordRetry:
@@ -87,9 +91,8 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			}
 		case RecordComplete:
 			if open {
-				m.removeQueued(js)
 				js.attempts, js.execSeconds, js.ingress, js.energy, js.cacheHit = r.Attempt, r.Seconds, r.Ingress, r.Energy, r.Flag
-				m.done(js)
+				m.retire(0, js, StateDone, "")
 			}
 		case RecordBudgetCharge:
 			if js != nil && !charged[r.ID] {
@@ -100,18 +103,16 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			}
 		case RecordFail:
 			if open {
-				m.removeQueued(js)
 				js.attempts, js.err = r.Attempt, errors.New(r.Error)
-				m.failed(0, js)
+				m.retire(0, js, StateFailed, "")
 			}
 		case RecordShed:
-			switch {
-			case !open:
-			case r.Error == shedReasonCanceled:
-				m.removeQueued(js)
-				m.cancel(js)
-			default:
-				m.shed(js, r.Error)
+			if open {
+				to := StateShed
+				if r.Error == shedReasonCanceled {
+					to = StateCanceled
+				}
+				m.retire(0, js, to, r.Error)
 			}
 		}
 	}
@@ -142,9 +143,8 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 			job, err = resolve(js.appName, js.graphName, js.seed)
 		}
 		if err != nil {
-			m.removeQueued(js)
 			js.err = fmt.Errorf("service: unresolvable after recovery (app %q graph %q): %w", js.appName, js.graphName, err)
-			m.failed(0, js)
+			m.retire(0, js, StateFailed, "")
 			continue
 		}
 		js.job = job
@@ -156,29 +156,22 @@ func (m *machine) restore(recs []Record, resolve func(app, graphName string, see
 	m.nextID = max(m.nextID, maxSeq)
 }
 
-// restoreJob admits a job rebuilt from its snapshot record: a queued or
-// running job stays queued, a terminal one becomes the tombstone it was. Its
-// terminal step runs with the breaker detached, because the snapshot's tenant
-// frames, written first, already hold its effect. A shed job's reason
-// survives only in its error text, so it counts toward no shed counter.
-func (m *machine) restoreJob(js *jobState) {
+// restoreJob admits a job rebuilt from its snapshot record, in the state to
+// the record holds: a queued or running job stays queued, a terminal one
+// retires into the tombstone it was, a shed one under the reason its error
+// names. The retirement runs with the breaker detached, because the
+// snapshot's tenant frames, written first, already hold its effect.
+func (m *machine) restoreJob(js *jobState, to State) {
 	m.admit(js)
-	if !js.terminal() {
-		js.state = StateQueued
+	if to < StateDone || to > StateCanceled { // queued, running or unknown
 		return
 	}
-	m.removeQueued(js)
+	reason := "priority"
+	if js.err != nil && js.err.Error() == errShedDeadline.Error() {
+		reason = "deadline"
+	}
 	threshold := m.cfg.BreakerThreshold
 	m.cfg.BreakerThreshold = 0
-	switch js.state {
-	case StateDone:
-		m.done(js)
-	case StateFailed:
-		m.failed(0, js)
-	case StateCanceled:
-		m.cancel(js)
-	default:
-		m.finish(js)
-	}
+	m.retire(0, js, to, reason)
 	m.cfg.BreakerThreshold = threshold
 }

@@ -151,7 +151,8 @@ func imageOf(m *machine, journal *MemJournal) restoreImage {
 // FuzzRestore replays journals a live service could have written, with the
 // breaker on and off. A restore must not panic, must queue every
 // non-terminal job exactly once and no terminal one, must give each tenant a
-// queued count equal to its jobs in the queue, and must be a function of its
+// queued count equal to its jobs in the queue, must count every job it holds
+// once as submitted and once under its state, and must be a function of its
 // records: two restores of the same journal are equal.
 func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
@@ -204,6 +205,13 @@ func FuzzRestore(f *testing.F) {
 				if ts.queued != queued[name] {
 					t.Fatalf("threshold %d: tenant %s counts %d queued, the queue holds %d", threshold, name, ts.queued, queued[name])
 				}
+			}
+			// Counting laws L1 and L2 (see checkLaws): the journal records
+			// no rejection, and a restore runs nothing.
+			c := m.counters
+			terminal := c.Completed + c.Failed + c.Canceled + c.ShedPriority + c.ShedDeadline
+			if c.Submitted != c.Admitted || c.Admitted != terminal+uint64(len(m.queue)) {
+				t.Fatalf("threshold %d: %d queued, counters %+v", threshold, len(m.queue), c)
 			}
 		}
 	})

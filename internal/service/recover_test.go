@@ -148,6 +148,7 @@ func killRecover(t *testing.T, queue, workers, n, burst int, compactions uint64)
 	if c := svc.Counters().JournalCompactions; c != compactions {
 		t.Fatalf("baseline compacted %d times, want %d", c, compactions)
 	}
+	checkServiceLaws(t, svc, compactions == 0)
 	svc.Close()
 	img := journal.Bytes()
 
@@ -228,6 +229,7 @@ func killRecover(t *testing.T, queue, workers, n, burst int, compactions uint64)
 			// charges it had.
 			m := newMachine(mustNormalize(t, cfg))
 			m.restore(rec.Records, resolve)
+			checkLaws(t, machineReport(m), base == 0)
 			for _, st := range m.list("", 0, 0) {
 				i, ok := keyByID[st.ID]
 				if want := baseStatus[i]; !ok || st.Key != keyOf(i) || st.Tenant != want.Tenant {
@@ -319,6 +321,7 @@ func killRecover(t *testing.T, queue, workers, n, burst int, compactions uint64)
 						cut, u.Tenant.Name, u.SpentSeconds, u.SpentJoules, want[0], want[1])
 				}
 			}
+			checkServiceLaws(t, svc2, false)
 			c := svc2.Counters()
 			if got := int(c.Deduped); got != len(ackedIdx) {
 				t.Fatalf("cut %d: deduped %d, want %d (one per acknowledged job resubmitted)", cut, got, len(ackedIdx))
@@ -442,6 +445,15 @@ func TestServiceIdempotentResubmit(t *testing.T) {
 	if err != nil || a == b {
 		t.Fatalf("keyless submits shared id %d", a)
 	}
+	// The conflict counts as a rejection of its own, so every submission
+	// has one verdict.
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if c := svc.Counters(); c.RejectedKeyConflict != 1 {
+		t.Fatalf("counters: %+v", c)
+	}
+	checkServiceLaws(t, svc, true)
 }
 
 // TestServiceDrainCloseUnderLoad hammers Drain and Close while submitters are
@@ -582,9 +594,10 @@ func TestServiceDegradedMode(t *testing.T) {
 			t.Fatalf("job 1 state %s", js1.state)
 		}
 		c := m.counters
-		if c.JournalErrors != 1 || c.RejectedDegraded != 1 || c.Admitted != 1 {
+		if c.JournalErrors != 1 || c.RejectedDegraded != 2 || c.Admitted != 1 {
 			t.Fatalf("counters: %+v", c)
 		}
+		checkLaws(t, machineReport(m), true)
 		degradedEvents := 0
 		for _, e := range rec.Events {
 			if e.Kind == trace.KindDegraded {
@@ -630,9 +643,10 @@ func TestServiceDegradedMode(t *testing.T) {
 			t.Fatalf("second submit: %v", err)
 		}
 		c := svc.Counters()
-		if c.RejectedDegraded != 1 || c.JournalErrors != 1 {
+		if c.RejectedDegraded != 2 || c.JournalErrors != 1 {
 			t.Fatalf("counters: %+v", c)
 		}
+		checkServiceLaws(t, svc, true)
 	})
 }
 
@@ -680,6 +694,24 @@ func TestServiceRecoverUnresolvable(t *testing.T) {
 	m3.restore(rec3.Records, nil)
 	if len(m3.jobs) != 0 || m3.counters.Admitted != 0 {
 		t.Fatalf("unacknowledged submit admitted: %d jobs", len(m3.jobs))
+	}
+}
+
+// TestServiceRestoreFailedWithoutError restores a snapshot whose failed job
+// carries no error text, which the journal decodes: the job is failed with
+// an empty error, and the restore does not panic.
+func TestServiceRestoreFailedWithoutError(t *testing.T) {
+	recs, _, err := DecodeJournal(EncodeJournal([]Record{
+		{Kind: RecordSnapshot, Seed: 1},
+		{Kind: RecordJob, ID: 1, State: StateFailed, Tenant: "t"},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(mustNormalize(t, Config{Cluster: caseTwo(t)}))
+	m.restore(recs, nil)
+	if st := m.list("", 0, 0); len(st) != 1 || st[0].State != "failed" || st[0].Error != "" || m.counters.Failed != 1 {
+		t.Fatalf("restored %+v, counters %+v", st, m.counters)
 	}
 }
 

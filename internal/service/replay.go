@@ -37,7 +37,7 @@ type ReplayReport struct {
 	// Tenants holds per-tenant spend, ordered by name.
 	Tenants []TenantUsage
 	// Rejections maps each arrival index that was rejected to its verdict
-	// ("overload", "breaker", "budget").
+	// ("overload", "breaker", "budget", "degraded").
 	Rejections map[int]string
 	// QueueWaitP50 and QueueWaitP99 summarize the dispatch waits in
 	// simulated seconds.
@@ -176,6 +176,8 @@ func verdict(err error) string {
 		return "breaker"
 	case errors.Is(err, ErrBudgetExhausted):
 		return "budget"
+	case errors.Is(err, ErrDegraded):
+		return "degraded"
 	default:
 		return "overload"
 	}

@@ -265,6 +265,7 @@ func TestServiceCompaction(t *testing.T) {
 			if c.JournalCompactions != wantCompactions || c.TombstonesPruned != 3*window {
 				t.Fatalf("counters: %+v; want %d compactions, %d pruned", c, wantCompactions, 3*window)
 			}
+			checkServiceLaws(t, svc, false)
 			list := svc.List("", 0, 0)
 			if len(list) != window || list[0].ID != ids[3*window] {
 				t.Fatalf("job table after compaction: %+v, want jobs %v", list, ids[3*window:])
@@ -300,6 +301,7 @@ func TestServiceCompaction(t *testing.T) {
 				if !reflect.DeepEqual(recovered.Usage(), svc.Usage()) {
 					t.Fatalf("recovered spend %+v, want %+v", recovered.Usage(), svc.Usage())
 				}
+				checkServiceLaws(t, recovered, false)
 				recovered.Close()
 			}
 

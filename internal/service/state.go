@@ -62,6 +62,11 @@ var (
 	// bound to a different job (the fingerprints disagree) — reusing a key
 	// for new work is a client bug, not a retry.
 	ErrKeyConflict = errors.New("service: idempotency key bound to a different job")
+
+	// errShedPriority and errShedDeadline are a shed job's error, by reason;
+	// a snapshot keeps only this text, so a restore maps it back.
+	errShedPriority = errors.New("service: shed (priority)")
+	errShedDeadline = errors.New("service: shed (deadline)")
 )
 
 // State is a job's lifecycle position.
@@ -137,8 +142,10 @@ type Counters struct {
 	// replayed failures make.
 	BreakerTrips uint64
 	// Deduped counts submissions answered by an existing job via its
-	// idempotency key; RejectedDegraded submissions shed in degraded mode.
-	Deduped, RejectedDegraded uint64
+	// idempotency key; RejectedDegraded submissions shed in degraded mode,
+	// the one whose own journal write failed included; RejectedKeyConflict
+	// submissions whose key is bound to different work.
+	Deduped, RejectedDegraded, RejectedKeyConflict uint64
 	// JournalAppends counts records made durable; JournalErrors failed writes
 	// (the first one flips degraded mode, so this is effectively 0 or 1).
 	// A compaction's snapshot frames are not appends.
@@ -176,7 +183,7 @@ type tenantState struct {
 }
 
 // jobState is one submitted job's full record. The machine owns every field;
-// drivers read snapshots via status(). A terminal job is a tombstone: finish
+// drivers read snapshots via status(). A terminal job is a tombstone: retire
 // drops its workload and context, and retain drops its result once newer
 // completions push it out of the window, so what stays answers status() and
 // nothing more.
@@ -204,12 +211,12 @@ type jobState struct {
 	// deadline is an absolute clock value (replay only; 0 = none).
 	deadline float64
 
-	state       State
-	attempts    int
-	enqueuedAt  float64
-	readyAt     float64
-	submittedAt float64
-	queueWait   float64 // accumulated across dispatches
+	// state is StateQueued exactly while the job is in the machine's queue.
+	state      State
+	attempts   int
+	enqueuedAt float64
+	readyAt    float64
+	queueWait  float64 // accumulated across dispatches
 
 	// result is the successful attempt's engine result while the job is in
 	// the retention window, nil otherwise. The charges below outlive it.
@@ -340,12 +347,16 @@ func jobNames(job workload.Job) (app, graphName string) {
 }
 
 // submit runs the admission pipeline at clock value now. On admission the
-// returned job is queued; otherwise the typed error names the verdict. A
-// non-empty key makes the submission idempotent: resubmitting the same work
-// with the same key returns the original job (dup=true) instead of creating,
-// executing and charging a second one.
+// returned job is queued; otherwise the typed error names the verdict, and
+// exactly one rejection counter holds the submission. A non-empty key makes
+// the submission idempotent: resubmitting the same work with the same key
+// returns the original job (dup=true) instead of creating, executing and
+// charging a second one.
 func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx context.Context, deadline float64) (js *jobState, dup bool, err error) {
 	m.counters.Submitted++
+	degraded := func() (*jobState, bool, error) {
+		return m.reject(&m.counters.RejectedDegraded, "reject-degraded", fmt.Errorf("%w: %v", ErrDegraded, m.degradedErr))
+	}
 
 	// Idempotent resubmission: answered before any admission check, because
 	// the original admission verdict already happened — a dedup hit must not
@@ -354,8 +365,7 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	if key != "" {
 		if prev, ok := m.idem[key]; ok {
 			if prev.fp != fp {
-				m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Step: prev.id, Label: "reject-key-conflict"})
-				return nil, false, fmt.Errorf("%w (key %q is job %d)", ErrKeyConflict, key, prev.id)
+				return m.reject(&m.counters.RejectedKeyConflict, "reject-key-conflict", fmt.Errorf("%w (key %q is job %d)", ErrKeyConflict, key, prev.id))
 			}
 			m.counters.Deduped++
 			m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Step: prev.id, Label: "dedup"})
@@ -366,9 +376,7 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	// Degraded mode: the journal can no longer record new work, so admitting
 	// it would silently break the durability contract. Shed at the door.
 	if m.degraded {
-		m.counters.RejectedDegraded++
-		m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-degraded"})
-		return nil, false, fmt.Errorf("%w: %v", ErrDegraded, m.degradedErr)
+		return degraded()
 	}
 
 	ts := m.tenant(tenant)
@@ -379,18 +387,14 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 		switch ts.breaker {
 		case breakerOpen:
 			if now-ts.openedAt < m.cfg.BreakerCooldown {
-				m.counters.RejectedBreaker++
-				m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-breaker"})
-				return nil, false, fmt.Errorf("%w (tenant %q, %.2fs into cooldown)", ErrCircuitOpen, tenant, now-ts.openedAt)
+				return m.reject(&m.counters.RejectedBreaker, "reject-breaker", fmt.Errorf("%w (tenant %q, %.2fs into cooldown)", ErrCircuitOpen, tenant, now-ts.openedAt))
 			}
 			ts.breaker = breakerHalfOpen
 			ts.probeRunning = false
 			m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "half-open"})
 		case breakerHalfOpen:
 			if ts.probeRunning {
-				m.counters.RejectedBreaker++
-				m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-breaker"})
-				return nil, false, fmt.Errorf("%w (tenant %q, probe in flight)", ErrCircuitOpen, tenant)
+				return m.reject(&m.counters.RejectedBreaker, "reject-breaker", fmt.Errorf("%w (tenant %q, probe in flight)", ErrCircuitOpen, tenant))
 			}
 		}
 	}
@@ -401,17 +405,13 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	// simulated cost every experiment table reports.
 	if (ts.Budget.SimSeconds > 0 && ts.spentSeconds >= ts.Budget.SimSeconds) ||
 		(ts.Budget.EnergyJoules > 0 && ts.spentJoules >= ts.Budget.EnergyJoules) {
-		m.counters.RejectedBudget++
-		m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-budget"})
-		return nil, false, fmt.Errorf("%w (tenant %q spent %.3fs / %.1fJ)", ErrBudgetExhausted, tenant, ts.spentSeconds, ts.spentJoules)
+		return m.reject(&m.counters.RejectedBudget, "reject-budget", fmt.Errorf("%w (tenant %q spent %.3fs / %.1fJ)", ErrBudgetExhausted, tenant, ts.spentSeconds, ts.spentJoules))
 	}
 
 	// Per-tenant bound: a tenant flooding its own queue is rejected without
 	// touching anyone else's jobs.
 	if ts.queued >= m.cfg.TenantQueueBound {
-		m.counters.RejectedOverload++
-		m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-overload"})
-		return nil, false, fmt.Errorf("%w (tenant %q queue at bound %d)", ErrOverloaded, tenant, m.cfg.TenantQueueBound)
+		return m.reject(&m.counters.RejectedOverload, "reject-overload", fmt.Errorf("%w (tenant %q queue at bound %d)", ErrOverloaded, tenant, m.cfg.TenantQueueBound))
 	}
 
 	// Global bound: shed the lowest-priority queued job if the arrival
@@ -419,16 +419,12 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	if len(m.queue) >= m.cfg.QueueBound {
 		victim := m.shedCandidate(ts.Priority)
 		if victim == nil {
-			m.counters.RejectedOverload++
-			m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-overload"})
-			return nil, false, fmt.Errorf("%w (global queue at bound %d)", ErrOverloaded, m.cfg.QueueBound)
+			return m.reject(&m.counters.RejectedOverload, "reject-overload", fmt.Errorf("%w (global queue at bound %d)", ErrOverloaded, m.cfg.QueueBound))
 		}
-		m.shed(victim, "priority")
+		m.retire(now, victim, StateShed, "priority")
 		if m.degraded {
 			// Journaling the shed failed — the service degraded mid-admission.
-			m.counters.RejectedDegraded++
-			m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: "reject-degraded"})
-			return nil, false, fmt.Errorf("%w: %v", ErrDegraded, m.degradedErr)
+			return degraded()
 		}
 	}
 
@@ -447,19 +443,18 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	var id int
 	if m.cfg.Journal != nil {
 		seq, err := m.cfg.Journal.Append(sub)
+		if err == nil {
+			m.counters.JournalAppends++
+			id = int(seq)
+			if id <= m.nextID { // monotonic guard (journal swapped mid-flight)
+				id = m.nextID + 1
+			}
+			m.nextID = id
+			_, err = m.cfg.Journal.Append(Record{Kind: RecordAdmit, ID: id})
+		}
 		if err != nil {
 			m.degrade(err)
-			return nil, false, fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-		m.counters.JournalAppends++
-		id = int(seq)
-		if id <= m.nextID { // monotonic guard (journal swapped mid-flight)
-			id = m.nextID + 1
-		}
-		m.nextID = id
-		if _, err := m.cfg.Journal.Append(Record{Kind: RecordAdmit, ID: id}); err != nil {
-			m.degrade(err)
-			return nil, false, fmt.Errorf("%w: %v", ErrDegraded, err)
+			return degraded()
 		}
 		m.counters.JournalAppends++
 		m.emit(trace.Event{Kind: trace.KindJournal, Machine: -1, Step: id, Label: RecordSubmit.String()})
@@ -470,13 +465,21 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	}
 	js = jobOf(id, sub)
 	js.job, js.ctx, js.deadline = job, ctx, deadline
-	js.enqueuedAt, js.readyAt, js.submittedAt = now, now, now
+	js.enqueuedAt, js.readyAt = now, now
 	m.admit(js)
 	if m.cfg.BreakerThreshold > 0 && ts.breaker == breakerHalfOpen {
 		ts.probeRunning = true
 	}
 	m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Step: js.id, Label: "admit"})
 	return js, false, nil
+}
+
+// reject counts a refused submission under counter, emits its admission
+// event (label is "reject-" and the verdict) and returns err.
+func (m *machine) reject(counter *uint64, label string, err error) (*jobState, bool, error) {
+	*counter++
+	m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Label: label})
+	return nil, false, err
 }
 
 // admit enters a new job into the job table, its key into the idempotency
@@ -513,43 +516,71 @@ func (m *machine) shedCandidate(arriving int) *jobState {
 // StateCanceled.
 const shedReasonCanceled = "canceled"
 
-// shed evicts a queued job with the given reason ("priority" or "deadline").
-func (m *machine) shed(js *jobState, reason string) {
-	m.removeQueued(js)
-	js.state = StateShed
-	js.err = fmt.Errorf("service: shed (%s)", reason)
-	if reason == "deadline" {
-		m.counters.ShedDeadline++
-	} else {
-		m.counters.ShedPriority++
-	}
-	m.journalBest(Record{Kind: RecordShed, ID: js.id, Error: reason})
-	m.emit(trace.Event{Kind: trace.KindShed, Machine: -1, Step: js.id, Label: reason})
-	m.finish(js)
-}
-
-// removeQueued drops a job from the queue slice and its tenant's count.
-func (m *machine) removeQueued(js *jobState) {
-	for i, q := range m.queue {
-		if q == js {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			break
-		}
-	}
-	m.tenant(js.tenant).queued--
-}
-
-// finish closes the job's completion channel (idempotently safe because it is
-// only called once per terminal transition) and drops the workload and the
+// retire ends a job in the terminal state to at clock value now. Every
+// terminal transition comes here, so a job leaves the queue, takes its state,
+// bumps that state's counter and retires exactly once: a shed one with its
+// reason ("priority" or "deadline") and record, a canceled one with the
+// RecordShed that recovery reads back, a failed one with its fail record
+// and a breaker count or trip. A done one closes its tenant's breaker; its
+// records are complete's. The tombstone drops its workload and the
 // submitter's context, so the job table pins neither the submitted graph nor
-// anything the context carries. The job joins the retired list.
-func (m *machine) finish(js *jobState) {
-	js.job = workload.Job{}
-	js.ctx = nil
+// anything the context carries, and joins the retired list.
+func (m *machine) retire(now float64, js *jobState, to State, reason string) {
+	if js.state == StateQueued {
+		m.removeQueued(js)
+	}
+	js.state = to
+	ts := m.tenant(js.tenant)
+	breaker := m.cfg.BreakerThreshold > 0
+	switch to {
+	case StateDone:
+		m.counters.Completed++
+		if breaker {
+			ts.consecFails = 0
+			if ts.breaker != breakerClosed {
+				ts.breaker, ts.probeRunning = breakerClosed, false
+				m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "close"})
+			}
+		}
+	case StateFailed:
+		m.counters.Failed++
+		m.journalBest(Record{Kind: RecordFail, ID: js.id, Attempt: js.attempts, Error: js.err.Error()})
+		if breaker {
+			ts.consecFails++
+			tripped := ts.breaker == breakerClosed && ts.consecFails >= m.cfg.BreakerThreshold
+			if tripped || ts.breaker == breakerHalfOpen { // a half-open breaker's probe failed
+				ts.breaker, ts.openedAt, ts.probeRunning = breakerOpen, now, false
+				m.counters.BreakerTrips++
+				m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "trip"})
+			}
+		}
+	case StateShed:
+		js.err = errShedPriority
+		counter := &m.counters.ShedPriority
+		if reason == "deadline" {
+			js.err, counter = errShedDeadline, &m.counters.ShedDeadline
+		}
+		*counter++
+		m.journalBest(Record{Kind: RecordShed, ID: js.id, Error: reason})
+		m.emit(trace.Event{Kind: trace.KindShed, Machine: -1, Step: js.id, Label: reason})
+	case StateCanceled:
+		js.err = ErrClosed
+		m.counters.Canceled++
+		m.journalBest(Record{Kind: RecordShed, ID: js.id, Error: shedReasonCanceled})
+	}
+	js.job, js.ctx = workload.Job{}, nil
 	if js.done != nil {
 		close(js.done)
 	}
 	m.retired = append(m.retired, js)
+}
+
+// removeQueued drops a job from the queue slice and its tenant's count.
+func (m *machine) removeQueued(js *jobState) {
+	if i := slices.Index(m.queue, js); i >= 0 {
+		m.queue = slices.Delete(m.queue, i, i+1)
+	}
+	m.tenant(js.tenant).queued--
 }
 
 // compact bounds the job table and the journal. A terminal job is stale once
@@ -657,18 +688,19 @@ func jobRecord(js *jobState) Record {
 	return r
 }
 
-// jobOf is jobRecord's inverse: the job a submit or snapshot record
-// describes, under the given id (a submit record's id is its sequence
-// number, not a field).
+// jobOf is jobRecord's inverse but for the state: the job a submit or
+// snapshot record describes, queued, under the given id (a submit record's id
+// is its sequence number, not a field). A snapshot job's state is
+// restoreJob's to restore.
 func jobOf(id int, r Record) *jobState {
 	js := &jobState{
-		id: id, state: r.State, attempts: r.Attempt,
+		id: id, attempts: r.Attempt,
 		priority: r.Priority, tenant: r.Tenant, appName: r.App,
 		graphName: r.Graph, key: r.Key, seed: r.Seed, fp: r.Fingerprint,
 		execSeconds: r.Seconds, ingress: r.Ingress, energy: r.Energy,
 		cacheHit: r.Flag, ctx: context.Background(), done: make(chan struct{}),
 	}
-	if r.Error != "" {
+	if r.Error != "" || r.State == StateFailed { // a failed job always has an error
 		js.err = errors.New(r.Error)
 	}
 	return js
@@ -688,8 +720,8 @@ func (m *machine) dispatch(now float64) (js *jobState, wait float64) {
 			expired = true
 		}
 		if expired {
-			m.shed(q, "deadline")
-			continue // removeQueued shifted the slice; same index again
+			m.retire(now, q, StateShed, "deadline")
+			continue // retire shifted the queue; same index again
 		}
 		i++
 	}
@@ -723,8 +755,8 @@ func (m *machine) dispatch(now float64) (js *jobState, wait float64) {
 	return best, 0
 }
 
-// complete records a successful attempt finishing at clock value now: budget
-// charges, breaker close, terminal bookkeeping.
+// complete records a successful attempt finishing at clock value now: the
+// result, the budget charges and their records, then the retirement.
 func (m *machine) complete(now float64, js *jobState, jr workload.JobResult) {
 	ts := m.tenant(js.tenant)
 	js.result = jr.Exec
@@ -748,24 +780,7 @@ func (m *machine) complete(now float64, js *jobState, jr workload.JobResult) {
 		Kind: RecordBudgetCharge, ID: js.id, Tenant: js.tenant,
 		Seconds: jr.IngressSeconds + jr.Exec.SimSeconds, Energy: jr.Exec.EnergyJoules,
 	})
-	m.done(js)
-}
-
-// done makes a job that is out of the queue completed, closing its tenant's
-// breaker.
-func (m *machine) done(js *jobState) {
-	js.state = StateDone
-	m.counters.Completed++
-	if m.cfg.BreakerThreshold > 0 {
-		ts := m.tenant(js.tenant)
-		ts.consecFails = 0
-		if ts.breaker != breakerClosed {
-			ts.breaker = breakerClosed
-			ts.probeRunning = false
-			m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "close"})
-		}
-	}
-	m.finish(js)
+	m.retire(now, js, StateDone, "")
 }
 
 // retain puts a completed job into the result window. The slot's previous
@@ -799,29 +814,7 @@ func (m *machine) fail(now float64, js *jobState, err error, retryable bool) {
 		m.emit(trace.Event{Kind: trace.KindRetry, Machine: -1, Step: js.id, Resume: js.attempts, Label: js.tenant, Seconds: backoff})
 		return
 	}
-	m.failed(now, js)
-}
-
-// failed makes a job that is out of the queue failed, with js.err its error,
-// at clock value now. The failure counts toward its tenant's breaker.
-func (m *machine) failed(now float64, js *jobState) {
-	js.state = StateFailed
-	m.counters.Failed++
-	m.journalBest(Record{Kind: RecordFail, ID: js.id, Attempt: js.attempts, Error: js.err.Error()})
-	if m.cfg.BreakerThreshold > 0 {
-		ts := m.tenant(js.tenant)
-		ts.consecFails++
-		tripped := ts.breaker == breakerClosed && ts.consecFails >= m.cfg.BreakerThreshold
-		reopened := ts.breaker == breakerHalfOpen // failed probe
-		if tripped || reopened {
-			ts.breaker = breakerOpen
-			ts.openedAt = now
-			ts.probeRunning = false
-			m.counters.BreakerTrips++
-			m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "trip"})
-		}
-	}
-	m.finish(js)
+	m.retire(now, js, StateFailed, "")
 }
 
 // backoff returns the capped exponential backoff with deterministic jitter
@@ -838,22 +831,12 @@ func (m *machine) backoff(jobID, attempt int) float64 {
 	return d * (0.5 + u)
 }
 
-// cancelQueued marks every queued job canceled (service shutdown).
+// cancelQueued retires every queued job canceled (service shutdown), in queue
+// order.
 func (m *machine) cancelQueued() {
-	for _, js := range m.queue {
-		m.tenant(js.tenant).queued--
-		m.cancel(js)
+	for len(m.queue) > 0 {
+		m.retire(0, m.queue[0], StateCanceled, "")
 	}
-	m.queue = nil
-}
-
-// cancel makes a job that is out of the queue canceled.
-func (m *machine) cancel(js *jobState) {
-	js.state = StateCanceled
-	js.err = ErrClosed
-	m.counters.Canceled++
-	m.journalBest(Record{Kind: RecordShed, ID: js.id, Error: shedReasonCanceled})
-	m.finish(js)
 }
 
 // idle reports no queued or running work.

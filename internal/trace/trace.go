@@ -59,8 +59,9 @@ const (
 	// that do not charge ingress).
 	KindIngress
 	// KindAdmit is the job service's admission verdict for one submission:
-	// Step is the job id, Label one of "admit", "reject-overload",
-	// "reject-breaker" or "reject-budget".
+	// Label is "admit" or "dedup", with Step the job id, or one of
+	// "reject-overload", "reject-breaker", "reject-budget",
+	// "reject-degraded" and "reject-key-conflict", with no job.
 	KindAdmit
 	// KindQueue reports a job leaving the service queue for a worker: Step is
 	// the job id, Label the tenant, Seconds the time it waited since its last
