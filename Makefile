@@ -1,6 +1,6 @@
 # Developer entry points. The repo needs only the Go toolchain.
 
-.PHONY: build test check bench-contract bench-compare fuzz-smoke crash-smoke golden-update
+.PHONY: build test check loc bench-contract bench-compare fuzz-smoke crash-smoke golden-update
 
 build:
 	go build ./...
@@ -39,6 +39,11 @@ check: build test
 	$(MAKE) bench-contract
 # A short pass of every fuzz target.
 	$(MAKE) fuzz-smoke
+
+# loc prints the line count of the tracked non-test Go files outside
+# benchmark/, the size ROADMAP.md tracks.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # bench-contract vets and tests the end-to-end benchmark harness: benchmark/
 # is a Go module of its own (replace proxygraph => ../), so go test ./... does

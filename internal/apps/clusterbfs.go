@@ -186,9 +186,6 @@ func (l *ClusterLabels) Reached(v graph.VertexID, j int) bool {
 // is unreachable from that root.
 func (l *ClusterLabels) Dist(v graph.VertexID, j int) int32 { return l.States[v].Dist[j] }
 
-// ReachMask returns vertex v's packed reach word.
-func (l *ClusterLabels) ReachMask(v graph.VertexID) uint64 { return l.States[v].Seen }
-
 // Run implements App. The Output is a *ClusterLabels. The source set is
 // validated up front: empty, oversized, duplicated or out-of-range source sets
 // return a typed error before the engine starts.

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 
 	"proxygraph/internal/engine"
@@ -295,6 +296,33 @@ func TestClusterBFSLandmarkOracle(t *testing.T) {
 			t.Fatalf("Query(landmark %d, %d) = %d,%v, want exact %d", l0, v, got, ok, want)
 		}
 	}
+}
+
+// ReachMask returns vertex v's packed reach word.
+func (l *ClusterLabels) ReachMask(v graph.VertexID) uint64 { return l.States[v].Seen }
+
+// Query returns an upper bound on the hop distance between u and v:
+// min over landmarks l of d(u,l)+d(l,v), considering only landmarks that
+// reach both endpoints. ok is false when no landmark connects them (distinct
+// components, or too few landmarks). The bound is exact whenever some
+// shortest u–v path passes through a landmark — in particular whenever u or
+// v is itself a landmark.
+func (o *DistanceOracle) Query(u, v graph.VertexID) (dist int32, ok bool) {
+	if u == v {
+		return 0, true
+	}
+	both := o.Labels.ReachMask(u) & o.Labels.ReachMask(v)
+	if both == 0 {
+		return -1, false
+	}
+	best := int32(-1)
+	for m := both; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		if d := o.Labels.Dist(u, j) + o.Labels.Dist(v, j); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best, true
 }
 
 // TestClusterBFSKSeedReach pins the reachability summary on a graph with two

@@ -102,35 +102,13 @@ func (o *LandmarkOracle) run(pl *engine.Placement, cl *cluster.Cluster, opts eng
 	return runBatch(p, p.Sources, pl, cl, opts, func(l *ClusterLabels) *DistanceOracle { return &DistanceOracle{Labels: l} })
 }
 
-// DistanceOracle answers point-to-point hop-distance queries from packed
-// landmark labels without touching the graph again.
+// DistanceOracle holds the packed landmark labels from which point-to-point
+// hop-distance queries are answered without touching the graph again.
+// Production returns the labels and stops there: proxygraph run prints no
+// app's output, so only tests query them (Query in clusterbfs_test.go).
 type DistanceOracle struct {
 	// Labels are the packed per-vertex landmark distances.
 	Labels *ClusterLabels
-}
-
-// Query returns an upper bound on the hop distance between u and v:
-// min over landmarks l of d(u,l)+d(l,v), considering only landmarks that
-// reach both endpoints. ok is false when no landmark connects them (distinct
-// components, or too few landmarks). The bound is exact whenever some
-// shortest u–v path passes through a landmark — in particular whenever u or
-// v is itself a landmark.
-func (o *DistanceOracle) Query(u, v graph.VertexID) (dist int32, ok bool) {
-	if u == v {
-		return 0, true
-	}
-	both := o.Labels.ReachMask(u) & o.Labels.ReachMask(v)
-	if both == 0 {
-		return -1, false
-	}
-	best := int32(-1)
-	for m := both; m != 0; m &= m - 1 {
-		j := bits.TrailingZeros64(m)
-		if d := o.Labels.Dist(u, j) + o.Labels.Dist(v, j); best < 0 || d < best {
-			best = d
-		}
-	}
-	return best, true
 }
 
 // KSeedReach computes batched reachability from k seed vertices: one packed

@@ -157,14 +157,6 @@ func TestWorkAdd(t *testing.T) {
 	}
 }
 
-func TestWorkScale(t *testing.T) {
-	w := Work{CPUOps: 100, MemBytes: 10, SerialFrac: 0.2}
-	s := w.Scale(2.5)
-	if s.CPUOps != 250 || s.MemBytes != 25 || s.SerialFrac != 0.2 {
-		t.Errorf("Scale result %+v", s)
-	}
-}
-
 func TestPowerMonotone(t *testing.T) {
 	m, _ := ByName("c4.2xlarge")
 	if m.Power(0) != m.IdleWatts {
@@ -323,7 +315,7 @@ func TestComputeTimeLinearInWork(t *testing.T) {
 	f := func(rawOps, rawBytes uint32) bool {
 		w := Work{CPUOps: 1 + float64(rawOps%1000000), MemBytes: 1 + float64(rawBytes%1000000), SerialFrac: 0.05}
 		t1 := m.ComputeTime(w)
-		t2 := m.ComputeTime(w.Scale(2))
+		t2 := m.ComputeTime(Work{CPUOps: 2 * w.CPUOps, MemBytes: 2 * w.MemBytes, SerialFrac: w.SerialFrac})
 		return math.Abs(t2-2*t1) < 1e-12*t2
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -103,13 +103,6 @@ func (w *Work) Add(other Work) {
 	w.MemBytes += other.MemBytes
 }
 
-// Scale returns w with both cost terms multiplied by f.
-func (w Work) Scale(f float64) Work {
-	w.CPUOps *= f
-	w.MemBytes *= f
-	return w
-}
-
 // ComputeTime returns the seconds this machine needs to execute w.
 func (m Machine) ComputeTime(w Work) float64 {
 	if w.CPUOps <= 0 && w.MemBytes <= 0 {

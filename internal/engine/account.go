@@ -443,11 +443,3 @@ func Price(events []trace.Event, cl *cluster.Cluster, coeffs CostCoeffs) (*Resul
 	}
 	return a.Finish("", "", nil), nil
 }
-
-// Validate checks that a counters slice matches the cluster size.
-func (a *Accountant) Validate(counters []StepCounters) error {
-	if len(counters) != a.cl.Size() {
-		return fmt.Errorf("engine: %d counter slots for %d machines", len(counters), a.cl.Size())
-	}
-	return nil
-}

@@ -241,17 +241,6 @@ func TestAccountantCommCharged(t *testing.T) {
 	}
 }
 
-func TestAccountantValidate(t *testing.T) {
-	cl := testCluster(t, "c4.xlarge")
-	a := NewAccountant(cl, CostCoeffs{})
-	if err := a.Validate(make([]StepCounters, 2)); err == nil {
-		t.Error("mismatched counters should error")
-	}
-	if err := a.Validate(make([]StepCounters, 1)); err != nil {
-		t.Error(err)
-	}
-}
-
 // foldEach is Program.Fold spelled per edge: gather one source, combine it
 // with sum. The small test programs are written against it so that they stay
 // the textbook gather/sum pair; programs with a hot path write their own loop.

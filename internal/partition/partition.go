@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
@@ -126,19 +125,6 @@ func cumulative(shares []float64) []float64 {
 	}
 	cum[len(cum)-1] = 1 // absorb rounding
 	return cum
-}
-
-// pick maps a hash to a machine with probability proportional to the shares,
-// the weighted extension of PowerGraph's random edge placement (Fig 4 of the
-// paper: "the probability of generating indexes for each machine strictly
-// follows the CCR").
-func pick(cum []float64, hash uint64) engine.Machine {
-	u := float64(hash>>11) / (1 << 53)
-	idx := sort.SearchFloat64s(cum, u)
-	if idx >= len(cum) {
-		idx = len(cum) - 1
-	}
-	return engine.Machine(idx)
 }
 
 // Apply runs the partitioner and finalizes the result into a Placement.

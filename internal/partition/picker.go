@@ -11,8 +11,11 @@ import (
 // shares, at 512 B per partition call.
 const pickerBuckets = 512
 
-// picker resolves weighted machine picks with exactly the semantics of pick
-// (binary search over the cumulative shares) but in O(1) expected time: a
+// picker resolves weighted machine picks, each machine with probability
+// proportional to its share (PowerGraph's random placement weighted by the
+// CCR, Fig 4 of the paper), with exactly the semantics of pick, the binary
+// search over the cumulative shares in reference_test.go, but in O(1)
+// expected time: a
 // start-index table quantizes [0,1) into buckets, each holding the first
 // machine whose cumulative share reaches the bucket's lower bound, so a pick
 // is one table lookup plus a short forward scan. Both the table and the scan

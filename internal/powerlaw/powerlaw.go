@@ -67,11 +67,6 @@ func NewDist(alpha float64, maxDegree int) (*Dist, error) {
 	return d, nil
 }
 
-// Mean returns E[d] for the distribution.
-func (ds *Dist) Mean() float64 {
-	return MeanDegree(ds.Alpha, ds.D)
-}
-
 // Quantile returns the smallest degree d with CDF(d) >= u for u in [0,1].
 // This is the "multinomial(cdf)" sampling primitive from Algorithm 1 of the
 // paper: feeding it a uniform variate yields a power-law distributed degree.
@@ -113,6 +108,8 @@ func partialSums(alpha float64, maxDegree int) (s0, s1, ls0, ls1 float64) {
 
 // MeanDegree returns E[d] of the truncated power law with exponent alpha over
 // support 1..maxDegree (Eq 5).
+//
+// Test support: TestPowerLawDegreeDistribution in internal/gen.
 func MeanDegree(alpha float64, maxDegree int) float64 {
 	s0, s1, _, _ := partialSums(alpha, maxDegree)
 	return s1 / s0

@@ -259,13 +259,13 @@ func TestFitAlphaRoundTripProperty(t *testing.T) {
 
 func TestDistMeanConsistency(t *testing.T) {
 	d, _ := NewDist(2.05, 30000)
-	// E[d] from the Dist must equal the direct sum Σ d·P(d).
+	// MeanDegree for the Dist's α and D must equal the direct sum Σ d·P(d).
 	direct := 0.0
 	for i := 1; i <= 30000; i++ {
 		direct += float64(i) * d.PDF(i)
 	}
-	if math.Abs(direct-d.Mean()) > 1e-6*d.Mean() {
-		t.Errorf("Mean()=%v vs direct sum %v", d.Mean(), direct)
+	if mean := MeanDegree(d.Alpha, d.D); math.Abs(direct-mean) > 1e-6*mean {
+		t.Errorf("MeanDegree=%v vs direct sum %v", mean, direct)
 	}
 }
 

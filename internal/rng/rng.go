@@ -99,13 +99,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Split derives an independent child Source. The child's stream is
-// decorrelated from the parent's future output, so parallel workers can each
-// take a Split without coordination.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // Uses Lemire's multiply-shift rejection method to avoid modulo bias.
 func (s *Source) Uint64n(n uint64) uint64 {

@@ -86,21 +86,6 @@ func TestSourceSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(99)
-	child := parent.Split()
-	// Child stream should not replicate the parent's next outputs.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 1 {
-		t.Errorf("%d collisions between parent and child streams", same)
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	s := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 10, 100, 1 << 20, 1<<63 + 12345} {

@@ -324,6 +324,108 @@ func TestServiceBreaker(t *testing.T) {
 	}
 }
 
+// TestServiceBreakerProbeShedFreesSlot pins the probe slot of a half-open
+// breaker: a probe shed at dispatch frees it, so the breaker stays half-open
+// and the tenant's next submission probes, while an older job shed as the
+// probe starts leaves it taken.
+func TestServiceBreakerProbeShedFreesSlot(t *testing.T) {
+	cfg := mustNormalize(t, Config{
+		Cluster:          caseTwo(t),
+		BreakerThreshold: 1,
+		BreakerCooldown:  5,
+		QueueBound:       10,
+	})
+	job := workload.Job{}
+	submit := func(m *machine, now, deadline float64) *jobState {
+		t.Helper()
+		js, _, err := m.submit(now, "t", "", job, nil, deadline)
+		if err != nil {
+			t.Fatalf("submit at %g: %v", now, err)
+		}
+		return js
+	}
+	run := func(m *machine, now float64, js *jobState, ok bool) {
+		t.Helper()
+		if d, _ := m.dispatch(now); d != js {
+			t.Fatalf("dispatch at %g returned %v, want job %d", now, d, js.id)
+		}
+		if ok {
+			m.complete(now, js, workload.JobResult{Exec: &engine.Result{}})
+		} else {
+			m.fail(now, js, errors.New("boom"), false)
+		}
+	}
+
+	// One failed job trips the breaker; after the cooldown a probe with a
+	// deadline is admitted and shed at dispatch. Every later submission is
+	// admitted: the first probes and closes the breaker.
+	m := newMachine(cfg)
+	run(m, 0, submit(m, 0, 0), false)
+	probe := submit(m, 10, 11)
+	if d, _ := m.dispatch(12); d != nil || probe.state != StateShed {
+		t.Fatalf("dispatch at 12 returned %v, probe %s; want nothing and the probe shed", d, probe.state)
+	}
+	for _, now := range []float64{100, 200, 300} {
+		run(m, now, submit(m, now, 0), true)
+	}
+	if ts := m.tenant("t"); ts.breaker != breakerClosed {
+		t.Fatalf("breaker state %d, want closed", ts.breaker)
+	}
+
+	// An older queued job whose deadline passes while the breaker is open
+	// is shed as the probe starts; the probe still holds the slot.
+	m = newMachine(cfg)
+	failed := submit(m, 0, 0)
+	older := submit(m, 0, 20)
+	run(m, 0, failed, false)
+	probe = submit(m, 10, 0)
+	if d, _ := m.dispatch(25); d != probe || older.state != StateShed {
+		t.Fatalf("dispatch at 25 returned %v, older job %s; want the probe and the older job shed", d, older.state)
+	}
+	if _, _, err := m.submit(25, "t", "", job, nil, 0); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("submission while the probe runs: %v, want ErrCircuitOpen", err)
+	}
+	m.complete(26, probe, workload.JobResult{Exec: &engine.Result{}})
+	submit(m, 26, 0)
+}
+
+// TestServiceRetriedThenDoneHasNoError pins that a job whose first attempt
+// failed and whose retry completed reports no error.
+func TestServiceRetriedThenDoneHasNoError(t *testing.T) {
+	jobs, err := workload.RandomJobs(4, 256, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Cluster:    caseTwo(t),
+		Flaky:      &Flaky{Seed: 1, MaxFailures: 1},
+		MaxRetries: 1,
+	}
+	arrivals := make([]Arrival, len(jobs))
+	for i, job := range jobs {
+		arrivals[i] = Arrival{Tenant: "t", Job: job}
+	}
+	rep, err := Replay(cfg, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retried := 0
+	for _, js := range rep.Jobs {
+		if js.State != StateDone.String() {
+			t.Fatalf("job %d ended %s, want done", js.ID, js.State)
+		}
+		if js.Attempts > 0 { // Attempts counts the failed ones
+			retried++
+		}
+		if js.Error != "" {
+			t.Errorf("job %d is done after %d failed attempts but reports error %q", js.ID, js.Attempts, js.Error)
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no job was retried; the scenario does not exercise a failed attempt")
+	}
+}
+
 // TestServiceBudget pins post-paid budget enforcement: jobs admit until the
 // tenant's charged spend crosses its cap, then reject with ErrBudgetExhausted.
 func TestServiceBudget(t *testing.T) {

@@ -176,10 +176,14 @@ type tenantState struct {
 	spentSeconds float64
 	spentJoules  float64
 
-	breaker      int
-	consecFails  int
-	openedAt     float64
-	probeRunning bool
+	breaker     int
+	consecFails int
+	openedAt    float64
+	// probe is the half-open breaker's probe job until it retires, in any
+	// state; while it is set, the tenant's other submissions are rejected.
+	// Each open→half-open move clears it, so a probe still running from an
+	// earlier half-open spell holds no slot.
+	probe *jobState
 }
 
 // jobState is one submitted job's full record. The machine owns every field;
@@ -390,10 +394,10 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 				return m.reject(&m.counters.RejectedBreaker, "reject-breaker", fmt.Errorf("%w (tenant %q, %.2fs into cooldown)", ErrCircuitOpen, tenant, now-ts.openedAt))
 			}
 			ts.breaker = breakerHalfOpen
-			ts.probeRunning = false
+			ts.probe = nil
 			m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "half-open"})
 		case breakerHalfOpen:
-			if ts.probeRunning {
+			if ts.probe != nil {
 				return m.reject(&m.counters.RejectedBreaker, "reject-breaker", fmt.Errorf("%w (tenant %q, probe in flight)", ErrCircuitOpen, tenant))
 			}
 		}
@@ -468,7 +472,7 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	js.enqueuedAt, js.readyAt = now, now
 	m.admit(js)
 	if m.cfg.BreakerThreshold > 0 && ts.breaker == breakerHalfOpen {
-		ts.probeRunning = true
+		ts.probe = js
 	}
 	m.emit(trace.Event{Kind: trace.KindAdmit, Machine: -1, Step: js.id, Label: "admit"})
 	return js, false, nil
@@ -521,24 +525,31 @@ const shedReasonCanceled = "canceled"
 // bumps that state's counter and retires exactly once: a shed one with its
 // reason ("priority" or "deadline") and record, a canceled one with the
 // RecordShed that recovery reads back, a failed one with its fail record
-// and a breaker count or trip. A done one closes its tenant's breaker; its
-// records are complete's. The tombstone drops its workload and the
-// submitter's context, so the job table pins neither the submitted graph nor
-// anything the context carries, and joins the retired list.
+// and a breaker count or trip. A done one closes its tenant's breaker and
+// drops the error of any failed attempt before it; its records are
+// complete's. A half-open breaker's probe frees the probe slot in every
+// state, so after a shed or canceled probe the breaker stays half-open and
+// the tenant's next submission probes. The tombstone drops its workload and
+// the submitter's context, so the job table pins neither the submitted graph
+// nor anything the context carries, and joins the retired list.
 func (m *machine) retire(now float64, js *jobState, to State, reason string) {
 	if js.state == StateQueued {
 		m.removeQueued(js)
 	}
 	js.state = to
 	ts := m.tenant(js.tenant)
+	if ts.probe == js {
+		ts.probe = nil
+	}
 	breaker := m.cfg.BreakerThreshold > 0
 	switch to {
 	case StateDone:
+		js.err = nil
 		m.counters.Completed++
 		if breaker {
 			ts.consecFails = 0
 			if ts.breaker != breakerClosed {
-				ts.breaker, ts.probeRunning = breakerClosed, false
+				ts.breaker = breakerClosed
 				m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "close"})
 			}
 		}
@@ -549,7 +560,7 @@ func (m *machine) retire(now float64, js *jobState, to State, reason string) {
 			ts.consecFails++
 			tripped := ts.breaker == breakerClosed && ts.consecFails >= m.cfg.BreakerThreshold
 			if tripped || ts.breaker == breakerHalfOpen { // a half-open breaker's probe failed
-				ts.breaker, ts.openedAt, ts.probeRunning = breakerOpen, now, false
+				ts.breaker, ts.openedAt = breakerOpen, now
 				m.counters.BreakerTrips++
 				m.emit(trace.Event{Kind: trace.KindBreaker, Machine: -1, Label: "trip"})
 			}

@@ -193,16 +193,6 @@ func (g Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the gauge by v.
-func (g Gauge) Add(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	g.mu.Lock()
-	g.s.val += v
-	g.mu.Unlock()
-}
-
 // Histogram observes a value distribution into fixed buckets.
 type Histogram struct {
 	mu *sync.Mutex

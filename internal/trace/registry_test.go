@@ -27,7 +27,7 @@ func TestRegistryCounterGauge(t *testing.T) {
 	r.Counter("requests_total", "Requests served.", "method", "get").Inc() // same series
 	g := r.Gauge("temperature", "Current temperature.")
 	g.Set(20)
-	g.Add(1.5)
+	g.Set(21.5)
 
 	out := expose(t, r)
 	for _, want := range []string{

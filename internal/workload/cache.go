@@ -154,13 +154,6 @@ func (c *PlacementCache) Stats() CacheStats {
 	}
 }
 
-// Len returns the number of cached placements (including in-flight builds).
-func (c *PlacementCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Place returns the finalized placement for (part, g, shares, seed), running
 // ingress on the first request for a key and serving every repeat from the
 // cache. hit reports whether ingress was skipped.

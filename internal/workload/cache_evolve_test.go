@@ -93,7 +93,7 @@ func TestPlacementCacheJoinOnFailedBuild(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("single-flighted failure counted %d misses, want 1", st.Misses)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("failed build left an entry cached")
 	}
 }

@@ -71,8 +71,8 @@ func TestPlacementCacheHitsAndKeying(t *testing.T) {
 	if st.IngressWallSeconds <= 0 {
 		t.Error("misses recorded no ingress wall time")
 	}
-	if c.Len() != 6 {
-		t.Errorf("cache holds %d entries, want 6", c.Len())
+	if c.Stats().Entries != 6 {
+		t.Errorf("cache holds %d entries, want 6", c.Stats().Entries)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestPlacementCacheErrorsNotCached(t *testing.T) {
 	if _, _, err := c.Place(partition.NewHybrid(), g, bad, 1); err == nil {
 		t.Fatal("expected share-validation error")
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("failed ingress left an entry in the cache")
 	}
 	if _, hit, err := c.Place(partition.NewHybrid(), g, partition.UniformShares(2), 1); err != nil || hit {
@@ -150,8 +150,8 @@ func TestPlacementCacheBounds(t *testing.T) {
 	if _, _, err := c.Place(part, graphs[3], shares, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d entries after eviction, want 3", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Fatalf("cache holds %d entries after eviction, want 3", c.Stats().Entries)
 	}
 	if _, hit, _ := c.Place(part, graphs[1], shares, 1); hit {
 		t.Error("least-recently-used entry (graph 1) survived eviction")
