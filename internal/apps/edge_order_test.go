@@ -53,7 +53,8 @@ func shuffledLocalEdges(t *testing.T, pl *engine.Placement, seed uint64) *engine
 // move: each destination's fold sums the same contributions in another order,
 // so they may differ by float re-association, within floatClose's 1e-12
 // relative bound. The graph carries weights so that SSSP relaxes along more
-// than unit hops.
+// than unit hops; weighted SSSP is skipped, and unit-hop SSSP runs on the
+// graph without its weights, through both its walks.
 func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 	g := graph.AttachWeights(equivGraph(t), 1, 10, 3)
 	cl := heteroCluster(t)
@@ -66,7 +67,7 @@ func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 	for _, app := range WithExtensions() {
 		t.Run(app.Name(), func(t *testing.T) {
 			if app.Name() == "sssp" {
-				t.Skip("SSSP relaxes dist in place within one scan of LocalEdges, so its rounds follow edge order; moving SSSP onto engine.Run as synchronous Bellman-Ford lifts this skip")
+				t.Skip("weighted SSSP relaxes dist in place within one scan of LocalEdges, so its rounds follow edge order; moving SSSP onto engine.Run as synchronous Bellman-Ford lifts this skip")
 			}
 			run := func(pl *engine.Placement) (*engine.Result, []trace.Event) {
 				rec := trace.NewRecorder()
@@ -100,4 +101,32 @@ func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 			}
 		})
 	}
+
+	// Unit hops: the scan on the placements as built, the key walk on the
+	// same placements once a BFS has compiled their GatherBoth groupings,
+	// which the shuffle reorders within each key as it reorders the scan.
+	t.Run("sssp/unweighted", func(t *testing.T) {
+		unweighted := *g
+		unweighted.Weights = nil
+		pl := moduloPlacement(t, &unweighted, 4)
+		shuffled := shuffledLocalEdges(t, pl, 7)
+		want, wantEvents := tracedSSSP(t, NewSSSP(), pl, cl)
+		for _, leg := range []struct {
+			name string
+			pl   *engine.Placement
+			walk bool
+		}{{"shuffled scan", shuffled, false}, {"ordered walk", pl, true}, {"shuffled walk", shuffled, true}} {
+			if leg.walk {
+				if _, err := NewBFS().Run(leg.pl, cl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, gotEvents := tracedSSSP(t, NewSSSP(), leg.pl, cl)
+			samePriced(t, leg.name, want, got)
+			sameEvents(t, leg.name, wantEvents, gotEvents)
+			if !reflect.DeepEqual(want.Output, got.Output) {
+				t.Errorf("%s: output differs from the ordered scan", leg.name)
+			}
+		}
+	})
 }

@@ -11,15 +11,32 @@ import (
 )
 
 // SSSP computes single-source shortest paths over weighted edges in frontier
-// rounds, the pattern of PowerGraph's sssp toolkit. Each round scans every
-// machine's local edges and relaxes out of the previous round's frontier in
-// place: a distance lowered earlier in the scan feeds later relaxations in
-// the same round, so the rounds and their charges follow local edge order,
-// though the final distances do not. It is an extension beyond the paper's
-// four benchmarks: a weighted application demonstrating that the profiling
-// flow accepts arbitrary vertex programs (Section III-B). Unweighted graphs
-// relax with unit weights, making SSSP coincide with BFS distances. Every
-// edge relaxes in both directions: the distances are undirected.
+// rounds, the pattern of PowerGraph's sssp toolkit. It is an extension beyond
+// the paper's four benchmarks: a weighted application demonstrating that the
+// profiling flow accepts arbitrary vertex programs (Section III-B). Every
+// edge relaxes in both directions: the distances are undirected. Machines
+// relax in order 0..M−1 within a round, each out of the previous round's
+// frontier, in one of two walks:
+//
+//   - The scan walks every machine's local edges and relaxes in place: on a
+//     weighted graph a distance lowered earlier in the scan feeds later
+//     relaxations in the same round, so the rounds and their charges follow
+//     local edge order, though the final distances do not.
+//   - The key walk serves an unweighted graph whose placement already holds
+//     its GatherBoth grouping (a BFS, components or ClusterBFS run compiled
+//     it): per machine it visits the grouping's keys and relaxes each active
+//     key's companions with unit weight, so it skips the edges of inactive
+//     vertices. It never compiles the grouping, which would cost a placement
+//     that serves only SSSP 8 B per edge.
+//
+// On unit weights the two walks charge the same. Every active vertex holds
+// distance r, the round number, for the whole round, since no relaxation
+// offers it less than r+1; only unreached vertices improve, to r+1, once
+// each. Which machine applies a vertex is then the first in machine order
+// with an edge to it from the frontier, and a machine's gathers and partials
+// count its frontier records and the distinct vertices they reach, so
+// gathers, partials, applies and update counts depend only on the machine
+// order, which both walks keep, and not on the order within a machine.
 type SSSP struct {
 	// Source is the root vertex.
 	Source graph.VertexID
@@ -119,7 +136,13 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 			}
 		}
 	}
-	local := pl.LocalEdges()
+	// A grouping, once compiled, stays: the walk is chosen once per run.
+	_, walk := pl.CompiledBothGrouping(0)
+	walk = walk && g.Weights == nil
+	var local [][]int32
+	if !walk {
+		local = pl.LocalEdges()
+	}
 	rounds := 0
 	for ; rounds < s.MaxIters; rounds++ {
 		account.StepBegin(rounds, frontier, "sync")
@@ -130,6 +153,17 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 			sc := &counters[p]
 			sc.Vertices = float64(len(pl.MasterVerts[p]))
 			stamp := uint8(p + 1)
+			if walk {
+				grp, _ := pl.CompiledBothGrouping(p)
+				for i, a := range grp.Keys {
+					if active[a] {
+						for _, to := range grp.Vals[grp.Offs[i]:grp.Offs[i+1]] {
+							relax(sc, p, stamp, a, to, 1)
+						}
+					}
+				}
+				continue
+			}
 			for _, ei := range local[p] {
 				e := g.Edges[ei]
 				w := float64(g.Weight(int(ei)))

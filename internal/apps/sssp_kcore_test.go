@@ -439,10 +439,11 @@ func TestKCoreRunAllocs(t *testing.T) {
 
 // TestSSSPRunBytes bounds what one SSSP run allocates: 11 bytes per vertex
 // (the float64 distances, both frontier bitmaps and the one-byte partial
-// stamps) plus 16 KiB for the per-machine state and the result. 8-byte stamps
-// break it. The placement's local edge lists are built outside the
-// measurement, and |V| is a multiple of the 8 KiB page, so no large array is
-// rounded up.
+// stamps) plus 16 KiB for the per-machine state and the result, whether it
+// scans the local edges or walks a compiled GatherBoth grouping. 8-byte
+// stamps, or a frontier list beside the walk's bitmap, break it. The local
+// edge lists and the grouping are built outside the measurement, and |V| is
+// a multiple of the 8 KiB page, so no large array is rounded up.
 func TestSSSPRunBytes(t *testing.T) {
 	cl := multiCluster(t, 2)
 	const n = 64 << 10
@@ -450,25 +451,31 @@ func TestSSSPRunBytes(t *testing.T) {
 	for v := 1; v < n; v++ {
 		star.Edges = append(star.Edges, E(0, v))
 	}
-	pl := moduloPlacement(t, star, 2)
-	pl.LocalEdges()
-	rounds := 0
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		res, err := NewSSSP().Run(pl, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds = res.Output.(SSSPResult).Rounds
+	scan := moduloPlacement(t, star, 2)
+	scan.LocalEdges()
+	walk := moduloPlacement(t, star, 2)
+	if _, err := NewBFS().Run(walk, cl); err != nil {
+		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	got := (after.TotalAlloc - before.TotalAlloc) / runs
-	const ceiling = 11*n + 16<<10
-	t.Logf("star of %d vertices: %d bytes over %d rounds (%.2f per vertex)", n, got, rounds, float64(got)/n)
-	if got > ceiling {
-		t.Errorf("SSSP.Run allocates %d bytes over %d vertices, want at most 11·|V| + 16 KiB = %d", got, n, ceiling)
+	for name, pl := range map[string]*engine.Placement{"scan": scan, "walk": walk} {
+		rounds := 0
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			res, err := NewSSSP().Run(pl, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = res.Output.(SSSPResult).Rounds
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		const ceiling = 11*n + 16<<10
+		t.Logf("%s, star of %d vertices: %d bytes over %d rounds (%.2f per vertex)", name, n, got, rounds, float64(got)/n)
+		if got > ceiling {
+			t.Errorf("%s: SSSP.Run allocates %d bytes over %d vertices, want at most 11·|V| + 16 KiB = %d", name, got, n, ceiling)
+		}
 	}
 }
 

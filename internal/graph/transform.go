@@ -43,8 +43,8 @@ func SampleEdges(g *Graph, fraction float64, seed uint64) (*Graph, error) {
 // [minW, maxW), enabling the weighted applications (SSSP). It returns g.
 //
 // Test support: the SSSP and weighted-graph tests of internal/apps
-// (sssp_kcore_test.go, property_test.go, edge_order_test.go) build their
-// weighted inputs with it.
+// (sssp_kcore_test.go, sssp_walk_test.go, property_test.go,
+// edge_order_test.go) build their weighted inputs with it.
 func AttachWeights(g *Graph, minW, maxW float32, seed uint64) *Graph {
 	if maxW < minW {
 		minW, maxW = maxW, minW
