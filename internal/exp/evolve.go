@@ -13,22 +13,6 @@ import (
 	"proxygraph/internal/workload"
 )
 
-// placementImbalance is the placement's worst per-machine edge overload
-// relative to its share target (1.0 = perfectly proportional).
-func placementImbalance(pl *engine.Placement, shares []float64) float64 {
-	counts := make([]float64, len(shares))
-	for _, p := range pl.EdgeOwner {
-		counts[p]++
-	}
-	worst := 0.0
-	for p := range counts {
-		if r := counts[p] / float64(len(pl.EdgeOwner)) / shares[p]; r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
 // EvolveStudy drives one graph through a chain of mutation batches and
 // compares, per version, the full-rebuild pipeline (re-ingress from scratch,
 // cold connected-components run) against the incremental one (placement
@@ -150,8 +134,8 @@ func (l *Lab) EvolveStudy() (*metrics.Table, error) {
 			fmt.Sprintf("+%d/-%d", len(d.Inserts), len(d.Deletes)),
 			outcome.String(),
 			metrics.Pct(proxyErr),
-			metrics.F(placementImbalance(fullPl, shares), 3),
-			metrics.F(placementImbalance(amendPl, shares), 3),
+			metrics.F(fullPl.Imbalance(shares), 3),
+			metrics.F(amendPl.Imbalance(shares), 3),
 			fmt.Sprintf("%d→%d", coldRes.Supersteps, warmRes.Supersteps),
 			metrics.Seconds(coldRes.SimSeconds),
 			metrics.Seconds(warmRes.SimSeconds),

@@ -2,8 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
@@ -23,12 +21,17 @@ import (
 //   - RandomHash and Hybrid owners are pure per-edge functions, so Amend is
 //     bit-identical to a full Partition of the evolved graph.
 //   - Oblivious and HDRF are order-dependent streams; Amend keeps the
-//     surviving owners and streams only the inserts against state rebuilt
-//     from the survivors. A full re-ingress would instead replay every edge
-//     with the deleted ones absent, so owners differ — but the balance
-//     objective is maintained live during the continuation, so the amended
-//     imbalance stays within the envelope the differential tests document
-//     (10% relative + 0.05 absolute over full re-ingress).
+//     surviving owners and runs the same stream as Partition over only the
+//     inserts, against state rebuilt from the survivors. A full re-ingress
+//     would instead replay every edge with the deleted ones absent, so owners
+//     differ — but the balance objective is maintained live during the
+//     continuation, so the amended imbalance stays within the envelope the
+//     differential tests document (10% relative + 0.05 absolute over full
+//     re-ingress). An Oblivious amendment of an insert-only delta is
+//     bit-identical to Partition on the evolved graph: its loads are
+//     unnormalized counts, so the base's stream is a prefix of the evolved
+//     one. HDRF normalizes loads by the total edge count, which the inserts
+//     change, so it has no such law.
 //   - Ginger recovers its per-vertex assignment from the surviving owners,
 //     re-refines only the vertices the delta disturbed, and re-runs the pure
 //     final edge scan; the same envelope applies.
@@ -223,11 +226,11 @@ func vertexMask(n int, vs []graph.VertexID) []bool {
 	return mask
 }
 
-// Amend implements Amender. The surviving owners keep their machines; the
-// replica masks and loads they imply are rebuilt exactly as a stream over the
-// survivors would leave them, and the inserts then continue that stream
-// through the same greedy rule as Partition. Deleted edges' mirrors and load
-// are genuinely forgotten — the rebuilt state reflects only what survives.
+// Amend implements Amender. The surviving owners keep their machines, and
+// obliviousStream rebuilds the replica masks and loads they imply exactly as
+// a stream over the survivors would leave them, then continues that stream
+// through the inserts. Deleted edges' mirrors and load are genuinely
+// forgotten — the rebuilt state reflects only what survives.
 func (ob *Oblivious) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
@@ -236,40 +239,14 @@ func (ob *Oblivious) Amend(base *graph.Graph, owner []engine.Machine, d *graph.D
 	if err != nil {
 		return nil, err
 	}
-	m := len(shares)
-	placed := make([]uint64, evolved.NumVertices)
-	load := make([]int64, m)
-	for i, o := range kept {
-		e := evolved.Edges[i]
-		placed[e.Src] |= 1 << uint(o)
-		placed[e.Dst] |= 1 << uint(o)
-		load[o]++
-	}
-	allMask := uint64(1)<<uint(m) - 1
-	for _, e := range evolved.Edges[len(kept):] {
-		candidates := obliviousCandidates(placed[e.Src], placed[e.Dst], allMask)
-		best := int32(-1)
-		bestScore := 0.0
-		for mask := candidates; mask != 0; mask &= mask - 1 {
-			p := int32(bits.TrailingZeros64(mask))
-			score := float64(load[p]) / shares[p]
-			if best == -1 || score < bestScore {
-				best, bestScore = p, score
-			}
-		}
-		kept = append(kept, engine.Machine(best))
-		load[best]++
-		placed[e.Src] |= 1 << uint(best)
-		placed[e.Dst] |= 1 << uint(best)
-	}
-	return kept, nil
+	return obliviousStream(evolved, shares, kept[:len(evolved.Edges)], len(kept)), nil
 }
 
-// Amend implements Amender. Like Oblivious: replica masks, loads and partial
-// degrees are rebuilt from the survivors, and the inserts continue the HDRF
-// stream — scored at their evolved edge indices (so tie-breaking matches what
-// a full ingress would hash for the tail) with loads normalized against the
-// evolved edge count.
+// Amend implements Amender. Like Oblivious: the HDRF stream rebuilds replica
+// masks, loads and partial degrees from the survivors and continues through
+// the inserts, scored at their evolved edge indices (so tie-breaking matches
+// what a full ingress would hash for the tail) with loads normalized against
+// the evolved edge count.
 func (h *HDRF) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
@@ -278,66 +255,7 @@ func (h *HDRF) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, 
 	if err != nil {
 		return nil, err
 	}
-	m := len(shares)
-	placed := make([]uint64, evolved.NumVertices)
-	partial := make([]int32, evolved.NumVertices)
-	rawLoad := make([]int64, m)
-	load := make([]float64, m)
-	denom := float64(len(evolved.Edges) + 1)
-	for i, o := range kept {
-		e := evolved.Edges[i]
-		placed[e.Src] |= 1 << uint(o)
-		placed[e.Dst] |= 1 << uint(o)
-		partial[e.Src]++
-		partial[e.Dst]++
-		rawLoad[o]++
-	}
-	for p := 0; p < m; p++ {
-		load[p] = float64(rawLoad[p]) / (shares[p] * denom)
-	}
-	for i := len(kept); i < len(evolved.Edges); i++ {
-		e := evolved.Edges[i]
-		partial[e.Src]++
-		partial[e.Dst]++
-		du, dv := float64(partial[e.Src]), float64(partial[e.Dst])
-		thetaU := du / (du + dv)
-		gU, gV := 1+(1-thetaU), 1+thetaU
-
-		minLoad, maxLoad := load[0], load[0]
-		for _, l := range load[1:] {
-			if l < minLoad {
-				minLoad = l
-			}
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		best := engine.Machine(0)
-		bestScore := -1.0
-		for p := 0; p < m; p++ {
-			rep := 0.0
-			bit := uint64(1) << uint(p)
-			if placed[e.Src]&bit != 0 {
-				rep += gU
-			}
-			if placed[e.Dst]&bit != 0 {
-				rep += gV
-			}
-			bal := (maxLoad - load[p]) / (1 + maxLoad - minLoad)
-			score := rep + h.Lambda*bal
-			if score > bestScore {
-				bestScore, best = score, engine.Machine(p)
-			} else if score == bestScore && hdrfTie(seed, i, p) > hdrfTie(seed, i, int(best)) {
-				best = engine.Machine(p)
-			}
-		}
-		kept = append(kept, best)
-		rawLoad[best]++
-		load[best] = float64(rawLoad[best]) / (shares[best] * denom)
-		placed[e.Src] |= 1 << uint(best)
-		placed[e.Dst] |= 1 << uint(best)
-	}
-	return kept, nil
+	return h.stream(evolved, shares, seed, kept[:len(evolved.Edges)], len(kept)), nil
 }
 
 // Amend implements Amender. Ginger's owner vector is a pure edge scan over
@@ -345,7 +263,8 @@ func (h *HDRF) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, 
 // from the surviving owners (every in-edge of a low-degree destination
 // carries its machine), hash-seeds the vertices it cannot recover, re-runs
 // the Fennel refinement over only the vertices the delta disturbed, and
-// replays the final scan.
+// replays Partition's final scan. The scan rewrites every owner; a survivor
+// whose destination was not disturbed gets the machine it already had.
 func (gp *Ginger) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph, shares []float64, seed uint64) ([]engine.Machine, error) {
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
@@ -370,103 +289,30 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delt
 			recovered[dst] = true
 		}
 	}
+
+	// Re-refine exactly the disturbed low-degree vertices, in ascending
+	// order: endpoints the delta touched, degree-class flips, and unrecovered
+	// vertices that actually feed the edge scan.
+	disturbed := flipped // the flips, joined in place by the touched endpoints
+	for _, v := range d.Touched() {
+		if int(v) < evolved.NumVertices {
+			disturbed[v] = true
+		}
+	}
+	var subset []graph.VertexID
 	for v := range assign {
 		if !recovered[v] {
 			assign[v] = pk.pick(vertexHash(seed, graph.VertexID(v)))
 		}
-	}
-
-	// Re-refine exactly the disturbed vertices: endpoints the delta touched,
-	// degree-class flips, and unrecovered vertices that actually feed the
-	// edge scan.
-	subset := map[graph.VertexID]bool{}
-	for _, v := range d.Touched() {
-		if int(v) < evolved.NumVertices && inDeg[v] <= gp.Threshold {
-			subset[v] = true
+		if inDeg[v] <= gp.Threshold && (disturbed[v] || (!recovered[v] && inDeg[v] > 0)) {
+			subset = append(subset, graph.VertexID(v))
 		}
 	}
-	for v := range assign {
-		if inDeg[v] <= gp.Threshold && (flipped[v] || (!recovered[v] && inDeg[v] > 0)) {
-			subset[graph.VertexID(v)] = true
-		}
+	if len(subset) > 0 {
+		gp.refine(evolved, shares, inDeg, assign, subset)
 	}
-	gp.refineSubset(evolved, inDeg, assign, shares, subset)
 
-	keptCount := len(kept)
 	kept = kept[:len(evolved.Edges)]
-	par.Ranges(len(evolved.Edges), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := evolved.Edges[i]
-			if i < keptCount && !flipped[e.Dst] && inDeg[e.Dst] <= gp.Threshold && !subset[e.Dst] {
-				// Surviving low-degree edge whose assignment didn't move.
-				continue
-			}
-			if inDeg[e.Dst] > gp.Threshold {
-				kept[i] = pk.pick(vertexHash(seed+1, e.Src))
-			} else {
-				kept[i] = assign[e.Dst]
-			}
-		}
-	})
+	gp.scan(evolved, pk, seed, inDeg, assign, kept)
 	return kept, nil
-}
-
-// refineSubset runs the Fennel-style refinement sweep of refine over
-// only the given vertices (in ID order, as the full sweep visits them),
-// against loads accumulated from the complete assignment.
-func (gp *Ginger) refineSubset(g *graph.Graph, inDeg []int32, assign []engine.Machine, shares []float64, subset map[graph.VertexID]bool) {
-	if len(subset) == 0 {
-		return
-	}
-	m := len(shares)
-	vCount := make([]float64, m)
-	eCount := make([]float64, m)
-	for v := range assign {
-		vCount[assign[v]]++
-		eCount[assign[v]] += float64(inDeg[v])
-	}
-	ratio := 0.0
-	if len(g.Edges) > 0 {
-		ratio = float64(g.NumVertices) / float64(len(g.Edges))
-	}
-	hetFactor := make([]float64, m)
-	for p := range hetFactor {
-		hetFactor[p] = 1 / (shares[p] * float64(m))
-	}
-
-	order := make([]int, 0, len(subset))
-	for v := range subset {
-		order = append(order, int(v))
-	}
-	sort.Ints(order)
-
-	in := gingerInCSRPool.Get().(*graph.CSR)
-	defer gingerInCSRPool.Put(in)
-	g.InCSRInto(in)
-	neighborCount := make([]float64, m)
-	for _, v := range order {
-		cur := assign[v]
-		vCount[cur]--
-		eCount[cur] -= float64(inDeg[v])
-		for p := range neighborCount {
-			neighborCount[p] = 0
-		}
-		for _, u := range in.Neighbors(graph.VertexID(v)) {
-			if inDeg[u] <= gp.Threshold {
-				neighborCount[assign[u]]++
-			}
-		}
-		best := engine.Machine(0)
-		bestScore := 0.0
-		for p := 0; p < m; p++ {
-			balance := 0.5 * gp.Gamma * (vCount[p] + ratio*eCount[p])
-			score := neighborCount[p] - hetFactor[p]*balance
-			if p == 0 || score > bestScore {
-				best, bestScore = engine.Machine(p), score
-			}
-		}
-		assign[v] = best
-		vCount[best]++
-		eCount[best] += float64(inDeg[v])
-	}
 }

@@ -8,12 +8,13 @@ import (
 	"proxygraph/internal/graph"
 )
 
-// Ingress micro-benchmarks. Each hash-based partitioner runs two ways over
-// the same graph and shares: the sequential executable spec from reference.go
-// (naive per-edge binary search) and the production path (quantized picker +
-// scans sharded over GOMAXPROCS, so cores come from go test -cpu). The
-// differential test pins both to identical owner vectors, so edges/s ratios
-// are true speedups on the same work. make check runs every benchmark for one
+// Ingress micro-benchmarks. Each partitioner with an executable spec runs
+// two ways over the same graph and shares: the sequential spec from
+// reference_test.go (naive per-edge binary search, straight-line streams) and
+// the production path (quantized picker, hash scans sharded over GOMAXPROCS so
+// cores come from go test -cpu, streams over cheaper state). The differential
+// test pins both to identical owner vectors, so edges/s ratios are true
+// speedups on the same work. make check runs every benchmark for one
 // iteration to keep them compiling and reporting; host-time claims go through
 // benchmark/ and make bench-compare.
 
@@ -76,10 +77,11 @@ func BenchmarkIngressHybrid(b *testing.B) {
 		})
 }
 
-// BenchmarkAmendHybrid amends a Hybrid placement across one evolve step the
-// size of the end-to-end benchmark's cold_ingest batches: a power-law graph
-// of about 27 k edges, 1 % of its edges inserted and 0.5 % deleted.
-func BenchmarkAmendHybrid(b *testing.B) {
+// BenchmarkAmend amends each amending partitioner's placement across one
+// evolve step the size of the end-to-end benchmark's cold_ingest batches: a
+// power-law graph of about 27 k edges, 1 % of its edges inserted and 0.5 %
+// deleted. Only hybrid amends in a benchmark workload.
+func BenchmarkAmend(b *testing.B) {
 	base, err := gen.Generate(gen.Spec{
 		Name: "amend-bench", Vertices: 3400, Edges: 27000, Kind: gen.KindPowerLaw,
 	}, 1)
@@ -97,18 +99,51 @@ func BenchmarkAmendHybrid(b *testing.B) {
 		b.Fatal(err)
 	}
 	shares := UniformShares(4)
-	p := NewHybrid()
-	owner, err := p.Partition(base, shares, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runIngressBench(b, evolved, func() []engine.Machine {
-		amended, err := p.Amend(base, owner, d, evolved, shares, 1)
+	for _, p := range []Amender{NewHybrid(), NewOblivious(), NewHDRF(), NewGinger()} {
+		owner, err := p.Partition(base, shares, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return amended
-	})
+		b.Run(p.Name(), func(b *testing.B) {
+			runIngressBench(b, evolved, func() []engine.Machine {
+				amended, err := p.Amend(base, owner, d, evolved, shares, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return amended
+			})
+		})
+	}
+}
+
+func BenchmarkIngressOblivious(b *testing.B) {
+	g := benchGraph(b)
+	shares := UniformShares(8)
+	p := NewOblivious()
+	benchVariants(b, g,
+		func() []engine.Machine { return referenceOblivious(g, shares) },
+		func() []engine.Machine {
+			owner, err := p.Partition(g, shares, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return owner
+		})
+}
+
+func BenchmarkIngressHDRF(b *testing.B) {
+	g := benchGraph(b)
+	shares := UniformShares(8)
+	p := NewHDRF()
+	benchVariants(b, g,
+		func() []engine.Machine { return referenceHDRF(p, g, shares, 1) },
+		func() []engine.Machine {
+			owner, err := p.Partition(g, shares, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return owner
+		})
 }
 
 func BenchmarkIngressGinger(b *testing.B) {

@@ -50,7 +50,6 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]en
 	pk := newPicker(shares)
 	inDeg := g.InDegreesParallel()
 	defer graph.ReleaseDegrees(inDeg)
-	owner := make([]engine.Machine, len(g.Edges))
 
 	// Phase 1 (as Hybrid): low-degree in-edges group with the target,
 	// high-degree in-edges scatter by source hash.
@@ -61,8 +60,16 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]en
 		}
 	})
 
-	gp.refine(g, shares, inDeg, assign)
+	gp.refine(g, shares, inDeg, assign, nil)
+	owner := make([]engine.Machine, len(g.Edges))
+	gp.scan(g, pk, seed, inDeg, assign, owner)
+	return owner, nil
+}
 
+// scan is the final edge pass, a pure per-edge function sharded over
+// GOMAXPROCS workers: an in-edge of a high-degree destination goes where its
+// source hashes, any other in-edge to its destination's assigned machine.
+func (gp *Ginger) scan(g *graph.Graph, pk picker, seed uint64, inDeg []int32, assign, owner []engine.Machine) {
 	par.Ranges(len(g.Edges), func(_, lo, hi int) {
 		edges := g.Edges[lo:hi]
 		for i := range edges {
@@ -74,17 +81,20 @@ func (gp *Ginger) Partition(g *graph.Graph, shares []float64, seed uint64) ([]en
 			}
 		}
 	})
-	return owner, nil
 }
 
-// refine is phase 2: greedily re-place each low-degree vertex by the
-// Fennel-style score over its in-neighborhood, visiting vertices in ID order
-// against the evolving per-machine loads. It is refineSequential's loop
-// (reference.go, the executable spec it is pinned against) over the pooled
-// unsorted in-CSR. Row order within a neighborhood differs from the sorted
-// reference CSR, which is invisible: the histogram accumulates exact integer
-// counts, so per-machine neighborCount — and every score — is bit-identical.
-func (gp *Ginger) refine(g *graph.Graph, shares []float64, inDeg []int32, assign []engine.Machine) {
+// refine is phase 2: greedily re-place low-degree vertices by the
+// Fennel-style score over their in-neighborhoods, in ascending ID order
+// against per-machine loads accumulated from the complete assignment and
+// updated as each vertex moves. A nil subset visits every low-degree vertex,
+// as Partition needs; Amend passes the vertices its delta disturbed, in
+// ascending order. The full sweep is refineSequential's loop
+// (reference_test.go, the executable spec it is pinned against) over the
+// pooled unsorted in-CSR. Row order within a neighborhood differs from the
+// sorted reference CSR, which is invisible: the histogram accumulates exact
+// integer counts, so per-machine neighborCount — and every score — is
+// bit-identical.
+func (gp *Ginger) refine(g *graph.Graph, shares []float64, inDeg []int32, assign []engine.Machine, subset []graph.VertexID) {
 	m := len(shares)
 	vCount := make([]float64, m)
 	eCount := make([]float64, m)
@@ -105,8 +115,16 @@ func (gp *Ginger) refine(g *graph.Graph, shares []float64, inDeg []int32, assign
 	defer gingerInCSRPool.Put(in)
 	g.InCSRInto(in)
 
+	visits := g.NumVertices
+	if subset != nil {
+		visits = len(subset)
+	}
 	neighborCount := make([]float64, m)
-	for v := 0; v < g.NumVertices; v++ {
+	for k := 0; k < visits; k++ {
+		v := k
+		if subset != nil {
+			v = int(subset[k])
+		}
 		if inDeg[v] > gp.Threshold {
 			continue
 		}

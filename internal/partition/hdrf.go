@@ -52,60 +52,79 @@ func (h *HDRF) Partition(g *graph.Graph, shares []float64, seed uint64) ([]engin
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
-	m := len(shares)
+	return h.stream(g, shares, seed, make([]engine.Machine, len(g.Edges)), 0), nil
+}
+
+// stream replays owner[:from] into the partial degrees, replica masks and
+// loads, then scores g.Edges[from:] at their own edge indices and returns
+// owner, which has one entry per edge of g. Loads are normalized against
+// len(g.Edges)+1 throughout. Partition streams from 0; Amend streams the
+// inserts after the survivors.
+func (h *HDRF) stream(g *graph.Graph, shares []float64, seed uint64, owner []engine.Machine, from int) []engine.Machine {
 	placed := make([]uint64, g.NumVertices) // replica bitmasks
 	partial := make([]int32, g.NumVertices) // streaming partial degrees
-	load := make([]float64, m)              // share-normalized loads
-	rawLoad := make([]int64, m)
-	owner := make([]engine.Machine, len(g.Edges))
-
-	// scoreEdge picks edge i's machine from its endpoint replica masks and
-	// gather scores, exactly as the spec's scan.
-	scoreEdge := func(i int, maskU, maskV uint64, gU, gV float64) engine.Machine {
-		minLoad, maxLoad := load[0], load[0]
-		for _, l := range load[1:] {
-			if l < minLoad {
-				minLoad = l
-			}
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		best := engine.Machine(0)
-		bestScore := -1.0
-		for p := 0; p < m; p++ {
-			rep := 0.0
-			bit := uint64(1) << uint(p)
-			if maskU&bit != 0 {
-				rep += gU
-			}
-			if maskV&bit != 0 {
-				rep += gV
-			}
-			bal := (maxLoad - load[p]) / (1 + maxLoad - minLoad)
-			score := rep + h.Lambda*bal
-			if score > bestScore {
-				bestScore, best = score, engine.Machine(p)
-			} else if score == bestScore && hdrfTie(seed, i, p) > hdrfTie(seed, i, int(best)) {
-				best = engine.Machine(p)
-			}
-		}
-		return best
+	load := make([]float64, len(shares))    // share-normalized loads
+	rawLoad := make([]int64, len(shares))
+	denom := float64(len(g.Edges) + 1)
+	for i, o := range owner[:from] {
+		e := g.Edges[i]
+		placed[e.Src] |= 1 << uint(o)
+		placed[e.Dst] |= 1 << uint(o)
+		partial[e.Src]++
+		partial[e.Dst]++
+		rawLoad[o]++
 	}
-
-	for i, e := range g.Edges {
+	for p, raw := range rawLoad {
+		load[p] = float64(raw) / (shares[p] * denom)
+	}
+	for i := from; i < len(g.Edges); i++ {
+		e := g.Edges[i]
 		partial[e.Src]++
 		partial[e.Dst]++
 		du, dv := float64(partial[e.Src]), float64(partial[e.Dst])
 		thetaU := du / (du + dv)
 		thetaV := 1 - thetaU
-		best := scoreEdge(i, placed[e.Src], placed[e.Dst], 1+(1-thetaU), 1+(1-thetaV))
+		best := h.score(seed, i, load, placed[e.Src], placed[e.Dst], 1+(1-thetaU), 1+(1-thetaV))
 		owner[i] = best
 		rawLoad[best]++
 		// Normalized load: edges relative to the CCR-proportional target.
-		load[best] = float64(rawLoad[best]) / (shares[best] * float64(len(g.Edges)+1))
+		load[best] = float64(rawLoad[best]) / (shares[best] * denom)
 		placed[e.Src] |= 1 << uint(best)
 		placed[e.Dst] |= 1 << uint(best)
 	}
-	return owner, nil
+	return owner
+}
+
+// score picks edge i's machine from its endpoint replica masks and gather
+// scores against the loads, exactly as the spec's scan.
+func (h *HDRF) score(seed uint64, i int, load []float64, maskU, maskV uint64, gU, gV float64) engine.Machine {
+	minLoad, maxLoad := load[0], load[0]
+	for _, l := range load[1:] {
+		if l < minLoad {
+			minLoad = l
+		}
+		if l > maxLoad {
+			maxLoad = l
+		}
+	}
+	best := engine.Machine(0)
+	bestScore := -1.0
+	for p := range load {
+		rep := 0.0
+		bit := uint64(1) << uint(p)
+		if maskU&bit != 0 {
+			rep += gU
+		}
+		if maskV&bit != 0 {
+			rep += gV
+		}
+		bal := (maxLoad - load[p]) / (1 + maxLoad - minLoad)
+		score := rep + h.Lambda*bal
+		if score > bestScore {
+			bestScore, best = score, engine.Machine(p)
+		} else if score == bestScore && hdrfTie(seed, i, p) > hdrfTie(seed, i, int(best)) {
+			best = engine.Machine(p)
+		}
+	}
+	return best
 }

@@ -58,9 +58,10 @@ func referenceHybrid(h *Hybrid, g *graph.Graph, shares []float64, seed uint64) [
 	return owner
 }
 
-// refineSequential is the sequential spec of Ginger's greedy refinement:
-// vertices in ID order against evolving per-machine loads, in-neighborhoods
-// from a freshly built sorted CSR.
+// refineSequential is the sequential spec of Ginger's full refinement sweep,
+// refine with a nil subset: every low-degree vertex in ID order against
+// evolving per-machine loads, in-neighborhoods from a freshly built sorted
+// CSR. Amend's subset sweeps have no spec of their own; amendPins holds them.
 func refineSequential(gp *Ginger, g *graph.Graph, shares []float64, inDeg []int32, assign []engine.Machine) {
 	m := len(shares)
 	inCSR := g.BuildInCSR()

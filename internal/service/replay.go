@@ -67,7 +67,6 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 	}
 	session := &workload.Session{
 		Cluster:       cfg.Cluster,
-		Partitioner:   cfg.Partitioner,
 		Cache:         cfg.Cache,
 		ChargeIngress: cfg.ChargeIngress,
 	}

@@ -10,7 +10,6 @@ import (
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
 	"proxygraph/internal/engine"
-	"proxygraph/internal/partition"
 	"proxygraph/internal/trace"
 	"proxygraph/internal/workload"
 )
@@ -24,8 +23,6 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// Estimator drives CCR-guided placement; default core.NewThreadCount().
 	Estimator core.Estimator
-	// Partitioner is the ingress algorithm (default Hybrid, as in Session).
-	Partitioner partition.Partitioner
 	// Cache, when non-nil, memoizes placements across jobs and tenants.
 	// Long-running services should bound it (NewBoundedPlacementCache).
 	Cache *workload.PlacementCache
@@ -187,7 +184,6 @@ func New(cfg Config) (*Service, error) {
 		cfg: cfg,
 		session: &workload.Session{
 			Cluster:       cfg.Cluster,
-			Partitioner:   cfg.Partitioner,
 			Cache:         cfg.Cache,
 			ChargeIngress: cfg.ChargeIngress,
 		},

@@ -695,10 +695,11 @@ func TestServiceConfigErrorNamesFirstBound(t *testing.T) {
 	}
 }
 
-// TestServiceDefaultPartitionerKeysLikeHybrid pins that New's default
-// partitioner, resolved once, keys the placement cache exactly as a fresh
-// partition.NewHybrid() does: a job served by a service with no Partitioner
-// and then by one with an explicit Hybrid is one miss, then one hit.
+// TestServiceDefaultPartitionerKeysLikeHybrid pins that the service ingresses
+// through the session's default partitioner, which keys the placement cache
+// exactly as a fresh partition.NewHybrid() does: a job served by the service
+// and then run by a Session with an explicit Hybrid over the same cache and
+// estimator is one miss, then one hit.
 func TestServiceDefaultPartitionerKeysLikeHybrid(t *testing.T) {
 	cl := caseTwo(t)
 	jobs, err := workload.RandomJobs(1, 256, 5)
@@ -710,23 +711,34 @@ func TestServiceDefaultPartitionerKeysLikeHybrid(t *testing.T) {
 	defer check()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for i, part := range []partition.Partitioner{nil, partition.NewHybrid()} {
-		svc, err := New(Config{Cluster: cl, Partitioner: part, Cache: cache, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := svc.Submit(ctx, "t", jobs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := svc.Wait(ctx, id)
-		svc.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != "done" || st.CacheHit != (i == 1) {
-			t.Fatalf("service %d: state %s, cache hit %v; want done, hit %v", i, st.State, st.CacheHit, i == 1)
-		}
+	svc, err := New(Config{Cluster: cl, Cache: cache, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.Submit(ctx, "t", jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Wait(ctx, id)
+	svc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" || st.CacheHit {
+		t.Fatalf("served job: state %s, cache hit %v; want done, a miss", st.State, st.CacheHit)
+	}
+
+	pool, err := core.BuildPool(cl, apps.WithExtensions(), core.NewThreadCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := &workload.Session{Cluster: cl, Partitioner: partition.NewHybrid(), Cache: cache}
+	jr, err := session.RunJob(pool, jobs[0], engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !jr.CacheHit {
+		t.Error("the Hybrid session's job missed the entry the served job placed")
 	}
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("cache saw %d misses and %d hits, want 1 and 1", st.Misses, st.Hits)

@@ -9,15 +9,18 @@
 #   make bench-compare PARENT=<parent-ref> WORKLOAD='<workload> [<workload>...]' [PAIRS=10]
 #
 # The two binaries are built once and every workload's pairs run before the
-# next workload starts; its table prints as soon as its pairs are done. The
-# parent is exported with git archive into a temporary directory and both
-# benchmark binaries run from temporary directories, so nothing is written
-# into the repository. Needs bash, tar, python3 and the Go toolchain; run it
-# on an otherwise idle host.
+# next workload starts; its table prints as soon as its pairs are done. After
+# each pair, one stderr row gives both sides' value of every end-to-end metric
+# and both sides' failed operations, so a single seed (seed 7 confirms a
+# claim) can be read from the script's own output. The parent is exported
+# with git archive into a temporary directory and both benchmark binaries run
+# from temporary directories, so nothing is written into the repository.
+# Needs bash, tar, python3 and the Go toolchain; run it on an otherwise idle
+# host.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,18p' "$0" | cut -c3- >&2
+  sed -n '2,19p' "$0" | cut -c3- >&2
   exit 2
 fi
 ref=$1
@@ -87,6 +90,24 @@ for m in metrics:
 EOF
 }
 
+# pair_row prints one pair's row on stderr: parent/change for every
+# end-to-end metric, then both sides' failed operations.
+pair_row() {
+python3 - "$@" >&2 <<'EOF'
+import json, sys
+runs, spec, workload, pair = sys.argv[1:5]
+names = [m["name"] for m in json.load(open(spec))["end_to_end"]]
+sides = {}
+for line in open(runs):
+    row = json.loads(line)
+    if row["pair"] == int(pair):
+        sides[row["side"]] = row["result"]
+p, c = sides["parent"], sides["change"]
+cells = " ".join(f"{n}={p['metrics'][n]['value']:.6g}/{c['metrics'][n]['value']:.6g}" for n in names)
+print(f"bench-compare: {workload} pair {pair} seed {pair}, parent/change: {cells} failed={p['failed']}/{c['failed']}")
+EOF
+}
+
 for workload in "${workloads[@]}"; do
   runs="$tmp/runs-$workload.jsonl"
   for pair in $(seq 1 "$pairs"); do
@@ -105,6 +126,7 @@ for workload in "${workloads[@]}"; do
       fi
       echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line}" >>"$runs"
     done
+    pair_row "$runs" "$root/BENCHMARK.json" "$workload" "$pair"
   done
   table "$runs" "$root/BENCHMARK.json" "$ref" "$workload"
   echo
