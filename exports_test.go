@@ -393,7 +393,7 @@ func interfaces(t types.Type, seen map[types.Type]bool, set map[*types.Interface
 // (or a pointer to it) implements an interface with a method of its name
 // that production code uses, or when its type is one the root package
 // aliases: such a type is public API, like the root package's functions.
-// Struct fields are not scanned.
+// Struct fields follow a rule of their own, readOnlyFields'.
 func unusedInternalDecls(t *testing.T, tr *tree) []string {
 	t.Helper()
 	var errs []error
@@ -456,6 +456,7 @@ func unusedInternalDecls(t *testing.T, tr *tree) []string {
 
 	// Excused methods: those of the types the root package aliases, and
 	// those that implement an interface production code uses.
+	aliased := map[*decl]bool{}
 	if root := prod.done[tr.root]; root != nil {
 		for _, name := range root.Scope().Names() {
 			obj, ok := root.Scope().Lookup(name).(*types.TypeName)
@@ -463,6 +464,9 @@ func unusedInternalDecls(t *testing.T, tr *tree) []string {
 				continue
 			}
 			if n, ok := types.Unalias(obj.Type()).(*types.Named); ok {
+				if d := byPos[n.Obj().Pos()]; d != nil {
+					aliased[d] = true
+				}
 				for i := range n.NumMethods() {
 					if d := byPos[n.Method(i).Pos()]; d != nil {
 						used[d] = true
@@ -513,7 +517,119 @@ func unusedInternalDecls(t *testing.T, tr *tree) []string {
 			bad = append(bad, at+" ("+testSupportMarker+" but no test outside its package uses it)")
 		}
 	}
+	return append(bad, readOnlyFields(tr, prod.info, decls, aliased)...)
+}
+
+// readOnlyFields returns one "file:line Type.Field" line per exported field
+// of a struct type declared in a production file under internal/ that
+// production code reads but never sets: a setting whose every production
+// value is zero. A production file sets a field where the field is
+//   - on the selector chain of an assignment's or ++/--'s target, down
+//     through selectors, index expressions, * and parentheses;
+//   - a key of a keyed composite literal, or any field of a positional one;
+//   - on the selector chain of &'s operand; or
+//   - on the selector chain of a range key or value.
+//
+// Every other use in info, the production files' Info, is a read. A promoted
+// field resolves to the field it promotes. The fields of a type the root
+// package aliases (public API) or one marked Test support: are excused.
+func readOnlyFields(tr *tree, info *types.Info, decls []*decl, aliased map[*decl]bool) []string {
+	set := map[*ast.Ident]bool{}      // identifiers in a setting position
+	setFields := map[token.Pos]bool{} // fields set, by declaration position
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				set[x.Sel] = true
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range tr.files {
+		if f.isTest() {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X)
+				}
+			case *ast.RangeStmt:
+				target(n.Key)
+				target(n.Value)
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id] = true
+						}
+					} else if st := structOf(info.Types[n].Type); st != nil {
+						for i := range st.NumFields() {
+							setFields[st.Field(i).Origin().Pos()] = true
+						}
+						break
+					}
+				}
+			}
+			return true
+		})
+	}
+	read := map[token.Pos]bool{}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			if set[id] {
+				setFields[v.Origin().Pos()] = true
+			} else {
+				read[v.Origin().Pos()] = true
+			}
+		}
+	}
+
+	var bad []string
+	for _, d := range decls {
+		tn, ok := info.Defs[d.name].(*types.TypeName)
+		if !ok || d.marked || aliased[d] {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := range st.NumFields() {
+			if v := st.Field(i); v.Exported() && read[v.Pos()] && !setFields[v.Pos()] {
+				bad = append(bad, d.file.path+":"+strconv.Itoa(tr.fset.Position(v.Pos()).Line)+" "+d.label+"."+v.Name())
+			}
+		}
+	}
 	return bad
+}
+
+// structOf returns the struct type a composite literal of type t builds, or
+// nil if it builds none.
+func structOf(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }
 
 func usedOutside(dirs map[string]bool, own string) bool {
@@ -529,14 +645,15 @@ func usedOutside(dirs map[string]bool, own string) bool {
 // production files: a top-level declaration under internal/ that only tests
 // use belongs in the _test.go file of the package whose tests use it, or,
 // when tests in other packages need it, carries a "Test support:" line in
-// its doc comment naming them.
+// its doc comment naming them. An exported struct field that production
+// reads but never sets is a setting no production caller varies: delete it.
 func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	bad := unusedInternalDecls(t, loadTree(t, "."))
 	for _, line := range bad {
 		t.Error(line)
 	}
 	if len(bad) > 0 {
-		t.Errorf("%d internal declarations have no production use: delete each, move it into the _test.go file that uses it, or mark it %q in its doc comment and name the tests in other packages that use it", len(bad), testSupportMarker)
+		t.Errorf("%d findings: delete each declaration production does not use, move it into the _test.go file that uses it, or mark it %q in its doc comment and name the tests in other packages that use it; delete each field production reads but never sets", len(bad), testSupportMarker)
 	}
 }
 
@@ -768,6 +885,88 @@ func TestUnusedInternalExportsOnSyntheticTrees(t *testing.T) {
 			files: map[string]string{
 				"pkg/p/p.go":    "package p\n\nfunc Unused() {}\n",
 				"cmd/c/main.go": "package main\n\nfunc Unused() {}\n\nfunc main() {}\n",
+			},
+		},
+		{
+			name: "field read but never set is flagged",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct {\n\tF int\n\tG int\n}\n\nfunc Get(t T) int { return t.F + t.G }\n",
+				"main.go":         useA + "func main() { _ = a.Get(a.T{G: 1}) }\n",
+			},
+			want: []string{"internal/a/a.go:4 T.F"},
+		},
+		{
+			name: "field only tests set is flagged",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\n\ntype T struct{ N int }\n\nfunc Get(t T) int { return t.N }\n",
+				"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestGet(t *testing.T) { Get(T{N: 1}) }\n",
+				"main.go":              useA + "func main() { _ = a.Get(a.T{}) }\n",
+			},
+			want: []string{"internal/a/a.go:3 T.N"},
+		},
+		{
+			name: "assignment through selectors, index, * and parentheses sets fields",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Inner struct{ Fs []int }\n\ntype Outer struct {\n\tIn Inner\n\tP  *int\n}\n\nfunc Set(os []*Outer) int {\n\t(*os[0]).In.Fs[0] = 1\n\t*(os[0].P) = 2\n\treturn os[0].In.Fs[0] + *os[0].P\n}\n",
+				"main.go":         useA + "func main() { a.Set(nil) }\n",
+			},
+		},
+		{
+			name: "increment sets a field",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{ N int }\n\nfunc Next(t *T) int {\n\tt.N++\n\treturn t.N\n}\n",
+				"main.go":         useA + "func main() { a.Next(nil) }\n",
+			},
+		},
+		{
+			name: "keyed composite literal sets a field",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{ N int }\n\nfunc Get() int { return T{N: 1}.N }\n",
+				"main.go":         useA + "func main() { a.Get() }\n",
+			},
+		},
+		{
+			name: "positional composite literal sets every field",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{ A, B int }\n\nfunc Get() int {\n\tts := []*T{{1, 2}}\n\treturn ts[0].A + ts[0].B\n}\n",
+				"main.go":         useA + "func main() { a.Get() }\n",
+			},
+		},
+		{
+			name: "address-of sets a field",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{ N int }\n\nfunc fill(p *int) { *p = 1 }\n\nfunc Get(t T) int {\n\tfill(&t.N)\n\treturn t.N\n}\n",
+				"main.go":         useA + "func main() { a.Get(a.T{}) }\n",
+			},
+		},
+		{
+			name: "range key and value set fields",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{ K, V string }\n\nfunc Last(m map[string]string) string {\n\tvar t T\n\tfor t.K, t.V = range m {\n\t}\n\treturn t.K + t.V\n}\n",
+				"main.go":         useA + "func main() { a.Last(nil) }\n",
+			},
+		},
+		{
+			name: "promoted fields resolve to the embedded struct's",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Inner struct {\n\tSet, Unset int\n}\n\ntype Outer struct{ Inner }\n\nfunc Get() int {\n\tvar o Outer\n\to.Set = 1\n\treturn o.Set + o.Unset\n}\n",
+				"main.go":         useA + "func main() { a.Get() }\n",
+			},
+			want: []string{"internal/a/a.go:4 Inner.Unset"},
+		},
+		{
+			name: "fields of a type the root package aliases pass",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{ F int }\n\nfunc Get(t T) int { return t.F }\n",
+				"facade.go":       "package m\n\nimport \"m/internal/a\"\n\n// T is a's T.\ntype T = a.T\n\n// Get is a's Get.\nfunc Get(t T) int { return a.Get(t) }\n",
+			},
+		},
+		{
+			name: "fields of a marked type pass",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\n\n// Spec is built by tests.\n//\n// Test support: the b tests.\ntype Spec struct{ N int }\n\nfunc Run(s Spec) int { return s.N }\n",
+				"main.go":              useA + "func main() { a.Run(a.Spec{}) }\n",
+				"internal/b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"m/internal/a\"\n)\n\nfunc TestRun(t *testing.T) { a.Run(a.Spec{N: 1}) }\n",
 			},
 		},
 		{

@@ -320,7 +320,7 @@ func TestPropertyApplyContract(t *testing.T) {
 			// A vertex that gathered nothing has an empty sum, whatever its
 			// accumulator slot still holds.
 			pr, vals := NewPageRank(), []prState{{rank: 3, invOut: 1}}
-			sig := pr.Apply([]graph.VertexID{0}, vals, []float64{7}, []bool{false}, &engine.Runtime{NumVertices: 1}, nil)
+			sig := pr.Apply([]graph.VertexID{0}, vals, []float64{7}, []bool{false}, &engine.Runtime{}, nil)
 			if want := 1 - pr.Damping; vals[0].rank != want || vals[0].invOut != 1 || len(sig) != 1 {
 				t.Fatalf("a vertex without gathers came out as %+v (signalled %v), want rank %v", vals[0], sig, want)
 			}
@@ -376,7 +376,7 @@ func checkApply[V any, A comparable](t *testing.T, prog engine.Program[V, A], sr
 		for i := range prefix {
 			prefix[i] = graph.VertexID(n)
 		}
-		rt := &engine.Runtime{NumVertices: n, NumEdges: 4 * n, Step: src.Intn(20)}
+		rt := &engine.Runtime{Step: src.Intn(20)}
 		accBefore, hasBefore := slices.Clone(acc), slices.Clone(has)
 
 		whole := slices.Clone(vals)

@@ -18,10 +18,9 @@ import (
 // warm-start frontier (engine.Options.InitialActive).
 
 // PageRankResume is PageRank warm-started from a prior rank vector. Vertices
-// beyond the prior vector (an ID space grown by the delta) start cold at rank
-// 1. Convergence is tolerance-stopped, so resumed ranks are not bit-identical
-// to a cold run on the evolved graph; both land within the same fixed-point
-// envelope — each vertex's converged rank is within Tolerance/(1-Damping) of
+// beyond a short prior vector start cold at rank 1. Convergence is
+// tolerance-stopped, so resumed ranks are not bit-identical to a cold run on
+// the evolved graph; both land within the same fixed-point envelope — each vertex's converged rank is within Tolerance/(1-Damping) of
 // the true fixed point, so resumed and cold ranks agree per vertex to within
 // twice that (the differential tests pin this bound).
 type PageRankResume struct {

@@ -237,68 +237,6 @@ func TestPRResumeWithinEnvelope(t *testing.T) {
 	run("csr", csrVals, nil)
 }
 
-// TestResumeAcrossVertexSpaceChange covers deltas that grow or shrink the ID
-// space: grown vertices start cold, shrunk priors are ignored past the new
-// bound, and resumed CC labels still match a cold run exactly.
-func TestResumeAcrossVertexSpaceChange(t *testing.T) {
-	cl := heteroCluster(t)
-	cc := NewConnectedComponents()
-	base := &graph.Graph{
-		Name:        "spaces",
-		NumVertices: 5,
-		Edges:       []graph.Edge{E(0, 1), E(1, 2), E(3, 4)},
-	}
-	_, prior, err := engine.RunReference[uint32, uint32](cc, moduloPlacement(t, base, 4), cl, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	grow := &graph.Delta{Time: 1, Inserts: []graph.Edge{E(5, 6), E(2, 5)}, NumVertices: 7}
-	shrink := &graph.Delta{Time: 1, Deletes: []graph.Edge{E(3, 4)}, NumVertices: 3}
-	for _, tc := range []struct {
-		name string
-		d    *graph.Delta
-	}{{"grow", grow}, {"shrink", shrink}} {
-		t.Run(tc.name, func(t *testing.T) {
-			evolved, err := tc.d.Apply(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl := moduloPlacement(t, evolved, 4)
-			_, cold, err := engine.RunReference[uint32, uint32](cc, pl, cl, engine.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resume := cc.Resume(prior, tc.d, evolved)
-			_, got, err := engine.RunReference[uint32, uint32](resume, pl, cl, engine.Options{InitialActive: resume.Seed()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range cold {
-				if got[v] != cold[v] {
-					t.Fatalf("vertex %d: resumed label %d, cold %d", v, got[v], cold[v])
-				}
-			}
-		})
-	}
-
-	// PageRank across a grow: new vertices start cold and the run completes.
-	pr := NewPageRank()
-	evolved, err := grow.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priorRanks := []float64{1.1, 1.2, 1.3, 0.9, 0.8}
-	resume := pr.Resume(priorRanks)
-	_, vals, err := engine.RunReference[prState, float64](resume, moduloPlacement(t, evolved, 4), cl, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != evolved.NumVertices {
-		t.Fatalf("resumed PR produced %d states for %d vertices", len(vals), evolved.NumVertices)
-	}
-}
-
 // TestChaosAmendedPlacement is the chaos satellite: a placement produced by
 // incremental amendment, driven by a warm-started program, must recover from
 // seeded fault schedules to exactly the fault-free answer with bitwise

@@ -14,8 +14,6 @@ const (
 
 // Runtime exposes per-run globals to vertex programs.
 type Runtime struct {
-	// NumVertices and NumEdges describe the input graph.
-	NumVertices, NumEdges int
 	// Step is the current superstep, starting at 0.
 	Step int
 }

@@ -31,7 +31,7 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 	}
 	g := pl.G
 	n := g.NumVertices
-	rt := &Runtime{NumVertices: n, NumEdges: len(g.Edges)}
+	rt := &Runtime{}
 
 	vals := make([]V, n)
 	prog.Init(vals, g)

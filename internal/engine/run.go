@@ -54,7 +54,6 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 		prog:     prog,
 		applyAll: prog.ApplyAll(),
 		both:     prog.Direction() == GatherBoth,
-		rt:       Runtime{NumVertices: n, NumEdges: len(g.Edges)},
 		vals:     make([]V, n),
 		acc:      make([]A, n),
 		has:      make([]bool, n),

@@ -99,9 +99,9 @@ func (l *Lab) ServiceOverloadStudy() (*metrics.Table, error) {
 
 	// Fold the replay into per-tenant rows.
 	type row struct {
-		submitted, admitted                int
-		rejOverload, rejBudget, rejBreaker int
-		shed, completed, failed, retries   int
+		submitted, admitted              int
+		rejOverload, rejBudget           int
+		shed, completed, failed, retries int
 	}
 	rows := map[string]*row{}
 	get := func(name string) *row {
@@ -120,8 +120,6 @@ func (l *Lab) ServiceOverloadStudy() (*metrics.Table, error) {
 			r.rejOverload++
 		case "budget":
 			r.rejBudget++
-		case "breaker":
-			r.rejBreaker++
 		}
 	}
 	for _, js := range rep.Jobs {

@@ -22,7 +22,7 @@ type DeltaSpec struct {
 // non-self-loop edges whose endpoints follow the same skew as the base graph
 // (a uniformly chosen existing edge's source, rewired to a uniform target) —
 // evolution that preferentially touches hubs, as real graph churn does.
-// Weighted bases get unit-weight inserts.
+// Applied to a weighted base, the inserts get unit weights.
 func RandomDelta(base *graph.Graph, spec DeltaSpec, seed uint64) (*graph.Delta, error) {
 	if spec.Time == 0 {
 		return nil, fmt.Errorf("gen: delta needs a positive timestamp")
@@ -64,12 +64,6 @@ func RandomDelta(base *graph.Graph, spec DeltaSpec, seed uint64) (*graph.Delta, 
 				continue
 			}
 			d.Inserts = append(d.Inserts, graph.Edge{Src: u, Dst: v})
-		}
-		if base.Weights != nil {
-			d.InsertWeights = make([]float32, len(d.Inserts))
-			for i := range d.InsertWeights {
-				d.InsertWeights[i] = 1
-			}
 		}
 	}
 	return d, nil

@@ -20,7 +20,8 @@ import (
 // occurrence at a time), compacts the survivors in stream order, and appends
 // Inserts at the tail. Appending preserves the streaming partitioners' view
 // of the world: an inserted edge is a continuation of the ingress stream,
-// which is exactly the state Amend resumes from.
+// which is exactly the state Amend resumes from. The evolved graph keeps the
+// base's vertex space, and an insert into a weighted base has weight 1.
 type Delta struct {
 	// Time is the batch's logical timestamp. Apply requires it to be strictly
 	// greater than zero so versions are orderable; it also salts nothing —
@@ -31,43 +32,19 @@ type Delta struct {
 	// Deletes each remove the first remaining occurrence of their (Src, Dst)
 	// pair from the base edge list; a delete with no occurrence left errors.
 	Deletes []Edge
-	// InsertWeights optionally carries per-insert weights (len ==
-	// len(Inserts)). Required when the base graph is weighted.
-	InsertWeights []float32
-	// DeleteWeights optionally disambiguates deletes (len == len(Deletes)):
-	// when non-nil, each delete claims the first remaining occurrence of its
-	// (Src, Dst, weight) triple instead of the bare pair — needed to undo an
-	// insertion exactly when the same pair already exists at another weight
-	// (the Inverse test oracle in delta_test.go sets it).
-	DeleteWeights []float32
-	// NumVertices, when non-zero, is the evolved graph's vertex count
-	// (growing or shrinking the ID space). Zero keeps the base count. Apply
-	// validates that every surviving and inserted edge fits the new space.
-	NumVertices int
 }
 
 // Size returns the number of mutations in the batch.
 func (d *Delta) Size() int { return len(d.Inserts) + len(d.Deletes) }
 
-// vertexCount resolves the evolved graph's vertex count.
-func (d *Delta) vertexCount(base *Graph) int {
-	if d.NumVertices > 0 {
-		return d.NumVertices
-	}
-	return base.NumVertices
-}
-
 // Validate checks the batch against its base graph: a positive timestamp,
-// endpoints inside the evolved vertex space, no self-loops, and a weight
-// column consistent with the base graph's.
+// and inserts that are no self-loops and whose endpoints lie in the base's
+// vertex space.
 func (d *Delta) Validate(base *Graph) error {
 	if d.Time == 0 {
 		return fmt.Errorf("delta: zero timestamp (versions must be orderable)")
 	}
-	if d.NumVertices < 0 {
-		return fmt.Errorf("delta: negative vertex count %d", d.NumVertices)
-	}
-	n := VertexID(d.vertexCount(base))
+	n := VertexID(base.NumVertices)
 	for i, e := range d.Inserts {
 		if e.Src >= n || e.Dst >= n {
 			return fmt.Errorf("delta: insert %d (%d->%d) out of range [0,%d)", i, e.Src, e.Dst, n)
@@ -76,57 +53,28 @@ func (d *Delta) Validate(base *Graph) error {
 			return fmt.Errorf("delta: insert %d is a self-loop at vertex %d", i, e.Src)
 		}
 	}
-	if d.InsertWeights != nil && len(d.InsertWeights) != len(d.Inserts) {
-		return fmt.Errorf("delta: %d insert weights for %d inserts", len(d.InsertWeights), len(d.Inserts))
-	}
-	if d.DeleteWeights != nil && len(d.DeleteWeights) != len(d.Deletes) {
-		return fmt.Errorf("delta: %d delete weights for %d deletes", len(d.DeleteWeights), len(d.Deletes))
-	}
-	if base.Weights != nil && len(d.Inserts) > 0 && d.InsertWeights == nil {
-		return fmt.Errorf("delta: base graph %q is weighted, inserts need InsertWeights", base.Name)
-	}
 	return nil
 }
 
 // DeletedIndices resolves Deletes against the base edge list: for each delete
-// the index of the first not-yet-claimed occurrence of its (Src, Dst) pair
-// (or (Src, Dst, weight) triple when DeleteWeights is set), returned in
-// ascending index order. It errors when any delete has no match left —
-// deleting an absent edge is a versioning bug, not a no-op.
+// the index of the first not-yet-claimed occurrence of its (Src, Dst) pair,
+// returned in ascending index order. It errors when any delete has no match
+// left — deleting an absent edge is a versioning bug, not a no-op.
 //
 // The scan over the base edges is one filter test per edge: a one-hash bitmap
-// over the deletes' (Src, Dst) pairs, at least 64 bits per delete, so the
-// multiset of wanted occurrences is consulted for the edges that repeat a
-// deleted pair plus a false-positive share of the rest near 1/64. A batch
-// costs O(|E|) cheap tests plus map work proportional to how often its pairs
-// occur. The map stays the authority: it keeps float32 == weight matching
-// for the triple form.
+// over the deletes' pairs, at least 64 bits per delete, so the multiset of
+// wanted occurrences is consulted for the edges that repeat a deleted pair
+// plus a false-positive share of the rest near 1/64. A batch costs O(|E|)
+// cheap tests plus map work proportional to how often its pairs occur.
 func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 	if len(d.Deletes) == 0 {
 		return nil, nil
-	}
-	type occurrence struct {
-		e Edge
-		w float32
-	}
-	key := func(e Edge, w float32) occurrence {
-		if d.DeleteWeights == nil {
-			// Pair-only matching: collapse the weight dimension.
-			return occurrence{e: e}
-		}
-		return occurrence{e: e, w: w}
-	}
-	weight := func(j int) float32 {
-		if d.DeleteWeights == nil {
-			return 0
-		}
-		return d.DeleteWeights[j]
 	}
 	missing := func(e Edge) error {
 		return fmt.Errorf("delta: delete (%d->%d) has no remaining occurrence in graph %q", e.Src, e.Dst, base.Name)
 	}
 	n := VertexID(base.NumVertices)
-	want := make(map[occurrence]int, len(d.Deletes))
+	want := make(map[Edge]int, len(d.Deletes))
 	// Fibonacci hashing: the top logBits bits of the pair times 2^64/φ.
 	logBits := bits.Len(uint(64*len(d.Deletes) - 1))
 	shift := 64 - logBits
@@ -134,12 +82,12 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 		return (uint64(e.Src)<<32 | uint64(e.Dst)) * 0x9e3779b97f4a7c15 >> shift
 	}
 	filter := make([]uint64, 1<<logBits/64)
-	for j, e := range d.Deletes {
+	for _, e := range d.Deletes {
 		if e.Src >= n || e.Dst >= n {
 			// No base edge reaches outside the base vertex space.
 			return nil, missing(e)
 		}
-		want[key(e, weight(j))]++
+		want[e]++
 		s := slot(e)
 		filter[s>>6] |= 1 << (s & 63)
 	}
@@ -148,9 +96,8 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 		if s := slot(e); filter[s>>6]&(1<<(s&63)) == 0 {
 			continue
 		}
-		k := key(e, base.Weight(i))
-		if want[k] > 0 {
-			want[k]--
+		if want[e] > 0 {
+			want[e]--
 			idx = append(idx, i)
 			if len(idx) == len(d.Deletes) {
 				break
@@ -159,8 +106,8 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 	}
 	if len(idx) != len(d.Deletes) {
 		// Name the first delete, in batch order, that found nothing to claim.
-		for j, e := range d.Deletes {
-			if want[key(e, weight(j))] > 0 {
+		for _, e := range d.Deletes {
+			if want[e] > 0 {
 				return nil, missing(e)
 			}
 		}
@@ -180,14 +127,12 @@ func (d *Delta) Apply(base *Graph) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.vertexCount(base)
 
-	kept := len(base.Edges) - len(deleted)
-	edges := make([]Edge, 0, kept+len(d.Inserts))
-	weighted := base.Weights != nil || d.InsertWeights != nil
+	size := len(base.Edges) - len(deleted) + len(d.Inserts)
+	edges := make([]Edge, 0, size)
 	var weights []float32
-	if weighted {
-		weights = make([]float32, 0, kept+len(d.Inserts))
+	if base.Weights != nil {
+		weights = make([]float32, 0, size)
 	}
 	// Survivors are copied a run at a time, between consecutive deletes.
 	keep := func(lo, hi int) {
@@ -203,37 +148,24 @@ func (d *Delta) Apply(base *Graph) (*Graph, error) {
 	}
 	keep(lo, len(base.Edges))
 	edges = append(edges, d.Inserts...)
-	if weighted {
-		if base.Weights == nil {
-			weights = appendOnes(weights, kept)
-		}
-		if d.InsertWeights != nil {
-			weights = append(weights, d.InsertWeights...)
-		} else {
-			weights = appendOnes(weights, len(d.Inserts))
+	if base.Weights != nil {
+		for range d.Inserts {
+			weights = append(weights, 1)
 		}
 	}
 
 	evolved := &Graph{
 		Name:        fmt.Sprintf("%s@t%d", base.Name, d.Time),
-		NumVertices: n,
+		NumVertices: base.NumVertices,
 		Edges:       edges,
 		Weights:     weights,
 		Alpha:       base.Alpha,
 	}
 	if err := evolved.Validate(); err != nil {
-		// Shrinking NumVertices below a surviving endpoint lands here.
+		// A base graph read from a file may itself be malformed.
 		return nil, fmt.Errorf("delta: evolved graph invalid: %w", err)
 	}
 	return evolved, nil
-}
-
-// appendOnes appends n unit weights.
-func appendOnes(w []float32, n int) []float32 {
-	for range n {
-		w = append(w, 1)
-	}
-	return w
 }
 
 // Touched returns the sorted distinct vertices incident to the batch's

@@ -10,45 +10,25 @@ import (
 )
 
 // Inverse returns the batch that undoes this one against its base graph: the
-// deleted edges re-inserted (with their original weights) and the inserts
-// deleted, restoring the base vertex count. The inverse's deletes carry
-// weights (DeleteWeights) so they claim exactly the inserted occurrences even
-// when the same (Src, Dst) pair survives at another weight. Applying the
-// inverse to the evolved graph yields a graph with exactly the base's edge
+// deleted edges re-inserted and the inserts deleted. Applying the inverse to
+// the evolved graph yields a graph with exactly the base's (Src, Dst)
 // multiset — the re-inserted edges land at the tail rather than their
-// original stream positions, so the round trip is multiset- and
-// fingerprint-exact (the content fingerprint is order-independent) but not
-// order-exact.
+// original stream positions, so the round trip is multiset-exact but not
+// order-exact. Over an unweighted base the weights (all 1) come back too, so
+// the round trip is fingerprint-exact (the content fingerprint is
+// order-independent); over a weighted base a re-inserted edge has weight 1.
 func (d *Delta) Inverse(base *Graph) (*Delta, error) {
 	deleted, err := d.DeletedIndices(base)
 	if err != nil {
 		return nil, err
 	}
 	inv := &Delta{
-		Time:        d.Time + 1,
-		Inserts:     make([]Edge, len(deleted)),
-		Deletes:     append([]Edge(nil), d.Inserts...),
-		NumVertices: base.NumVertices,
+		Time:    d.Time + 1,
+		Inserts: make([]Edge, len(deleted)),
+		Deletes: append([]Edge(nil), d.Inserts...),
 	}
 	for i, bi := range deleted {
 		inv.Inserts[i] = base.Edges[bi]
-	}
-	weighted := base.Weights != nil || d.InsertWeights != nil
-	if weighted {
-		// The evolved graph is weighted, so both columns are needed: weights
-		// for the re-inserted edges and exact-match weights for the deletes.
-		inv.InsertWeights = make([]float32, len(deleted))
-		for i, bi := range deleted {
-			inv.InsertWeights[i] = base.Weight(bi)
-		}
-		inv.DeleteWeights = make([]float32, len(d.Inserts))
-		for i := range d.Inserts {
-			if d.InsertWeights != nil {
-				inv.DeleteWeights[i] = d.InsertWeights[i]
-			} else {
-				inv.DeleteWeights[i] = 1
-			}
-		}
 	}
 	return inv, nil
 }
@@ -67,17 +47,17 @@ func deltaBase() *Graph {
 func TestDeltaApply(t *testing.T) {
 	base := deltaBase()
 	d := &Delta{
-		Time:          7,
-		Deletes:       []Edge{{0, 1}, {3, 4}},
-		Inserts:       []Edge{{4, 0}, {0, 1}},
-		InsertWeights: []float32{9, 8},
+		Time:    7,
+		Deletes: []Edge{{0, 1}, {3, 4}},
+		Inserts: []Edge{{4, 0}, {0, 1}},
 	}
 	evolved, err := d.Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Survivors keep their weights; inserts into the weighted base weigh 1.
 	wantEdges := []Edge{{1, 2}, {0, 1}, {2, 3}, {4, 0}, {0, 1}}
-	wantWeights := []float32{2, 3, 4, 9, 8}
+	wantWeights := []float32{2, 3, 4, 1, 1}
 	if len(evolved.Edges) != len(wantEdges) {
 		t.Fatalf("evolved has %d edges, want %d", len(evolved.Edges), len(wantEdges))
 	}
@@ -99,53 +79,20 @@ func TestDeltaApply(t *testing.T) {
 	}
 }
 
-func TestDeltaApplyGrowsAndShrinks(t *testing.T) {
-	base := &Graph{NumVertices: 3, Edges: []Edge{{0, 1}, {1, 2}}}
-
-	grow := &Delta{Time: 1, Inserts: []Edge{{2, 4}}, NumVertices: 5}
-	evolved, err := grow.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evolved.NumVertices != 5 || len(evolved.Edges) != 3 {
-		t.Fatalf("grow produced |V|=%d |E|=%d", evolved.NumVertices, len(evolved.Edges))
-	}
-	if evolved.Weights != nil {
-		t.Fatal("unweighted base grew a weight column")
-	}
-
-	shrink := &Delta{Time: 2, Deletes: []Edge{{1, 2}}, NumVertices: 2}
-	evolved, err = shrink.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evolved.NumVertices != 2 || len(evolved.Edges) != 1 {
-		t.Fatalf("shrink produced |V|=%d |E|=%d", evolved.NumVertices, len(evolved.Edges))
-	}
-
-	// Shrinking below a surviving endpoint must fail, not truncate.
-	if _, err := (&Delta{Time: 3, NumVertices: 2}).Apply(base); err == nil {
-		t.Fatal("shrink below surviving endpoint accepted")
-	}
-}
-
 func TestDeltaErrors(t *testing.T) {
 	base := deltaBase()
 	cases := []struct {
 		name string
 		d    *Delta
 	}{
-		{"zero time", &Delta{Inserts: []Edge{{0, 2}}, InsertWeights: []float32{1}}},
-		{"negative vertices", &Delta{Time: 1, NumVertices: -1}},
-		{"insert out of range", &Delta{Time: 1, Inserts: []Edge{{0, 9}}, InsertWeights: []float32{1}}},
-		{"insert self-loop", &Delta{Time: 1, Inserts: []Edge{{2, 2}}, InsertWeights: []float32{1}}},
-		{"weight count mismatch", &Delta{Time: 1, Inserts: []Edge{{0, 2}}, InsertWeights: []float32{1, 2}}},
-		{"weighted base needs weights", &Delta{Time: 1, Inserts: []Edge{{0, 2}}}},
+		{"zero time", &Delta{Inserts: []Edge{{0, 2}}}},
+		{"insert out of range", &Delta{Time: 1, Inserts: []Edge{{0, 9}}}},
+		{"insert self-loop", &Delta{Time: 1, Inserts: []Edge{{2, 2}}}},
 		{"delete absent edge", &Delta{Time: 1, Deletes: []Edge{{4, 1}}}},
 		{"delete more occurrences than present", &Delta{Time: 1, Deletes: []Edge{{1, 2}, {1, 2}}}},
 		{"delete from a source outside the base", &Delta{Time: 1, Deletes: []Edge{{5, 1}}}},
 		{"delete into a destination outside the base", &Delta{Time: 1, Deletes: []Edge{{0, 1}, {1, 1 << 31}}}},
-		{"delete outside the base inside a grown vertex space", &Delta{Time: 1, Deletes: []Edge{{70, 1}}, NumVertices: 100}},
+		{"delete far outside the base", &Delta{Time: 1, Deletes: []Edge{{70, 1}}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.d.Apply(base); err == nil {
@@ -171,31 +118,17 @@ func TestDeltaDeletedIndices(t *testing.T) {
 // deletedIndicesFullScan is the executable spec of DeletedIndices: one map
 // lookup per base edge, stopping once every delete has claimed an occurrence.
 func deletedIndicesFullScan(d *Delta, base *Graph) ([]int, bool) {
-	type occurrence struct {
-		e Edge
-		w float32
-	}
-	key := func(e Edge, w float32) occurrence {
-		if d.DeleteWeights == nil {
-			return occurrence{e: e}
-		}
-		return occurrence{e: e, w: w}
-	}
-	want := make(map[occurrence]int, len(d.Deletes))
-	for j, e := range d.Deletes {
-		var w float32
-		if d.DeleteWeights != nil {
-			w = d.DeleteWeights[j]
-		}
-		want[key(e, w)]++
+	want := make(map[Edge]int, len(d.Deletes))
+	for _, e := range d.Deletes {
+		want[e]++
 	}
 	var idx []int
 	for i, e := range base.Edges {
 		if len(idx) == len(d.Deletes) {
 			break
 		}
-		if k := key(e, base.Weight(i)); want[k] > 0 {
-			want[k]--
+		if want[e] > 0 {
+			want[e]--
 			idx = append(idx, i)
 		}
 	}
@@ -205,9 +138,8 @@ func deletedIndicesFullScan(d *Delta, base *Graph) ([]int, bool) {
 // TestDeletedIndicesMatchesFullScan pins the (Src, Dst)-pair-filtered scan to
 // the full scan it replaced, on the shapes where a pair filter could go wrong.
 func TestDeletedIndicesMatchesFullScan(t *testing.T) {
-	// A multigraph with a hub (vertex 0 sources every third edge), repeated
-	// pairs and a small weight alphabet, so pairs recur at equal and at
-	// different weights.
+	// A multigraph with a hub (vertex 0 sources every third edge) and
+	// repeated pairs.
 	const n = 97
 	base := &Graph{Name: "scan", NumVertices: n}
 	state := uint64(20160816)
@@ -224,10 +156,9 @@ func TestDeletedIndicesMatchesFullScan(t *testing.T) {
 			v = (v + 1) % n
 		}
 		base.Edges = append(base.Edges, Edge{Src: VertexID(u), Dst: VertexID(v)})
-		base.Weights = append(base.Weights, float32(1+next(3)))
 	}
 	// pick draws distinct edge positions, so the batch it builds resolves.
-	pick := func(count int, from func() int) (es []Edge, ws []float32) {
+	pick := func(count int, from func() int) (es []Edge) {
 		used := map[int]bool{}
 		for len(es) < count {
 			at := from()
@@ -236,9 +167,8 @@ func TestDeletedIndicesMatchesFullScan(t *testing.T) {
 			}
 			used[at] = true
 			es = append(es, base.Edges[at])
-			ws = append(ws, base.Weights[at])
 		}
-		return es, ws
+		return es
 	}
 	anywhere := func() int { return next(len(base.Edges)) }
 	onHub := func() int { return 3 * next(len(base.Edges)/3) }
@@ -259,30 +189,20 @@ func TestDeletedIndicesMatchesFullScan(t *testing.T) {
 		{"destination outside the base", onHub, 10, []Edge{{0, 1 << 30}}},
 	}
 	for _, tc := range cases {
-		for _, triple := range []bool{false, true} {
-			d := &Delta{Time: 1}
-			d.Deletes, d.DeleteWeights = pick(tc.count, tc.from)
-			for _, e := range tc.absent {
-				d.Deletes = append(d.Deletes, e)
-				d.DeleteWeights = append(d.DeleteWeights, 1)
-			}
-			if !triple {
-				d.DeleteWeights = nil
-			}
-			want, ok := deletedIndicesFullScan(d, base)
-			got, err := d.DeletedIndices(base)
-			if ok != (err == nil) {
-				t.Fatalf("%s (triple=%v): full scan resolves=%v, DeletedIndices error %v", tc.name, triple, ok, err)
-			}
-			if ok == (tc.absent != nil) {
-				t.Fatalf("%s (triple=%v): case built wrong, full scan resolves=%v", tc.name, triple, ok)
-			}
-			if !ok {
-				continue
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s (triple=%v): indices\n got %v\nwant %v", tc.name, triple, got, want)
-			}
+		d := &Delta{Time: 1, Deletes: append(pick(tc.count, tc.from), tc.absent...)}
+		want, ok := deletedIndicesFullScan(d, base)
+		got, err := d.DeletedIndices(base)
+		if ok != (err == nil) {
+			t.Fatalf("%s: full scan resolves=%v, DeletedIndices error %v", tc.name, ok, err)
+		}
+		if ok == (tc.absent != nil) {
+			t.Fatalf("%s: case built wrong, full scan resolves=%v", tc.name, ok)
+		}
+		if !ok {
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: indices\n got %v\nwant %v", tc.name, got, want)
 		}
 	}
 
@@ -333,10 +253,15 @@ type weightedEdge struct {
 	w float32
 }
 
-func edgeMultiset(g *Graph) []weightedEdge {
+// edgeMultiset lists g's edge occurrences in sorted order, with their weights
+// when withWeights is set and at weight 0 otherwise.
+func edgeMultiset(g *Graph, withWeights bool) []weightedEdge {
 	out := make([]weightedEdge, len(g.Edges))
 	for i, e := range g.Edges {
-		out[i] = weightedEdge{e: e, w: g.Weight(i)}
+		out[i] = weightedEdge{e: e}
+		if withWeights {
+			out[i].w = g.Weight(i)
+		}
 	}
 	slices.SortFunc(out, func(a, b weightedEdge) int {
 		return cmp.Or(cmp.Compare(a.e.Src, b.e.Src), cmp.Compare(a.e.Dst, b.e.Dst), cmp.Compare(a.w, b.w))
@@ -344,12 +269,15 @@ func edgeMultiset(g *Graph) []weightedEdge {
 	return out
 }
 
-func sameMultiset(t *testing.T, label string, a, b *Graph) {
+// sameMultiset fails unless a and b have one vertex count and one edge
+// multiset: of (Src, Dst, weight) occurrences when withWeights is set, of
+// (Src, Dst) pairs otherwise.
+func sameMultiset(t *testing.T, label string, a, b *Graph, withWeights bool) {
 	t.Helper()
 	if a.NumVertices != b.NumVertices {
 		t.Fatalf("%s: vertex counts %d vs %d", label, a.NumVertices, b.NumVertices)
 	}
-	ma, mb := edgeMultiset(a), edgeMultiset(b)
+	ma, mb := edgeMultiset(a, withWeights), edgeMultiset(b, withWeights)
 	if len(ma) != len(mb) {
 		t.Fatalf("%s: edge counts %d vs %d", label, len(ma), len(mb))
 	}
@@ -360,27 +288,39 @@ func sameMultiset(t *testing.T, label string, a, b *Graph) {
 	}
 }
 
-func TestDeltaInverseRoundTrip(t *testing.T) {
-	base := deltaBase()
-	d := &Delta{
-		Time:          3,
-		Deletes:       []Edge{{0, 1}, {2, 3}},
-		Inserts:       []Edge{{4, 1}},
-		InsertWeights: []float32{6},
-	}
+// roundTrip applies d to base and then its inverse to the result, and checks
+// the round trip's law: the base's exact weighted-edge multiset over an
+// unweighted base, its (Src, Dst) multiset over a weighted one.
+func roundTrip(t *testing.T, label string, base *Graph, d *Delta) {
+	t.Helper()
 	evolved, err := d.Apply(base)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: apply: %v", label, err)
 	}
 	inv, err := d.Inverse(base)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: inverse: %v", label, err)
 	}
 	back, err := inv.Apply(evolved)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: unapply: %v", label, err)
 	}
-	sameMultiset(t, "round trip", base, back)
+	if (back.Weights != nil) != (base.Weights != nil) {
+		t.Fatalf("%s: round trip weighted %v, base weighted %v", label, back.Weights != nil, base.Weights != nil)
+	}
+	sameMultiset(t, label, base, back, base.Weights == nil)
+}
+
+func TestDeltaInverseRoundTrip(t *testing.T) {
+	weighted := deltaBase()
+	unweighted := &Graph{Name: "unweighted", NumVertices: weighted.NumVertices, Edges: weighted.Edges}
+	d := &Delta{
+		Time:    3,
+		Deletes: []Edge{{0, 1}, {2, 3}},
+		Inserts: []Edge{{4, 1}, {0, 1}},
+	}
+	roundTrip(t, "weighted", weighted, d)
+	roundTrip(t, "unweighted", unweighted, d)
 }
 
 // FuzzDelta drives random mutation batches end to end: DeletedIndices must
@@ -388,16 +328,15 @@ func TestDeltaInverseRoundTrip(t *testing.T) {
 // batch resolves, so a pair-filter collision can never drop a wanted pair;
 // any delta the validator accepts must apply cleanly, produce a structurally
 // valid graph with the implied edge count, and unapply (via Inverse) back to
-// the base graph's exact weighted-edge multiset. The high bit of nIns selects
-// the triple form (DeleteWeights set from the chosen occurrences).
+// the base graph's multiset (roundTrip's law). The high bit of nIns makes the
+// base unweighted.
 func FuzzDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(3), uint8(2))
 	f.Add([]byte{0xff, 0x00, 0x80}, uint8(0), uint8(5))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(8), uint8(0))
 	f.Add([]byte{}, uint8(1), uint8(1))
 	f.Add([]byte{1, 2, 3, 4}, uint8(0), uint8(0x82)) // a delete outside the base vertex space
-	// Pairs repeated at different weights, every occurrence deleted in the
-	// triple form.
+	// Repeated pairs on an unweighted base, every occurrence deleted.
 	f.Add([]byte{5}, uint8(0x81), uint8(7))
 	f.Fuzz(func(t *testing.T, data []byte, nIns, nDel uint8) {
 		next := func(i int) int {
@@ -418,25 +357,22 @@ func FuzzDelta(f *testing.F) {
 			base.Edges = append(base.Edges, Edge{Src: VertexID(u), Dst: VertexID(v)})
 			base.Weights = append(base.Weights, float32(1+next(i)%5))
 		}
+		if nIns&0x80 != 0 {
+			base.Weights = nil
+		}
 		if err := base.Validate(); err != nil {
 			t.Fatalf("fuzz base invalid: %v", err)
 		}
 
 		d := &Delta{Time: 1 + uint64(next(3)%9)}
 		for i := 0; i < int(nDel)%8 && i < len(base.Edges); i++ {
-			at := next(7*i) % len(base.Edges)
-			d.Deletes = append(d.Deletes, base.Edges[at])
-			d.DeleteWeights = append(d.DeleteWeights, base.Weights[at])
+			d.Deletes = append(d.Deletes, base.Edges[next(7*i)%len(base.Edges)])
 		}
 		outside := nDel&0x80 != 0
 		if outside {
 			// An endpoint the base has no vertex for: a rejection, never a
 			// panic, however the deletes are indexed.
 			d.Deletes = append(d.Deletes, Edge{Src: VertexID(n + next(5)), Dst: VertexID(next(6) % n)})
-			d.DeleteWeights = append(d.DeleteWeights, 1)
-		}
-		if nIns&0x80 == 0 {
-			d.DeleteWeights = nil
 		}
 		want, resolves := deletedIndicesFullScan(d, base)
 		got, err := d.DeletedIndices(base)
@@ -453,10 +389,6 @@ func FuzzDelta(f *testing.F) {
 				continue
 			}
 			d.Inserts = append(d.Inserts, Edge{Src: VertexID(u), Dst: VertexID(v)})
-			d.InsertWeights = append(d.InsertWeights, float32(next(i)%7))
-		}
-		if len(d.Inserts) == 0 {
-			d.InsertWeights = nil
 		}
 
 		evolved, err := d.Apply(base)
@@ -477,23 +409,15 @@ func FuzzDelta(f *testing.F) {
 		if want := len(base.Edges) - len(d.Deletes) + len(d.Inserts); len(evolved.Edges) != want {
 			t.Fatalf("evolved has %d edges, want %d", len(evolved.Edges), want)
 		}
-		inv, err := d.Inverse(base)
-		if err != nil {
-			t.Fatalf("inverse: %v", err)
-		}
-		back, err := inv.Apply(evolved)
-		if err != nil {
-			t.Fatalf("unapply: %v", err)
-		}
-		sameMultiset(t, "fuzz round trip", base, back)
+		roundTrip(t, "fuzz round trip", base, d)
 	})
 }
 
 // TestDeltaApplyBytes pins what Apply allocates to the evolved graph it
 // returns and the delete resolution: the edge list, 8 B per evolved edge, and
-// when either side is weighted the weights, 4 B per evolved edge; up to 80 B
-// per delete for DeletedIndices' occurrence map, filter bitmap and index
-// list; and 16 KiB for the graph value and its name.
+// over a weighted base the weights, 4 B per evolved edge; up to 80 B per
+// delete for DeletedIndices' pair map, filter bitmap and index list; and
+// 16 KiB for the graph value and its name.
 func TestDeltaApplyBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews bytes/op")
@@ -512,10 +436,8 @@ func TestDeltaApplyBytes(t *testing.T) {
 	for len(d.Inserts) < len(base.Edges)/100 {
 		if u, v := VertexID(src.Intn(base.NumVertices)), VertexID(src.Intn(base.NumVertices)); u != v {
 			d.Inserts = append(d.Inserts, Edge{u, v})
-			d.InsertWeights = append(d.InsertWeights, 2)
 		}
 	}
-	unweightedInserts := &Delta{Time: 1, Deletes: d.Deletes, Inserts: d.Inserts}
 	for _, c := range []struct {
 		name       string
 		base       *Graph
@@ -523,8 +445,7 @@ func TestDeltaApplyBytes(t *testing.T) {
 		edgeBytes  int
 		wantWeight bool
 	}{
-		{"unweighted", base, unweightedInserts, 8, false},
-		{"weighted inserts", base, d, 8 + 4, true},
+		{"unweighted", base, d, 8, false},
 		{"weighted", weighted, d, 8 + 4, true},
 	} {
 		evolved, err := c.d.Apply(c.base)

@@ -59,8 +59,8 @@ func AmendApply(a Amender, basePl *engine.Placement, d *graph.Delta, evolved *gr
 // for the insert tail. It also cross-checks that evolved really is d applied
 // to base, since Amend trusts evolved.Edges' layout.
 func amendSurvivors(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph) ([]engine.Machine, error) {
-	if len(owner) != len(base.Edges) {
-		return nil, fmt.Errorf("owner vector has %d entries for %d base edges", len(owner), len(base.Edges))
+	if err := checkAmendInputs(base, owner, evolved); err != nil {
+		return nil, err
 	}
 	deleted, err := d.DeletedIndices(base)
 	if err != nil {
@@ -97,8 +97,8 @@ func amendSurvivors(base *graph.Graph, owner []engine.Machine, d *graph.Delta, e
 // pair hashes), which is what lets the caller derive degree changes from the
 // delta alone.
 func carrySurvivors(base *graph.Graph, owner []engine.Machine, d *graph.Delta, evolved *graph.Graph) ([]engine.Machine, error) {
-	if len(owner) != len(base.Edges) {
-		return nil, fmt.Errorf("owner vector has %d entries for %d base edges", len(owner), len(base.Edges))
+	if err := checkAmendInputs(base, owner, evolved); err != nil {
+		return nil, err
 	}
 	keptCount := len(base.Edges) - len(d.Deletes)
 	if keptCount < 0 || len(evolved.Edges) != keptCount+len(d.Inserts) {
@@ -123,6 +123,19 @@ func carrySurvivors(base *graph.Graph, owner []engine.Machine, d *graph.Delta, e
 		return nil, fmt.Errorf("evolved graph's first %d edges are not base's edges minus the deletes, in stream order", keptCount)
 	}
 	return out, nil
+}
+
+// checkAmendInputs is the survivor helpers' shared check: an owner per base
+// edge, and an evolved graph in the base's vertex space, as Delta.Apply
+// leaves it.
+func checkAmendInputs(base *graph.Graph, owner []engine.Machine, evolved *graph.Graph) error {
+	if len(owner) != len(base.Edges) {
+		return fmt.Errorf("owner vector has %d entries for %d base edges", len(owner), len(base.Edges))
+	}
+	if evolved.NumVertices != base.NumVertices {
+		return fmt.Errorf("evolved graph has %d vertices, base %d", evolved.NumVertices, base.NumVertices)
+	}
+	return nil
 }
 
 // pairHash is one term of carrySurvivors' order-free pair multiset sum.
@@ -192,10 +205,9 @@ func (h *Hybrid) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delta
 // in-degree the delta moved across the high-degree threshold. Only a delta
 // endpoint can change in-degree, so each destination's base in-degree is its
 // evolved one minus the inserts into it plus the deletes from it; no base
-// scan is needed. A vertex past the evolved vertex space (dropped by a
-// shrink) has no evolved edges and is skipped; a vertex past the base space
-// has base in-degree 0, which the same arithmetic yields. The deletes must be
-// the edges Apply removed, which the callers' survivor checks establish.
+// scan is needed. The inserts must be those Apply validated and the deletes
+// the edges it removed, which the callers' survivor checks establish, so
+// every endpoint lies in the vertex space.
 func degreeFlips(d *graph.Delta, evolvedIn []int32, threshold int32) []graph.VertexID {
 	net := make(map[graph.VertexID]int32, d.Size())
 	for _, e := range d.Inserts {
@@ -206,9 +218,6 @@ func degreeFlips(d *graph.Delta, evolvedIn []int32, threshold int32) []graph.Ver
 	}
 	var flips []graph.VertexID
 	for v, change := range net {
-		if int(v) >= len(evolvedIn) {
-			continue
-		}
 		now := evolvedIn[v]
 		if (now-change > threshold) != (now > threshold) {
 			flips = append(flips, v)
@@ -295,9 +304,7 @@ func (gp *Ginger) Amend(base *graph.Graph, owner []engine.Machine, d *graph.Delt
 	// vertices that actually feed the edge scan.
 	disturbed := flipped // the flips, joined in place by the touched endpoints
 	for _, v := range d.Touched() {
-		if int(v) < evolved.NumVertices {
-			disturbed[v] = true
-		}
+		disturbed[v] = true
 	}
 	var subset []graph.VertexID
 	for v := range assign {

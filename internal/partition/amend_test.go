@@ -235,6 +235,11 @@ func TestAmendRejectsMismatchedInputs(t *testing.T) {
 		if _, err := a.Amend(base, owner, d, base, shares, 1); err == nil {
 			t.Errorf("%s: accepted an evolved graph with the wrong edge count", p.Name())
 		}
+		grown := *evolved
+		grown.NumVertices++
+		if _, err := a.Amend(base, owner, d, &grown, shares, 1); err == nil {
+			t.Errorf("%s: accepted an evolved graph outside the base's vertex space", p.Name())
+		}
 		if _, err := a.Amend(base, owner, d, evolved, []float64{0.5, 0.1}, 1); err == nil {
 			t.Errorf("%s: accepted non-normalized shares", p.Name())
 		}
@@ -247,40 +252,6 @@ func TestAmendRejectsMismatchedInputs(t *testing.T) {
 		}
 		if _, err := a.Amend(base, owner, d, otherEvolved, shares, 1); err == nil {
 			t.Errorf("%s: accepted an evolved graph that lost other edges than the deletes", p.Name())
-		}
-	}
-}
-
-// TestAmendGrowsVertexSpace exercises amendment across a vertex-space grow,
-// where the evolved graph has endpoints the base never saw.
-func TestAmendGrowsVertexSpace(t *testing.T) {
-	base := testGraph(t, 9, 200, 1600)
-	d := &graph.Delta{
-		Time:        2,
-		Inserts:     []graph.Edge{{Src: graph.VertexID(base.NumVertices), Dst: 0}, {Src: 1, Dst: graph.VertexID(base.NumVertices + 3)}},
-		NumVertices: base.NumVertices + 4,
-	}
-	evolved, err := d.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := UniformShares(4)
-	for _, p := range WithExtensions() {
-		a, ok := p.(Amender)
-		if !ok {
-			continue
-		}
-		owner, err := p.Partition(base, shares, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		amended, err := a.Amend(base, owner, d, evolved, shares, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		normImbalance(t, amended, shares) // validity: every owner in range
-		if len(amended) != len(evolved.Edges) {
-			t.Fatalf("%s: %d owners for %d evolved edges", p.Name(), len(amended), len(evolved.Edges))
 		}
 	}
 }

@@ -45,6 +45,9 @@ func (k JournalFaultKind) String() string {
 // style of internal/fault: which append indices fault, and which kinds fire,
 // are pure functions of (Seed, append index), so every run with the same spec
 // observes the identical fault sequence.
+//
+// Test support: TestServiceHTTPDegraded in cmd/serve builds one for
+// NewFaultJournal.
 type JournalFaultSpec struct {
 	// EveryN faults every n-th Append call (1-based: appends N, 2N, ...).
 	// 0 disables injection entirely.

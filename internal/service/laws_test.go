@@ -151,8 +151,6 @@ func lawScenario(t testing.TB, cfg Config, jobs []workload.Job, data []byte) (Co
 		switch n := next(); n % 4 {
 		case 1:
 			tn.Budget.SimSeconds = unit * float64(1+n%32)
-		case 2:
-			tn.Budget.EnergyJoules = 0.05 * float64(1+n%16)
 		}
 		cfg.Tenants = append(cfg.Tenants, tn)
 	}

@@ -61,7 +61,7 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	pool, err := core.BuildPool(cfg.Cluster, apps.WithExtensions(), cfg.Estimator)
+	pool, err := core.BuildPool(cfg.Cluster, apps.WithExtensions(), core.NewThreadCount())
 	if err != nil {
 		return nil, err
 	}

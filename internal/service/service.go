@@ -21,8 +21,6 @@ import (
 type Config struct {
 	// Cluster receives the jobs (required).
 	Cluster *cluster.Cluster
-	// Estimator drives CCR-guided placement; default core.NewThreadCount().
-	Estimator core.Estimator
 	// Cache, when non-nil, memoizes placements across jobs and tenants.
 	// Long-running services should bound it (NewBoundedPlacementCache).
 	Cache *workload.PlacementCache
@@ -113,9 +111,6 @@ func (c *Config) normalize() error {
 	if c.BaseBackoff < 0 || c.MaxBackoff < 0 || c.BreakerCooldown < 0 {
 		return fmt.Errorf("service: negative duration in config")
 	}
-	if c.Estimator == nil {
-		c.Estimator = core.NewThreadCount()
-	}
 	if c.QueueBound == 0 {
 		c.QueueBound = 64
 	}
@@ -172,7 +167,7 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	pool, err := core.BuildPool(cfg.Cluster, apps.WithExtensions(), cfg.Estimator)
+	pool, err := core.BuildPool(cfg.Cluster, apps.WithExtensions(), core.NewThreadCount())
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@
 // run on a worker pool with context deadline/cancellation propagation, retry
 // transient failures with capped exponential backoff and deterministic seeded
 // jitter, and degrade gracefully under pressure — priority load shedding, a
-// per-tenant circuit breaker, and per-tenant simulated-cost/energy budgets
+// per-tenant circuit breaker, and per-tenant simulated-seconds budgets
 // charged from the advisor-guided execution accounting.
 //
 // The control-plane logic (admission verdicts, queue order, shedding, breaker
@@ -42,7 +42,7 @@ var (
 	// is open after consecutive failures.
 	ErrCircuitOpen = errors.New("service: circuit breaker open")
 	// ErrBudgetExhausted rejects a submission because the tenant has spent
-	// its simulated-time or energy budget.
+	// its simulated-time budget.
 	ErrBudgetExhausted = errors.New("service: tenant budget exhausted")
 	// ErrClosed rejects submissions to a closed service.
 	ErrClosed = errors.New("service: closed")
@@ -101,13 +101,11 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Budget caps a tenant's cumulative charged cost. Zero fields are unlimited.
+// Budget caps a tenant's cumulative charged cost. Zero is unlimited.
 type Budget struct {
 	// SimSeconds caps charged simulated time (execution plus charged
 	// ingress).
 	SimSeconds float64
-	// EnergyJoules caps charged cluster energy.
-	EnergyJoules float64
 }
 
 // Tenant declares one tenant's service class.
@@ -407,9 +405,8 @@ func (m *machine) submit(now float64, tenant, key string, job workload.Job, ctx 
 	// then the tenant is cut off. The charge is the advisor-guided execution
 	// accounting (plus charged ingress), so budgets measure the same
 	// simulated cost every experiment table reports.
-	if (ts.Budget.SimSeconds > 0 && ts.spentSeconds >= ts.Budget.SimSeconds) ||
-		(ts.Budget.EnergyJoules > 0 && ts.spentJoules >= ts.Budget.EnergyJoules) {
-		return m.reject(&m.counters.RejectedBudget, "reject-budget", fmt.Errorf("%w (tenant %q spent %.3fs / %.1fJ)", ErrBudgetExhausted, tenant, ts.spentSeconds, ts.spentJoules))
+	if ts.Budget.SimSeconds > 0 && ts.spentSeconds >= ts.Budget.SimSeconds {
+		return m.reject(&m.counters.RejectedBudget, "reject-budget", fmt.Errorf("%w (tenant %q spent %.3fs)", ErrBudgetExhausted, tenant, ts.spentSeconds))
 	}
 
 	// Per-tenant bound: a tenant flooding its own queue is rejected without

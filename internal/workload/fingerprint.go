@@ -168,8 +168,6 @@ func ReleaseGraphFingerprint(g *graph.Graph) {
 // makes "chain over the batch" and "rescan the result" the same number.
 func EvolveFingerprint(base *graph.Graph, d *graph.Delta, evolved *graph.Graph) (uint64, error) {
 	fp := GraphFingerprint(base)
-	fp -= vertexTerm(base.NumVertices)
-	fp += vertexTerm(evolved.NumVertices)
 	if base.Weights == nil {
 		for _, e := range d.Deletes {
 			fp -= edgeTerm(e, 1)
@@ -183,12 +181,8 @@ func EvolveFingerprint(base *graph.Graph, d *graph.Delta, evolved *graph.Graph) 
 			fp -= edgeTerm(base.Edges[i], base.Weights[i])
 		}
 	}
-	for i, e := range d.Inserts {
-		w := float32(1)
-		if d.InsertWeights != nil {
-			w = d.InsertWeights[i]
-		}
-		fp += edgeTerm(e, w)
+	for _, e := range d.Inserts {
+		fp += edgeTerm(e, 1)
 	}
 	memoFingerprint(evolved, weak.Make(evolved), fp)
 	return fp, nil

@@ -52,10 +52,9 @@ func TestEvolveFingerprintMatchesRescan(t *testing.T) {
 			"weighted mixed",
 			fpBase(),
 			&graph.Delta{
-				Time:          3,
-				Deletes:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 3, Dst: 4}},
-				Inserts:       []graph.Edge{{Src: 5, Dst: 0}, {Src: 0, Dst: 1}},
-				InsertWeights: []float32{7, 9},
+				Time:    3,
+				Deletes: []graph.Edge{{Src: 0, Dst: 1}, {Src: 3, Dst: 4}},
+				Inserts: []graph.Edge{{Src: 5, Dst: 0}, {Src: 0, Dst: 1}},
 			},
 		},
 		{
@@ -64,19 +63,9 @@ func TestEvolveFingerprintMatchesRescan(t *testing.T) {
 			&graph.Delta{Time: 4, Deletes: []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}}},
 		},
 		{
-			"unweighted grow",
-			&graph.Graph{Name: "u", NumVertices: 3, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}},
-			&graph.Delta{Time: 5, Inserts: []graph.Edge{{Src: 2, Dst: 6}}, NumVertices: 8},
-		},
-		{
-			"unweighted shrink",
-			&graph.Graph{Name: "u", NumVertices: 5, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 4}}},
-			&graph.Delta{Time: 6, Deletes: []graph.Edge{{Src: 1, Dst: 4}}, NumVertices: 2},
-		},
-		{
-			"weighted inserts on unweighted base",
-			&graph.Graph{Name: "u", NumVertices: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}}},
-			&graph.Delta{Time: 7, Inserts: []graph.Edge{{Src: 1, Dst: 3}}, InsertWeights: []float32{2.5}},
+			"unweighted mixed",
+			&graph.Graph{Name: "u", NumVertices: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}}},
+			&graph.Delta{Time: 5, Deletes: []graph.Edge{{Src: 1, Dst: 3}}, Inserts: []graph.Edge{{Src: 3, Dst: 0}}},
 		},
 	}
 	for _, tc := range cases {
@@ -111,10 +100,9 @@ func TestEvolveFingerprintChain(t *testing.T) {
 	cur := fpBase()
 	for step := uint64(1); step <= 4; step++ {
 		d := &graph.Delta{
-			Time:          step,
-			Deletes:       []graph.Edge{cur.Edges[int(step)%len(cur.Edges)]},
-			Inserts:       []graph.Edge{{Src: graph.VertexID(step % 6), Dst: (graph.VertexID(step%6) + 1) % 6}},
-			InsertWeights: []float32{float32(step)},
+			Time:    step,
+			Deletes: []graph.Edge{cur.Edges[int(step)%len(cur.Edges)]},
+			Inserts: []graph.Edge{{Src: graph.VertexID(step % 6), Dst: (graph.VertexID(step%6) + 1) % 6}},
 		}
 		evolved, err := d.Apply(cur)
 		if err != nil {

@@ -3,7 +3,10 @@
 # working tree, by the rule a claimed gain has to pass (choosing-metrics §8):
 # alternating pairs, one seed per pair, the contract's run length on both
 # sides; for every end-to-end metric it prints both medians, both quartile
-# ranges and how many pairs the working tree won, one table per workload.
+# ranges, how many pairs the working tree won and a verdict, one table per
+# workload. The verdict reads "unresolved" when the parent's quartile spread,
+# (q3-q1)/median, is wider than the metric's bound, unless every change run
+# lies beyond every parent run on one side.
 #
 #   scripts/bench_compare.sh <parent-ref> '<workload> [<workload>...]' [pairs (default 10, at least 2)]
 #   make bench-compare PARENT=<parent-ref> WORKLOAD='<workload> [<workload>...]' [PAIRS=10]
@@ -20,7 +23,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,19p' "$0" | cut -c3- >&2
+  sed -n '2,22p' "$0" | cut -c3- >&2
   exit 2
 fi
 ref=$1
@@ -78,8 +81,14 @@ for m in metrics:
     lost = sum(1 for k in p if (c[k] > p[k] if lower else c[k] < p[k]))
     delta = (cm - pm) / pm if pm else 0.0
     worse = delta if lower else -delta
+    # A parent spread wider than the bound cannot tell a regression from
+    # noise, unless the change's runs all lie on one side of the parent's.
+    spread = (p3 - p1) / pm if pm else 0.0
+    below, above = all(x < min(pv) for x in cv), all(x > max(pv) for x in cv)
     if 10 * won >= 9 * len(p) and abs(cm - pm) > p3 - p1:
         verdict = "gain"
+    elif spread > m["bound"] and not (below or above):
+        verdict = f"unresolved (parent spread {spread:.0%} > bound {m['bound']:.0%})"
     elif worse > m["bound"]:
         verdict = f"REGRESSION beyond the {m['bound']:.0%} bound"
     elif won == 0 and lost == 0:
