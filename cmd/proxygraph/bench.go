@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"proxygraph/internal/exp"
@@ -104,8 +105,9 @@ func benchCmd(args []string, w io.Writer) error {
 	return nil
 }
 
-// runExperiments runs each selected experiment on the lab, prints its tables
-// and wall time, and adds the tables to rep when there is one.
+// runExperiments runs each selected experiment on the lab, prints its tables,
+// its wall time and the process's peak RSS so far, and adds the tables to rep
+// when there is one.
 func runExperiments(w io.Writer, lab *exp.Lab, selected []exp.Experiment, csv bool, rep *report.Report) error {
 	for _, e := range selected {
 		start := time.Now()
@@ -123,9 +125,19 @@ func runExperiments(w io.Writer, lab *exp.Lab, selected []exp.Experiment, csv bo
 		if rep != nil {
 			rep.Add(tables...)
 		}
-		fmt.Fprintf(w, "# %s finished in %v\n", e.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "# %s finished in %v, peak RSS %d MiB\n", e.Name, time.Since(start).Round(time.Millisecond), peakRSSMiB())
 	}
 	return nil
+}
+
+// peakRSSMiB returns the process's peak resident set so far, in MiB, or 0 if
+// the kernel will not say. Linux reports ru_maxrss in KiB.
+func peakRSSMiB() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return int64(ru.Maxrss) >> 10
 }
 
 // selectExperiments resolves the -exp flag against the catalog: "all" keeps

@@ -123,6 +123,29 @@ func BenchmarkEngineGatherPageRank(b *testing.B) {
 		})
 }
 
+// BenchmarkEngineGatherPageRankLarge is BenchmarkEngineGatherPageRank at the
+// size where memory latency shows: 2^20 edges over 2^18 vertices, 25 to 50
+// times the end-to-end benchmark's graphs, spread unevenly over 4 machines,
+// its gather layout compiled before the timer starts.
+func BenchmarkEngineGatherPageRankLarge(b *testing.B) {
+	g, err := gen.Generate(gen.Spec{
+		Name: "bench-pl-large", Vertices: 1 << 18, Edges: 1 << 20, Kind: gen.KindPowerLaw,
+	}, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := NewPlacement(g, hashedOwner(g, 4), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl.blocks(false)
+	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
+	runGatherBench[float64, float64](b, rankProgram{}, pl,
+		func(p Program[float64, float64], pl *Placement) (*Result, []float64, error) {
+			return Run[float64, float64](p, pl, cl, Options{})
+		})
+}
+
 func BenchmarkEngineGatherPageRankReference(b *testing.B) {
 	pl := benchPlacement(b, benchPowerLaw(b))
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")

@@ -61,7 +61,7 @@ type Placement struct {
 	//     GatherBoth's bySrc (see blockCompiler.compileBoth).
 	//
 	// Each gather layout adds per machine one key and one offset per distinct
-	// key, and the byDst ones a remote flag; FootprintBound charges all four.
+	// key, and the byDst ones a visit byte; FootprintBound charges all four.
 	// Most placements only ever serve one gather direction, the applications
 	// with loops of their own (SSSP, KCore, Coloring, Triangle Count)
 	// neither, and PageRank, the one shipped GatherIn app, applies every
@@ -143,23 +143,41 @@ func (ix *ownerIndex) machine(p int) []int32 {
 
 // machineBlocks is one machine's destination-grouped gather layout: its local
 // edges expanded into gather records (from, into) and grouped by gather
-// destination, so the engine's dense sweep is a single sequential pass over
-// contiguous [dst | src...] runs with no indirection through g.Edges, and the
-// per-destination bookkeeping the accountant needs (contributions per
-// destination, one partial per remote master) falls out of the group
-// boundaries for free. Records within a group keep local-edge order, so
-// per-destination fold order — and therefore floating-point results — is
-// bit-identical to a walk of LocalEdges.
+// destination, so the engine's dense sweep reads contiguous [dst | src...]
+// runs with no indirection through g.Edges, and the per-destination
+// bookkeeping the accountant needs (contributions per destination, one
+// partial per remote master) falls out of the group boundaries for free.
+// Records within a group keep local-edge order, so per-destination fold
+// order — and therefore floating-point results — is bit-identical to a walk
+// of LocalEdges.
 //
 // The same records grouped by gather source give the sparse-frontier sweep
 // O(log K) lookup of an active vertex's local records, so supersteps with
 // small frontiers skip inactive edges entirely.
+//
+// The dense sweep visits the groups through visit, one byte per group: byDst's
+// groups taken in windows of visitWindow consecutive groups, each window's
+// groups listed by size, smallest first (sizes 1 to visitClasses-1 each a
+// class, larger ones sharing the last), stably. A byte's low 7 bits are its
+// group's index within the window and its top bit, visitRemote, reports that
+// the group's key is mastered on another machine — the PartialsOut test of
+// the gather hot loop. Runs of equal-sized groups keep the exit branch of
+// each group's fold loop predictable, and the sweep still moves through the
+// block window by window.
 type machineBlocks struct {
 	byDst graph.Grouped
-	// remote[i] reports that byDst.Keys[i]'s master is on another machine,
-	// precomputing the PartialsOut test of the gather hot loop.
-	remote []bool
+	visit []uint8
 }
+
+const (
+	// visitWindow is the number of consecutive groups a visit byte's 7-bit
+	// index spans.
+	visitWindow = 128
+	// visitClasses is the number of size classes a window is sorted by.
+	visitClasses = 16
+	// visitRemote is a visit byte's remote-master flag.
+	visitRemote = 0x80
+)
 
 // blockCompiler is one worker's compile workspace: a counting-sort Grouper,
 // allocated once per worker instead of once per machine, and the compile's
@@ -210,15 +228,33 @@ func (c *blockCompiler) compileBoth(p int) machineBlocks {
 	return c.done(p)
 }
 
-// done takes machine p's finished destination grouping and flags its remote
-// destinations.
+// done takes machine p's finished destination grouping and builds its visit
+// order, window by window, with a stable counting sort on the size class:
+// count, prefix-sum, place.
 func (c *blockCompiler) done(p int) machineBlocks {
-	b := machineBlocks{byDst: c.gr.Done()}
-	b.remote = make([]bool, len(b.byDst.Keys))
-	for i, d := range b.byDst.Keys {
-		b.remote[i] = c.pl.Master[d] != Machine(p)
+	g := c.gr.Done()
+	keys, offs, master := g.Keys, g.Offs, c.pl.Master
+	visit := make([]uint8, len(keys))
+	for base := 0; base < len(keys); base += visitWindow {
+		end := min(base+visitWindow, len(keys))
+		var at [visitClasses + 1]uint8
+		for i := base; i < end; i++ {
+			at[min(offs[i+1]-offs[i], visitClasses)]++
+		}
+		for k := 1; k <= visitClasses; k++ {
+			at[k] += at[k-1]
+		}
+		for i := base; i < end; i++ {
+			k := min(offs[i+1]-offs[i], visitClasses) - 1
+			v := uint8(i - base)
+			if master[keys[i]] != Machine(p) {
+				v |= visitRemote
+			}
+			visit[base+int(at[k])] = v
+			at[k]++
+		}
 	}
-	return b
+	return machineBlocks{byDst: g, visit: visit}
 }
 
 // groupBySource groups machine p's GatherIn records v←u by source u, in the
@@ -320,7 +356,7 @@ func (pl *Placement) sources() []graph.Grouped {
 //   - per vertex, 13 B: ReplicaMask 8 B, Master 1 B and MasterVerts 4 B;
 //   - per replica, 26 B: a machine's distinct keys in any grouping are
 //     vertices replicated on it, each costing a 4 B key and a 4 B offset in
-//     each of the three groupings plus a remote flag in the two byDst ones;
+//     each of the three groupings plus a visit byte in the two byDst ones;
 //   - per machine, under 512 B: slice headers and each grouping's closing
 //     offset.
 //

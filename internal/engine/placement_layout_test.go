@@ -145,7 +145,7 @@ func TestFootprintBoundCoversCompiledPlacement(t *testing.T) {
 			blocks := pl.blocks(both)
 			n += int64(cap(blocks)) * int64(unsafe.Sizeof(machineBlocks{}))
 			for p := range blocks {
-				n += grouped(blocks[p].byDst) + int64(cap(blocks[p].remote))
+				n += grouped(blocks[p].byDst) + int64(cap(blocks[p].visit))
 			}
 		}
 		bySrc := pl.sources()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"proxygraph/internal/graph"
@@ -55,13 +56,8 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 				if !groupedEqual(a[p].byDst, b[p].byDst) || !both && !groupedEqual(seq.sources()[p], pl.sources()[p]) {
 					t.Fatalf("shards=%d both=%v: machine %d blocks differ", shards, both, p)
 				}
-				if len(a[p].remote) != len(b[p].remote) {
-					t.Fatalf("shards=%d both=%v: machine %d remote length differs", shards, both, p)
-				}
-				for i := range a[p].remote {
-					if a[p].remote[i] != b[p].remote[i] {
-						t.Fatalf("shards=%d both=%v: machine %d remote[%d] differs", shards, both, p, i)
-					}
+				if !slices.Equal(a[p].visit, b[p].visit) {
+					t.Fatalf("shards=%d both=%v: machine %d visit order differs", shards, both, p)
 				}
 			}
 		}

@@ -72,10 +72,10 @@ func hashedOwner(g *graph.Graph, m int) []Machine {
 }
 
 // specLayout is one machine's gather layout in one direction as the spec
-// states it: both groupings of its records and byDst's remote flags.
+// states it: both groupings of its records and byDst's visit order.
 type specLayout struct {
 	byDst, bySrc graph.Grouped
-	remote       []bool
+	visit        []uint8
 }
 
 // specBlock is the naive statement of what compileIn, compileBoth and
@@ -111,10 +111,32 @@ func specBlock(pl *Placement, p int, both bool) specLayout {
 	into := func(r record) graph.VertexID { return r.into }
 	from := func(r record) graph.VertexID { return r.from }
 	b := specLayout{byDst: group(into, from), bySrc: group(from, into)}
-	for _, d := range b.byDst.Keys {
-		b.remote = append(b.remote, pl.Master[d] != Machine(p))
-	}
+	b.visit = specVisit(pl, p, b.byDst)
 	return b
+}
+
+// specVisit is the naive statement of machine p's visit order over byDst:
+// per window of 128 consecutive groups, the window's indices stably sorted by
+// min(group size, 16), each with the top bit set when its key is mastered on
+// another machine.
+func specVisit(pl *Placement, p int, byDst graph.Grouped) []uint8 {
+	visit := []uint8{}
+	for base := 0; base < len(byDst.Keys); base += 128 {
+		var window []int
+		for i := base; i < min(base+128, len(byDst.Keys)); i++ {
+			window = append(window, i)
+		}
+		class := func(i int) int32 { return min(byDst.Offs[i+1]-byDst.Offs[i], 16) }
+		sort.SliceStable(window, func(a, b int) bool { return class(window[a]) < class(window[b]) })
+		for _, i := range window {
+			v := uint8(i - base)
+			if pl.Master[byDst.Keys[i]] != Machine(p) {
+				v |= 0x80
+			}
+			visit = append(visit, v)
+		}
+	}
+	return visit
 }
 
 // TestCompileBlocksMatchesStableSortSpec pins the counting-pass compile to the
@@ -139,6 +161,9 @@ func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
 				len(got.Keys), cap(got.Keys), len(got.Offs), cap(got.Offs), len(got.Vals), cap(got.Vals))
 		}
 	}
+	// Some block must span more than one visit window and end in a partial
+	// one, or the window arithmetic goes untested.
+	partialWindow := false
 	for _, g := range specGraphs() {
 		for _, machines := range []int{1, 3, 4, 64} {
 			owner := hashedOwner(g, machines)
@@ -154,6 +179,8 @@ func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
 				want := make([]specLayout, machines)
 				for p := range want {
 					want[p] = specBlock(specPl, p, both)
+					k := len(want[p].byDst.Keys)
+					partialWindow = partialWindow || k > visitWindow && k%visitWindow != 0
 				}
 				for _, workers := range []int{1, 2, 7} {
 					t.Run(fmt.Sprintf("%s/machines=%d/both=%v/workers=%d", g.Name, machines, both, workers), func(t *testing.T) {
@@ -168,14 +195,20 @@ func TestCompileBlocksMatchesStableSortSpec(t *testing.T) {
 							}
 							checkGrouped(t, fmt.Sprintf("machine %d byDst", p), got[p].byDst, want[p].byDst)
 							checkGrouped(t, fmt.Sprintf("machine %d bySrc", p), bySrc, want[p].bySrc)
-							if !slices.Equal(got[p].remote, want[p].remote) {
-								t.Fatalf("machine %d remote\n got %v\nwant %v", p, got[p].remote, want[p].remote)
+							if !slices.Equal(got[p].visit, want[p].visit) {
+								t.Fatalf("machine %d visit\n got %v\nwant %v", p, got[p].visit, want[p].visit)
+							}
+							if len(got[p].visit) != cap(got[p].visit) {
+								t.Fatalf("machine %d visit over-allocated: %d/%d", p, len(got[p].visit), cap(got[p].visit))
 							}
 						}
 					})
 				}
 			}
 		}
+	}
+	if !partialWindow {
+		t.Fatal("no spec case has a block of more than one visit window ending in a partial window")
 	}
 }
 
@@ -339,9 +372,10 @@ func TestNewPlacementBytes(t *testing.T) {
 // owner vectors: it fails exactly when the machine count is outside
 // [1, MaxMachines] or some owner is not below it, and otherwise every edge is
 // counted once, replicated on both endpoints under its owner, every vertex
-// with edges is mastered on one of its replicas, and MasterVerts lists every
-// vertex once, under its master. The graph is a pure function of the owner
-// vector's length, with isolated vertices and self-loops.
+// with edges is mastered on one of its replicas, MasterVerts lists every
+// vertex once, under its master, and both directions' compiled gather layouts
+// match specBlock. The graph is a pure function of the owner vector's length,
+// with isolated vertices and self-loops.
 func FuzzNewPlacement(f *testing.F) {
 	f.Add(byte(4), []byte{0, 1, 2, 3, 3, 2, 1, 0})
 	f.Add(byte(1), []byte{})
@@ -406,6 +440,17 @@ func FuzzNewPlacement(f *testing.F) {
 		for v, c := range listed {
 			if c != 1 {
 				t.Fatalf("vertex %d listed %d times in MasterVerts", v, c)
+			}
+		}
+		for _, both := range []bool{false, true} {
+			for p, b := range pl.blocks(both) {
+				want := specBlock(pl, p, both)
+				if !groupedEqual(b.byDst, want.byDst) {
+					t.Fatalf("both=%v: machine %d byDst differs from the stable sort", both, p)
+				}
+				if !slices.Equal(b.visit, want.visit) {
+					t.Fatalf("both=%v: machine %d visit\n got %v\nwant %v", both, p, b.visit, want.visit)
+				}
 			}
 		}
 	})

@@ -16,12 +16,15 @@ import (
 //
 // Each superstep sweeps the placement's machine-local CSR-style edge blocks,
 // compiled by the first run in that gather direction (records grouped by
-// gather destination, so the sweep is sequential with no indirection through
-// g.Edges and the per-destination skew/partial bookkeeping falls out of the
-// group boundaries), and frontier-driven programs switch to a sparse worklist
-// sweep over the records grouped by source — compiled by the first sparse
-// superstep in that direction — whenever the active set drops below the
-// hybrid frontier's density threshold, skipping inactive edges entirely.
+// gather destination, so each group's records are read contiguously with no
+// indirection through g.Edges, and the per-destination skew/partial
+// bookkeeping falls out of the group boundaries). Within each window of 128
+// groups the sweep visits destinations in size order; each destination's
+// records are still folded in local-edge order. Frontier-driven programs
+// switch to a sparse worklist sweep over the records grouped by source —
+// compiled by the first sparse superstep in that direction — whenever the
+// active set drops below the hybrid frontier's density threshold, skipping
+// inactive edges entirely.
 //
 // A run is one goroutine: the step counters are written in place, and the
 // run keeps one frontier whose worklist storage receives Program.Apply's
@@ -113,7 +116,9 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 		if r.sparse {
 			r.srcs = r.front.sorted()
 		} else if !applyAll {
-			r.act = r.front.bits // nil when every vertex is a gather source
+			// Never nil, not even on a full frontier: nil would fold the same
+			// bits under Fold's contract but measured no faster.
+			r.act = r.front.bits
 		}
 
 		// Gather, then apply+scatter: masters apply, changed vertices count
@@ -237,8 +242,9 @@ type sweep[V, A any] struct {
 	changed bool
 
 	// Per-superstep inputs: the direction choice and the active sources as a
-	// sorted worklist (sparse) or a bitmap (dense; nil when all are active),
-	// views of front that are dead once the gather is done.
+	// sorted worklist (sparse) or a bitmap (dense; nil for an ApplyAll
+	// program, whose every vertex is a source), views of front that are dead
+	// once the gather is done.
 	sparse bool
 	srcs   []graph.VertexID
 	act    []bool
@@ -254,15 +260,19 @@ func (r *sweep[V, A]) place(pl *Placement) {
 // the per-destination fold order matches the reference engine. Each
 // destination group is one Program.Fold call: the per-edge arithmetic runs
 // inside the program's own loop, and the step counters stay in integer locals
-// written once per machine block.
+// written once per machine block. Groups are visited in their block's visit
+// order (see machineBlocks); each destination has one group per block, so
+// the order moves no value and no counter.
 func (r *sweep[V, A]) gatherDense() {
 	prog, vals, acc, has, act := r.prog, r.vals, r.acc, r.has, r.act
 	for p := range r.blocks {
 		blk := &r.blocks[p]
-		offs, recs, remote := blk.byDst.Offs, blk.byDst.Vals, blk.remote
+		keys, offs, recs := blk.byDst.Keys, blk.byDst.Offs, blk.byDst.Vals
 		var gathers, partials int64
 		var maxUnit int32
-		for gi, d := range blk.byDst.Keys {
+		for i, v := range blk.visit {
+			gi := i&^(visitWindow-1) | int(v&^visitRemote)
+			d := keys[gi]
 			var c int32
 			acc[d], c = prog.Fold(acc[d], has[d], vals, recs[offs[gi]:offs[gi+1]], act)
 			// One destination group = one (machine, vertex) partial: its
@@ -271,7 +281,7 @@ func (r *sweep[V, A]) gatherDense() {
 			if c > 0 {
 				has[d] = true
 				gathers += int64(c)
-				if remote[gi] {
+				if v&visitRemote != 0 {
 					partials++
 				}
 				maxUnit = max(maxUnit, c)
