@@ -82,6 +82,13 @@ func runGAS[V, A, O any](prog engine.Program[V, A], pl *engine.Placement, cl *cl
 // inactive source folds in as the operator's identity: on dense frontier
 // steps about half the records are inactive in no predictable pattern, and a
 // branch per record mispredicts where a mask costs two ALU ops.
+//
+// The frontier hot loops all follow one rule: mask a test of frontier data
+// whose outcome flips on a large share of iterations — here, the empty fold's
+// tail (a select, not an early return); in the engine, the dense gather's
+// per-group bookkeeping and the dense apply list; in graph, the undirected
+// sets' dedup — and keep a branch that guards a loop or predicts well: SSSP's
+// relax keeps its nd < dist[to] test, which a mask made slower.
 func activeBit(on bool) uint32 {
 	if on {
 		return 1

@@ -72,7 +72,8 @@ func (b *BFS) Init(vals []int32, g *graph.Graph) {
 // uint32, unreached (-1) is the largest value and no real distance reaches it,
 // so one unsigned min covers both cases and unreached is its identity. The
 // loop keeps the smallest distance itself and adds the hop once at the end;
-// inactive sources are masked to the identity rather than branched around
+// inactive sources are masked to the identity rather than branched around,
+// and the tail's two tests — nothing reached, nothing folded — are selects
 // (see activeBit).
 func (b *BFS) Fold(acc int32, has bool, vals []int32, srcs []graph.VertexID, act []bool) (int32, int32) {
 	nearest := uint32(math.MaxUint32)
@@ -89,15 +90,17 @@ func (b *BFS) Fold(acc int32, has bool, vals []int32, srcs []graph.VertexID, act
 			n += on
 		}
 	}
-	if n == 0 {
-		return acc, 0
-	}
 	best := uint32(math.MaxUint32)
 	if has {
 		best = uint32(acc)
 	}
-	if nearest != math.MaxUint32 {
-		best = min(best, nearest+1)
+	offer := nearest + 1
+	if nearest == math.MaxUint32 {
+		offer = nearest
+	}
+	best = min(best, offer)
+	if n == 0 {
+		best = uint32(acc)
 	}
 	return int32(best), int32(n)
 }

@@ -134,7 +134,7 @@ func (c *ClusterBFS) Fold(acc uint64, has bool, vals []ClusterState, srcs []grap
 		}
 	}
 	if n == 0 {
-		return acc, 0
+		seen = acc
 	}
 	return seen, int32(n)
 }

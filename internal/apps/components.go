@@ -85,7 +85,7 @@ func (cc *ConnectedComponents) Fold(acc uint32, has bool, vals []uint32, srcs []
 		}
 	}
 	if n == 0 {
-		return acc, 0
+		best = acc
 	}
 	return best, int32(n)
 }

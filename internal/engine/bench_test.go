@@ -21,6 +21,19 @@ func benchPowerLaw(b *testing.B) *graph.Graph {
 	return g
 }
 
+// benchPowerLawLarge is benchPowerLaw at the size where memory latency
+// shows: 2^20 edges over 2^18 vertices.
+func benchPowerLawLarge(b *testing.B) *graph.Graph {
+	b.Helper()
+	g, err := gen.Generate(gen.Spec{
+		Name: "bench-pl-large", Vertices: 1 << 18, Edges: 1 << 20, Kind: gen.KindPowerLaw,
+	}, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
 // benchRing is the sparse-workload input: a ring with long-range chords, so
 // single-source traversal runs a couple of hundred supersteps with a frontier
 // far below the hybrid threshold — the regime the worklist sweep targets.
@@ -128,12 +141,7 @@ func BenchmarkEngineGatherPageRank(b *testing.B) {
 // times the end-to-end benchmark's graphs, spread unevenly over 4 machines,
 // its gather layout compiled before the timer starts.
 func BenchmarkEngineGatherPageRankLarge(b *testing.B) {
-	g, err := gen.Generate(gen.Spec{
-		Name: "bench-pl-large", Vertices: 1 << 18, Edges: 1 << 20, Kind: gen.KindPowerLaw,
-	}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := benchPowerLawLarge(b)
 	pl, err := NewPlacement(g, hashedOwner(g, 4), 4)
 	if err != nil {
 		b.Fatal(err)
@@ -245,5 +253,60 @@ func BenchmarkEngineClusterBFS(b *testing.B) {
 	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
 		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
 			return Run[benchClusterState, uint64](p, pl, cl, Options{})
+		})
+}
+
+// benchHopProgram is benchSSSPProgram with the apps package's BFS Fold: an
+// inactive source is masked to min's identity instead of branched around,
+// unreached offers nothing by a select, and an empty fold hands acc back by
+// a select.
+type benchHopProgram struct{ benchSSSPProgram }
+
+func (benchHopProgram) Fold(acc uint32, has bool, vals []uint32, srcs []graph.VertexID, act []bool) (uint32, int32) {
+	nearest := unreachedHop
+	var n uint32
+	for _, s := range srcs {
+		on := uint32(bit(act == nil || act[s]))
+		nearest = min(nearest, vals[s]|(on-1))
+		n += on
+	}
+	best := unreachedHop
+	if has {
+		best = acc
+	}
+	offer := nearest + 1
+	if nearest == unreachedHop {
+		offer = nearest
+	}
+	best = min(best, offer)
+	if n == 0 {
+		best = acc
+	}
+	return best, int32(n)
+}
+
+// BenchmarkEngineGatherFrontier is single-source BFS over an 80 k-edge
+// power-law graph spread unevenly over 4 machines. Its dense frontier steps
+// after the first leave about half the destination groups with nothing to
+// fold, in no predictable pattern — the regime of gatherDense's masked
+// per-group bookkeeping and the dense step's apply list, which
+// BenchmarkEngineGatherPageRank (every group folds) and the SSSP ring (every
+// step sparse) do not reach.
+func BenchmarkEngineGatherFrontier(b *testing.B) {
+	g, err := gen.Generate(gen.Spec{
+		Name: "bench-frontier", Vertices: 40000, Edges: 80000, Kind: gen.KindPowerLaw,
+	}, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := NewPlacement(g, hashedOwner(g, 4), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl.blocks(true)
+	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
+	runGatherBench[uint32, uint32](b, benchHopProgram{}, pl,
+		func(p Program[uint32, uint32], pl *Placement) (*Result, []uint32, error) {
+			return Run[uint32, uint32](p, pl, cl, Options{})
 		})
 }

@@ -417,12 +417,19 @@ func NewPlacement(g *graph.Graph, owner []Machine, m int) (*Placement, error) {
 	// only on the vertex and its incidence count): each count is overwritten
 	// with its winner's number, and the edge scan below counts down to it.
 	// A countdown hits zero exactly once, at the winner; the decrements after
-	// it wrap, harmlessly, since nothing reads the counts again.
+	// it wrap, harmlessly, since nothing reads the counts again. A vertex
+	// whose edges all sit on one machine has that machine as master whichever
+	// incidence wins, so it skips the sample: its countdown starts at zero and
+	// wraps at the first decrement, never to reach zero again.
 	winner := incidences
 	for v, k := range incidences {
-		if k == 0 {
+		switch mask := pl.ReplicaMask[v]; {
+		case k == 0:
 			pl.Master[v] = Machine(rng.Hash64(uint64(v)) % uint64(m))
-		} else {
+		case mask&(mask-1) == 0:
+			pl.Master[v] = Machine(bits.TrailingZeros64(mask))
+			winner[v] = 0
+		default:
 			winner[v] = sampledIncidence(uint64(v), k)
 		}
 	}

@@ -17,6 +17,18 @@ func BenchmarkNewPlacement(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleMachine times the one-machine placement every profiling
+// run executes on, over benchPowerLawLarge's 2^20 edges: every vertex has a
+// single replica, so master selection samples nothing.
+func BenchmarkSingleMachine(b *testing.B) {
+	g := benchPowerLawLarge(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SingleMachine(g)
+	}
+}
+
 // BenchmarkCompileBothBlocks times the both-direction block compile that the
 // first GatherBoth run on a placement pays lazily, on -cpu workers (-cpu 1
 // gives the single-worker figure).

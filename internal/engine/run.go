@@ -273,25 +273,37 @@ func (r *sweep[V, A]) gatherDense() {
 		for i, v := range blk.visit {
 			gi := i&^(visitWindow-1) | int(v&^visitRemote)
 			d := keys[gi]
+			hd := has[d]
 			var c int32
-			acc[d], c = prog.Fold(acc[d], has[d], vals, recs[offs[gi]:offs[gi+1]], act)
+			acc[d], c = prog.Fold(acc[d], hd, vals, recs[offs[gi]:offs[gi+1]], act)
 			// One destination group = one (machine, vertex) partial: its
 			// size is the contribution count the reference engine
-			// reconstructs with touched/contribs stamps.
-			if c > 0 {
-				has[d] = true
-				gathers += int64(c)
-				if v&visitRemote != 0 {
-					partials++
-				}
-				maxUnit = max(maxUnit, c)
-			}
+			// reconstructs with touched/contribs stamps. On a dense frontier
+			// step about half the groups fold nothing, in no predictable
+			// pattern, so the bookkeeping is masked by whether this one
+			// folded something rather than branched on it; c >= 0, so the
+			// sum and the max need no mask, and v>>7 is visitRemote's bit.
+			got := bit(c > 0)
+			has[d] = bit(hd)|got != 0
+			gathers += int64(c)
+			partials += int64(got & (v >> 7))
+			maxUnit = max(maxUnit, c)
 		}
 		sc := &r.counters[p]
 		sc.Gathers = float64(gathers)
 		sc.PartialsOut = float64(partials)
 		sc.MaxUnit = float64(maxUnit)
 	}
+}
+
+// bit is 1 for true and 0 for false, a SETcc or a byte load rather than a
+// jump: the frontier hot loops count and mask with it where a branch on
+// frontier data would mispredict.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // gatherSparse is gatherDense driven by the sorted worklist of active
@@ -373,12 +385,15 @@ func (r *sweep[V, A]) apply(list []graph.VertexID) {
 	}
 
 	if list == nil {
-		list = r.gathered[:0]
+		// Every vertex is written and the gathered ones kept: about half
+		// the vertices gathered, in no predictable pattern (see bit).
+		list = r.gathered[:len(r.has)]
+		k := 0
 		for v, ok := range r.has {
-			if ok {
-				list = append(list, graph.VertexID(v))
-			}
+			list[k] = graph.VertexID(v)
+			k += int(bit(ok))
 		}
+		list = list[:k]
 	}
 	r.front.clearBits()
 	out := r.prog.Apply(list, r.vals, r.acc, r.has, &r.rt, r.front.list[:0])

@@ -6,7 +6,10 @@
 # ranges, how many pairs the working tree won and a verdict, one table per
 # workload. The verdict reads "unresolved" when the parent's quartile spread,
 # (q3-q1)/median, is wider than the metric's bound, unless every change run
-# lies beyond every parent run on one side.
+# lies beyond every parent run on one side. A second table per workload gives
+# each job class's floor (the benchmark record's classes[].floor_ms): both
+# medians, the delta and the pairs the working tree won, which shows where a
+# change of cycle_floor_ms comes from.
 #
 #   scripts/bench_compare.sh <parent-ref> '<workload> [<workload>...]' [pairs (default 10, at least 2)]
 #   make bench-compare PARENT=<parent-ref> WORKLOAD='<workload> [<workload>...]' [PAIRS=10]
@@ -23,7 +26,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,22p' "$0" | cut -c3- >&2
+  sed -n '2,25p' "$0" | cut -c3- >&2
   exit 2
 fi
 ref=$1
@@ -99,6 +102,28 @@ for m in metrics:
 EOF
 }
 
+# classes prints one workload's per-class floors from its runs file.
+classes() {
+python3 - "$@" <<'EOF'
+import json, statistics, sys
+runs, workload = sys.argv[1:3]
+floors = {"parent": {}, "change": {}}
+for line in open(runs):
+    row = json.loads(line)
+    for c in row["record"]["classes"]:
+        floors[row["side"]].setdefault(c["class"], {})[row["pair"]] = c["floor_ms"]
+print(f"{workload} class floors (ms):")
+print(f"{'class':36} {'parent median':>14} {'change median':>14} {'delta':>8} {'pairs won':>9}")
+for name, p in floors["parent"].items():
+    c = floors["change"].get(name, {})
+    pm = statistics.median(p.values())
+    cm = statistics.median(c.values()) if c else float("nan")
+    won = sum(1 for k in p if k in c and c[k] < p[k])
+    delta = (cm - pm) / pm if pm else 0.0
+    print(f"{name:36} {pm:14.6g} {cm:14.6g} {delta:+8.1%} {won:>6}/{len(p):<2}")
+EOF
+}
+
 # pair_row prints one pair's row on stderr: parent/change for every
 # end-to-end metric, then both sides' failed operations.
 pair_row() {
@@ -128,15 +153,19 @@ for workload in "${workloads[@]}"; do
       # The run's stderr is kept: a run that fails its checks exits 1, and
       # its own report of why is the last thing it wrote there.
       stderr="$tmp/stderr-$workload-$pair-$side"
-      if ! line=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>"$stderr" | tail -n 1); then
+      # The last two stdout lines are the full record and the summary.
+      if ! lines=$(cd "$tmp/run-$side" && "$tmp/$side.bin" -workload "$workload" -seed "$pair" -seconds "$seconds" -trace 0 2>"$stderr" | tail -n 2); then
         echo "bench-compare: pair $pair/$pairs, $side side, workload $workload, seed $pair: the benchmark exited non-zero; the end of its stderr:" >&2
         tail -n 20 "$stderr" >&2
         exit 1
       fi
-      echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line}" >>"$runs"
+      { read -r record; read -r line; } <<<"$lines"
+      echo "{\"pair\":$pair,\"side\":\"$side\",\"result\":$line,\"record\":$record}" >>"$runs"
     done
     pair_row "$runs" "$root/BENCHMARK.json" "$workload" "$pair"
   done
   table "$runs" "$root/BENCHMARK.json" "$ref" "$workload"
+  echo
+  classes "$runs" "$workload"
   echo
 done
