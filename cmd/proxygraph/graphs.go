@@ -125,9 +125,6 @@ func statsCmd(args []string, w io.Writer) error {
 	if g != nil {
 		fmt.Fprintf(w, "max degree      %d\n", g.MaxDegree())
 		fmt.Fprintf(w, "est. footprint  %.1f MB (text)\n", float64(g.FootprintBytes())/(1<<20))
-		if g.Weights != nil {
-			fmt.Fprintf(w, "weighted        yes (%d weights)\n", len(g.Weights))
-		}
 		if err := g.Validate(); err != nil {
 			fmt.Fprintf(w, "warning         %v\n", err)
 		}

@@ -18,7 +18,6 @@ func TestOffEngineAppAllocs(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	g := testGraph(t, 95, 400, 3200)
-	graph.AttachWeights(g, 1, 10, 95)
 	pl, cl := moduloPlacement(t, g, 4), multiCluster(t, 4)
 	for _, tc := range []struct {
 		app  App

@@ -108,9 +108,9 @@ func All() []App {
 }
 
 // WithExtensions returns All plus the applications beyond the paper's set
-// (BFS, weighted SSSP, k-core decomposition, asynchronous delta PageRank, and
-// the bit-parallel batched-traversal family: ClusterBFS, the landmark
-// distance oracle and k-seed reachability).
+// (BFS, SSSP over unit hops, k-core decomposition, asynchronous delta
+// PageRank, and the bit-parallel batched-traversal family: ClusterBFS, the
+// landmark distance oracle and k-seed reachability).
 func WithExtensions() []App {
 	return append(All(),
 		NewBFS(), NewSSSP(), NewKCore(), NewPageRankDelta(),

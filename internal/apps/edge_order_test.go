@@ -6,31 +6,26 @@ import (
 	"testing"
 
 	"proxygraph/internal/engine"
-	"proxygraph/internal/graph"
 	"proxygraph/internal/rng"
 	"proxygraph/internal/trace"
 )
 
 // shuffledLocalEdges returns pl over a copy of its graph in which every
 // machine's edges are permuted by a seeded shuffle among that machine's own
-// slots of G.Edges, each carrying its weight along. EdgeOwner is pl's, so
-// every machine owns the same edges as before, only in another local order,
-// and the replicas come out the same; the masters are pl's too, since master
-// selection samples incidences in stream order. The local edge index and the
-// gather blocks are built from the new order on first use.
+// slots of G.Edges. EdgeOwner is pl's, so every machine owns the same edges
+// as before, only in another local order, and the replicas come out the same;
+// the masters are pl's too, since master selection samples incidences in
+// stream order. The local edge index and the gather blocks are built from the
+// new order on first use.
 func shuffledLocalEdges(t *testing.T, pl *engine.Placement, seed uint64) *engine.Placement {
 	src := rng.New(seed)
 	g := *pl.G
 	g.Edges = slices.Clone(pl.G.Edges)
-	g.Weights = slices.Clone(pl.G.Weights)
 	for _, slots := range pl.LocalEdges() {
 		perm := slices.Clone(slots)
 		src.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		for i, from := range perm {
 			g.Edges[slots[i]] = pl.G.Edges[from]
-			if g.Weights != nil {
-				g.Weights[slots[i]] = pl.G.Weights[from]
-			}
 		}
 	}
 	shuffled, err := engine.NewPlacement(&g, pl.EdgeOwner, pl.M)
@@ -52,11 +47,11 @@ func shuffledLocalEdges(t *testing.T, pl *engine.Placement, seed uint64) *engine
 // must agree, with floats compared bit for bit. Only PageRank's ranks may
 // move: each destination's fold sums the same contributions in another order,
 // so they may differ by float re-association, within floatClose's 1e-12
-// relative bound. The graph carries weights so that SSSP relaxes along more
-// than unit hops; weighted SSSP is skipped, and unit-hop SSSP runs on the
-// graph without its weights, through both its walks.
+// relative bound. SSSP runs in the loop after components and BFS have
+// compiled both placements' GatherBoth groupings, so it takes its key walk
+// there; a subtest runs it on fresh placements through both its walks.
 func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
-	g := graph.AttachWeights(equivGraph(t), 1, 10, 3)
+	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
 	shuffled := shuffledLocalEdges(t, pl, 7)
@@ -66,9 +61,6 @@ func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 
 	for _, app := range WithExtensions() {
 		t.Run(app.Name(), func(t *testing.T) {
-			if app.Name() == "sssp" {
-				t.Skip("weighted SSSP relaxes dist in place within one scan of LocalEdges, so its rounds follow edge order; moving SSSP onto engine.Run as synchronous Bellman-Ford lifts this skip")
-			}
 			run := func(pl *engine.Placement) (*engine.Result, []trace.Event) {
 				rec := trace.NewRecorder()
 				res, err := Run(app, pl, cl, engine.Options{Trace: rec})
@@ -102,13 +94,11 @@ func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 		})
 	}
 
-	// Unit hops: the scan on the placements as built, the key walk on the
-	// same placements once a BFS has compiled their GatherBoth groupings,
-	// which the shuffle reorders within each key as it reorders the scan.
-	t.Run("sssp/unweighted", func(t *testing.T) {
-		unweighted := *g
-		unweighted.Weights = nil
-		pl := moduloPlacement(t, &unweighted, 4)
+	// The scan on the placements as built, the key walk on the same
+	// placements once a BFS has compiled their GatherBoth groupings, which
+	// the shuffle reorders within each key as it reorders the scan.
+	t.Run("sssp/walks", func(t *testing.T) {
+		pl := moduloPlacement(t, g, 4)
 		shuffled := shuffledLocalEdges(t, pl, 7)
 		want, wantEvents := tracedSSSP(t, NewSSSP(), pl, cl)
 		for _, leg := range []struct {

@@ -10,33 +10,30 @@ import (
 	"proxygraph/internal/trace"
 )
 
-// SSSP computes single-source shortest paths over weighted edges in frontier
+// SSSP computes single-source shortest paths over unit-hop edges in frontier
 // rounds, the pattern of PowerGraph's sssp toolkit. It is an extension beyond
-// the paper's four benchmarks: a weighted application demonstrating that the
-// profiling flow accepts arbitrary vertex programs (Section III-B). Every
-// edge relaxes in both directions: the distances are undirected. Machines
-// relax in order 0..M−1 within a round, each out of the previous round's
-// frontier, in one of two walks:
+// the paper's four benchmarks, demonstrating that the profiling flow accepts
+// arbitrary vertex programs (Section III-B). Every edge relaxes in both
+// directions: the distances are undirected. Machines relax in order 0..M−1
+// within a round, each out of the previous round's frontier, in one of two
+// walks:
 //
-//   - The scan walks every machine's local edges and relaxes in place: on a
-//     weighted graph a distance lowered earlier in the scan feeds later
-//     relaxations in the same round, so the rounds and their charges follow
-//     local edge order, though the final distances do not.
-//   - The key walk serves an unweighted graph whose placement already holds
-//     its GatherBoth grouping (a BFS, components or ClusterBFS run compiled
-//     it): per machine it visits the grouping's keys and relaxes each active
-//     key's companions with unit weight, so it skips the edges of inactive
-//     vertices. It never compiles the grouping, which would cost a placement
-//     that serves only SSSP 8 B per edge.
+//   - The scan walks every machine's local edges.
+//   - The key walk serves a placement that already holds its GatherBoth
+//     grouping (a BFS, components or ClusterBFS run compiled it): per
+//     machine it visits the grouping's keys and relaxes each active key's
+//     companions, so it skips the edges of inactive vertices. It never
+//     compiles the grouping, which would cost a placement that serves only
+//     SSSP 8 B per edge.
 //
-// On unit weights the two walks charge the same. Every active vertex holds
-// distance r, the round number, for the whole round, since no relaxation
-// offers it less than r+1; only unreached vertices improve, to r+1, once
-// each. Which machine applies a vertex is then the first in machine order
-// with an edge to it from the frontier, and a machine's gathers and partials
-// count its frontier records and the distinct vertices they reach, so
-// gathers, partials, applies and update counts depend only on the machine
-// order, which both walks keep, and not on the order within a machine.
+// The two walks charge the same. Every active vertex holds distance r, the
+// round number, for the whole round, since no relaxation offers it less than
+// r+1; only unreached vertices improve, to r+1, once each. Which machine
+// applies a vertex is then the first in machine order with an edge to it
+// from the frontier, and a machine's gathers and partials count its frontier
+// records and the distinct vertices they reach, so gathers, partials, applies
+// and update counts depend only on the machine order, which both walks keep,
+// and not on the order within a machine.
 type SSSP struct {
 	// Source is the root vertex.
 	Source graph.VertexID
@@ -50,9 +47,11 @@ func NewSSSP() *SSSP { return &SSSP{Source: 0, MaxIters: 10000} }
 // Name implements App.
 func (s *SSSP) Name() string { return "sssp" }
 
-// Coeffs: relaxations read a distance and a weight per edge and
-// conditionally write — comparable to connected components with an extra
-// float compare.
+// Coeffs: PowerGraph's sssp toolkit prices a relaxation as a read of a
+// distance and an edge weight and a conditional write — comparable to
+// connected components with an extra float compare. The price keeps the
+// weight read though every edge here is a unit hop, so simulated seconds
+// stay those of the toolkit.
 func (s *SSSP) Coeffs() engine.CostCoeffs {
 	return engine.CostCoeffs{
 		OpsPerGather:    80,
@@ -117,9 +116,9 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
 	counters := countersBuf[:pl.M]
 	anyChange := false
-	relax := func(sc *engine.StepCounters, p int, stamp uint8, from, to graph.VertexID, w float64) {
+	relax := func(sc *engine.StepCounters, p int, stamp uint8, from, to graph.VertexID) {
 		sc.Gathers++
-		if nd := dist[from] + w; nd < dist[to] {
+		if nd := dist[from] + 1; nd < dist[to] {
 			dist[to] = nd
 			if !nextActive[to] {
 				nextActive[to] = true
@@ -138,7 +137,6 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 	}
 	// A grouping, once compiled, stays: the walk is chosen once per run.
 	_, walk := pl.CompiledBothGrouping(0)
-	walk = walk && g.Weights == nil
 	var local [][]int32
 	if !walk {
 		local = pl.LocalEdges()
@@ -158,7 +156,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 				for i, a := range grp.Keys {
 					if active[a] {
 						for _, to := range grp.Vals[grp.Offs[i]:grp.Offs[i+1]] {
-							relax(sc, p, stamp, a, to, 1)
+							relax(sc, p, stamp, a, to)
 						}
 					}
 				}
@@ -166,12 +164,11 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 			}
 			for _, ei := range local[p] {
 				e := g.Edges[ei]
-				w := float64(g.Weight(int(ei)))
 				if active[e.Src] {
-					relax(sc, p, stamp, e.Src, e.Dst, w)
+					relax(sc, p, stamp, e.Src, e.Dst)
 				}
 				if active[e.Dst] {
-					relax(sc, p, stamp, e.Dst, e.Src, w)
+					relax(sc, p, stamp, e.Dst, e.Src)
 				}
 			}
 		}

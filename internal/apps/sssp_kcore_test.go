@@ -1,11 +1,11 @@
 package apps
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"proxygraph/internal/cluster"
@@ -16,69 +16,42 @@ import (
 
 // --- SSSP ---
 
-// refDijkstra computes undirected shortest paths with a binary heap.
-func refDijkstra(g *graph.Graph, source graph.VertexID) []float64 {
-	type adj struct {
-		to graph.VertexID
-		w  float64
-	}
-	adjacency := make([][]adj, g.NumVertices)
-	for i, e := range g.Edges {
-		w := float64(g.Weight(i))
-		adjacency[e.Src] = append(adjacency[e.Src], adj{e.Dst, w})
-		adjacency[e.Dst] = append(adjacency[e.Dst], adj{e.Src, w})
-	}
+// refHops computes undirected hop distances from source by breadth-first
+// search, +Inf where source does not reach.
+func refHops(g *graph.Graph, source graph.VertexID) []float64 {
+	und := sortedUndirected(g)
 	dist := make([]float64, g.NumVertices)
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	for v := range dist {
+		dist[v] = math.Inf(1)
 	}
 	dist[source] = 0
-	pq := &distHeap{{int(source), 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		if item.d > dist[item.v] {
-			continue
-		}
-		for _, a := range adjacency[item.v] {
-			if nd := item.d + a.w; nd < dist[a.to] {
-				dist[a.to] = nd
-				heap.Push(pq, distItem{int(a.to), nd})
+	for queue := []graph.VertexID{source}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, v := range und.Neighbors(u) {
+			if math.IsInf(dist[v], 1) {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
 			}
 		}
 	}
 	return dist
 }
 
-type distItem struct {
-	v int
-	d float64
-}
-type distHeap []distItem
-
-func (h distHeap) Len() int           { return len(h) }
-func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-func TestSSSPMatchesDijkstra(t *testing.T) {
+func TestSSSPMatchesBFS(t *testing.T) {
 	for seed := uint64(60); seed < 63; seed++ {
-		g := testGraph(t, seed, 300, 1800)
-		graph.AttachWeights(g, 1, 10, seed)
-		res, err := NewSSSP().Run(moduloPlacement(t, g, 3), multiCluster(t, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.Output.(SSSPResult).Dist
-		want := refDijkstra(g, 0)
-		for v := range want {
-			if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
-				t.Fatalf("seed %d vertex %d: reachability differs", seed, v)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			g := testGraph(t, seed, 300, 1800)
+			res, err := NewSSSP().Run(moduloPlacement(t, g, 3), multiCluster(t, 3))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-9 {
-				t.Fatalf("seed %d vertex %d: dist %v, want %v", seed, v, got[v], want[v])
+			got, want := res.Output.(SSSPResult).Dist, refHops(g, 0)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("vertex %d: dist %v, want %v", v, got[v], want[v])
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -92,7 +65,6 @@ func TestSSSPAllocs(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	g := testGraph(t, 60, 300, 1800)
-	graph.AttachWeights(g, 1, 10, 60)
 	pl, cl := moduloPlacement(t, g, 3), multiCluster(t, 3)
 	s := NewSSSP()
 	got := testing.AllocsPerRun(10, func() {
@@ -130,16 +102,15 @@ func TestSSSPUnweightedEqualsBFS(t *testing.T) {
 }
 
 func TestSSSPKnownPath(t *testing.T) {
-	// 0 -2.0- 1 -3.0- 2, plus direct 0 -10.0- 2: shortest to 2 is 5.
-	g := &graph.Graph{NumVertices: 3, Edges: []graph.Edge{E(0, 1), E(1, 2), E(0, 2)}}
-	g.Weights = []float32{2, 3, 10}
+	// The detour 0-1-2-3 against the direct edge 0-3, stored last: 3 is one
+	// hop away and 2 two, through 3 or through 1.
+	g := &graph.Graph{NumVertices: 4, Edges: []graph.Edge{E(0, 1), E(1, 2), E(2, 3), E(0, 3)}}
 	res, err := NewSSSP().Run(engine.SingleMachine(g), singleCluster(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := res.Output.(SSSPResult).Dist
-	if dist[2] != 5 {
-		t.Errorf("dist[2] = %v, want 5 via the two-hop path", dist[2])
+	if got, want := res.Output.(SSSPResult).Dist, []float64{0, 1, 2, 1}; !slices.Equal(got, want) {
+		t.Errorf("dist %v, want %v with the direct edge beating the detour", got, want)
 	}
 }
 
@@ -154,7 +125,6 @@ func TestSSSPBadSource(t *testing.T) {
 
 func TestSSSPInvariantAcrossPlacements(t *testing.T) {
 	g := testGraph(t, 66, 300, 1500)
-	graph.AttachWeights(g, 1, 4, 66)
 	res1, err := NewSSSP().Run(engine.SingleMachine(g), singleCluster(t))
 	if err != nil {
 		t.Fatal(err)

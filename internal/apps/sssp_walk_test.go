@@ -35,7 +35,7 @@ func cycledCluster(tb testing.TB, m int) *cluster.Cluster {
 
 // groupedPlacement returns a placement of g by owner whose GatherBoth
 // grouping a BFS run has compiled, as on a cached placement that has served
-// one, so unweighted SSSP takes the key walk on it.
+// one, so SSSP takes the key walk on it.
 func groupedPlacement(tb testing.TB, g *graph.Graph, owner []engine.Machine, cl *cluster.Cluster) *engine.Placement {
 	tb.Helper()
 	pl, err := engine.NewPlacement(g, owner, cl.Size())
@@ -64,9 +64,8 @@ func tracedSSSP(tb testing.TB, s *SSSP, pl *engine.Placement, cl *cluster.Cluste
 
 // checkSSSPWalk runs s on a fresh placement of g by owner, where it scans the
 // local edges, and on a placement with the same owner vector whose GatherBoth
-// grouping is compiled, where an unweighted graph takes the key walk. The
-// Result, with floats compared bit for bit, the SSSPResult and the event
-// stream must agree. SSSP must not compile the grouping on the fresh
+// grouping is compiled, where it takes the key walk. The Result, with floats
+// compared bit for bit, the SSSPResult and the event stream must agree. SSSP must not compile the grouping on the fresh
 // placement.
 func checkSSSPWalk(t *testing.T, label string, s *SSSP, g *graph.Graph, owner []engine.Machine, m int) {
 	t.Helper()
@@ -106,12 +105,10 @@ func hashedOwners(edges, m int, seed uint64) []engine.Machine {
 	return owner
 }
 
-// TestSSSPUnitWalkMatchesScan: on an unweighted graph the key walk over a
-// compiled GatherBoth grouping charges exactly what the scan of the local
-// edges does, on multigraphs with self-loops, duplicate and reciprocal edges,
-// an isolated source, disconnected parts and a MaxIters cut-off, on 1 to 8
-// machines. A weighted graph keeps the scan on a placement with the grouping
-// compiled, so its distances stay those of the weights.
+// TestSSSPUnitWalkMatchesScan: the key walk over a compiled GatherBoth
+// grouping charges exactly what the scan of the local edges does, on
+// multigraphs with self-loops, duplicate and reciprocal edges, an isolated
+// source, disconnected parts and a MaxIters cut-off, on 1 to 8 machines.
 func TestSSSPUnitWalkMatchesScan(t *testing.T) {
 	// Two parts, 0..5 and 6..8, with vertex 9 isolated: 2-3 is duplicated,
 	// 1-2 runs both ways, 0 and 4 carry self-loops.
@@ -150,30 +147,13 @@ func TestSSSPUnitWalkMatchesScan(t *testing.T) {
 			checkSSSPWalk(t, c.name+"/hashed", s, c.g, hashedOwners(len(c.g.Edges), m, uint64(m)), m)
 		}
 	}
-
-	t.Run("weighted keeps the scan", func(t *testing.T) {
-		g := graph.AttachWeights(testGraph(t, 72, 300, 1800), 1, 10, 72)
-		for _, m := range []int{1, 3, 8} {
-			checkSSSPWalk(t, "weighted", NewSSSP(), g, hashedOwners(len(g.Edges), m, 5), m)
-		}
-		res, err := NewSSSP().Run(groupedPlacement(t, g, hashedOwners(len(g.Edges), 4, 5), cycledCluster(t, 4)), cycledCluster(t, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := res.Output.(SSSPResult).Dist, refDijkstra(g, 0)
-		for v := range want {
-			if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) || !math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-9 {
-				t.Fatalf("vertex %d: dist %v, Dijkstra %v", v, got[v], want[v])
-			}
-		}
-	})
 }
 
-// FuzzSSSPUnitWalk decodes bytes into an unweighted multigraph of 1 to 40
-// vertices — self-loops, duplicate and reciprocal edges allowed — with every
-// edge's owner among 1 to 8 machines, a source and a MaxIters cut-off, and
-// checks the key walk against the scan as TestSSSPUnitWalkMatchesScan does.
-// Every byte string decodes to a legal input.
+// FuzzSSSPUnitWalk decodes bytes into a multigraph of 1 to 40 vertices —
+// self-loops, duplicate and reciprocal edges allowed — with every edge's
+// owner among 1 to 8 machines, a source and a MaxIters cut-off, and checks
+// the key walk against the scan as TestSSSPUnitWalkMatchesScan does. Every
+// byte string decodes to a legal input.
 func FuzzSSSPUnitWalk(f *testing.F) {
 	f.Add([]byte{10, 3, 0, 0, 0, 1, 0, 1, 2, 1, 2, 1, 2, 3, 3, 3, 3, 2, 6, 7, 1})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0})
@@ -269,11 +249,11 @@ func TestSSSPWhileBFSCompilesGrouping(t *testing.T) {
 	}
 }
 
-// BenchmarkSSSP times one unweighted SSSP run from the highest-degree vertex
-// of the wiki shape at 1/120 scale (about 41 k edges, a warm_frontier graph)
-// over four heterogeneous machines, by both walks: scan on a placement
-// holding only its local edge index, walk on one whose GatherBoth grouping a
-// BFS has compiled.
+// BenchmarkSSSP times one SSSP run from the highest-degree vertex of the
+// wiki shape at 1/120 scale (about 41 k edges, a warm_frontier graph) over
+// four heterogeneous machines, by both walks: scan on a placement holding
+// only its local edge index, walk on one whose GatherBoth grouping a BFS has
+// compiled.
 func BenchmarkSSSP(b *testing.B) {
 	var spec gen.Spec
 	for _, s := range gen.RealGraphs() {

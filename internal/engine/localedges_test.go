@@ -9,19 +9,17 @@ import (
 	"proxygraph/internal/apps"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
-	"proxygraph/internal/graph"
 )
 
 // TestLocalEdgesBuiltOnFirstWalk pins who pays for a placement's LocalEdges
 // index. Engine programs (PageRank, Connected Components), ingress pricing and
 // the edge counts never build it; the walkers (SSSP, Triangle Count,
 // RunReference) build it on their first run and every later walker, however
-// many run at once, shares that one build. Unweighted SSSP on a placement
-// whose GatherBoth grouping a BFS has compiled walks that grouping and leaves
-// the index unbuilt; weighted SSSP builds it there too. The index itself is
-// the stable group-by-owner of the edge stream, laid out machine after
-// machine in one arena in which no machine's list can grow into its
-// neighbour's, and EdgeCounts agrees with it.
+// many run at once, shares that one build. SSSP on a placement whose
+// GatherBoth grouping a BFS has compiled walks that grouping and leaves the
+// index unbuilt. The index itself is the stable group-by-owner of the edge
+// stream, laid out machine after machine in one arena in which no machine's
+// list can grow into its neighbour's, and EdgeCounts agrees with it.
 func TestLocalEdgesBuiltOnFirstWalk(t *testing.T) {
 	cl := engine.ClusterOf(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	g := engine.SpecGraphs()[0]
@@ -66,27 +64,14 @@ func TestLocalEdgesBuiltOnFirstWalk(t *testing.T) {
 	})
 
 	t.Run("sssp walks a compiled grouping", func(t *testing.T) {
-		weighted := *g
-		weighted.Weights = make([]float32, len(g.Edges))
-		for i := range weighted.Weights {
-			weighted.Weights[i] = float32(1 + i%3)
-		}
-		for _, c := range []struct {
-			g     *graph.Graph
-			built bool
-		}{{g, false}, {&weighted, true}} {
-			pl, err := engine.NewPlacement(c.g, engine.HashedOwner(c.g, cl.Size()), cl.Size())
-			if err != nil {
+		pl := place(t)
+		for _, walk := range []func(*engine.Placement, *cluster.Cluster) error{run(apps.NewBFS()), run(apps.NewSSSP())} {
+			if err := walk(pl, cl); err != nil {
 				t.Fatal(err)
 			}
-			for _, walk := range []func(*engine.Placement, *cluster.Cluster) error{run(apps.NewBFS()), run(apps.NewSSSP())} {
-				if err := walk(pl, cl); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if engine.LocalEdgesBuilt(pl) != c.built {
-				t.Fatalf("weighted %v: after BFS then SSSP the index is built %v, want %v", c.g.Weights != nil, !c.built, c.built)
-			}
+		}
+		if engine.LocalEdgesBuilt(pl) {
+			t.Fatal("after BFS then SSSP the LocalEdges index is built")
 		}
 	})
 

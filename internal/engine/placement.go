@@ -67,12 +67,11 @@ type Placement struct {
 	// neither, and PageRank, the one shipped GatherIn app, applies every
 	// vertex every step and never takes a sparse one. Triangle Count, the
 	// straggler migrator and RunReference walk the edge index, and so does
-	// SSSP, unless its graph is unweighted and a GatherBoth run has already
-	// compiled that grouping, which it then walks instead (see
-	// CompiledBothGrouping); SSSP never compiles a grouping itself. The block
-	// compiles group each machine's edges from EdgeOwner in a transient arena
-	// of their own, so a placement served only by engine programs never holds
-	// the edge index.
+	// SSSP, unless a GatherBoth run has already compiled that grouping, which
+	// it then walks instead (see CompiledBothGrouping); SSSP never compiles a
+	// grouping itself. The block compiles group each machine's edges from
+	// EdgeOwner in a transient arena of their own, so a placement served only
+	// by engine programs never holds the edge index.
 	//
 	// local holds the edge index (see LocalEdges), compiled each direction's
 	// byDst (see blocks), inSources GatherIn's bySrc (see sources), each

@@ -22,7 +22,6 @@ type DeltaSpec struct {
 // non-self-loop edges whose endpoints follow the same skew as the base graph
 // (a uniformly chosen existing edge's source, rewired to a uniform target) —
 // evolution that preferentially touches hubs, as real graph churn does.
-// Applied to a weighted base, the inserts get unit weights.
 func RandomDelta(base *graph.Graph, spec DeltaSpec, seed uint64) (*graph.Delta, error) {
 	if spec.Time == 0 {
 		return nil, fmt.Errorf("gen: delta needs a positive timestamp")

@@ -21,7 +21,7 @@ import (
 // Inserts at the tail. Appending preserves the streaming partitioners' view
 // of the world: an inserted edge is a continuation of the ingress stream,
 // which is exactly the state Amend resumes from. The evolved graph keeps the
-// base's vertex space, and an insert into a weighted base has weight 1.
+// base's vertex space.
 type Delta struct {
 	// Time is the batch's logical timestamp. Apply requires it to be strictly
 	// greater than zero so versions are orderable; it also salts nothing —
@@ -116,9 +116,8 @@ func (d *Delta) DeletedIndices(base *Graph) ([]int, error) {
 }
 
 // Apply materializes the evolved graph: survivors in stream order, inserts at
-// the tail, weights carried through. The base graph is not modified. The
-// evolved graph's name carries the version timestamp so experiment tables can
-// tell versions apart.
+// the tail. The base graph is not modified. The evolved graph's name carries
+// the version timestamp so experiment tables can tell versions apart.
 func (d *Delta) Apply(base *Graph) (*Graph, error) {
 	if err := d.Validate(base); err != nil {
 		return nil, err
@@ -130,35 +129,19 @@ func (d *Delta) Apply(base *Graph) (*Graph, error) {
 
 	size := len(base.Edges) - len(deleted) + len(d.Inserts)
 	edges := make([]Edge, 0, size)
-	var weights []float32
-	if base.Weights != nil {
-		weights = make([]float32, 0, size)
-	}
 	// Survivors are copied a run at a time, between consecutive deletes.
-	keep := func(lo, hi int) {
-		edges = append(edges, base.Edges[lo:hi]...)
-		if base.Weights != nil {
-			weights = append(weights, base.Weights[lo:hi]...)
-		}
-	}
 	lo := 0
 	for _, i := range deleted {
-		keep(lo, i)
+		edges = append(edges, base.Edges[lo:i]...)
 		lo = i + 1
 	}
-	keep(lo, len(base.Edges))
+	edges = append(edges, base.Edges[lo:]...)
 	edges = append(edges, d.Inserts...)
-	if base.Weights != nil {
-		for range d.Inserts {
-			weights = append(weights, 1)
-		}
-	}
 
 	evolved := &Graph{
 		Name:        fmt.Sprintf("%s@t%d", base.Name, d.Time),
 		NumVertices: base.NumVertices,
 		Edges:       edges,
-		Weights:     weights,
 		Alpha:       base.Alpha,
 	}
 	if err := evolved.Validate(); err != nil {

@@ -14,9 +14,8 @@ import (
 // the evolved graph yields a graph with exactly the base's (Src, Dst)
 // multiset — the re-inserted edges land at the tail rather than their
 // original stream positions, so the round trip is multiset-exact but not
-// order-exact. Over an unweighted base the weights (all 1) come back too, so
-// the round trip is fingerprint-exact (the content fingerprint is
-// order-independent); over a weighted base a re-inserted edge has weight 1.
+// order-exact, which makes it fingerprint-exact (the content fingerprint is
+// order-independent).
 func (d *Delta) Inverse(base *Graph) (*Delta, error) {
 	deleted, err := d.DeletedIndices(base)
 	if err != nil {
@@ -33,14 +32,13 @@ func (d *Delta) Inverse(base *Graph) (*Delta, error) {
 	return inv, nil
 }
 
-// deltaBase is a small weighted graph with a duplicate edge, so the
+// deltaBase is a small graph with a duplicate edge, so that the
 // first-remaining-occurrence delete semantics are observable.
 func deltaBase() *Graph {
 	return &Graph{
 		Name:        "base",
 		NumVertices: 5,
 		Edges:       []Edge{{0, 1}, {1, 2}, {0, 1}, {2, 3}, {3, 4}},
-		Weights:     []float32{1, 2, 3, 4, 5},
 	}
 }
 
@@ -55,17 +53,10 @@ func TestDeltaApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Survivors keep their weights; inserts into the weighted base weigh 1.
-	wantEdges := []Edge{{1, 2}, {0, 1}, {2, 3}, {4, 0}, {0, 1}}
-	wantWeights := []float32{2, 3, 4, 1, 1}
-	if len(evolved.Edges) != len(wantEdges) {
-		t.Fatalf("evolved has %d edges, want %d", len(evolved.Edges), len(wantEdges))
-	}
-	for i := range wantEdges {
-		if evolved.Edges[i] != wantEdges[i] || evolved.Weights[i] != wantWeights[i] {
-			t.Fatalf("edge %d: got %v/%v, want %v/%v",
-				i, evolved.Edges[i], evolved.Weights[i], wantEdges[i], wantWeights[i])
-		}
+	// The first (0,1) goes, the second survives in place, and the inserts
+	// follow the survivors.
+	if want := []Edge{{1, 2}, {0, 1}, {2, 3}, {4, 0}, {0, 1}}; !slices.Equal(evolved.Edges, want) {
+		t.Fatalf("evolved edges %v, want %v", evolved.Edges, want)
 	}
 	if evolved.NumVertices != base.NumVertices {
 		t.Fatalf("vertex count changed to %d", evolved.NumVertices)
@@ -74,7 +65,7 @@ func TestDeltaApply(t *testing.T) {
 		t.Fatalf("evolved name %q", evolved.Name)
 	}
 	// The base graph must be untouched.
-	if len(base.Edges) != 5 || base.Edges[0] != (Edge{0, 1}) || base.Weights[0] != 1 {
+	if !slices.Equal(base.Edges, deltaBase().Edges) {
 		t.Fatal("Apply mutated the base graph")
 	}
 }
@@ -246,51 +237,15 @@ func TestDeltaTouched(t *testing.T) {
 	}
 }
 
-// weightedEdge is an edge occurrence with its weight, the unit of the
-// multiset the delta round trip must preserve.
-type weightedEdge struct {
-	e Edge
-	w float32
-}
-
-// edgeMultiset lists g's edge occurrences in sorted order, with their weights
-// when withWeights is set and at weight 0 otherwise.
-func edgeMultiset(g *Graph, withWeights bool) []weightedEdge {
-	out := make([]weightedEdge, len(g.Edges))
-	for i, e := range g.Edges {
-		out[i] = weightedEdge{e: e}
-		if withWeights {
-			out[i].w = g.Weight(i)
-		}
-	}
-	slices.SortFunc(out, func(a, b weightedEdge) int {
-		return cmp.Or(cmp.Compare(a.e.Src, b.e.Src), cmp.Compare(a.e.Dst, b.e.Dst), cmp.Compare(a.w, b.w))
+// edgeMultiset lists g's edge occurrences in sorted order.
+func edgeMultiset(g *Graph) []Edge {
+	return slices.SortedFunc(slices.Values(g.Edges), func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
-	return out
-}
-
-// sameMultiset fails unless a and b have one vertex count and one edge
-// multiset: of (Src, Dst, weight) occurrences when withWeights is set, of
-// (Src, Dst) pairs otherwise.
-func sameMultiset(t *testing.T, label string, a, b *Graph, withWeights bool) {
-	t.Helper()
-	if a.NumVertices != b.NumVertices {
-		t.Fatalf("%s: vertex counts %d vs %d", label, a.NumVertices, b.NumVertices)
-	}
-	ma, mb := edgeMultiset(a, withWeights), edgeMultiset(b, withWeights)
-	if len(ma) != len(mb) {
-		t.Fatalf("%s: edge counts %d vs %d", label, len(ma), len(mb))
-	}
-	for i := range ma {
-		if ma[i] != mb[i] {
-			t.Fatalf("%s: multiset entry %d: %v vs %v", label, i, ma[i], mb[i])
-		}
-	}
 }
 
 // roundTrip applies d to base and then its inverse to the result, and checks
-// the round trip's law: the base's exact weighted-edge multiset over an
-// unweighted base, its (Src, Dst) multiset over a weighted one.
+// the round trip's law: the base's vertex count and exact edge multiset.
 func roundTrip(t *testing.T, label string, base *Graph, d *Delta) {
 	t.Helper()
 	evolved, err := d.Apply(base)
@@ -305,22 +260,21 @@ func roundTrip(t *testing.T, label string, base *Graph, d *Delta) {
 	if err != nil {
 		t.Fatalf("%s: unapply: %v", label, err)
 	}
-	if (back.Weights != nil) != (base.Weights != nil) {
-		t.Fatalf("%s: round trip weighted %v, base weighted %v", label, back.Weights != nil, base.Weights != nil)
+	if back.NumVertices != base.NumVertices {
+		t.Fatalf("%s: vertex counts %d vs %d", label, back.NumVertices, base.NumVertices)
 	}
-	sameMultiset(t, label, base, back, base.Weights == nil)
+	if got, want := edgeMultiset(back), edgeMultiset(base); !slices.Equal(got, want) {
+		t.Fatalf("%s: round trip edge multiset\n got %v\nwant %v", label, got, want)
+	}
 }
 
 func TestDeltaInverseRoundTrip(t *testing.T) {
-	weighted := deltaBase()
-	unweighted := &Graph{Name: "unweighted", NumVertices: weighted.NumVertices, Edges: weighted.Edges}
 	d := &Delta{
 		Time:    3,
 		Deletes: []Edge{{0, 1}, {2, 3}},
 		Inserts: []Edge{{4, 1}, {0, 1}},
 	}
-	roundTrip(t, "weighted", weighted, d)
-	roundTrip(t, "unweighted", unweighted, d)
+	roundTrip(t, "delta base", deltaBase(), d)
 }
 
 // FuzzDelta drives random mutation batches end to end: DeletedIndices must
@@ -328,15 +282,14 @@ func TestDeltaInverseRoundTrip(t *testing.T) {
 // batch resolves, so a pair-filter collision can never drop a wanted pair;
 // any delta the validator accepts must apply cleanly, produce a structurally
 // valid graph with the implied edge count, and unapply (via Inverse) back to
-// the base graph's multiset (roundTrip's law). The high bit of nIns makes the
-// base unweighted.
+// the base graph's multiset (roundTrip's law).
 func FuzzDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(3), uint8(2))
 	f.Add([]byte{0xff, 0x00, 0x80}, uint8(0), uint8(5))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(8), uint8(0))
 	f.Add([]byte{}, uint8(1), uint8(1))
 	f.Add([]byte{1, 2, 3, 4}, uint8(0), uint8(0x82)) // a delete outside the base vertex space
-	// Repeated pairs on an unweighted base, every occurrence deleted.
+	// Repeated pairs, every occurrence deleted.
 	f.Add([]byte{5}, uint8(0x81), uint8(7))
 	f.Fuzz(func(t *testing.T, data []byte, nIns, nDel uint8) {
 		next := func(i int) int {
@@ -355,10 +308,6 @@ func FuzzDelta(f *testing.F) {
 				v = (v + 1) % n
 			}
 			base.Edges = append(base.Edges, Edge{Src: VertexID(u), Dst: VertexID(v)})
-			base.Weights = append(base.Weights, float32(1+next(i)%5))
-		}
-		if nIns&0x80 != 0 {
-			base.Weights = nil
 		}
 		if err := base.Validate(); err != nil {
 			t.Fatalf("fuzz base invalid: %v", err)
@@ -414,20 +363,14 @@ func FuzzDelta(f *testing.F) {
 }
 
 // TestDeltaApplyBytes pins what Apply allocates to the evolved graph it
-// returns and the delete resolution: the edge list, 8 B per evolved edge, and
-// over a weighted base the weights, 4 B per evolved edge; up to 80 B per
-// delete for DeletedIndices' pair map, filter bitmap and index list; and
+// returns and the delete resolution: the edge list, 8 B per evolved edge; up
+// to 80 B per delete for DeletedIndices' pair map, filter bitmap and index list; and
 // 16 KiB for the graph value and its name.
 func TestDeltaApplyBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews bytes/op")
 	}
 	base := randomGraph(t, 131, 20000, 160000)
-	weighted := &Graph{Name: "weighted", NumVertices: base.NumVertices, Edges: base.Edges,
-		Weights: make([]float32, len(base.Edges))}
-	for i := range weighted.Weights {
-		weighted.Weights[i] = float32(i%7 + 1)
-	}
 	d := &Delta{Time: 1}
 	for i := 0; i < len(base.Edges); i += 200 {
 		d.Deletes = append(d.Deletes, base.Edges[i])
@@ -438,37 +381,23 @@ func TestDeltaApplyBytes(t *testing.T) {
 			d.Inserts = append(d.Inserts, Edge{u, v})
 		}
 	}
-	for _, c := range []struct {
-		name       string
-		base       *Graph
-		d          *Delta
-		edgeBytes  int
-		wantWeight bool
-	}{
-		{"unweighted", base, d, 8, false},
-		{"weighted", weighted, d, 8 + 4, true},
-	} {
-		evolved, err := c.d.Apply(c.base)
-		if err != nil {
+	evolved, err := d.Apply(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := d.Apply(base); err != nil {
 			t.Fatal(err)
 		}
-		if (evolved.Weights != nil) != c.wantWeight {
-			t.Fatalf("%s: evolved weights %v, want weighted %v", c.name, evolved.Weights != nil, c.wantWeight)
-		}
-		const runs = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			if _, err := c.d.Apply(c.base); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		got := (after.TotalAlloc - before.TotalAlloc) / runs
-		ceiling := uint64(c.edgeBytes*len(evolved.Edges) + 80*len(c.d.Deletes) + 16<<10)
-		t.Logf("%s: %d evolved edges, %d deletes: %d bytes per Apply, ceiling %d", c.name, len(evolved.Edges), len(c.d.Deletes), got, ceiling)
-		if got > ceiling {
-			t.Errorf("%s: Apply allocates %d bytes, want at most %d·|E'| + 80·|Deletes| + 16 KiB = %d", c.name, got, c.edgeBytes, ceiling)
-		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	ceiling := uint64(8*len(evolved.Edges) + 80*len(d.Deletes) + 16<<10)
+	t.Logf("%d evolved edges, %d deletes: %d bytes per Apply, ceiling %d", len(evolved.Edges), len(d.Deletes), got, ceiling)
+	if got > ceiling {
+		t.Errorf("Apply allocates %d bytes, want at most 8·|E'| + 80·|Deletes| + 16 KiB = %d", got, ceiling)
 	}
 }

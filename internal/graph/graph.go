@@ -28,9 +28,6 @@ type Graph struct {
 	NumVertices int
 	// Edges holds every directed edge.
 	Edges []Edge
-	// Weights optionally holds per-edge weights (len == len(Edges)).
-	// Nil means unweighted; Weight(i) then reads as 1.
-	Weights []float32
 	// Alpha is the declared or fitted power-law exponent, 0 when unknown.
 	Alpha float64
 }
@@ -51,9 +48,6 @@ func (g *Graph) AvgDegree() float64 {
 func (g *Graph) Validate() error {
 	if g.NumVertices < 0 {
 		return fmt.Errorf("graph %q: negative vertex count %d", g.Name, g.NumVertices)
-	}
-	if g.Weights != nil && len(g.Weights) != len(g.Edges) {
-		return fmt.Errorf("graph %q: %d weights for %d edges", g.Name, len(g.Weights), len(g.Edges))
 	}
 	n := VertexID(g.NumVertices)
 	for i, e := range g.Edges {

@@ -6,13 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"proxygraph/internal/rng"
 )
 
 func TestSampleEdges(t *testing.T) {
 	g := randomGraph(t, 20, 500, 20000)
-	AttachWeights(g, 1, 5, 2)
 	s, err := SampleEdges(g, 0.25, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -23,9 +20,6 @@ func TestSampleEdges(t *testing.T) {
 	}
 	if s.NumVertices != g.NumVertices {
 		t.Error("sampling should keep the vertex set")
-	}
-	if len(s.Weights) != len(s.Edges) {
-		t.Error("weights not carried through sampling")
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -68,48 +62,6 @@ func TestSampleChangesDegreeShape(t *testing.T) {
 		t.Errorf("sample avg degree %v vs original %v: expected ~10x thinner", s.AvgDegree(), g.AvgDegree())
 	}
 }
-
-func TestAttachWeights(t *testing.T) {
-	g := randomGraph(t, 23, 50, 400)
-	if g.Weight(0) != 1 {
-		t.Error("unweighted graphs default to weight 1")
-	}
-	AttachWeights(g, 2, 8, 7)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Edges {
-		w := g.Weight(i)
-		if w < 2 || w >= 8 {
-			t.Fatalf("weight %v outside [2, 8)", w)
-		}
-	}
-	// Deterministic.
-	h := randomGraph(t, 23, 50, 400)
-	AttachWeights(h, 2, 8, 7)
-	for i := range g.Weights {
-		if g.Weights[i] != h.Weights[i] {
-			t.Fatal("weights not deterministic")
-		}
-	}
-	// Swapped bounds are tolerated.
-	AttachWeights(g, 8, 2, 7)
-	for i := range g.Edges {
-		if g.Weight(i) < 2 || g.Weight(i) >= 8 {
-			t.Fatal("swapped bounds mishandled")
-		}
-	}
-}
-
-func TestValidateWeightsLength(t *testing.T) {
-	g := diamond()
-	g.Weights = []float32{1}
-	if err := g.Validate(); err == nil {
-		t.Error("mismatched weights length should fail validation")
-	}
-}
-
-var _ = rng.New
 
 func TestAdjacencyRoundTrip(t *testing.T) {
 	g := randomGraph(t, 30, 200, 3000)

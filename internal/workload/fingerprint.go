@@ -19,13 +19,13 @@ const (
 	fpJobDomain   = 0x6a6f6266 // "jobf"
 )
 
-// edgeTerm is one edge's contribution to a graph fingerprint. The weight is
-// always folded in (1 for unweighted graphs, matching graph.Weight), so an
-// unweighted graph and the same graph with an explicit all-1 weight column —
-// which are semantically identical — fingerprint identically, and a weighted
-// delta over an unweighted base stays incrementally computable.
-func edgeTerm(e graph.Edge, w float32) uint64 {
-	return rng.Hash2(rng.Hash3(fpEdgeDomain, uint64(e.Src), uint64(e.Dst)), uint64(math.Float32bits(w)))
+// edgeTerm is one edge's contribution to a graph fingerprint: the hash of
+// its (Src, Dst) pair mixed with unitWeightHash. The unit operand is what an
+// edge weight of 1 contributed when graphs carried weights; folding it still
+// keeps every fingerprint at its old value, so a job fingerprint persisted in
+// a service journal matches its keyed resubmission across versions.
+func edgeTerm(e graph.Edge) uint64 {
+	return rng.Hash2Hashed(rng.Hash3(fpEdgeDomain, uint64(e.Src), uint64(e.Dst)), unitWeightHash)
 }
 
 // vertexTerm is the vertex-count contribution.
@@ -35,7 +35,7 @@ func vertexTerm(n int) uint64 {
 
 // rescanFingerprint hashes a graph's full content. The edge terms combine by
 // addition mod 2^64 — an incremental multiset hash — so the fingerprint
-// identifies (vertex count, weighted-edge multiset) and a Delta can update it
+// identifies (vertex count, edge multiset) and a Delta can update it
 // in O(|batch|) (see EvolveFingerprint) with a result identical to a rescan
 // of the evolved graph. The deliberate trade: two graphs whose edge lists are
 // permutations of each other share a fingerprint. Execution results depend
@@ -57,29 +57,21 @@ func rescanFingerprint(g *graph.Graph) uint64 {
 	return fp
 }
 
-// unitWeightHash is the hashed weight operand of every unweighted edge term.
+// unitWeightHash is the hashed unit weight operand of every edge term.
 var unitWeightHash = rng.Hash64(uint64(math.Float32bits(1)))
 
 // edgeTermSum is Σ edgeTerm over g.Edges[lo:hi] mod 2^64, with edgeTerm's
 // hashes written out so that work shared between edges is done once:
 // generated edge lists come grouped by source, so Hash3's inner
-// Hash2(fpEdgeDomain, src) is recomputed only when the source changes, and
-// unweighted graphs take the weight operand's hash from unitWeightHash
-// instead of rehashing the constant 1 per edge.
+// Hash2(fpEdgeDomain, src) is recomputed only when the source changes.
 func edgeTermSum(g *graph.Graph, lo, hi int) uint64 {
 	var sum uint64
-	weights := g.Weights
 	src, srcHash := graph.VertexID(0), rng.Hash2(fpEdgeDomain, 0)
-	for i, e := range g.Edges[lo:hi] {
+	for _, e := range g.Edges[lo:hi] {
 		if e.Src != src {
 			src, srcHash = e.Src, rng.Hash2(fpEdgeDomain, uint64(e.Src))
 		}
-		pair := rng.Hash2(srcHash, uint64(e.Dst))
-		if weights == nil {
-			sum += rng.Hash2Hashed(pair, unitWeightHash)
-		} else {
-			sum += rng.Hash2(pair, uint64(math.Float32bits(weights[lo+i])))
-		}
+		sum += rng.Hash2Hashed(rng.Hash2(srcHash, uint64(e.Dst)), unitWeightHash)
 	}
 	return sum
 }
@@ -104,10 +96,10 @@ type fpEntry struct {
 	cleanup runtime.Cleanup
 }
 
-// GraphFingerprint hashes a graph's content (vertex count, weighted edge
-// multiset) into a stable 64-bit fingerprint, memoized per graph object. A
-// nil graph fingerprints to 0. Graphs are immutable after construction, which
-// is what makes the memo sound; evolved versions are new objects whose
+// GraphFingerprint hashes a graph's content (vertex count, edge multiset)
+// into a stable 64-bit fingerprint, memoized per graph object. A nil graph
+// fingerprints to 0. Graphs are immutable after construction, which is what
+// makes the memo sound; evolved versions are new objects whose
 // fingerprints the Delta path registers via EvolveFingerprint.
 func GraphFingerprint(g *graph.Graph) uint64 {
 	if g == nil {
@@ -161,28 +153,21 @@ func ReleaseGraphFingerprint(g *graph.Graph) {
 
 // EvolveFingerprint returns evolved's content fingerprint computed from
 // base's memoized fingerprint and the batch alone — O(|batch|) hashing
-// instead of an O(|E|) rescan (deletes over a weighted base additionally pay
-// the index scan that matches occurrences to their weights) — and memoizes it
-// for evolved so the Delta path updates the memo rather than rescanning. The
-// result is bit-identical to GraphFingerprint(evolved): the multiset hash
-// makes "chain over the batch" and "rescan the result" the same number.
+// instead of an O(|E|) rescan — and memoizes it for evolved so the Delta path
+// updates the memo rather than rescanning. The result is bit-identical to
+// GraphFingerprint(evolved): the multiset hash makes "chain over the batch"
+// and "rescan the result" the same number.
+//
+// The error is always nil. It stays in the signature until the callers that
+// check it, the placement cache and the benchmark harness, drop those checks
+// in the same change.
 func EvolveFingerprint(base *graph.Graph, d *graph.Delta, evolved *graph.Graph) (uint64, error) {
 	fp := GraphFingerprint(base)
-	if base.Weights == nil {
-		for _, e := range d.Deletes {
-			fp -= edgeTerm(e, 1)
-		}
-	} else {
-		idx, err := d.DeletedIndices(base)
-		if err != nil {
-			return 0, err
-		}
-		for _, i := range idx {
-			fp -= edgeTerm(base.Edges[i], base.Weights[i])
-		}
+	for _, e := range d.Deletes {
+		fp -= edgeTerm(e)
 	}
 	for _, e := range d.Inserts {
-		fp += edgeTerm(e, 1)
+		fp += edgeTerm(e)
 	}
 	memoFingerprint(evolved, weak.Make(evolved), fp)
 	return fp, nil

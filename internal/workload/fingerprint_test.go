@@ -7,17 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"proxygraph/internal/apps"
+	"proxygraph/internal/gen"
 	"proxygraph/internal/graph"
 )
 
-// fpBase builds a weighted graph with duplicate (Src, Dst) pairs at distinct
-// weights — the case where delete-to-weight matching matters.
+// fpBase builds a graph with a duplicate (Src, Dst) pair, so a delete
+// removes one occurrence and the other stays in the multiset.
 func fpBase() *graph.Graph {
 	return &graph.Graph{
 		Name:        "fp-base",
 		NumVertices: 6,
 		Edges:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}, {Src: 4, Dst: 5}},
-		Weights:     []float32{1, 2, 3, 4, 5, 6},
 	}
 }
 
@@ -31,15 +32,11 @@ func FingerprintMemoSize() int {
 // rescanCopy re-hashes a structural copy of g, so the memo entry written by
 // EvolveFingerprint cannot mask a wrong incremental value.
 func rescanCopy(g *graph.Graph) uint64 {
-	cp := &graph.Graph{
+	return GraphFingerprint(&graph.Graph{
 		Name:        g.Name,
 		NumVertices: g.NumVertices,
-		Edges:       append([]graph.Edge(nil), g.Edges...),
-	}
-	if g.Weights != nil {
-		cp.Weights = append([]float32(nil), g.Weights...)
-	}
-	return GraphFingerprint(cp)
+		Edges:       slices.Clone(g.Edges),
+	})
 }
 
 func TestEvolveFingerprintMatchesRescan(t *testing.T) {
@@ -49,7 +46,12 @@ func TestEvolveFingerprintMatchesRescan(t *testing.T) {
 		d    *graph.Delta
 	}{
 		{
-			"weighted mixed",
+			"mixed",
+			&graph.Graph{Name: "u", NumVertices: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}}},
+			&graph.Delta{Time: 5, Deletes: []graph.Edge{{Src: 1, Dst: 3}}, Inserts: []graph.Edge{{Src: 3, Dst: 0}}},
+		},
+		{
+			"duplicate pair",
 			fpBase(),
 			&graph.Delta{
 				Time:    3,
@@ -58,14 +60,9 @@ func TestEvolveFingerprintMatchesRescan(t *testing.T) {
 			},
 		},
 		{
-			"weighted duplicate deletes",
+			"duplicate deletes",
 			fpBase(),
 			&graph.Delta{Time: 4, Deletes: []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}}},
-		},
-		{
-			"unweighted mixed",
-			&graph.Graph{Name: "u", NumVertices: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}}},
-			&graph.Delta{Time: 5, Deletes: []graph.Edge{{Src: 1, Dst: 3}}, Inserts: []graph.Edge{{Src: 3, Dst: 0}}},
 		},
 	}
 	for _, tc := range cases {
@@ -119,39 +116,19 @@ func TestEvolveFingerprintChain(t *testing.T) {
 	}
 }
 
-func TestFingerprintUnweightedEqualsUnitWeights(t *testing.T) {
-	bare := &graph.Graph{NumVertices: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}}
-	unit := &graph.Graph{
-		NumVertices: 4,
-		Edges:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
-		Weights:     []float32{1, 1, 1},
-	}
-	if GraphFingerprint(bare) != GraphFingerprint(unit) {
-		t.Fatal("unweighted graph and its all-1-weight twin must fingerprint identically")
-	}
-	scaled := &graph.Graph{
-		NumVertices: 4,
-		Edges:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
-		Weights:     []float32{1, 1, 2},
-	}
-	if GraphFingerprint(bare) == GraphFingerprint(scaled) {
-		t.Fatal("a changed weight must change the fingerprint")
-	}
-}
-
 // fingerprintSpec is the executable spec of rescanFingerprint: one
-// sequential Σ edgeTerm, the weight read per edge.
+// sequential Σ edgeTerm.
 func fingerprintSpec(g *graph.Graph) uint64 {
 	fp := vertexTerm(g.NumVertices)
-	for i, e := range g.Edges {
-		fp += edgeTerm(e, g.Weight(i))
+	for _, e := range g.Edges {
+		fp += edgeTerm(e)
 	}
 	return fp
 }
 
 // TestFingerprintWorkerInvariance pins the sharded rescan to the sequential
-// spec at every shard count, on weighted and unweighted graphs down to zero
-// and one edge (fewer edges than shards).
+// spec at every shard count, on graphs down to zero and one edge (fewer edges
+// than shards).
 func TestFingerprintWorkerInvariance(t *testing.T) {
 	multi := &graph.Graph{Name: "multi", NumVertices: 211}
 	state := uint64(7)
@@ -159,7 +136,6 @@ func TestFingerprintWorkerInvariance(t *testing.T) {
 		state = state*6364136223846793005 + 1442695040888963407
 		u, v := graph.VertexID(state>>33%211), graph.VertexID(state>>13%23)
 		multi.Edges = append(multi.Edges, graph.Edge{Src: u, Dst: v})
-		multi.Weights = append(multi.Weights, float32(state>>50%5)/2)
 	}
 	// Grouped by source, as generated graphs are, so source runs cross the
 	// shard boundaries.
@@ -168,15 +144,10 @@ func TestFingerprintWorkerInvariance(t *testing.T) {
 	})
 	graphs := []*graph.Graph{
 		{Name: "empty", NumVertices: 3},
-		{Name: "empty-weighted", NumVertices: 3, Weights: []float32{}},
 		{Name: "one", NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 1}}},
-		{Name: "one-weighted", NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 1}}, Weights: []float32{2.5}},
 		{Name: "seven", NumVertices: 211, Edges: multi.Edges[:7]},
-		{Name: "seven-weighted", NumVertices: 211, Edges: multi.Edges[:7], Weights: multi.Weights[:7]},
-		{Name: "multi-bare", NumVertices: 211, Edges: multi.Edges},
 		multi,
 		{Name: "grouped", NumVertices: 211, Edges: grouped},
-		{Name: "grouped-weighted", NumVertices: 211, Edges: grouped, Weights: multi.Weights},
 	}
 	for _, procs := range []int{1, 2, 3, 8} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -193,12 +164,10 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 	a := &graph.Graph{
 		NumVertices: 4,
 		Edges:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
-		Weights:     []float32{3, 2, 1},
 	}
 	b := &graph.Graph{
 		NumVertices: 4,
 		Edges:       []graph.Edge{{Src: 2, Dst: 3}, {Src: 0, Dst: 1}, {Src: 1, Dst: 2}},
-		Weights:     []float32{1, 3, 2},
 	}
 	if GraphFingerprint(a) != GraphFingerprint(b) {
 		t.Fatal("edge-list permutation changed the multiset fingerprint")
@@ -278,5 +247,41 @@ func TestFingerprintedGraphsAreCollectable(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFingerprintPins compares fingerprints against literal values. The
+// journal persists job fingerprints and a keyed resubmission compares them,
+// so a drift in edgeTerm would make every retry after an upgrade a key
+// conflict; the tests above check the rescan and the incremental path against
+// Σ edgeTerm and cannot see such a drift.
+func TestFingerprintPins(t *testing.T) {
+	g := cacheGraph(t, 58, 400, 3200)
+	d, err := gen.RandomDelta(g, gen.DeltaSpec{Inserts: 40, Deletes: 30, Time: 1}, 58)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evolved, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evolvedFP, err := EvolveFingerprint(g, d, evolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{App: apps.NewSSSP(), Graph: g, Seed: 7}
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"GraphFingerprint", GraphFingerprint(g), 0x4c007f70f80c0b61},
+		{"EvolveFingerprint", evolvedFP, 0x41dcb292137ea060},
+		{"Job.Fingerprint", job.Fingerprint(), 0x3b78984386423288},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.got != c.want {
+				t.Errorf("got %#x, want %#x", c.got, c.want)
+			}
+		})
 	}
 }
