@@ -23,8 +23,8 @@ check: build test
 	go test -race -run TestFig9TraceStream ./internal/exp
 # The 64-lane packed traversal against 64 scalar runs, raced at 1, 2 and 4 procs.
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
-# SSSP on one cached placement while a concurrent BFS compiles the GatherBoth grouping it walks, raced at 1, 2 and 4 procs.
-	go test -race -cpu 1,2,4 -run TestSSSPWhileBFSCompilesGrouping ./internal/apps
+# SSSP on one cached placement beside a concurrent BFS compiling its GatherBoth grouping, raced at 1, 2 and 4 procs.
+	go test -race -cpu 1,2,4 -run TestSSSPBesideBFSCompile ./internal/apps
 # The pool's shared share-vector memo, read by goroutines while a Put replaces an app's CCR, raced at 1, 2 and 4 procs.
 	go test -race -cpu 1,2,4 -run TestPoolSharesFor ./internal/core
 # Four goroutines profiling on one proxy profiler, as Fig 9's cells do, raced at 1, 2 and 4 procs.

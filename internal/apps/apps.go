@@ -85,10 +85,11 @@ func runGAS[V, A, O any](prog engine.Program[V, A], pl *engine.Placement, cl *cl
 //
 // The frontier hot loops all follow one rule: mask a test of frontier data
 // whose outcome flips on a large share of iterations — here, the empty fold's
-// tail (a select, not an early return); in the engine, the dense gather's
-// per-group bookkeeping and the dense apply list; in graph, the undirected
-// sets' dedup — and keep a branch that guards a loop or predicts well: SSSP's
-// relax keeps its nd < dist[to] test, which a mask made slower.
+// tail (a select, not an early return) and SSSP's whole edge pass, which adds
+// and ORs both endpoints' bits into gathers and reach words; in the engine,
+// the dense gather's per-group bookkeeping and the dense apply list; in graph,
+// the undirected sets' dedup — and keep a branch that guards a loop or
+// predicts well, such as SSSP's skip of the zero reach words.
 func activeBit(on bool) uint32 {
 	if on {
 		return 1

@@ -47,9 +47,7 @@ func shuffledLocalEdges(t *testing.T, pl *engine.Placement, seed uint64) *engine
 // must agree, with floats compared bit for bit. Only PageRank's ranks may
 // move: each destination's fold sums the same contributions in another order,
 // so they may differ by float re-association, within floatClose's 1e-12
-// relative bound. SSSP runs in the loop after components and BFS have
-// compiled both placements' GatherBoth groupings, so it takes its key walk
-// there; a subtest runs it on fresh placements through both its walks.
+// relative bound.
 func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 	g := equivGraph(t)
 	cl := heteroCluster(t)
@@ -93,30 +91,4 @@ func TestClockInvariantUnderLocalEdgeOrder(t *testing.T) {
 			}
 		})
 	}
-
-	// The scan on the placements as built, the key walk on the same
-	// placements once a BFS has compiled their GatherBoth groupings, which
-	// the shuffle reorders within each key as it reorders the scan.
-	t.Run("sssp/walks", func(t *testing.T) {
-		pl := moduloPlacement(t, g, 4)
-		shuffled := shuffledLocalEdges(t, pl, 7)
-		want, wantEvents := tracedSSSP(t, NewSSSP(), pl, cl)
-		for _, leg := range []struct {
-			name string
-			pl   *engine.Placement
-			walk bool
-		}{{"shuffled scan", shuffled, false}, {"ordered walk", pl, true}, {"shuffled walk", shuffled, true}} {
-			if leg.walk {
-				if _, err := NewBFS().Run(leg.pl, cl); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, gotEvents := tracedSSSP(t, NewSSSP(), leg.pl, cl)
-			samePriced(t, leg.name, want, got)
-			sameEvents(t, leg.name, wantEvents, gotEvents)
-			if !reflect.DeepEqual(want.Output, got.Output) {
-				t.Errorf("%s: output differs from the ordered scan", leg.name)
-			}
-		}
-	})
 }

@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
@@ -14,26 +15,21 @@ import (
 // rounds, the pattern of PowerGraph's sssp toolkit. It is an extension beyond
 // the paper's four benchmarks, demonstrating that the profiling flow accepts
 // arbitrary vertex programs (Section III-B). Every edge relaxes in both
-// directions: the distances are undirected. Machines relax in order 0..M−1
-// within a round, each out of the previous round's frontier, in one of two
-// walks:
+// directions: the distances are undirected.
 //
-//   - The scan walks every machine's local edges.
-//   - The key walk serves a placement that already holds its GatherBoth
-//     grouping (a BFS, components or ClusterBFS run compiled it): per
-//     machine it visits the grouping's keys and relaxes each active key's
-//     companions, so it skips the edges of inactive vertices. It never
-//     compiles the grouping, which would cost a placement that serves only
-//     SSSP 8 B per edge.
-//
-// The two walks charge the same. Every active vertex holds distance r, the
-// round number, for the whole round, since no relaxation offers it less than
-// r+1; only unreached vertices improve, to r+1, once each. Which machine
-// applies a vertex is then the first in machine order with an edge to it
-// from the frontier, and a machine's gathers and partials count its frontier
-// records and the distinct vertices they reach, so gathers, partials, applies
-// and update counts depend only on the machine order, which both walks keep,
-// and not on the order within a machine.
+// The charges are those of machines relaxing in order 0..M−1 within a round,
+// each over its own edges out of the previous round's frontier. Every active
+// vertex holds distance r, the round number, for the whole round, since no
+// relaxation offers it less than r+1; only unreached vertices improve, to
+// r+1, once each. Which machine applies a vertex is then the first in machine
+// order with an edge to it from the frontier, and a machine's gathers and
+// partials count its frontier records and the distinct vertices they reach,
+// none of which depends on the order of the edges. So a round is one pass over
+// the edge stream that ORs into each vertex's reach word the bit of every
+// machine with an edge to it from an active vertex, counting gathers as it
+// goes with no branch on frontier data, then one sweep over the reach words:
+// a word's lowest bit is the machine that applies the vertex if it was
+// unreached, and each bit but the master's is one partial.
 type SSSP struct {
 	// Source is the root vertex.
 	Source graph.VertexID
@@ -97,89 +93,20 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 		dist[v] = math.Inf(1)
 	}
 	dist[s.Source] = 0
-	// active and nextActive, swapped each round, share one allocation.
-	// touched keeps its own: one 3|V|-byte block can round up a page further
-	// than the 2|V| and |V| ones (at 11k vertices, 40 KiB against 36 KiB).
-	flags := make([]bool, 2*n)
-	active, nextActive := flags[:n:n], flags[n:]
-	active[s.Source] = true
-	frontier, nextFrontier := 1, 0
-
-	// touched[v] is one more than the last machine that relaxed into v this
-	// round, so each (machine, vertex) partial is counted once: machines run
-	// in order within a round, and the round's clear zeroes every stamp
-	// (p < MaxMachines, so p+1 fits a byte).
-	touched := make([]uint8, n)
-
 	account := engine.NewAccountant(cl, s.Coeffs())
 	account.SetCollector(tc)
-	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
-	counters := countersBuf[:pl.M]
-	anyChange := false
-	relax := func(sc *engine.StepCounters, p int, stamp uint8, from, to graph.VertexID) {
-		sc.Gathers++
-		if nd := dist[from] + 1; nd < dist[to] {
-			dist[to] = nd
-			if !nextActive[to] {
-				nextActive[to] = true
-				nextFrontier++
-			}
-			anyChange = true
-			sc.Applies++
-			sc.UpdatesOut += float64(mirrorsOf(pl, to, p))
-		}
-		if touched[to] != stamp {
-			touched[to] = stamp
-			if pl.Master[to] != engine.Machine(p) {
-				sc.PartialsOut++
-			}
-		}
-	}
-	// A grouping, once compiled, stays: the walk is chosen once per run.
-	_, walk := pl.CompiledBothGrouping(0)
-	var local [][]int32
-	if !walk {
-		local = pl.LocalEdges()
-	}
-	rounds := 0
-	for ; rounds < s.MaxIters; rounds++ {
-		account.StepBegin(rounds, frontier, "sync")
-		clear(counters)
-		clear(touched)
-		anyChange = false
-		for p := 0; p < pl.M; p++ {
-			sc := &counters[p]
-			sc.Vertices = float64(len(pl.MasterVerts[p]))
-			stamp := uint8(p + 1)
-			if walk {
-				grp, _ := pl.CompiledBothGrouping(p)
-				for i, a := range grp.Keys {
-					if active[a] {
-						for _, to := range grp.Vals[grp.Offs[i]:grp.Offs[i+1]] {
-							relax(sc, p, stamp, a, to)
-						}
-					}
-				}
-				continue
-			}
-			for _, ei := range local[p] {
-				e := g.Edges[ei]
-				if active[e.Src] {
-					relax(sc, p, stamp, e.Src, e.Dst)
-				}
-				if active[e.Dst] {
-					relax(sc, p, stamp, e.Dst, e.Src)
-				}
-			}
-		}
-		account.Superstep(counters)
-		if !anyChange {
-			rounds++
-			break
-		}
-		active, nextActive = nextActive, active
-		clear(nextActive)
-		frontier, nextFrontier = nextFrontier, 0
+	// The reach word has a bit per machine, so the narrowest that fits is
+	// chosen once per run.
+	var rounds int
+	switch {
+	case pl.M <= 8:
+		rounds = ssspRounds[uint8](s, pl, account, dist)
+	case pl.M <= 16:
+		rounds = ssspRounds[uint16](s, pl, account, dist)
+	case pl.M <= 32:
+		rounds = ssspRounds[uint32](s, pl, account, dist)
+	default:
+		rounds = ssspRounds[uint64](s, pl, account, dist)
 	}
 
 	reached := 0
@@ -190,4 +117,76 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 	}
 	out := SSSPResult{Dist: dist, Reached: reached, Rounds: rounds}
 	return account.Finish(s.Name(), g.Name, out), nil
+}
+
+// reachWord is a word with a bit per machine of a placement.
+type reachWord interface {
+	uint8 | uint16 | uint32 | uint64
+}
+
+// ssspRounds runs s's rounds, at most s.MaxIters, over reach words of type W,
+// which must have at least pl.M bits, charging account and setting dist,
+// which holds 0 at the source and +Inf elsewhere. It returns the number of
+// rounds run. active holds the vertices at distance r, the round number, and
+// is rebuilt in place as the vertices the round reaches.
+func ssspRounds[W reachWord](s *SSSP, pl *engine.Placement, account *engine.Accountant, dist []float64) int {
+	edges, owner := pl.G.Edges, pl.EdgeOwner
+	active := make([]bool, len(dist))
+	active[s.Source] = true
+	reach := make([]W, len(dist))
+	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
+	counters := countersBuf[:pl.M]
+	frontier, r := 1, 0
+	for ; r < s.MaxIters; r++ {
+		account.StepBegin(r, frontier, "sync")
+		var gathers [1 << 8]int
+		reachPass(edges, owner, active, reach, &gathers)
+		clear(counters)
+		for p := range counters {
+			counters[p].Gathers = float64(gathers[p])
+			counters[p].Vertices = float64(len(pl.MasterVerts[p]))
+		}
+
+		clear(active)
+		next := float64(r + 1)
+		frontier = 0
+		for v, w := range reach {
+			if w == 0 {
+				continue
+			}
+			reach[v] = 0
+			if math.IsInf(dist[v], 1) {
+				dist[v] = next
+				active[v] = true
+				frontier++
+				p := bits.TrailingZeros64(uint64(w))
+				counters[p].Applies++
+				counters[p].UpdatesOut += float64(mirrorsOf(pl, graph.VertexID(v), p))
+			}
+			for w &^= 1 << pl.Master[v]; w != 0; w &= w - 1 {
+				counters[bits.TrailingZeros64(uint64(w))].PartialsOut++
+			}
+		}
+		account.Superstep(counters)
+		if frontier == 0 {
+			return r + 1
+		}
+	}
+	return r
+}
+
+// reachPass ORs into reach[v] the bit of every machine owning an edge from an
+// active vertex to v, and adds to gathers[p] the active endpoints of machine
+// p's edges, with no branch on active. gathers is indexed by a Machine, so it
+// needs no bounds check, and p&63, which is p since p < MaxMachines, keeps
+// the shift from needing one either.
+func reachPass[W reachWord](edges []graph.Edge, owner []engine.Machine, active []bool, reach []W, gathers *[1 << 8]int) {
+	owner, reach = owner[:len(edges)], reach[:len(active)]
+	for i, e := range edges {
+		p := owner[i]
+		a, b := activeBit(active[e.Src]), activeBit(active[e.Dst])
+		gathers[p] += int(a + b)
+		reach[e.Dst] |= W(uint64(a) << (p & 63))
+		reach[e.Src] |= W(uint64(b) << (p & 63))
+	}
 }

@@ -407,27 +407,24 @@ func TestKCoreRunAllocs(t *testing.T) {
 	}
 }
 
-// TestSSSPRunBytes bounds what one SSSP run allocates: 11 bytes per vertex
-// (the float64 distances, both frontier bitmaps and the one-byte partial
-// stamps) plus 16 KiB for the per-machine state and the result, whether it
-// scans the local edges or walks a compiled GatherBoth grouping. 8-byte
-// stamps, or a frontier list beside the walk's bitmap, break it. The local
-// edge lists and the grouping are built outside the measurement, and |V| is
-// a multiple of the 8 KiB page, so no large array is rounded up.
+// TestSSSPRunBytes bounds what one SSSP run allocates: per vertex the float64
+// distance, the frontier byte and the reach word, the narrowest with a bit per
+// machine, so 10 bytes on 2 machines and 17 on 64, plus 16 KiB for the
+// per-machine state and the result. A second frontier bitmap, partial stamps
+// beside the reach words or a reach word wider than the machine count needs
+// break it. |V| is a multiple of the 8 KiB page, so no large array is rounded
+// up.
 func TestSSSPRunBytes(t *testing.T) {
-	cl := multiCluster(t, 2)
 	const n = 64 << 10
 	star := &graph.Graph{NumVertices: n}
 	for v := 1; v < n; v++ {
 		star.Edges = append(star.Edges, E(0, v))
 	}
-	scan := moduloPlacement(t, star, 2)
-	scan.LocalEdges()
-	walk := moduloPlacement(t, star, 2)
-	if _, err := NewBFS().Run(walk, cl); err != nil {
-		t.Fatal(err)
-	}
-	for name, pl := range map[string]*engine.Placement{"scan": scan, "walk": walk} {
+	for _, c := range []struct {
+		machines, perVertex int
+	}{{2, 10}, {64, 17}} {
+		cl := multiCluster(t, c.machines)
+		pl := moduloPlacement(t, star, c.machines)
 		rounds := 0
 		const runs = 5
 		var before, after runtime.MemStats
@@ -441,10 +438,10 @@ func TestSSSPRunBytes(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		got := (after.TotalAlloc - before.TotalAlloc) / runs
-		const ceiling = 11*n + 16<<10
-		t.Logf("%s, star of %d vertices: %d bytes over %d rounds (%.2f per vertex)", name, n, got, rounds, float64(got)/n)
+		ceiling := uint64(c.perVertex*n + 16<<10)
+		t.Logf("%d machines, star of %d vertices: %d bytes over %d rounds (%.2f per vertex)", c.machines, n, got, rounds, float64(got)/n)
 		if got > ceiling {
-			t.Errorf("%s: SSSP.Run allocates %d bytes over %d vertices, want at most 11·|V| + 16 KiB = %d", name, got, n, ceiling)
+			t.Errorf("%d machines: SSSP.Run allocates %d bytes over %d vertices, want at most %d·|V| + 16 KiB = %d", c.machines, got, n, c.perVertex, ceiling)
 		}
 	}
 }

@@ -12,14 +12,13 @@ import (
 )
 
 // TestLocalEdgesBuiltOnFirstWalk pins who pays for a placement's LocalEdges
-// index. Engine programs (PageRank, Connected Components), ingress pricing and
-// the edge counts never build it; the walkers (SSSP, Triangle Count,
-// RunReference) build it on their first run and every later walker, however
-// many run at once, shares that one build. SSSP on a placement whose
-// GatherBoth grouping a BFS has compiled walks that grouping and leaves the
-// index unbuilt. The index itself is the stable group-by-owner of the edge
-// stream, laid out machine after machine in one arena in which no machine's
-// list can grow into its neighbour's, and EdgeCounts agrees with it.
+// index. Engine programs (PageRank, Connected Components), SSSP, ingress
+// pricing and the edge counts never build it, each alone on a fresh placement
+// and SSSP after a BFS too; the walkers (Triangle Count, RunReference) build
+// it on their first run and every later walker, however many run at once,
+// shares that one build. The index itself is the stable group-by-owner of the
+// edge stream, laid out machine after machine in one arena in which no
+// machine's list can grow into its neighbour's, and EdgeCounts agrees with it.
 func TestLocalEdgesBuiltOnFirstWalk(t *testing.T) {
 	cl := engine.ClusterOf(t, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
 	g := engine.SpecGraphs()[0]
@@ -47,23 +46,27 @@ func TestLocalEdgesBuiltOnFirstWalk(t *testing.T) {
 		return err
 	}
 
-	t.Run("engine programs leave it unbuilt", func(t *testing.T) {
-		pl := place(t)
-		for name, walk := range map[string]func(*engine.Placement, *cluster.Cluster) error{
-			"pagerank":             run(apps.NewPageRank()),
-			"connected_components": run(apps.NewConnectedComponents()),
-			"ingress":              ingress,
+	t.Run("engine programs and sssp leave it unbuilt", func(t *testing.T) {
+		for _, w := range []struct {
+			name string
+			walk func(*engine.Placement, *cluster.Cluster) error
+		}{
+			{"pagerank", run(apps.NewPageRank())},
+			{"connected_components", run(apps.NewConnectedComponents())},
+			{"sssp", run(apps.NewSSSP())},
+			{"ingress", ingress},
 		} {
-			if err := walk(pl, cl); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			pl := place(t)
+			if err := w.walk(pl, cl); err != nil {
+				t.Fatalf("%s: %v", w.name, err)
 			}
 			if engine.LocalEdgesBuilt(pl) {
-				t.Fatalf("%s built the LocalEdges index", name)
+				t.Fatalf("%s built the LocalEdges index", w.name)
 			}
 		}
 	})
 
-	t.Run("sssp walks a compiled grouping", func(t *testing.T) {
+	t.Run("sssp after bfs leaves it unbuilt", func(t *testing.T) {
 		pl := place(t)
 		for _, walk := range []func(*engine.Placement, *cluster.Cluster) error{run(apps.NewBFS()), run(apps.NewSSSP())} {
 			if err := walk(pl, cl); err != nil {
@@ -79,7 +82,6 @@ func TestLocalEdgesBuiltOnFirstWalk(t *testing.T) {
 		name string
 		walk func(*engine.Placement, *cluster.Cluster) error
 	}{
-		{"sssp", run(apps.NewSSSP())},
 		{"triangle_count", run(apps.NewTriangleCount())},
 		{"reference", reference},
 	}

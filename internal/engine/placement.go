@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"proxygraph/internal/graph"
 	"proxygraph/internal/par"
@@ -66,24 +65,21 @@ type Placement struct {
 	// with loops of their own (SSSP, KCore, Coloring, Triangle Count)
 	// neither, and PageRank, the one shipped GatherIn app, applies every
 	// vertex every step and never takes a sparse one. Triangle Count, the
-	// straggler migrator and RunReference walk the edge index, and so does
-	// SSSP, unless a GatherBoth run has already compiled that grouping, which
-	// it then walks instead (see CompiledBothGrouping); SSSP never compiles a
-	// grouping itself. The block compiles group each machine's edges from
-	// EdgeOwner in a transient arena of their own, so a placement served only
-	// by engine programs never holds the edge index.
+	// straggler migrator and RunReference walk the edge index; SSSP walks
+	// neither the index nor a grouping, only the edge stream and EdgeOwner.
+	// The block compiles group each machine's edges from EdgeOwner in a
+	// transient arena of their own, so a placement served only by engine
+	// programs and SSSP never holds the edge index.
 	//
 	// local holds the edge index (see LocalEdges), compiled each direction's
 	// byDst (see blocks), inSources GatherIn's bySrc (see sources), each
-	// behind its own Once. A compiled layout's ready flag is set inside its
-	// Once, after blocks, so a reader that must not compile can test it.
+	// behind its own Once.
 	local struct {
 		once  sync.Once
 		edges [][]int32
 	}
 	compiled [2]struct {
 		once   sync.Once
-		ready  atomic.Bool
 		blocks []machineBlocks
 	}
 	inSources struct {
@@ -313,27 +309,8 @@ func (pl *Placement) blocks(both bool) []machineBlocks {
 	if both {
 		c = &pl.compiled[1]
 	}
-	c.once.Do(func() {
-		c.blocks = pl.compileBlocks(both)
-		c.ready.Store(true)
-	})
+	c.once.Do(func() { c.blocks = pl.compileBlocks(both) })
 	return c.blocks
-}
-
-// CompiledBothGrouping returns machine p's GatherBoth grouping — every edge
-// (u, v) it owns as a record keyed u with companion v and one keyed v with
-// companion u, keys ascending, each key's companions in local-edge order — if
-// a GatherBoth run has already compiled it, and false otherwise. It never
-// compiles and allocates nothing, so a caller that would rather scan
-// LocalEdges than hold 8 B per edge of grouping can ask first. It is safe
-// against a concurrent compile: the flag it reads is set after the grouping.
-// Callers must not modify the grouping.
-func (pl *Placement) CompiledBothGrouping(p int) (graph.Grouped, bool) {
-	c := &pl.compiled[1]
-	if !c.ready.Load() {
-		return graph.Grouped{}, false
-	}
-	return c.blocks[p].byDst, true
 }
 
 // sources returns every machine's GatherIn records grouped by source, which a
