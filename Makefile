@@ -19,20 +19,22 @@ check: build test
 	go vet ./...
 # The race detector on every package but the root (88 s under -race) and internal/exp (144 s), timed on 2 vCPUs.
 	go test -race $(filter-out proxygraph proxygraph/internal/exp,$(PKGS))
+# The lines below run named tests through scripts/named_tests.sh, which fails
+# when an alternative of the -run pattern names no test (go test would pass).
 # Fig 9's concurrent cells, whose event stream must be the same at GOMAXPROCS 1 and 4, raced.
-	go test -race -run TestFig9TraceStream ./internal/exp
+	bash scripts/named_tests.sh -race -run TestFig9TraceStream ./internal/exp
 # The 64-lane packed traversal against 64 scalar runs, raced at 1, 2 and 4 procs.
-	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
+	bash scripts/named_tests.sh -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 # SSSP on one cached placement beside a concurrent BFS compiling its GatherBoth grouping, raced at 1, 2 and 4 procs.
-	go test -race -cpu 1,2,4 -run TestSSSPBesideBFSCompile ./internal/apps
+	bash scripts/named_tests.sh -race -cpu 1,2,4 -run TestSSSPBesideBFSCompile ./internal/apps
 # The pool's shared share-vector memo, read by goroutines while a Put replaces an app's CCR, raced at 1, 2 and 4 procs.
-	go test -race -cpu 1,2,4 -run TestPoolSharesFor ./internal/core
+	bash scripts/named_tests.sh -race -cpu 1,2,4 -run TestPoolSharesFor ./internal/core
 # Four goroutines profiling on one proxy profiler, as Fig 9's cells do, raced at 1, 2 and 4 procs.
-	go test -race -cpu 1,2,4 -run TestProfileConcurrent ./internal/core
+	bash scripts/named_tests.sh -race -cpu 1,2,4 -run TestProfileConcurrent ./internal/core
 # Four goroutines appending to one journal while others snapshot and compact it, raced at 1, 2 and 4 procs.
-	go test -race -cpu 1,2,4 -run TestJournalConcurrent ./internal/service
+	bash scripts/named_tests.sh -race -cpu 1,2,4 -run TestJournalConcurrent ./internal/service
 # The placement compile, master selection, source grouping and edge index against their specs at 1, 2 and 4 procs.
-	go test -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep|TestLocalEdgesBuiltOnFirstWalk' ./internal/engine
+	bash scripts/named_tests.sh -cpu 1,2,4 -run 'TestCompileBlocksMatchesStableSortSpec|TestMasterSelectionMatchesReservoirSpec|TestSourceGroupingCompilesOnFirstSparseStep|TestLocalEdgesBuiltOnFirstWalk' ./internal/engine
 # One iteration of every package's benchmarks but the root's catalog harness, so each keeps compiling and reporting.
 	go test -run '^$$' -bench . -benchtime 1x $(filter-out proxygraph,$(PKGS))
 # One iteration of the catalog harness, on table1.

@@ -302,16 +302,12 @@ func runRepeated(app apps.App, pl *engine.Placement, cl *cluster.Cluster, opts *
 }
 
 // runTraced executes the app with the requested fault options and trace
-// recorder attached. Every app takes the recorder; fault injection and
-// checkpointing need supersteps on the synchronous GAS engine, so asking for
-// them elsewhere is an input error.
+// recorder attached. Every app takes the recorder; apps.Run refuses fault
+// injection and checkpointing on an app off the synchronous GAS engine.
 func runTraced(app apps.App, pl *engine.Placement, cl *cluster.Cluster,
 	opts *engine.Options, rec *trace.Recorder) (*engine.Result, error) {
 	full := engine.Options{}
 	if opts != nil {
-		if !apps.Synchronous(app) {
-			return nil, fmt.Errorf("%s does not run on the synchronous GAS engine; fault injection and checkpointing need one of: pagerank, connected_components, bfs, cluster_bfs, landmark_oracle, kseed_reach", app.Name())
-		}
 		full = *opts
 	}
 	if rec != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,9 +234,15 @@ func TestRunTracedRejectsFaultsOffEngine(t *testing.T) {
 	}
 	pl, cl := testPlacement(t, app)
 	// Fault options are input errors: there are no engine supersteps to
-	// inject faults into or checkpoint between.
-	if _, err := runTraced(app, pl, cl, &engine.Options{}, nil); err == nil {
-		t.Fatal("triangle_count with fault options must be rejected")
+	// inject faults into or checkpoint between. The options are the ones
+	// -fault-seed 7 -crashes 1 -checkpoint 2 builds.
+	opts, _, err := faultOptions(cl, 7, 1, 0, 0, 2, "checkpoint")
+	if err != nil || opts == nil || opts.Fault == nil {
+		t.Fatalf("faultOptions built %v, %v; want a fault config", opts, err)
+	}
+	_, err = runTraced(app, pl, cl, opts, nil)
+	if !errors.Is(err, apps.ErrUnsupportedOption) || !strings.Contains(err.Error(), "triangle_count does not run on the synchronous GAS engine") {
+		t.Fatalf("triangle_count with fault options: %v, want %v", err, apps.ErrUnsupportedOption)
 	}
 	for _, app := range []apps.App{app, apps.NewColoring()} {
 		rec := trace.NewRecorder()

@@ -152,16 +152,14 @@ func TestEndToEndRecommendation(t *testing.T) {
 	}
 }
 
-// zeroTimeApp reports a zero makespan from every run — the shape a stubbed or
-// degenerate application produces. Folding it into the geometric mean would
-// yield +Inf speeds; MeasureSpeeds must refuse instead.
-type zeroTimeApp struct{}
+// zeroPageRank is PageRank with every cost coefficient zero, so each
+// profiling run prices to a zero makespan — the shape a stubbed or degenerate
+// application produces. Folding it into the geometric mean would yield +Inf
+// speeds; MeasureSpeeds must refuse instead.
+type zeroPageRank struct{ *apps.PageRank }
 
-func (zeroTimeApp) Name() string              { return "zero-stub" }
-func (zeroTimeApp) Coeffs() engine.CostCoeffs { return engine.CostCoeffs{} }
-func (zeroTimeApp) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return &engine.Result{SimSeconds: 0}, nil
-}
+func (zeroPageRank) Name() string              { return "zero-pr" }
+func (zeroPageRank) Coeffs() engine.CostCoeffs { return engine.CostCoeffs{} }
 
 func TestMeasureSpeedsRejectsZeroMakespan(t *testing.T) {
 	pp, err := core.NewProxyProfiler(1024, 5)
@@ -169,9 +167,9 @@ func TestMeasureSpeedsRejectsZeroMakespan(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, _ := cluster.ByName("c4.xlarge")
-	speeds, err := MeasureSpeeds([]cluster.Machine{small}, []apps.App{zeroTimeApp{}}, pp)
-	if err == nil {
-		t.Fatalf("zero-makespan profiling run must error, got speeds %v", speeds)
+	speeds, err := MeasureSpeeds([]cluster.Machine{small}, []apps.App{zeroPageRank{apps.NewPageRank()}}, pp)
+	if err == nil || !strings.Contains(err.Error(), "invalid makespan") {
+		t.Fatalf("zero-makespan profiling: speeds %v, error %v; want an invalid makespan", speeds, err)
 	}
 	for _, s := range speeds {
 		if math.IsInf(s, 0) || math.IsNaN(s) {

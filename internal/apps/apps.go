@@ -1,21 +1,21 @@
 // Package apps implements the paper's four MLDM graph applications —
 // PageRank, Coloring, Connected Components and Triangle Count (Section IV) —
-// plus a BFS extension demonstrating that "any special-purpose application
-// can be sampled and fit into our flow" (Section III-B).
+// plus seven extensions showing that "any special-purpose application can be
+// sampled and fit into our flow" (Section III-B).
 //
 // PageRank and Connected Components run on the synchronous GAS engine;
 // Coloring runs asynchronously (as in PowerGraph, which the paper notes
 // limits its balancing benefit); Triangle Count is a one-shot edge-parallel
-// computation. All four compute real outputs: the simulated cluster affects
-// time and energy, never results.
+// computation. All compute real outputs: the simulated cluster affects time
+// and energy, never results.
 package apps
 
 import (
+	"errors"
 	"fmt"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
-	"proxygraph/internal/trace"
 )
 
 // App is one runnable graph application.
@@ -28,6 +28,9 @@ type App interface {
 	Coeffs() engine.CostCoeffs
 }
 
+// ErrUnsupportedOption reports an engine option a run cannot honour (see Run).
+var ErrUnsupportedOption = errors.New("apps: unsupported engine option")
+
 // synchronous is implemented by the applications that execute on the
 // synchronous GAS engine (PageRank, Connected Components, BFS, the batched
 // traversals and the warm-started variants): their supersteps are what
@@ -38,31 +41,70 @@ type synchronous interface {
 
 // offEngine is implemented by the applications that charge their own
 // accountant instead of running on the engine (Coloring, SSSP, KCore,
-// Triangle Count, delta PageRank): of engine.Options they take the collector.
+// Triangle Count, delta PageRank): count charges runOffEngine's accountant.
 type offEngine interface {
-	runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error)
+	App
+	count(pl *engine.Placement, account *engine.Accountant) (any, error)
 }
 
 // Run executes app with engine options attached: rebalancing, fault injection
 // and checkpointing, tracing, a warm-start frontier. Applications on the
-// synchronous GAS engine honour them all; the asynchronous and one-shot
-// applications (Coloring, SSSP, KCore, Triangle Count, delta PageRank) honour
-// opts.Trace and have no engine supersteps for the others to act on.
+// synchronous GAS engine honour them all; the off-engine ones honour
+// opts.Trace alone, and an App defined outside this package none. An option
+// the run cannot honour is an error wrapping ErrUnsupportedOption.
 func Run(app App, pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
 	switch a := app.(type) {
 	case synchronous:
 		return a.run(pl, cl, opts)
 	case offEngine:
-		return a.runTraced(pl, cl, opts.Trace)
+		return runOffEngine(a, pl, cl, opts)
+	}
+	if err := refuse(app, opts, false); err != nil {
+		return nil, err
 	}
 	return app.Run(pl, cl)
 }
 
 // Synchronous reports whether app executes on the synchronous GAS engine,
-// that is whether Run honours every engine.Option for it, not only Trace.
+// that is whether Run takes the options that act on supersteps for it.
 func Synchronous(app App) bool {
 	_, ok := app.(synchronous)
 	return ok
+}
+
+// runOffEngine is every off-engine run's frame: the refusal, the machine
+// count check and an accountant reporting to opts.Trace around app.count.
+func runOffEngine(app offEngine, pl *engine.Placement, cl *cluster.Cluster, opts engine.Options) (*engine.Result, error) {
+	if err := refuse(app, opts, true); err != nil {
+		return nil, err
+	}
+	if pl.M != cl.Size() {
+		return nil, fmt.Errorf("%s: placement has %d machines, cluster %d", app.Name(), pl.M, cl.Size())
+	}
+	account := engine.NewAccountant(cl, app.Coeffs())
+	account.SetCollector(opts.Trace)
+	out, err := app.count(pl, account)
+	if err != nil {
+		return nil, err
+	}
+	return account.Finish(app.Name(), pl.G.Name, out), nil
+}
+
+// refuse returns the error for the first option of opts that app, off the
+// engine, cannot honour: any that acts on supersteps, Trace unless traced.
+func refuse(app App, opts engine.Options, traced bool) error {
+	option := "Trace"
+	switch {
+	case opts.Rebalancer != nil:
+		option = "Rebalancer"
+	case opts.Fault != nil:
+		option = "Fault"
+	case opts.InitialActive != nil:
+		option = "InitialActive"
+	case traced || opts.Trace == nil:
+		return nil
+	}
+	return fmt.Errorf("%s does not run on the synchronous GAS engine: %w %s", app.Name(), ErrUnsupportedOption, option)
 }
 
 // runGAS executes a vertex program on the engine and attaches the

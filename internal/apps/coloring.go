@@ -1,14 +1,12 @@
 package apps
 
 import (
-	"fmt"
 	"math/bits"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
 	"proxygraph/internal/rng"
-	"proxygraph/internal/trace"
 )
 
 // Coloring greedily colors the graph so no two adjacent vertices share a
@@ -61,18 +59,14 @@ type ColoringResult struct {
 
 // Run implements App.
 func (c *Coloring) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return c.runTraced(pl, cl, nil)
+	return runOffEngine(c, pl, cl, engine.Options{})
 }
 
-func (c *Coloring) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
-	if cl.Size() != pl.M {
-		return nil, fmt.Errorf("coloring: placement has %d machines, cluster %d", pl.M, cl.Size())
-	}
-	g := pl.G
-	n := g.NumVertices
+func (c *Coloring) count(pl *engine.Placement, account *engine.Accountant) (any, error) {
+	n := pl.G.NumVertices
 	// The conflict test, the colour marks and the counters see neighbour
 	// sets, never their order.
-	und := g.BuildUndirectedSets()
+	und := pl.G.BuildUndirectedSets()
 
 	colors := make([]int32, n)
 	priority := make([]uint64, n)
@@ -93,8 +87,6 @@ func (c *Coloring) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace
 	}
 	stamp := int64(0)
 
-	account := engine.NewAccountant(cl, c.Coeffs())
-	account.SetCollector(tc)
 	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
 	counters := countersBuf[:pl.M]
 	rounds := 0
@@ -151,8 +143,7 @@ func (c *Coloring) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace
 			numColors = int(col) + 1
 		}
 	}
-	out := ColoringResult{Colors: colors, NumColors: numColors, Rounds: rounds}
-	return account.Finish(c.Name(), g.Name, out), nil
+	return ColoringResult{Colors: colors, NumColors: numColors, Rounds: rounds}, nil
 }
 
 // losesTo reports whether v must yield to u in a color conflict.

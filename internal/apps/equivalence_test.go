@@ -266,6 +266,30 @@ func TestEngineEquivalenceSixApps(t *testing.T) {
 	})
 }
 
+// seededErrs runs prog from a warm-start seed through both legs and returns
+// their errors.
+func seededErrs[V, A any](prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster) (ref, csr error) {
+	opts := engine.Options{InitialActive: []graph.VertexID{0, 7}}
+	_, _, ref = engine.RunReference[V, A](prog, pl, cl, opts)
+	_, _, csr = engine.Run[V, A](prog, pl, cl, opts)
+	return ref, csr
+}
+
+// TestEnginesRefuseSeedOnApplyAll: both legs refuse a warm-start seed on an
+// ApplyAll program, which gathers from every vertex each superstep, and both
+// take one on a frontier program.
+func TestEnginesRefuseSeedOnApplyAll(t *testing.T) {
+	g := equivGraph(t)
+	cl := heteroCluster(t)
+	pl := moduloPlacement(t, g, 4)
+	if ref, csr := seededErrs[prState, float64](NewPageRank(), pl, cl); ref == nil || csr == nil {
+		t.Errorf("pagerank from a seed: reference %v, csr %v; want both refused", ref, csr)
+	}
+	if ref, csr := seededErrs[uint32, uint32](NewConnectedComponents(), pl, cl); ref != nil || csr != nil {
+		t.Errorf("components from a seed: reference %v, csr %v; want both run", ref, csr)
+	}
+}
+
 // checkRebalancedEquivalence runs prog through the same two legs with a fresh
 // identically-seeded Migrator each, asserting bitwise-equal accounting and
 // equal outputs. Migration decisions depend only on the per-step busy times,

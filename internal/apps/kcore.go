@@ -1,12 +1,9 @@
 package apps
 
 import (
-	"fmt"
-
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
-	"proxygraph/internal/trace"
 )
 
 // KCore computes the full k-core decomposition of the undirected structure
@@ -53,18 +50,14 @@ type KCoreResult struct {
 
 // Run implements App.
 func (kc *KCore) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return kc.runTraced(pl, cl, nil)
+	return runOffEngine(kc, pl, cl, engine.Options{})
 }
 
-func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
-	if cl.Size() != pl.M {
-		return nil, fmt.Errorf("kcore: placement has %d machines, cluster %d", pl.M, cl.Size())
-	}
-	g := pl.G
-	n := g.NumVertices
+func (kc *KCore) count(pl *engine.Placement, account *engine.Accountant) (any, error) {
+	n := pl.G.NumVertices
 	// A peel decrements each distinct neighbour once in any order, so the
 	// rows need no sorting.
-	und := g.BuildUndirectedSets()
+	und := pl.G.BuildUndirectedSets()
 
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -87,8 +80,6 @@ func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.C
 		alive[p] = arena[len(arena)-len(verts):]
 	}
 
-	account := engine.NewAccountant(cl, kc.Coeffs())
-	account.SetCollector(tc)
 	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
 	counters := countersBuf[:pl.M]
 	rounds := 0
@@ -142,6 +133,5 @@ func (kc *KCore) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.C
 			maxCore = c
 		}
 	}
-	out := KCoreResult{Core: core, MaxCore: int(maxCore), Rounds: rounds}
-	return account.Finish(kc.Name(), g.Name, out), nil
+	return KCoreResult{Core: core, MaxCore: int(maxCore), Rounds: rounds}, nil
 }

@@ -1,11 +1,8 @@
 package apps
 
 import (
-	"fmt"
-
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
-	"proxygraph/internal/trace"
 )
 
 // PageRankDelta is the asynchronous, push-based ("delta") PageRank that
@@ -53,16 +50,12 @@ func (pr *PageRankDelta) Coeffs() engine.CostCoeffs {
 // Run implements App. The Output is the []float64 rank vector, on the same
 // scale as the synchronous PageRank (ranks sum to ~N).
 func (pr *PageRankDelta) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return pr.runTraced(pl, cl, nil)
+	return runOffEngine(pr, pl, cl, engine.Options{})
 }
 
-func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
-	if cl.Size() != pl.M {
-		return nil, fmt.Errorf("pagerank_async: placement has %d machines, cluster %d", pl.M, cl.Size())
-	}
-	g := pl.G
-	n := g.NumVertices
-	out := g.BuildOutCSR()
+func (pr *PageRankDelta) count(pl *engine.Placement, account *engine.Accountant) (any, error) {
+	n := pl.G.NumVertices
+	out := pl.G.BuildOutCSR()
 
 	// Push-based solver for rank = (1-d)·1 + d·Aᵀ·rank: with rank starting
 	// at 0 and residual at (1-d), pushing a vertex's residual into its rank
@@ -75,8 +68,6 @@ func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc
 		residual[v] = 1 - pr.Damping
 	}
 
-	account := engine.NewAccountant(cl, pr.Coeffs())
-	account.SetCollector(tc)
 	var countersBuf [engine.MaxMachines]engine.StepCounters // a placement has at most MaxMachines
 	counters := countersBuf[:pl.M]
 	rounds := 0
@@ -118,5 +109,5 @@ func (pr *PageRankDelta) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc
 		}
 	}
 
-	return account.Finish(pr.Name(), g.Name, rank), nil
+	return rank, nil
 }

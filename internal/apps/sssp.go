@@ -1,14 +1,12 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
-	"proxygraph/internal/trace"
 )
 
 // SSSP computes single-source shortest paths over unit-hop edges in frontier
@@ -75,15 +73,11 @@ type SSSPResult struct {
 
 // Run implements App.
 func (s *SSSP) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return s.runTraced(pl, cl, nil)
+	return runOffEngine(s, pl, cl, engine.Options{})
 }
 
-func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Collector) (*engine.Result, error) {
-	if cl.Size() != pl.M {
-		return nil, fmt.Errorf("sssp: placement has %d machines, cluster %d", pl.M, cl.Size())
-	}
-	g := pl.G
-	n := g.NumVertices
+func (s *SSSP) count(pl *engine.Placement, account *engine.Accountant) (any, error) {
+	n := pl.G.NumVertices
 	if err := validateSource(s.Name(), n, s.Source); err != nil {
 		return nil, err
 	}
@@ -93,8 +87,6 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 		dist[v] = math.Inf(1)
 	}
 	dist[s.Source] = 0
-	account := engine.NewAccountant(cl, s.Coeffs())
-	account.SetCollector(tc)
 	// The reach word has a bit per machine, so the narrowest that fits is
 	// chosen once per run.
 	var rounds int
@@ -115,8 +107,7 @@ func (s *SSSP) runTraced(pl *engine.Placement, cl *cluster.Cluster, tc trace.Col
 			reached++
 		}
 	}
-	out := SSSPResult{Dist: dist, Reached: reached, Rounds: rounds}
-	return account.Finish(s.Name(), g.Name, out), nil
+	return SSSPResult{Dist: dist, Reached: reached, Rounds: rounds}, nil
 }
 
 // reachWord is a word with a bit per machine of a placement.

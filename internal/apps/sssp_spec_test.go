@@ -129,7 +129,7 @@ func cycledCluster(tb testing.TB, m int) *cluster.Cluster {
 func tracedSSSP(tb testing.TB, s *SSSP, pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, []trace.Event) {
 	tb.Helper()
 	rec := trace.NewRecorder()
-	res, err := s.runTraced(pl, cl, rec)
+	res, err := Run(s, pl, cl, engine.Options{Trace: rec})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestSSSPBesideBFSCompile(t *testing.T) {
 				defer wg.Done()
 				<-start
 				rec := trace.NewRecorder()
-				results[i], errs[i] = s.runTraced(shared, cl, rec)
+				results[i], errs[i] = Run(s, shared, cl, engine.Options{Trace: rec})
 				events[i] = rec.Events
 			}()
 		}

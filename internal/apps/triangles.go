@@ -1,12 +1,9 @@
 package apps
 
 import (
-	"fmt"
-
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/engine"
 	"proxygraph/internal/graph"
-	"proxygraph/internal/trace"
 )
 
 // TriangleCount counts the triangles in the graph's undirected structure,
@@ -58,13 +55,10 @@ type TriangleResult struct {
 
 // Run implements App.
 func (tc *TriangleCount) Run(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	return tc.runTraced(pl, cl, nil)
+	return runOffEngine(tc, pl, cl, engine.Options{})
 }
 
-func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, col trace.Collector) (*engine.Result, error) {
-	if cl.Size() != pl.M {
-		return nil, fmt.Errorf("triangle_count: placement has %d machines, cluster %d", pl.M, cl.Size())
-	}
+func (tc *TriangleCount) count(pl *engine.Placement, account *engine.Accountant) (any, error) {
 	g := pl.G
 	und := g.BuildUndirectedSets()
 	total, perVertex := countTriangles(und, g.NumVertices)
@@ -114,13 +108,10 @@ func (tc *TriangleCount) runTraced(pl *engine.Placement, cl *cluster.Cluster, co
 	}
 
 	// The whole count is one step over every vertex.
-	account := engine.NewAccountant(cl, tc.Coeffs())
-	account.SetCollector(col)
 	account.StepBegin(0, g.NumVertices, "sync")
 	account.Superstep(counters)
 
-	out := TriangleResult{Total: total, PerVertex: perVertex}
-	return account.Finish(tc.Name(), g.Name, out), nil
+	return TriangleResult{Total: total, PerVertex: perVertex}, nil
 }
 
 // firstOccurrences returns one bit per edge, set on the edge at which the

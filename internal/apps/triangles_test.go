@@ -63,7 +63,7 @@ func mixedPlacement(tb testing.TB, g *graph.Graph, owner func(i int) int, m int)
 	return pl, cl
 }
 
-// triangleCountSpec is the loop TriangleCount.runTraced replaced, kept as its
+// triangleCountSpec is the loop TriangleCount.count replaced, kept as its
 // executable spec: on independently sorted undirected rows, each machine
 // walks its local edges, skips an undirected pair another edge already
 // reached, merges the two endpoints' rows for their common neighbours and is

@@ -68,17 +68,20 @@ type Options struct {
 	// these vertices instead of the full vertex set — the warm-start hook for
 	// delta-based re-execution (apps.Resume*), where only vertices touched by
 	// an edge batch need reprocessing. A non-nil empty slice is a valid seed:
-	// the run terminates after one idle superstep. Ignored for ApplyAll
-	// programs: those gather from every vertex each superstep in all engines,
-	// so a partial seed has no consistent meaning there. The seed is captured
-	// by the superstep-0 baseline, so fault-schedule replays and full restarts
-	// resume from the same warm frontier.
+	// the run terminates after one idle superstep. An ApplyAll program
+	// refuses a seed: it gathers from every vertex each superstep in all
+	// engines, so a partial seed has no consistent meaning there. The seed is
+	// captured by the superstep-0 baseline, so fault-schedule replays and full
+	// restarts resume from the same warm frontier.
 	InitialActive []graph.VertexID
 }
 
-// validateInitialActive bounds-checks a warm-start seed against the vertex
-// count before any engine state is built from it.
-func validateInitialActive(seed []graph.VertexID, n int) error {
+// validateInitialActive checks a warm-start seed against the program and the
+// vertex count before any engine state is built from it.
+func validateInitialActive(seed []graph.VertexID, n int, applyAll bool) error {
+	if applyAll && seed != nil {
+		return fmt.Errorf("engine: an ApplyAll program takes no initial-active seed")
+	}
 	for _, v := range seed {
 		if int(v) >= n {
 			return fmt.Errorf("engine: initial-active vertex %d out of range [0,%d)", v, n)

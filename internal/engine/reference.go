@@ -58,10 +58,10 @@ func RunReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Clust
 	// starts full unless a warm-start seed narrows it (see
 	// Options.InitialActive).
 	frontCount := 0
-	if opts.InitialActive != nil && !applyAll {
-		if err := validateInitialActive(opts.InitialActive, n); err != nil {
-			return nil, nil, err
-		}
+	if err := validateInitialActive(opts.InitialActive, n, applyAll); err != nil {
+		return nil, nil, err
+	}
+	if opts.InitialActive != nil {
 		for _, v := range opts.InitialActive {
 			if !active[v] {
 				active[v] = true

@@ -75,10 +75,10 @@ func Run[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, opts 
 	// as the reference engine's all-true active bitmap prescribes — unless a
 	// warm-start seed narrows it to the vertices a delta batch touched.
 	r.front = newFrontier(n)
-	if opts.InitialActive != nil && !applyAll {
-		if err := validateInitialActive(opts.InitialActive, n); err != nil {
-			return nil, nil, err
-		}
+	if err := validateInitialActive(opts.InitialActive, n, applyAll); err != nil {
+		return nil, nil, err
+	}
+	if opts.InitialActive != nil {
 		r.front.seed(opts.InitialActive)
 	} else {
 		r.front.fill()

@@ -8,7 +8,6 @@ import (
 
 	"proxygraph/internal/apps"
 	"proxygraph/internal/core"
-	"proxygraph/internal/engine"
 	"proxygraph/internal/workload"
 )
 
@@ -107,11 +106,7 @@ func Replay(cfg Config, arrivals []Arrival) (*ReplayReport, error) {
 				break
 			}
 			waits = append(waits, clock-js.enqueuedAt)
-			if err := cfg.Flaky.Err(js.id, js.attempts); err != nil {
-				m.fail(clock, js, err, true)
-				continue
-			}
-			jr, err := session.RunJob(pool, js.job, engine.Options{Fault: cfg.Fault, Trace: cfg.Trace})
+			jr, err := attempt(&cfg, session, pool, js, cfg.Trace)
 			if err != nil {
 				m.fail(clock, js, err, true)
 				continue

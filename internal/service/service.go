@@ -26,8 +26,8 @@ type Config struct {
 	Cache *workload.PlacementCache
 	// ChargeIngress adds cold ingress makespans to job accounting.
 	ChargeIngress bool
-	// Fault, when non-nil, applies the same fault schedule to every attempt
-	// (crashes, stragglers, recovery — see engine.FaultConfig).
+	// Fault, when non-nil, applies one fault schedule to every attempt of a
+	// synchronous app (see engine.FaultConfig and apps.Synchronous).
 	Fault *engine.FaultConfig
 	// Flaky, when non-nil, injects deterministic transient attempt errors
 	// that retries overcome.
@@ -294,10 +294,20 @@ func (s *Service) runAttempt(js *jobState) (workload.JobResult, error) {
 	if err := js.ctx.Err(); err != nil {
 		return workload.JobResult{}, err
 	}
-	if err := s.cfg.Flaky.Err(js.id, js.attempts); err != nil {
+	return attempt(&s.cfg, s.session, s.pool, js, s.tr)
+}
+
+// attempt runs one attempt of js: an injected Flaky error, else the job with
+// cfg.Fault only on a synchronous app (the others have no supersteps to fault).
+func attempt(cfg *Config, session *workload.Session, pool *core.Pool, js *jobState, tc trace.Collector) (workload.JobResult, error) {
+	if err := cfg.Flaky.Err(js.id, js.attempts); err != nil {
 		return workload.JobResult{}, err
 	}
-	return s.session.RunJob(s.pool, js.job, engine.Options{Fault: s.cfg.Fault, Trace: s.tr})
+	opts := engine.Options{Trace: tc}
+	if apps.Synchronous(js.job.App) {
+		opts.Fault = cfg.Fault
+	}
+	return session.RunJob(pool, js.job, opts)
 }
 
 // wakeAfter re-broadcasts the condition once d seconds elapse (with a small

@@ -288,7 +288,7 @@ type TraceEvent = trace.Event
 
 // RunTraced executes app over a finalized placement and returns the result
 // with the run's event stream, the timeline TraceGantt and StragglerShare
-// read.
+// read. An App defined outside this module records no events and is refused.
 func RunTraced(app App, pl *Placement, cl *Cluster) (*Result, []TraceEvent, error) {
 	rec := trace.NewRecorder()
 	res, err := apps.Run(app, pl, cl, engine.Options{Trace: rec})
@@ -325,8 +325,8 @@ type Rebalancer = engine.Rebalancer
 
 // RunWithRebalancer executes app over a finalized placement with rb invoked
 // after every superstep barrier; its migrations are charged as stalls.
-// Applications off the synchronous engine (see AppsWithExtensions) have no
-// supersteps to rebalance between and run as app.Run does.
+// Applications off the synchronous engine (see AppsWithExtensions) and Apps
+// defined outside this module have no supersteps to rebalance: an error.
 func RunWithRebalancer(app App, pl *Placement, cl *Cluster, rb Rebalancer) (*Result, error) {
 	return apps.Run(app, pl, cl, engine.Options{Rebalancer: rb})
 }
